@@ -10,13 +10,18 @@ in three forms each: the exact finite-n expectation under the i.i.d.
 model, the leading non-exponential terms, and a scalar Frobenius-norm
 bound on the exponentially decaying difference between the two.
 
-Evaluation strategy.  Work in the eigenbasis of H, where every geometric
-factor built from H is diagonal, and diagonalize the contraction
-generator T once; the double sums then collapse into scalar geometric
-sums per (T-eigenvalue, H-eigenvalue) pair, which costs O(D^3) once plus
-O(D d^2) per horizon n, independent of n.  Matrix powers are never
-formed.  For step-sizes in the stable range the exact value is assembled
-as leading-terms-plus-remainder so that the difference between the two
+Evaluation strategy.  Work in the eigenbasis of H held by the MomentSet's
+shared spectral frame (:func:`avlms.stepsize.spectral_frame`).  There
+every geometric factor built from H is diagonal, H_L + H_R is the
+diagonal of pair sums l_a + l_b, and the fourth moment is already rotated,
+once for all step-sizes; so T = diag(l_a + l_b) - gamma M_rot costs one
+symmetric eigensolve per (moments, gamma).  The double sums then collapse
+into scalar geometric sums per (T-eigenvalue, H-eigenvalue) pair.  The
+horizon-independent contractions T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are
+formed with the model, and each horizon n adds O(D^2 d) of matrix
+products, independent of n.  Matrix powers are never formed.  For
+step-sizes in the stable range the exact value is assembled as
+leading-terms-plus-remainder so that the difference between the two
 public functions reproduces the remainder to machine precision even when
 it sits far below the rounding error of the leading terms.
 """
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
-from .stepsize import contraction_generator
+from .stepsize import spectral_frame
 
 PD_TOL = 1e-12
 
@@ -73,9 +78,11 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 class CovarianceModel:
     """Spectral data of one (moments, gamma) pair, reused across horizons.
 
-    Holds the H eigendecomposition, the eigendecomposition of the
-    contraction generator T in the rotated coordinates, and the
-    coordinates of eta0 eta0^T and E[eps^2 X X^T] in the T eigenbasis.
+    Holds the H eigendecomposition and the rotated fourth moment from the
+    MomentSet's :class:`~avlms.stepsize.SpectralFrame`, the eigenpairs of
+    the contraction generator T in those coordinates, the coordinates of
+    eta0 eta0^T and E[eps^2 X X^T] in the T eigenbasis, and the
+    horizon-independent pieces of the leading terms.
     """
 
     def __init__(self, moments: MomentSet, gamma: float):
@@ -84,7 +91,8 @@ class CovarianceModel:
         self.moments = moments
         self.gamma = float(gamma)
         basis = moments.basis
-        lam, u = np.linalg.eigh(moments.hmat)
+        frame = spectral_frame(moments)
+        lam, u = frame.lam, frame.u
         if lam[0] <= 0:
             raise SingularOperatorError(
                 "second-moment matrix must be positive definite", smallest_eigenvalue=float(lam[0])
@@ -93,17 +101,10 @@ class CovarianceModel:
         self.rot = u
         self.omega = 1.0 - gamma * lam
 
-        # Rotate the T matrix into the H eigenbasis and diagonalize it.
-        mats = basis.matrices()
-        rotated = np.einsum("ji,qjk,kl->qil", u, mats, u)
-        rmat = basis.mats_to_vecs(rotated).T
-        t_full = contraction_generator(moments, gamma).matrix
-        t_rot = rmat @ t_full @ rmat.T
-        t_rot = 0.5 * (t_rot + t_rot.T)
-        tau, v = np.linalg.eigh(t_rot)
+        tau, v = frame.t_eigh(gamma)
         self.tau = tau
         self.theta = 1.0 - gamma * tau
-        self.eig_mats = basis.vecs_to_mats(v.T)  # (D, d, d)
+        self._v = v
         self.e0_coords = v.T @ basis.mats_to_vecs(u.T @ moments.e0 @ u)
         self.sigma0_coords = v.T @ basis.mats_to_vecs(u.T @ moments.sigma0 @ u)
 
@@ -119,6 +120,14 @@ class CovarianceModel:
         self.t_positive = tau[0] > PD_TOL * tau_scale
         self.t_invertible = np.abs(tau).min() > PD_TOL * tau_scale
 
+        if self.t_invertible:
+            # Horizon-independent contractions T^-1 E0, T^-1 Sigma0, T^-2 Sigma0.
+            self._e0_t1 = self._contract(self.e0_coords / tau)
+            self._s0_t1 = self._contract(self.sigma0_coords / tau)
+            self._s0_t2 = self._contract(self.sigma0_coords / tau**2)
+            qk = self.omega / (gamma * lam) ** 2
+            self._var_corr = (qk[:, None] + qk[None, :]) * self._s0_t1
+
     # -- internal pieces, all in the rotated (H-eigen) coordinates ---------
 
     def _rotate_back(self, a: np.ndarray) -> np.ndarray:
@@ -126,13 +135,20 @@ class CovarianceModel:
         return 0.5 * (out + out.T)
 
     def _contract(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * eig_mats[q], a rotated symmetric matrix."""
-        return np.einsum("q,qab->ab", coeffs, self.eig_mats)
+        """sum_q coeffs[q] * E_q, with E_q the q-th T eigenvector as a matrix."""
+        return self.moments.basis.vecs_to_mats(self._v @ coeffs)
 
     def _side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * eig_mats[q][a,b] * (weights[q,a] + weights[q,b])."""
-        half = np.einsum("q,qab,qa->ab", coeffs, self.eig_mats, weights)
-        return half + half.T
+        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
+
+        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
+        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
+        """
+        basis = self.moments.basis
+        rows, cols = basis.pairs
+        g = self._v @ (coeffs[:, None] * weights)
+        at = np.arange(g.shape[0])
+        return basis.vecs_to_mats(g[at, rows] + g[at, cols])
 
     def _require_stable(self, what: str) -> None:
         if not self.t_positive:
@@ -143,16 +159,13 @@ class CovarianceModel:
             )
 
     def _bias_leading_rotated(self, n: int) -> np.ndarray:
-        g, g2 = self.gamma, self.gamma**2
-        return self.wsurf * self._contract(self.e0_coords / self.tau) / (g2 * n**2)
+        return self.wsurf * self._e0_t1 / (self.gamma**2 * n**2)
 
     def _variance_leading_rotated(self, n: int) -> np.ndarray:
         g = self.gamma
-        z1 = self.wsurf * self._contract(self.sigma0_coords / self.tau)
-        z2 = self.wsurf * self._contract(self.sigma0_coords / self.tau**2)
-        qk = self.omega / (g * self.lam) ** 2
-        corr = (qk[:, None] + qk[None, :]) * self._contract(self.sigma0_coords / self.tau)
-        return z1 / n - z2 / (g * n**2) - g * corr / n**2
+        z1 = self.wsurf * self._s0_t1
+        z2 = self.wsurf * self._s0_t2
+        return z1 / n - z2 / (g * n**2) - g * self._var_corr / n**2
 
     # -- public evaluations -------------------------------------------------
 
@@ -218,10 +231,7 @@ class CovarianceModel:
                 / (g * n**2)
             )
             qpk = self.omega**n / (g * self.lam) ** 2
-            q_term = (
-                g * (qpk[:, None] + qpk[None, :])
-                * self._contract(self.sigma0_coords / self.tau) / n**2
-            )
+            q_term = g * (qpk[:, None] + qpk[None, :]) * self._s0_t1 / n**2
             lead = self._rotate_back(self._variance_leading_rotated(n))
             return lead + self._rotate_back(c_term + d_term + q_term)
 

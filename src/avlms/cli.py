@@ -128,7 +128,6 @@ def _load_manifest(path: str) -> dict:
 
 _LIST_KEYS = {"gamma", "scheme"}
 _INT_KEYS = {"n_max", "points", "replicates", "seed", "dim"}
-_FLOAT_KEYS = set()
 
 
 def _merge_manifest(args: argparse.Namespace) -> None:
@@ -192,7 +191,7 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return cells
 
 
-def _cell_moments(spec: ProblemSpec, name: str, run_spec: ProblemSpec, scheme, seed: int):
+def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme, seed: int):
     if scheme is None:
         return compute_moments(run_spec)
     return reweighted_moments(spec, scheme.c_inverse, seed=seed)
@@ -203,7 +202,7 @@ def cmd_gamma_max(args) -> int:
     names = args.scheme or ["uniform"]
     rows = []
     for name, run_spec, scheme in _scheme_cells(spec, names):
-        m = _cell_moments(spec, name, run_spec, scheme, args.seed or 0)
+        m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
         g_max = stepsize.gamma_max(m)
         rows.append([
             name,
@@ -339,7 +338,7 @@ def cmd_sampling(args) -> int:
             print(f"warning: scheme {name!r} skipped: {exc}", file=sys.stderr)
             continue
         name, run_spec, scheme = cells[0]
-        m = _cell_moments(spec, name, run_spec, scheme, args.seed or 0)
+        m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
         g_max = stepsize.gamma_max(m)
         _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0

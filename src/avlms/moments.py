@@ -219,10 +219,9 @@ def gaussian_fourth_moment(hmat: np.ndarray, basis: SymBasis | None = None) -> S
         basis = SymBasis(hmat.shape[0])
 
     def act(mats):
-        hm = np.einsum("ij,qjk->qik", hmat, mats)
-        hmh = np.einsum("qij,jk->qik", hm, hmat)
-        tr = np.einsum("qij,ji->q", mats, hmat)
-        return 2.0 * hmh + tr[:, None, None] * hmat
+        # Tr(A H) = <A, H> for symmetric H: one matrix-vector product.
+        tr = mats.reshape(mats.shape[0], -1) @ hmat.reshape(-1)
+        return 2.0 * (hmat @ mats @ hmat) + tr[:, None, None] * hmat
 
     return operator_from_map(act, basis)
 

@@ -67,6 +67,11 @@ class SymBasis:
         # sqrt(2) on off-diagonal coordinates makes the basis orthonormal
         self._scale = np.where(self._rows == self._cols, 1.0, _SQRT2)
 
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index (i, j), i <= j, of every coordinate."""
+        return self._rows, self._cols
+
     def matrices(self) -> np.ndarray:
         """Stack of the basis elements, shape (D, d, d)."""
         return self.vecs_to_mats(np.eye(self.size))
@@ -90,14 +95,13 @@ class SymBasis:
 class SymOperator:
     """A linear endomorphism of the symmetric d x d matrices.
 
-    Stored as its D x D matrix in the coordinates of ``basis``.  When
-    ``symmetric`` is set the matrix is symmetric (up to round-off) and
-    spectral quantities are computed with symmetric eigensolvers.
+    Stored as its D x D matrix in the coordinates of ``basis``.  The
+    matrix must be symmetric (up to round-off), so spectral quantities are
+    computed with symmetric eigensolvers.
     """
 
     basis: SymBasis
     matrix: np.ndarray
-    symmetric: bool = True
     _eigs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,11 +109,10 @@ class SymOperator:
         D = self.basis.size
         if mat.shape != (D, D):
             raise DimensionError(f"operator matrix must be {D}x{D}, got {mat.shape}")
-        if self.symmetric:
-            scale = max(np.abs(mat).max(), 1.0)
-            if np.abs(mat - mat.T).max() > 1e-10 * scale:
-                raise DimensionError("operator marked symmetric is not symmetric")
-            mat = 0.5 * (mat + mat.T)
+        scale = max(np.abs(mat).max(), 1.0)
+        if np.abs(mat - mat.T).max() > 1e-10 * scale:
+            raise DimensionError("operator matrix is not symmetric")
+        mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -119,8 +122,6 @@ class SymOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the D x D representation (ascending), cached."""
-        if not self.symmetric:
-            raise SingularOperatorError("eigenvalues are only computed for symmetric operators")
         if "w" not in self._eigs:
             self._eigs["w"] = np.linalg.eigvalsh(self.matrix)
         return self._eigs["w"]
@@ -142,14 +143,14 @@ def vec_to_sym(v: np.ndarray, basis: SymBasis) -> np.ndarray:
     return basis.vecs_to_mats(v)
 
 
-def operator_from_map(fn, basis: SymBasis, symmetric: bool = True) -> SymOperator:
+def operator_from_map(fn, basis: SymBasis) -> SymOperator:
     """Materialize a linear map on symmetric matrices as a SymOperator.
 
     ``fn`` must accept a (D, d, d) stack and return the mapped stack.
     """
     images = fn(basis.matrices())
     cols = basis.mats_to_vecs(images)  # row q = image of basis element q
-    return SymOperator(basis=basis, matrix=cols.T, symmetric=symmetric)
+    return SymOperator(basis=basis, matrix=cols.T)
 
 
 def identity_operator(basis: SymBasis) -> SymOperator:
@@ -167,7 +168,7 @@ def left_right_operator(hmat: np.ndarray, basis: SymBasis | None = None) -> SymO
     elif basis.dim != hmat.shape[0]:
         raise DimensionError("basis and matrix dimensions differ")
     return operator_from_map(
-        lambda mats: np.einsum("ij,qjk->qik", hmat, mats) + np.einsum("qij,jk->qik", mats, hmat),
+        lambda mats: hmat @ mats + mats @ hmat,
         basis,
     )
 
@@ -210,20 +211,12 @@ def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(op: SymOperator) -> float:
-    """Largest absolute eigenvalue; equals the Frobenius-to-Frobenius norm.
-
-    Only defined here for symmetric operators; a non-symmetric operator
-    would need singular values, which this module does not support.
-    """
-    if not op.symmetric:
-        raise SingularOperatorError("operator norm is only supported for symmetric operators")
+    """Largest absolute eigenvalue; equals the Frobenius-to-Frobenius norm."""
     w = op.eigenvalues()
     return float(max(abs(w[0]), abs(w[-1])))
 
 
 def smallest_eigenvalue(op: SymOperator) -> float:
-    if not op.symmetric:
-        raise SingularOperatorError("smallest eigenvalue requires a symmetric operator")
     return float(op.eigenvalues()[0])
 
 
@@ -233,8 +226,6 @@ def solve(op: SymOperator, b: np.ndarray, pd_tol: float = 1e-12) -> np.ndarray:
     Raises SingularOperatorError, naming the offending eigenvalue, when the
     smallest eigenvalue is below ``pd_tol`` times the operator norm.
     """
-    if not op.symmetric:
-        raise SingularOperatorError("solve requires a symmetric operator")
     w = op.eigenvalues()
     norm = max(abs(w[0]), abs(w[-1]))
     if w[0] <= pd_tol * norm:

@@ -8,11 +8,22 @@ pencil (M, H_L + H_R).  This module computes that threshold, the classical
 deterministic threshold 2/L, the universal bound 2/Tr(H), and the
 contraction factors of I - gamma*T and I - gamma*H together with an
 analytic upper bound on their maximum.
+
+The threshold and every spectrum of T are read from one
+:class:`SpectralFrame` per MomentSet: the eigenbasis of H, in which
+H_L + H_R is the diagonal matrix of pair sums l_a + l_b.  The fourth
+moment is rotated into that frame once and shared by every step-size.
+The pencil then reduces to a standard symmetric eigenproblem after a
+diagonal scaling, and T(gamma) is that diagonal minus gamma times the
+shared matrix, whose eigenvalues are cached per gamma.
+:func:`contraction_generator` keeps the dense operator in the original
+coordinates as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +34,70 @@ from .moments import MomentSet
 from .operators import SymOperator, left_right_operator
 
 
+class SpectralFrame:
+    """The eigenbasis of H of one MomentSet, shared by every step-size.
+
+    ``lam`` and ``u`` are the eigenpairs of H.  ``rmat`` is the orthogonal
+    D x D map from the coordinates of A to those of u^T A u.  In the
+    rotated coordinates H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair
+    sums l_a + l_b, and the fourth moment is ``m_rot``, so that
+    T(gamma) = diag(bdiag) - gamma * m_rot.
+    """
+
+    def __init__(self, moments: MomentSet):
+        basis = moments.basis
+        rows, cols = basis.pairs
+        self.lam, self.u = np.linalg.eigh(moments.hmat)
+        self.rmat = basis.mats_to_vecs(self.u.T @ basis.matrices() @ self.u).T
+        self.bdiag = self.lam[rows] + self.lam[cols]
+        m_rot = self.rmat @ moments.fourth_moment.matrix @ self.rmat.T
+        self.m_rot = 0.5 * (m_rot + m_rot.T)
+        self._tau: dict[float, np.ndarray] = {}
+
+    def t_matrix(self, gamma: float) -> np.ndarray:
+        """T(gamma) in the rotated coordinates."""
+        t = -gamma * self.m_rot
+        t[np.diag_indices_from(t)] += self.bdiag
+        return t
+
+    def t_eigh(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of T(gamma); the eigenvalues are kept for later lookups."""
+        tau, v = np.linalg.eigh(self.t_matrix(gamma))
+        self._keep(float(gamma), tau)
+        return tau, v
+
+    def t_eigenvalues(self, gamma: float) -> np.ndarray:
+        """Ascending eigenvalues of T(gamma), solved once per step-size."""
+        key = float(gamma)
+        if key not in self._tau:
+            self._keep(key, np.linalg.eigvalsh(self.t_matrix(key)))
+        return self._tau[key]
+
+    def _keep(self, key: float, tau: np.ndarray) -> None:
+        # Every caller of one step-size gets the same array: freeze it.
+        tau.setflags(write=False)
+        if len(self._tau) > 32:
+            self._tau.clear()
+        self._tau.setdefault(key, tau)
+
+
+_frame_cache: "weakref.WeakKeyDictionary[MomentSet, SpectralFrame]" = weakref.WeakKeyDictionary()
+
+
+def spectral_frame(moments: MomentSet) -> SpectralFrame:
+    """The cached :class:`SpectralFrame` of a MomentSet."""
+    frame = _frame_cache.get(moments)
+    if frame is None:
+        frame = _frame_cache[moments] = SpectralFrame(moments)
+    return frame
+
+
 def contraction_generator(moments: MomentSet, gamma: float) -> SymOperator:
-    """The operator T(gamma) = H_L + H_R - gamma * M on symmetric matrices."""
+    """The operator T(gamma) = H_L + H_R - gamma * M on symmetric matrices.
+
+    Dense, in the original coordinates; the library reads T from
+    :func:`spectral_frame` and keeps this as the reference operator.
+    """
     b = left_right_operator(moments.hmat, moments.basis)
     return SymOperator(
         basis=moments.basis, matrix=b.matrix - gamma * moments.fourth_moment.matrix
@@ -34,22 +107,26 @@ def contraction_generator(moments: MomentSet, gamma: float) -> SymOperator:
 def gamma_max(moments: MomentSet) -> float:
     """Supremum of step-sizes keeping T(gamma) positive definite.
 
-    Solved exactly as a generalized symmetric-definite eigenproblem: the
-    threshold is 1/lambda_max of the pencil (M, H_L + H_R).  Returns +inf
-    when the fourth moment vanishes.
+    The threshold is 1/lambda_max of the pencil (M, H_L + H_R).  In the
+    eigenbasis of H the second matrix is diagonal, so the pencil is solved
+    exactly as the standard symmetric eigenproblem of
+    diag(bdiag)^-1/2 m_rot diag(bdiag)^-1/2.  Returns +inf when the fourth
+    moment vanishes.
     """
     if moments.mu <= 0:
         raise SingularOperatorError(
             "second-moment matrix must be positive definite",
             smallest_eigenvalue=moments.mu,
         )
-    mmat = moments.fourth_moment.matrix
-    bmat = left_right_operator(moments.hmat, moments.basis).matrix
-    if moments.basis.size == 1:
-        lam_top = mmat[0, 0] / bmat[0, 0]
+    frame = spectral_frame(moments)
+    size = moments.basis.size
+    if size == 1:
+        lam_top = frame.m_rot[0, 0] / frame.bdiag[0]
     else:
+        s = 1.0 / np.sqrt(frame.bdiag)
+        scaled = s[:, None] * frame.m_rot * s[None, :]
         lam_top = float(
-            scipy.linalg.eigh(mmat, bmat, eigvals_only=True, subset_by_index=[mmat.shape[0] - 1, mmat.shape[0] - 1])[0]
+            scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
         )
     if lam_top <= 1e-300:
         return math.inf
@@ -86,10 +163,9 @@ def contraction_factors(moments: MomentSet, gamma: float) -> ContractionFactors:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    tau = contraction_generator(moments, gamma).eigenvalues()
-    rho_t = float(np.abs(1.0 - gamma * tau).max())
-    lam = np.linalg.eigvalsh(moments.hmat)
-    rho_h = float(np.abs(1.0 - gamma * lam).max())
+    frame = spectral_frame(moments)
+    rho_t = float(np.abs(1.0 - gamma * frame.t_eigenvalues(gamma)).max())
+    rho_h = float(np.abs(1.0 - gamma * frame.lam).max())
     return ContractionFactors(rho_t=rho_t, rho_h=rho_h)
 
 
@@ -113,7 +189,7 @@ def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> f
 
 def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
     """Smallest eigenvalue of T(gamma); positive iff gamma is stable."""
-    return float(contraction_generator(moments, gamma).eigenvalues()[0])
+    return float(spectral_frame(moments).t_eigenvalues(gamma)[0])
 
 
 @dataclass(frozen=True)

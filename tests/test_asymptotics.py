@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from avlms import (
     CovarianceModel,
@@ -31,8 +32,9 @@ from avlms import (
     variance_remainder_bound,
 )
 from avlms.operators import apply as op_apply
+from avlms.operators import left_right_operator
 from avlms.stepsize import contraction_generator
-from conftest import full_battery
+from conftest import full_battery, make_discrete
 
 EPS = np.finfo(float).eps
 
@@ -108,6 +110,59 @@ def dp_variance(moments, gamma, n):
         cross = lifted + cur
         total = total + lifted + lifted.T + cur
     return total / n**2
+
+
+def rotated_gaussian_spec(d: int, seed: int) -> ProblemSpec:
+    """Gaussian spec whose covariance has a random (non-diagonal) eigenbasis."""
+    rg = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rg.standard_normal((d, d)))
+    cov = q @ np.diag(1.0 / np.arange(1, d + 1)) @ q.T
+    return ProblemSpec.gaussian(
+        cov, w_star=rg.standard_normal(d), w0=rg.standard_normal(d), sigma=0.7
+    )
+
+
+NON_DIAGONAL = [
+    ("rotated-gauss", rotated_gaussian_spec(7, 41)),
+    ("disc-ind", make_discrete(6, 15, 42, residual=False)),
+]
+
+
+@pytest.mark.parametrize("name,spec", NON_DIAGONAL, ids=[n for n, _ in NON_DIAGONAL])
+class TestDenseOracle:
+    """The rotated-frame spectra agree with the dense operators in the
+    original coordinates on an H that is far from diagonal."""
+
+    def test_h_is_not_diagonal(self, name, spec):
+        h = compute_moments(spec).hmat
+        assert np.abs(h - np.diag(np.diag(h))).max() > 0.05 * np.abs(h).max()
+
+    def test_gamma_max_matches_dense_pencil(self, name, spec):
+        m = compute_moments(spec)
+        b = left_right_operator(m.hmat, m.basis).matrix
+        top = scipy.linalg.eigh(m.fourth_moment.matrix, b, eigvals_only=True)[-1]
+        assert abs(gamma_max(m) * top - 1.0) < 1e-12
+
+    def test_t_spectrum_matches_dense_generator(self, name, spec):
+        m = compute_moments(spec)
+        for frac in (0.05, 0.5, 0.95):
+            g = frac * gamma_max(m)
+            ref = contraction_generator(m, g).eigenvalues()
+            np.testing.assert_allclose(CovarianceModel(m, g).tau, ref, rtol=1e-12, atol=0)
+            assert abs(smallest_t_eigenvalue(m, g) / ref[0] - 1.0) < 1e-12
+
+    def test_exact_covariances_match_recursion(self, name, spec):
+        """Relative to the larger of the value and its driving matrix: at
+        n=2 the exact variance is leading terms plus a remainder that nearly
+        cancel them, so its error scales with Sigma0, not with the value."""
+        m = compute_moments(spec)
+        g = 0.5 * gamma_max(m)
+        model = CovarianceModel(m, g)
+        for n in (2, 17, 90):
+            for got, ref, src in ((model.bias_exact(n), dp_bias(m, g, n), m.e0),
+                                  (model.variance_exact(n), dp_variance(m, g, n), m.sigma0)):
+                scale = max(np.abs(ref).max(), np.abs(src).max())
+                assert np.abs(got - ref).max() < 1e-12 * scale, n
 
 
 class TestExactBias:

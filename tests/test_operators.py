@@ -232,13 +232,6 @@ class TestOperatorNorm:
             )
             assert abs(operator_norm(op) - np.abs(1 - 2 * gamma * lam).max()) < 1e-10
 
-    def test_rejects_nonsymmetric(self):
-        basis = SymBasis(2)
-        mat = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        op = SymOperator(basis=basis, matrix=mat, symmetric=False)
-        with pytest.raises(SingularOperatorError):
-            operator_norm(op)
-
 
 class TestSmallestEigenvalue:
     def test_identity(self):

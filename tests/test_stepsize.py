@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from avlms import (
+    CovarianceModel,
     ProblemSpec,
     compute_moments,
     contraction_factors,
     contraction_rate_bound,
     gamma_max,
     gamma_max_det,
+    left_right_operator,
     reweighted_moments,
     smallest_t_eigenvalue,
     step_size_report,
     trace_step_bound,
 )
+from avlms.stepsize import SpectralFrame, spectral_frame
 from conftest import make_discrete, make_gaussian
 
 
@@ -189,3 +193,62 @@ class TestReport:
         assert not beyond.t_positive
         assert beyond.rate_bound is None
         assert abs(report.mu_t(0.5) - 1.5) < 1e-14
+
+
+class TestOneSpectralFrame:
+    """T is eigensolved once per (moments, gamma), on M rotated once per MomentSet."""
+
+    @pytest.fixture
+    def order_d_solves(self, monkeypatch):
+        """Orders of every eigensolve made while the test runs."""
+        orders = []
+        for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+            def counted(a, *args, _fn=getattr(owner, attr), **kwargs):
+                orders.append(np.shape(a)[0])
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return orders
+
+    def test_report_at_solves_t_once(self, order_d_solves):
+        m = compute_moments(make_gaussian(4, 0.5, 901))
+        size = m.basis.size
+        report = step_size_report(m)
+        g = 0.5 * report.gamma_max
+        order_d_solves.clear()
+        diag = report.at(g)
+        assert order_d_solves.count(size) == 1
+        assert smallest_t_eigenvalue(m, g) == report.mu_t(g)
+        assert diag.t_positive and order_d_solves.count(size) == 1
+
+    def test_model_eigenvalues_serve_later_lookups(self, order_d_solves):
+        m = compute_moments(make_discrete(3, 8, 902, residual=True))
+        g = 0.4 * gamma_max(m)
+        model = CovarianceModel(m, g)
+        solves = order_d_solves.count(m.basis.size)
+        assert smallest_t_eigenvalue(m, g) == model.mu_t
+        contraction_factors(m, g)
+        assert order_d_solves.count(m.basis.size) == solves
+
+    def test_two_models_rotate_the_fourth_moment_once(self, monkeypatch):
+        builds = []
+        init = SpectralFrame.__init__
+
+        def counted(self, moments):
+            builds.append(moments)
+            init(self, moments)
+
+        monkeypatch.setattr(SpectralFrame, "__init__", counted)
+        m = compute_moments(make_gaussian(5, 0.5, 903))
+        g = gamma_max(m)
+        CovarianceModel(m, 0.5 * g)
+        CovarianceModel(m, 0.05 * g)
+        assert builds == [m]
+        assert spectral_frame(m) is spectral_frame(m)
+
+    def test_frame_diagonalizes_left_right_operator(self):
+        m = compute_moments(make_gaussian(4, 0.5, 904))
+        f = spectral_frame(m)
+        b_rot = f.rmat @ left_right_operator(m.hmat, m.basis).matrix @ f.rmat.T
+        np.testing.assert_allclose(b_rot, np.diag(f.bdiag), atol=1e-13 * f.bdiag.max())
+        np.testing.assert_allclose(f.rmat @ f.rmat.T, np.eye(m.basis.size), atol=1e-14)
