@@ -42,6 +42,8 @@ from .moments import (
     check_cross_term_condition,
     compute_moments,
     gaussian_fourth_moment,
+    leverage_resampled_moments,
+    norm_resampled_moments,
     reweighted_moments,
 )
 from .operators import (
@@ -64,6 +66,7 @@ from .sampling import (
     optimal_bias_scheme,
     optimal_variance_scheme,
     resampled_gamma_max,
+    resampled_moments,
     uniform_scheme,
     variance_gain,
 )

@@ -28,7 +28,6 @@ it sits far below the rounding error of the leading terms.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,11 +279,10 @@ def _check_n(n) -> int:
     return int(n)
 
 
-_model_cache: "weakref.WeakKeyDictionary[MomentSet, dict]" = weakref.WeakKeyDictionary()
-
-
 def _model(moments: MomentSet, gamma: float) -> CovarianceModel:
-    per = _model_cache.setdefault(moments, {})
+    # The cache lives on the MomentSet: a model refers back to its moments,
+    # so a cache keyed by them elsewhere would keep them alive.
+    per = moments._models
     key = float(gamma)
     if key not in per:
         if len(per) > 32:

@@ -32,7 +32,7 @@ from .errors import (
     SingularOperatorError,
     SpecError,
 )
-from .moments import ProblemSpec, compute_moments, reweighted_moments
+from .moments import ProblemSpec, compute_moments
 from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -194,7 +194,7 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
 def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme, seed: int):
     if scheme is None:
         return compute_moments(run_spec)
-    return reweighted_moments(spec, scheme.c_inverse, seed=seed)
+    return sampling.resampled_moments(spec, scheme, seed=seed)
 
 
 def cmd_gamma_max(args) -> int:
@@ -338,7 +338,10 @@ def cmd_sampling(args) -> int:
             print(f"warning: scheme {name!r} skipped: {exc}", file=sys.stderr)
             continue
         name, run_spec, scheme = cells[0]
-        m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
+        if scheme is None and run_spec is spec:
+            m = base_moments
+        else:
+            m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
         g_max = stepsize.gamma_max(m)
         _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0

@@ -12,11 +12,16 @@ has at least one backend where it is exact:
 From a specification, :func:`compute_moments` produces the second-moment
 matrix, the fourth-moment operator, the noise covariance E[eps^2 X X^T]
 and the rank-one start matrix eta0 eta0^T used everywhere else.
+:func:`reweighted_moments` gives the same objects after importance
+resampling; :func:`norm_resampled_moments` and
+:func:`leverage_resampled_moments` are its exact closed forms for the two
+optimal schemes on Gaussian designs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +37,16 @@ from .operators import (
 )
 
 RANK_TOL = 1e-10  # smallest eigenvalue of H below this times trace -> rank deficient
+
+# Rows per Monte Carlo chunk: sampled estimates hold O(MC_CHUNK x D) memory.
+MC_CHUNK = 4096
+
+# Trapezoid rule in x = log s for the norm-resampling integrals: the
+# integrands are analytic in the strip |Im x| < pi, so the rule's error is
+# of order exp(-2 pi^2 / step), far below rounding; the ends are cut where
+# the tails fall under 2^-60.
+QUAD_STEP = 0.125
+QUAD_LOG_TOL = math.log(2.0**-60)
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,9 @@ class MomentSet:
     ``fourth_moment`` acts on symmetric A as E[(X^T A X) X X^T]; ``sigma0``
     is E[eps^2 X X^T]; ``e0`` is the rank-one matrix eta0 eta0^T.
     ``n_samples`` records the draw count when the fourth moment was
-    estimated from samples rather than computed exactly.
+    estimated from samples rather than computed exactly.  ``_models``
+    holds the covariance models built for this instance, per step-size;
+    kept on the object, they are freed with it.
     """
 
     dim: int
@@ -188,6 +205,7 @@ class MomentSet:
     mu: float
     lmax: float
     n_samples: int | None = None
+    _models: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for arr in (self.hmat, self.sigma0, self.e0):
@@ -233,6 +251,18 @@ def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
     return design.ys - design.xs @ spec.w_star
 
 
+def _second_moment(spec: ProblemSpec) -> np.ndarray:
+    """H = E[X X^T] of a specification; rank-checked on discrete designs."""
+    design = spec.design
+    if isinstance(design, GaussianDesign):
+        return design.cov
+    xs, probs = design.xs, design.probs
+    hmat = np.einsum("t,ti,tj->ij", probs, xs, xs)
+    hmat = 0.5 * (hmat + hmat.T)
+    _require_full_rank(hmat, spec.kind)
+    return hmat
+
+
 def compute_moments(spec: ProblemSpec) -> MomentSet:
     """Exact moments of a specification.
 
@@ -244,15 +274,12 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
     eta0 = spec.eta0
     e0 = np.outer(eta0, eta0)
     design = spec.design
+    hmat = _second_moment(spec)
     if isinstance(design, GaussianDesign):
-        hmat = design.cov
         fourth = gaussian_fourth_moment(hmat, basis)
         sigma0 = spec.noise.sigma**2 * hmat
         return _assemble(basis, hmat, fourth, sigma0, e0)
     xs, probs = design.xs, design.probs
-    hmat = np.einsum("t,ti,tj->ij", probs, xs, xs)
-    hmat = 0.5 * (hmat + hmat.T)
-    _require_full_rank(hmat, spec.kind)
     fourth = fourth_moment_operator_from_samples(xs, basis, weights=probs)
     if isinstance(spec.noise, ResidualNoise):
         eps = _atom_residuals(spec)
@@ -294,11 +321,17 @@ def reweighted_moments(
     start matrix) unchanged, while each fourth-order object picks up a
     factor c = 1/c_inverse per atom: the fourth-moment operator becomes
     E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
-    Exact for discrete designs; Gaussian designs fall back to a seeded
-    Monte Carlo estimate with ``mc_samples`` draws (recorded in the
-    result's ``n_samples``).
+
+    Exact for discrete designs.  On Gaussian designs an arbitrary
+    ``c_inverse`` is estimated from ``mc_samples`` seeded draws (recorded
+    in the result's ``n_samples``), streamed in chunks of ``MC_CHUNK`` rows
+    so that memory stays O(MC_CHUNK x D); the two optimal schemes have
+    exact forms instead, :func:`norm_resampled_moments` and
+    :func:`leverage_resampled_moments`.
     """
-    base = compute_moments(spec)
+    basis = SymBasis(spec.dim)
+    hmat = _second_moment(spec)
+    e0 = np.outer(spec.eta0, spec.eta0)
     design = spec.design
     if isinstance(design, DiscreteDesign):
         cinv = _atom_c_inverse(spec, c_inverse)
@@ -306,41 +339,142 @@ def reweighted_moments(
         live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
         c = np.zeros_like(cinv)
         c[live] = 1.0 / cinv[live]
-        u = _rank_one_coords(xs, base.basis)
+        u = _rank_one_coords(xs, basis)
         wts = probs * c
         m4 = (u * wts[:, None]).T @ u
-        fourth = SymOperator(basis=base.basis, matrix=0.5 * (m4 + m4.T))
+        fourth = SymOperator(basis=basis, matrix=0.5 * (m4 + m4.T))
         if isinstance(spec.noise, ResidualNoise):
             eps2 = _atom_residuals(spec) ** 2
         else:
             eps2 = np.full(xs.shape[0], spec.noise.sigma**2)
         sigma0 = np.einsum("t,ti,tj->ij", wts * eps2, xs, xs)
-        return _assemble(base.basis, base.hmat, fourth, sigma0, base.e0)
-    # Gaussian design: atomize by Monte Carlo.
-    rng = np.random.default_rng(seed)
-    root = _sqrt_psd(design.cov)
-    xs = rng.standard_normal((mc_samples, spec.dim)) @ root.T
-    ys = xs @ spec.w_star
-    cinv = np.asarray(c_inverse(xs, ys), dtype=float).reshape(-1)
-    if cinv.min() <= 0:
-        raise SchemeError(
-            "c_inverse must stay positive on Gaussian draws (X != 0 almost surely)"
-        )
-    mean = cinv.mean()
-    se = cinv.std(ddof=1) / np.sqrt(mc_samples)
+        return _assemble(basis, hmat, fourth, sigma0, e0)
+    # Gaussian design: atomize by Monte Carlo, one chunk of draws at a time.
+    if mc_samples < 2:
+        raise ValueError("the Monte Carlo estimate needs at least 2 draws")
+    m4 = np.zeros((basis.size, basis.size))
+    cxx = np.zeros((spec.dim, spec.dim))
+    sum1 = sum2 = 0.0
+    for xs in _gaussian_draws(design.cov, mc_samples, seed):
+        cinv = np.asarray(c_inverse(xs, xs @ spec.w_star), dtype=float).reshape(-1)
+        if cinv.min() <= 0:
+            raise SchemeError(
+                "c_inverse must stay positive on Gaussian draws (X != 0 almost surely)"
+            )
+        sum1 += float(cinv.sum())
+        sum2 += float(cinv @ cinv)
+        c = 1.0 / cinv
+        u = _rank_one_coords(xs, basis)
+        m4 += (u * c[:, None]).T @ u
+        cxx += (xs * c[:, None]).T @ xs
+    mean = sum1 / mc_samples
+    se = math.sqrt(max(sum2 - sum1 * mean, 0.0) / (mc_samples - 1) / mc_samples)
     if abs(mean - 1.0) > max(4.0 * se, 1e-6):
         raise SchemeError(f"c_inverse has sample mean {mean!r}, not 1")
-    c = 1.0 / cinv
-    u = _rank_one_coords(xs, base.basis)
-    m4 = (u * (c / mc_samples)[:, None]).T @ u
-    fourth = SymOperator(basis=base.basis, matrix=0.5 * (m4 + m4.T))
-    sigma0 = spec.noise.sigma**2 * np.einsum("t,ti,tj->ij", c / mc_samples, xs, xs)
-    return _assemble(base.basis, base.hmat, fourth, sigma0, base.e0, n_samples=mc_samples)
+    m4 /= mc_samples
+    fourth = SymOperator(basis=basis, matrix=0.5 * (m4 + m4.T))
+    sigma0 = spec.noise.sigma**2 * cxx / mc_samples
+    return _assemble(basis, hmat, fourth, sigma0, e0, n_samples=mc_samples)
+
+
+def _gaussian_draws(cov: np.ndarray, n: int, seed: int):
+    """Seeded draws of N(0, cov), yielded in blocks of at most MC_CHUNK rows.
+
+    The blocks concatenate to the rows of one ``(n, d)`` draw from the same
+    generator, so the sample does not depend on the chunk size.
+    """
+    rng = np.random.default_rng(seed)
+    root_t = _sqrt_psd(cov).T
+    for start in range(0, n, MC_CHUNK):
+        yield rng.standard_normal((min(MC_CHUNK, n - start), cov.shape[0])) @ root_t
 
 
 def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(cov)
     return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def _chi_mean(d: int) -> float:
+    """E||Z|| for Z ~ N(0, I_d): sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
+    return math.sqrt(2.0) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
+
+
+def _gaussian_cov(spec: ProblemSpec, scheme: str) -> np.ndarray:
+    if not isinstance(spec.design, GaussianDesign):
+        raise SpecError(f"the closed-form {scheme} moments need a Gaussian design")
+    return spec.design.cov
+
+
+def leverage_resampled_moments(spec: ProblemSpec) -> MomentSet:
+    """Exact moments of a Gaussian spec resampled by c^{-1} = ||H^-1/2 X|| / K.
+
+    K = E||Z|| for Z ~ N(0, I_d) normalizes the leverage ratio.  Writing
+    X = H^1/2 r theta with r = ||H^-1/2 X|| independent of the direction
+    theta, the weight c = K/r only changes the radial moments:
+    E[c r^4] = K E[r^3] = (d+1) K^2 against E[r^4] = d(d+2).  So the fourth
+    moment is kappa M_gauss with kappa = (d+1) K^2 / (d(d+2)), the noise
+    covariance is sigma^2 K^2/d H, and gamma_max is divided by kappa.
+    """
+    cov = _gaussian_cov(spec, "leverage-resampled")
+    d = spec.dim
+    k = _chi_mean(d)
+    basis = SymBasis(d)
+    kappa = (d + 1) * k**2 / (d * (d + 2))
+    fourth = SymOperator(basis=basis, matrix=kappa * gaussian_fourth_moment(cov, basis).matrix)
+    sigma0 = spec.noise.sigma**2 * k**2 / d * cov
+    return _assemble(basis, cov, fourth, sigma0, np.outer(spec.eta0, spec.eta0))
+
+
+def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
+    """Exact moments of a Gaussian spec resampled by c^{-1} = ||X||^2 / Tr(H).
+
+    With 1/||x||^2 = int_0^inf exp(-s ||x||^2) ds, the weighted Gaussian
+    law is a scale mixture of N(0, H_s), H_s = (H^-1 + 2s I)^-1, with
+    mixing weight w(s) = det(I + 2s H)^-1/2.  In the eigenbasis
+    H = u diag(l) u^T, H_s has eigenvalues h_a(s) = l_a / (1 + 2s l_a), and
+    the Gaussian fourth moment of each N(0, H_s) integrates to
+
+        M'(A)_ab = Tr(H) [2 G_ab A_ab + delta_ab sum_c G_ac A_cc],
+        Sigma0'  = sigma^2 Tr(H) u diag(g) u^T,
+
+    with G = int w h h^T ds and g = int w h ds (A in the eigenbasis).
+    Every resampled draw has ||X||^2 = Tr(H), so gamma_max is 2/Tr(H).
+    """
+    cov = _gaussian_cov(spec, "norm-resampled")
+    trace_h = float(np.trace(cov))
+    lam, u = np.linalg.eigh(cov)
+    g, gmat = _norm_resampling_integrals(lam)
+    diag = np.arange(spec.dim)
+
+    def act(mats):
+        rot = u.T @ mats @ u
+        out = 2.0 * gmat * rot
+        out[:, diag, diag] += rot[:, diag, diag] @ gmat
+        return trace_h * (u @ out @ u.T)
+
+    basis = SymBasis(spec.dim)
+    sigma0 = spec.noise.sigma**2 * trace_h * ((u * g) @ u.T)
+    return _assemble(basis, cov, operator_from_map(act, basis), sigma0,
+                     np.outer(spec.eta0, spec.eta0))
+
+
+def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = int w h ds and G = int w h h^T ds of :func:`norm_resampled_moments`.
+
+    Trapezoid rule in x = log s with step QUAD_STEP.  Below
+    s = 1/(2 l_max) the integrands grow like s; above s = 1/(2 l_min) they
+    decay at least like s^(-d/2); each end is cut where its tail is below
+    2^-60 of the integral.
+    """
+    d = lam.size
+    lo = math.log(0.5 / lam[-1]) + QUAD_LOG_TOL
+    hi = math.log(0.5 / lam[0]) - 2.0 * QUAD_LOG_TOL / d
+    s = np.exp(lo + QUAD_STEP * np.arange(math.ceil((hi - lo) / QUAD_STEP) + 1))
+    q = 1.0 + 2.0 * s[:, None] * lam[None, :]
+    h = lam / q
+    # ds = s dx; w(s) = prod_a q_a^-1/2
+    wts = QUAD_STEP * s * np.exp(-0.5 * np.log(q).sum(axis=1))
+    return wts @ h, (h * wts[:, None]).T @ h
 
 
 @dataclass(frozen=True)

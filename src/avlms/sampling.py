@@ -9,7 +9,6 @@ threshold and the asymptotic variance constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,9 +19,14 @@ from .moments import (
     DiscreteDesign,
     GaussianDesign,
     IndependentGaussianNoise,
+    MomentSet,
     ProblemSpec,
     _atom_residuals,
-    compute_moments,
+    _chi_mean,
+    _gaussian_draws,
+    _second_moment,
+    leverage_resampled_moments,
+    norm_resampled_moments,
     reweighted_moments,
 )
 
@@ -37,12 +41,16 @@ class SamplingScheme:
     be nonnegative, integrate to one under the original distribution, and
     stay positive wherever X is nonzero.  ``requires`` names the oracle
     knowledge the scheme assumes (e.g. the second moment, the residuals).
+    ``exact_moments``, when set, returns the resampled moments of the spec
+    the scheme was built for in closed form; :func:`resampled_moments`
+    uses it in place of :func:`~avlms.moments.reweighted_moments`.
     """
 
     name: str
     c_inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normalization: float
     requires: frozenset = field(default_factory=frozenset)
+    exact_moments: Callable[[], MomentSet] | None = None
 
 
 def uniform_scheme() -> SamplingScheme:
@@ -57,7 +65,9 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
     """Norm-proportional resampling c*^{-1} = X^T X / E[X^T X].
 
     Pushes the stability threshold to its universal maximum 2/E[X^T X];
-    needs no knowledge beyond the mean squared norm.
+    needs no knowledge beyond the mean squared norm.  On Gaussian specs the
+    scheme carries the exact resampled moments
+    (:func:`~avlms.moments.norm_resampled_moments`).
     """
     norm_const = _mean_squared_norm(spec)
     if norm_const <= 0:
@@ -72,6 +82,7 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
         c_inverse=c_inverse,
         normalization=norm_const,
         requires=frozenset({"mean squared norm"}),
+        exact_moments=_gaussian_closed_form(spec, norm_resampled_moments),
     )
 
 
@@ -82,10 +93,11 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     equality case for the small-step variance constant.  On specs whose
     noise is independent of X the |eps| factor is constant across inputs
     and drops out of the ratio, leaving the pure leverage density.  An
-    idealized oracle scheme: it presumes H and the residuals.
+    idealized oracle scheme: it presumes H and the residuals.  On Gaussian
+    specs the scheme carries the exact resampled moments
+    (:func:`~avlms.moments.leverage_resampled_moments`).
     """
-    moments = compute_moments(spec)
-    hinv = np.linalg.inv(moments.hmat)
+    hinv = np.linalg.inv(_second_moment(spec))
     w_star = spec.w_star
     design = spec.design
 
@@ -100,8 +112,7 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
             norm_const = float(design.probs @ leverage(design.xs))
         else:
             # X^T H^-1 X is an exact chi-square with d degrees of freedom.
-            d = spec.dim
-            norm_const = math.sqrt(2.0) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
+            norm_const = _chi_mean(spec.dim)
 
         def c_inverse(xs, ys):
             return leverage(xs) / norm_const
@@ -111,6 +122,7 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
             c_inverse=c_inverse,
             normalization=norm_const,
             requires=frozenset({"second moment", "noise level"}),
+            exact_moments=_gaussian_closed_form(spec, leverage_resampled_moments),
         )
 
     eps = _atom_residuals(spec)
@@ -132,6 +144,24 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     )
 
 
+def _gaussian_closed_form(spec: ProblemSpec, form) -> Callable[[], MomentSet] | None:
+    if isinstance(spec.design, GaussianDesign):
+        return lambda: form(spec)
+    return None
+
+
+def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme, **kwargs) -> MomentSet:
+    """Moments of the instance after resampling by a scheme.
+
+    The scheme's closed form when it has one, otherwise
+    :func:`~avlms.moments.reweighted_moments` of its ratio (``kwargs`` go
+    to the latter's Monte Carlo fallback).
+    """
+    if scheme.exact_moments is not None:
+        return scheme.exact_moments()
+    return reweighted_moments(spec, scheme.c_inverse, **kwargs)
+
+
 def _mean_squared_norm(spec: ProblemSpec) -> float:
     design = spec.design
     if isinstance(design, GaussianDesign):
@@ -143,7 +173,7 @@ def variance_gain(spec: ProblemSpec, mc_samples: int = GAIN_MC_SAMPLES, seed: in
     """The order-of-gain ratio E[sqrt(X^T X)]^2 / E[X^T X], in (0, 1].
 
     Exact on discrete designs; Gaussian designs use a seeded sample
-    average with ``mc_samples`` draws.
+    average with ``mc_samples`` draws, streamed in bounded chunks.
     """
     design = spec.design
     if isinstance(design, DiscreteDesign):
@@ -151,12 +181,10 @@ def variance_gain(spec: ProblemSpec, mc_samples: int = GAIN_MC_SAMPLES, seed: in
         mean_norm = float(design.probs @ np.sqrt(sq))
         mean_sq = float(design.probs @ sq)
     else:
-        from .moments import _sqrt_psd
-
-        rng = np.random.default_rng(seed)
-        xs = rng.standard_normal((mc_samples, spec.dim)) @ _sqrt_psd(design.cov).T
-        sq = np.einsum("ti,ti->t", xs, xs)
-        mean_norm = float(np.sqrt(sq).mean())
+        total = 0.0
+        for xs in _gaussian_draws(design.cov, mc_samples, seed):
+            total += float(np.sqrt(np.einsum("ti,ti->t", xs, xs)).sum())
+        mean_norm = total / mc_samples
         mean_sq = float(np.trace(design.cov))
     if mean_sq <= 0:
         raise SpecError("variance gain needs E[X^T X] > 0")
@@ -174,4 +202,4 @@ def resampled_gamma_max(spec: ProblemSpec, scheme: SamplingScheme, **kwargs) -> 
     """Stability threshold of the instance after resampling by a scheme."""
     from .stepsize import gamma_max
 
-    return gamma_max(reweighted_moments(spec, scheme.c_inverse, **kwargs))
+    return gamma_max(resampled_moments(spec, scheme, **kwargs))

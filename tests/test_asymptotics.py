@@ -485,6 +485,22 @@ class TestRatesAndRegimes:
                         assert lead_risk >= 0.0, (name, frac, n)
 
 
+class TestModelCache:
+    def test_cached_models_die_with_their_moments(self):
+        """A cached CovarianceModel refers to its MomentSet; the cache must
+        still let the MomentSet be collected."""
+        import gc
+        import weakref
+
+        m = compute_moments(scalar_unit_spec())
+        exact_bias_covariance(m, 0.5, 10)
+        assert 0.5 in m._models
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+
+
 class TestCovarianceReport:
     def test_stable_report_is_complete(self):
         m = compute_moments(scalar_unit_spec())

@@ -106,6 +106,43 @@ class TestCommands:
         trace_bound = float(rows[0][3])
         np.testing.assert_allclose(got["bias-opt"], trace_bound, rtol=1e-10)
 
+    def test_gaussian_bias_opt_reaches_trace_bound(self, capsys):
+        rc = main(["gamma-max", "--spec", "gaussian:d=25", "--scheme", "bias-opt"])
+        assert rc == EXIT_OK
+        row = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+        got, bound = float(row["gamma_max"]), float(row["trace_bound"])
+        assert abs(got - bound) <= 1e-12 * bound
+
+    def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
+        """gamma-max and sampling over three schemes on data build three
+        atom Grams: the uniform moments, then one per resampled scheme."""
+        import avlms.moments
+        import avlms.operators
+
+        rg = np.random.default_rng(8)
+        xs = rg.standard_normal((40, 3)) * rg.uniform(0.5, 2.0, (40, 1))
+        ys = xs @ [1.0, -1.0, 0.5] + 0.3 * rg.standard_normal(40)
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(f"{v:.17g}" for v in (*x, y)) + "\n"
+                                for x, y in zip(xs, ys)))
+        calls = []
+        original = avlms.operators._rank_one_coords
+
+        def counting(xs, basis):
+            calls.append(xs.shape)
+            return original(xs, basis)
+
+        monkeypatch.setattr(avlms.operators, "_rank_one_coords", counting)
+        monkeypatch.setattr(avlms.moments, "_rank_one_coords", counting)
+        schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
+        assert main(["gamma-max", "--data", str(data), *schemes]) == EXIT_OK
+        assert len(calls) == 3
+        calls.clear()
+        assert main(["sampling", "--data", str(data), *schemes, "--n-max", "50",
+                     "--points", "2", "--replicates", "10",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert len(calls) == 3
+
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["run", "--spec", "gaussian:d=2,sigma=1,w0=ones", "--gamma", "0.2",

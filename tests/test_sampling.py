@@ -12,12 +12,22 @@ from avlms import (
     optimal_bias_scheme,
     optimal_variance_scheme,
     resampled_gamma_max,
+    resampled_moments,
     reweighted_moments,
     small_gamma_equivalents,
     uniform_scheme,
     variance_gain,
 )
+from avlms.moments import MC_CHUNK, _chi_mean, _sqrt_psd
 from conftest import make_discrete
+
+
+def _rotated_gaussian(d, seed, sigma=1.0):
+    """N(0, H) with a random rotation and spectrum spread over e^[-3, 3]."""
+    rg = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rg.standard_normal((d, d)))
+    cov = (q * np.exp(rg.uniform(-3.0, 3.0, d))) @ q.T
+    return ProblemSpec.gaussian(0.5 * (cov + cov.T), w_star=rg.standard_normal(d), sigma=sigma)
 
 
 class TestBiasScheme:
@@ -33,6 +43,17 @@ class TestBiasScheme:
         spec = ProblemSpec.discrete(xs, w_star=[0.0, 1.0], sigma=0.5)
         scheme = optimal_bias_scheme(spec)
         np.testing.assert_allclose(scheme.c_inverse(xs, None), [0.2, 1.8], rtol=1e-12)
+
+    def test_achieves_trace_bound_on_gaussian_specs(self):
+        """Norm-proportional resampling of a rotated, non-diagonal Gaussian
+        design gives gamma_max = 2/Tr(H) to 1e-12, never above it by more."""
+        for seed, d in enumerate((1, 2, 3, 6, 11, 25)):
+            spec = _rotated_gaussian(d, 1800 + seed)
+            cov = spec.design.cov
+            assert d == 1 or np.abs(cov - np.diag(np.diag(cov))).max() > 1e-2 * np.abs(cov).max()
+            bound = 2.0 / np.trace(cov)
+            got = resampled_gamma_max(spec, optimal_bias_scheme(spec))
+            assert abs(got - bound) <= 1e-12 * bound
 
     def test_achieves_trace_bound_exactly(self):
         """Resampled threshold equals 2/E[X^T X] through the eigenproblem."""
@@ -69,6 +90,20 @@ class TestVarianceScheme:
         exact = ProblemSpec.discrete(xs, ys=(xs @ np.array([1.5])))
         with pytest.raises(SchemeError):
             optimal_variance_scheme(exact)
+
+    def test_gaussian_leverage_scheme_closed_form(self):
+        """On Gaussian specs the small-step variance limit is sigma^2 K^2
+        (Cauchy-Schwarz with E||H^-1/2 X|| = K), and the fourth moment is
+        kappa times the Gaussian one, so gamma_max is divided by kappa."""
+        for seed, d in enumerate((1, 2, 4, 9, 25)):
+            spec = _rotated_gaussian(d, 1900 + seed, sigma=0.6)
+            k = _chi_mean(d)
+            kappa = (d + 1) * k**2 / (d * (d + 2))
+            rw = resampled_moments(spec, optimal_variance_scheme(spec))
+            _, limit = small_gamma_equivalents(rw, 1.0, 1)
+            np.testing.assert_allclose(limit, 0.36 * k**2, rtol=1e-12)
+            np.testing.assert_allclose(gamma_max(rw), gamma_max(compute_moments(spec)) / kappa,
+                                       rtol=1e-12)
 
     def test_attains_cauchy_schwarz_limit(self):
         """On labelled discrete specs, the reweighted small-step variance
@@ -131,6 +166,25 @@ class TestGains:
             assert variance_gain(spec) <= 1.0 + 1e-12
         gauss = ProblemSpec.gaussian(np.diag([1.0, 0.3]), sigma=1.0)
         assert variance_gain(gauss, mc_samples=100_000) <= 1.0
+
+    def test_gaussian_variance_gain_is_streamed(self):
+        """The chunked sample average matches one (n, d) draw to 1e-12 and
+        its traced peak memory stays below a tenth of that draw."""
+        import tracemalloc
+
+        spec = ProblemSpec.gaussian(np.diag([1.0, 0.3, 2.0]), sigma=1.0)
+        n = 3 * MC_CHUNK + 5
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((n, 3)) @ _sqrt_psd(spec.design.cov).T
+        want = np.sqrt(np.einsum("ti,ti->t", xs, xs)).mean() ** 2 / 3.3
+        np.testing.assert_allclose(variance_gain(spec, mc_samples=n, seed=4), want, rtol=1e-12)
+        tracemalloc.start()
+        try:
+            variance_gain(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 1_000_000 * 3 * 8
 
     def test_bias_gain(self):
         assert bias_gain(0.3, 0.3) == 1.0
