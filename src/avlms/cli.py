@@ -159,11 +159,16 @@ def _resolve_spec(args) -> ProblemSpec:
     raise UsageError("one of --spec or --data is required")
 
 
+def _count(args, key: str, default: int) -> int:
+    """A count option: ``default`` when unset, a usage error below 1."""
+    value = default if getattr(args, key) is None else getattr(args, key)
+    if value < 1:
+        raise UsageError(f"--{key.replace('_', '-')} must be positive")
+    return value
+
+
 def _n_schedule(args) -> list[int]:
-    n_max = args.n_max or 1000
-    points = args.points or 20
-    if n_max < 1:
-        raise UsageError("--n-max must be positive")
+    n_max, points = _count(args, "n_max", 1000), _count(args, "points", 20)
     lo = min(10, n_max)
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(n_max), points)).astype(int))
     sched = [int(v) for v in grid if v >= 1]
@@ -228,6 +233,7 @@ def cmd_run(args) -> int:
         raise UsageError("--gamma is required for run")
     schedule = _n_schedule(args)
     names = args.scheme or ["uniform"]
+    replicates = _count(args, "replicates", 100)
     modes = [args.mode] if args.mode else ["total"]
     if modes == ["all"]:
         modes = ["bias", "variance", "total"]
@@ -238,7 +244,7 @@ def cmd_run(args) -> int:
                 raise UsageError("gamma values must be positive")
             for mode in modes:
                 config = engine.RunConfig(
-                    gamma=gamma, n=schedule[-1], replicates=args.replicates or 100,
+                    gamma=gamma, n=schedule[-1], replicates=replicates,
                     mode=mode, seed=args.seed or 0, record_at=tuple(schedule),
                 )
                 traj = engine.run_averaged_lms(run_spec, config, scheme=scheme)
@@ -324,6 +330,7 @@ def cmd_sampling(args) -> int:
     names = args.scheme or ["uniform", "bias-opt", "variance-opt"]
     schedule = _n_schedule(args)
     measure_at = sorted({schedule[len(schedule) // 2], schedule[-1]})
+    replicates = _count(args, "replicates", 200)
     base_moments = compute_moments(spec)
     _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
     base_gamma_max = stepsize.gamma_max(base_moments)
@@ -348,7 +355,7 @@ def cmd_sampling(args) -> int:
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)
         config = engine.RunConfig(
-            gamma=gamma_run, n=measure_at[-1], replicates=args.replicates or 200,
+            gamma=gamma_run, n=measure_at[-1], replicates=replicates,
             mode=args.mode or "total", seed=args.seed or 0,
             record_at=tuple(measure_at),
         )

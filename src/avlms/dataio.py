@@ -117,7 +117,6 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     else:
         raise DataFormatError(f"unknown format {fmt!r} (use csv-dense or libsvm-sparse)")
     spec = ProblemSpec.empirical(xs, ys, w0=w0)
-    hmat = np.einsum("ti,tj->ij", xs, xs) / xs.shape[0]
     uniq, counts = np.unique(ys, return_counts=True)
     class_counts = (
         {float(u): int(c) for u, c in zip(uniq, counts)}
@@ -127,7 +126,7 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     report = IngestReport(
         dim=xs.shape[1],
         rows=xs.shape[0],
-        trace_h=float(np.trace(hmat)),
+        trace_h=float(np.trace(spec.hmat)),
         class_counts=class_counts,
     )
     return spec, report

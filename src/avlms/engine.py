@@ -101,19 +101,12 @@ def lms_step(w: np.ndarray, sample: tuple[np.ndarray, float], gamma: float) -> n
     return w - gamma * (x @ w - y) * x
 
 
-def _spec_second_moment(spec: ProblemSpec) -> np.ndarray:
-    design = spec.design
-    if isinstance(design, GaussianDesign):
-        return design.cov
-    return np.einsum("t,ti,tj->ij", design.probs, design.xs, design.xs)
-
-
 class _Sampler:
     """Vectorized (X, Y) block draws for a spec, optionally resampled.
 
-    With a scheme, atoms are drawn from q = c_inverse * p through a shared
-    uniform sequence and every sample is scaled by sqrt(c); the Gaussian
-    backend supports only the uniform scheme.
+    With a ``SamplingScheme``, atoms are drawn from q = c_inverse * p
+    through a shared uniform sequence and every sample is scaled by
+    sqrt(c); the Gaussian backend supports only the uniform scheme.
     """
 
     def __init__(self, spec: ProblemSpec, scheme=None, noiseless: bool = False):
@@ -135,8 +128,7 @@ class _Sampler:
             weights = probs
             self._scale = None
         else:
-            c_inv = scheme.c_inverse if hasattr(scheme, "c_inverse") else scheme
-            cinv = _atom_c_inverse(spec, c_inv)
+            cinv = _atom_c_inverse(spec, scheme.c_inverse)
             weights = probs * cinv
             total = weights.sum()
             if abs(total - 1.0) > 1e-10:
@@ -188,7 +180,7 @@ def _drive(spec, config: RunConfig, update, sampler: _Sampler, w0: np.ndarray,
     """Shared replicate-vectorized loop for all update rules."""
     gen_x, gen_eps = _generators(config.seed)
     reps, d = config.replicates, spec.dim
-    hmat = _spec_second_moment(spec)
+    hmat = spec.hmat
     w_star = spec.w_star
     w = np.tile(w0, (reps, 1)).astype(float)
     wbar = w.copy()
@@ -232,9 +224,9 @@ def _drive(spec, config: RunConfig, update, sampler: _Sampler, w0: np.ndarray,
 def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Trajectory:
     """Averaged constant-step LMS under the requested mode.
 
-    Risk is the testing error against the spec's true second moment; with
-    a sampling scheme the objective (and hence H and w*) is unchanged and
-    the stream is the scaled resampled one.
+    Risk is the testing error against the spec's true second moment
+    ``spec.hmat``; with a ``SamplingScheme`` the objective (and hence H and
+    w*) is unchanged and the stream is the scaled resampled one.
     """
     sampler = _Sampler(spec, scheme, noiseless=config.mode == "bias")
     w0 = spec.w_star if config.mode == "variance" else spec.w0
@@ -245,11 +237,11 @@ def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Traje
         return w - gamma * resid[:, None] * x
 
     return _drive(spec, config, update, sampler, w0,
-                  label=getattr(scheme, "name", "uniform") if scheme else "uniform")
+                  label="uniform" if scheme is None else scheme.name)
 
 
 def importance_sampled_stream(spec: ProblemSpec, scheme, seed: int, block: int = 1024):
-    """Infinite stream of sqrt(c)-scaled samples drawn from the proposal.
+    """Infinite stream of sqrt(c)-scaled samples drawn from a scheme's proposal.
 
     Second moments of the yielded pairs match the original distribution;
     fourth-order moments pick up the factor c.
@@ -286,7 +278,7 @@ def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
         resid = np.einsum("ri,ri->r", x, w) - y
         return w - (resid / sq)[:, None] * x
 
-    gamma_label = 1.0 / float(np.trace(_spec_second_moment(spec)))
+    gamma_label = 1.0 / float(np.trace(spec.hmat))
     return _drive(spec, config, update, sampler, spec.w0, label="nlms",
                   gamma_label=gamma_label)
 

@@ -9,11 +9,11 @@ has at least one backend where it is exact:
 * a finite set of atoms with probabilities (optionally carrying labels),
 * an ingested sample set (atoms with uniform weights and residual noise).
 
-From a specification, :func:`compute_moments` produces the second-moment
-matrix, the fourth-moment operator, the noise covariance E[eps^2 X X^T]
-and the rank-one start matrix eta0 eta0^T used everywhere else.
-:func:`reweighted_moments` gives the same objects after importance
-resampling; :func:`norm_resampled_moments` and
+H = E[X X^T] is ``spec.hmat``, computed and rank-checked once per spec and
+held by every ``MomentSet`` of it.  :func:`compute_moments` adds the
+fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
+matrix eta0 eta0^T; :func:`reweighted_moments` gives the same objects after
+importance resampling; :func:`norm_resampled_moments` and
 :func:`leverage_resampled_moments` are its exact closed forms for the two
 optimal schemes on Gaussian designs.
 """
@@ -51,18 +51,32 @@ QUAD_LOG_TOL = math.log(2.0**-60)
 
 @dataclass(frozen=True)
 class GaussianDesign:
-    """X ~ N(0, cov) with a known covariance."""
+    """X ~ N(0, cov) with a known covariance; H = E[X X^T] is ``cov``."""
 
     cov: np.ndarray
+
+    @property
+    def hmat(self) -> np.ndarray:
+        return self.cov
 
 
 @dataclass(frozen=True)
 class DiscreteDesign:
-    """X drawn from finitely many atoms; ys, when present, pins Y per atom."""
+    """X drawn from finitely many atoms; ys, when present, pins Y per atom.
+
+    ``hmat`` is H = sum_t probs_t x_t x_t^T, symmetrized and read-only.
+    """
 
     xs: np.ndarray
     probs: np.ndarray
     ys: np.ndarray | None = None
+    hmat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        hmat = np.einsum("t,ti,tj->ij", self.probs, self.xs, self.xs)
+        hmat = 0.5 * (hmat + hmat.T)
+        hmat.setflags(write=False)
+        object.__setattr__(self, "hmat", hmat)
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,8 @@ class ProblemSpec:
 
     ``kind`` is one of "gaussian", "discrete", "empirical"; empirical specs
     are discrete designs with uniform row weights and residual noise whose
-    optimum is the exact least-squares fit of the ingested rows.
+    optimum is the exact least-squares fit of the ingested rows.  ``hmat``
+    is the design's H = E[X X^T]; the constructors reject it rank deficient.
     """
 
     dim: int
@@ -101,14 +116,17 @@ class ProblemSpec:
     def eta0(self) -> np.ndarray:
         return self.w0 - self.w_star
 
+    @property
+    def hmat(self) -> np.ndarray:
+        return self.design.hmat
+
     @staticmethod
     def gaussian(cov, w_star=None, w0=None, sigma: float = 0.0) -> "ProblemSpec":
         cov = _as_symmetric(cov, "cov")
         d = cov.shape[0]
         if d > MAX_DIM:
             raise SpecError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
-        if np.linalg.eigvalsh(cov)[0] <= RANK_TOL * max(np.trace(cov), 1e-300):
-            raise SpecError("gaussian covariance must be positive definite")
+        _require_full_rank(cov, "gaussian")
         w_star = _vector(w_star, d, default=0.0)
         w0 = _vector(w0, d, default=0.0)
         if sigma < 0:
@@ -143,18 +161,18 @@ class ProblemSpec:
                 raise SpecError("one label per atom is required")
             if w_star is not None:
                 raise SpecError("residual specs compute w_star from the data; do not pass it")
-            hmat = np.einsum("t,ti,tj->ij", probs, xs, xs)
-            _require_full_rank(hmat, kind)
-            w_star = np.linalg.solve(hmat, np.einsum("t,ti,t->i", probs, xs, ys))
-            noise: Noise = ResidualNoise()
         else:
             if sigma < 0:
                 raise SpecError("sigma must be nonnegative")
             w_star = _vector(w_star, d, default=0.0)
-            noise = IndependentGaussianNoise(float(sigma))
         for arr in (xs, probs) + (() if ys is None else (ys,)):
             arr.setflags(write=False)
-        return ProblemSpec(d, DiscreteDesign(xs, probs, ys), w_star, w0, noise, kind)
+        design = DiscreteDesign(xs, probs, ys)
+        _require_full_rank(design.hmat, kind)
+        if ys is None:
+            return ProblemSpec(d, design, w_star, w0, IndependentGaussianNoise(float(sigma)), kind)
+        w_star = np.linalg.solve(design.hmat, np.einsum("t,ti,t->i", probs, xs, ys))
+        return ProblemSpec(d, design, w_star, w0, ResidualNoise(), kind)
 
     @staticmethod
     def empirical(xs, ys, w0=None) -> "ProblemSpec":
@@ -212,15 +230,17 @@ class MomentSet:
             arr.setflags(write=False)
 
 
-def _assemble(basis, hmat, fourth, sigma0, e0, n_samples=None) -> MomentSet:
+def _assemble(spec: ProblemSpec, fourth: SymOperator, sigma0, n_samples=None) -> MomentSet:
+    """Bundle fourth-order moments with the spec's own H and start matrix."""
+    hmat = spec.hmat
     w = np.linalg.eigvalsh(hmat)
     return MomentSet(
-        dim=basis.dim,
-        basis=basis,
+        dim=spec.dim,
+        basis=fourth.basis,
         hmat=hmat,
         fourth_moment=fourth,
         sigma0=0.5 * (sigma0 + sigma0.T),
-        e0=e0,
+        e0=np.outer(spec.eta0, spec.eta0),
         trace_h=float(np.trace(hmat)),
         mu=float(w[0]),
         lmax=float(w[-1]),
@@ -251,42 +271,29 @@ def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
     return design.ys - design.xs @ spec.w_star
 
 
-def _second_moment(spec: ProblemSpec) -> np.ndarray:
-    """H = E[X X^T] of a specification; rank-checked on discrete designs."""
-    design = spec.design
-    if isinstance(design, GaussianDesign):
-        return design.cov
-    xs, probs = design.xs, design.probs
-    hmat = np.einsum("t,ti,tj->ij", probs, xs, xs)
-    hmat = 0.5 * (hmat + hmat.T)
-    _require_full_rank(hmat, spec.kind)
-    return hmat
-
-
 def compute_moments(spec: ProblemSpec) -> MomentSet:
     """Exact moments of a specification.
 
-    Gaussian designs use the closed-form fourth moment; discrete designs
-    use exact weighted atom averages.  Under independent Gaussian noise
-    the noise covariance factorizes to sigma^2 H.
+    Gaussian designs use the closed-form fourth moment, and their noise
+    covariance factorizes to sigma^2 H; discrete designs use exact
+    probability-weighted atom averages.
     """
-    basis = SymBasis(spec.dim)
-    eta0 = spec.eta0
-    e0 = np.outer(eta0, eta0)
-    design = spec.design
-    hmat = _second_moment(spec)
-    if isinstance(design, GaussianDesign):
-        fourth = gaussian_fourth_moment(hmat, basis)
-        sigma0 = spec.noise.sigma**2 * hmat
-        return _assemble(basis, hmat, fourth, sigma0, e0)
-    xs, probs = design.xs, design.probs
-    fourth = fourth_moment_operator_from_samples(xs, basis, weights=probs)
-    if isinstance(spec.noise, ResidualNoise):
-        eps = _atom_residuals(spec)
-        sigma0 = np.einsum("t,ti,tj->ij", probs * eps**2, xs, xs)
-    else:
-        sigma0 = spec.noise.sigma**2 * hmat
-    return _assemble(basis, hmat, fourth, sigma0, e0)
+    if isinstance(spec.design, DiscreteDesign):
+        return _atom_moments(spec, spec.design.probs)
+    hmat = spec.hmat
+    return _assemble(spec, gaussian_fourth_moment(hmat, SymBasis(spec.dim)),
+                     spec.noise.sigma**2 * hmat)
+
+
+def _atom_moments(spec: ProblemSpec, wts: np.ndarray) -> MomentSet:
+    """Moments of a discrete spec whose fourth-order objects weight atom t
+    by ``wts[t]``: ``probs`` for the spec itself, ``probs * c`` resampled.
+    """
+    xs = spec.design.xs
+    residual = isinstance(spec.noise, ResidualNoise)
+    eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
+    fourth = fourth_moment_operator_from_samples(xs, SymBasis(spec.dim), weights=wts)
+    return _assemble(spec, fourth, np.einsum("t,ti,tj->ij", wts * eps2, xs, xs))
 
 
 def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
@@ -322,36 +329,25 @@ def reweighted_moments(
     factor c = 1/c_inverse per atom: the fourth-moment operator becomes
     E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
 
-    Exact for discrete designs.  On Gaussian designs an arbitrary
+    Exact for discrete designs: :func:`compute_moments`' atom average with
+    weights ``probs * c``.  On Gaussian designs an arbitrary
     ``c_inverse`` is estimated from ``mc_samples`` seeded draws (recorded
     in the result's ``n_samples``), streamed in chunks of ``MC_CHUNK`` rows
     so that memory stays O(MC_CHUNK x D); the two optimal schemes have
     exact forms instead, :func:`norm_resampled_moments` and
     :func:`leverage_resampled_moments`.
     """
-    basis = SymBasis(spec.dim)
-    hmat = _second_moment(spec)
-    e0 = np.outer(spec.eta0, spec.eta0)
     design = spec.design
     if isinstance(design, DiscreteDesign):
         cinv = _atom_c_inverse(spec, c_inverse)
         xs, probs = design.xs, design.probs
         live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
-        c = np.zeros_like(cinv)
-        c[live] = 1.0 / cinv[live]
-        u = _rank_one_coords(xs, basis)
-        wts = probs * c
-        m4 = (u * wts[:, None]).T @ u
-        fourth = SymOperator(basis=basis, matrix=0.5 * (m4 + m4.T))
-        if isinstance(spec.noise, ResidualNoise):
-            eps2 = _atom_residuals(spec) ** 2
-        else:
-            eps2 = np.full(xs.shape[0], spec.noise.sigma**2)
-        sigma0 = np.einsum("t,ti,tj->ij", wts * eps2, xs, xs)
-        return _assemble(basis, hmat, fourth, sigma0, e0)
+        c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
+        return _atom_moments(spec, probs * c)
     # Gaussian design: atomize by Monte Carlo, one chunk of draws at a time.
     if mc_samples < 2:
         raise ValueError("the Monte Carlo estimate needs at least 2 draws")
+    basis = SymBasis(spec.dim)
     m4 = np.zeros((basis.size, basis.size))
     cxx = np.zeros((spec.dim, spec.dim))
     sum1 = sum2 = 0.0
@@ -371,10 +367,9 @@ def reweighted_moments(
     se = math.sqrt(max(sum2 - sum1 * mean, 0.0) / (mc_samples - 1) / mc_samples)
     if abs(mean - 1.0) > max(4.0 * se, 1e-6):
         raise SchemeError(f"c_inverse has sample mean {mean!r}, not 1")
-    m4 /= mc_samples
-    fourth = SymOperator(basis=basis, matrix=0.5 * (m4 + m4.T))
+    fourth = SymOperator(basis=basis, matrix=m4 / mc_samples)  # symmetrized on construction
     sigma0 = spec.noise.sigma**2 * cxx / mc_samples
-    return _assemble(basis, hmat, fourth, sigma0, e0, n_samples=mc_samples)
+    return _assemble(spec, fourth, sigma0, n_samples=mc_samples)
 
 
 def _gaussian_draws(cov: np.ndarray, n: int, seed: int):
@@ -422,7 +417,7 @@ def leverage_resampled_moments(spec: ProblemSpec) -> MomentSet:
     kappa = (d + 1) * k**2 / (d * (d + 2))
     fourth = SymOperator(basis=basis, matrix=kappa * gaussian_fourth_moment(cov, basis).matrix)
     sigma0 = spec.noise.sigma**2 * k**2 / d * cov
-    return _assemble(basis, cov, fourth, sigma0, np.outer(spec.eta0, spec.eta0))
+    return _assemble(spec, fourth, sigma0)
 
 
 def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
@@ -452,10 +447,8 @@ def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
         out[:, diag, diag] += rot[:, diag, diag] @ gmat
         return trace_h * (u @ out @ u.T)
 
-    basis = SymBasis(spec.dim)
     sigma0 = spec.noise.sigma**2 * trace_h * ((u * g) @ u.T)
-    return _assemble(basis, cov, operator_from_map(act, basis), sigma0,
-                     np.outer(spec.eta0, spec.eta0))
+    return _assemble(spec, operator_from_map(act, SymBasis(spec.dim)), sigma0)
 
 
 def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,6 +468,21 @@ def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # ds = s dx; w(s) = prod_a q_a^-1/2
     wts = QUAD_STEP * s * np.exp(-0.5 * np.log(q).sum(axis=1))
     return wts @ h, (h * wts[:, None]).T @ h
+
+
+def _gaussian_mean_norm(lam: np.ndarray) -> float:
+    """E||X|| = (1/(2 sqrt(pi))) int_0^inf (1 - w(s)) s^(-3/2) ds for
+    X ~ N(0, H), H with ascending eigenvalues ``lam``.
+
+    w(s) = E exp(-s ||X||^2) as in :func:`_norm_resampling_integrals`, with
+    the same trapezoid rule; the integrand decays only like s^(+-1/2), so
+    each end is pushed out by 2 |QUAD_LOG_TOL|.
+    """
+    lo = math.log(0.5 / lam[-1]) + 2.0 * QUAD_LOG_TOL
+    hi = math.log(0.5 / lam[0]) - 2.0 * QUAD_LOG_TOL
+    s = np.exp(lo + QUAD_STEP * np.arange(math.ceil((hi - lo) / QUAD_STEP) + 1))
+    one_minus_w = -np.expm1(-0.5 * np.log1p(2.0 * s[:, None] * lam[None, :]).sum(axis=1))
+    return QUAD_STEP * float(one_minus_w @ (1.0 / np.sqrt(s))) / (2.0 * math.sqrt(math.pi))
 
 
 @dataclass(frozen=True)
@@ -508,7 +516,7 @@ def check_cross_term_condition(spec: ProblemSpec) -> CrossTermReport:
         stderr = np.sqrt(np.maximum(second - terms**2, 0.0) / n)
     else:
         stderr = np.zeros_like(terms)  # exact expectation, no sampling noise
-    scale = (max(np.trace(np.einsum("t,ti,tj->ij", probs, xs, xs)), 1e-300)) ** 1.5
+    scale = max(np.trace(spec.hmat), 1e-300) ** 1.5
     scale *= np.sqrt(max((probs * eps**2).sum(), 1e-300)) + 1e-300
     atol = 1e-12 * scale
     ok = np.all(np.abs(terms) <= np.maximum(3.0 * stderr, atol))

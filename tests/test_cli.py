@@ -289,5 +289,16 @@ class TestExitCodes:
         path.write_text("1,1,1\n2,2,2\n3,3,1\n")  # duplicated feature column
         assert main(["gamma-max", "--data", str(path)]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--n-max"), ("run", "--points"), ("run", "--replicates"),
+        ("predict", "--n-max"), ("predict", "--points"), ("sampling", "--replicates"),
+    ])
+    def test_zero_count_is_usage(self, command, flag, tmp_path):
+        """0 is a value, not an unset option: it is rejected, not replaced by the default."""
+        argv = [command, "--spec", "gaussian:d=2", "--gamma", "0.1", flag, "0",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_flag_is_usage(self):
         assert main(["run", "--nope"]) == EXIT_USAGE

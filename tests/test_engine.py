@@ -6,6 +6,7 @@ import pytest
 from avlms import (
     ProblemSpec,
     RunConfig,
+    SamplingScheme,
     SchemeError,
     SpecError,
     class_weighted_spec,
@@ -317,7 +318,8 @@ class TestClassWeighting:
             vals = np.where(lab > 0, weights[1.0], weights[-1.0])
             return vals  # E_p[c_y] = 1 by construction
 
-        stream = importance_sampled_stream(weighted, c_inverse, seed=3)
+        scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=1.0)
+        stream = importance_sampled_stream(weighted, scheme, seed=3)
         originals = {tuple(np.round(x, 12)) for x in spec.design.xs}
         for _ in range(64):
             x, y = next(stream)
@@ -337,7 +339,8 @@ class TestClassWeighting:
         def c_inverse(x, y):
             return np.full(np.atleast_2d(x).shape[0], 2.0) / mean_cy
 
-        stream = importance_sampled_stream(weighted, c_inverse, seed=11)
+        scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=mean_cy)
+        stream = importance_sampled_stream(weighted, scheme, seed=11)
         w = np.array([0.4, -0.2])
         originals = {
             tuple(np.round(np.sqrt(mean_cy) * x, 12)): (x, y) for x, y in zip(xs, ys)

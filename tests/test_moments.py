@@ -17,7 +17,9 @@ from avlms import (
     norm_resampled_moments,
     optimal_bias_scheme,
     optimal_variance_scheme,
+    resampled_moments,
     reweighted_moments,
+    uniform_scheme,
 )
 from avlms.moments import MC_CHUNK, _sqrt_psd
 from avlms.operators import SymBasis, _rank_one_coords, operator_from_map
@@ -358,6 +360,67 @@ class TestGaussianResampledClosedForms:
         for form in (norm_resampled_moments, leverage_resampled_moments):
             with pytest.raises(SpecError, match="Gaussian"):
                 form(spec)
+
+
+class TestSpecSecondMoment:
+    """H is computed and rank-checked once per spec; every consumer reads it."""
+
+    @staticmethod
+    def specs():
+        from conftest import make_discrete, make_empirical, make_gaussian
+
+        return [make_gaussian(4, 0.5, 60), make_discrete(3, 7, 61, residual=False),
+                make_empirical(3, 50, 62)]
+
+    def test_read_only_and_bitwise_symmetric(self):
+        for spec in self.specs():
+            assert not spec.hmat.flags.writeable
+            np.testing.assert_array_equal(spec.hmat, spec.hmat.T)
+            assert spec.hmat is spec.design.hmat
+
+    def test_every_moment_set_holds_the_spec_array(self):
+        from conftest import make_gaussian
+
+        for spec in self.specs():
+            assert compute_moments(spec).hmat is spec.hmat
+            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)), mc_samples=1000)
+            assert rw.hmat is spec.hmat
+        gauss = make_gaussian(3, 0.8, 63)
+        for form in (norm_resampled_moments, leverage_resampled_moments):
+            assert form(gauss).hmat is gauss.hmat
+        for spec in self.specs():
+            for make in (lambda s: uniform_scheme(), optimal_bias_scheme,
+                         optimal_variance_scheme):
+                m = resampled_moments(spec, make(spec), mc_samples=1000)
+                assert m.hmat is spec.hmat
+
+    def test_rank_deficient_independent_noise_rejected_at_construction(self):
+        xs = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
+        with pytest.raises(SpecError, match="rank deficient"):
+            ProblemSpec.discrete(xs, w_star=[1.0, 0.0], sigma=0.5)
+
+    def test_unit_ratio_reweighting_is_compute_moments(self, monkeypatch):
+        """c = 1 gives compute_moments' atom Gram bit for bit, and both go
+        through the one weighted atom-Gram routine."""
+        import avlms.moments
+
+        calls = []
+        original = avlms.moments.fourth_moment_operator_from_samples
+
+        def counting(xs, basis=None, weights=None):
+            calls.append(weights)
+            return original(xs, basis, weights=weights)
+
+        monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
+        from conftest import make_discrete
+
+        for residual in (False, True):
+            spec = make_discrete(3, 8, 64, residual=residual)
+            base = compute_moments(spec)
+            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
+            np.testing.assert_array_equal(rw.fourth_moment.matrix, base.fourth_moment.matrix)
+            np.testing.assert_array_equal(rw.sigma0, base.sigma0)
+        assert len(calls) == 4
 
 
 class TestCrossTermCondition:
