@@ -23,6 +23,7 @@ from .engine import (
     lms_step,
     nlms_run,
     run_averaged_lms,
+    run_cells,
 )
 from .errors import (
     DataFormatError,

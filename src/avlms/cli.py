@@ -237,22 +237,29 @@ def cmd_run(args) -> int:
     modes = [args.mode] if args.mode else ["total"]
     if modes == ["all"]:
         modes = ["bias", "variance", "total"]
+    if any(gamma <= 0 for gamma in gammas):
+        raise UsageError("gamma values must be positive")
+    configs = [
+        engine.RunConfig(gamma=gamma, n=schedule[-1], replicates=replicates, mode=mode,
+                         seed=args.seed or 0, record_at=tuple(schedule))
+        for gamma in gammas
+        for mode in modes
+    ]
     rows = []
     for name, run_spec, scheme in _scheme_cells(spec, names):
-        for gamma in gammas:
-            if gamma <= 0:
-                raise UsageError("gamma values must be positive")
-            for mode in modes:
-                config = engine.RunConfig(
-                    gamma=gamma, n=schedule[-1], replicates=replicates,
-                    mode=mode, seed=args.seed or 0, record_at=tuple(schedule),
+        for config, traj in zip(configs, engine.run_cells(run_spec, configs, scheme=scheme)):
+            gamma, mode = config.gamma, config.mode
+            for i, n in enumerate(traj.iterations):
+                rows.append([int(n), gamma, name, mode, traj.risk[i],
+                             traj.standard_error[i], ""])
+            if traj.diverged:
+                rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
+                print(
+                    f"warning: gamma={gamma:g} scheme={name} mode={mode} diverged at "
+                    f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
+                    f"norm {traj.diverged_norm:.3g})",
+                    file=sys.stderr,
                 )
-                traj = engine.run_averaged_lms(run_spec, config, scheme=scheme)
-                for i, n in enumerate(traj.iterations):
-                    rows.append([int(n), gamma, name, mode, traj.risk[i],
-                                 traj.standard_error[i], ""])
-                if traj.diverged:
-                    rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
     header = ["n", "gamma", "scheme", "mode", "risk", "stderr", "flag"]
     _write_csv(args.out or "-", header, rows)
     return EXIT_OK
@@ -359,9 +366,15 @@ def cmd_sampling(args) -> int:
             mode=args.mode or "total", seed=args.seed or 0,
             record_at=tuple(measure_at),
         )
-        traj = engine.run_averaged_lms(run_spec, config, scheme=scheme)
-        risk_by_n = dict(zip((int(v) for v in traj.iterations), traj.risk))
-        err_by_n = dict(zip((int(v) for v in traj.iterations), traj.standard_error))
+        try:
+            traj = engine.run_averaged_lms(run_spec, config, scheme=scheme)
+        except SchemeError as exc:
+            print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
+                  f"{exc}", file=sys.stderr)
+            risk_by_n = err_by_n = {}
+        else:
+            risk_by_n = dict(zip((int(v) for v in traj.iterations), traj.risk))
+            err_by_n = dict(zip((int(v) for v in traj.iterations), traj.standard_error))
         rows.append([name, gain, g_max, pred_bias_gain]
                     + [risk_by_n.get(n) for n in measure_at]
                     + [err_by_n.get(n) for n in measure_at])

@@ -12,7 +12,11 @@ first, noise second); replicate r consumes row r of every block drawn
 from those streams.  Identical seeds therefore give bit-identical
 trajectories, input draws are shared across modes and (via a common
 uniform sequence) across discrete sampling schemes, and results do not
-depend on how replicates would be scheduled.
+depend on how replicates would be scheduled.  The cells of one grid
+(:func:`run_cells`: several gammas and modes on one spec and scheme) are
+stepped in lockstep and share one draw per step; each cell's bits equal
+those of the same config run alone, and splitting a grid into groups
+(each restarting the streams from the seed) never changes them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,12 @@ from .moments import (
 )
 
 DIVERGENCE_NORM = 1e12
+
+# State budget of one lockstep group of cells.  At its peak a step holds
+# four (cells, replicates, d) float64 arrays: wbar, the old and the new w,
+# and one temporary of the update; together they stay under GROUP_BYTES.
+GROUP_BYTES = 1 << 26
+_STATE_ARRAYS = 4
 
 MODES = ("bias", "variance", "total")
 
@@ -79,7 +89,12 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    """Averaged-iterate risk along one run, averaged over replicates."""
+    """Averaged-iterate risk along one run, averaged over replicates.
+
+    A diverged run stops at ``diverged_at``; ``diverged_replicate`` is the
+    replicate with the largest norm there and ``diverged_norm`` that norm
+    (inf or NaN once the iterate has overflowed).
+    """
 
     iterations: np.ndarray
     risk: np.ndarray
@@ -88,6 +103,8 @@ class Trajectory:
     gamma: float | None = None
     diverged: bool = False
     diverged_at: int | None = None
+    diverged_replicate: int | None = None
+    diverged_norm: float | None = None
     label: str = ""
 
 
@@ -109,9 +126,8 @@ class _Sampler:
     sqrt(c); the Gaussian backend supports only the uniform scheme.
     """
 
-    def __init__(self, spec: ProblemSpec, scheme=None, noiseless: bool = False):
+    def __init__(self, spec: ProblemSpec, scheme=None):
         self.spec = spec
-        self.noiseless = noiseless
         design = spec.design
         self.gaussian = isinstance(design, GaussianDesign)
         if self.gaussian:
@@ -146,28 +162,38 @@ class _Sampler:
         self.residual = isinstance(spec.noise, ResidualNoise)
         self.sigma = 0.0 if self.residual else spec.noise.sigma
 
-    def draw(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, size: int):
+    def draw(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, size: int,
+             noisy: bool = True):
+        """One block ``(x, y_clean, y_noisy)``: the inputs, their noiseless
+        responses and, when ``noisy``, the observed ones (else None).
+
+        Noise is drawn from ``gen_eps`` only when asked for, so cells that
+        share a draw see the same noise as cells run alone.
+        """
         if self.gaussian:
             x = gen_x.standard_normal((size, self.spec.dim)) @ self._root.T
-            y = x @ self.spec.w_star
-            if not self.noiseless and self.sigma > 0:
-                y = y + self.sigma * gen_eps.standard_normal(size)
-            return x, y
+            clean = x @ self.spec.w_star
+            y = clean
+            if noisy and self.sigma > 0:
+                y = clean + self.sigma * gen_eps.standard_normal(size)
+            return x, clean, y if noisy else None
         idx = np.searchsorted(self._cum, gen_x.random(size), side="right")
         x = self._xs[idx]
-        if self.noiseless or (self.residual and self._ys is None):
-            y = self._ys_model[idx]
-        elif self.residual:
-            y = self._ys[idx]
-        else:
-            y = self._ys_model[idx]
-            if self.sigma > 0:
-                y = y + self.sigma * gen_eps.standard_normal(size)
+        clean = self._ys_model[idx]
+        y = None
+        if noisy:
+            if self.residual:
+                y = clean if self._ys is None else self._ys[idx]
+            elif self.sigma > 0:
+                y = clean + self.sigma * gen_eps.standard_normal(size)
+            else:
+                y = clean
         if self._scale is not None:
             s = self._scale[idx]
             x = x * s[:, None]
-            y = y * s
-        return x, y
+            clean = clean * s
+            y = None if y is None else y * s
+        return x, clean, y
 
 
 def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -175,69 +201,132 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def _drive(spec, config: RunConfig, update, sampler: _Sampler, w0: np.ndarray,
-           label: str = "", gamma_label: float | None = None) -> Trajectory:
-    """Shared replicate-vectorized loop for all update rules."""
+def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler, label: str = "",
+           gamma_label: float | None = None) -> list[Trajectory]:
+    """The one replicate-vectorized loop: steps a stack of cells in lockstep.
+
+    The state ``w`` has shape (cells, replicates, d).  Every step draws one
+    block of inputs (and of noise, while a noisy cell is live) shared by
+    all cells; "bias" cells see the noiseless response, the others the
+    observed one.  ``update(w, x, y, gamma, m)`` returns the next state,
+    with ``y`` of shape (cells, replicates) and ``gamma`` of shape
+    (cells, 1, 1).  A cell whose largest squared replicate norm exceeds
+    ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that step.
+    """
+    config = configs[0]
     gen_x, gen_eps = _generators(config.seed)
-    reps, d = config.replicates, spec.dim
+    reps = config.replicates
     hmat = spec.hmat
     w_star = spec.w_star
-    w = np.tile(w0, (reps, 1)).astype(float)
+    w = np.stack([np.tile(w_star if c.mode == "variance" else spec.w0, (reps, 1))
+                  for c in configs]).astype(float)
     wbar = w.copy()
+    gamma = np.array([c.gamma for c in configs], dtype=float)[:, None, None]
+    noiseless = np.array([c.mode == "bias" for c in configs])
+    live = np.arange(len(configs))
     points = config.record_points()
-    iters, risks, errs = [], [], []
+    iters = [[] for _ in configs]
+    risks = [[] for _ in configs]
+    errs = [[] for _ in configs]
+    diverged = [(None, None, None)] * len(configs)
 
     def record(m: int) -> None:
-        diff = wbar - w_star
-        r = np.einsum("ri,ij,rj->r", diff, hmat, diff)
-        iters.append(m)
-        risks.append(float(r.mean()))
-        errs.append(float(r.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
+        for k, cell in enumerate(live):
+            diff = wbar[k] - w_star
+            r = np.einsum("ri,ij,rj->r", diff, hmat, diff)
+            iters[cell].append(m)
+            risks[cell].append(float(r.mean()))
+            errs[cell].append(float(r.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
 
+    limit = DIVERGENCE_NORM**2
     next_idx = 0
-    diverged_at = None
     if points[0] == 1:
         record(1)
         next_idx = 1
+    noisy = not noiseless.all()
+    mixed = noisy and noiseless.any()
     for m in range(2, config.n + 1):
-        x, y = sampler.draw(gen_x, gen_eps, reps)
-        w = update(w, x, y, m)
-        if not np.all(np.isfinite(w)) or np.einsum("ri,ri->r", w, w).max() > DIVERGENCE_NORM**2:
-            diverged_at = m
-            break
+        x, clean, y = sampler.draw(gen_x, gen_eps, reps, noisy=noisy)
+        if not noisy:
+            y = clean
+        elif mixed:
+            y = np.where(noiseless[:, None], clean, y)
+        w = update(w, x, y, gamma, m)
+        sq = np.einsum("cri,cri->cr", w, w)
+        if not sq.max() <= limit:  # NaN-aware: a NaN norm fails the test
+            bad = ~(sq.max(axis=1) <= limit)
+            for k in np.flatnonzero(bad):
+                rep = int(np.argmax(sq[k]))
+                diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
+            keep = ~bad
+            w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
+            noiseless, live = noiseless[keep], live[keep]
+            if not len(live):
+                break
+            noisy = not noiseless.all()
+            mixed = noisy and noiseless.any()
         wbar += (w - wbar) / m
         if next_idx < len(points) and points[next_idx] == m:
             record(m)
             next_idx += 1
-    return Trajectory(
-        iterations=np.array(iters, dtype=int),
-        risk=np.array(risks),
-        standard_error=np.array(errs),
-        mode=config.mode,
-        gamma=gamma_label if gamma_label is not None else config.gamma,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        label=label,
-    )
+    return [
+        Trajectory(
+            iterations=np.array(iters[k], dtype=int),
+            risk=np.array(risks[k]),
+            standard_error=np.array(errs[k]),
+            mode=c.mode,
+            gamma=gamma_label if gamma_label is not None else c.gamma,
+            diverged=diverged[k][0] is not None,
+            diverged_at=diverged[k][0],
+            diverged_replicate=diverged[k][1],
+            diverged_norm=diverged[k][2],
+            label=label,
+        )
+        for k, c in enumerate(configs)
+    ]
 
 
-def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Trajectory:
-    """Averaged constant-step LMS under the requested mode.
+def _lms_update(w, x, y, gamma, _m):
+    resid = np.einsum("cri,ri->cr", w, x) - y
+    return w - gamma * resid[..., None] * x
 
-    Risk is the testing error against the spec's true second moment
+
+def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
+    """Averaged constant-step LMS for a grid of (gamma, mode) cells.
+
+    The configs must agree on ``n``, ``replicates``, ``seed`` and the
+    record points; they may differ in ``gamma`` and ``mode``.  All cells
+    share one input stream (and one noise stream), so each trajectory is
+    bit-identical to the same config run alone.  Cells are stepped in
+    lockstep, in groups whose state stays under ``GROUP_BYTES``; every
+    group restarts the streams from the seed, so grouping never changes
+    bits.  Risk is the testing error against the spec's true second moment
     ``spec.hmat``; with a ``SamplingScheme`` the objective (and hence H and
     w*) is unchanged and the stream is the scaled resampled one.
     """
-    sampler = _Sampler(spec, scheme, noiseless=config.mode == "bias")
-    w0 = spec.w_star if config.mode == "variance" else spec.w0
-    gamma = config.gamma
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_cells needs at least one config")
+    first = configs[0]
+    for c in configs[1:]:
+        if (c.n, c.replicates, c.seed) != (first.n, first.replicates, first.seed):
+            raise ValueError("configs of one grid must share n, replicates and seed")
+        if c.record_points() != first.record_points():
+            raise ValueError("configs of one grid must share their record points")
+    sampler = _Sampler(spec, scheme)
+    label = "uniform" if scheme is None else scheme.name
+    # A single cell above the budget still runs, alone in its group.
+    size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * first.replicates * spec.dim))
+    out = []
+    for k in range(0, len(configs), size):
+        out += _drive(spec, configs[k:k + size], _lms_update, sampler, label=label)
+    return out
 
-    def update(w, x, y, _m):
-        resid = np.einsum("ri,ri->r", x, w) - y
-        return w - gamma * resid[:, None] * x
 
-    return _drive(spec, config, update, sampler, w0,
-                  label="uniform" if scheme is None else scheme.name)
+def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Trajectory:
+    """Averaged constant-step LMS under the requested mode: one cell of
+    :func:`run_cells`."""
+    return run_cells(spec, [config], scheme)[0]
 
 
 def importance_sampled_stream(spec: ProblemSpec, scheme, seed: int, block: int = 1024):
@@ -249,7 +338,7 @@ def importance_sampled_stream(spec: ProblemSpec, scheme, seed: int, block: int =
     sampler = _Sampler(spec, scheme)
     gen_x, gen_eps = _generators(seed)
     while True:
-        xs, ys = sampler.draw(gen_x, gen_eps, block)
+        xs, _, ys = sampler.draw(gen_x, gen_eps, block)
         for t in range(block):
             yield xs[t], float(ys[t])
 
@@ -273,14 +362,13 @@ def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
                        seed=seed, record_at=record_at)
     sampler = _Sampler(spec, scheme)
 
-    def update(w, x, y, _m):
+    def update(w, x, y, _gamma, _m):
         sq = np.einsum("ri,ri->r", x, x)
-        resid = np.einsum("ri,ri->r", x, w) - y
-        return w - (resid / sq)[:, None] * x
+        resid = np.einsum("cri,ri->cr", w, x) - y
+        return w - (resid / sq)[..., None] * x
 
     gamma_label = 1.0 / float(np.trace(spec.hmat))
-    return _drive(spec, config, update, sampler, spec.w0, label="nlms",
-                  gamma_label=gamma_label)
+    return _drive(spec, [config], update, sampler, label="nlms", gamma_label=gamma_label)[0]
 
 
 def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: int = 1,
@@ -302,15 +390,15 @@ def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: in
                        seed=seed, record_at=record_at)
     sampler = _Sampler(spec)
 
-    def update(w, x, y, m):
+    def update(w, x, y, _gamma, m):
         g = schedule(m - 1)
         if g <= 0:
             raise ValueError("step schedule must stay positive")
         sq = np.einsum("ri,ri->r", x, x)
-        resid = np.einsum("ri,ri->r", x, w) - y
-        return w - (g / (1.0 + g * sq) * resid)[:, None] * x
+        resid = np.einsum("cri,ri->cr", w, x) - y
+        return w - (g / (1.0 + g * sq) * resid)[..., None] * x
 
-    return _drive(spec, config, update, sampler, spec.w0, label="isgd", gamma_label=None)
+    return _drive(spec, [config], update, sampler, label="isgd")[0]
 
 
 def class_weighted_spec(spec: ProblemSpec, weights: dict | None = None) -> ProblemSpec:

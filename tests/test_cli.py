@@ -223,6 +223,34 @@ class TestCommands:
         assert "variance-opt" not in body
         assert body.splitlines()[0].startswith("scheme,variance_gain,gamma_max,predicted_bias_gain")
 
+    def test_sampling_on_gaussian_spec_keeps_closed_form_columns(self, tmp_path, capsys):
+        """Resampled schemes cannot be streamed on a Gaussian design: their
+        measured columns stay empty with a warning, and the command succeeds."""
+        out = tmp_path / "s.csv"
+        rc = main(["sampling", "--spec", "gaussian:d=2", "--n-max", "50",
+                   "--replicates", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert "'bias-opt'" in err and "'variance-opt'" in err and "'uniform'" not in err
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["uniform", "bias-opt", "variance-opt"]
+        for r in rows:
+            assert all(v != "" for v in r[1:4])
+            assert all((v == "") == (r[0] != "uniform") for v in r[4:])
+
+    def test_run_warns_once_per_diverged_cell(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["run", "--spec", "gaussian:d=2,sigma=1,w0=ones", "--gamma", "0.2",
+                   "--gamma", "3", "--mode", "all", "--n-max", "200", "--points", "4",
+                   "--replicates", "10", "--out", str(out)])
+        assert rc == EXIT_OK
+        warned = [ln for ln in capsys.readouterr().err.splitlines() if "diverged" in ln]
+        flagged = [ln.split(",") for ln in out.read_text().splitlines() if ln.endswith(",diverged")]
+        assert len(warned) == len(flagged) == 3
+        for line, row in zip(warned, flagged):
+            assert "gamma=3 " in line and f"mode={row[3]} " in line
+            assert f"at n={row[0]} " in line and "replicate " in line and "norm " in line
+
     def test_manifest_supplies_defaults_and_flags_override(self, tmp_path):
         manifest = tmp_path / "m.cfg"
         manifest.write_text(

@@ -21,6 +21,7 @@ from avlms import (
     nlms_run,
     optimal_bias_scheme,
     run_averaged_lms,
+    run_cells,
     uniform_scheme,
 )
 from conftest import make_discrete, make_gaussian
@@ -139,6 +140,28 @@ class TestRunAveragedLms:
         with pytest.raises(ValueError):
             RunConfig(gamma=0.1, n=10, record_at=(5, 20)).record_points()
         assert RunConfig(gamma=0.1, n=10, record_stride=4).record_points() == [4, 8, 10]
+
+
+class TestRunCells:
+    @pytest.mark.parametrize("change", [
+        {"n": 41}, {"replicates": 4}, {"seed": 2}, {"record_at": (5, 40)},
+    ])
+    def test_rejects_configs_that_disagree(self, change):
+        spec = make_discrete(2, 5, 3, residual=True)
+        base = dict(gamma=0.1, n=40, replicates=3, seed=1, record_at=(10, 40))
+        other = {**base, "gamma": 0.2, "mode": "bias", **change}
+        with pytest.raises(ValueError):
+            run_cells(spec, [RunConfig(**base), RunConfig(**other)])
+
+    def test_equal_record_points_from_different_fields_are_accepted(self):
+        spec = make_discrete(2, 5, 3, residual=True)
+        a = RunConfig(gamma=0.1, n=40, replicates=3, record_stride=20)
+        b = RunConfig(gamma=0.2, n=40, replicates=3, record_at=(20, 40))
+        assert len(run_cells(spec, [a, b])) == 2
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError):
+            run_cells(make_discrete(2, 5, 3, residual=True), [])
 
 
 class TestImportanceStream:
