@@ -18,9 +18,7 @@ from .engine import (
     RunConfig,
     Trajectory,
     class_weighted_spec,
-    importance_sampled_stream,
     isgd_run,
-    lms_step,
     nlms_run,
     run_averaged_lms,
     run_cells,
@@ -51,15 +49,7 @@ from .operators import (
     MAX_DIM,
     SymBasis,
     SymOperator,
-    apply,
     fourth_moment_operator_from_samples,
-    identity_operator,
-    left_right_operator,
-    operator_norm,
-    smallest_eigenvalue,
-    solve,
-    sym_to_vec,
-    vec_to_sym,
 )
 from .sampling import (
     SamplingScheme,
@@ -75,7 +65,6 @@ from .stepsize import (
     ContractionFactors,
     StepSizeReport,
     contraction_factors,
-    contraction_generator,
     contraction_rate_bound,
     gamma_max,
     gamma_max_det,

@@ -196,10 +196,10 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return cells
 
 
-def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme, seed: int):
+def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme):
     if scheme is None:
         return compute_moments(run_spec)
-    return sampling.resampled_moments(spec, scheme, seed=seed)
+    return sampling.resampled_moments(spec, scheme)
 
 
 def cmd_gamma_max(args) -> int:
@@ -207,7 +207,7 @@ def cmd_gamma_max(args) -> int:
     names = args.scheme or ["uniform"]
     rows = []
     for name, run_spec, scheme in _scheme_cells(spec, names):
-        m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
+        m = _cell_moments(spec, run_spec, scheme)
         g_max = stepsize.gamma_max(m)
         rows.append([
             name,
@@ -279,24 +279,11 @@ def cmd_predict(args) -> int:
     for gi, gamma in enumerate(gammas):
         if gamma <= 0:
             raise UsageError("gamma values must be positive")
-        model = asymptotics.CovarianceModel(moments, gamma)
-        stable = model.t_positive and model.rho < 1.0
-        if not stable:
-            print(
-                f"warning: gamma={gamma:g} is at or beyond the stability threshold; "
-                "leading-term columns are left empty",
-                file=sys.stderr,
-            )
         rows = []
         overflowed = False
         for n in schedule:
-            sg_bias, sg_var = asymptotics.small_gamma_equivalents(moments, gamma, n)
-            bias_ex = asymptotics.excess_risk(moments, model.bias_exact(n))
-            var_ex = (
-                asymptotics.excess_risk(moments, model.variance_exact(n))
-                if model.t_invertible
-                else None
-            )
+            rep = asymptotics.covariance_report(moments, gamma, n)
+            bias_ex, var_ex = rep.bias_risk_exact, rep.variance_risk_exact
             if not np.isfinite(bias_ex):
                 bias_ex, overflowed = None, True
             if var_ex is not None and not np.isfinite(var_ex):
@@ -304,14 +291,23 @@ def cmd_predict(args) -> int:
             rows.append([
                 n,
                 bias_ex,
-                asymptotics.excess_risk(moments, model.bias_leading(n)) if stable else None,
-                model.bias_remainder_bound(n) if stable else None,
+                rep.bias_risk_leading,
+                rep.bias_remainder_bound,
                 var_ex,
-                asymptotics.excess_risk(moments, model.variance_leading(n)) if stable else None,
-                model.variance_remainder_bound(n) if stable else None,
-                sg_bias,
-                sg_var,
+                rep.variance_risk_leading,
+                rep.variance_remainder_bound,
+                rep.small_gamma_bias,
+                rep.small_gamma_variance,
             ])
+        # Only this gamma's rows use its cached model: free its D x D arrays.
+        moments._models.clear()
+        # Stability depends on gamma alone: every report of it agrees.
+        if rep.bias_risk_leading is None:
+            print(
+                f"warning: gamma={gamma:g} is at or beyond the stability threshold; "
+                "leading-term columns are left empty",
+                file=sys.stderr,
+            )
         if overflowed:
             print(
                 f"warning: gamma={gamma:g} exact values overflowed at large n; "
@@ -355,7 +351,7 @@ def cmd_sampling(args) -> int:
         if scheme is None and run_spec is spec:
             m = base_moments
         else:
-            m = _cell_moments(spec, run_spec, scheme, args.seed or 0)
+            m = _cell_moments(spec, run_spec, scheme)
         g_max = stepsize.gamma_max(m)
         _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0

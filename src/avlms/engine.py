@@ -108,16 +108,6 @@ class Trajectory:
     label: str = ""
 
 
-def lms_step(w: np.ndarray, sample: tuple[np.ndarray, float], gamma: float) -> np.ndarray:
-    """One constant-step update; a zero input vector leaves w unchanged."""
-    x, y = sample
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != w.shape:
-        raise ValueError("weight and input dimensions differ")
-    return w - gamma * (x @ w - y) * x
-
-
 class _Sampler:
     """Vectorized (X, Y) block draws for a spec, optionally resampled.
 
@@ -158,7 +148,7 @@ class _Sampler:
         self._cum[-1] = 1.0
         self._xs = xs
         self._ys_model = xs @ spec.w_star
-        self._ys = ys if ys is not None else None
+        self._ys = ys
         self.residual = isinstance(spec.noise, ResidualNoise)
         self.sigma = 0.0 if self.residual else spec.noise.sigma
 
@@ -201,8 +191,8 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler, label: str = "",
-           gamma_label: float | None = None) -> list[Trajectory]:
+def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
+           label: str = "") -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
 
     The state ``w`` has shape (cells, replicates, d).  Every step draws one
@@ -275,7 +265,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler, label: str
             risk=np.array(risks[k]),
             standard_error=np.array(errs[k]),
             mode=c.mode,
-            gamma=gamma_label if gamma_label is not None else c.gamma,
+            gamma=c.gamma,
             diverged=diverged[k][0] is not None,
             diverged_at=diverged[k][0],
             diverged_replicate=diverged[k][1],
@@ -329,20 +319,6 @@ def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Traje
     return run_cells(spec, [config], scheme)[0]
 
 
-def importance_sampled_stream(spec: ProblemSpec, scheme, seed: int, block: int = 1024):
-    """Infinite stream of sqrt(c)-scaled samples drawn from a scheme's proposal.
-
-    Second moments of the yielded pairs match the original distribution;
-    fourth-order moments pick up the factor c.
-    """
-    sampler = _Sampler(spec, scheme)
-    gen_x, gen_eps = _generators(seed)
-    while True:
-        xs, _, ys = sampler.draw(gen_x, gen_eps, block)
-        for t in range(block):
-            yield xs[t], float(ys[t])
-
-
 def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
              record_at: tuple[int, ...] | None = None) -> Trajectory:
     """Normalized LMS on the norm-proportional resampled stream.
@@ -367,8 +343,9 @@ def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
         resid = np.einsum("cri,ri->cr", w, x) - y
         return w - (resid / sq)[..., None] * x
 
-    gamma_label = 1.0 / float(np.trace(spec.hmat))
-    return _drive(spec, [config], update, sampler, label="nlms", gamma_label=gamma_label)[0]
+    traj = _drive(spec, [config], update, sampler, label="nlms")[0]
+    traj.gamma = 1.0 / float(np.trace(spec.hmat))
+    return traj
 
 
 def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: int = 1,

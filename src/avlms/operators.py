@@ -3,20 +3,19 @@
 Symmetric matrices of size d form a vector space of dimension
 D = d(d+1)/2.  Once an orthonormal basis (under the Frobenius inner
 product) is fixed, every linear map that is stable on that space becomes
-an ordinary D-by-D matrix, and operator norms, smallest eigenvalues and
-linear solves reduce to dense symmetric eigenproblems.  All the maps used
-by the covariance analysis (left-plus-right multiplication by a symmetric
-matrix, the fourth-moment operator of a random vector, and their
-combinations) are of this kind.
+an ordinary D-by-D matrix.  The fourth-moment operators of the covariance
+analysis are stored this way; their spectra are read in the eigenbasis
+of H (:class:`avlms.stepsize.SpectralFrame`), and the dense reference
+operators the tests compare against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularOperatorError
+from .errors import DimensionError
 
 # Dense D x D algebra stays trivial up to this size (D <= 2080).
 MAX_DIM = 64
@@ -102,7 +101,6 @@ class SymOperator:
 
     basis: SymBasis
     matrix: np.ndarray
-    _eigs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -120,28 +118,6 @@ class SymOperator:
     def dim(self) -> int:
         return self.basis.dim
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the D x D representation (ascending), cached."""
-        if "w" not in self._eigs:
-            self._eigs["w"] = np.linalg.eigvalsh(self.matrix)
-        return self._eigs["w"]
-
-
-def sym_to_vec(a: np.ndarray, basis: SymBasis) -> np.ndarray:
-    """Coordinates of a symmetric matrix; norm-preserving."""
-    a = _as_symmetric(a)
-    if a.shape[0] != basis.dim:
-        raise DimensionError(f"matrix of dim {a.shape[0]} does not match basis dim {basis.dim}")
-    return basis.mats_to_vecs(a)
-
-
-def vec_to_sym(v: np.ndarray, basis: SymBasis) -> np.ndarray:
-    """Symmetric matrix with the given coordinates; inverse of sym_to_vec."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (basis.size,):
-        raise DimensionError(f"coordinate vector must have length {basis.size}, got {v.shape}")
-    return basis.vecs_to_mats(v)
-
 
 def operator_from_map(fn, basis: SymBasis) -> SymOperator:
     """Materialize a linear map on symmetric matrices as a SymOperator.
@@ -151,26 +127,6 @@ def operator_from_map(fn, basis: SymBasis) -> SymOperator:
     images = fn(basis.matrices())
     cols = basis.mats_to_vecs(images)  # row q = image of basis element q
     return SymOperator(basis=basis, matrix=cols.T)
-
-
-def identity_operator(basis: SymBasis) -> SymOperator:
-    return SymOperator(basis=basis, matrix=np.eye(basis.size))
-
-
-def left_right_operator(hmat: np.ndarray, basis: SymBasis | None = None) -> SymOperator:
-    """Operator A -> HA + AH for a symmetric H, restricted to symmetric A.
-
-    For H = diag(l_1, ..., l_d) its eigenvalues are {l_i + l_j : i <= j}.
-    """
-    hmat = _as_symmetric(hmat, "hmat")
-    if basis is None:
-        basis = SymBasis(hmat.shape[0])
-    elif basis.dim != hmat.shape[0]:
-        raise DimensionError("basis and matrix dimensions differ")
-    return operator_from_map(
-        lambda mats: hmat @ mats + mats @ hmat,
-        basis,
-    )
 
 
 def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
@@ -203,35 +159,3 @@ def fourth_moment_operator_from_samples(
             raise DimensionError("weights must have one entry per sample")
         mat = (u * weights[:, None]).T @ u
     return SymOperator(basis=basis, matrix=0.5 * (mat + mat.T))
-
-
-def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:
-    """Apply the operator to a symmetric matrix."""
-    return vec_to_sym(op.matrix @ sym_to_vec(a, op.basis), op.basis)
-
-
-def operator_norm(op: SymOperator) -> float:
-    """Largest absolute eigenvalue; equals the Frobenius-to-Frobenius norm."""
-    w = op.eigenvalues()
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def smallest_eigenvalue(op: SymOperator) -> float:
-    return float(op.eigenvalues()[0])
-
-
-def solve(op: SymOperator, b: np.ndarray, pd_tol: float = 1e-12) -> np.ndarray:
-    """Solve op(A) = B for a symmetric positive definite operator.
-
-    Raises SingularOperatorError, naming the offending eigenvalue, when the
-    smallest eigenvalue is below ``pd_tol`` times the operator norm.
-    """
-    w = op.eigenvalues()
-    norm = max(abs(w[0]), abs(w[-1]))
-    if w[0] <= pd_tol * norm:
-        raise SingularOperatorError(
-            f"operator is not positive definite: smallest eigenvalue {w[0]:.3e} "
-            f"(norm {norm:.3e})",
-            smallest_eigenvalue=float(w[0]),
-        )
-    return vec_to_sym(np.linalg.solve(op.matrix, sym_to_vec(b, op.basis)), op.basis)

@@ -15,9 +15,9 @@ H_L + H_R is the diagonal matrix of pair sums l_a + l_b.  The fourth
 moment is rotated into that frame once and shared by every step-size.
 The pencil then reduces to a standard symmetric eigenproblem after a
 diagonal scaling, and T(gamma) is that diagonal minus gamma times the
-shared matrix, whose eigenvalues are cached per gamma.
-:func:`contraction_generator` keeps the dense operator in the original
-coordinates as the reference the tests compare against.
+shared matrix, whose eigenvalues are cached per gamma.  The dense operator
+in the original coordinates is kept only as the reference the tests
+compare against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import scipy.linalg
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
-from .operators import SymOperator, left_right_operator
 
 
 class SpectralFrame:
@@ -90,18 +89,6 @@ def spectral_frame(moments: MomentSet) -> SpectralFrame:
     if frame is None:
         frame = _frame_cache[moments] = SpectralFrame(moments)
     return frame
-
-
-def contraction_generator(moments: MomentSet, gamma: float) -> SymOperator:
-    """The operator T(gamma) = H_L + H_R - gamma * M on symmetric matrices.
-
-    Dense, in the original coordinates; the library reads T from
-    :func:`spectral_frame` and keeps this as the reference operator.
-    """
-    b = left_right_operator(moments.hmat, moments.basis)
-    return SymOperator(
-        basis=moments.basis, matrix=b.matrix - gamma * moments.fourth_moment.matrix
-    )
 
 
 def gamma_max(moments: MomentSet) -> float:

@@ -186,6 +186,28 @@ class TestCommands:
         assert rc == EXIT_OK
         assert (tmp_path / "p_g0.csv").exists() and (tmp_path / "p_g1.csv").exists()
 
+    def test_predict_frees_each_gamma_model(self, tmp_path, monkeypatch):
+        """No CovarianceModel of an earlier gamma is alive when the next is built."""
+        import gc
+        import weakref
+
+        from avlms import asymptotics
+
+        built = []
+        init = asymptotics.CovarianceModel.__init__
+
+        def tracked(self, *args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in built)
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(asymptotics.CovarianceModel, "__init__", tracked)
+        rc = main(["predict", "--spec", "gaussian:d=3,sigma=1", "--gamma", "0.1",
+                   "--gamma", "0.2", "--gamma", "0.05", "--n-max", "40", "--points", "3",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_OK and len(built) == 3
+
     def test_run_with_resampling_scheme(self, tmp_path):
         rg = np.random.default_rng(2)
         xs = rg.standard_normal((25, 2)) * rg.uniform(0.5, 3.0, (25, 1))

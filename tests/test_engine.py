@@ -15,15 +15,14 @@ from avlms import (
     exact_variance_covariance,
     excess_risk,
     gamma_max,
-    importance_sampled_stream,
     isgd_run,
-    lms_step,
     nlms_run,
     optimal_bias_scheme,
     run_averaged_lms,
     run_cells,
     uniform_scheme,
 )
+from avlms import engine
 from conftest import make_discrete, make_gaussian
 
 
@@ -31,18 +30,32 @@ def scalar_unit_spec(w0=1.0, sigma=1.0):
     return ProblemSpec.discrete(np.array([[1.0]]), w_star=[0.0], w0=[w0], sigma=sigma)
 
 
+def lms_step(w, x, y, gamma):
+    """The engine's update on one replicate of one cell."""
+    out = engine._lms_update(np.asarray(w, dtype=float)[None, None],
+                             np.asarray(x, dtype=float)[None], np.array([[y]], dtype=float),
+                             np.full((1, 1, 1), gamma), 2)
+    return out[0, 0]
+
+
+def resampled_draws(spec, scheme, seed, size):
+    """``size`` sqrt(c)-scaled pairs (x, y) from the engine's sampler for a scheme."""
+    x, _, y = engine._Sampler(spec, scheme).draw(*engine._generators(seed), size)
+    return x, y
+
+
 class TestLmsStep:
     def test_zero_input_is_no_update(self):
         w = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(lms_step(w, (np.zeros(2), 5.0), 0.3), w)
+        np.testing.assert_array_equal(lms_step(w, np.zeros(2), 5.0, 0.3), w)
 
     def test_fixed_point(self):
         w = np.array([2.0, 1.0])
         x = np.array([0.5, -1.0])
-        np.testing.assert_array_equal(lms_step(w, (x, float(x @ w)), 0.4), w)
+        np.testing.assert_array_equal(lms_step(w, x, float(x @ w), 0.4), w)
 
     def test_scalar_arithmetic(self):
-        np.testing.assert_allclose(lms_step(np.array([0.0]), (np.array([1.0]), 1.0), 0.5), [0.5])
+        np.testing.assert_allclose(lms_step([0.0], [1.0], 1.0, 0.5), [0.5])
 
 
 class TestRunAveragedLms:
@@ -167,31 +180,29 @@ class TestRunCells:
 class TestImportanceStream:
     def test_unit_ratio_reproduces_the_base_stream(self):
         spec = make_discrete(2, 5, 9, residual=True)
-        base = importance_sampled_stream(spec, uniform_scheme(), seed=4)
-        again = importance_sampled_stream(spec, uniform_scheme(), seed=4)
-        for _ in range(50):
-            x1, y1 = next(base)
-            x2, y2 = next(again)
-            np.testing.assert_array_equal(x1, x2)
-            assert y1 == y2
+        x1, y1 = resampled_draws(spec, uniform_scheme(), 4, 50)
+        x2, y2 = resampled_draws(spec, uniform_scheme(), 4, 50)
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(y1, y2)
+        # the unit ratio leaves the plain stream of the spec untouched
+        x0, y0 = resampled_draws(spec, None, 4, 50)
+        np.testing.assert_array_equal(x1, x0)
+        np.testing.assert_array_equal(y1, y0)
 
     def test_norm_proportional_stream_has_constant_norm(self):
         """Scaling by sqrt(c*) equalizes every drawn norm at E[X^T X]."""
         spec = make_discrete(3, 6, 10, residual=True)
         scheme = optimal_bias_scheme(spec)
-        stream = importance_sampled_stream(spec, scheme, seed=8)
-        norms = np.array([float(x @ x) for x, _ in (next(stream) for _ in range(200))])
+        xs, _ = resampled_draws(spec, scheme, 8, 200)
+        norms = np.einsum("ti,ti->t", xs, xs)
         np.testing.assert_allclose(norms, scheme.normalization, rtol=1e-12)
 
     def test_second_moments_preserved(self):
         spec = make_discrete(2, 6, 12, residual=True)
         m = compute_moments(spec)
         scheme = optimal_bias_scheme(spec)
-        stream = importance_sampled_stream(spec, scheme, seed=1)
         n = 100_000
-        xs = np.empty((n, 2))
-        for t in range(n):
-            xs[t], _ = next(stream)
+        xs, _ = resampled_draws(spec, scheme, 1, n)
         hhat = xs.T @ xs / n
         prods = xs[:, :, None] * xs[:, None, :]
         stderr = prods.std(axis=0) / np.sqrt(n)
@@ -200,7 +211,7 @@ class TestImportanceStream:
     def test_gaussian_resampling_unsupported(self):
         spec = make_gaussian(2, 0.5, 1)
         with pytest.raises(SchemeError):
-            next(importance_sampled_stream(spec, optimal_bias_scheme(spec), seed=0))
+            resampled_draws(spec, optimal_bias_scheme(spec), 0, 1)
 
 
 class TestNlms:
@@ -217,6 +228,8 @@ class TestNlms:
         t_nlms = nlms_run(spec, n=300, seed=77, replicates=5,
                           record_at=tuple(int(v) for v in t_lms.iterations))
         np.testing.assert_allclose(t_nlms.risk, t_lms.risk, rtol=1e-12, atol=1e-15)
+        assert t_nlms.gamma == 1.0 / float(np.trace(spec.hmat))
+        assert t_nlms.label == "nlms"
 
     def test_constant_norm_equals_plain_lms(self):
         """With constant input norms the proposal is uniform, so normalized
@@ -342,10 +355,8 @@ class TestClassWeighting:
             return vals  # E_p[c_y] = 1 by construction
 
         scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=1.0)
-        stream = importance_sampled_stream(weighted, scheme, seed=3)
         originals = {tuple(np.round(x, 12)) for x in spec.design.xs}
-        for _ in range(64):
-            x, y = next(stream)
+        for x in resampled_draws(weighted, scheme, 3, 64)[0]:
             assert tuple(np.round(x, 12)) in originals
 
     def test_default_weights_scale_gradients_uniformly(self):
@@ -363,13 +374,11 @@ class TestClassWeighting:
             return np.full(np.atleast_2d(x).shape[0], 2.0) / mean_cy
 
         scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=mean_cy)
-        stream = importance_sampled_stream(weighted, scheme, seed=11)
         w = np.array([0.4, -0.2])
         originals = {
             tuple(np.round(np.sqrt(mean_cy) * x, 12)): (x, y) for x, y in zip(xs, ys)
         }
-        for _ in range(32):
-            xp, yp = next(stream)
+        for xp, yp in zip(*resampled_draws(weighted, scheme, 11, 32)):
             x0, y0 = originals[tuple(np.round(xp, 12))]
             update_scaled = (xp @ w - yp) * xp
             update_plain = (x0 @ w - y0) * x0

@@ -3,7 +3,8 @@
 Two checks guard every change to the engine:
 
 * pinned SHA-256 digests of ``avlms run`` and ``avlms sampling`` CSV bytes
-  on small fixed configs.  The digests depend on the BLAS that builds the
+  on small fixed configs, and of the closed-form ``avlms predict`` and
+  ``avlms gamma-max`` CSVs.  The digests depend on the BLAS that builds the
   rotated covariance and its square root, so they are pinned for the
   reference environment (OpenBLAS 0.3.31, numpy 2.4.6) and skipped
   elsewhere;
@@ -191,14 +192,27 @@ DATA_RUN = ["--gamma", "0.02", "--gamma", "0.004", "--scheme", "uniform", "--sch
             "bias-opt", "--mode", "all", "--n-max", "300", "--points", "10",
             "--replicates", "25", "--seed", "3"]
 DATA_SAMPLING = ["--n-max", "300", "--points", "6", "--replicates", "40", "--seed", "2"]
+# One stable and one unstable gamma each: gamma_max is about 0.109 on the data
+# file and 0.534 on the descriptor.  Past gamma_max the exact bias overflows
+# by n=3000; on the descriptor T is singular at gamma=2, so its exact
+# variance column stays empty.
+PREDICT_SPEC = "gaussian:d=5,spectrum=1/i,sigma=1,wstar=random,w0=ones"
+DATA_PREDICT = ["--gamma", "0.05", "--gamma", "0.5", "--n-max", "3000", "--points", "8"]
+SPEC_PREDICT = ["--gamma", "0.2", "--gamma", "2.0", "--n-max", "3000", "--points", "8"]
+ALL_SCHEMES = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
 
 GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b6a4d63c"
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
 DATA_SAMPLING_SHA256 = "05a058c281d0268d699a1cb6acb7c788a3a7f3f3d4f003a898cc7010fc015dd4"
+DATA_PREDICT_SHA256 = "f19c2be0025c2df78939e5cc064a03bd78ba66d4fa690e8423ff70f7e39be2c5"
+SPEC_PREDICT_SHA256 = "7f56f50c8b54118b49de235ec0fffa2cfbbeac3358fdeb7a91729ab6ed4c72f7"
+DATA_GAMMA_MAX_SHA256 = "4e97f37dc1ce7641f49956a3057a1c217cca585c492c67e6d615ac28f04547b5"
+SPEC_GAMMA_MAX_SHA256 = "82ea7acc679f28292a7c5445c3c1b2ab314e47cf16cbb09ceea90490da9c996e"
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(*paths) -> str:
+    """SHA-256 of the files' bytes, concatenated in order."""
+    return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
 
 
 def run_gaussian_csv(tmp_path, monkeypatch):
@@ -217,6 +231,18 @@ def data_csv_command(tmp_path, command, args):
     return out
 
 
+def predict_csvs(tmp_path, source, args):
+    """The two per-gamma CSVs of ``avlms predict`` on ``source`` (--data or --spec)."""
+    out = tmp_path / "predict.csv"
+    assert cli.main(["predict", *source, *args, "--out", str(out)]) == 0
+    return tmp_path / "predict_g0.csv", tmp_path / "predict_g1.csv"
+
+
+def _assert_unstable_warnings(err: str, gamma: str) -> None:
+    assert f"warning: gamma={gamma} is at or beyond the stability threshold" in err
+    assert f"warning: gamma={gamma} exact values overflowed at large n" in err
+
+
 class TestPinnedDigests:
     @pinned
     def test_gaussian_run(self, tmp_path, monkeypatch):
@@ -232,6 +258,32 @@ class TestPinnedDigests:
     def test_discrete_sampling(self, tmp_path):
         out = data_csv_command(tmp_path, "sampling", DATA_SAMPLING)
         assert _digest(out) == DATA_SAMPLING_SHA256
+
+    @pinned
+    def test_discrete_predict(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_discrete_csv(data)
+        outs = predict_csvs(tmp_path, ["--data", str(data)], DATA_PREDICT)
+        _assert_unstable_warnings(capsys.readouterr().err, "0.5")
+        assert _digest(*outs) == DATA_PREDICT_SHA256
+
+    @pinned
+    def test_gaussian_predict(self, tmp_path, capsys):
+        outs = predict_csvs(tmp_path, ["--spec", PREDICT_SPEC], SPEC_PREDICT)
+        _assert_unstable_warnings(capsys.readouterr().err, "2")
+        assert _digest(*outs) == SPEC_PREDICT_SHA256
+
+    @pinned
+    def test_discrete_gamma_max(self, tmp_path):
+        out = data_csv_command(tmp_path, "gamma-max", ALL_SCHEMES)
+        assert _digest(out) == DATA_GAMMA_MAX_SHA256
+
+    @pinned
+    def test_gaussian_gamma_max(self, tmp_path):
+        out = tmp_path / "gamma-max.csv"
+        assert cli.main(["gamma-max", "--spec", PREDICT_SPEC, *ALL_SCHEMES,
+                         "--out", str(out)]) == 0
+        assert _digest(out) == SPEC_GAMMA_MAX_SHA256
 
 
 def _assert_matches_oracle(traj, spec, config, scheme=None):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from avlms import (
     ProblemSpec,
     SpecError,
-    apply,
     check_cross_term_condition,
     compute_moments,
     fourth_moment_operator_from_samples,
@@ -23,6 +22,7 @@ from avlms import (
 )
 from avlms.moments import MC_CHUNK, _sqrt_psd
 from avlms.operators import SymBasis, _rank_one_coords, operator_from_map
+from oracles import apply
 
 
 class TestGaussianFourthMoment:

@@ -14,7 +14,6 @@ from avlms import (
     contraction_rate_bound,
     gamma_max,
     gamma_max_det,
-    left_right_operator,
     reweighted_moments,
     smallest_t_eigenvalue,
     step_size_report,
@@ -22,6 +21,7 @@ from avlms import (
 )
 from avlms.stepsize import SpectralFrame, spectral_frame
 from conftest import make_discrete, make_gaussian
+from oracles import left_right_operator
 
 
 def scalar_unit_moments():
