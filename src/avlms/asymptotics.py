@@ -10,9 +10,9 @@ in three forms each: the exact finite-n expectation under the i.i.d.
 model, the leading non-exponential terms, and a scalar Frobenius-norm
 bound on the exponentially decaying difference between the two.
 
-Evaluation strategy.  Work in the eigenbasis of H held by the MomentSet's
-shared spectral frame (:func:`avlms.stepsize.spectral_frame`).  There
-every geometric factor built from H is diagonal, H_L + H_R is the
+Evaluation strategy.  Work in the eigen coordinates of H held by the
+MomentSet's shared spectral frame (:func:`avlms.stepsize.spectral_frame`).
+There every geometric factor built from H is diagonal, H_L + H_R is the
 diagonal of pair sums l_a + l_b, and the fourth moment is already rotated,
 once for all step-sizes; so T = diag(l_a + l_b) - gamma M_rot costs one
 symmetric eigensolve per (moments, gamma).  The double sums then collapse
@@ -24,6 +24,14 @@ step-sizes in the stable range the exact value is assembled as
 leading-terms-plus-remainder so that the difference between the two
 public functions reproduces the remainder to machine precision even when
 it sits far below the rounding error of the leading terms.
+
+The model reaches T only through the frame's per-step-size
+:class:`~avlms.stepsize.TEigenpairs`: its eigenvalues ``tau``, the
+coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
+two ways back to d x d matrices, ``contract`` and ``side_sum``.  Nothing
+here knows how those eigenvectors are stored, so a structured frame can
+replace the dense one without touching this module.
+:meth:`CovarianceModel.report` gathers every closed form at one horizon.
 """
 
 from __future__ import annotations
@@ -34,9 +42,7 @@ import numpy as np
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
-from .stepsize import spectral_frame
-
-PD_TOL = 1e-12
+from .stepsize import spectral_frame, t_invertible, t_positive
 
 
 def _geom_sum(a: np.ndarray, n: int) -> np.ndarray:
@@ -78,10 +84,10 @@ class CovarianceModel:
     """Spectral data of one (moments, gamma) pair, reused across horizons.
 
     Holds the H eigendecomposition and the rotated fourth moment from the
-    MomentSet's :class:`~avlms.stepsize.SpectralFrame`, the eigenpairs of
-    the contraction generator T in those coordinates, the coordinates of
-    eta0 eta0^T and E[eps^2 X X^T] in the T eigenbasis, and the
-    horizon-independent pieces of the leading terms.
+    MomentSet's :class:`~avlms.stepsize.SpectralFrame`, the eigenpairs
+    ``t_eig`` of the contraction generator T in those coordinates, the
+    coefficients of eta0 eta0^T and E[eps^2 X X^T] on the T eigenvectors,
+    and the horizon-independent pieces of the leading terms.
     """
 
     def __init__(self, moments: MomentSet, gamma: float):
@@ -89,7 +95,6 @@ class CovarianceModel:
             raise ValueError("gamma must be positive")
         self.moments = moments
         self.gamma = float(gamma)
-        basis = moments.basis
         frame = spectral_frame(moments)
         lam, u = frame.lam, frame.u
         if lam[0] <= 0:
@@ -100,12 +105,11 @@ class CovarianceModel:
         self.rot = u
         self.omega = 1.0 - gamma * lam
 
-        tau, v = frame.t_eigh(gamma)
-        self.tau = tau
+        self.t_eig = frame.t_eigenpairs(gamma)
+        tau = self.tau = self.t_eig.tau
         self.theta = 1.0 - gamma * tau
-        self._v = v
-        self.e0_coords = v.T @ basis.mats_to_vecs(u.T @ moments.e0 @ u)
-        self.sigma0_coords = v.T @ basis.mats_to_vecs(u.T @ moments.sigma0 @ u)
+        self.e0_coords = self.t_eig.coords(u.T @ moments.e0 @ u)
+        self.sigma0_coords = self.t_eig.coords(u.T @ moments.sigma0 @ u)
 
         # inverse-weight surface (1/l_a + 1/l_b - gamma) of H_L^-1 + H_R^-1 - gamma I
         inv = 1.0 / lam
@@ -115,15 +119,14 @@ class CovarianceModel:
         self.rho_h = float(np.abs(self.omega).max())
         self.rho = max(self.rho_t, self.rho_h)
         self.mu_t = float(tau[0])
-        tau_scale = max(abs(tau[0]), abs(tau[-1]), 1e-300)
-        self.t_positive = tau[0] > PD_TOL * tau_scale
-        self.t_invertible = np.abs(tau).min() > PD_TOL * tau_scale
+        self.t_positive = t_positive(tau)
+        self.t_invertible = t_invertible(tau)
 
         if self.t_invertible:
             # Horizon-independent contractions T^-1 E0, T^-1 Sigma0, T^-2 Sigma0.
-            self._e0_t1 = self._contract(self.e0_coords / tau)
-            self._s0_t1 = self._contract(self.sigma0_coords / tau)
-            self._s0_t2 = self._contract(self.sigma0_coords / tau**2)
+            self._e0_t1 = self.t_eig.contract(self.e0_coords / tau)
+            self._s0_t1 = self.t_eig.contract(self.sigma0_coords / tau)
+            self._s0_t2 = self.t_eig.contract(self.sigma0_coords / tau**2)
             qk = self.omega / (gamma * lam) ** 2
             self._var_corr = (qk[:, None] + qk[None, :]) * self._s0_t1
 
@@ -132,22 +135,6 @@ class CovarianceModel:
     def _rotate_back(self, a: np.ndarray) -> np.ndarray:
         out = self.rot @ a @ self.rot.T
         return 0.5 * (out + out.T)
-
-    def _contract(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q, with E_q the q-th T eigenvector as a matrix."""
-        return self.moments.basis.vecs_to_mats(self._v @ coeffs)
-
-    def _side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
-
-        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
-        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
-        """
-        basis = self.moments.basis
-        rows, cols = basis.pairs
-        g = self._v @ (coeffs[:, None] * weights)
-        at = np.arange(g.shape[0])
-        return basis.vecs_to_mats(g[at, rows] + g[at, cols])
 
     def _require_stable(self, what: str) -> None:
         if not self.t_positive:
@@ -185,11 +172,11 @@ class CovarianceModel:
         with np.errstate(over="ignore", invalid="ignore"):
             pair = _pair_sum(self.omega[None, :], self.theta[:, None], n)  # (D, d)
             side = pair / (g * self.lam)[None, :]
-            a_term = -self._side_sum(self.e0_coords, side) / n**2
+            a_term = -self.t_eig.side_sum(self.e0_coords, side) / n**2
             if self.t_positive:
                 b_term = (
                     -self.wsurf
-                    * self._contract(self.e0_coords * self.theta**n / self.tau)
+                    * self.t_eig.contract(self.e0_coords * self.theta**n / self.tau)
                     / (g**2 * n**2)
                 )
                 lead = self._rotate_back(self._bias_leading_rotated(n))
@@ -197,7 +184,7 @@ class CovarianceModel:
             # T is singular or indefinite: evaluate the finite sum directly.
             s_inf = self.omega / (g * self.lam)
             g_sum = _geom_sum(self.theta, n)
-            main = (1.0 + s_inf[:, None] + s_inf[None, :]) * self._contract(
+            main = (1.0 + s_inf[:, None] + s_inf[None, :]) * self.t_eig.contract(
                 self.e0_coords * g_sum
             )
             return self._rotate_back((main / n**2) + a_term)
@@ -221,12 +208,12 @@ class CovarianceModel:
         with np.errstate(over="ignore", invalid="ignore"):
             pair = _pair_sum(self.omega[None, :], self.theta[:, None], n)
             pair -= self.omega[None, :] ** n
-            c_term = self._side_sum(
+            c_term = self.t_eig.side_sum(
                 self.sigma0_coords / self.tau, pair / self.lam[None, :]
             ) / n**2
             d_term = (
                 self.wsurf
-                * self._contract(self.sigma0_coords * self.theta**n / self.tau**2)
+                * self.t_eig.contract(self.sigma0_coords * self.theta**n / self.tau**2)
                 / (g * n**2)
             )
             qpk = self.omega**n / (g * self.lam) ** 2
@@ -271,6 +258,32 @@ class CovarianceModel:
             + 2.0 / (n * g * mu**2 * mu_t)
         )
         return m.dim * self.rho**n * s0_norm / n * bracket
+
+    def report(self, n: int) -> CovarianceReport:
+        """Every closed-form prediction of this model at horizon n."""
+        moments, gamma = self.moments, self.gamma
+        bias_exact = self.bias_exact(n)
+        var_exact = self.variance_exact(n) if self.t_invertible else None
+        stable = self.t_positive and self.rho < 1.0
+        bias_lead = self.bias_leading(n) if stable else None
+        var_lead = self.variance_leading(n) if stable else None
+        sg_bias, sg_var = small_gamma_equivalents(moments, gamma, n)
+        return CovarianceReport(
+            gamma=gamma,
+            n=int(n),
+            bias_exact=bias_exact,
+            bias_leading=bias_lead,
+            variance_exact=var_exact,
+            variance_leading=var_lead,
+            bias_remainder_bound=self.bias_remainder_bound(n) if stable else None,
+            variance_remainder_bound=self.variance_remainder_bound(n) if stable else None,
+            bias_risk_exact=excess_risk(moments, bias_exact),
+            bias_risk_leading=excess_risk(moments, bias_lead) if stable else None,
+            variance_risk_exact=excess_risk(moments, var_exact) if var_exact is not None else None,
+            variance_risk_leading=excess_risk(moments, var_lead) if stable else None,
+            small_gamma_bias=sg_bias,
+            small_gamma_variance=sg_var,
+        )
 
 
 def _check_n(n) -> int:
@@ -380,26 +393,4 @@ class CovarianceReport:
 
 
 def covariance_report(moments: MomentSet, gamma: float, n: int) -> CovarianceReport:
-    model = _model(moments, gamma)
-    bias_exact = model.bias_exact(n)
-    var_exact = model.variance_exact(n) if model.t_invertible else None
-    stable = model.t_positive and model.rho < 1.0
-    bias_lead = model.bias_leading(n) if stable else None
-    var_lead = model.variance_leading(n) if stable else None
-    sg_bias, sg_var = small_gamma_equivalents(moments, gamma, n)
-    return CovarianceReport(
-        gamma=float(gamma),
-        n=int(n),
-        bias_exact=bias_exact,
-        bias_leading=bias_lead,
-        variance_exact=var_exact,
-        variance_leading=var_lead,
-        bias_remainder_bound=model.bias_remainder_bound(n) if stable else None,
-        variance_remainder_bound=model.variance_remainder_bound(n) if stable else None,
-        bias_risk_exact=excess_risk(moments, bias_exact),
-        bias_risk_leading=excess_risk(moments, bias_lead) if stable else None,
-        variance_risk_exact=excess_risk(moments, var_exact) if var_exact is not None else None,
-        variance_risk_leading=excess_risk(moments, var_lead) if stable else None,
-        small_gamma_bias=sg_bias,
-        small_gamma_variance=sg_var,
-    )
+    return _model(moments, gamma).report(n)

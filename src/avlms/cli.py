@@ -207,16 +207,18 @@ def cmd_gamma_max(args) -> int:
     names = args.scheme or ["uniform"]
     rows = []
     for name, run_spec, scheme in _scheme_cells(spec, names):
-        m = _cell_moments(spec, run_spec, scheme)
-        g_max = stepsize.gamma_max(m)
+        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme))
+        g_max = report.gamma_max
         rows.append([
             name,
             g_max,
-            stepsize.gamma_max_det(m),
-            stepsize.trace_step_bound(m),
-            m.mu,
-            stepsize.smallest_t_eigenvalue(m, g_max / 2.0) if np.isfinite(g_max) else None,
+            report.gamma_max_det,
+            report.trace_bound,
+            report.mu,
+            report.mu_t(g_max / 2.0) if np.isfinite(g_max) else None,
         ])
+        # Free this scheme's moments and spectral frame before the next is built.
+        del report
     header = ["scheme", "gamma_max", "gamma_max_det", "trace_bound", "mu",
               "mu_T_at_half_gamma_max"]
     for row in rows:
@@ -279,10 +281,11 @@ def cmd_predict(args) -> int:
     for gi, gamma in enumerate(gammas):
         if gamma <= 0:
             raise UsageError("gamma values must be positive")
+        model = asymptotics.CovarianceModel(moments, gamma)
         rows = []
         overflowed = False
         for n in schedule:
-            rep = asymptotics.covariance_report(moments, gamma, n)
+            rep = model.report(n)
             bias_ex, var_ex = rep.bias_risk_exact, rep.variance_risk_exact
             if not np.isfinite(bias_ex):
                 bias_ex, overflowed = None, True
@@ -299,8 +302,6 @@ def cmd_predict(args) -> int:
                 rep.small_gamma_bias,
                 rep.small_gamma_variance,
             ])
-        # Only this gamma's rows use its cached model: free its D x D arrays.
-        moments._models.clear()
         # Stability depends on gamma alone: every report of it agrees.
         if rep.bias_risk_leading is None:
             print(
@@ -308,6 +309,14 @@ def cmd_predict(args) -> int:
                 "leading-term columns are left empty",
                 file=sys.stderr,
             )
+        if not model.t_invertible:
+            print(
+                f"warning: gamma={gamma:g} makes T singular; the variance_exact column "
+                "is left empty",
+                file=sys.stderr,
+            )
+        # Only this gamma's rows use its model: free its D x D arrays before the next.
+        del model
         if overflowed:
             print(
                 f"warning: gamma={gamma:g} exact values overflowed at large n; "

@@ -18,6 +18,17 @@ diagonal scaling, and T(gamma) is that diagonal minus gamma times the
 shared matrix, whose eigenvalues are cached per gamma.  The dense operator
 in the original coordinates is kept only as the reference the tests
 compare against, in ``tests/oracles.py``.
+
+The frame is the only owner of the layout of T's eigenbasis.
+``SpectralFrame.t_eigenpairs(gamma)`` returns a :class:`TEigenpairs`, and
+the closed forms of :mod:`avlms.asymptotics` reach T through its four
+members alone: the eigenvalues ``tau``, ``coords`` (the T-eigenbasis
+coordinates of a symmetric matrix given in H-eigen coordinates),
+``contract`` (the matrix sum_q c_q E_q of coefficients on the T
+eigenvectors E_q) and ``side_sum``.  :func:`t_positive` and
+:func:`t_invertible` are the one definition of when a spectrum of T is
+positive definite or invertible, shared by :meth:`StepSizeReport.at` and
+the covariance model.
 """
 
 from __future__ import annotations
@@ -31,6 +42,57 @@ import scipy.linalg
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
+from .operators import SymBasis
+
+# Relative tolerance below which an eigenvalue of T counts as zero.
+PD_TOL = 1e-12
+
+
+def _tau_scale(tau: np.ndarray) -> float:
+    return max(abs(tau[0]), abs(tau[-1]), 1e-300)
+
+
+def t_positive(tau: np.ndarray) -> bool:
+    """Whether T, with ascending eigenvalues ``tau``, is positive definite."""
+    return bool(tau[0] > PD_TOL * _tau_scale(tau))
+
+
+def t_invertible(tau: np.ndarray) -> bool:
+    """Whether T, with ascending eigenvalues ``tau``, is invertible."""
+    return bool(np.abs(tau).min() > PD_TOL * _tau_scale(tau))
+
+
+class TEigenpairs:
+    """The eigenpairs of T(gamma) at one step-size, in H-eigen coordinates.
+
+    ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
+    symmetric d x d matrices; callers never see their dense layout and work
+    with d x d matrices and length-D coefficient vectors only.
+    """
+
+    def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
+        self.tau = tau
+        self._basis = basis
+        self._v = v
+
+    def coords(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
+        return self._v.T @ self._basis.mats_to_vecs(a)
+
+    def contract(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q."""
+        return self._basis.vecs_to_mats(self._v @ coeffs)
+
+    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
+
+        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
+        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
+        """
+        rows, cols = self._basis.pairs
+        g = self._v @ (coeffs[:, None] * weights)
+        at = np.arange(g.shape[0])
+        return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
 
 
 class SpectralFrame:
@@ -44,7 +106,7 @@ class SpectralFrame:
     """
 
     def __init__(self, moments: MomentSet):
-        basis = moments.basis
+        basis = self.basis = moments.basis
         rows, cols = basis.pairs
         self.lam, self.u = np.linalg.eigh(moments.hmat)
         self.rmat = basis.mats_to_vecs(self.u.T @ basis.matrices() @ self.u).T
@@ -59,11 +121,11 @@ class SpectralFrame:
         t[np.diag_indices_from(t)] += self.bdiag
         return t
 
-    def t_eigh(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    def t_eigenpairs(self, gamma: float) -> TEigenpairs:
         """Eigenpairs of T(gamma); the eigenvalues are kept for later lookups."""
         tau, v = np.linalg.eigh(self.t_matrix(gamma))
         self._keep(float(gamma), tau)
-        return tau, v
+        return TEigenpairs(self.basis, tau, v)
 
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
         """Ascending eigenvalues of T(gamma), solved once per step-size."""
@@ -220,7 +282,7 @@ class StepSizeReport:
             rho_h=factors.rho_h,
             rho=factors.rho,
             rate_bound=bound,
-            t_positive=self.mu_t(gamma) > 0,
+            t_positive=t_positive(spectral_frame(self.moments).t_eigenvalues(gamma)),
         )
 
 

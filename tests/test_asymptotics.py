@@ -476,7 +476,7 @@ class TestRatesAndRegimes:
                 for n in (10, 100, 1000, 10_000):
                     lead_risk = excess_risk(m, model.variance_leading(n))
                     main = model._rotate_back(
-                        model.wsurf * model._contract(model.sigma0_coords / model.tau)
+                        model.wsurf * model.t_eig.contract(model.sigma0_coords / model.tau)
                     )
                     main_risk = excess_risk(m, main) / n
                     assert lead_risk <= main_risk + 1e-12 * max(1.0, main_risk), (name, frac, n)

@@ -230,10 +230,21 @@ class TestCommands:
         rc = main(["predict", "--spec", "gaussian:d=2,sigma=1,w0=ones",
                    "--gamma", "5.0", "--n-max", "20", "--points", "2", "--out", str(out)])
         assert rc == EXIT_OK
-        assert "threshold" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "threshold" in err and "singular" not in err  # T is invertible at 5.0
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert all(r[2] == "" and r[3] == "" for r in rows)  # leading columns empty
         assert all(r[1] != "" for r in rows)  # exact bias still emitted
+
+    def test_predict_singular_gamma_warns_about_variance_column(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--spec", "gaussian:d=5,spectrum=1/i,sigma=1", "--gamma", "2.0",
+                   "--n-max", "50", "--points", "3", "--out", str(out)])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert "gamma=2 makes T singular; the variance_exact column is left empty" in err
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert all(r[4] == "" for r in rows) and all(r[1] != "" for r in rows)
 
     def test_sampling_skips_variance_scheme_on_noiseless_data(self, tmp_path, capsys, tiny_csv):
         out = tmp_path / "s.csv"

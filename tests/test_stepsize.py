@@ -19,6 +19,7 @@ from avlms import (
     step_size_report,
     trace_step_bound,
 )
+from avlms.cli import parse_spec_descriptor
 from avlms.stepsize import SpectralFrame, spectral_frame
 from conftest import make_discrete, make_gaussian
 from oracles import left_right_operator
@@ -176,6 +177,20 @@ class TestPositivityBoundary:
             assert smallest_t_eigenvalue(m, 0.99 * g_max) > 0
             assert smallest_t_eigenvalue(m, 1.01 * g_max) < 0
 
+    @pytest.mark.parametrize("spec", [
+        lambda: parse_spec_descriptor("gaussian:d=3,spectrum=1/i,sigma=1"),
+        lambda: parse_spec_descriptor("gaussian:d=12,spectrum=1/i,sigma=1"),
+        lambda: make_gaussian(4, 0.5, 902),
+        lambda: make_gaussian(4, 0.5, 904),
+        lambda: make_discrete(3, 8, 904, residual=True),
+    ], ids=["d3-1/i", "d12-1/i", "gauss-902", "gauss-904", "disc-904"])
+    def test_report_and_model_agree_at_threshold(self, spec):
+        """T(gamma_max) is singular: the report and the model both say so."""
+        m = compute_moments(spec())
+        g = gamma_max(m)
+        assert not step_size_report(m).at(g).t_positive
+        assert not CovarianceModel(m, g).t_positive
+
 
 class TestReport:
     def test_fields_and_diagnostics(self):
@@ -245,6 +260,28 @@ class TestOneSpectralFrame:
         CovarianceModel(m, 0.05 * g)
         assert builds == [m]
         assert spectral_frame(m) is spectral_frame(m)
+
+    def test_contract_inverts_coords(self):
+        m = compute_moments(make_discrete(4, 9, 905, residual=True))
+        t_eig = spectral_frame(m).t_eigenpairs(0.3 * gamma_max(m))
+        a = np.random.default_rng(0).standard_normal((4, 4))
+        a = a + a.T
+        np.testing.assert_allclose(t_eig.contract(t_eig.coords(a)), a, rtol=0, atol=1e-13)
+
+    def test_side_sum_matches_its_defining_sum(self):
+        m = compute_moments(make_gaussian(3, 0.5, 906))
+        t_eig = spectral_frame(m).t_eigenpairs(0.4 * gamma_max(m))
+        size = m.basis.size
+        rg = np.random.default_rng(1)
+        coeffs, weights = rg.standard_normal(size), rg.standard_normal((size, 3))
+        expected = np.zeros((3, 3))
+        for q in range(size):
+            e_q = t_eig.contract(np.eye(size)[q])
+            for a in range(3):
+                for b in range(3):
+                    expected[a, b] += coeffs[q] * e_q[a, b] * (weights[q, a] + weights[q, b])
+        np.testing.assert_allclose(t_eig.side_sum(coeffs, weights), expected,
+                                   rtol=0, atol=1e-13)
 
     def test_frame_diagonalizes_left_right_operator(self):
         m = compute_moments(make_gaussian(4, 0.5, 904))
