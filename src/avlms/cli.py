@@ -32,7 +32,7 @@ from .errors import (
     SingularOperatorError,
     SpecError,
 )
-from .moments import ProblemSpec, compute_moments
+from .moments import ProblemSpec, atom_coords, compute_moments
 from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -196,18 +196,39 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return cells
 
 
-def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme):
+def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme, coords):
+    """Moments of one scheme cell; ``coords`` is ``atom_coords(spec)``, shared
+    by every atom Gram on ``spec`` itself."""
     if scheme is None:
-        return compute_moments(run_spec)
-    return sampling.resampled_moments(spec, scheme)
+        return compute_moments(run_spec, coords if run_spec is spec else None)
+    return sampling.resampled_moments(spec, scheme, coords=coords)
+
+
+def _run_grid(grid) -> list:
+    """Trajectories of ``(key, config, run_spec, scheme)`` cells, in order.
+
+    Cells on one spec, whatever their schemes, are stepped in one lockstep
+    engine call; a derived spec (class-weighted) gets a call of its own.
+    """
+    by_spec = {}
+    for k, cell in enumerate(grid):
+        by_spec.setdefault(id(cell[2]), []).append(k)
+    trajs = [None] * len(grid)
+    for ks in by_spec.values():
+        runs = engine.run_cells(grid[ks[0]][2], [grid[k][1] for k in ks],
+                                scheme=[grid[k][3] for k in ks])
+        for k, traj in zip(ks, runs):
+            trajs[k] = traj
+    return trajs
 
 
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
-    names = args.scheme or ["uniform"]
+    cells = _scheme_cells(spec, args.scheme or ["uniform"])
+    coords = atom_coords(spec) if any(cell[1] is spec for cell in cells) else None
     rows = []
-    for name, run_spec, scheme in _scheme_cells(spec, names):
-        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme))
+    for name, run_spec, scheme in cells:
+        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme, coords))
         g_max = report.gamma_max
         rows.append([
             name,
@@ -247,21 +268,23 @@ def cmd_run(args) -> int:
         for gamma in gammas
         for mode in modes
     ]
+    cells = _scheme_cells(spec, names)
+    grid = [(name, config, run_spec, scheme)
+            for name, run_spec, scheme in cells for config in configs]
+    trajs = _run_grid(grid)
     rows = []
-    for name, run_spec, scheme in _scheme_cells(spec, names):
-        for config, traj in zip(configs, engine.run_cells(run_spec, configs, scheme=scheme)):
-            gamma, mode = config.gamma, config.mode
-            for i, n in enumerate(traj.iterations):
-                rows.append([int(n), gamma, name, mode, traj.risk[i],
-                             traj.standard_error[i], ""])
-            if traj.diverged:
-                rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
-                print(
-                    f"warning: gamma={gamma:g} scheme={name} mode={mode} diverged at "
-                    f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
-                    f"norm {traj.diverged_norm:.3g})",
-                    file=sys.stderr,
-                )
+    for (name, config, _, _), traj in zip(grid, trajs):
+        gamma, mode = config.gamma, config.mode
+        for i, n in enumerate(traj.iterations):
+            rows.append([int(n), gamma, name, mode, traj.risk[i], traj.standard_error[i], ""])
+        if traj.diverged:
+            rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
+            print(
+                f"warning: gamma={gamma:g} scheme={name} mode={mode} diverged at "
+                f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
+                f"norm {traj.diverged_norm:.3g})",
+                file=sys.stderr,
+            )
     header = ["n", "gamma", "scheme", "mode", "risk", "stderr", "flag"]
     _write_csv(args.out or "-", header, rows)
     return EXIT_OK
@@ -343,13 +366,14 @@ def cmd_sampling(args) -> int:
     schedule = _n_schedule(args)
     measure_at = sorted({schedule[len(schedule) // 2], schedule[-1]})
     replicates = _count(args, "replicates", 200)
-    base_moments = compute_moments(spec)
+    coords = atom_coords(spec)
+    base_moments = compute_moments(spec, coords)
     _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
     base_gamma_max = stepsize.gamma_max(base_moments)
     header = (["scheme", "variance_gain", "gamma_max", "predicted_bias_gain"]
               + [f"measured_risk_n{n}" for n in measure_at]
               + [f"measured_stderr_n{n}" for n in measure_at])
-    rows = []
+    rows, grid = [], []
     for name in names:
         try:
             cells = _scheme_cells(spec, [name])
@@ -360,7 +384,7 @@ def cmd_sampling(args) -> int:
         if scheme is None and run_spec is spec:
             m = base_moments
         else:
-            m = _cell_moments(spec, run_spec, scheme)
+            m = _cell_moments(spec, run_spec, scheme, coords)
         g_max = stepsize.gamma_max(m)
         _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
@@ -371,18 +395,24 @@ def cmd_sampling(args) -> int:
             mode=args.mode or "total", seed=args.seed or 0,
             record_at=tuple(measure_at),
         )
+        rows.append([name, gain, g_max, pred_bias_gain])
         try:
-            traj = engine.run_averaged_lms(run_spec, config, scheme=scheme)
+            engine.check_stream(run_spec, scheme)
         except SchemeError as exc:
             print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
                   f"{exc}", file=sys.stderr)
-            risk_by_n = err_by_n = {}
         else:
+            grid.append((len(rows) - 1, config, run_spec, scheme))
+    del coords  # the engine does not need the (N, D) array
+    measured = {cell[0]: traj for cell, traj in zip(grid, _run_grid(grid))}
+    for k, row in enumerate(rows):
+        traj = measured.get(k)
+        risk_by_n = err_by_n = {}
+        if traj is not None:
             risk_by_n = dict(zip((int(v) for v in traj.iterations), traj.risk))
             err_by_n = dict(zip((int(v) for v in traj.iterations), traj.standard_error))
-        rows.append([name, gain, g_max, pred_bias_gain]
-                    + [risk_by_n.get(n) for n in measure_at]
-                    + [err_by_n.get(n) for n in measure_at])
+        row += ([risk_by_n.get(n) for n in measure_at]
+                + [err_by_n.get(n) for n in measure_at])
     _write_csv(args.out or "-", header, rows)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ weights, the exact least-squares fit as optimum, residual noise.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,26 @@ class IngestReport:
 
 
 def _parse_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV rows: blank and ``#`` lines skipped, the last column the label.
+
+    One whole-file numeric parse reads every data line; on any failure (or
+    fewer than two columns) the line loop re-reads the file, so the result
+    and every error message, with its line number, are the loop's.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = (raw for raw in fh if (line := raw.strip()) and not line.startswith("#"))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an input without data rows warns
+                table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape[0] == 0 or table.shape[1] < 2:
+        return _parse_csv_lines(path)
+    return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
+
+
+def _parse_csv_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
     xs_rows: list[list[float]] = []
     ys_rows: list[float] = []
     width = None

@@ -38,10 +38,17 @@ from .moments import (
 DIVERGENCE_NORM = 1e12
 
 # State budget of one lockstep group of cells.  At its peak a step holds
-# four (cells, replicates, d) float64 arrays: wbar, the old and the new w,
-# and one temporary of the update; together they stay under GROUP_BYTES.
+# four (cells, replicates, d) float64 arrays: wbar, w, the scratch of the
+# update and the average, and the inputs gathered per cell; together they
+# stay under GROUP_BYTES.  A block of resampled draws stays under
+# GROUP_BYTES // CHUNK_SHARE.
 GROUP_BYTES = 1 << 26
 _STATE_ARRAYS = 4
+CHUNK_SHARE = 4
+
+# Guide-table advances tried before the remaining keys fall back to
+# searchsorted.
+GUIDE_ROUNDS = 8
 
 MODES = ("bias", "variance", "total")
 
@@ -108,81 +115,163 @@ class Trajectory:
     label: str = ""
 
 
-class _Sampler:
-    """Vectorized (X, Y) block draws for a spec, optionally resampled.
+class _GuideTable:
+    """``searchsorted(cum, u, side="right")`` in O(1) expected time per key.
 
-    With a ``SamplingScheme``, atoms are drawn from q = c_inverse * p
-    through a shared uniform sequence and every sample is scaled by
-    sqrt(c); the Gaussian backend supports only the uniform scheme.
+    The guide table of Chen & Asau (1974): key u falls in bucket
+    b = min(floor(u N), N - 1) of N equal buckets, starts at ``guide[b]``
+    and advances while ``cum[idx] <= u``.  ``guide[b]`` is the answer for a
+    point just below b/N: floor(fl(u N)) = b implies u >= (b/N)(1 - 2^-53),
+    and the start point (b/N)(1 - 2^-50), rounded twice, lies under that
+    bound, so no key starts past its atom, whatever the rounding of u N.
+    Keys still unresolved after ``GUIDE_ROUNDS`` advances (long runs of
+    zero-weight atoms) finish with ``searchsorted``.  The result equals
+    ``searchsorted`` exactly; an alias table would be O(1) too, but it maps
+    uniforms to other atoms.
     """
 
-    def __init__(self, spec: ProblemSpec, scheme=None):
+    def __init__(self, cum: np.ndarray):
+        self.cum = cum
+        self.size = cum.size
+        starts = np.arange(self.size) / self.size * (1.0 - 2.0**-50)
+        self.guide = np.searchsorted(cum, starts, side="right")
+
+    def bucket(self, u: np.ndarray) -> np.ndarray:
+        b = (u * self.size).astype(np.intp)
+        return np.minimum(b, self.size - 1, out=b)
+
+    def lookup(self, u: np.ndarray, bucket: np.ndarray | None = None) -> np.ndarray:
+        cum = self.cum
+        idx = self.guide[self.bucket(u) if bucket is None else bucket]
+        todo = np.flatnonzero(cum[idx] <= u)
+        for _ in range(GUIDE_ROUNDS):
+            if not todo.size:
+                return idx
+            idx[todo] += 1
+            todo = todo[cum[idx[todo]] <= u[todo]]
+        if todo.size:
+            idx[todo] = np.searchsorted(cum, u[todo], side="right")
+        return idx
+
+
+def check_stream(spec: ProblemSpec, scheme) -> None:
+    """Raise ``SchemeError`` when :func:`run_cells` cannot draw the stream of
+    ``spec`` under ``scheme`` (None is the uniform scheme)."""
+    if scheme is not None and isinstance(spec.design, GaussianDesign):
+        raise SchemeError(
+            "resampled streams need an atomized spec; Gaussian designs "
+            "support only uniform sampling"
+        )
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Sampler:
+    """Vectorized (X, Y) draws of a spec under one or more sampling schemes.
+
+    On discrete specs scheme s draws atoms from q_s = c_inverse_s * p: each
+    scheme maps the one shared uniform sequence through its own guide table
+    and scales every sample by sqrt(c_s).  The scaled atom tables are built
+    once here, stacked over schemes (scheme s at row offset s * atoms), so a
+    draw is a gather; the uniform scheme (None) has scale 1, which leaves
+    its values exact.  Gaussian specs support only the uniform scheme.
+    """
+
+    def __init__(self, spec: ProblemSpec, schemes=(None,)):
         self.spec = spec
         design = spec.design
         self.gaussian = isinstance(design, GaussianDesign)
+        for scheme in schemes:
+            check_stream(spec, scheme)
         if self.gaussian:
-            if scheme is not None:
-                raise SchemeError(
-                    "resampled streams need an atomized spec; Gaussian designs "
-                    "support only uniform sampling"
-                )
             self._root = _sqrt_psd(design.cov)
             self.sigma = spec.noise.sigma
             return
-        xs, probs, ys = design.xs, design.probs, design.ys
-        if scheme is None:
-            weights = probs
-            self._scale = None
-        else:
-            cinv = _atom_c_inverse(spec, scheme.c_inverse)
-            weights = probs * cinv
-            total = weights.sum()
-            if abs(total - 1.0) > 1e-10:
-                raise SchemeError(f"proposal weights sum to {total!r}, not 1")
-            weights = weights / total
-            scale = np.zeros_like(cinv)
-            live = cinv > 0
-            scale[live] = 1.0 / np.sqrt(cinv[live])
-            self._scale = scale
-        self._cum = np.cumsum(weights)
-        self._cum[-1] = 1.0
-        self._xs = xs
-        self._ys_model = xs @ spec.w_star
-        self._ys = ys
         self.residual = isinstance(spec.noise, ResidualNoise)
         self.sigma = 0.0 if self.residual else spec.noise.sigma
+        xs, probs = design.xs, design.probs
+        self.atoms = probs.size
+        self._guides, scales = [], []
+        for scheme in schemes:
+            scale = np.ones_like(probs)
+            weights = probs
+            if scheme is not None:
+                cinv = _atom_c_inverse(spec, scheme.c_inverse)
+                weights = probs * cinv
+                total = weights.sum()
+                if abs(total - 1.0) > 1e-10:
+                    raise SchemeError(f"proposal weights sum to {total!r}, not 1")
+                weights = weights / total
+                live = cinv > 0
+                scale[~live] = 0.0
+                scale[live] = 1.0 / np.sqrt(cinv[live])
+            cum = np.cumsum(weights)
+            cum[-1] = 1.0
+            self._guides.append(_GuideTable(cum))
+            scales.append(scale)
+        clean = xs @ spec.w_star
+        self._xs = _stack([xs * s[:, None] for s in scales])
+        self._clean = _stack([clean * s for s in scales])
+        if self.residual and design.ys is not None:
+            self._ys = _stack([design.ys * s for s in scales])
+        elif self.residual:
+            self._ys = self._clean
+        elif self.sigma > 0:
+            # The observed response is (clean + sigma eps) sqrt(c), in that order.
+            self._raw = _stack([clean] * len(scales))
+            self._scale = _stack(scales)
 
-    def draw(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, size: int,
-             noisy: bool = True):
-        """One block ``(x, y_clean, y_noisy)``: the inputs, their noiseless
-        responses and, when ``noisy``, the observed ones (else None).
+    def block_steps(self, reps: int, schemes: int) -> int:
+        """Steps per :meth:`block`: one on Gaussian specs; on discrete ones as
+        many as keep a block's uniforms, indices and gathered draws for
+        ``schemes`` schemes under ``GROUP_BYTES // CHUNK_SHARE``."""
+        if self.gaussian:
+            return 1
+        per_step = 8 * reps * (3 + schemes * (self.spec.dim + 5))
+        return max(1, GROUP_BYTES // CHUNK_SHARE // per_step)
 
-        Noise is drawn from ``gen_eps`` only when asked for, so cells that
-        share a draw see the same noise as cells run alone.
+    def block(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, reps: int,
+              steps: int, noisy: bool, schemes: np.ndarray):
+        """The draws of ``steps`` consecutive steps for the schemes indexed by
+        ``schemes``: ``(x, y_clean, y_noisy)`` of shapes
+        (steps, len(schemes), reps, d), (steps, len(schemes), reps) and the
+        same, the observed responses only when ``noisy`` (else None).
+
+        One ``random`` call per block draws the uniforms of all its steps,
+        and consecutive blocks concatenate to the per-step stream.  Noise is
+        drawn from ``gen_eps`` only when asked for, so cells that share a
+        draw see the same noise as cells run alone.
         """
         if self.gaussian:
-            x = gen_x.standard_normal((size, self.spec.dim)) @ self._root.T
+            x = gen_x.standard_normal((reps, self.spec.dim)) @ self._root.T
             clean = x @ self.spec.w_star
             y = clean
             if noisy and self.sigma > 0:
-                y = clean + self.sigma * gen_eps.standard_normal(size)
-            return x, clean, y if noisy else None
-        idx = np.searchsorted(self._cum, gen_x.random(size), side="right")
-        x = self._xs[idx]
-        clean = self._ys_model[idx]
+                y = clean + self.sigma * gen_eps.standard_normal(reps)
+            return x[None, None], clean[None, None], y[None, None] if noisy else None
+        u = gen_x.random(steps * reps)
+        bucket = self._guides[0].bucket(u)
+        idx = np.empty((steps, len(schemes), reps), dtype=np.intp)
+        for k, s in enumerate(schemes):
+            atom = self._guides[s].lookup(u, bucket)
+            idx[:, k] = (atom + s * self.atoms).reshape(steps, reps)
+        shape = idx.shape + (self.spec.dim,)
+        if getattr(self, "_xbuf", None) is None or self._xbuf.shape != shape:
+            self._xbuf = np.empty(shape)
+        x = np.take(self._xs, idx, axis=0, out=self._xbuf, mode="clip")
+        clean = np.take(self._clean, idx)
         y = None
         if noisy:
             if self.residual:
-                y = clean if self._ys is None else self._ys[idx]
+                y = np.take(self._ys, idx)
             elif self.sigma > 0:
-                y = clean + self.sigma * gen_eps.standard_normal(size)
+                eps = self.sigma * gen_eps.standard_normal(steps * reps)
+                y = (np.take(self._raw, idx) + eps.reshape(steps, 1, reps)) * np.take(
+                    self._scale, idx)
             else:
                 y = clean
-        if self._scale is not None:
-            s = self._scale[idx]
-            x = x * s[:, None]
-            clean = clean * s
-            y = None if y is None else y * s
         return x, clean, y
 
 
@@ -192,16 +281,23 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
-           label: str = "") -> list[Trajectory]:
+           schemes=None, labels=None) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
 
-    The state ``w`` has shape (cells, replicates, d).  Every step draws one
-    block of inputs (and of noise, while a noisy cell is live) shared by
-    all cells; "bias" cells see the noiseless response, the others the
-    observed one.  ``update(w, x, y, gamma, m)`` returns the next state,
-    with ``y`` of shape (cells, replicates) and ``gamma`` of shape
-    (cells, 1, 1).  A cell whose largest squared replicate norm exceeds
-    ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that step.
+    The state ``w`` has shape (cells, replicates, d).  Every step shares one
+    draw among all cells: the uniforms (or Gaussian inputs) once, and the
+    noise once while a noisy cell is live.  ``schemes`` gives each cell's
+    scheme index into ``sampler`` (default 0); each cell sees the inputs of
+    its own scheme, and "bias" cells the noiseless response, the others the
+    observed one.  Resampled draws come in blocks of
+    :meth:`_Sampler.block_steps` steps, refilled from this call's streams.
+    ``update(w, x, y, gamma, m, out)`` returns the next state and may write
+    it into ``w``, with ``x`` of shape (replicates, d) when one scheme is
+    drawn and (cells, replicates, d) otherwise, ``y`` of shape
+    (cells, replicates), ``gamma`` of shape (cells, 1, 1) and ``out``
+    scratch of w's shape.  A cell whose largest squared replicate norm
+    exceeds ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that
+    step, and its scheme leaves the draws at the next block.
     """
     config = configs[0]
     gen_x, gen_eps = _generators(config.seed)
@@ -211,8 +307,11 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     w = np.stack([np.tile(w_star if c.mode == "variance" else spec.w0, (reps, 1))
                   for c in configs]).astype(float)
     wbar = w.copy()
+    scratch = np.empty_like(w)
     gamma = np.array([c.gamma for c in configs], dtype=float)[:, None, None]
     noiseless = np.array([c.mode == "bias" for c in configs])
+    scheme_of = np.zeros(len(configs), dtype=np.intp) if schemes is None else np.asarray(
+        schemes, dtype=np.intp)
     live = np.arange(len(configs))
     points = config.record_points()
     iters = [[] for _ in configs]
@@ -228,6 +327,12 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
             risks[cell].append(float(r.mean()))
             errs[cell].append(float(r.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
 
+    def cell_rows():
+        """Which scheme of the block each live cell reads, and whether x needs
+        a gather."""
+        pos = np.searchsorted(drawn, scheme_of)
+        return pos, len(drawn) > 1 and not np.array_equal(pos, np.arange(len(drawn)))
+
     limit = DIVERGENCE_NORM**2
     next_idx = 0
     if points[0] == 1:
@@ -235,27 +340,53 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
         next_idx = 1
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
+    drawn = np.unique(scheme_of)
+    pos, gather = cell_rows()
+    steps = sampler.block_steps(reps, len(drawn))
+    j = end = 0
+    stale = False
     for m in range(2, config.n + 1):
-        x, clean, y = sampler.draw(gen_x, gen_eps, reps, noisy=noisy)
+        if j == end:
+            if stale:
+                drawn = np.unique(scheme_of)
+                pos, gather = cell_rows()
+                stale = False
+            xb, cb, yb = sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - m),
+                                       noisy, drawn)
+            j, end = 0, len(xb)
+        if gather:
+            x = xb[j][pos]
+        elif len(drawn) > 1:
+            x = xb[j]
+        else:
+            x = xb[j, 0]
         if not noisy:
-            y = clean
+            y = cb[j][pos]
         elif mixed:
-            y = np.where(noiseless[:, None], clean, y)
-        w = update(w, x, y, gamma, m)
-        sq = np.einsum("cri,cri->cr", w, w)
-        if not sq.max() <= limit:  # NaN-aware: a NaN norm fails the test
+            y = np.where(noiseless[:, None], cb[j][pos], yb[j][pos])
+        else:
+            y = yb[j][pos]
+        j += 1
+        w = update(w, x, y, gamma, m, scratch)
+        sq = _past_limit(w, limit)
+        if sq is not None:
             bad = ~(sq.max(axis=1) <= limit)
             for k in np.flatnonzero(bad):
                 rep = int(np.argmax(sq[k]))
                 diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
             keep = ~bad
             w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
-            noiseless, live = noiseless[keep], live[keep]
+            noiseless, live, scheme_of = noiseless[keep], live[keep], scheme_of[keep]
             if not len(live):
                 break
+            scratch = np.empty_like(w)
+            pos, gather = cell_rows()
+            stale = True
             noisy = not noiseless.all()
             mixed = noisy and noiseless.any()
-        wbar += (w - wbar) / m
+        np.subtract(w, wbar, out=scratch)
+        np.divide(scratch, m, out=scratch)
+        wbar += scratch
         if next_idx < len(points) and points[next_idx] == m:
             record(m)
             next_idx += 1
@@ -270,29 +401,49 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
             diverged_at=diverged[k][0],
             diverged_replicate=diverged[k][1],
             diverged_norm=diverged[k][2],
-            label=label,
+            label="" if labels is None else labels[k],
         )
         for k, c in enumerate(configs)
     ]
 
 
-def _lms_update(w, x, y, gamma, _m):
-    resid = np.einsum("cri,ri->cr", w, x) - y
-    return w - gamma * resid[..., None] * x
+def _past_limit(w: np.ndarray, limit: float) -> np.ndarray | None:
+    """The squared replicate norms of ``w``, shape (cells, replicates), when
+    one exceeds ``limit`` or is NaN; else None.
+
+    d max|w_i|^2 <= limit/2 keeps every rounded squared norm under the
+    limit, so the norms are only computed past that bound (or at a NaN).
+    """
+    top = max(w.max(), -w.min())
+    if top * top * w.shape[-1] <= 0.5 * limit:
+        return None
+    sq = np.einsum("cri,cri->cr", w, w)
+    return None if sq.max() <= limit else sq
+
+
+def _lms_update(w, x, y, gamma, _m, out=None):
+    """w - gamma (x^T w - y) x, written into ``w``; ``out`` is scratch."""
+    resid = np.einsum("cri,ri->cr" if x.ndim == 2 else "cri,cri->cr", w, x)
+    resid -= y
+    resid *= gamma[:, :, 0]
+    w -= np.multiply(resid[..., None], x, out=out)
+    return w
 
 
 def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
-    """Averaged constant-step LMS for a grid of (gamma, mode) cells.
+    """Averaged constant-step LMS for a grid of (gamma, mode, scheme) cells.
 
     The configs must agree on ``n``, ``replicates``, ``seed`` and the
-    record points; they may differ in ``gamma`` and ``mode``.  All cells
-    share one input stream (and one noise stream), so each trajectory is
-    bit-identical to the same config run alone.  Cells are stepped in
-    lockstep, in groups whose state stays under ``GROUP_BYTES``; every
-    group restarts the streams from the seed, so grouping never changes
-    bits.  Risk is the testing error against the spec's true second moment
-    ``spec.hmat``; with a ``SamplingScheme`` the objective (and hence H and
-    w*) is unchanged and the stream is the scaled resampled one.
+    record points; they may differ in ``gamma`` and ``mode``.  ``scheme``
+    is one ``SamplingScheme`` (None: uniform) for every cell, or a list
+    with one per config.  All cells share one uniform (or Gaussian input)
+    stream and one noise stream, so each trajectory is bit-identical to the
+    same config run alone.  Cells are stepped in lockstep, in groups whose
+    state stays under ``GROUP_BYTES``; every group restarts the streams
+    from the seed, so grouping never changes bits.  Risk is the testing
+    error against the spec's true second moment ``spec.hmat``; a scheme
+    leaves the objective (and hence H and w*) unchanged and draws the
+    scaled resampled stream.
     """
     configs = list(configs)
     if not configs:
@@ -303,13 +454,20 @@ def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
             raise ValueError("configs of one grid must share n, replicates and seed")
         if c.record_points() != first.record_points():
             raise ValueError("configs of one grid must share their record points")
-    sampler = _Sampler(spec, scheme)
-    label = "uniform" if scheme is None else scheme.name
+    per_cell = list(scheme) if isinstance(scheme, (list, tuple)) else [scheme] * len(configs)
+    if len(per_cell) != len(configs):
+        raise ValueError("give one scheme per config")
+    distinct = list({id(s): s for s in per_cell}.values())
+    index = {id(s): k for k, s in enumerate(distinct)}
+    sampler = _Sampler(spec, distinct)
+    cell_scheme = [index[id(s)] for s in per_cell]
+    labels = ["uniform" if s is None else s.name for s in per_cell]
     # A single cell above the budget still runs, alone in its group.
     size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * first.replicates * spec.dim))
     out = []
     for k in range(0, len(configs), size):
-        out += _drive(spec, configs[k:k + size], _lms_update, sampler, label=label)
+        out += _drive(spec, configs[k:k + size], _lms_update, sampler,
+                      cell_scheme[k:k + size], labels[k:k + size])
     return out
 
 
@@ -336,14 +494,14 @@ def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
             raise SpecError("normalized LMS needs X != 0 on every atom")
     config = RunConfig(gamma=1.0, n=n, replicates=replicates, mode="total",
                        seed=seed, record_at=record_at)
-    sampler = _Sampler(spec, scheme)
+    sampler = _Sampler(spec, [scheme])
 
-    def update(w, x, y, _gamma, _m):
+    def update(w, x, y, _gamma, _m, _out):
         sq = np.einsum("ri,ri->r", x, x)
         resid = np.einsum("cri,ri->cr", w, x) - y
         return w - (resid / sq)[..., None] * x
 
-    traj = _drive(spec, [config], update, sampler, label="nlms")[0]
+    traj = _drive(spec, [config], update, sampler, labels=["nlms"])[0]
     traj.gamma = 1.0 / float(np.trace(spec.hmat))
     return traj
 
@@ -367,7 +525,7 @@ def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: in
                        seed=seed, record_at=record_at)
     sampler = _Sampler(spec)
 
-    def update(w, x, y, _gamma, m):
+    def update(w, x, y, _gamma, m, _out):
         g = schedule(m - 1)
         if g <= 0:
             raise ValueError("step schedule must stay positive")
@@ -375,7 +533,7 @@ def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: in
         resid = np.einsum("cri,ri->cr", w, x) - y
         return w - (g / (1.0 + g * sq) * resid)[..., None] * x
 
-    return _drive(spec, [config], update, sampler, label="isgd")[0]
+    return _drive(spec, [config], update, sampler, labels=["isgd"])[0]
 
 
 def class_weighted_spec(spec: ProblemSpec, weights: dict | None = None) -> ProblemSpec:

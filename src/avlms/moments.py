@@ -271,28 +271,43 @@ def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
     return design.ys - design.xs @ spec.w_star
 
 
-def compute_moments(spec: ProblemSpec) -> MomentSet:
+def atom_coords(spec: ProblemSpec) -> np.ndarray | None:
+    """Rank-one coordinates of x x^T for every atom of a discrete spec,
+    shape (N, D); None on Gaussian specs.
+
+    Pass them as ``coords`` to :func:`compute_moments` and
+    :func:`reweighted_moments` so that several moment builds of one dataset
+    share a single (N, D) array.
+    """
+    if not isinstance(spec.design, DiscreteDesign):
+        return None
+    return _rank_one_coords(spec.design.xs, SymBasis(spec.dim))
+
+
+def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> MomentSet:
     """Exact moments of a specification.
 
     Gaussian designs use the closed-form fourth moment, and their noise
     covariance factorizes to sigma^2 H; discrete designs use exact
-    probability-weighted atom averages.
+    probability-weighted atom averages (over ``coords``, the spec's
+    :func:`atom_coords`, when given).
     """
     if isinstance(spec.design, DiscreteDesign):
-        return _atom_moments(spec, spec.design.probs)
+        return _atom_moments(spec, spec.design.probs, coords)
     hmat = spec.hmat
     return _assemble(spec, gaussian_fourth_moment(hmat, SymBasis(spec.dim)),
                      spec.noise.sigma**2 * hmat)
 
 
-def _atom_moments(spec: ProblemSpec, wts: np.ndarray) -> MomentSet:
+def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
     """Moments of a discrete spec whose fourth-order objects weight atom t
     by ``wts[t]``: ``probs`` for the spec itself, ``probs * c`` resampled.
     """
     xs = spec.design.xs
     residual = isinstance(spec.noise, ResidualNoise)
     eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
-    fourth = fourth_moment_operator_from_samples(xs, SymBasis(spec.dim), weights=wts)
+    fourth = fourth_moment_operator_from_samples(xs, SymBasis(spec.dim), weights=wts,
+                                                 coords=coords)
     return _assemble(spec, fourth, np.einsum("t,ti,tj->ij", wts * eps2, xs, xs))
 
 
@@ -319,7 +334,8 @@ def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
 
 
 def reweighted_moments(
-    spec: ProblemSpec, c_inverse, mc_samples: int = 200_000, seed: int = 0
+    spec: ProblemSpec, c_inverse, mc_samples: int = 200_000, seed: int = 0,
+    coords: np.ndarray | None = None,
 ) -> MomentSet:
     """Moments of the importance-resampled instance.
 
@@ -330,7 +346,8 @@ def reweighted_moments(
     E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
 
     Exact for discrete designs: :func:`compute_moments`' atom average with
-    weights ``probs * c``.  On Gaussian designs an arbitrary
+    weights ``probs * c`` (over ``coords``, the spec's :func:`atom_coords`,
+    when given).  On Gaussian designs an arbitrary
     ``c_inverse`` is estimated from ``mc_samples`` seeded draws (recorded
     in the result's ``n_samples``), streamed in chunks of ``MC_CHUNK`` rows
     so that memory stays O(MC_CHUNK x D); the two optimal schemes have
@@ -343,7 +360,7 @@ def reweighted_moments(
         xs, probs = design.xs, design.probs
         live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
         c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
-        return _atom_moments(spec, probs * c)
+        return _atom_moments(spec, probs * c, coords)
     # Gaussian design: atomize by Monte Carlo, one chunk of draws at a time.
     if mc_samples < 2:
         raise ValueError("the Monte Carlo estimate needs at least 2 draws")

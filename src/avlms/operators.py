@@ -135,13 +135,16 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
 
 
 def fourth_moment_operator_from_samples(
-    samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None
+    samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
+    coords: np.ndarray | None = None,
 ) -> SymOperator:
     """Empirical fourth-moment operator A -> mean[(x^T A x) x x^T].
 
     In orthonormal coordinates this is the (weighted) second-moment matrix
     of the coordinate vectors of x x^T, hence symmetric positive
-    semidefinite by construction.
+    semidefinite by construction.  ``coords``, when given, holds those
+    vectors (``_rank_one_coords(samples, basis)``), so several weightings of
+    one sample share a single (N, D) array.
     """
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
     if xs.shape[0] == 0:
@@ -150,7 +153,9 @@ def fourth_moment_operator_from_samples(
         basis = SymBasis(xs.shape[1])
     elif basis.dim != xs.shape[1]:
         raise DimensionError("basis and sample dimensions differ")
-    u = _rank_one_coords(xs, basis)
+    u = _rank_one_coords(xs, basis) if coords is None else coords
+    if u.shape != (xs.shape[0], basis.size):
+        raise DimensionError("coords must hold one rank-one coordinate row per sample")
     if weights is None:
         mat = u.T @ u / xs.shape[0]
     else:

@@ -114,8 +114,9 @@ class TestCommands:
         assert abs(got - bound) <= 1e-12 * bound
 
     def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
-        """gamma-max and sampling over three schemes on data build three
-        atom Grams: the uniform moments, then one per resampled scheme."""
+        """gamma-max and sampling over three schemes on data build the atoms'
+        rank-one coordinates once and three weighted atom Grams on them: the
+        uniform moments, then one per resampled scheme."""
         import avlms.moments
         import avlms.operators
 
@@ -125,23 +126,32 @@ class TestCommands:
         data = tmp_path / "d.csv"
         data.write_text("".join(",".join(f"{v:.17g}" for v in (*x, y)) + "\n"
                                 for x, y in zip(xs, ys)))
-        calls = []
+        builds, grams = [], []
         original = avlms.operators._rank_one_coords
+        gram = avlms.moments.fourth_moment_operator_from_samples
 
         def counting(xs, basis):
-            calls.append(xs.shape)
+            builds.append(xs.shape)
             return original(xs, basis)
+
+        def counting_gram(*args, **kwargs):
+            grams.append(kwargs["coords"])
+            return gram(*args, **kwargs)
 
         monkeypatch.setattr(avlms.operators, "_rank_one_coords", counting)
         monkeypatch.setattr(avlms.moments, "_rank_one_coords", counting)
+        monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting_gram)
         schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
-        assert main(["gamma-max", "--data", str(data), *schemes]) == EXIT_OK
-        assert len(calls) == 3
-        calls.clear()
-        assert main(["sampling", "--data", str(data), *schemes, "--n-max", "50",
-                     "--points", "2", "--replicates", "10",
-                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
-        assert len(calls) == 3
+        for argv in (["gamma-max", "--data", str(data), *schemes],
+                     ["sampling", "--data", str(data), *schemes, "--n-max", "50",
+                      "--points", "2", "--replicates", "10",
+                      "--out", str(tmp_path / "s.csv")]):
+            builds.clear()
+            grams.clear()
+            assert main(argv) == EXIT_OK
+            assert builds == [(40, 3)]
+            assert len(grams) == 3
+            assert all(coords is grams[0] for coords in grams)
 
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -40,8 +40,9 @@ def lms_step(w, x, y, gamma):
 
 def resampled_draws(spec, scheme, seed, size):
     """``size`` sqrt(c)-scaled pairs (x, y) from the engine's sampler for a scheme."""
-    x, _, y = engine._Sampler(spec, scheme).draw(*engine._generators(seed), size)
-    return x, y
+    x, _, y = engine._Sampler(spec, [scheme]).block(*engine._generators(seed), size, 1,
+                                                    True, [0])
+    return x[0, 0], y[0, 0]
 
 
 class TestLmsStep:

@@ -407,9 +407,9 @@ class TestSpecSecondMoment:
         calls = []
         original = avlms.moments.fourth_moment_operator_from_samples
 
-        def counting(xs, basis=None, weights=None):
+        def counting(xs, basis=None, weights=None, coords=None):
             calls.append(weights)
-            return original(xs, basis, weights=weights)
+            return original(xs, basis, weights=weights, coords=coords)
 
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
         from conftest import make_discrete
