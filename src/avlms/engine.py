@@ -233,11 +233,13 @@ class _Sampler:
         return max(1, GROUP_BYTES // CHUNK_SHARE // per_step)
 
     def block(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, reps: int,
-              steps: int, noisy: bool, schemes: np.ndarray):
+              steps: int, noisy: bool, schemes, out: np.ndarray | None = None):
         """The draws of ``steps`` consecutive steps for the schemes indexed by
         ``schemes``: ``(x, y_clean, y_noisy)`` of shapes
         (steps, len(schemes), reps, d), (steps, len(schemes), reps) and the
-        same, the observed responses only when ``noisy`` (else None).
+        same, the observed responses only when ``noisy`` (else None).  On
+        discrete specs x is gathered into the front of ``out``, a flat
+        float array, when one is given.
 
         One ``random`` call per block draws the uniforms of all its steps,
         and consecutive blocks concatenate to the per-step stream.  Noise is
@@ -257,10 +259,9 @@ class _Sampler:
         for k, s in enumerate(schemes):
             atom = self._guides[s].lookup(u, bucket)
             idx[:, k] = (atom + s * self.atoms).reshape(steps, reps)
-        shape = idx.shape + (self.spec.dim,)
-        if getattr(self, "_xbuf", None) is None or self._xbuf.shape != shape:
-            self._xbuf = np.empty(shape)
-        x = np.take(self._xs, idx, axis=0, out=self._xbuf, mode="clip")
+        if out is not None:
+            out = out[:idx.size * self.spec.dim].reshape(idx.shape + (self.spec.dim,))
+        x = np.take(self._xs, idx, axis=0, out=out, mode="clip")
         clean = np.take(self._clean, idx)
         y = None
         if noisy:
@@ -343,6 +344,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     drawn = np.unique(scheme_of)
     pos, gather = cell_rows()
     steps = sampler.block_steps(reps, len(drawn))
+    xbuf = np.empty(steps * len(drawn) * reps * spec.dim)
     j = end = 0
     stale = False
     for m in range(2, config.n + 1):
@@ -352,7 +354,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
                 pos, gather = cell_rows()
                 stale = False
             xb, cb, yb = sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - m),
-                                       noisy, drawn)
+                                       noisy, drawn, out=xbuf)
             j, end = 0, len(xb)
         if gather:
             x = xb[j][pos]

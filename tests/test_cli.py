@@ -74,6 +74,52 @@ class TestIngest:
         np.testing.assert_allclose(m1.fourth_moment.matrix, m2.fourth_moment.matrix, atol=1e-12)
 
 
+    def test_whole_file_parse_skips_comments_and_blank_lines(self, tmp_path, monkeypatch):
+        """Comment, blank and whitespace-only lines and CRLF endings take the
+        one-pass parse (the line loop is not entered), and every value is
+        Python's float() of its field."""
+        import avlms.dataio
+
+        rg = np.random.default_rng(2)
+        values = rg.standard_normal(12) * 10.0 ** rg.integers(-300, 300, 12)
+        fields = [repr(float(v)) for v in values[:6]] + [f"{v:.17g}" for v in values[6:]]
+        fields += ["5e-324", "-0", "1e400", "-inf", " 2.5 ", "+.5", "1.", "7"]
+        rows = [fields[k:k + 4] for k in range(0, len(fields), 4)]
+        text = "# header\r\n\r\n" + "".join(
+            ",".join(r) + ("\r\n\n   \n  # indented\n" if k == 1 else "\r\n")
+            for k, r in enumerate(rows))
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+
+        def refuse(path):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(avlms.dataio, "_parse_csv_lines", refuse)
+        xs, ys = avlms.dataio._parse_csv(str(path))
+        want = np.array([[float(v) for v in r] for r in rows])
+        assert np.array_equal(xs, want[:, :-1]) and np.array_equal(ys, want[:, -1])
+        assert xs.flags.c_contiguous and ys.flags.c_contiguous
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("# c\n\n1,2,3\n  \n1,2\n", 5, "columns"),
+        ("# c\n1,2,3\n\n# d\n1,x,3\n", 5, "could not convert"),
+        ("1,2\n3,4 # note\n", 2, "could not convert"),
+        ("# c\n\n7\n8\n", 3, "at least one feature"),
+    ])
+    def test_parse_failures_keep_line_numbers(self, tmp_path, text, line, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match) as err:
+            ingest(str(path), "csv-dense")
+        assert f"line {line}" in str(err.value)
+
+    def test_comments_only_file_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# nothing\n\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            ingest(str(path), "csv-dense")
+
+
 class TestCommands:
     def test_gamma_max_csv(self, tmp_path, capsys):
         out = tmp_path / "gm.csv"
@@ -280,6 +326,51 @@ class TestCommands:
         for r in rows:
             assert all(v != "" for v in r[1:4])
             assert all((v == "") == (r[0] != "uniform") for v in r[4:])
+
+    def test_one_engine_call_per_spec(self, tmp_path, monkeypatch, capsys):
+        """sampling and run step every scheme on the data in one lockstep
+        engine call; class weighting changes the spec and gets its own."""
+        from avlms import engine
+
+        rg = np.random.default_rng(8)
+        xs = rg.standard_normal((40, 3)) * rg.uniform(0.5, 2.0, (40, 1))
+        ys = (xs @ [1.0, -1.0, 0.5] + 0.3 * rg.standard_normal(40) > 0).astype(float)
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(f"{v:.17g}" for v in (*x, y)) + "\n"
+                                for x, y in zip(xs, ys)))
+        calls = []
+        drive = engine._drive
+        monkeypatch.setattr(engine, "_drive",
+                            lambda spec, configs, *a, **k: calls.append(len(configs))
+                            or drive(spec, configs, *a, **k))
+        schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
+        small = ["--n-max", "60", "--points", "3", "--replicates", "6"]
+        for argv, cells in (
+            (["sampling", *schemes], [3]),
+            (["run", "--scheme", "uniform", "--scheme", "bias-opt", "--mode", "all",
+              "--gamma", "0.02", "--gamma", "0.004"], [12]),
+            (["run", *schemes, "--scheme", "class-weighted", "--gamma", "0.02"], [3, 1]),
+        ):
+            calls.clear()
+            out = tmp_path / "o.csv"
+            assert main([*argv, "--data", str(data), *small, "--out", str(out)]) == EXIT_OK
+            assert calls == cells
+        capsys.readouterr()
+
+    def test_gaussian_sampling_runs_uniform_alone(self, tmp_path, monkeypatch, capsys):
+        from avlms import engine
+
+        calls = []
+        drive = engine._drive
+        monkeypatch.setattr(engine, "_drive",
+                            lambda spec, configs, *a, **k: calls.append(len(configs))
+                            or drive(spec, configs, *a, **k))
+        rc = main(["sampling", "--spec", "gaussian:d=3", "--n-max", "50", "--replicates", "5",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK and calls == [1]
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split("'")[1] for ln in err if "not simulated" in ln] == [
+            "bias-opt", "variance-opt"]
 
     def test_run_warns_once_per_diverged_cell(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -18,6 +18,7 @@ from avlms import (
     isgd_run,
     nlms_run,
     optimal_bias_scheme,
+    optimal_variance_scheme,
     run_averaged_lms,
     run_cells,
     uniform_scheme,
@@ -404,3 +405,112 @@ class TestDivergenceProbe:
             spec, RunConfig(gamma=g, n=5000, replicates=50, mode="bias", seed=7, record_stride=500)
         )
         assert isinstance(traj.diverged, bool)
+
+
+def _searchsorted_agrees(cum, u):
+    np.testing.assert_array_equal(engine._GuideTable(cum).lookup(u),
+                                  np.searchsorted(cum, u, side="right"))
+
+
+def _edges(cum):
+    """Adversarial keys for a guide table over ``cum``: 0, the largest double
+    below 1, every cum[i] < 1 with its neighbours, and every bucket edge j/N
+    with its neighbours."""
+    below_one = np.nextafter(1.0, 0.0)
+    n = cum.size
+    edges = np.arange(n) / n
+    pts = np.concatenate([cum[cum < 1.0], edges])
+    keys = np.concatenate([[0.0, below_one], pts, np.nextafter(pts, 0.0),
+                           np.nextafter(pts, 1.0)])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+class TestGuideTable:
+    """The guide-table lookup is ``searchsorted(side="right")`` exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 97, 1000, 4099])
+    def test_equal_steps_at_every_edge(self, n):
+        """cum holds the bucket edges j/N themselves, so a key one ulp under
+        an edge whose u N rounds up to it must not start past that edge."""
+        cum = np.arange(1, n + 1) / n
+        cum[-1] = 1.0
+        _searchsorted_agrees(cum, _edges(cum))
+
+    @pytest.mark.parametrize("n", [5, 64, 1000])
+    def test_random_weights(self, n):
+        rg = np.random.default_rng(n)
+        cum = np.cumsum(rg.dirichlet(np.full(n, 0.3)))
+        cum[-1] = 1.0
+        _searchsorted_agrees(cum, np.concatenate([_edges(cum), rg.random(20_000)]))
+
+    def test_runs_of_zero_weight_atoms(self):
+        """Leading, inner and trailing zero runs, one longer than the
+        advance rounds (finished by the searchsorted fallback)."""
+        weights = np.zeros(300)
+        weights[[3, 4, 40, 41, 250]] = [0.1, 0.2, 0.3, 0.15, 0.25]
+        assert 250 - 41 > engine.GUIDE_ROUNDS
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
+        rg = np.random.default_rng(1)
+        _searchsorted_agrees(cum, np.concatenate([_edges(cum), rg.random(20_000)]))
+
+    def test_single_atom(self):
+        _searchsorted_agrees(np.array([1.0]), np.array([0.0, 0.5, np.nextafter(1.0, 0.0)]))
+
+    @pytest.mark.parametrize("build", [optimal_bias_scheme, optimal_variance_scheme])
+    def test_scheme_weights_on_heavy_tailed_data(self, build):
+        """Student-t(5) features scaled by 1/sqrt(i) with heteroscedastic
+        labels, the shape of the benchmark data, and the engine's own tables."""
+        rg = np.random.default_rng(0)
+        xs = rg.standard_t(5, size=(3000, 12)) / np.sqrt(np.arange(1, 13))
+        ys = xs @ rg.standard_normal(12) + (0.5 + np.abs(xs[:, 0])) * rg.standard_normal(3000)
+        spec = ProblemSpec.empirical(xs, ys)
+        cum = engine._Sampler(spec, [build(spec)])._guides[0].cum
+        gen_x, _ = engine._generators(3)
+        _searchsorted_agrees(cum, np.concatenate([_edges(cum), gen_x.random(200_000)]))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_block_of_k_steps_concatenates_single_steps(self, residual):
+        """One block of k steps draws what k one-step blocks draw, for every
+        scheme at once: the uniforms, the atoms and the noise."""
+        spec = make_discrete(3, 9, 61, residual=residual)
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        sampler = engine._Sampler(spec, schemes)
+        drawn = np.arange(3)
+        whole = sampler.block(*engine._generators(4), 7, 5, True, drawn)
+        gens = engine._generators(4)
+        steps = [sampler.block(*gens, 7, 1, True, drawn) for _ in range(5)]
+        for a, b in zip(whole, zip(*steps)):
+            np.testing.assert_array_equal(a, np.concatenate(b))
+        # each scheme's slice is the stream of that scheme drawn alone
+        for k, scheme in enumerate(schemes):
+            alone = engine._Sampler(spec, [scheme]).block(*engine._generators(4), 7, 5, True,
+                                                          [0])
+            for a, b in zip(whole, alone):
+                np.testing.assert_array_equal(a[:, k], b[:, 0])
+
+
+class TestDivergenceCheck:
+    @pytest.mark.parametrize("scale", [0.5, 0.999, 1.0, 1.001, 2.0])
+    @pytest.mark.parametrize("d", [1, 3, 30])
+    def test_spread_norms_near_the_limit(self, scale, d):
+        """Entries all at sqrt(scale * limit / d): no single entry is large,
+        yet the squared norm crosses the limit exactly when the full check
+        says so."""
+        limit = engine.DIVERGENCE_NORM**2
+        w = np.zeros((2, 4, d))
+        w[1, 2] = np.sqrt(scale * limit / d)
+        sq = engine._past_limit(w, limit)
+        full = np.einsum("cri,cri->cr", w, w)
+        assert (sq is not None) == (not full.max() <= limit)
+        if sq is not None:
+            np.testing.assert_array_equal(sq, full)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_caught(self, bad):
+        w = np.ones((3, 2, 4))
+        w[2, 1, 3] = bad
+        sq = engine._past_limit(w, engine.DIVERGENCE_NORM**2)
+        assert sq is not None and not sq[2, 1] <= engine.DIVERGENCE_NORM**2

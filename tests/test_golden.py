@@ -390,3 +390,68 @@ class TestGrid:
         grouped = run_cells(spec, configs)
         assert len(calls) == 3
         assert all(_same(a, b) for a, b in zip(whole, grouped))
+
+
+class TestSchemeGrid:
+    """Cells that differ in scheme share one uniform stream: each cell of a
+    multi-scheme grid has the bits of its scheme run alone."""
+
+    @staticmethod
+    def _cells(spec):
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        base = dict(n=250, replicates=11, seed=5, record_at=(1, 7, 60, 250))
+        cells = [(RunConfig(gamma=0.05, mode=mode, **base), scheme)
+                 for scheme in schemes for mode in ("bias", "variance", "total")]
+        # Far past 2/Tr(H): diverges, and it is the only cell of its scheme
+        # object, whose draws then stop.
+        lone = optimal_bias_scheme(spec)
+        cells.append((RunConfig(gamma=50.0, mode="total", **base), lone))
+        return cells
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_matches_each_scheme_alone(self, residual, monkeypatch):
+        spec = make_discrete(3, 9, 61, residual=residual)
+        cells = self._cells(spec)
+        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
+        drawn = []
+        block = engine._Sampler.block
+
+        def spy(self, *args, **kwargs):
+            drawn.append(len(args[5]))
+            return block(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine._Sampler, "block", spy)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 10)
+        grid = run_cells(spec, configs, schemes)
+        assert grid[-1].diverged and not any(t.diverged for t in grid[:-1])
+        assert drawn[0] == 4 and drawn[-1] == 3
+        for (config, scheme), traj in zip(cells, grid):
+            assert _same(traj, run_cells(spec, [config], scheme)[0])
+            assert traj.label == ("uniform" if scheme is None else scheme.name)
+            _assert_matches_oracle(traj, spec, config, scheme)
+
+    def test_grouping_and_block_length_never_change_bits(self, monkeypatch):
+        spec = make_discrete(3, 9, 61, residual=False)
+        cells = self._cells(spec)
+        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
+        whole = run_cells(spec, configs, schemes)
+        calls = []
+        drive = engine._drive
+        monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
+        # Two cells per group, and blocks of a single step.
+        monkeypatch.setattr(engine, "GROUP_BYTES", 2 * engine._STATE_ARRAYS * 8 * 11 * 3)
+        grouped = run_cells(spec, configs, schemes)
+        assert len(calls) == 5
+        assert all(_same(a, b) for a, b in zip(whole, grouped))
+
+    def test_gaussian_spec_refuses_resampled_cells(self):
+        spec = rotated_gaussian()
+        config = RunConfig(gamma=0.15, n=20, replicates=3)
+        with pytest.raises(engine.SchemeError):
+            run_cells(spec, [config, config], [None, optimal_bias_scheme(spec)])
+
+    def test_one_scheme_per_config(self):
+        spec = make_discrete(3, 9, 61, residual=True)
+        config = RunConfig(gamma=0.05, n=20, replicates=3)
+        with pytest.raises(ValueError, match="one scheme per config"):
+            run_cells(spec, [config, config], [None])
