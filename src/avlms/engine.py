@@ -8,15 +8,19 @@ components: "bias" forces the noise to zero, "variance" starts at the
 optimum, "total" does neither.
 
 Randomness contract: the master seed spawns two child streams (inputs
-first, noise second); replicate r consumes row r of every block drawn
+first, noise second); replicate r consumes row r of every step's draw
 from those streams.  Identical seeds therefore give bit-identical
 trajectories, input draws are shared across modes and (via a common
 uniform sequence) across discrete sampling schemes, and results do not
 depend on how replicates would be scheduled.  The cells of one grid
-(:func:`run_cells`: several gammas and modes on one spec and scheme) are
-stepped in lockstep and share one draw per step; each cell's bits equal
-those of the same config run alone, and splitting a grid into groups
-(each restarting the streams from the seed) never changes them.
+(:func:`run_cells`: several gammas, modes and, on discrete specs,
+sampling schemes on one spec) are stepped in lockstep and share one draw
+per step: every scheme maps the same uniforms to its own atoms.  Each
+cell's bits equal those of the same config run alone, and splitting a
+grid into groups (each restarting the streams from the seed) never
+changes them.  Resampled draws are taken in blocks of several steps; a
+block consumes both streams in the same order as one draw per step, so
+the block length never changes bits either.
 """
 
 from __future__ import annotations
@@ -136,13 +140,10 @@ class _GuideTable:
         starts = np.arange(self.size) / self.size * (1.0 - 2.0**-50)
         self.guide = np.searchsorted(cum, starts, side="right")
 
-    def bucket(self, u: np.ndarray) -> np.ndarray:
-        b = (u * self.size).astype(np.intp)
-        return np.minimum(b, self.size - 1, out=b)
-
-    def lookup(self, u: np.ndarray, bucket: np.ndarray | None = None) -> np.ndarray:
+    def lookup(self, u: np.ndarray) -> np.ndarray:
         cum = self.cum
-        idx = self.guide[self.bucket(u) if bucket is None else bucket]
+        bucket = (u * self.size).astype(np.intp)
+        idx = self.guide[np.minimum(bucket, self.size - 1, out=bucket)]
         todo = np.flatnonzero(cum[idx] <= u)
         for _ in range(GUIDE_ROUNDS):
             if not todo.size:
@@ -195,8 +196,7 @@ class _Sampler:
         self.atoms = probs.size
         self._guides, scales = [], []
         for scheme in schemes:
-            scale = np.ones_like(probs)
-            weights = probs
+            weights, scale = probs, np.ones_like(probs)
             if scheme is not None:
                 cinv = _atom_c_inverse(spec, scheme.c_inverse)
                 weights = probs * cinv
@@ -204,8 +204,8 @@ class _Sampler:
                 if abs(total - 1.0) > 1e-10:
                     raise SchemeError(f"proposal weights sum to {total!r}, not 1")
                 weights = weights / total
+                scale = np.zeros_like(cinv)
                 live = cinv > 0
-                scale[~live] = 0.0
                 scale[live] = 1.0 / np.sqrt(cinv[live])
             cum = np.cumsum(weights)
             cum[-1] = 1.0
@@ -214,10 +214,9 @@ class _Sampler:
         clean = xs @ spec.w_star
         self._xs = _stack([xs * s[:, None] for s in scales])
         self._clean = _stack([clean * s for s in scales])
-        if self.residual and design.ys is not None:
-            self._ys = _stack([design.ys * s for s in scales])
-        elif self.residual:
-            self._ys = self._clean
+        if self.residual:
+            ys = clean if design.ys is None else design.ys
+            self._ys = _stack([ys * s for s in scales])
         elif self.sigma > 0:
             # The observed response is (clean + sigma eps) sqrt(c), in that order.
             self._raw = _stack([clean] * len(scales))
@@ -254,13 +253,12 @@ class _Sampler:
                 y = clean + self.sigma * gen_eps.standard_normal(reps)
             return x[None, None], clean[None, None], y[None, None] if noisy else None
         u = gen_x.random(steps * reps)
-        bucket = self._guides[0].bucket(u)
         idx = np.empty((steps, len(schemes), reps), dtype=np.intp)
         for k, s in enumerate(schemes):
-            atom = self._guides[s].lookup(u, bucket)
-            idx[:, k] = (atom + s * self.atoms).reshape(steps, reps)
+            idx[:, k] = (self._guides[s].lookup(u) + s * self.atoms).reshape(steps, reps)
         if out is not None:
             out = out[:idx.size * self.spec.dim].reshape(idx.shape + (self.spec.dim,))
+        # Every index is in range; mode="clip" lets take write into out unbuffered.
         x = np.take(self._xs, idx, axis=0, out=out, mode="clip")
         clean = np.take(self._clean, idx)
         y = None
