@@ -40,7 +40,6 @@ from .moments import (
     ResidualNoise,
     check_cross_term_condition,
     compute_moments,
-    gaussian_fourth_moment,
     leverage_resampled_moments,
     norm_resampled_moments,
     reweighted_moments,
@@ -48,7 +47,6 @@ from .moments import (
 from .operators import (
     MAX_DIM,
     SymBasis,
-    SymOperator,
     fourth_moment_operator_from_samples,
 )
 from .sampling import (

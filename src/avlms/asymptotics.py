@@ -11,11 +11,12 @@ model, the leading non-exponential terms, and a scalar Frobenius-norm
 bound on the exponentially decaying difference between the two.
 
 Evaluation strategy.  Work in the eigen coordinates of H held by the
-MomentSet's shared spectral frame (:func:`avlms.stepsize.spectral_frame`).
+MomentSet's spectral frame (``moments.frame``).
 There every geometric factor built from H is diagonal, H_L + H_R is the
-diagonal of pair sums l_a + l_b, and the fourth moment is already rotated,
-once for all step-sizes; so T = diag(l_a + l_b) - gamma M_rot costs one
-symmetric eigensolve per (moments, gamma).  The double sums then collapse
+diagonal of pair sums l_a + l_b, and the fourth moment M_eig is written in
+those coordinates by the producer of the MomentSet; so
+T = diag(l_a + l_b) - gamma M_eig costs one symmetric eigensolve per
+(moments, gamma).  The double sums then collapse
 into scalar geometric sums per (T-eigenvalue, H-eigenvalue) pair.  The
 horizon-independent contractions T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are
 formed with the model, and each horizon n adds O(D^2 d) of matrix
@@ -26,7 +27,7 @@ public functions reproduces the remainder to machine precision even when
 it sits far below the rounding error of the leading terms.
 
 The model reaches T only through the frame's per-step-size
-:class:`~avlms.stepsize.TEigenpairs`: its eigenvalues ``tau``, the
+:class:`~avlms.operators.TEigenpairs`: its eigenvalues ``tau``, the
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``.  Nothing
 here knows how those eigenvectors are stored, so a structured frame can
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
-from .stepsize import spectral_frame, t_invertible, t_positive
+from .stepsize import t_invertible, t_positive
 
 
 def _geom_sum(a: np.ndarray, n: int) -> np.ndarray:
@@ -83,8 +84,8 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 class CovarianceModel:
     """Spectral data of one (moments, gamma) pair, reused across horizons.
 
-    Holds the H eigendecomposition and the rotated fourth moment from the
-    MomentSet's :class:`~avlms.stepsize.SpectralFrame`, the eigenpairs
+    Holds the H eigendecomposition from the MomentSet's
+    :class:`~avlms.operators.SpectralFrame`, the eigenpairs
     ``t_eig`` of the contraction generator T in those coordinates, the
     coefficients of eta0 eta0^T and E[eps^2 X X^T] on the T eigenvectors,
     and the horizon-independent pieces of the leading terms.
@@ -95,7 +96,7 @@ class CovarianceModel:
             raise ValueError("gamma must be positive")
         self.moments = moments
         self.gamma = float(gamma)
-        frame = spectral_frame(moments)
+        frame = moments.frame
         lam, u = frame.lam, frame.u
         if lam[0] <= 0:
             raise SingularOperatorError(

@@ -63,6 +63,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(text)
 
 
+def _number(kind, text: str, what: str):
+    """``kind(text)`` (int or float); a usage error when the text is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{what} must be {noun}, got {text!r}") from None
+
+
 def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     """Build a synthetic spec from a compact descriptor.
 
@@ -83,17 +92,21 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
             opts[k.strip()] = v.strip()
     if "d" not in opts:
         raise UsageError("gaussian spec needs d=<dim>")
-    d = int(opts["d"])
+    d = _number(int, opts["d"], "spec option d")
+    if d < 1:
+        raise UsageError(f"spec option d must be at least 1, got {d}")
     spectrum = opts.get("spectrum", "uniform")
     if spectrum == "uniform":
         eig = np.ones(d)
     elif spectrum == "1/i":
         eig = 1.0 / np.arange(1, d + 1)
     else:
-        eig = np.array([float(v) for v in spectrum.split(":")])
+        eig = np.array([_number(float, v, "spectrum value") for v in spectrum.split(":")])
         if len(eig) != d:
             raise UsageError(f"spectrum lists {len(eig)} values for d={d}")
-    rng = np.random.default_rng(int(opts.get("seed", seed)))
+    if "seed" in opts:
+        seed = _number(int, opts["seed"], "spec option seed")
+    rng = np.random.default_rng(seed)
 
     def vec(kind: str) -> np.ndarray:
         if kind == "zeros":
@@ -107,7 +120,7 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     w_star = vec(opts.get("wstar", "random"))
     w0 = vec(opts.get("w0", "zeros"))
     return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0,
-                                sigma=float(opts.get("sigma", 1.0)))
+                                sigma=_number(float, opts.get("sigma", "1.0"), "spec option sigma"))
 
 
 def _load_manifest(path: str) -> dict:
@@ -141,9 +154,11 @@ def _merge_manifest(args: argparse.Namespace) -> None:
             continue  # flags override the manifest
         if key in _LIST_KEYS:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
-            setattr(args, key, [float(p) for p in parts] if key == "gamma" else parts)
+            if key == "gamma":
+                parts = [_number(float, p, f"manifest key {key!r}") for p in parts]
+            setattr(args, key, parts)
         elif key in _INT_KEYS:
-            setattr(args, key, int(raw))
+            setattr(args, key, _number(int, raw, f"manifest key {key!r}"))
         else:
             setattr(args, key, raw)
 

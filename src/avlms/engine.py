@@ -187,7 +187,7 @@ class _Sampler:
         for scheme in schemes:
             check_stream(spec, scheme)
         if self.gaussian:
-            self._root = _sqrt_psd(design.cov)
+            self._root = _sqrt_psd(*spec.h_eig)
             self.sigma = spec.noise.sigma
             return
         self.residual = isinstance(spec.noise, ResidualNoise)

@@ -9,13 +9,19 @@ has at least one backend where it is exact:
 * a finite set of atoms with probabilities (optionally carrying labels),
 * an ingested sample set (atoms with uniform weights and residual noise).
 
-H = E[X X^T] is ``spec.hmat``, computed and rank-checked once per spec and
-held by every ``MomentSet`` of it.  :func:`compute_moments` adds the
+H = E[X X^T] is ``spec.hmat`` and its eigenpairs are ``spec.h_eig``, both
+computed and rank-checked once per spec; every ``MomentSet`` of the spec
+holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`reweighted_moments` gives the same objects after
 importance resampling; :func:`norm_resampled_moments` and
 :func:`leverage_resampled_moments` are its exact closed forms for the two
 optimal schemes on Gaussian designs.
+
+Every producer writes the fourth moment directly in H's eigenbasis (the
+coordinates of u^T A u, H = u diag(l) u^T), where T is read: Gaussian forms
+explicitly (:func:`_gaussian_form`), atoms and Monte Carlo draws as the
+weighted Gram of the rank-one coordinates of the rotated rows ``xs @ u``.
 """
 
 from __future__ import annotations
@@ -28,12 +34,11 @@ import numpy as np
 from .errors import DimensionError, SchemeError, SpecError
 from .operators import (
     MAX_DIM,
+    SpectralFrame,
     SymBasis,
-    SymOperator,
     _as_symmetric,
     _rank_one_coords,
     fourth_moment_operator_from_samples,
-    operator_from_map,
 )
 
 RANK_TOL = 1e-10  # smallest eigenvalue of H below this times trace -> rank deficient
@@ -102,7 +107,9 @@ class ProblemSpec:
     ``kind`` is one of "gaussian", "discrete", "empirical"; empirical specs
     are discrete designs with uniform row weights and residual noise whose
     optimum is the exact least-squares fit of the ingested rows.  ``hmat``
-    is the design's H = E[X X^T]; the constructors reject it rank deficient.
+    is the design's H = E[X X^T] and ``h_eig`` its ascending eigenpairs
+    ``(l, u)``, solved once by the constructors, which reject H rank
+    deficient.
     """
 
     dim: int
@@ -111,6 +118,7 @@ class ProblemSpec:
     w0: np.ndarray
     noise: Noise
     kind: str
+    h_eig: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def eta0(self) -> np.ndarray:
@@ -126,13 +134,14 @@ class ProblemSpec:
         d = cov.shape[0]
         if d > MAX_DIM:
             raise SpecError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
-        _require_full_rank(cov, "gaussian")
         w_star = _vector(w_star, d, default=0.0)
         w0 = _vector(w0, d, default=0.0)
         if sigma < 0:
             raise SpecError("sigma must be nonnegative")
         cov.setflags(write=False)
-        return ProblemSpec(d, GaussianDesign(cov), w_star, w0, IndependentGaussianNoise(float(sigma)), "gaussian")
+        h_eig = _full_rank_eigenpairs(cov, "gaussian")
+        return ProblemSpec(d, GaussianDesign(cov), w_star, w0,
+                           IndependentGaussianNoise(float(sigma)), "gaussian", h_eig)
 
     @staticmethod
     def discrete(xs, probs=None, ys=None, w_star=None, w0=None, sigma: float = 0.0,
@@ -168,11 +177,12 @@ class ProblemSpec:
         for arr in (xs, probs) + (() if ys is None else (ys,)):
             arr.setflags(write=False)
         design = DiscreteDesign(xs, probs, ys)
-        _require_full_rank(design.hmat, kind)
+        h_eig = _full_rank_eigenpairs(design.hmat, kind)
         if ys is None:
-            return ProblemSpec(d, design, w_star, w0, IndependentGaussianNoise(float(sigma)), kind)
+            noise = IndependentGaussianNoise(float(sigma))
+            return ProblemSpec(d, design, w_star, w0, noise, kind, h_eig)
         w_star = np.linalg.solve(design.hmat, np.einsum("t,ti,t->i", probs, xs, ys))
-        return ProblemSpec(d, design, w_star, w0, ResidualNoise(), kind)
+        return ProblemSpec(d, design, w_star, w0, ResidualNoise(), kind, h_eig)
 
     @staticmethod
     def empirical(xs, ys, w0=None) -> "ProblemSpec":
@@ -192,76 +202,86 @@ def _vector(v, d: int, default: float) -> np.ndarray:
     return out
 
 
-def _require_full_rank(hmat: np.ndarray, kind: str) -> None:
-    w = np.linalg.eigvalsh(hmat)
-    if w[0] <= RANK_TOL * max(np.trace(hmat), 1e-300):
+def _full_rank_eigenpairs(hmat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of H, read-only: the one eigensolve of H a spec
+    makes.  Raises SpecError when H is rank deficient."""
+    lam, u = np.linalg.eigh(hmat)
+    if lam[0] <= RANK_TOL * max(np.trace(hmat), 1e-300):
         raise SpecError(
             f"{kind} second-moment matrix is rank deficient "
-            f"(smallest eigenvalue {w[0]:.3e} vs trace {np.trace(hmat):.3e})"
+            f"(smallest eigenvalue {lam[0]:.3e} vs trace {np.trace(hmat):.3e})"
         )
+    lam.setflags(write=False)
+    u.setflags(write=False)
+    return lam, u
 
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
     """All moment objects of an instance, in one immutable bundle.
 
-    ``fourth_moment`` acts on symmetric A as E[(X^T A X) X X^T]; ``sigma0``
-    is E[eps^2 X X^T]; ``e0`` is the rank-one matrix eta0 eta0^T.
-    ``n_samples`` records the draw count when the fourth moment was
-    estimated from samples rather than computed exactly.  ``_models``
-    holds the covariance models built for this instance, per step-size;
-    kept on the object, they are freed with it.
+    ``fourth_moment_eigbasis`` is the D x D matrix of the fourth moment
+    A -> E[(X^T A X) X X^T] in H's eigenbasis: the ``basis`` coordinates of
+    u^T A u, with ``(l, u) = spec.h_eig``.  ``frame`` reads T(gamma) from
+    it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the rank-one matrix
+    eta0 eta0^T, both in the original coordinates.  ``n_samples`` records
+    the draw count when the fourth moment was estimated from samples rather
+    than computed exactly.  ``_models`` holds the covariance models built
+    for this instance, per step-size; kept on the object, they are freed
+    with it.
     """
 
     dim: int
     basis: SymBasis
     hmat: np.ndarray
-    fourth_moment: SymOperator
+    fourth_moment_eigbasis: np.ndarray
     sigma0: np.ndarray
     e0: np.ndarray
     trace_h: float
     mu: float
     lmax: float
+    frame: SpectralFrame = field(repr=False)
     n_samples: int | None = None
     _models: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for arr in (self.hmat, self.sigma0, self.e0):
+        for arr in (self.hmat, self.fourth_moment_eigbasis, self.sigma0, self.e0):
             arr.setflags(write=False)
 
 
-def _assemble(spec: ProblemSpec, fourth: SymOperator, sigma0, n_samples=None) -> MomentSet:
-    """Bundle fourth-order moments with the spec's own H and start matrix."""
+def _assemble(spec: ProblemSpec, basis: SymBasis, m_eig: np.ndarray, sigma0,
+              n_samples=None) -> MomentSet:
+    """Bundle a fourth moment, written in H's eigenbasis, with the spec's
+    own H, its eigenpairs and the start matrix."""
     hmat = spec.hmat
-    w = np.linalg.eigvalsh(hmat)
+    lam, u = spec.h_eig
     return MomentSet(
         dim=spec.dim,
-        basis=fourth.basis,
+        basis=basis,
         hmat=hmat,
-        fourth_moment=fourth,
+        fourth_moment_eigbasis=m_eig,
         sigma0=0.5 * (sigma0 + sigma0.T),
         e0=np.outer(spec.eta0, spec.eta0),
         trace_h=float(np.trace(hmat)),
-        mu=float(w[0]),
-        lmax=float(w[-1]),
+        mu=float(lam[0]),
+        lmax=float(lam[-1]),
+        frame=SpectralFrame(basis, lam, u, m_eig),
         n_samples=n_samples,
     )
 
 
-def gaussian_fourth_moment(hmat: np.ndarray, basis: SymBasis | None = None) -> SymOperator:
-    """Fourth-moment operator of X ~ N(0, H): A -> 2 H A H + Tr(A H) H."""
-    hmat = _as_symmetric(hmat, "hmat")
-    if np.linalg.eigvalsh(hmat)[0] < -1e-12 * max(np.trace(np.abs(hmat)), 1.0):
-        raise SpecError("gaussian fourth moment needs a positive semidefinite covariance")
-    if basis is None:
-        basis = SymBasis(hmat.shape[0])
+def _gaussian_form(basis: SymBasis, pmat: np.ndarray) -> np.ndarray:
+    """The map A -> 2 P o A + diag(P diag(A)) in H-eigen coordinates: the
+    scalar 2 P_ab on each coordinate (a, b), plus P on the d x d block of
+    diagonal coordinates.
 
-    def act(mats):
-        # Tr(A H) = <A, H> for symmetric H: one matrix-vector product.
-        tr = mats.reshape(mats.shape[0], -1) @ hmat.reshape(-1)
-        return 2.0 * (hmat @ mats @ hmat) + tr[:, None, None] * hmat
-
-    return operator_from_map(act, basis)
+    With P = l l^T it is the Gaussian fourth moment 2 H A H + Tr(A H) H;
+    the resampled Gaussian moments are multiples of it for other P.
+    """
+    rows, cols = basis.pairs
+    m = np.diag(2.0 * pmat[rows, cols])
+    m[: basis.dim, : basis.dim] += pmat
+    return m
 
 
 def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
@@ -272,8 +292,9 @@ def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
 
 
 def atom_coords(spec: ProblemSpec) -> np.ndarray | None:
-    """Rank-one coordinates of x x^T for every atom of a discrete spec,
-    shape (N, D); None on Gaussian specs.
+    """Rank-one coordinates of x x^T in H's eigenbasis (those of x' x'^T,
+    x' = u^T x) for every atom of a discrete spec, shape (N, D); None on
+    Gaussian specs.
 
     Pass them as ``coords`` to :func:`compute_moments` and
     :func:`reweighted_moments` so that several moment builds of one dataset
@@ -281,22 +302,23 @@ def atom_coords(spec: ProblemSpec) -> np.ndarray | None:
     """
     if not isinstance(spec.design, DiscreteDesign):
         return None
-    return _rank_one_coords(spec.design.xs, SymBasis(spec.dim))
+    return _rank_one_coords(spec.design.xs @ spec.h_eig[1], SymBasis(spec.dim))
 
 
 def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> MomentSet:
     """Exact moments of a specification.
 
-    Gaussian designs use the closed-form fourth moment, and their noise
-    covariance factorizes to sigma^2 H; discrete designs use exact
+    Gaussian designs use the closed-form fourth moment (:func:`_gaussian_form`
+    with P = l l^T), and their noise covariance factorizes to sigma^2 H;
+    discrete designs use exact
     probability-weighted atom averages (over ``coords``, the spec's
     :func:`atom_coords`, when given).
     """
     if isinstance(spec.design, DiscreteDesign):
         return _atom_moments(spec, spec.design.probs, coords)
-    hmat = spec.hmat
-    return _assemble(spec, gaussian_fourth_moment(hmat, SymBasis(spec.dim)),
-                     spec.noise.sigma**2 * hmat)
+    basis, lam = SymBasis(spec.dim), spec.h_eig[0]
+    return _assemble(spec, basis, _gaussian_form(basis, np.outer(lam, lam)),
+                     spec.noise.sigma**2 * spec.hmat)
 
 
 def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
@@ -306,9 +328,10 @@ def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
     xs = spec.design.xs
     residual = isinstance(spec.noise, ResidualNoise)
     eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
-    fourth = fourth_moment_operator_from_samples(xs, SymBasis(spec.dim), weights=wts,
+    basis = SymBasis(spec.dim)
+    fourth = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis, weights=wts,
                                                  coords=coords)
-    return _assemble(spec, fourth, np.einsum("t,ti,tj->ij", wts * eps2, xs, xs))
+    return _assemble(spec, basis, fourth, (xs * (wts * eps2)[:, None]).T @ xs)
 
 
 def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
@@ -365,10 +388,11 @@ def reweighted_moments(
     if mc_samples < 2:
         raise ValueError("the Monte Carlo estimate needs at least 2 draws")
     basis = SymBasis(spec.dim)
+    rot = spec.h_eig[1]
     m4 = np.zeros((basis.size, basis.size))
     cxx = np.zeros((spec.dim, spec.dim))
     sum1 = sum2 = 0.0
-    for xs in _gaussian_draws(design.cov, mc_samples, seed):
+    for xs in _gaussian_draws(spec.h_eig, mc_samples, seed):
         cinv = np.asarray(c_inverse(xs, xs @ spec.w_star), dtype=float).reshape(-1)
         if cinv.min() <= 0:
             raise SchemeError(
@@ -377,33 +401,34 @@ def reweighted_moments(
         sum1 += float(cinv.sum())
         sum2 += float(cinv @ cinv)
         c = 1.0 / cinv
-        u = _rank_one_coords(xs, basis)
+        u = _rank_one_coords(xs @ rot, basis)
         m4 += (u * c[:, None]).T @ u
         cxx += (xs * c[:, None]).T @ xs
     mean = sum1 / mc_samples
     se = math.sqrt(max(sum2 - sum1 * mean, 0.0) / (mc_samples - 1) / mc_samples)
     if abs(mean - 1.0) > max(4.0 * se, 1e-6):
         raise SchemeError(f"c_inverse has sample mean {mean!r}, not 1")
-    fourth = SymOperator(basis=basis, matrix=m4 / mc_samples)  # symmetrized on construction
+    m4 /= mc_samples
     sigma0 = spec.noise.sigma**2 * cxx / mc_samples
-    return _assemble(spec, fourth, sigma0, n_samples=mc_samples)
+    return _assemble(spec, basis, 0.5 * (m4 + m4.T), sigma0, n_samples=mc_samples)
 
 
-def _gaussian_draws(cov: np.ndarray, n: int, seed: int):
-    """Seeded draws of N(0, cov), yielded in blocks of at most MC_CHUNK rows.
+def _gaussian_draws(h_eig, n: int, seed: int):
+    """Seeded draws of N(0, H), H with eigenpairs ``h_eig``, yielded in
+    blocks of at most MC_CHUNK rows.
 
     The blocks concatenate to the rows of one ``(n, d)`` draw from the same
     generator, so the sample does not depend on the chunk size.
     """
     rng = np.random.default_rng(seed)
-    root_t = _sqrt_psd(cov).T
+    root_t = _sqrt_psd(*h_eig).T
     for start in range(0, n, MC_CHUNK):
-        yield rng.standard_normal((min(MC_CHUNK, n - start), cov.shape[0])) @ root_t
+        yield rng.standard_normal((min(MC_CHUNK, n - start), root_t.shape[0])) @ root_t
 
 
-def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(cov)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symmetric square root of the PSD matrix with eigenpairs (lam, u)."""
+    return u @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
 
 def _chi_mean(d: int) -> float:
@@ -430,11 +455,11 @@ def leverage_resampled_moments(spec: ProblemSpec) -> MomentSet:
     cov = _gaussian_cov(spec, "leverage-resampled")
     d = spec.dim
     k = _chi_mean(d)
-    basis = SymBasis(d)
+    basis, lam = SymBasis(d), spec.h_eig[0]
     kappa = (d + 1) * k**2 / (d * (d + 2))
-    fourth = SymOperator(basis=basis, matrix=kappa * gaussian_fourth_moment(cov, basis).matrix)
+    fourth = kappa * _gaussian_form(basis, np.outer(lam, lam))
     sigma0 = spec.noise.sigma**2 * k**2 / d * cov
-    return _assemble(spec, fourth, sigma0)
+    return _assemble(spec, basis, fourth, sigma0)
 
 
 def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
@@ -449,23 +474,17 @@ def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
         M'(A)_ab = Tr(H) [2 G_ab A_ab + delta_ab sum_c G_ac A_cc],
         Sigma0'  = sigma^2 Tr(H) u diag(g) u^T,
 
-    with G = int w h h^T ds and g = int w h ds (A in the eigenbasis).
-    Every resampled draw has ||X||^2 = Tr(H), so gamma_max is 2/Tr(H).
+    with G = int w h h^T ds and g = int w h ds (A in the eigenbasis), so
+    M' is Tr(H) times :func:`_gaussian_form` with P = G.  Every resampled
+    draw has ||X||^2 = Tr(H), so gamma_max is 2/Tr(H).
     """
     cov = _gaussian_cov(spec, "norm-resampled")
     trace_h = float(np.trace(cov))
-    lam, u = np.linalg.eigh(cov)
+    lam, u = spec.h_eig
     g, gmat = _norm_resampling_integrals(lam)
-    diag = np.arange(spec.dim)
-
-    def act(mats):
-        rot = u.T @ mats @ u
-        out = 2.0 * gmat * rot
-        out[:, diag, diag] += rot[:, diag, diag] @ gmat
-        return trace_h * (u @ out @ u.T)
-
+    basis = SymBasis(spec.dim)
     sigma0 = spec.noise.sigma**2 * trace_h * ((u * g) @ u.T)
-    return _assemble(spec, operator_from_map(act, SymBasis(spec.dim)), sigma0)
+    return _assemble(spec, basis, trace_h * _gaussian_form(basis, gmat), sigma0)
 
 
 def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

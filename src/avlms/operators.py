@@ -3,15 +3,15 @@
 Symmetric matrices of size d form a vector space of dimension
 D = d(d+1)/2.  Once an orthonormal basis (under the Frobenius inner
 product) is fixed, every linear map that is stable on that space becomes
-an ordinary D-by-D matrix.  The fourth-moment operators of the covariance
-analysis are stored this way; their spectra are read in the eigenbasis
-of H (:class:`avlms.stepsize.SpectralFrame`), and the dense reference
-operators the tests compare against live in ``tests/oracles.py``.
+an ordinary D-by-D matrix.  The library writes every fourth-moment
+operator this way in the coordinates of u^T A u, where H = u diag(l) u^T:
+there H_L + H_R is diagonal, so :class:`SpectralFrame` reads the threshold
+and every spectrum of T(gamma) = H_L + H_R - gamma M without rotating
+anything.  The dense operators in the original coordinates are the
+references the tests compare against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class SymBasis:
         """Row and column index (i, j), i <= j, of every coordinate."""
         return self._rows, self._cols
 
-    def matrices(self) -> np.ndarray:
-        """Stack of the basis elements, shape (D, d, d)."""
-        return self.vecs_to_mats(np.eye(self.size))
-
     def mats_to_vecs(self, mats: np.ndarray) -> np.ndarray:
         """Coordinates of a (..., d, d) stack of symmetric matrices."""
         mats = np.asarray(mats, dtype=float)
@@ -90,59 +86,28 @@ class SymBasis:
         return out
 
 
-@dataclass(frozen=True)
-class SymOperator:
-    """A linear endomorphism of the symmetric d x d matrices.
-
-    Stored as its D x D matrix in the coordinates of ``basis``.  The
-    matrix must be symmetric (up to round-off), so spectral quantities are
-    computed with symmetric eigensolvers.
-    """
-
-    basis: SymBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        D = self.basis.size
-        if mat.shape != (D, D):
-            raise DimensionError(f"operator matrix must be {D}x{D}, got {mat.shape}")
-        scale = max(np.abs(mat).max(), 1.0)
-        if np.abs(mat - mat.T).max() > 1e-10 * scale:
-            raise DimensionError("operator matrix is not symmetric")
-        mat = 0.5 * (mat + mat.T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
-def operator_from_map(fn, basis: SymBasis) -> SymOperator:
-    """Materialize a linear map on symmetric matrices as a SymOperator.
-
-    ``fn`` must accept a (D, d, d) stack and return the mapped stack.
-    """
-    images = fn(basis.matrices())
-    cols = basis.mats_to_vecs(images)  # row q = image of basis element q
-    return SymOperator(basis=basis, matrix=cols.T)
-
-
 def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
-    """Coordinates of x x^T for each row x of xs, shape (N, D)."""
-    return xs[:, basis._rows] * xs[:, basis._cols] * basis._scale
+    """Coordinates of x x^T for each row x of xs, shape (N, D).
+
+    Built in place: at its peak it holds two (N, D) arrays, not three.
+    """
+    out = xs[:, basis._rows]
+    out *= xs[:, basis._cols]
+    out *= basis._scale
+    return out
 
 
 def fourth_moment_operator_from_samples(
     samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
     coords: np.ndarray | None = None,
-) -> SymOperator:
-    """Empirical fourth-moment operator A -> mean[(x^T A x) x x^T].
+) -> np.ndarray:
+    """D x D matrix of the empirical fourth-moment operator
+    A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
 
     In orthonormal coordinates this is the (weighted) second-moment matrix
     of the coordinate vectors of x x^T, hence symmetric positive
-    semidefinite by construction.  ``coords``, when given, holds those
+    semidefinite by construction.  Rows already rotated into H's
+    eigenbasis (``xs @ u``) give the operator in that basis.  ``coords``, when given, holds those
     vectors (``_rank_one_coords(samples, basis)``), so several weightings of
     one sample share a single (N, D) array.
     """
@@ -163,4 +128,82 @@ def fourth_moment_operator_from_samples(
         if weights.shape != (xs.shape[0],):
             raise DimensionError("weights must have one entry per sample")
         mat = (u * weights[:, None]).T @ u
-    return SymOperator(basis=basis, matrix=0.5 * (mat + mat.T))
+    return 0.5 * (mat + mat.T)
+
+
+class TEigenpairs:
+    """The eigenpairs of T(gamma) at one step-size, in H-eigen coordinates.
+
+    ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
+    symmetric d x d matrices; callers never see their dense layout and work
+    with d x d matrices and length-D coefficient vectors only.
+    """
+
+    def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
+        self.tau = tau
+        self._basis = basis
+        self._v = v
+
+    def coords(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
+        return self._v.T @ self._basis.mats_to_vecs(a)
+
+    def contract(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q."""
+        return self._basis.vecs_to_mats(self._v @ coeffs)
+
+    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
+
+        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
+        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
+        """
+        rows, cols = self._basis.pairs
+        g = self._v @ (coeffs[:, None] * weights)
+        at = np.arange(g.shape[0])
+        return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
+
+
+class SpectralFrame:
+    """T(gamma) of one MomentSet in the eigenbasis of H, for every step-size.
+
+    ``lam`` and ``u`` are the eigenpairs of H.  In the coordinates of
+    u^T A u, H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair sums
+    l_a + l_b, and the fourth moment is ``m_eig``, so that
+    T(gamma) = diag(bdiag) - gamma * m_eig.  Building the frame is O(D);
+    the eigenvalues of T are kept per step-size.
+    """
+
+    def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, m_eig: np.ndarray):
+        rows, cols = basis.pairs
+        self.basis = basis
+        self.lam, self.u = lam, u
+        self.bdiag = lam[rows] + lam[cols]
+        self.m_eig = m_eig
+        self._tau: dict[float, np.ndarray] = {}
+
+    def t_matrix(self, gamma: float) -> np.ndarray:
+        """T(gamma) in H-eigen coordinates."""
+        t = -gamma * self.m_eig
+        t[np.diag_indices_from(t)] += self.bdiag
+        return t
+
+    def t_eigenpairs(self, gamma: float) -> TEigenpairs:
+        """Eigenpairs of T(gamma); the eigenvalues are kept for later lookups."""
+        tau, v = np.linalg.eigh(self.t_matrix(gamma))
+        self._keep(float(gamma), tau)
+        return TEigenpairs(self.basis, tau, v)
+
+    def t_eigenvalues(self, gamma: float) -> np.ndarray:
+        """Ascending eigenvalues of T(gamma), solved once per step-size."""
+        key = float(gamma)
+        if key not in self._tau:
+            self._keep(key, np.linalg.eigvalsh(self.t_matrix(key)))
+        return self._tau[key]
+
+    def _keep(self, key: float, tau: np.ndarray) -> None:
+        # Every caller of one step-size gets the same array: freeze it.
+        tau.setflags(write=False)
+        if len(self._tau) > 32:
+            self._tau.clear()
+        self._tau.setdefault(key, tau)

@@ -176,7 +176,7 @@ def variance_gain(spec: ProblemSpec) -> float:
         mean_norm = float(design.probs @ np.sqrt(sq))
         mean_sq = float(design.probs @ sq)
     else:
-        mean_norm = _gaussian_mean_norm(np.linalg.eigvalsh(design.cov))
+        mean_norm = _gaussian_mean_norm(spec.h_eig[0])
         mean_sq = float(np.trace(design.cov))
     return mean_norm**2 / mean_sq
 

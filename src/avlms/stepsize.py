@@ -9,32 +9,32 @@ deterministic threshold 2/L, the universal bound 2/Tr(H), and the
 contraction factors of I - gamma*T and I - gamma*H together with an
 analytic upper bound on their maximum.
 
-The threshold and every spectrum of T are read from one
-:class:`SpectralFrame` per MomentSet: the eigenbasis of H, in which
-H_L + H_R is the diagonal matrix of pair sums l_a + l_b.  The fourth
-moment is rotated into that frame once and shared by every step-size.
-The pencil then reduces to a standard symmetric eigenproblem after a
-diagonal scaling, and T(gamma) is that diagonal minus gamma times the
-shared matrix, whose eigenvalues are cached per gamma.  The dense operator
-in the original coordinates is kept only as the reference the tests
+The threshold and every spectrum of T are read from the
+:class:`~avlms.operators.SpectralFrame` each MomentSet is built with: the
+eigenbasis of H, in which H_L + H_R is the diagonal matrix of pair sums
+l_a + l_b and the fourth moment is the MomentSet's
+``fourth_moment_eigbasis``, written there by its producer.  The pencil
+then reduces to a standard symmetric eigenproblem after a diagonal
+scaling, and T(gamma) is that diagonal minus gamma times the fourth
+moment, whose eigenvalues are cached per gamma.  The dense operators in
+the original coordinates are kept only as the references the tests
 compare against, in ``tests/oracles.py``.
 
 The frame is the only owner of the layout of T's eigenbasis.
-``SpectralFrame.t_eigenpairs(gamma)`` returns a :class:`TEigenpairs`, and
-the closed forms of :mod:`avlms.asymptotics` reach T through its four
-members alone: the eigenvalues ``tau``, ``coords`` (the T-eigenbasis
-coordinates of a symmetric matrix given in H-eigen coordinates),
-``contract`` (the matrix sum_q c_q E_q of coefficients on the T
-eigenvectors E_q) and ``side_sum``.  :func:`t_positive` and
-:func:`t_invertible` are the one definition of when a spectrum of T is
-positive definite or invertible, shared by :meth:`StepSizeReport.at` and
-the covariance model.
+``SpectralFrame.t_eigenpairs(gamma)`` returns a
+:class:`~avlms.operators.TEigenpairs`, and the closed forms of
+:mod:`avlms.asymptotics` reach T through its four members alone: the
+eigenvalues ``tau``, ``coords`` (the T-eigenbasis coordinates of a
+symmetric matrix given in H-eigen coordinates), ``contract`` (the matrix
+sum_q c_q E_q of coefficients on the T eigenvectors E_q) and
+``side_sum``.  :func:`t_positive` and :func:`t_invertible` are the one
+definition of when a spectrum of T is positive definite or invertible,
+shared by :meth:`StepSizeReport.at` and the covariance model.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,6 @@ import scipy.linalg
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
-from .operators import SymBasis
 
 # Relative tolerance below which an eigenvalue of T counts as zero.
 PD_TOL = 1e-12
@@ -62,104 +61,13 @@ def t_invertible(tau: np.ndarray) -> bool:
     return bool(np.abs(tau).min() > PD_TOL * _tau_scale(tau))
 
 
-class TEigenpairs:
-    """The eigenpairs of T(gamma) at one step-size, in H-eigen coordinates.
-
-    ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
-    symmetric d x d matrices; callers never see their dense layout and work
-    with d x d matrices and length-D coefficient vectors only.
-    """
-
-    def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
-        self.tau = tau
-        self._basis = basis
-        self._v = v
-
-    def coords(self, a: np.ndarray) -> np.ndarray:
-        """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
-        return self._v.T @ self._basis.mats_to_vecs(a)
-
-    def contract(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q."""
-        return self._basis.vecs_to_mats(self._v @ coeffs)
-
-    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
-
-        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
-        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
-        """
-        rows, cols = self._basis.pairs
-        g = self._v @ (coeffs[:, None] * weights)
-        at = np.arange(g.shape[0])
-        return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
-
-
-class SpectralFrame:
-    """The eigenbasis of H of one MomentSet, shared by every step-size.
-
-    ``lam`` and ``u`` are the eigenpairs of H.  ``rmat`` is the orthogonal
-    D x D map from the coordinates of A to those of u^T A u.  In the
-    rotated coordinates H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair
-    sums l_a + l_b, and the fourth moment is ``m_rot``, so that
-    T(gamma) = diag(bdiag) - gamma * m_rot.
-    """
-
-    def __init__(self, moments: MomentSet):
-        basis = self.basis = moments.basis
-        rows, cols = basis.pairs
-        self.lam, self.u = np.linalg.eigh(moments.hmat)
-        self.rmat = basis.mats_to_vecs(self.u.T @ basis.matrices() @ self.u).T
-        self.bdiag = self.lam[rows] + self.lam[cols]
-        m_rot = self.rmat @ moments.fourth_moment.matrix @ self.rmat.T
-        self.m_rot = 0.5 * (m_rot + m_rot.T)
-        self._tau: dict[float, np.ndarray] = {}
-
-    def t_matrix(self, gamma: float) -> np.ndarray:
-        """T(gamma) in the rotated coordinates."""
-        t = -gamma * self.m_rot
-        t[np.diag_indices_from(t)] += self.bdiag
-        return t
-
-    def t_eigenpairs(self, gamma: float) -> TEigenpairs:
-        """Eigenpairs of T(gamma); the eigenvalues are kept for later lookups."""
-        tau, v = np.linalg.eigh(self.t_matrix(gamma))
-        self._keep(float(gamma), tau)
-        return TEigenpairs(self.basis, tau, v)
-
-    def t_eigenvalues(self, gamma: float) -> np.ndarray:
-        """Ascending eigenvalues of T(gamma), solved once per step-size."""
-        key = float(gamma)
-        if key not in self._tau:
-            self._keep(key, np.linalg.eigvalsh(self.t_matrix(key)))
-        return self._tau[key]
-
-    def _keep(self, key: float, tau: np.ndarray) -> None:
-        # Every caller of one step-size gets the same array: freeze it.
-        tau.setflags(write=False)
-        if len(self._tau) > 32:
-            self._tau.clear()
-        self._tau.setdefault(key, tau)
-
-
-_frame_cache: "weakref.WeakKeyDictionary[MomentSet, SpectralFrame]" = weakref.WeakKeyDictionary()
-
-
-def spectral_frame(moments: MomentSet) -> SpectralFrame:
-    """The cached :class:`SpectralFrame` of a MomentSet."""
-    frame = _frame_cache.get(moments)
-    if frame is None:
-        frame = _frame_cache[moments] = SpectralFrame(moments)
-    return frame
-
-
 def gamma_max(moments: MomentSet) -> float:
     """Supremum of step-sizes keeping T(gamma) positive definite.
 
     The threshold is 1/lambda_max of the pencil (M, H_L + H_R).  In the
     eigenbasis of H the second matrix is diagonal, so the pencil is solved
     exactly as the standard symmetric eigenproblem of
-    diag(bdiag)^-1/2 m_rot diag(bdiag)^-1/2.  Returns +inf when the fourth
+    diag(bdiag)^-1/2 m_eig diag(bdiag)^-1/2.  Returns +inf when the fourth
     moment vanishes.
     """
     if moments.mu <= 0:
@@ -167,13 +75,13 @@ def gamma_max(moments: MomentSet) -> float:
             "second-moment matrix must be positive definite",
             smallest_eigenvalue=moments.mu,
         )
-    frame = spectral_frame(moments)
+    frame = moments.frame
     size = moments.basis.size
     if size == 1:
-        lam_top = frame.m_rot[0, 0] / frame.bdiag[0]
+        lam_top = frame.m_eig[0, 0] / frame.bdiag[0]
     else:
         s = 1.0 / np.sqrt(frame.bdiag)
-        scaled = s[:, None] * frame.m_rot * s[None, :]
+        scaled = s[:, None] * frame.m_eig * s[None, :]
         lam_top = float(
             scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
         )
@@ -212,7 +120,7 @@ def contraction_factors(moments: MomentSet, gamma: float) -> ContractionFactors:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    frame = spectral_frame(moments)
+    frame = moments.frame
     rho_t = float(np.abs(1.0 - gamma * frame.t_eigenvalues(gamma)).max())
     rho_h = float(np.abs(1.0 - gamma * frame.lam).max())
     return ContractionFactors(rho_t=rho_t, rho_h=rho_h)
@@ -238,7 +146,7 @@ def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> f
 
 def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
     """Smallest eigenvalue of T(gamma); positive iff gamma is stable."""
-    return float(spectral_frame(moments).t_eigenvalues(gamma)[0])
+    return float(moments.frame.t_eigenvalues(gamma)[0])
 
 
 @dataclass(frozen=True)
@@ -282,7 +190,7 @@ class StepSizeReport:
             rho_h=factors.rho_h,
             rho=factors.rho,
             rate_bound=bound,
-            t_positive=t_positive(spectral_frame(self.moments).t_eigenvalues(gamma)),
+            t_positive=t_positive(self.moments.frame.t_eigenvalues(gamma)),
         )
 
 

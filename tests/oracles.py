@@ -1,14 +1,93 @@
 """Dense D x D reference operators on symmetric matrices.
 
-The library reads T(gamma) = H_L + H_R - gamma M from the spectral frame
-of :mod:`avlms.stepsize`; these build the same operators densely, in the
-original coordinates, as the references the tests compare against.
+The library writes every fourth moment in the eigenbasis of H and reads
+T(gamma) = H_L + H_R - gamma M there.  These build the same operators
+densely, in the original coordinates and from the spec alone, as the
+references the tests compare against; :func:`eigbasis_rotation` is the
+tests' own map between the two coordinate systems.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from avlms.errors import DimensionError
-from avlms.operators import SymBasis, SymOperator, _as_symmetric, operator_from_map
+from avlms.errors import DimensionError, SpecError
+from avlms.moments import DiscreteDesign
+from avlms.operators import SymBasis, _as_symmetric, fourth_moment_operator_from_samples
+
+
+@dataclass(frozen=True)
+class SymOperator:
+    """A linear endomorphism of the symmetric d x d matrices.
+
+    Stored as its D x D matrix in the coordinates of ``basis``.  The
+    matrix must be symmetric (up to round-off), so spectral quantities are
+    computed with symmetric eigensolvers.
+    """
+
+    basis: SymBasis
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=float)
+        D = self.basis.size
+        if mat.shape != (D, D):
+            raise DimensionError(f"operator matrix must be {D}x{D}, got {mat.shape}")
+        scale = max(np.abs(mat).max(), 1.0)
+        if np.abs(mat - mat.T).max() > 1e-10 * scale:
+            raise DimensionError("operator matrix is not symmetric")
+        mat = 0.5 * (mat + mat.T)
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+
+def basis_matrices(basis: SymBasis) -> np.ndarray:
+    """Stack of the basis elements, shape (D, d, d)."""
+    return basis.vecs_to_mats(np.eye(basis.size))
+
+
+def operator_from_map(fn, basis: SymBasis) -> SymOperator:
+    """Materialize a linear map on symmetric matrices as a SymOperator.
+
+    ``fn`` must accept a (D, d, d) stack and return the mapped stack.
+    """
+    images = fn(basis_matrices(basis))
+    cols = basis.mats_to_vecs(images)  # row q = image of basis element q
+    return SymOperator(basis=basis, matrix=cols.T)
+
+
+def gaussian_fourth_moment(hmat: np.ndarray, basis: SymBasis | None = None) -> SymOperator:
+    """Fourth-moment operator of X ~ N(0, H): A -> 2 H A H + Tr(A H) H."""
+    hmat = _as_symmetric(hmat, "hmat")
+    if np.linalg.eigvalsh(hmat)[0] < -1e-12 * max(np.trace(np.abs(hmat)), 1.0):
+        raise SpecError("gaussian fourth moment needs a positive semidefinite covariance")
+    if basis is None:
+        basis = SymBasis(hmat.shape[0])
+
+    def act(mats):
+        # Tr(A H) = <A, H> for symmetric H: one matrix-vector product.
+        tr = mats.reshape(mats.shape[0], -1) @ hmat.reshape(-1)
+        return 2.0 * (hmat @ mats @ hmat) + tr[:, None, None] * hmat
+
+    return operator_from_map(act, basis)
+
+
+def samples_fourth_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> SymOperator:
+    """The weighted atom average E[c (X^T A X) X X^T] on the raw rows ``xs``."""
+    basis = SymBasis(xs.shape[1])
+    return SymOperator(basis, fourth_moment_operator_from_samples(xs, basis, weights=weights))
+
+
+def dense_fourth_moment(spec) -> SymOperator:
+    """The fourth moment of a spec in the original coordinates: the dense
+    Gaussian map, or the probability-weighted Gram of the raw atoms."""
+    if isinstance(spec.design, DiscreteDesign):
+        return samples_fourth_moment(spec.design.xs, spec.design.probs)
+    return gaussian_fourth_moment(spec.hmat)
 
 
 def left_right_operator(hmat: np.ndarray, basis: SymBasis | None = None) -> SymOperator:
@@ -24,11 +103,29 @@ def left_right_operator(hmat: np.ndarray, basis: SymBasis | None = None) -> SymO
     return operator_from_map(lambda mats: hmat @ mats + mats @ hmat, basis)
 
 
-def contraction_generator(moments, gamma: float) -> SymOperator:
-    """The operator T(gamma) = H_L + H_R - gamma * M on symmetric matrices."""
-    b = left_right_operator(moments.hmat, moments.basis)
-    return SymOperator(basis=moments.basis,
-                       matrix=b.matrix - gamma * moments.fourth_moment.matrix)
+def contraction_generator(spec, gamma: float) -> SymOperator:
+    """The operator T(gamma) = H_L + H_R - gamma * M of ``compute_moments(spec)``,
+    built densely from the spec, never from a MomentSet."""
+    fourth = dense_fourth_moment(spec)
+    b = left_right_operator(spec.hmat, fourth.basis)
+    return SymOperator(basis=fourth.basis, matrix=b.matrix - gamma * fourth.matrix)
+
+
+def eigbasis_rotation(basis: SymBasis, u: np.ndarray) -> np.ndarray:
+    """The orthogonal D x D map from the coordinates of A to those of u^T A u."""
+    return basis.mats_to_vecs(u.T @ basis_matrices(basis) @ u).T
+
+
+def to_eigbasis(op: SymOperator, u: np.ndarray) -> np.ndarray:
+    """The matrix of ``op`` in the coordinates of u^T A u."""
+    rmat = eigbasis_rotation(op.basis, u)
+    return rmat @ op.matrix @ rmat.T
+
+
+def original_fourth_moment(moments) -> SymOperator:
+    """A MomentSet's fourth moment rotated back to the original coordinates."""
+    rmat = eigbasis_rotation(moments.basis, moments.frame.u)
+    return SymOperator(moments.basis, rmat.T @ moments.fourth_moment_eigbasis @ rmat)
 
 
 def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from avlms import (
 )
 from conftest import full_battery, make_discrete
 from oracles import apply as op_apply
-from oracles import contraction_generator, left_right_operator
+from oracles import contraction_generator, dense_fourth_moment, left_right_operator
 
 EPS = np.finfo(float).eps
 
@@ -80,10 +80,11 @@ def enumerate_sign_variance(spec, gamma, n):
     return total / count
 
 
-def dp_bias(moments, gamma, n):
-    """Second-moment recursion using only one-step operator applications."""
+def dp_bias(spec, moments, gamma, n):
+    """Second-moment recursion using only one-step applications of the dense
+    operator built from ``spec``."""
     d = moments.dim
-    t_op = contraction_generator(moments, gamma)
+    t_op = contraction_generator(spec, gamma)
     damp = np.eye(d) - gamma * moments.hmat
     cur = moments.e0.copy()
     cross = moments.e0.copy()
@@ -96,9 +97,9 @@ def dp_bias(moments, gamma, n):
     return total / n**2
 
 
-def dp_variance(moments, gamma, n):
+def dp_variance(spec, moments, gamma, n):
     d = moments.dim
-    t_op = contraction_generator(moments, gamma)
+    t_op = contraction_generator(spec, gamma)
     damp = np.eye(d) - gamma * moments.hmat
     cur = np.zeros((d, d))
     cross = np.zeros((d, d))
@@ -139,14 +140,14 @@ class TestDenseOracle:
     def test_gamma_max_matches_dense_pencil(self, name, spec):
         m = compute_moments(spec)
         b = left_right_operator(m.hmat, m.basis).matrix
-        top = scipy.linalg.eigh(m.fourth_moment.matrix, b, eigvals_only=True)[-1]
+        top = scipy.linalg.eigh(dense_fourth_moment(spec).matrix, b, eigvals_only=True)[-1]
         assert abs(gamma_max(m) * top - 1.0) < 1e-12
 
     def test_t_spectrum_matches_dense_generator(self, name, spec):
         m = compute_moments(spec)
         for frac in (0.05, 0.5, 0.95):
             g = frac * gamma_max(m)
-            ref = np.linalg.eigvalsh(contraction_generator(m, g).matrix)
+            ref = np.linalg.eigvalsh(contraction_generator(spec, g).matrix)
             np.testing.assert_allclose(CovarianceModel(m, g).tau, ref, rtol=1e-12, atol=0)
             assert abs(smallest_t_eigenvalue(m, g) / ref[0] - 1.0) < 1e-12
 
@@ -158,8 +159,8 @@ class TestDenseOracle:
         g = 0.5 * gamma_max(m)
         model = CovarianceModel(m, g)
         for n in (2, 17, 90):
-            for got, ref, src in ((model.bias_exact(n), dp_bias(m, g, n), m.e0),
-                                  (model.variance_exact(n), dp_variance(m, g, n), m.sigma0)):
+            for got, ref, src in ((model.bias_exact(n), dp_bias(spec, m, g, n), m.e0),
+                                  (model.variance_exact(n), dp_variance(spec, m, g, n), m.sigma0)):
                 scale = max(np.abs(ref).max(), np.abs(src).max())
                 assert np.abs(got - ref).max() < 1e-12 * scale, n
 
@@ -189,7 +190,7 @@ class TestExactBias:
             m = compute_moments(spec)
             g = 0.45 * gamma_max(m)
             for n in (2, 9, 61):
-                ref = dp_bias(m, g, n)
+                ref = dp_bias(spec, m, g, n)
                 got = exact_bias_covariance(m, g, n)
                 atol = 1e-12 * max(np.abs(m.e0).max(), np.abs(ref).max(), 1.0)
                 assert np.abs(got - ref).max() < atol, (name, n)
@@ -197,11 +198,12 @@ class TestExactBias:
     def test_defined_at_singular_generator(self):
         """At the stability threshold the generator is singular but the
         finite sum is still well defined."""
-        m = compute_moments(scalar_unit_spec())
+        spec = scalar_unit_spec()
+        m = compute_moments(spec)
         g = gamma_max(m)  # T(2.0) = 0 exactly in d=1
         assert abs(smallest_t_eigenvalue(m, g)) < 1e-14
         got = exact_bias_covariance(m, g, 4)
-        ref = dp_bias(m, g, 4)
+        ref = dp_bias(spec, m, g, 4)
         np.testing.assert_allclose(got, ref, atol=1e-13)
 
     def test_psd(self):
@@ -241,7 +243,7 @@ class TestExactVariance:
             m = compute_moments(spec)
             g = 0.55 * gamma_max(m)
             for n in (2, 9, 61):
-                ref = dp_variance(m, g, n)
+                ref = dp_variance(spec, m, g, n)
                 got = exact_variance_covariance(m, g, n)
                 atol = 1e-12 * max(np.abs(m.sigma0).max(), np.abs(ref).max(), 1.0)
                 assert np.abs(got - ref).max() < atol, (name, n)

@@ -6,6 +6,7 @@ import pytest
 from avlms import compute_moments
 from avlms.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avlms.dataio import DataFormatError, export_csv, ingest
+from oracles import original_fourth_moment
 
 
 @pytest.fixture()
@@ -71,7 +72,8 @@ class TestIngest:
         m1, m2 = compute_moments(spec), compute_moments(spec2)
         np.testing.assert_allclose(m1.hmat, m2.hmat, atol=1e-12)
         np.testing.assert_allclose(m1.sigma0, m2.sigma0, atol=1e-12)
-        np.testing.assert_allclose(m1.fourth_moment.matrix, m2.fourth_moment.matrix, atol=1e-12)
+        np.testing.assert_allclose(original_fourth_moment(m1).matrix,
+                                   original_fourth_moment(m2).matrix, atol=1e-12)
 
 
     def test_whole_file_parse_skips_comments_and_blank_lines(self, tmp_path, monkeypatch):
@@ -442,6 +444,25 @@ class TestExitCodes:
         assert main(["run", "--gamma", "0.1"]) == EXIT_USAGE  # no spec/data
         assert main(["run", "--spec", "gaussian:d=2"]) == EXIT_USAGE  # no gamma
         assert main(["gamma-max", "--spec", "unknown:d=2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("spec", [
+        "gaussian:d=abc", "gaussian:d=2,sigma=x", "gaussian:d=2,seed=1.5",
+        "gaussian:d=2,spectrum=1:x", "gaussian:d=0", "gaussian:d=-3",
+    ])
+    def test_malformed_spec_number_is_usage(self, spec, capsys):
+        assert main(["gamma-max", "--spec", spec]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("line, flags", [
+        ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
+        ("gamma = 0.1, x", []),
+    ])
+    def test_malformed_manifest_number_is_usage(self, line, flags, tmp_path, capsys):
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(line + "\n")
+        argv = ["run", "--spec", "gaussian:d=2", *flags, "--manifest", str(manifest)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_data_error(self, tmp_path):
         assert main(["gamma-max", "--data", str(tmp_path / "absent.csv")]) == EXIT_DATA

@@ -4,10 +4,10 @@ Two checks guard every change to the engine:
 
 * pinned SHA-256 digests of ``avlms run`` and ``avlms sampling`` CSV bytes
   on small fixed configs, and of the closed-form ``avlms predict`` and
-  ``avlms gamma-max`` CSVs.  The digests depend on the BLAS that builds the
-  rotated covariance and its square root, so they are pinned for the
-  reference environment (OpenBLAS 0.3.31, numpy 2.4.6) and skipped
-  elsewhere;
+  ``avlms gamma-max`` CSVs.  The digests depend on the BLAS and LAPACK
+  that build H's eigenpairs, the Gaussian root and the moment Grams, so
+  they are pinned for the reference environment (OpenBLAS 0.3.31, numpy
+  2.4.6) and skipped elsewhere;
 * a frozen copy of the single-cell recursion (:func:`oracle_run`), the
   reference every engine run must match with ``np.array_equal`` on any
   machine.

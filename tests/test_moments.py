@@ -11,7 +11,6 @@ from avlms import (
     check_cross_term_condition,
     compute_moments,
     fourth_moment_operator_from_samples,
-    gaussian_fourth_moment,
     leverage_resampled_moments,
     norm_resampled_moments,
     optimal_bias_scheme,
@@ -20,9 +19,18 @@ from avlms import (
     reweighted_moments,
     uniform_scheme,
 )
-from avlms.moments import MC_CHUNK, _sqrt_psd
-from avlms.operators import SymBasis, _rank_one_coords, operator_from_map
-from oracles import apply
+from avlms.moments import MC_CHUNK, _chi_mean, _norm_resampling_integrals, _sqrt_psd
+from avlms.operators import SymBasis, _rank_one_coords
+from conftest import make_discrete, make_empirical, make_gaussian
+from oracles import (
+    SymOperator,
+    apply,
+    gaussian_fourth_moment,
+    operator_from_map,
+    original_fourth_moment,
+    samples_fourth_moment,
+    to_eigbasis,
+)
 
 
 class TestGaussianFourthMoment:
@@ -57,14 +65,14 @@ class TestGaussianFourthMoment:
         u = _rank_one_coords(xs, basis)
         second = (u**2).T @ (u**2) / n
         stderr = np.sqrt(np.maximum(second - (u.T @ u / n) ** 2, 0.0) / n)
-        assert np.all(np.abs(sampled.matrix - analytic.matrix) <= 3.0 * stderr + 1e-12)
+        assert np.all(np.abs(sampled - analytic.matrix) <= 3.0 * stderr + 1e-12)
 
 
 class TestComputeMoments:
     def test_scalar_unit_atom(self):
         m = compute_moments(ProblemSpec.discrete(np.array([[1.0]]), sigma=1.0))
         np.testing.assert_allclose(m.hmat, [[1.0]])
-        np.testing.assert_allclose(m.fourth_moment.matrix, [[1.0]])
+        np.testing.assert_allclose(m.fourth_moment_eigbasis, [[1.0]])
         np.testing.assert_allclose(m.sigma0, [[1.0]])
 
     def test_inverse_index_spectrum(self):
@@ -133,7 +141,7 @@ class TestComputeMoments:
             for _ in range(20):
                 a = rg.standard_normal((2, 2))
                 a = a + a.T
-                quad = np.einsum("ij,ji->", a, apply(m.fourth_moment, a))
+                quad = np.einsum("ij,ji->", a, apply(original_fourth_moment(m), a))
                 tr = np.einsum("ij,ji->", a, m.hmat)
                 assert quad >= tr**2 - 1e-10 * max(1.0, abs(quad)), name
 
@@ -146,7 +154,8 @@ class TestReweightedMoments:
         base = compute_moments(spec)
         rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
-        np.testing.assert_allclose(rw.fourth_moment.matrix, base.fourth_moment.matrix, atol=1e-14)
+        np.testing.assert_allclose(rw.fourth_moment_eigbasis, base.fourth_moment_eigbasis,
+                                   atol=1e-14)
         np.testing.assert_allclose(rw.sigma0, base.sigma0, atol=1e-14)
 
     def test_two_atom_norm_proportional(self):
@@ -160,7 +169,7 @@ class TestReweightedMoments:
 
         rw = reweighted_moments(spec, c_inverse)
         np.testing.assert_allclose(rw.hmat, [[2.5]], atol=1e-14)
-        np.testing.assert_allclose(rw.fourth_moment.matrix, [[6.25]], atol=1e-12)
+        np.testing.assert_allclose(rw.fourth_moment_eigbasis, [[6.25]], atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -230,15 +239,16 @@ class TestReweightedMoments:
         cinv = cinv / (spec.design.probs @ cinv)
         rw = reweighted_moments(spec, lambda x, y, _v=cinv: _v)
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
-        assert np.isfinite(rw.fourth_moment.matrix).all()
+        assert np.isfinite(rw.fourth_moment_eigbasis).all()
 
 
 def _unchunked_reweighted(spec, c_inverse, mc_samples, seed):
-    """The Monte Carlo estimate of reweighted_moments from one (n, d) draw."""
+    """The Monte Carlo estimate of reweighted_moments from one (n, d) draw,
+    its fourth moment in H's eigenbasis."""
     rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((mc_samples, spec.dim)) @ _sqrt_psd(spec.design.cov).T
+    xs = rng.standard_normal((mc_samples, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
     c = 1.0 / c_inverse(xs, xs @ spec.w_star)
-    u = _rank_one_coords(xs, SymBasis(spec.dim))
+    u = _rank_one_coords(xs @ spec.h_eig[1], SymBasis(spec.dim))
     m4 = (u * (c / mc_samples)[:, None]).T @ u
     sigma0 = spec.noise.sigma**2 * np.einsum("t,ti,tj->ij", c / mc_samples, xs, xs)
     return 0.5 * (m4 + m4.T), sigma0
@@ -266,7 +276,7 @@ class TestChunkedMonteCarlo:
         rw = reweighted_moments(spec, c_inverse, mc_samples=n, seed=11)
         m4, sigma0 = _unchunked_reweighted(spec, c_inverse, n, 11)
         assert rw.n_samples == n
-        np.testing.assert_allclose(rw.fourth_moment.matrix, m4, rtol=1e-12,
+        np.testing.assert_allclose(rw.fourth_moment_eigbasis, m4, rtol=1e-12,
                                    atol=1e-12 * np.abs(m4).max())
         np.testing.assert_allclose(rw.sigma0, sigma0, rtol=1e-12,
                                    atol=1e-12 * np.abs(sigma0).max())
@@ -288,12 +298,13 @@ class TestChunkedMonteCarlo:
 
 
 def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
-    """Per-draw Monte Carlo of E[c u u^T] and E[c X X^T] with entrywise standard errors."""
+    """Per-draw Monte Carlo of E[c u u^T] (u the rank-one coordinates in H's
+    eigenbasis) and E[c X X^T], with entrywise standard errors."""
     rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n, spec.dim)) @ _sqrt_psd(spec.design.cov).T
+    xs = rng.standard_normal((n, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
     c = 1.0 / c_inverse(xs, xs @ spec.w_star)
     out = []
-    for coords in (_rank_one_coords(xs, SymBasis(spec.dim)), xs):
+    for coords in (_rank_one_coords(xs @ spec.h_eig[1], SymBasis(spec.dim)), xs):
         mean = (coords * c[:, None]).T @ coords / n
         second = (coords**2 * c[:, None] ** 2).T @ coords**2 / n
         out += [mean, np.sqrt(np.maximum(second - mean**2, 0.0) / (n - 1))]
@@ -302,7 +313,10 @@ def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
 
 class TestGaussianResampledClosedForms:
     def test_isotropic_norm_resampling(self):
-        """H = l I: M'(A) = l^2 d/(d+2) (2A + Tr(A) I) and Sigma0' = sigma^2 l I."""
+        """H = l I: M'(A) = l^2 d/(d+2) (2A + Tr(A) I) and Sigma0' = sigma^2 l I.
+
+        The map commutes with every rotation, so its matrix is the same in
+        H's eigenbasis as in the original coordinates."""
         for d in (1, 2, 5, 9):
             for scale in (1.0, 0.3):
                 spec = ProblemSpec.gaussian(scale * np.eye(d), sigma=0.8)
@@ -314,7 +328,7 @@ class TestGaussianResampledClosedForms:
                     ),
                     basis,
                 )
-                np.testing.assert_allclose(m.fourth_moment.matrix, want.matrix,
+                np.testing.assert_allclose(m.fourth_moment_eigbasis, want.matrix,
                                            rtol=1e-14, atol=1e-14 * scale**2)
                 np.testing.assert_allclose(m.sigma0, 0.64 * scale * np.eye(d),
                                            rtol=1e-14, atol=1e-15)
@@ -323,7 +337,7 @@ class TestGaussianResampledClosedForms:
         """d=1: every resampled draw is +-sqrt(l), so M'(a) = l^2 a."""
         for l in (1e-3, 0.7, 1.0, 40.0):
             m = norm_resampled_moments(ProblemSpec.gaussian([[l]], sigma=2.0))
-            np.testing.assert_allclose(m.fourth_moment.matrix, [[l**2]], rtol=1e-14)
+            np.testing.assert_allclose(m.fourth_moment_eigbasis, [[l**2]], rtol=1e-14)
             np.testing.assert_allclose(m.sigma0, [[4.0 * l]], rtol=1e-14)
 
     def test_second_moments_unchanged(self):
@@ -349,9 +363,10 @@ class TestGaussianResampledClosedForms:
         n = 200_000
         rw = reweighted_moments(spec, scheme.c_inverse, mc_samples=n, seed=5)
         mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, scheme.c_inverse, n, 5)
-        np.testing.assert_allclose(rw.fourth_moment.matrix, mean4, rtol=1e-10,
+        np.testing.assert_allclose(rw.fourth_moment_eigbasis, mean4, rtol=1e-10,
                                    atol=1e-12 * np.abs(mean4).max())
-        assert np.all(np.abs(rw.fourth_moment.matrix - exact.fourth_moment.matrix) <= 5.0 * se4)
+        assert np.all(np.abs(rw.fourth_moment_eigbasis - exact.fourth_moment_eigbasis)
+                      <= 5.0 * se4)
         noise = spec.noise.sigma**2
         assert np.all(np.abs(rw.sigma0 - exact.sigma0) <= 5.0 * noise * se2)
 
@@ -360,6 +375,96 @@ class TestGaussianResampledClosedForms:
         for form in (norm_resampled_moments, leverage_resampled_moments):
             with pytest.raises(SpecError, match="Gaussian"):
                 form(spec)
+
+
+def _norm_resampled_dense(spec) -> SymOperator:
+    """The norm-resampled Gaussian fourth moment as a dense map in the
+    original coordinates (its formula is stated in H's eigenbasis)."""
+    cov = spec.hmat
+    lam, u = np.linalg.eigh(cov)
+    _, gmat = _norm_resampling_integrals(lam)
+    diag = np.arange(spec.dim)
+
+    def act(mats):
+        rot = u.T @ mats @ u
+        out = 2.0 * gmat * rot
+        out[:, diag, diag] += rot[:, diag, diag] @ gmat
+        return np.trace(cov) * (u @ out @ u.T)
+
+    return operator_from_map(act, SymBasis(spec.dim))
+
+
+def _ratio(spec):
+    """A valid density ratio on any spec: (1 + ||x||^2 / E||X||^2) / 2."""
+    mean_sq = float(np.trace(spec.hmat))
+    return lambda xs, ys: 0.5 * (1.0 + np.einsum("ti,ti->t", xs, xs) / mean_sq)
+
+
+def _gaussian_producer(spec):
+    return compute_moments(spec), gaussian_fourth_moment(spec.hmat)
+
+
+def _leverage_producer(spec):
+    d = spec.dim
+    kappa = (d + 1) * _chi_mean(d) ** 2 / (d * (d + 2))
+    dense = gaussian_fourth_moment(spec.hmat)
+    return leverage_resampled_moments(spec), SymOperator(dense.basis, kappa * dense.matrix)
+
+
+def _norm_producer(spec):
+    return norm_resampled_moments(spec), _norm_resampled_dense(spec)
+
+
+def _monte_carlo_producer(spec):
+    n, seed, ratio = MC_CHUNK + 500, 9, _ratio(spec)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
+    c = 1.0 / ratio(xs, xs @ spec.w_star)
+    rw = reweighted_moments(spec, ratio, mc_samples=n, seed=seed)
+    return rw, samples_fourth_moment(xs, c / n)
+
+
+def _atoms_producer(spec):
+    return compute_moments(spec), samples_fourth_moment(spec.design.xs, spec.design.probs)
+
+
+def _reweighted_atoms_producer(spec):
+    xs, probs, ratio = spec.design.xs, spec.design.probs, _ratio(spec)
+    c = 1.0 / ratio(xs, None)
+    return reweighted_moments(spec, ratio), samples_fourth_moment(xs, probs * c)
+
+
+GAUSSIAN_PRODUCERS = [_gaussian_producer, _leverage_producer, _norm_producer,
+                      _monte_carlo_producer]
+ATOM_PRODUCERS = [_atoms_producer, _reweighted_atoms_producer]
+
+
+class TestEigenbasisProducers:
+    """Every producer writes the fourth moment in H's eigenbasis: the stored
+    matrix is the dense oracle, built in the original coordinates from the
+    spec alone, rotated by the tests' own map to 1e-13 relative."""
+
+    @staticmethod
+    def check(spec, producer):
+        moments, oracle = producer(spec)
+        _, u = np.linalg.eigh(spec.hmat)
+        want = to_eigbasis(oracle, u)
+        err = np.abs(moments.fourth_moment_eigbasis - want).max()
+        assert err <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("producer", GAUSSIAN_PRODUCERS, ids=lambda f: f.__name__[1:-9])
+    def test_gaussian_design(self, producer, d):
+        self.check(make_gaussian(d, 0.7, 70 + d), producer)
+
+    @pytest.mark.parametrize("kind", ["discrete", "empirical"])
+    @pytest.mark.parametrize("producer", ATOM_PRODUCERS, ids=lambda f: f.__name__[1:-9])
+    def test_discrete_design(self, producer, kind):
+        if kind == "discrete":
+            spec = make_discrete(4, 11, 75, residual=False)
+        else:
+            spec = make_empirical(3, 60, 76)
+        self.check(spec, producer)
 
 
 class TestSpecSecondMoment:
@@ -418,7 +523,7 @@ class TestSpecSecondMoment:
             spec = make_discrete(3, 8, 64, residual=residual)
             base = compute_moments(spec)
             rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
-            np.testing.assert_array_equal(rw.fourth_moment.matrix, base.fourth_moment.matrix)
+            np.testing.assert_array_equal(rw.fourth_moment_eigbasis, base.fourth_moment_eigbasis)
             np.testing.assert_array_equal(rw.sigma0, base.sigma0)
         assert len(calls) == 4
 

@@ -1,7 +1,8 @@
 """Coordinate algebra on symmetric matrices and the operators built on it.
 
-The dense left-right and contraction operators, and ``apply``, are the
-test oracles of ``oracles.py``; spectra are read with ``eigvalsh``.
+The dense left-right and contraction operators, ``SymOperator`` and
+``apply`` are the test oracles of ``oracles.py``; spectra are read with
+``eigvalsh``.
 """
 
 import math
@@ -14,13 +15,20 @@ from hypothesis import strategies as st
 from avlms import (
     ProblemSpec,
     SymBasis,
-    SymOperator,
     compute_moments,
     contraction_factors,
     fourth_moment_operator_from_samples,
     smallest_t_eigenvalue,
 )
-from oracles import apply, contraction_generator, left_right_operator
+from oracles import (
+    SymOperator,
+    apply,
+    basis_matrices,
+    contraction_generator,
+    gaussian_fourth_moment,
+    left_right_operator,
+    samples_fourth_moment,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,7 +46,7 @@ class TestBasis:
     def test_orthonormality(self):
         """Pairwise Frobenius inner products form the identity, d = 1..8."""
         for d in range(1, 9):
-            mats = SymBasis(d).matrices()
+            mats = basis_matrices(SymBasis(d))
             gram = np.einsum("qij,rij->qr", mats, mats)
             np.testing.assert_allclose(gram, np.eye(len(mats)), atol=1e-12)
 
@@ -134,20 +142,19 @@ class TestLeftRight:
 class TestFourthMomentFromSamples:
     def test_single_basis_vector_sample(self):
         """One sample X = e1 in d=2: the map sends A to A[0,0] e1 e1^T."""
-        op = fourth_moment_operator_from_samples(np.array([[1.0, 0.0]]))
+        op = samples_fourth_moment(np.array([[1.0, 0.0]]))
         a = np.array([[2.0, 0.5], [0.5, -1.0]])
         want = np.zeros((2, 2))
         want[0, 0] = a[0, 0]
         np.testing.assert_allclose(apply(op, a), want, atol=1e-14)
 
     def test_sign_samples_d1(self):
-        op = fourth_moment_operator_from_samples(np.array([[1.0], [-1.0]]))
-        np.testing.assert_allclose(op.matrix, [[1.0]])
+        mat = fourth_moment_operator_from_samples(np.array([[1.0], [-1.0]]))
+        np.testing.assert_allclose(mat, [[1.0]])
 
     def test_gaussian_monte_carlo_agreement(self):
         """1e6 standard-normal samples in d=3 match the analytic operator
         entrywise within three standard errors."""
-        from avlms import gaussian_fourth_moment
         from avlms.operators import _rank_one_coords
 
         rg = np.random.default_rng(12345)
@@ -158,11 +165,11 @@ class TestFourthMomentFromSamples:
         u = _rank_one_coords(xs, basis)
         second = (u**2).T @ (u**2) / len(xs)
         stderr = np.sqrt(np.maximum(second - (u.T @ u / len(xs)) ** 2, 0.0) / len(xs))
-        assert np.all(np.abs(sampled.matrix - analytic.matrix) <= 3.0 * stderr + 1e-12)
+        assert np.all(np.abs(sampled - analytic.matrix) <= 3.0 * stderr + 1e-12)
 
     def test_psd(self):
         rg = np.random.default_rng(5)
-        op = fourth_moment_operator_from_samples(rg.standard_normal((50, 4)))
+        op = samples_fourth_moment(rg.standard_normal((50, 4)))
         assert smallest_eigenvalue(op) > -1e-12
 
     def test_empty_error(self):
@@ -183,14 +190,12 @@ class TestApply:
 
     def test_scalar_contraction_generator(self):
         """d=1 with X = 1 a.s.: T at gamma = 0.5 scales by 2 - 0.5 = 1.5."""
-        m = compute_moments(ProblemSpec.discrete(np.array([[1.0]]), sigma=1.0))
-        t = contraction_generator(m, 0.5)
+        t = contraction_generator(ProblemSpec.discrete(np.array([[1.0]]), sigma=1.0), 0.5)
         np.testing.assert_allclose(apply(t, np.array([[2.0]])), [[3.0]])
 
     def test_linearity(self):
         rg = np.random.default_rng(7)
-        basis = SymBasis(4)
-        op = fourth_moment_operator_from_samples(rg.standard_normal((30, 4)), basis)
+        op = samples_fourth_moment(rg.standard_normal((30, 4)))
         for _ in range(10):
             a = rg.standard_normal((4, 4))
             a = a + a.T
@@ -239,7 +244,8 @@ class TestSmallestEigenvalue:
         """As gamma -> 0 the generator's smallest eigenvalue tends to 2 mu."""
         rg = np.random.default_rng(2)
         b = rg.standard_normal((3, 3))
-        m = compute_moments(ProblemSpec.gaussian(b @ b.T + 0.2 * np.eye(3), sigma=1.0))
-        assert abs(smallest_eigenvalue(contraction_generator(m, 1e-9)) - 2 * m.mu) < 1e-6
+        spec = ProblemSpec.gaussian(b @ b.T + 0.2 * np.eye(3), sigma=1.0)
+        m = compute_moments(spec)
+        assert abs(smallest_eigenvalue(contraction_generator(spec, 1e-9)) - 2 * m.mu) < 1e-6
         assert abs(smallest_t_eigenvalue(m, 1e-9) - 2 * m.mu) < 1e-6
 

@@ -20,9 +20,12 @@ from avlms import (
     trace_step_bound,
 )
 from avlms.cli import parse_spec_descriptor
-from avlms.stepsize import SpectralFrame, spectral_frame
+from avlms.engine import _Sampler
+from avlms.moments import atom_coords, norm_resampled_moments
+from avlms.operators import SpectralFrame
+from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
 from conftest import make_discrete, make_gaussian
-from oracles import left_right_operator
+from oracles import left_right_operator, to_eigbasis
 
 
 def scalar_unit_moments():
@@ -211,7 +214,7 @@ class TestReport:
 
 
 class TestOneSpectralFrame:
-    """T is eigensolved once per (moments, gamma), on M rotated once per MomentSet."""
+    """H is eigensolved once per spec, T once per (moments, gamma)."""
 
     @pytest.fixture
     def order_d_solves(self, monkeypatch):
@@ -245,32 +248,55 @@ class TestOneSpectralFrame:
         contraction_factors(m, g)
         assert order_d_solves.count(m.basis.size) == solves
 
-    def test_two_models_rotate_the_fourth_moment_once(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+    def test_one_h_solve_per_spec(self, kind, order_d_solves):
+        """Building the spec solves H; every moment, threshold, model, gain
+        and sampler of it reads those eigenpairs and solves H no more."""
+        d = 3
+        if kind == "gaussian":
+            spec = make_gaussian(d, 0.5, 907)
+        else:
+            spec = make_discrete(d, 9, 908, residual=True)
+        assert order_d_solves.count(d) == 1
+        if kind == "gaussian":
+            extra = [norm_resampled_moments(spec)]
+            variance_gain(spec)
+            _Sampler(spec)
+        else:
+            coords = atom_coords(spec)
+            scheme = optimal_bias_scheme(spec)
+            extra = [resampled_moments(spec, scheme, coords=coords)]
+            _Sampler(spec, (None, scheme))
+        for m in [compute_moments(spec)] + extra:
+            g = gamma_max(m)
+            CovarianceModel(m, 0.5 * g)
+        assert order_d_solves.count(d) == 1
+
+    def test_two_models_share_the_frame_built_with_the_moments(self, monkeypatch):
         builds = []
         init = SpectralFrame.__init__
 
-        def counted(self, moments):
-            builds.append(moments)
-            init(self, moments)
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
 
         monkeypatch.setattr(SpectralFrame, "__init__", counted)
         m = compute_moments(make_gaussian(5, 0.5, 903))
         g = gamma_max(m)
         CovarianceModel(m, 0.5 * g)
         CovarianceModel(m, 0.05 * g)
-        assert builds == [m]
-        assert spectral_frame(m) is spectral_frame(m)
+        assert len(builds) == 1
 
     def test_contract_inverts_coords(self):
         m = compute_moments(make_discrete(4, 9, 905, residual=True))
-        t_eig = spectral_frame(m).t_eigenpairs(0.3 * gamma_max(m))
+        t_eig = m.frame.t_eigenpairs(0.3 * gamma_max(m))
         a = np.random.default_rng(0).standard_normal((4, 4))
         a = a + a.T
         np.testing.assert_allclose(t_eig.contract(t_eig.coords(a)), a, rtol=0, atol=1e-13)
 
     def test_side_sum_matches_its_defining_sum(self):
         m = compute_moments(make_gaussian(3, 0.5, 906))
-        t_eig = spectral_frame(m).t_eigenpairs(0.4 * gamma_max(m))
+        t_eig = m.frame.t_eigenpairs(0.4 * gamma_max(m))
         size = m.basis.size
         rg = np.random.default_rng(1)
         coeffs, weights = rg.standard_normal(size), rg.standard_normal((size, 3))
@@ -285,7 +311,6 @@ class TestOneSpectralFrame:
 
     def test_frame_diagonalizes_left_right_operator(self):
         m = compute_moments(make_gaussian(4, 0.5, 904))
-        f = spectral_frame(m)
-        b_rot = f.rmat @ left_right_operator(m.hmat, m.basis).matrix @ f.rmat.T
+        f = m.frame
+        b_rot = to_eigbasis(left_right_operator(m.hmat, m.basis), f.u)
         np.testing.assert_allclose(b_rot, np.diag(f.bdiag), atol=1e-13 * f.bdiag.max())
-        np.testing.assert_allclose(f.rmat @ f.rmat.T, np.eye(m.basis.size), atol=1e-14)
