@@ -203,11 +203,11 @@ ALL_SCHEMES = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "varia
 
 GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b6a4d63c"
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
-DATA_SAMPLING_SHA256 = "05a058c281d0268d699a1cb6acb7c788a3a7f3f3d4f003a898cc7010fc015dd4"
-DATA_PREDICT_SHA256 = "f19c2be0025c2df78939e5cc064a03bd78ba66d4fa690e8423ff70f7e39be2c5"
+DATA_SAMPLING_SHA256 = "02d56bafd9030ef0859ec12578b8105f690551236dade8e94ef831d5fa300ebb"
+DATA_PREDICT_SHA256 = "b0b41bd3eea5e994de620ad39dfb742a7b9282a63fcbcb51e409425b0ac7fc68"
 SPEC_PREDICT_SHA256 = "7f56f50c8b54118b49de235ec0fffa2cfbbeac3358fdeb7a91729ab6ed4c72f7"
-DATA_GAMMA_MAX_SHA256 = "4e97f37dc1ce7641f49956a3057a1c217cca585c492c67e6d615ac28f04547b5"
-SPEC_GAMMA_MAX_SHA256 = "82ea7acc679f28292a7c5445c3c1b2ab314e47cf16cbb09ceea90490da9c996e"
+DATA_GAMMA_MAX_SHA256 = "df34da7c550d59c0678b265d3da40d232a9900913b22bb9bb8b26e2f1df4daf5"
+SPEC_GAMMA_MAX_SHA256 = "6e224c7c375515b36d7ae767ae688985ef6531ffe0af6a420d270a305fb64442"
 
 
 def _digest(*paths) -> str:
