@@ -119,8 +119,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
 
     w_star = vec(opts.get("wstar", "random"))
     w0 = vec(opts.get("w0", "zeros"))
-    return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0,
-                                sigma=_number(float, opts.get("sigma", "1.0"), "spec option sigma"))
+    sigma = _number(float, opts.get("sigma", "1.0"), "spec option sigma")
+    return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0, sigma=sigma)
 
 
 def _load_manifest(path: str) -> dict:

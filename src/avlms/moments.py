@@ -310,9 +310,8 @@ def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> Mome
 
     Gaussian designs use the closed-form fourth moment (:func:`_gaussian_form`
     with P = l l^T), and their noise covariance factorizes to sigma^2 H;
-    discrete designs use exact
-    probability-weighted atom averages (over ``coords``, the spec's
-    :func:`atom_coords`, when given).
+    discrete designs use exact probability-weighted atom averages (over
+    ``coords``, the spec's :func:`atom_coords`, when given).
     """
     if isinstance(spec.design, DiscreteDesign):
         return _atom_moments(spec, spec.design.probs, coords)

@@ -107,9 +107,9 @@ def fourth_moment_operator_from_samples(
     In orthonormal coordinates this is the (weighted) second-moment matrix
     of the coordinate vectors of x x^T, hence symmetric positive
     semidefinite by construction.  Rows already rotated into H's
-    eigenbasis (``xs @ u``) give the operator in that basis.  ``coords``, when given, holds those
-    vectors (``_rank_one_coords(samples, basis)``), so several weightings of
-    one sample share a single (N, D) array.
+    eigenbasis (``xs @ u``) give the operator in that basis.  ``coords``,
+    when given, holds those vectors (``_rank_one_coords(samples, basis)``),
+    so several weightings of one sample share a single (N, D) array.
     """
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
     if xs.shape[0] == 0:
