@@ -3,16 +3,9 @@
 from .asymptotics import (
     CovarianceModel,
     CovarianceReport,
-    bias_leading_term,
-    bias_remainder_bound,
-    covariance_report,
-    exact_bias_covariance,
-    exact_variance_covariance,
     excess_risk,
     small_gamma_equivalents,
     total_error_envelope,
-    variance_leading_terms,
-    variance_remainder_bound,
 )
 from .engine import (
     RunConfig,

@@ -11,28 +11,30 @@ model, the leading non-exponential terms, and a scalar Frobenius-norm
 bound on the exponentially decaying difference between the two.
 
 Evaluation strategy.  Work in the eigen coordinates of H held by the
-MomentSet's spectral frame (``moments.frame``).
-There every geometric factor built from H is diagonal, H_L + H_R is the
-diagonal of pair sums l_a + l_b, and the fourth moment M_eig is written in
-those coordinates by the producer of the MomentSet; so
-T = diag(l_a + l_b) - gamma M_eig costs one symmetric eigensolve per
-(moments, gamma).  The double sums then collapse
-into scalar geometric sums per (T-eigenvalue, H-eigenvalue) pair.  The
-horizon-independent contractions T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are
-formed with the model, and each horizon n adds O(D^2 d) of matrix
-products, independent of n.  Matrix powers are never formed.  For
-step-sizes in the stable range the exact value is assembled as
+MomentSet's spectral frame (``moments.frame``).  There every geometric
+factor built from H is diagonal, H_L + H_R is the diagonal of pair sums
+l_a + l_b, and the fourth moment M_eig is written in those coordinates by
+the producer of the MomentSet; so T = diag(l_a + l_b) - gamma M_eig costs
+one symmetric eigensolve per (moments, gamma), made when the
+:class:`CovarianceModel` of that pair is built.  The double sums then
+collapse into scalar geometric sums per (T-eigenvalue, H-eigenvalue)
+pair.  The horizon-independent contractions T^-1 E0, T^-1 Sigma0 and
+T^-2 Sigma0 are formed with the model, and each horizon n adds O(D^2 d)
+of matrix products, independent of n.  Matrix powers are never formed.
+For step-sizes in the stable range the exact value is assembled as
 leading-terms-plus-remainder so that the difference between the two
-public functions reproduces the remainder to machine precision even when
-it sits far below the rounding error of the leading terms.
+methods reproduces the remainder to machine precision even when it sits
+far below the rounding error of the leading terms.
 
 The model reaches T only through the frame's per-step-size
 :class:`~avlms.operators.TEigenpairs`: its eigenvalues ``tau``, the
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``.  Nothing
 here knows how those eigenvectors are stored, so a structured frame can
-replace the dense one without touching this module.
-:meth:`CovarianceModel.report` gathers every closed form at one horizon.
+replace the dense one without touching this module.  The model is the
+one entry point: build one per (moments, gamma) and reuse it across
+horizons; :meth:`CovarianceModel.report` gathers every closed form at one
+horizon.
 """
 
 from __future__ import annotations
@@ -157,6 +159,7 @@ class CovarianceModel:
     # -- public evaluations -------------------------------------------------
 
     def bias_leading(self, n: int) -> np.ndarray:
+        """The 1/(gamma^2 n^2) bias term (H_L^-1 + H_R^-1 - gamma I) T^-1 E0."""
         self._require_stable("the leading bias term")
         return self._rotate_back(self._bias_leading_rotated(_check_n(n)))
 
@@ -191,6 +194,8 @@ class CovarianceModel:
             return self._rotate_back((main / n**2) + a_term)
 
     def variance_leading(self, n: int) -> np.ndarray:
+        """(H_L^-1 + H_R^-1 - gamma I) T^-1 Sigma0 / n plus the complete 1/n^2
+        correction: exact minus leading is purely exponential at every n."""
         self._require_stable("the leading variance terms")
         return self._rotate_back(self._variance_leading_rotated(_check_n(n)))
 
@@ -293,52 +298,6 @@ def _check_n(n) -> int:
     return int(n)
 
 
-def _model(moments: MomentSet, gamma: float) -> CovarianceModel:
-    # The cache lives on the MomentSet: a model refers back to its moments,
-    # so a cache keyed by them elsewhere would keep them alive.
-    per = moments._models
-    key = float(gamma)
-    if key not in per:
-        if len(per) > 32:
-            per.clear()
-        per[key] = CovarianceModel(moments, gamma)
-    return per[key]
-
-
-def exact_bias_covariance(moments: MomentSet, gamma: float, n: int) -> np.ndarray:
-    """Exact covariance of the averaged iterate under a noiseless model."""
-    return _model(moments, gamma).bias_exact(n)
-
-
-def exact_variance_covariance(moments: MomentSet, gamma: float, n: int) -> np.ndarray:
-    """Exact covariance of the averaged iterate started at the optimum."""
-    return _model(moments, gamma).variance_exact(n)
-
-
-def bias_leading_term(moments: MomentSet, gamma: float, n: int) -> np.ndarray:
-    """The 1/(gamma^2 n^2) bias term (H_L^-1 + H_R^-1 - gamma I) T^-1 E0."""
-    return _model(moments, gamma).bias_leading(n)
-
-
-def variance_leading_terms(moments: MomentSet, gamma: float, n: int) -> np.ndarray:
-    """The 1/n variance term plus its complete 1/n^2 correction.
-
-    The 1/n coefficient is (H_L^-1 + H_R^-1 - gamma I) T^-1 Sigma0.  The
-    1/n^2 correction gathers every non-exponential second-order piece of
-    the exact sum, so that exact minus leading is purely exponential and
-    the remainder bound applies at every horizon.
-    """
-    return _model(moments, gamma).variance_leading(n)
-
-
-def bias_remainder_bound(moments: MomentSet, gamma: float, n: int) -> float:
-    return _model(moments, gamma).bias_remainder_bound(n)
-
-
-def variance_remainder_bound(moments: MomentSet, gamma: float, n: int) -> float:
-    return _model(moments, gamma).variance_remainder_bound(n)
-
-
 def small_gamma_equivalents(moments: MomentSet, gamma: float, n: int) -> tuple[float, float]:
     """Small step-size equivalents of the two excess-risk components.
 
@@ -391,7 +350,3 @@ class CovarianceReport:
     variance_risk_leading: float | None
     small_gamma_bias: float
     small_gamma_variance: float
-
-
-def covariance_report(moments: MomentSet, gamma: float, n: int) -> CovarianceReport:
-    return _model(moments, gamma).report(n)

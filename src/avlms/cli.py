@@ -38,6 +38,8 @@ from .svg import Series, render_loglog_svg
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
 SCHEME_NAMES = ("uniform", "bias-opt", "variance-opt", "class-weighted")
+MODES = engine.MODES + ("all",)
+FORMATS = ("csv-dense", "csv", "libsvm-sparse", "libsvm")
 
 
 class UsageError(Exception):
@@ -141,6 +143,8 @@ def _load_manifest(path: str) -> dict:
 
 _LIST_KEYS = {"gamma", "scheme"}
 _INT_KEYS = {"n_max", "points", "replicates", "seed", "dim"}
+# Manifest values skip argparse, so the flags' choices are checked here.
+_CHOICE_KEYS = {"mode": MODES, "format": FORMATS}
 
 
 def _merge_manifest(args: argparse.Namespace) -> None:
@@ -159,6 +163,9 @@ def _merge_manifest(args: argparse.Namespace) -> None:
             setattr(args, key, parts)
         elif key in _INT_KEYS:
             setattr(args, key, _number(int, raw, f"manifest key {key!r}"))
+        elif key in _CHOICE_KEYS and raw not in _CHOICE_KEYS[key]:
+            raise UsageError(f"manifest key {key!r} must be one of "
+                             f"{', '.join(_CHOICE_KEYS[key])}, got {raw!r}")
         else:
             setattr(args, key, raw)
 
@@ -274,9 +281,7 @@ def cmd_run(args) -> int:
     replicates = _count(args, "replicates", 100)
     modes = [args.mode] if args.mode else ["total"]
     if modes == ["all"]:
-        modes = ["bias", "variance", "total"]
-    if any(gamma <= 0 for gamma in gammas):
-        raise UsageError("gamma values must be positive")
+        modes = list(engine.MODES)
     configs = [
         engine.RunConfig(gamma=gamma, n=schedule[-1], replicates=replicates, mode=mode,
                          seed=args.seed or 0, record_at=tuple(schedule))
@@ -317,8 +322,6 @@ def cmd_predict(args) -> int:
               "small_gamma_variance"]
     out_paths = []
     for gi, gamma in enumerate(gammas):
-        if gamma <= 0:
-            raise UsageError("gamma values must be positive")
         model = asymptotics.CovarianceModel(moments, gamma)
         rows = []
         overflowed = False
@@ -376,6 +379,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sampling(args) -> int:
+    if args.mode == "all":
+        raise UsageError("sampling measures one mode (bias, variance or total), not all")
+    if args.gamma and len(args.gamma) > 1:
+        raise UsageError("sampling takes at most one --gamma")
     spec = _resolve_spec(args)
     names = args.scheme or ["uniform", "bias-opt", "variance-opt"]
     schedule = _n_schedule(args)
@@ -495,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, gamma=True):
         p.add_argument("--spec", help="synthetic spec descriptor, e.g. gaussian:d=25,spectrum=1/i,sigma=1")
         p.add_argument("--data", help="path to a data file")
-        p.add_argument("--format", choices=["csv-dense", "csv", "libsvm-sparse", "libsvm"],
+        p.add_argument("--format", choices=list(FORMATS),
                        help="data file format (default csv-dense)")
         p.add_argument("--dim", type=int, help="declared dimension for sparse files")
         if gamma:
@@ -503,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, dest="n_max", help="largest iterate count")
         p.add_argument("--points", type=int, help="points in the log-spaced n schedule")
         p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-        p.add_argument("--mode", choices=["bias", "variance", "total", "all"])
+        p.add_argument("--mode", choices=list(MODES))
         p.add_argument("--scheme", action="append", choices=list(SCHEME_NAMES),
                        help="sampling scheme (repeatable)")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -539,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _merge_manifest(args)
+        if not all(0 < gamma < np.inf for gamma in getattr(args, "gamma", None) or ()):
+            raise UsageError("gamma values must be positive and finite")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -226,9 +226,7 @@ class MomentSet:
     it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the rank-one matrix
     eta0 eta0^T, both in the original coordinates.  ``n_samples`` records
     the draw count when the fourth moment was estimated from samples rather
-    than computed exactly.  ``_models`` holds the covariance models built
-    for this instance, per step-size; kept on the object, they are freed
-    with it.
+    than computed exactly.
     """
 
     dim: int
@@ -242,7 +240,6 @@ class MomentSet:
     lmax: float
     frame: SpectralFrame = field(repr=False)
     n_samples: int | None = None
-    _models: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for arr in (self.hmat, self.fourth_moment_eigbasis, self.sigma0, self.e0):

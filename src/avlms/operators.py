@@ -171,7 +171,7 @@ class SpectralFrame:
     u^T A u, H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair sums
     l_a + l_b, and the fourth moment is ``m_eig``, so that
     T(gamma) = diag(bdiag) - gamma * m_eig.  Building the frame is O(D);
-    the eigenvalues of T are kept per step-size.
+    every call solves T(gamma) afresh.
     """
 
     def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, m_eig: np.ndarray):
@@ -180,7 +180,6 @@ class SpectralFrame:
         self.lam, self.u = lam, u
         self.bdiag = lam[rows] + lam[cols]
         self.m_eig = m_eig
-        self._tau: dict[float, np.ndarray] = {}
 
     def t_matrix(self, gamma: float) -> np.ndarray:
         """T(gamma) in H-eigen coordinates."""
@@ -189,21 +188,10 @@ class SpectralFrame:
         return t
 
     def t_eigenpairs(self, gamma: float) -> TEigenpairs:
-        """Eigenpairs of T(gamma); the eigenvalues are kept for later lookups."""
+        """Eigenpairs of T(gamma)."""
         tau, v = np.linalg.eigh(self.t_matrix(gamma))
-        self._keep(float(gamma), tau)
         return TEigenpairs(self.basis, tau, v)
 
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
-        """Ascending eigenvalues of T(gamma), solved once per step-size."""
-        key = float(gamma)
-        if key not in self._tau:
-            self._keep(key, np.linalg.eigvalsh(self.t_matrix(key)))
-        return self._tau[key]
-
-    def _keep(self, key: float, tau: np.ndarray) -> None:
-        # Every caller of one step-size gets the same array: freeze it.
-        tau.setflags(write=False)
-        if len(self._tau) > 32:
-            self._tau.clear()
-        self._tau.setdefault(key, tau)
+        """Ascending eigenvalues of T(gamma)."""
+        return np.linalg.eigvalsh(self.t_matrix(gamma))

@@ -16,20 +16,12 @@ l_a + l_b and the fourth moment is the MomentSet's
 ``fourth_moment_eigbasis``, written there by its producer.  The pencil
 then reduces to a standard symmetric eigenproblem after a diagonal
 scaling, and T(gamma) is that diagonal minus gamma times the fourth
-moment, whose eigenvalues are cached per gamma.  The dense operators in
-the original coordinates are kept only as the references the tests
-compare against, in ``tests/oracles.py``.
+moment.  The dense operators in the original coordinates are kept only as
+the references the tests compare against, in ``tests/oracles.py``.
 
-The frame is the only owner of the layout of T's eigenbasis.
-``SpectralFrame.t_eigenpairs(gamma)`` returns a
-:class:`~avlms.operators.TEigenpairs`, and the closed forms of
-:mod:`avlms.asymptotics` reach T through its four members alone: the
-eigenvalues ``tau``, ``coords`` (the T-eigenbasis coordinates of a
-symmetric matrix given in H-eigen coordinates), ``contract`` (the matrix
-sum_q c_q E_q of coefficients on the T eigenvectors E_q) and
-``side_sum``.  :func:`t_positive` and :func:`t_invertible` are the one
-definition of when a spectrum of T is positive definite or invertible,
-shared by :meth:`StepSizeReport.at` and the covariance model.
+:func:`t_positive` and :func:`t_invertible` are the one definition of
+when a spectrum of T is positive definite or invertible, shared by the
+readers here and by :class:`~avlms.asymptotics.CovarianceModel`.
 """
 
 from __future__ import annotations
@@ -149,19 +141,9 @@ def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
     return float(moments.frame.t_eigenvalues(gamma)[0])
 
 
-@dataclass(frozen=True)
-class GammaDiagnostics:
-    gamma: float
-    rho_t: float
-    rho_h: float
-    rho: float
-    rate_bound: float | None
-    t_positive: bool
-
-
 @dataclass(frozen=True, eq=False)
 class StepSizeReport:
-    """Step-size thresholds of an instance plus per-gamma diagnostics.
+    """Step-size thresholds of an instance and the smallest eigenvalue of T.
 
     The invariants gamma_max <= 2/Tr(H) <= gamma_max_det hold for every
     distribution; ``sample_count`` carries through the draw count when the
@@ -177,21 +159,6 @@ class StepSizeReport:
 
     def mu_t(self, gamma: float) -> float:
         return smallest_t_eigenvalue(self.moments, gamma)
-
-    def at(self, gamma: float) -> GammaDiagnostics:
-        factors = contraction_factors(self.moments, gamma)
-        if 0 < gamma < self.gamma_max:
-            bound = contraction_rate_bound(gamma, self.mu, self.gamma_max, self.moments.dim)
-        else:
-            bound = None
-        return GammaDiagnostics(
-            gamma=gamma,
-            rho_t=factors.rho_t,
-            rho_h=factors.rho_h,
-            rho=factors.rho,
-            rate_bound=bound,
-            t_positive=t_positive(self.moments.frame.t_eigenvalues(gamma)),
-        )
 
 
 def step_size_report(moments: MomentSet) -> StepSizeReport:

@@ -14,15 +14,12 @@ import time
 import numpy as np
 
 from avlms import (
+    CovarianceModel,
     ProblemSpec,
     RunConfig,
-    bias_leading_term,
-    bias_remainder_bound,
     compute_moments,
     contraction_factors,
     contraction_rate_bound,
-    exact_bias_covariance,
-    exact_variance_covariance,
     excess_risk,
     gamma_max,
     gamma_max_det,
@@ -34,8 +31,6 @@ from avlms import (
     small_gamma_equivalents,
     total_error_envelope,
     trace_step_bound,
-    variance_leading_terms,
-    variance_remainder_bound,
 )
 from conftest import make_discrete, make_gaussian
 from test_asymptotics import enumerate_sign_bias, enumerate_sign_variance
@@ -74,16 +69,16 @@ class TestCriterion2:
             m = compute_moments(spec)
             g_top = gamma_max(m)
             for frac in (0.1, 0.5, 0.9):
-                g = frac * g_top
+                model = CovarianceModel(m, frac * g_top)
                 for n in (10, 100, 1000, 10_000):
                     for exact_f, lead_f, bound_f in (
-                        (exact_bias_covariance, bias_leading_term, bias_remainder_bound),
-                        (exact_variance_covariance, variance_leading_terms,
-                         variance_remainder_bound),
+                        (model.bias_exact, model.bias_leading, model.bias_remainder_bound),
+                        (model.variance_exact, model.variance_leading,
+                         model.variance_remainder_bound),
                     ):
-                        lead = lead_f(m, g, n)
-                        diff = np.linalg.norm(exact_f(m, g, n) - lead)
-                        bound = bound_f(m, g, n)
+                        lead = lead_f(n)
+                        diff = np.linalg.norm(exact_f(n) - lead)
+                        bound = bound_f(n)
                         allow = bound * (1 + 1e-9) + 8 * EPS * np.linalg.norm(lead)
                         assert diff <= allow, (name, frac, n)
                         checked += 1
@@ -106,13 +101,13 @@ class TestCriterion3:
         ]
         gamma = 0.3
         for spec in specs:
-            m = compute_moments(spec)
+            model = CovarianceModel(compute_moments(spec), gamma)
             for n in range(1, 7):
                 want_b = enumerate_sign_bias(spec, gamma, n)
-                got_b = exact_bias_covariance(m, gamma, n)
+                got_b = model.bias_exact(n)
                 assert np.abs(got_b - want_b).max() < 1e-12
                 want_v = enumerate_sign_variance(spec, gamma, n)
-                got_v = exact_variance_covariance(m, gamma, n)
+                got_v = model.variance_exact(n)
                 assert np.abs(got_v - want_v).max() < 1e-12
         elapsed = time.time() - t0
         assert elapsed < 10.0
@@ -135,15 +130,17 @@ class TestCriterion4:
         spec = synthetic_benchmark_spec()
         m = compute_moments(spec)
         g0 = 0.18 * gamma_max(m)
+        model = CovarianceModel(m, g0)
         ns = np.unique(np.round(np.logspace(3, 5, 9)).astype(int))
-        bias = [excess_risk(m, exact_bias_covariance(m, g0, int(n))) for n in ns]
-        var = [excess_risk(m, exact_variance_covariance(m, g0, int(n))) for n in ns]
+        bias = [excess_risk(m, model.bias_exact(int(n))) for n in ns]
+        var = [excess_risk(m, model.variance_exact(int(n))) for n in ns]
         bias_slope = np.polyfit(np.log(ns), np.log(bias), 1)[0]
         var_slope = np.polyfit(np.log(ns), np.log(var), 1)[0]
         assert abs(bias_slope + 2.0) <= 0.1
         assert abs(var_slope + 1.0) <= 0.1
-        ratio = excess_risk(m, exact_bias_covariance(m, g0 / 10, 100_000)) / excess_risk(
-            m, exact_bias_covariance(m, g0, 100_000)
+        small_step = CovarianceModel(m, g0 / 10)
+        ratio = excess_risk(m, small_step.bias_exact(100_000)) / excess_risk(
+            m, model.bias_exact(100_000)
         )
         assert 90.0 <= ratio <= 110.0
         elapsed = time.time() - t0
@@ -161,14 +158,15 @@ class TestCriterion4:
         spec = synthetic_benchmark_spec()
         m = compute_moments(spec)
         g0 = 0.18 * gamma_max(m)
+        model = CovarianceModel(m, g0)
         for mode, oracle in (
-            ("bias", exact_bias_covariance),
-            ("variance", exact_variance_covariance),
+            ("bias", model.bias_exact),
+            ("variance", model.variance_exact),
         ):
             cfg = RunConfig(gamma=g0, n=1000, replicates=2000, mode=mode, seed=404,
                             record_at=(1000,))
             traj = run_averaged_lms(spec, cfg)
-            want = excess_risk(m, oracle(m, g0, 1000))
+            want = excess_risk(m, oracle(1000))
             assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1], mode
         elapsed = time.time() - t0
         assert elapsed < 120.0
@@ -186,7 +184,7 @@ class TestCriterion5:
         m = compute_moments(spec)
         g = 1e-3 * gamma_max(m)
         n = 10**6
-        value = n * excess_risk(m, exact_variance_covariance(m, g, n))
+        value = n * excess_risk(m, CovarianceModel(m, g).variance_exact(n))
         target = d * sigma**2
         assert abs(value - target) <= 0.05 * target
         elapsed = time.time() - t0

@@ -17,19 +17,12 @@ from avlms import (
     CovarianceModel,
     ProblemSpec,
     SingularOperatorError,
-    bias_leading_term,
-    bias_remainder_bound,
     compute_moments,
-    covariance_report,
-    exact_bias_covariance,
-    exact_variance_covariance,
     excess_risk,
     gamma_max,
     small_gamma_equivalents,
     smallest_t_eigenvalue,
     total_error_envelope,
-    variance_leading_terms,
-    variance_remainder_bound,
 )
 from conftest import full_battery, make_discrete
 from oracles import apply as op_apply
@@ -167,31 +160,32 @@ class TestDenseOracle:
 
 class TestExactBias:
     def test_zero_start_gives_zero(self):
-        m = compute_moments(scalar_unit_spec(w0=0.0))
+        model = CovarianceModel(compute_moments(scalar_unit_spec(w0=0.0)), 0.5)
         for n in (1, 5, 50):
-            np.testing.assert_array_equal(exact_bias_covariance(m, 0.5, n), np.zeros((1, 1)))
+            np.testing.assert_array_equal(model.bias_exact(n), np.zeros((1, 1)))
 
     def test_single_iterate_is_start_matrix(self):
         m = compute_moments(scalar_unit_spec())
-        np.testing.assert_array_equal(exact_bias_covariance(m, 0.5, 1), m.e0)
+        np.testing.assert_array_equal(CovarianceModel(m, 0.5).bias_exact(1), m.e0)
 
     def test_scalar_deterministic_recursion(self):
         """X = 1 a.s. makes the path deterministic: at n=3 the averaged
         offset is (1 + 0.5 + 0.25)/3, so the covariance is 49/144."""
-        m = compute_moments(scalar_unit_spec())
-        np.testing.assert_allclose(exact_bias_covariance(m, 0.5, 3), [[49.0 / 144.0]], rtol=1e-14)
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
+        np.testing.assert_allclose(model.bias_exact(3), [[49.0 / 144.0]], rtol=1e-14)
         for n in (2, 7, 23):
             etas = [0.5**k for k in range(n)]
             want = np.mean(etas) ** 2
-            np.testing.assert_allclose(exact_bias_covariance(m, 0.5, n), [[want]], rtol=1e-13)
+            np.testing.assert_allclose(model.bias_exact(n), [[want]], rtol=1e-13)
 
     def test_matches_operator_recursion(self):
         for name, spec in full_battery()[::4]:
             m = compute_moments(spec)
             g = 0.45 * gamma_max(m)
+            model = CovarianceModel(m, g)
             for n in (2, 9, 61):
                 ref = dp_bias(spec, m, g, n)
-                got = exact_bias_covariance(m, g, n)
+                got = model.bias_exact(n)
                 atol = 1e-12 * max(np.abs(m.e0).max(), np.abs(ref).max(), 1.0)
                 assert np.abs(got - ref).max() < atol, (name, n)
 
@@ -202,7 +196,7 @@ class TestExactBias:
         m = compute_moments(spec)
         g = gamma_max(m)  # T(2.0) = 0 exactly in d=1
         assert abs(smallest_t_eigenvalue(m, g)) < 1e-14
-        got = exact_bias_covariance(m, g, 4)
+        got = CovarianceModel(m, g).bias_exact(4)
         ref = dp_bias(spec, m, g, 4)
         np.testing.assert_allclose(got, ref, atol=1e-13)
 
@@ -210,18 +204,18 @@ class TestExactBias:
         for name, spec in full_battery()[::5]:
             m = compute_moments(spec)
             g = 0.6 * gamma_max(m)
-            w = np.linalg.eigvalsh(exact_bias_covariance(m, g, 37))
+            w = np.linalg.eigvalsh(CovarianceModel(m, g).bias_exact(37))
             assert w[0] > -1e-10 * max(w[-1], 1e-12), name
 
 
 class TestExactVariance:
     def test_noiseless_gives_zero(self):
-        m = compute_moments(scalar_unit_spec(sigma=0.0))
-        np.testing.assert_allclose(exact_variance_covariance(m, 0.5, 20), np.zeros((1, 1)), atol=1e-18)
+        model = CovarianceModel(compute_moments(scalar_unit_spec(sigma=0.0)), 0.5)
+        np.testing.assert_allclose(model.variance_exact(20), np.zeros((1, 1)), atol=1e-18)
 
     def test_single_iterate_is_zero(self):
-        m = compute_moments(scalar_unit_spec())
-        np.testing.assert_array_equal(exact_variance_covariance(m, 0.5, 1), np.zeros((1, 1)))
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
+        np.testing.assert_array_equal(model.variance_exact(1), np.zeros((1, 1)))
 
     def test_sign_sequence_enumeration_d1(self):
         """Signed inputs and signed noise, n=4, gamma=0.5: exhaustive
@@ -230,54 +224,54 @@ class TestExactVariance:
         m = compute_moments(spec)
         oracle = enumerate_sign_variance(spec, 0.5, 4)
         np.testing.assert_allclose(oracle, [[101.0 / 1024.0]], atol=1e-15)
-        got = exact_variance_covariance(m, 0.5, 4)
+        got = CovarianceModel(m, 0.5).variance_exact(4)
         assert np.abs(got - oracle).max() < 1e-12
 
     def test_singular_generator_rejected(self):
         m = compute_moments(scalar_unit_spec())
+        model = CovarianceModel(m, gamma_max(m))
         with pytest.raises(SingularOperatorError):
-            exact_variance_covariance(m, gamma_max(m), 8)
+            model.variance_exact(8)
 
     def test_matches_operator_recursion(self):
         for name, spec in full_battery()[1::4]:
             m = compute_moments(spec)
             g = 0.55 * gamma_max(m)
+            model = CovarianceModel(m, g)
             for n in (2, 9, 61):
                 ref = dp_variance(spec, m, g, n)
-                got = exact_variance_covariance(m, g, n)
+                got = model.variance_exact(n)
                 atol = 1e-12 * max(np.abs(m.sigma0).max(), np.abs(ref).max(), 1.0)
                 assert np.abs(got - ref).max() < atol, (name, n)
 
     def test_psd(self):
         for name, spec in full_battery()[2::5]:
             m = compute_moments(spec)
-            g = 0.5 * gamma_max(m)
+            model = CovarianceModel(m, 0.5 * gamma_max(m))
             for n in (5, 50, 500):
-                w = np.linalg.eigvalsh(exact_variance_covariance(m, g, n))
+                w = np.linalg.eigvalsh(model.variance_exact(n))
                 assert w[0] > -1e-10 * max(w[-1], 1e-12), (name, n)
 
 
 class TestLeadingTerms:
     def test_bias_zero_start(self):
-        m = compute_moments(scalar_unit_spec(w0=0.0))
-        np.testing.assert_array_equal(bias_leading_term(m, 0.5, 10), np.zeros((1, 1)))
+        model = CovarianceModel(compute_moments(scalar_unit_spec(w0=0.0)), 0.5)
+        np.testing.assert_array_equal(model.bias_leading(10), np.zeros((1, 1)))
 
     def test_bias_scalar_value(self):
         """(1/(n^2 0.25)) (2 - 0.5) (1/1.5) = 4/n^2 in the scalar unit case."""
-        m = compute_moments(scalar_unit_spec())
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
         for n in (10, 1000):
-            np.testing.assert_allclose(bias_leading_term(m, 0.5, n), [[4.0 / n**2]], rtol=1e-13)
+            np.testing.assert_allclose(model.bias_leading(n), [[4.0 / n**2]], rtol=1e-13)
 
     def test_bias_quadratic_in_start(self):
-        m1 = compute_moments(scalar_unit_spec(w0=1.0))
-        m2 = compute_moments(scalar_unit_spec(w0=2.0))
-        np.testing.assert_allclose(
-            bias_leading_term(m2, 0.5, 50), 4.0 * bias_leading_term(m1, 0.5, 50), rtol=1e-13
-        )
+        m1 = CovarianceModel(compute_moments(scalar_unit_spec(w0=1.0)), 0.5)
+        m2 = CovarianceModel(compute_moments(scalar_unit_spec(w0=2.0)), 0.5)
+        np.testing.assert_allclose(m2.bias_leading(50), 4.0 * m1.bias_leading(50), rtol=1e-13)
 
     def test_variance_zero_noise(self):
-        m = compute_moments(scalar_unit_spec(sigma=0.0))
-        np.testing.assert_array_equal(variance_leading_terms(m, 0.5, 10), np.zeros((1, 1)))
+        model = CovarianceModel(compute_moments(scalar_unit_spec(sigma=0.0)), 0.5)
+        np.testing.assert_array_equal(model.variance_leading(10), np.zeros((1, 1)))
 
     def test_variance_scalar_value(self):
         """Scalar unit case: 1/n minus the full 8/(3 n^2) correction.
@@ -286,10 +280,10 @@ class TestLeadingTerms:
         exact sum (cross-checked against enumeration and the operator
         recursion), not just the inverted-generator piece.
         """
-        m = compute_moments(scalar_unit_spec())
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
         for n in (10, 100, 10_000):
             np.testing.assert_allclose(
-                variance_leading_terms(m, 0.5, n), [[1.0 / n - 8.0 / (3.0 * n**2)]], rtol=1e-12
+                model.variance_leading(n), [[1.0 / n - 8.0 / (3.0 * n**2)]], rtol=1e-12
             )
 
     def test_variance_rate_coefficient_small_gamma(self):
@@ -300,23 +294,23 @@ class TestLeadingTerms:
         g = 1e-4 * gamma_max(m)
         n = 10**10  # the n^-2 correction carries 1/gamma, so gamma*n must be large
         want = float(np.trace(np.linalg.solve(m.hmat, m.sigma0)))
-        got = n * excess_risk(m, variance_leading_terms(m, g, n))
+        got = n * excess_risk(m, CovarianceModel(m, g).variance_leading(n))
         assert abs(got - want) < 1e-3 * want
 
     def test_requires_stability(self):
-        m = compute_moments(scalar_unit_spec())
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 2.5)
         with pytest.raises(SingularOperatorError):
-            bias_leading_term(m, 2.5, 10)
+            model.bias_leading(10)
         with pytest.raises(SingularOperatorError):
-            variance_leading_terms(m, 2.5, 10)
+            model.variance_leading(10)
 
 
 class TestRemainderBounds:
     def test_bias_scalar_plug_in(self):
         """Frozen scalar arithmetic: (rho^20/(0.5*20)) * (2 + 1.5/15)."""
-        m = compute_moments(scalar_unit_spec())
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
         want = (0.5**20 / 10.0) * (2.0 + (1.0 / 15.0) * 1.5)
-        got = bias_remainder_bound(m, 0.5, 20)
+        got = model.bias_remainder_bound(20)
         np.testing.assert_allclose(got, want, rtol=1e-13)
         np.testing.assert_allclose(got, 0.21 * 0.5**20, rtol=1e-13)
 
@@ -326,28 +320,27 @@ class TestRemainderBounds:
         n, g, mu, mu_t, rho = 20, 0.5, 1.0, 1.5, 0.5
         bracket = (2.0 / mu - g) / (n * g * mu_t**2) + 2.0 / (mu * mu_t) + 2.0 / (n * g * mu**2 * mu_t)
         want = (rho**n / n) * bracket
-        np.testing.assert_allclose(variance_remainder_bound(m, g, n), want, rtol=1e-13)
+        got = CovarianceModel(m, g).variance_remainder_bound(n)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_decay(self):
-        m = compute_moments(scalar_unit_spec())
-        b = [bias_remainder_bound(m, 0.5, n) for n in (10, 20, 40, 80)]
+        model = CovarianceModel(compute_moments(scalar_unit_spec()), 0.5)
+        b = [model.bias_remainder_bound(n) for n in (10, 20, 40, 80)]
         assert all(x > y for x, y in zip(b, b[1:]))
-        assert bias_remainder_bound(m, 0.5, 2000) == 0.0  # underflows cleanly
+        assert model.bias_remainder_bound(2000) == 0.0  # underflows cleanly
 
     def test_quadratic_in_start(self):
-        m1 = compute_moments(scalar_unit_spec(w0=1.0))
-        m2 = compute_moments(scalar_unit_spec(w0=2.0))
+        m1 = CovarianceModel(compute_moments(scalar_unit_spec(w0=1.0)), 0.5)
+        m2 = CovarianceModel(compute_moments(scalar_unit_spec(w0=2.0)), 0.5)
         np.testing.assert_allclose(
-            bias_remainder_bound(m2, 0.5, 15), 4.0 * bias_remainder_bound(m1, 0.5, 15), rtol=1e-13
+            m2.bias_remainder_bound(15), 4.0 * m1.bias_remainder_bound(15), rtol=1e-13
         )
 
     def test_linear_in_noise_matrix(self):
-        m1 = compute_moments(scalar_unit_spec(sigma=1.0))
-        m2 = compute_moments(scalar_unit_spec(sigma=2.0))
+        m1 = CovarianceModel(compute_moments(scalar_unit_spec(sigma=1.0)), 0.5)
+        m2 = CovarianceModel(compute_moments(scalar_unit_spec(sigma=2.0)), 0.5)
         np.testing.assert_allclose(
-            variance_remainder_bound(m2, 0.5, 15),
-            4.0 * variance_remainder_bound(m1, 0.5, 15),
-            rtol=1e-13,
+            m2.variance_remainder_bound(15), 4.0 * m1.variance_remainder_bound(15), rtol=1e-13
         )
 
 
@@ -364,15 +357,16 @@ class TestSandwich:
     def test_mini_battery(self, frac, battery):
         for name, spec in battery[::3]:
             m = compute_moments(spec)
-            g = frac * gamma_max(m)
+            model = CovarianceModel(m, frac * gamma_max(m))
             for n in (10, 100, 1000):
                 for exact_f, lead_f, bound_f in (
-                    (exact_bias_covariance, bias_leading_term, bias_remainder_bound),
-                    (exact_variance_covariance, variance_leading_terms, variance_remainder_bound),
+                    (model.bias_exact, model.bias_leading, model.bias_remainder_bound),
+                    (model.variance_exact, model.variance_leading,
+                     model.variance_remainder_bound),
                 ):
-                    diff = np.linalg.norm(exact_f(m, g, n) - lead_f(m, g, n))
-                    bound = bound_f(m, g, n)
-                    allow = bound * (1 + 1e-9) + 8 * EPS * np.linalg.norm(lead_f(m, g, n))
+                    lead = lead_f(n)
+                    diff = np.linalg.norm(exact_f(n) - lead)
+                    allow = bound_f(n) * (1 + 1e-9) + 8 * EPS * np.linalg.norm(lead)
                     assert diff <= allow, (name, frac, n)
 
 
@@ -413,7 +407,7 @@ class TestRiskHelpers:
     def test_bias_leading_risk_scalar(self):
         m = compute_moments(scalar_unit_spec())
         np.testing.assert_allclose(
-            excess_risk(m, bias_leading_term(m, 0.5, 40)), 4.0 / 40**2, rtol=1e-13
+            excess_risk(m, CovarianceModel(m, 0.5).bias_leading(40)), 4.0 / 40**2, rtol=1e-13
         )
 
     def test_envelope(self):
@@ -432,10 +426,10 @@ class TestRatesAndRegimes:
         rg = np.random.default_rng(2025)
         spec = ProblemSpec.gaussian(cov, w_star=rg.standard_normal(d), w0=np.zeros(d), sigma=1.0)
         m = compute_moments(spec)
-        g = 0.5 * gamma_max(m)
+        model = CovarianceModel(m, 0.5 * gamma_max(m))
         ns = np.unique(np.round(np.logspace(3, 5, 9)).astype(int))
-        bias = [excess_risk(m, exact_bias_covariance(m, g, int(n))) for n in ns]
-        var = [excess_risk(m, exact_variance_covariance(m, g, int(n))) for n in ns]
+        bias = [excess_risk(m, model.bias_exact(int(n))) for n in ns]
+        var = [excess_risk(m, model.variance_exact(int(n))) for n in ns]
         assert abs(np.polyfit(np.log(ns), np.log(bias), 1)[0] + 2.0) < 0.05
         assert abs(np.polyfit(np.log(ns), np.log(var), 1)[0] + 1.0) < 0.05
 
@@ -451,8 +445,9 @@ class TestRatesAndRegimes:
         sg_small, _ = small_gamma_equivalents(m, g0 / 10, 100_000)
         sg_big, _ = small_gamma_equivalents(m, g0, 100_000)
         np.testing.assert_allclose(sg_small / sg_big, 100.0, rtol=1e-12)
-        exact_ratio = excess_risk(m, exact_bias_covariance(m, g0 / 10, 100_000)) / excess_risk(
-            m, exact_bias_covariance(m, g0, 100_000)
+        small, big = CovarianceModel(m, g0 / 10), CovarianceModel(m, g0)
+        exact_ratio = excess_risk(m, small.bias_exact(100_000)) / excess_risk(
+            m, big.bias_exact(100_000)
         )
         assert abs(exact_ratio - 100.0) <= 10.0
 
@@ -467,8 +462,6 @@ class TestRatesAndRegimes:
         cancel, so a small-n sign flip of the truncated expansion is
         expected and not a defect.
         """
-        from avlms.asymptotics import CovarianceModel
-
         for name, spec in battery:
             m = compute_moments(spec)
             g_top = gamma_max(m)
@@ -486,26 +479,10 @@ class TestRatesAndRegimes:
                         assert lead_risk >= 0.0, (name, frac, n)
 
 
-class TestModelCache:
-    def test_cached_models_die_with_their_moments(self):
-        """A cached CovarianceModel refers to its MomentSet; the cache must
-        still let the MomentSet be collected."""
-        import gc
-        import weakref
-
-        m = compute_moments(scalar_unit_spec())
-        exact_bias_covariance(m, 0.5, 10)
-        assert 0.5 in m._models
-        ref = weakref.ref(m)
-        del m
-        gc.collect()
-        assert ref() is None
-
-
 class TestCovarianceReport:
     def test_stable_report_is_complete(self):
         m = compute_moments(scalar_unit_spec())
-        rep = covariance_report(m, 0.5, 100)
+        rep = CovarianceModel(m, 0.5).report(100)
         assert rep.bias_leading is not None and rep.variance_leading is not None
         np.testing.assert_allclose(rep.bias_risk_leading, 4.0 / 100**2, rtol=1e-12)
         assert rep.bias_remainder_bound is not None
@@ -513,7 +490,7 @@ class TestCovarianceReport:
 
     def test_unstable_report_keeps_exact_columns(self):
         m = compute_moments(scalar_unit_spec())
-        rep = covariance_report(m, 2.5, 50)
+        rep = CovarianceModel(m, 2.5).report(50)
         assert rep.bias_leading is None
         assert rep.bias_exact is not None
         assert rep.variance_exact is not None  # T invertible beyond the threshold
@@ -522,7 +499,7 @@ class TestCovarianceReport:
         """At the threshold itself T is singular: the exact bias column is
         still produced, the exact variance column is absent."""
         m = compute_moments(scalar_unit_spec())
-        rep = covariance_report(m, gamma_max(m), 20)
+        rep = CovarianceModel(m, gamma_max(m)).report(20)
         assert rep.bias_exact is not None and np.isfinite(rep.bias_exact).all()
         assert rep.variance_exact is None
         assert rep.variance_leading is None

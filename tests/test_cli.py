@@ -228,12 +228,12 @@ class TestCommands:
         assert rc == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["n", "bias_exact", "bias_leading"]
-        from avlms import ProblemSpec, exact_bias_covariance, excess_risk
+        from avlms import CovarianceModel, ProblemSpec, excess_risk
 
         spec = ProblemSpec.gaussian(np.eye(3), w_star=np.zeros(3), w0=np.ones(3), sigma=1.0)
         m = compute_moments(spec)
         last = lines[-1].split(",")
-        want = excess_risk(m, exact_bias_covariance(m, 0.2, int(last[0])))
+        want = excess_risk(m, CovarianceModel(m, 0.2).bias_exact(int(last[0])))
         np.testing.assert_allclose(float(last[1]), want, rtol=1e-12)
 
     def test_predict_multiple_gammas_write_suffixed_files(self, tmp_path):
@@ -444,6 +444,12 @@ class TestExitCodes:
         assert main(["run", "--gamma", "0.1"]) == EXIT_USAGE  # no spec/data
         assert main(["run", "--spec", "gaussian:d=2"]) == EXIT_USAGE  # no gamma
         assert main(["gamma-max", "--spec", "unknown:d=2"]) == EXIT_USAGE
+        sampling = ["sampling", "--spec", "gaussian:d=2", "--n-max", "20", "--replicates", "2"]
+        assert main([*sampling, "--gamma", "-1"]) == EXIT_USAGE
+        assert main([*sampling, "--gamma", "0.1", "--gamma", "0.2"]) == EXIT_USAGE
+        assert main([*sampling, "--mode", "all"]) == EXIT_USAGE
+        for gamma in ("nan", "inf"):
+            assert main(["predict", "--spec", "gaussian:d=2", "--gamma", gamma]) == EXIT_USAGE
 
     @pytest.mark.parametrize("spec", [
         "gaussian:d=abc", "gaussian:d=2,sigma=x", "gaussian:d=2,seed=1.5",
@@ -455,7 +461,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line, flags", [
         ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
-        ("gamma = 0.1, x", []),
+        ("gamma = 0.1, x", []), ("mode = bogus", ["--gamma", "0.1"]),
+        ("format = bogus", ["--gamma", "0.1"]),
     ])
     def test_malformed_manifest_number_is_usage(self, line, flags, tmp_path, capsys):
         manifest = tmp_path / "m.cfg"

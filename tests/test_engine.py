@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avlms import (
+    CovarianceModel,
     ProblemSpec,
     RunConfig,
     SamplingScheme,
@@ -11,8 +12,6 @@ from avlms import (
     SpecError,
     class_weighted_spec,
     compute_moments,
-    exact_bias_covariance,
-    exact_variance_covariance,
     excess_risk,
     gamma_max,
     isgd_run,
@@ -71,11 +70,12 @@ class TestRunAveragedLms:
         exact closed form at every recorded horizon."""
         spec = scalar_unit_spec()
         m = compute_moments(spec)
+        model = CovarianceModel(m, 0.5)
         traj = run_averaged_lms(
             spec, RunConfig(gamma=0.5, n=60, replicates=4, mode="bias", seed=3)
         )
         for n, risk in zip(traj.iterations, traj.risk):
-            want = excess_risk(m, exact_bias_covariance(m, 0.5, int(n)))
+            want = excess_risk(m, model.bias_exact(int(n)))
             assert abs(risk - want) < 1e-12
 
     def test_bit_identical_for_equal_seeds(self):
@@ -92,25 +92,25 @@ class TestRunAveragedLms:
         g = 0.4 * gamma_max(m)
         cfg = RunConfig(gamma=g, n=200, replicates=2000, mode="variance", seed=11, record_at=(200,))
         traj = run_averaged_lms(spec, cfg)
-        want = excess_risk(m, exact_variance_covariance(m, g, 200))
+        want = excess_risk(m, CovarianceModel(m, g).variance_exact(200))
         assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1]
 
     def test_resampled_run_matches_reweighted_oracle(self):
         """End to end: a run under the norm-proportional scheme agrees with
         the exact closed forms evaluated on the reweighted moments, for
         both error components, within four standard errors."""
-        from avlms import exact_variance_covariance as var_cov
         from avlms import optimal_bias_scheme, reweighted_moments
 
         spec = make_discrete(3, 7, 2203, residual=True)
         scheme = optimal_bias_scheme(spec)
         rw = reweighted_moments(spec, scheme.c_inverse)
         g = 0.4 * gamma_max(rw)
+        model = CovarianceModel(rw, g)
         n = 300
-        for mode, oracle in (("variance", var_cov), ("bias", exact_bias_covariance)):
+        for mode, oracle in (("variance", model.variance_exact), ("bias", model.bias_exact)):
             cfg = RunConfig(gamma=g, n=n, replicates=3000, mode=mode, seed=3, record_at=(n,))
             traj = run_averaged_lms(spec, cfg, scheme=scheme)
-            want = excess_risk(rw, oracle(rw, g, n))
+            want = excess_risk(rw, oracle(n))
             assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1], mode
 
     def test_mode_additivity_well_specified(self):

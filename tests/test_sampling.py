@@ -201,7 +201,7 @@ class TestGains:
         """On a heavy-norm-tail spec, the exact bias risks at the original
         and resampled thresholds (same fraction of each) match the squared
         step ratio within 15% at n = 1e4."""
-        from avlms import exact_bias_covariance, excess_risk
+        from avlms import CovarianceModel, excess_risk
 
         xs = np.array([[0.4], [0.6], [5.0]])
         probs = np.array([0.55, 0.40, 0.05])
@@ -213,8 +213,8 @@ class TestGains:
         g1 = 0.1 * gamma_max(rw)
         predicted = bias_gain(g0, g1)
         n = 10_000
-        r0 = excess_risk(m, exact_bias_covariance(m, g0, n))
-        r1 = excess_risk(rw, exact_bias_covariance(rw, g1, n))
+        r0 = excess_risk(m, CovarianceModel(m, g0).bias_exact(n))
+        r1 = excess_risk(rw, CovarianceModel(rw, g1).bias_exact(n))
         assert abs(r1 / r0 - predicted) <= 0.15 * predicted
 
     def test_uniform_scheme_is_normalized(self):

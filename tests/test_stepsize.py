@@ -24,6 +24,7 @@ from avlms.engine import _Sampler
 from avlms.moments import atom_coords, norm_resampled_moments
 from avlms.operators import SpectralFrame
 from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
+from avlms.stepsize import t_positive
 from conftest import make_discrete, make_gaussian
 from oracles import left_right_operator, to_eigbasis
 
@@ -188,10 +189,11 @@ class TestPositivityBoundary:
         lambda: make_discrete(3, 8, 904, residual=True),
     ], ids=["d3-1/i", "d12-1/i", "gauss-902", "gauss-904", "disc-904"])
     def test_report_and_model_agree_at_threshold(self, spec):
-        """T(gamma_max) is singular: the report and the model both say so."""
+        """T(gamma_max) is singular: the eigvalsh spectrum and the model's
+        eigh spectrum both say so."""
         m = compute_moments(spec())
         g = gamma_max(m)
-        assert not step_size_report(m).at(g).t_positive
+        assert not t_positive(m.frame.t_eigenvalues(g))
         assert not CovarianceModel(m, g).t_positive
 
 
@@ -203,18 +205,17 @@ class TestReport:
         assert report.trace_bound == 2.0
         assert report.gamma_max_det == 2.0
         assert report.mu == 1.0
-        diag = report.at(0.5)
-        assert diag.t_positive
-        assert abs(diag.rho - 0.5) < 1e-14
-        assert abs(diag.rate_bound - 0.5) < 1e-14
-        beyond = report.at(3.0)
-        assert not beyond.t_positive
-        assert beyond.rate_bound is None
+        assert t_positive(m.frame.t_eigenvalues(0.5))
+        assert abs(contraction_factors(m, 0.5).rho - 0.5) < 1e-14
+        assert abs(contraction_rate_bound(0.5, report.mu, report.gamma_max, m.dim) - 0.5) < 1e-14
+        assert not t_positive(m.frame.t_eigenvalues(3.0))
+        with pytest.raises(ValueError):
+            contraction_rate_bound(3.0, report.mu, report.gamma_max, m.dim)
         assert abs(report.mu_t(0.5) - 1.5) < 1e-14
 
 
 class TestOneSpectralFrame:
-    """H is eigensolved once per spec, T once per (moments, gamma)."""
+    """H is eigensolved once per spec; the frame is built once per MomentSet."""
 
     @pytest.fixture
     def order_d_solves(self, monkeypatch):
@@ -227,26 +228,6 @@ class TestOneSpectralFrame:
 
             monkeypatch.setattr(owner, attr, counted)
         return orders
-
-    def test_report_at_solves_t_once(self, order_d_solves):
-        m = compute_moments(make_gaussian(4, 0.5, 901))
-        size = m.basis.size
-        report = step_size_report(m)
-        g = 0.5 * report.gamma_max
-        order_d_solves.clear()
-        diag = report.at(g)
-        assert order_d_solves.count(size) == 1
-        assert smallest_t_eigenvalue(m, g) == report.mu_t(g)
-        assert diag.t_positive and order_d_solves.count(size) == 1
-
-    def test_model_eigenvalues_serve_later_lookups(self, order_d_solves):
-        m = compute_moments(make_discrete(3, 8, 902, residual=True))
-        g = 0.4 * gamma_max(m)
-        model = CovarianceModel(m, g)
-        solves = order_d_solves.count(m.basis.size)
-        assert smallest_t_eigenvalue(m, g) == model.mu_t
-        contraction_factors(m, g)
-        assert order_d_solves.count(m.basis.size) == solves
 
     @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
     def test_one_h_solve_per_spec(self, kind, order_d_solves):
