@@ -11,16 +11,17 @@ model, the leading non-exponential terms, and a scalar Frobenius-norm
 bound on the exponentially decaying difference between the two.
 
 Evaluation strategy.  Work in the eigen coordinates of H held by the
-MomentSet's spectral frame (``moments.frame``).  There every geometric
-factor built from H is diagonal, H_L + H_R is the diagonal of pair sums
-l_a + l_b, and the fourth moment M_eig is written in those coordinates by
-the producer of the MomentSet; so T = diag(l_a + l_b) - gamma M_eig costs
-one symmetric eigensolve per (moments, gamma), made when the
-:class:`CovarianceModel` of that pair is built.  The double sums then
-collapse into scalar geometric sums per (T-eigenvalue, H-eigenvalue)
-pair.  The horizon-independent contractions T^-1 E0, T^-1 Sigma0 and
-T^-2 Sigma0 are formed with the model, and each horizon n adds O(D^2 d)
-of matrix products, independent of n.  Matrix powers are never formed.
+MomentSet's frame (``moments.frame``).  There every geometric factor built
+from H is diagonal, H_L + H_R is the diagonal of pair sums l_a + l_b, and
+the fourth moment is written in those coordinates by the producer of the
+MomentSet; so T = diag(l_a + l_b) - gamma M is solved once per
+(moments, gamma), when the :class:`CovarianceModel` of that pair is built.
+The double sums then collapse into scalar geometric sums per
+(T-eigenvalue, H-eigenvalue) pair.  The horizon-independent contractions
+T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are formed with the model, and each
+horizon n costs the same, independent of n: O(D^2 d) on the dense frame,
+O(D + d^2) plus two d x d rotations on the Gaussian block frame.  Matrix
+powers are never formed.
 For step-sizes in the stable range the exact value is assembled as
 leading-terms-plus-remainder so that the difference between the two
 methods reproduces the remainder to machine precision even when it sits
@@ -30,8 +31,10 @@ The model reaches T only through the frame's per-step-size
 :class:`~avlms.operators.TEigenpairs`: its eigenvalues ``tau``, the
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``.  Nothing
-here knows how those eigenvectors are stored, so a structured frame can
-replace the dense one without touching this module.  The model is the
+here knows how those eigenvectors are stored: ``side_sum`` takes its
+weights as a kernel of (T index, H index), which the dense frame
+evaluates on the full (D, d) grid and the block frame only at the
+O(D + d^2) entries it reads.  The model is the
 one entry point: build one per (moments, gamma) and reuse it across
 horizons; :meth:`CovarianceModel.report` gathers every closed form at one
 horizon.
@@ -86,11 +89,11 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 class CovarianceModel:
     """Spectral data of one (moments, gamma) pair, reused across horizons.
 
-    Holds the H eigendecomposition from the MomentSet's
-    :class:`~avlms.operators.SpectralFrame`, the eigenpairs
-    ``t_eig`` of the contraction generator T in those coordinates, the
-    coefficients of eta0 eta0^T and E[eps^2 X X^T] on the T eigenvectors,
-    and the horizon-independent pieces of the leading terms.
+    Holds the H eigendecomposition from the MomentSet's frame, the
+    eigenpairs ``t_eig`` of the contraction generator T in those
+    coordinates, the coefficients of eta0 eta0^T and E[eps^2 X X^T] on the
+    T eigenvectors, the horizon-independent pieces of the leading terms
+    and the traces of the small step-size equivalents.
     """
 
     def __init__(self, moments: MomentSet, gamma: float):
@@ -132,6 +135,7 @@ class CovarianceModel:
             self._s0_t2 = self.t_eig.contract(self.sigma0_coords / tau**2)
             qk = self.omega / (gamma * lam) ** 2
             self._var_corr = (qk[:, None] + qk[None, :]) * self._s0_t1
+        self._hinv_traces = _hinv_traces(moments)
 
     # -- internal pieces, all in the rotated (H-eigen) coordinates ---------
 
@@ -173,9 +177,11 @@ class CovarianceModel:
         if n == 1:
             return self.moments.e0.copy()
         g = self.gamma
+
+        def side(q, a):
+            return _pair_sum(self.omega[a], self.theta[q], n) / (g * self.lam)[a]
+
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = _pair_sum(self.omega[None, :], self.theta[:, None], n)  # (D, d)
-            side = pair / (g * self.lam)[None, :]
             a_term = -self.t_eig.side_sum(self.e0_coords, side) / n**2
             if self.t_positive:
                 b_term = (
@@ -211,12 +217,13 @@ class CovarianceModel:
         if n == 1:
             return np.zeros((self.moments.dim, self.moments.dim))
         g = self.gamma
+
+        def side(q, a):
+            omega = self.omega[a]
+            return (_pair_sum(omega, self.theta[q], n) - omega**n) / self.lam[a]
+
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = _pair_sum(self.omega[None, :], self.theta[:, None], n)
-            pair -= self.omega[None, :] ** n
-            c_term = self.t_eig.side_sum(
-                self.sigma0_coords / self.tau, pair / self.lam[None, :]
-            ) / n**2
+            c_term = self.t_eig.side_sum(self.sigma0_coords / self.tau, side) / n**2
             d_term = (
                 self.wsurf
                 * self.t_eig.contract(self.sigma0_coords * self.theta**n / self.tau**2)
@@ -273,7 +280,7 @@ class CovarianceModel:
         stable = self.t_positive and self.rho < 1.0
         bias_lead = self.bias_leading(n) if stable else None
         var_lead = self.variance_leading(n) if stable else None
-        sg_bias, sg_var = small_gamma_equivalents(moments, gamma, n)
+        sg_bias, sg_var = _small_gamma(self._hinv_traces, gamma, _check_n(n))
         return CovarianceReport(
             gamma=gamma,
             n=int(n),
@@ -307,11 +314,20 @@ def small_gamma_equivalents(moments: MomentSet, gamma: float, n: int) -> tuple[f
     n = _check_n(n)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    return _small_gamma(_hinv_traces(moments), gamma, n)
+
+
+def _hinv_traces(moments: MomentSet) -> tuple[float, float]:
+    """Tr(H^-1 E0) and Tr(H^-1 Sigma0), the horizon-free factors of the
+    small step-size equivalents."""
     hinv_e0 = np.linalg.solve(moments.hmat, moments.e0)
     hinv_s0 = np.linalg.solve(moments.hmat, moments.sigma0)
-    bias = float(np.trace(hinv_e0)) / (gamma**2 * n**2)
-    variance = float(np.trace(hinv_s0)) / n
-    return bias, variance
+    return float(np.trace(hinv_e0)), float(np.trace(hinv_s0))
+
+
+def _small_gamma(traces: tuple[float, float], gamma: float, n: int) -> tuple[float, float]:
+    tr_e0, tr_s0 = traces
+    return tr_e0 / (gamma**2 * n**2), tr_s0 / n
 
 
 def excess_risk(moments: MomentSet, delta: np.ndarray) -> float:

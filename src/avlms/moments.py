@@ -22,6 +22,9 @@ Every producer writes the fourth moment directly in H's eigenbasis (the
 coordinates of u^T A u, H = u diag(l) u^T), where T is read: Gaussian forms
 explicitly (:func:`_gaussian_form`), atoms and Monte Carlo draws as the
 weighted Gram of the rank-one coordinates of the rotated rows ``xs @ u``.
+The three exact Gaussian forms carry a structured
+:class:`~avlms.operators.BlockFrame` built from their scaled P; every other
+MomentSet carries the dense :class:`~avlms.operators.SpectralFrame`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 from .errors import DimensionError, SchemeError, SpecError
 from .operators import (
     MAX_DIM,
+    BlockFrame,
     SpectralFrame,
     SymBasis,
     _as_symmetric,
@@ -222,8 +226,9 @@ class MomentSet:
 
     ``fourth_moment_eigbasis`` is the D x D matrix of the fourth moment
     A -> E[(X^T A X) X X^T] in H's eigenbasis: the ``basis`` coordinates of
-    u^T A u, with ``(l, u) = spec.h_eig``.  ``frame`` reads T(gamma) from
-    it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the rank-one matrix
+    u^T A u, with ``(l, u) = spec.h_eig``.  ``frame`` reads T(gamma): a
+    dense frame from that matrix, or for the Gaussian forms a block frame
+    that never reads it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the rank-one matrix
     eta0 eta0^T, both in the original coordinates.  ``n_samples`` records
     the draw count when the fourth moment was estimated from samples rather
     than computed exactly.
@@ -238,7 +243,7 @@ class MomentSet:
     trace_h: float
     mu: float
     lmax: float
-    frame: SpectralFrame = field(repr=False)
+    frame: SpectralFrame | BlockFrame = field(repr=False)
     n_samples: int | None = None
 
     def __post_init__(self):
@@ -247,11 +252,19 @@ class MomentSet:
 
 
 def _assemble(spec: ProblemSpec, basis: SymBasis, m_eig: np.ndarray, sigma0,
-              n_samples=None) -> MomentSet:
+              n_samples=None, pmat: np.ndarray | None = None) -> MomentSet:
     """Bundle a fourth moment, written in H's eigenbasis, with the spec's
-    own H, its eigenpairs and the start matrix."""
+    own H, its eigenpairs and the start matrix.
+
+    ``pmat``, given when ``m_eig`` is ``_gaussian_form(basis, pmat)``,
+    selects the block frame over the dense one.
+    """
     hmat = spec.hmat
     lam, u = spec.h_eig
+    if pmat is None:
+        frame = SpectralFrame(basis, lam, u, m_eig)
+    else:
+        frame = BlockFrame(basis, lam, u, pmat)
     return MomentSet(
         dim=spec.dim,
         basis=basis,
@@ -262,7 +275,7 @@ def _assemble(spec: ProblemSpec, basis: SymBasis, m_eig: np.ndarray, sigma0,
         trace_h=float(np.trace(hmat)),
         mu=float(lam[0]),
         lmax=float(lam[-1]),
-        frame=SpectralFrame(basis, lam, u, m_eig),
+        frame=frame,
         n_samples=n_samples,
     )
 
@@ -279,6 +292,14 @@ def _gaussian_form(basis: SymBasis, pmat: np.ndarray) -> np.ndarray:
     m = np.diag(2.0 * pmat[rows, cols])
     m[: basis.dim, : basis.dim] += pmat
     return m
+
+
+def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0) -> MomentSet:
+    """The MomentSet whose fourth moment is ``scale * _gaussian_form(basis, pmat)``,
+    read by the block frame of the scaled P."""
+    basis = SymBasis(spec.dim)
+    return _assemble(spec, basis, scale * _gaussian_form(basis, pmat), sigma0,
+                     pmat=scale * pmat)
 
 
 def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
@@ -312,9 +333,8 @@ def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> Mome
     """
     if isinstance(spec.design, DiscreteDesign):
         return _atom_moments(spec, spec.design.probs, coords)
-    basis, lam = SymBasis(spec.dim), spec.h_eig[0]
-    return _assemble(spec, basis, _gaussian_form(basis, np.outer(lam, lam)),
-                     spec.noise.sigma**2 * spec.hmat)
+    lam = spec.h_eig[0]
+    return _gaussian_moments(spec, np.outer(lam, lam), 1.0, spec.noise.sigma**2 * spec.hmat)
 
 
 def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
@@ -451,11 +471,10 @@ def leverage_resampled_moments(spec: ProblemSpec) -> MomentSet:
     cov = _gaussian_cov(spec, "leverage-resampled")
     d = spec.dim
     k = _chi_mean(d)
-    basis, lam = SymBasis(d), spec.h_eig[0]
+    lam = spec.h_eig[0]
     kappa = (d + 1) * k**2 / (d * (d + 2))
-    fourth = kappa * _gaussian_form(basis, np.outer(lam, lam))
     sigma0 = spec.noise.sigma**2 * k**2 / d * cov
-    return _assemble(spec, basis, fourth, sigma0)
+    return _gaussian_moments(spec, np.outer(lam, lam), kappa, sigma0)
 
 
 def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
@@ -478,9 +497,8 @@ def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
     trace_h = float(np.trace(cov))
     lam, u = spec.h_eig
     g, gmat = _norm_resampling_integrals(lam)
-    basis = SymBasis(spec.dim)
     sigma0 = spec.noise.sigma**2 * trace_h * ((u * g) @ u.T)
-    return _assemble(spec, basis, trace_h * _gaussian_form(basis, gmat), sigma0)
+    return _gaussian_moments(spec, gmat, trace_h, sigma0)
 
 
 def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,15 +5,29 @@ D = d(d+1)/2.  Once an orthonormal basis (under the Frobenius inner
 product) is fixed, every linear map that is stable on that space becomes
 an ordinary D-by-D matrix.  The library writes every fourth-moment
 operator this way in the coordinates of u^T A u, where H = u diag(l) u^T:
-there H_L + H_R is diagonal, so :class:`SpectralFrame` reads the threshold
-and every spectrum of T(gamma) = H_L + H_R - gamma M without rotating
-anything.  The dense operators in the original coordinates are the
-references the tests compare against, in ``tests/oracles.py``.
+there H_L + H_R is diagonal, so a frame reads the threshold and every
+spectrum of T(gamma) = H_L + H_R - gamma M without rotating anything.
+
+Two frames share one interface (``pencil_top``, ``t_eigenpairs``,
+``t_eigenvalues``):
+
+* :class:`SpectralFrame` holds M as a dense D x D matrix and solves
+  T(gamma) with one D x D eigensolve; atom sets and sampled estimates
+  use it;
+* :class:`BlockFrame` uses the structure of the Gaussian forms, where T
+  splits into D - d scalar eigenpairs and one d x d block, so no array
+  larger than d x d or of length D is formed.
+
+The dense operators in the original coordinates are the references the
+tests compare against, in ``tests/oracles.py``; the dense frame built from
+a Gaussian MomentSet's ``fourth_moment_eigbasis`` is the oracle of the
+block frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError
 
@@ -152,13 +166,17 @@ class TEigenpairs:
         """sum_q coeffs[q] * E_q."""
         return self._basis.vecs_to_mats(self._v @ coeffs)
 
-    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (weights[q,a] + weights[q,b]).
+    def side_sum(self, coeffs: np.ndarray, kernel) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), w[q,a] = kernel(q, a).
 
-        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
-        g = v @ (coeffs * weights), one (D, D) x (D, d) product.
+        ``kernel`` maps broadcastable index arrays q (into ``tau``) and a
+        (into H's eigenvalues) to the weights there.  Here it is evaluated
+        on the full (D, d) grid; coordinate p = (a, b) of the result is
+        g[p,a] + g[p,b] with g = v @ (coeffs * w), one (D, D) x (D, d)
+        product.
         """
         rows, cols = self._basis.pairs
+        weights = kernel(np.arange(self.tau.size)[:, None], np.arange(self._basis.dim)[None, :])
         g = self._v @ (coeffs[:, None] * weights)
         at = np.arange(g.shape[0])
         return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
@@ -171,7 +189,8 @@ class SpectralFrame:
     u^T A u, H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair sums
     l_a + l_b, and the fourth moment is ``m_eig``, so that
     T(gamma) = diag(bdiag) - gamma * m_eig.  Building the frame is O(D);
-    every call solves T(gamma) afresh.
+    every call solves T(gamma) afresh.  This dense frame serves any fourth
+    moment; :class:`BlockFrame` is its structured twin for Gaussian forms.
     """
 
     def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, m_eig: np.ndarray):
@@ -180,6 +199,18 @@ class SpectralFrame:
         self.lam, self.u = lam, u
         self.bdiag = lam[rows] + lam[cols]
         self.m_eig = m_eig
+
+    def pencil_top(self) -> float:
+        """Top eigenvalue of the pencil (M, H_L + H_R): that of the standard
+        symmetric problem diag(bdiag)^-1/2 m_eig diag(bdiag)^-1/2."""
+        size = self.basis.size
+        if size == 1:
+            return self.m_eig[0, 0] / self.bdiag[0]
+        s = 1.0 / np.sqrt(self.bdiag)
+        scaled = s[:, None] * self.m_eig * s[None, :]
+        return float(
+            scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
+        )
 
     def t_matrix(self, gamma: float) -> np.ndarray:
         """T(gamma) in H-eigen coordinates."""
@@ -195,3 +226,105 @@ class SpectralFrame:
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
         """Ascending eigenvalues of T(gamma)."""
         return np.linalg.eigvalsh(self.t_matrix(gamma))
+
+
+class BlockEigenpairs:
+    """The eigenpairs of T(gamma) of a :class:`BlockFrame`, with the
+    interface of :class:`TEigenpairs` in O(D + d^2) per call.
+
+    Before sorting, eigenpair r < d is block eigenvector ``v[:, r]`` on the
+    diagonal coordinates, and r >= d is basis coordinate r itself (a pair
+    a < b).  ``tau`` is sorted ascending through a stable permutation;
+    ``_pos[r]`` is the sorted index of eigenpair r.
+    """
+
+    def __init__(self, basis: SymBasis, tau_block: np.ndarray, v: np.ndarray,
+                 tau_pairs: np.ndarray):
+        raw = np.concatenate([tau_block, tau_pairs])
+        order = np.argsort(raw, kind="stable")
+        self.tau = raw[order]
+        self._order = order
+        self._pos = np.empty_like(order)
+        self._pos[order] = np.arange(order.size)
+        self._basis = basis
+        self._v = v
+
+    def coords(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
+        d = self._basis.dim
+        vec = self._basis.mats_to_vecs(a)
+        return np.concatenate([self._v.T @ vec[:d], vec[d:]])[self._order]
+
+    def contract(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q."""
+        d = self._basis.dim
+        raw = coeffs[self._pos]
+        return self._basis.vecs_to_mats(np.concatenate([self._v @ raw[:d], raw[d:]]))
+
+    def side_sum(self, coeffs: np.ndarray, kernel) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), w[q,a] = kernel(q, a).
+
+        A block eigenvector is diagonal, so it reaches only the diagonal,
+        through the d x d weights w[q, a]; pair (a, b) reaches only its own
+        coordinate, through w[q, a] and w[q, b].
+        """
+        d = self._basis.dim
+        rows, cols = self._basis.pairs
+        raw = coeffs[self._pos]
+        q_block, q_pairs = self._pos[:d], self._pos[d:]
+        w_block = kernel(q_block[:, None], np.arange(d)[None, :])
+        diag = 2.0 * ((self._v * w_block.T) @ raw[:d])
+        pairs = raw[d:] * (kernel(q_pairs, rows[d:]) + kernel(q_pairs, cols[d:]))
+        return self._basis.vecs_to_mats(np.concatenate([diag, pairs]))
+
+
+class BlockFrame:
+    """T(gamma) of a Gaussian-form fourth moment, solved without any D x D array.
+
+    The fourth moment is A -> 2 P o A + diag(P diag(A)) in H-eigen
+    coordinates (``moments._gaussian_form``), with ``pmat`` the scaled P.
+    Its matrix is diagonal on the D - d pair coordinates a < b, each an
+    exact eigenvector of T(gamma) with eigenvalue l_a + l_b - 2 gamma P_ab,
+    and one d x d block on the diagonal coordinates,
+    diag(2 l) - gamma (P + 2 diag(diag P)).  So each step-size costs one
+    order-d eigensolve and O(D) scalars.  ``lam``, ``u`` and ``bdiag`` are
+    those of :class:`SpectralFrame`.
+    """
+
+    def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, pmat: np.ndarray):
+        rows, cols = basis.pairs
+        d = basis.dim
+        self.basis = basis
+        self.lam, self.u = lam, u
+        self.bdiag = lam[rows] + lam[cols]
+        self._block_m = pmat + np.diag(2.0 * np.diag(pmat))
+        self._pair_m = 2.0 * pmat[rows[d:], cols[d:]]
+
+    def pencil_top(self) -> float:
+        """Top eigenvalue of the pencil (M, H_L + H_R): the larger of the top
+        pair ratio 2 P_ab / (l_a + l_b) and the top eigenvalue of
+        S^-1/2 (P + 2 diag(diag P)) S^-1/2, S = diag(2 l)."""
+        d = self.basis.dim
+        s = 1.0 / np.sqrt(self.bdiag[:d])
+        top = float(np.linalg.eigvalsh(s[:, None] * self._block_m * s[None, :])[-1])
+        if self.basis.size > d:
+            top = max(top, float((self._pair_m / self.bdiag[d:]).max()))
+        return top
+
+    def _t_block(self, gamma: float) -> np.ndarray:
+        t = -gamma * self._block_m
+        t[np.diag_indices_from(t)] += self.bdiag[: self.basis.dim]
+        return t
+
+    def _t_pairs(self, gamma: float) -> np.ndarray:
+        return self.bdiag[self.basis.dim:] - gamma * self._pair_m
+
+    def t_eigenpairs(self, gamma: float) -> BlockEigenpairs:
+        """Eigenpairs of T(gamma)."""
+        tau, v = np.linalg.eigh(self._t_block(gamma))
+        return BlockEigenpairs(self.basis, tau, v, self._t_pairs(gamma))
+
+    def t_eigenvalues(self, gamma: float) -> np.ndarray:
+        """Ascending eigenvalues of T(gamma)."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)),
+                                       self._t_pairs(gamma)]))

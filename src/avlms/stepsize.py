@@ -9,15 +9,16 @@ deterministic threshold 2/L, the universal bound 2/Tr(H), and the
 contraction factors of I - gamma*T and I - gamma*H together with an
 analytic upper bound on their maximum.
 
-The threshold and every spectrum of T are read from the
-:class:`~avlms.operators.SpectralFrame` each MomentSet is built with: the
-eigenbasis of H, in which H_L + H_R is the diagonal matrix of pair sums
-l_a + l_b and the fourth moment is the MomentSet's
-``fourth_moment_eigbasis``, written there by its producer.  The pencil
+The threshold and every spectrum of T are read from the frame each
+MomentSet is built with (:mod:`avlms.operators`), in the eigenbasis of H,
+where H_L + H_R is the diagonal matrix of pair sums l_a + l_b.  The pencil
 then reduces to a standard symmetric eigenproblem after a diagonal
-scaling, and T(gamma) is that diagonal minus gamma times the fourth
-moment.  The dense operators in the original coordinates are kept only as
-the references the tests compare against, in ``tests/oracles.py``.
+scaling.  A :class:`~avlms.operators.SpectralFrame` solves it, and T(gamma),
+densely in D = d(d+1)/2 coordinates; the Gaussian forms carry a
+:class:`~avlms.operators.BlockFrame`, which needs one d x d eigensolve and
+O(D) scalars for either.  The dense operators in the original coordinates
+are kept only as the references the tests compare against, in
+``tests/oracles.py``.
 
 :func:`t_positive` and :func:`t_invertible` are the one definition of
 when a spectrum of T is positive definite or invertible, shared by the
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
@@ -56,27 +56,16 @@ def t_invertible(tau: np.ndarray) -> bool:
 def gamma_max(moments: MomentSet) -> float:
     """Supremum of step-sizes keeping T(gamma) positive definite.
 
-    The threshold is 1/lambda_max of the pencil (M, H_L + H_R).  In the
-    eigenbasis of H the second matrix is diagonal, so the pencil is solved
-    exactly as the standard symmetric eigenproblem of
-    diag(bdiag)^-1/2 m_eig diag(bdiag)^-1/2.  Returns +inf when the fourth
-    moment vanishes.
+    The threshold is 1/lambda_max of the pencil (M, H_L + H_R), which the
+    MomentSet's frame solves (``pencil_top``).  Returns +inf when the
+    fourth moment vanishes.
     """
     if moments.mu <= 0:
         raise SingularOperatorError(
             "second-moment matrix must be positive definite",
             smallest_eigenvalue=moments.mu,
         )
-    frame = moments.frame
-    size = moments.basis.size
-    if size == 1:
-        lam_top = frame.m_eig[0, 0] / frame.bdiag[0]
-    else:
-        s = 1.0 / np.sqrt(frame.bdiag)
-        scaled = s[:, None] * frame.m_eig * s[None, :]
-        lam_top = float(
-            scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
-        )
+    lam_top = moments.frame.pencil_top()
     if lam_top <= 1e-300:
         return math.inf
     return 1.0 / lam_top

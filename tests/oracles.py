@@ -7,13 +7,18 @@ references the tests compare against; :func:`eigbasis_rotation` is the
 tests' own map between the two coordinate systems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from avlms.errors import DimensionError, SpecError
 from avlms.moments import DiscreteDesign
-from avlms.operators import SymBasis, _as_symmetric, fourth_moment_operator_from_samples
+from avlms.operators import (
+    SpectralFrame,
+    SymBasis,
+    _as_symmetric,
+    fourth_moment_operator_from_samples,
+)
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,18 @@ def original_fourth_moment(moments) -> SymOperator:
     """A MomentSet's fourth moment rotated back to the original coordinates."""
     rmat = eigbasis_rotation(moments.basis, moments.frame.u)
     return SymOperator(moments.basis, rmat.T @ moments.fourth_moment_eigbasis @ rmat)
+
+
+def dense_frame(moments) -> SpectralFrame:
+    """The dense frame of a MomentSet's ``fourth_moment_eigbasis``: the
+    oracle of the block frame the Gaussian forms carry."""
+    frame = moments.frame
+    return SpectralFrame(moments.basis, frame.lam, frame.u, moments.fourth_moment_eigbasis)
+
+
+def with_dense_frame(moments):
+    """The same MomentSet, reading T through :func:`dense_frame`."""
+    return replace(moments, frame=dense_frame(moments))
 
 
 def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:

@@ -19,14 +19,14 @@ from avlms import (
     step_size_report,
     trace_step_bound,
 )
-from avlms.cli import parse_spec_descriptor
+from avlms.cli import main, parse_spec_descriptor
 from avlms.engine import _Sampler
 from avlms.moments import atom_coords, norm_resampled_moments
-from avlms.operators import SpectralFrame
+from avlms.operators import BlockFrame, SpectralFrame
 from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
 from avlms.stepsize import t_positive
 from conftest import make_discrete, make_gaussian
-from oracles import left_right_operator, to_eigbasis
+from oracles import dense_frame, left_right_operator, to_eigbasis
 
 
 def scalar_unit_moments():
@@ -214,31 +214,37 @@ class TestReport:
         assert abs(report.mu_t(0.5) - 1.5) < 1e-14
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """A copy of the matrix of every eigensolve made while the test runs."""
+    solved = []
+    for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        def counted(a, *args, _fn=getattr(owner, attr), **kwargs):
+            solved.append(np.array(a, dtype=float))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    return solved
+
+
 class TestOneSpectralFrame:
     """H is eigensolved once per spec; the frame is built once per MomentSet."""
 
-    @pytest.fixture
-    def order_d_solves(self, monkeypatch):
-        """Orders of every eigensolve made while the test runs."""
-        orders = []
-        for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
-            def counted(a, *args, _fn=getattr(owner, attr), **kwargs):
-                orders.append(np.shape(a)[0])
-                return _fn(a, *args, **kwargs)
-
-            monkeypatch.setattr(owner, attr, counted)
-        return orders
-
     @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
-    def test_one_h_solve_per_spec(self, kind, order_d_solves):
+    def test_one_h_solve_per_spec(self, kind, eigensolves):
         """Building the spec solves H; every moment, threshold, model, gain
-        and sampler of it reads those eigenpairs and solves H no more."""
+        and sampler of it reads those eigenpairs and solves H no more.  (The
+        Gaussian block frame solves d x d blocks of T, which are not H.)"""
         d = 3
         if kind == "gaussian":
             spec = make_gaussian(d, 0.5, 907)
         else:
             spec = make_discrete(d, 9, 908, residual=True)
-        assert order_d_solves.count(d) == 1
+
+        def h_solves():
+            return sum(np.array_equal(a, spec.hmat) for a in eigensolves)
+
+        assert h_solves() == 1
         if kind == "gaussian":
             extra = [norm_resampled_moments(spec)]
             variance_gain(spec)
@@ -251,17 +257,16 @@ class TestOneSpectralFrame:
         for m in [compute_moments(spec)] + extra:
             g = gamma_max(m)
             CovarianceModel(m, 0.5 * g)
-        assert order_d_solves.count(d) == 1
+        assert h_solves() == 1
 
     def test_two_models_share_the_frame_built_with_the_moments(self, monkeypatch):
         builds = []
-        init = SpectralFrame.__init__
+        for frame in (SpectralFrame, BlockFrame):
+            def counted(self, *args, _init=frame.__init__):
+                builds.append(args)
+                _init(self, *args)
 
-        def counted(self, *args):
-            builds.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(SpectralFrame, "__init__", counted)
+            monkeypatch.setattr(frame, "__init__", counted)
         m = compute_moments(make_gaussian(5, 0.5, 903))
         g = gamma_max(m)
         CovarianceModel(m, 0.5 * g)
@@ -276,19 +281,34 @@ class TestOneSpectralFrame:
         np.testing.assert_allclose(t_eig.contract(t_eig.coords(a)), a, rtol=0, atol=1e-13)
 
     def test_side_sum_matches_its_defining_sum(self):
+        """On the block frame of a Gaussian MomentSet and on the dense frame
+        of its fourth moment, with the weights given as a kernel."""
         m = compute_moments(make_gaussian(3, 0.5, 906))
-        t_eig = m.frame.t_eigenpairs(0.4 * gamma_max(m))
         size = m.basis.size
         rg = np.random.default_rng(1)
         coeffs, weights = rg.standard_normal(size), rg.standard_normal((size, 3))
-        expected = np.zeros((3, 3))
-        for q in range(size):
-            e_q = t_eig.contract(np.eye(size)[q])
-            for a in range(3):
-                for b in range(3):
-                    expected[a, b] += coeffs[q] * e_q[a, b] * (weights[q, a] + weights[q, b])
-        np.testing.assert_allclose(t_eig.side_sum(coeffs, weights), expected,
-                                   rtol=0, atol=1e-13)
+        assert isinstance(m.frame, BlockFrame)
+        for frame in (m.frame, dense_frame(m)):
+            t_eig = frame.t_eigenpairs(0.4 * gamma_max(m))
+            expected = np.zeros((3, 3))
+            for q in range(size):
+                e_q = t_eig.contract(np.eye(size)[q])
+                for a in range(3):
+                    for b in range(3):
+                        expected[a, b] += coeffs[q] * e_q[a, b] * (weights[q, a] + weights[q, b])
+            got = t_eig.side_sum(coeffs, lambda q, a: weights[q, a])
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    def test_gaussian_commands_solve_nothing_above_order_d(self, eigensolves, capsys):
+        """On a Gaussian spec, gamma-max with every scheme and predict read T
+        through d x d blocks: no eigensolve of order D."""
+        d = 6
+        spec = f"gaussian:d={d},spectrum=1/i,sigma=1"
+        schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
+        assert main(["gamma-max", "--spec", spec, *schemes]) == 0
+        assert main(["predict", "--spec", spec, "--gamma", "0.05", "--n-max", "200",
+                     "--points", "5"]) == 0
+        assert eigensolves and max(a.shape[0] for a in eigensolves) == d
 
     def test_frame_diagonalizes_left_right_operator(self):
         m = compute_moments(make_gaussian(4, 0.5, 904))
