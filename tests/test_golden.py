@@ -205,9 +205,9 @@ GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
 DATA_SAMPLING_SHA256 = "02d56bafd9030ef0859ec12578b8105f690551236dade8e94ef831d5fa300ebb"
 DATA_PREDICT_SHA256 = "b0b41bd3eea5e994de620ad39dfb742a7b9282a63fcbcb51e409425b0ac7fc68"
-SPEC_PREDICT_SHA256 = "7f56f50c8b54118b49de235ec0fffa2cfbbeac3358fdeb7a91729ab6ed4c72f7"
+SPEC_PREDICT_SHA256 = "255aaf3bdc7b832e7722d5a31f62faf186a90f88dbb509bc76d52a34ffeeb18e"
 DATA_GAMMA_MAX_SHA256 = "df34da7c550d59c0678b265d3da40d232a9900913b22bb9bb8b26e2f1df4daf5"
-SPEC_GAMMA_MAX_SHA256 = "6e224c7c375515b36d7ae767ae688985ef6531ffe0af6a420d270a305fb64442"
+SPEC_GAMMA_MAX_SHA256 = "7770876f1a7e77f9cef8132427623c62a87db1876cba42c14d2eebce7f24e870"
 
 
 def _digest(*paths) -> str:
