@@ -144,7 +144,14 @@ def _load_manifest(path: str) -> dict:
 _LIST_KEYS = {"gamma", "scheme"}
 _INT_KEYS = {"n_max", "points", "replicates", "seed", "dim"}
 # Manifest values skip argparse, so the flags' choices are checked here.
-_CHOICE_KEYS = {"mode": MODES, "format": FORMATS}
+_CHOICE_KEYS = {"mode": MODES, "format": FORMATS, "scheme": SCHEME_NAMES}
+
+
+def _check_choice(key: str, value: str) -> None:
+    choices = _CHOICE_KEYS.get(key)
+    if choices is not None and value not in choices:
+        raise UsageError(f"manifest key {key!r} must be one of "
+                         f"{', '.join(choices)}, got {value!r}")
 
 
 def _merge_manifest(args: argparse.Namespace) -> None:
@@ -160,13 +167,13 @@ def _merge_manifest(args: argparse.Namespace) -> None:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if key == "gamma":
                 parts = [_number(float, p, f"manifest key {key!r}") for p in parts]
+            for part in parts:
+                _check_choice(key, part)
             setattr(args, key, parts)
         elif key in _INT_KEYS:
             setattr(args, key, _number(int, raw, f"manifest key {key!r}"))
-        elif key in _CHOICE_KEYS and raw not in _CHOICE_KEYS[key]:
-            raise UsageError(f"manifest key {key!r} must be one of "
-                             f"{', '.join(_CHOICE_KEYS[key])}, got {raw!r}")
         else:
+            _check_choice(key, raw)
             setattr(args, key, raw)
 
 
@@ -177,6 +184,10 @@ def _resolve_spec(args) -> ProblemSpec:
         spec, _ = ingest(args.data, args.format or "csv-dense", dim=getattr(args, "dim", None))
         return spec
     if getattr(args, "spec", None):
+        stray = [f"--{key}" for key in ("format", "dim") if getattr(args, key, None) is not None]
+        if stray:
+            raise UsageError(f"{' and '.join(stray)} describe a --data file; "
+                             "a --spec descriptor takes neither")
         return parse_spec_descriptor(args.spec, seed=args.seed or 0)
     raise UsageError("one of --spec or --data is required")
 

@@ -450,6 +450,9 @@ class TestExitCodes:
         assert main([*sampling, "--mode", "all"]) == EXIT_USAGE
         for gamma in ("nan", "inf"):
             assert main(["predict", "--spec", "gaussian:d=2", "--gamma", gamma]) == EXIT_USAGE
+        # --format and --dim describe a data file; beside --spec they are refused
+        assert main(["gamma-max", "--spec", "gaussian:d=2", "--format", "csv"]) == EXIT_USAGE
+        assert main(["gamma-max", "--spec", "gaussian:d=2", "--dim", "2"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("spec", [
         "gaussian:d=abc", "gaussian:d=2,sigma=x", "gaussian:d=2,seed=1.5",
@@ -462,7 +465,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, flags", [
         ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
         ("gamma = 0.1, x", []), ("mode = bogus", ["--gamma", "0.1"]),
-        ("format = bogus", ["--gamma", "0.1"]),
+        ("format = bogus", ["--gamma", "0.1"]), ("scheme = uniform, bogus", ["--gamma", "0.1"]),
     ])
     def test_malformed_manifest_number_is_usage(self, line, flags, tmp_path, capsys):
         manifest = tmp_path / "m.cfg"
@@ -470,6 +473,22 @@ class TestExitCodes:
         argv = ["run", "--spec", "gaussian:d=2", *flags, "--manifest", str(manifest)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_manifest_scheme_is_checked_before_moments(self, tmp_path, monkeypatch, capsys):
+        """A bad manifest scheme fails before ``sampling --data`` builds the
+        (N, D) rank-one coordinates of the data."""
+        data = tmp_path / "data.csv"
+        data.write_text("1,0,1\n0,1,2\n1,1,2\n")
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text("scheme = bogus\n")
+
+        def refuse(spec):
+            raise AssertionError("atom_coords ran before the scheme was checked")
+
+        monkeypatch.setattr("avlms.cli.atom_coords", refuse)
+        argv = ["sampling", "--data", str(data), "--manifest", str(manifest)]
+        assert main(argv) == EXIT_USAGE
+        assert "'scheme' must be one of" in capsys.readouterr().err
 
     def test_data_error(self, tmp_path):
         assert main(["gamma-max", "--data", str(tmp_path / "absent.csv")]) == EXIT_DATA
