@@ -228,10 +228,10 @@ class MomentSet:
     A -> E[(X^T A X) X X^T] in H's eigenbasis: the ``basis`` coordinates of
     u^T A u, with ``(l, u) = spec.h_eig``.  ``frame`` reads T(gamma): a
     dense frame from that matrix, or for the Gaussian forms a block frame
-    that never reads it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the rank-one matrix
-    eta0 eta0^T, both in the original coordinates.  ``n_samples`` records
-    the draw count when the fourth moment was estimated from samples rather
-    than computed exactly.
+    that never reads it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
+    rank-one matrix eta0 eta0^T, both in the original coordinates.
+    ``n_samples`` records the draw count when the fourth moment was
+    estimated from samples rather than computed exactly.
     """
 
     dim: int

@@ -15,8 +15,8 @@ Two frames share one interface (``pencil_top``, ``t_eigenpairs``,
   T(gamma) with one D x D eigensolve; atom sets and sampled estimates
   use it;
 * :class:`BlockFrame` uses the structure of the Gaussian forms, where T
-  splits into D - d scalar eigenpairs and one d x d block, so no array
-  larger than d x d or of length D is formed.
+  splits into D - d scalar eigenpairs and one d x d block, so it forms
+  only d x d and length-D arrays.
 
 The dense operators in the original coordinates are the references the
 tests compare against, in ``tests/oracles.py``; the dense frame built from
