@@ -135,7 +135,7 @@ class CovarianceModel:
             self._s0_t2 = self.t_eig.contract(self.sigma0_coords / tau**2)
             qk = self.omega / (gamma * lam) ** 2
             self._var_corr = (qk[:, None] + qk[None, :]) * self._s0_t1
-        self._hinv_traces = _hinv_traces(moments)
+        self._tr_e0, self._tr_s0 = _hinv_traces(moments)
 
     # -- internal pieces, all in the rotated (H-eigen) coordinates ---------
 
@@ -280,7 +280,6 @@ class CovarianceModel:
         stable = self.t_positive and self.rho < 1.0
         bias_lead = self.bias_leading(n) if stable else None
         var_lead = self.variance_leading(n) if stable else None
-        sg_bias, sg_var = _small_gamma(self._hinv_traces, gamma, _check_n(n))
         return CovarianceReport(
             gamma=gamma,
             n=int(n),
@@ -294,8 +293,8 @@ class CovarianceModel:
             bias_risk_leading=excess_risk(moments, bias_lead) if stable else None,
             variance_risk_exact=excess_risk(moments, var_exact) if var_exact is not None else None,
             variance_risk_leading=excess_risk(moments, var_lead) if stable else None,
-            small_gamma_bias=sg_bias,
-            small_gamma_variance=sg_var,
+            small_gamma_bias=self._tr_e0 / (gamma**2 * n**2),
+            small_gamma_variance=self._tr_s0 / n,
         )
 
 
@@ -314,7 +313,8 @@ def small_gamma_equivalents(moments: MomentSet, gamma: float, n: int) -> tuple[f
     n = _check_n(n)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _small_gamma(_hinv_traces(moments), gamma, n)
+    tr_e0, tr_s0 = _hinv_traces(moments)
+    return tr_e0 / (gamma**2 * n**2), tr_s0 / n
 
 
 def _hinv_traces(moments: MomentSet) -> tuple[float, float]:
@@ -323,11 +323,6 @@ def _hinv_traces(moments: MomentSet) -> tuple[float, float]:
     hinv_e0 = np.linalg.solve(moments.hmat, moments.e0)
     hinv_s0 = np.linalg.solve(moments.hmat, moments.sigma0)
     return float(np.trace(hinv_e0)), float(np.trace(hinv_s0))
-
-
-def _small_gamma(traces: tuple[float, float], gamma: float, n: int) -> tuple[float, float]:
-    tr_e0, tr_s0 = traces
-    return tr_e0 / (gamma**2 * n**2), tr_s0 / n
 
 
 def excess_risk(moments: MomentSet, delta: np.ndarray) -> float:

@@ -184,10 +184,10 @@ def _resolve_spec(args) -> ProblemSpec:
         spec, _ = ingest(args.data, args.format or "csv-dense", dim=getattr(args, "dim", None))
         return spec
     if getattr(args, "spec", None):
-        stray = [f"--{key}" for key in ("format", "dim") if getattr(args, key, None) is not None]
+        stray = [key for key in ("format", "dim") if getattr(args, key, None) is not None]
         if stray:
-            raise UsageError(f"{' and '.join(stray)} describe a --data file; "
-                             "a --spec descriptor takes neither")
+            raise UsageError(f"--spec takes no {' or '.join(stray)} (given by flag or "
+                             "manifest); those describe a --data file")
         return parse_spec_descriptor(args.spec, seed=args.seed or 0)
     raise UsageError("one of --spec or --data is required")
 

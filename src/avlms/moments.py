@@ -19,12 +19,12 @@ importance resampling; :func:`norm_resampled_moments` and
 optimal schemes on Gaussian designs.
 
 Every producer writes the fourth moment directly in H's eigenbasis (the
-coordinates of u^T A u, H = u diag(l) u^T), where T is read: Gaussian forms
-explicitly (:func:`_gaussian_form`), atoms and Monte Carlo draws as the
-weighted Gram of the rank-one coordinates of the rotated rows ``xs @ u``.
-The three exact Gaussian forms carry a structured
-:class:`~avlms.operators.BlockFrame` built from their scaled P; every other
-MomentSet carries the dense :class:`~avlms.operators.SpectralFrame`.
+coordinates of u^T A u, H = u diag(l) u^T), where T is read, and hands it
+to the MomentSet's frame.  The three exact Gaussian forms give only their
+scaled P to a structured :class:`~avlms.operators.BlockFrame`, which never
+forms a D x D array; atoms and Monte Carlo draws give the D x D weighted
+Gram of the rank-one coordinates of the rotated rows ``xs @ u`` to the
+dense :class:`~avlms.operators.SpectralFrame`.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def _full_rank_eigenpairs(hmat: np.ndarray, kind: str) -> tuple[np.ndarray, np.n
 class MomentSet:
     """All moment objects of an instance, in one immutable bundle.
 
-    ``fourth_moment_eigbasis`` is the D x D matrix of the fourth moment
-    A -> E[(X^T A X) X X^T] in H's eigenbasis: the ``basis`` coordinates of
-    u^T A u, with ``(l, u) = spec.h_eig``.  ``frame`` reads T(gamma): a
-    dense frame from that matrix, or for the Gaussian forms a block frame
-    that never reads it.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
+    ``frame`` holds the fourth moment A -> E[(X^T A X) X X^T] in H's
+    eigenbasis (the ``basis`` coordinates of u^T A u, with
+    ``(l, u) = spec.h_eig``) and reads T(gamma) from it: a dense frame, or
+    for the Gaussian forms a block frame; ``frame.fourth_moment()`` writes
+    it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
     rank-one matrix eta0 eta0^T, both in the original coordinates.
     ``n_samples`` records the draw count when the fourth moment was
     estimated from samples rather than computed exactly.
@@ -237,7 +237,6 @@ class MomentSet:
     dim: int
     basis: SymBasis
     hmat: np.ndarray
-    fourth_moment_eigbasis: np.ndarray
     sigma0: np.ndarray
     e0: np.ndarray
     trace_h: float
@@ -247,29 +246,20 @@ class MomentSet:
     n_samples: int | None = None
 
     def __post_init__(self):
-        for arr in (self.hmat, self.fourth_moment_eigbasis, self.sigma0, self.e0):
+        for arr in (self.hmat, self.sigma0, self.e0):
             arr.setflags(write=False)
 
 
-def _assemble(spec: ProblemSpec, basis: SymBasis, m_eig: np.ndarray, sigma0,
-              n_samples=None, pmat: np.ndarray | None = None) -> MomentSet:
-    """Bundle a fourth moment, written in H's eigenbasis, with the spec's
-    own H, its eigenpairs and the start matrix.
-
-    ``pmat``, given when ``m_eig`` is ``_gaussian_form(basis, pmat)``,
-    selects the block frame over the dense one.
-    """
+def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
+              n_samples=None) -> MomentSet:
+    """Bundle the frame of a fourth moment with the spec's own H and the
+    start matrix."""
     hmat = spec.hmat
-    lam, u = spec.h_eig
-    if pmat is None:
-        frame = SpectralFrame(basis, lam, u, m_eig)
-    else:
-        frame = BlockFrame(basis, lam, u, pmat)
+    lam = frame.lam
     return MomentSet(
         dim=spec.dim,
-        basis=basis,
+        basis=frame.basis,
         hmat=hmat,
-        fourth_moment_eigbasis=m_eig,
         sigma0=0.5 * (sigma0 + sigma0.T),
         e0=np.outer(spec.eta0, spec.eta0),
         trace_h=float(np.trace(hmat)),
@@ -280,26 +270,10 @@ def _assemble(spec: ProblemSpec, basis: SymBasis, m_eig: np.ndarray, sigma0,
     )
 
 
-def _gaussian_form(basis: SymBasis, pmat: np.ndarray) -> np.ndarray:
-    """The map A -> 2 P o A + diag(P diag(A)) in H-eigen coordinates: the
-    scalar 2 P_ab on each coordinate (a, b), plus P on the d x d block of
-    diagonal coordinates.
-
-    With P = l l^T it is the Gaussian fourth moment 2 H A H + Tr(A H) H;
-    the resampled Gaussian moments are multiples of it for other P.
-    """
-    rows, cols = basis.pairs
-    m = np.diag(2.0 * pmat[rows, cols])
-    m[: basis.dim, : basis.dim] += pmat
-    return m
-
-
 def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0) -> MomentSet:
-    """The MomentSet whose fourth moment is ``scale * _gaussian_form(basis, pmat)``,
-    read by the block frame of the scaled P."""
-    basis = SymBasis(spec.dim)
-    return _assemble(spec, basis, scale * _gaussian_form(basis, pmat), sigma0,
-                     pmat=scale * pmat)
+    """The MomentSet whose fourth moment is ``scale`` times the Gaussian form
+    of ``pmat`` (:class:`~avlms.operators.BlockFrame`)."""
+    return _assemble(spec, BlockFrame(SymBasis(spec.dim), *spec.h_eig, scale * pmat), sigma0)
 
 
 def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
@@ -326,10 +300,11 @@ def atom_coords(spec: ProblemSpec) -> np.ndarray | None:
 def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> MomentSet:
     """Exact moments of a specification.
 
-    Gaussian designs use the closed-form fourth moment (:func:`_gaussian_form`
-    with P = l l^T), and their noise covariance factorizes to sigma^2 H;
-    discrete designs use exact probability-weighted atom averages (over
-    ``coords``, the spec's :func:`atom_coords`, when given).
+    Gaussian designs use the closed-form fourth moment (the Gaussian form
+    of :class:`~avlms.operators.BlockFrame` with P = l l^T), and their noise
+    covariance factorizes to sigma^2 H; discrete designs use exact
+    probability-weighted atom averages (over ``coords``, the spec's
+    :func:`atom_coords`, when given).
     """
     if isinstance(spec.design, DiscreteDesign):
         return _atom_moments(spec, spec.design.probs, coords)
@@ -347,7 +322,8 @@ def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
     basis = SymBasis(spec.dim)
     fourth = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis, weights=wts,
                                                  coords=coords)
-    return _assemble(spec, basis, fourth, (xs * (wts * eps2)[:, None]).T @ xs)
+    frame = SpectralFrame(basis, *spec.h_eig, fourth)
+    return _assemble(spec, frame, (xs * (wts * eps2)[:, None]).T @ xs)
 
 
 def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
@@ -426,7 +402,8 @@ def reweighted_moments(
         raise SchemeError(f"c_inverse has sample mean {mean!r}, not 1")
     m4 /= mc_samples
     sigma0 = spec.noise.sigma**2 * cxx / mc_samples
-    return _assemble(spec, basis, 0.5 * (m4 + m4.T), sigma0, n_samples=mc_samples)
+    frame = SpectralFrame(basis, *spec.h_eig, 0.5 * (m4 + m4.T))
+    return _assemble(spec, frame, sigma0, n_samples=mc_samples)
 
 
 def _gaussian_draws(h_eig, n: int, seed: int):
@@ -490,7 +467,7 @@ def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
         Sigma0'  = sigma^2 Tr(H) u diag(g) u^T,
 
     with G = int w h h^T ds and g = int w h ds (A in the eigenbasis), so
-    M' is Tr(H) times :func:`_gaussian_form` with P = G.  Every resampled
+    M' is Tr(H) times the Gaussian form with P = G.  Every resampled
     draw has ||X||^2 = Tr(H), so gamma_max is 2/Tr(H).
     """
     cov = _gaussian_cov(spec, "norm-resampled")

@@ -18,10 +18,11 @@ Two frames share one interface (``pencil_top``, ``t_eigenpairs``,
   splits into D - d scalar eigenpairs and one d x d block, so it forms
   only d x d and length-D arrays.
 
-The dense operators in the original coordinates are the references the
-tests compare against, in ``tests/oracles.py``; the dense frame built from
-a Gaussian MomentSet's ``fourth_moment_eigbasis`` is the oracle of the
-block frame.
+Each frame also writes its fourth moment out as a D x D matrix on
+request (``fourth_moment``); nothing in the library reads it, and the
+dense frame built from a block frame's matrix is the oracle of the block
+frame.  The dense operators in the original coordinates are the
+references the tests compare against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -198,7 +199,12 @@ class SpectralFrame:
         self.basis = basis
         self.lam, self.u = lam, u
         self.bdiag = lam[rows] + lam[cols]
+        m_eig.setflags(write=False)
         self.m_eig = m_eig
+
+    def fourth_moment(self) -> np.ndarray:
+        """The D x D matrix of the fourth moment, as given."""
+        return self.m_eig
 
     def pencil_top(self) -> float:
         """Top eigenvalue of the pencil (M, H_L + H_R): that of the standard
@@ -282,11 +288,14 @@ class BlockFrame:
     """T(gamma) of a Gaussian-form fourth moment, solved without any D x D array.
 
     The fourth moment is A -> 2 P o A + diag(P diag(A)) in H-eigen
-    coordinates (``moments._gaussian_form``), with ``pmat`` the scaled P.
-    Its matrix is diagonal on the D - d pair coordinates a < b, each an
-    exact eigenvector of T(gamma) with eigenvalue l_a + l_b - 2 gamma P_ab,
-    and one d x d block on the diagonal coordinates,
-    diag(2 l) - gamma (P + 2 diag(diag P)).  So each step-size costs one
+    coordinates, with ``pmat`` the scaled P: with P = l l^T it is the
+    Gaussian fourth moment 2 H A H + Tr(A H) H, and the resampled Gaussian
+    moments are multiples of it for other P.  Its matrix is diagonal on
+    the D - d pair coordinates a < b, with the scalar 2 P_ab, and holds
+    one d x d block P + 2 diag(diag P) on the diagonal coordinates.  So
+    each pair is an exact eigenvector of T(gamma) with eigenvalue
+    l_a + l_b - 2 gamma P_ab, the block of T(gamma) is
+    diag(2 l) - gamma (P + 2 diag(diag P)), and each step-size costs one
     order-d eigensolve and O(D) scalars.  ``lam``, ``u`` and ``bdiag`` are
     those of :class:`SpectralFrame`.
     """
@@ -299,6 +308,15 @@ class BlockFrame:
         self.bdiag = lam[rows] + lam[cols]
         self._block_m = pmat + np.diag(2.0 * np.diag(pmat))
         self._pair_m = 2.0 * pmat[rows[d:], cols[d:]]
+
+    def fourth_moment(self) -> np.ndarray:
+        """The D x D matrix of the fourth moment, built afresh: the block on
+        the diagonal coordinates, the pair scalars on the rest of the
+        diagonal.  O(D^2) memory; the frame itself never forms it."""
+        d = self.basis.dim
+        m = np.diag(np.concatenate([np.zeros(d), self._pair_m]))
+        m[:d, :d] = self._block_m
+        return m
 
     def pencil_top(self) -> float:
         """Top eigenvalue of the pencil (M, H_L + H_R): the larger of the top

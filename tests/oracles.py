@@ -130,14 +130,14 @@ def to_eigbasis(op: SymOperator, u: np.ndarray) -> np.ndarray:
 def original_fourth_moment(moments) -> SymOperator:
     """A MomentSet's fourth moment rotated back to the original coordinates."""
     rmat = eigbasis_rotation(moments.basis, moments.frame.u)
-    return SymOperator(moments.basis, rmat.T @ moments.fourth_moment_eigbasis @ rmat)
+    return SymOperator(moments.basis, rmat.T @ moments.frame.fourth_moment() @ rmat)
 
 
 def dense_frame(moments) -> SpectralFrame:
-    """The dense frame of a MomentSet's ``fourth_moment_eigbasis``: the
-    oracle of the block frame the Gaussian forms carry."""
+    """The dense frame of the D x D matrix of a MomentSet's fourth moment:
+    the oracle of the block frame the Gaussian forms carry."""
     frame = moments.frame
-    return SpectralFrame(moments.basis, frame.lam, frame.u, moments.fourth_moment_eigbasis)
+    return SpectralFrame(moments.basis, frame.lam, frame.u, frame.fourth_moment())
 
 
 def with_dense_frame(moments):

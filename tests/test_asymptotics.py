@@ -179,7 +179,7 @@ GAUSSIAN_FORMS = {"plain": compute_moments, "leverage": leverage_resampled_momen
 @pytest.mark.parametrize("name,spec", BLOCK_SPECS, ids=[n for n, _ in BLOCK_SPECS])
 class TestBlockFrame:
     """The block frame of every Gaussian form against the dense frame of
-    the same ``fourth_moment_eigbasis``."""
+    the same fourth moment, written out by ``frame.fourth_moment()``."""
 
     def test_spectra_and_threshold_match_dense_frame(self, name, spec, form):
         m = GAUSSIAN_FORMS[form](spec)

@@ -466,6 +466,7 @@ class TestExitCodes:
         ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
         ("gamma = 0.1, x", []), ("mode = bogus", ["--gamma", "0.1"]),
         ("format = bogus", ["--gamma", "0.1"]), ("scheme = uniform, bogus", ["--gamma", "0.1"]),
+        ("format = csv", ["--gamma", "0.1"]), ("dim = 2", ["--gamma", "0.1"]),
     ])
     def test_malformed_manifest_number_is_usage(self, line, flags, tmp_path, capsys):
         manifest = tmp_path / "m.cfg"

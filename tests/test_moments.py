@@ -72,7 +72,7 @@ class TestComputeMoments:
     def test_scalar_unit_atom(self):
         m = compute_moments(ProblemSpec.discrete(np.array([[1.0]]), sigma=1.0))
         np.testing.assert_allclose(m.hmat, [[1.0]])
-        np.testing.assert_allclose(m.fourth_moment_eigbasis, [[1.0]])
+        np.testing.assert_allclose(m.frame.fourth_moment(), [[1.0]])
         np.testing.assert_allclose(m.sigma0, [[1.0]])
 
     def test_inverse_index_spectrum(self):
@@ -154,7 +154,7 @@ class TestReweightedMoments:
         base = compute_moments(spec)
         rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
-        np.testing.assert_allclose(rw.fourth_moment_eigbasis, base.fourth_moment_eigbasis,
+        np.testing.assert_allclose(rw.frame.fourth_moment(), base.frame.fourth_moment(),
                                    atol=1e-14)
         np.testing.assert_allclose(rw.sigma0, base.sigma0, atol=1e-14)
 
@@ -169,7 +169,7 @@ class TestReweightedMoments:
 
         rw = reweighted_moments(spec, c_inverse)
         np.testing.assert_allclose(rw.hmat, [[2.5]], atol=1e-14)
-        np.testing.assert_allclose(rw.fourth_moment_eigbasis, [[6.25]], atol=1e-12)
+        np.testing.assert_allclose(rw.frame.fourth_moment(), [[6.25]], atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -239,7 +239,7 @@ class TestReweightedMoments:
         cinv = cinv / (spec.design.probs @ cinv)
         rw = reweighted_moments(spec, lambda x, y, _v=cinv: _v)
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
-        assert np.isfinite(rw.fourth_moment_eigbasis).all()
+        assert np.isfinite(rw.frame.fourth_moment()).all()
 
 
 def _unchunked_reweighted(spec, c_inverse, mc_samples, seed):
@@ -276,7 +276,7 @@ class TestChunkedMonteCarlo:
         rw = reweighted_moments(spec, c_inverse, mc_samples=n, seed=11)
         m4, sigma0 = _unchunked_reweighted(spec, c_inverse, n, 11)
         assert rw.n_samples == n
-        np.testing.assert_allclose(rw.fourth_moment_eigbasis, m4, rtol=1e-12,
+        np.testing.assert_allclose(rw.frame.fourth_moment(), m4, rtol=1e-12,
                                    atol=1e-12 * np.abs(m4).max())
         np.testing.assert_allclose(rw.sigma0, sigma0, rtol=1e-12,
                                    atol=1e-12 * np.abs(sigma0).max())
@@ -328,7 +328,7 @@ class TestGaussianResampledClosedForms:
                     ),
                     basis,
                 )
-                np.testing.assert_allclose(m.fourth_moment_eigbasis, want.matrix,
+                np.testing.assert_allclose(m.frame.fourth_moment(), want.matrix,
                                            rtol=1e-14, atol=1e-14 * scale**2)
                 np.testing.assert_allclose(m.sigma0, 0.64 * scale * np.eye(d),
                                            rtol=1e-14, atol=1e-15)
@@ -337,7 +337,7 @@ class TestGaussianResampledClosedForms:
         """d=1: every resampled draw is +-sqrt(l), so M'(a) = l^2 a."""
         for l in (1e-3, 0.7, 1.0, 40.0):
             m = norm_resampled_moments(ProblemSpec.gaussian([[l]], sigma=2.0))
-            np.testing.assert_allclose(m.fourth_moment_eigbasis, [[l**2]], rtol=1e-14)
+            np.testing.assert_allclose(m.frame.fourth_moment(), [[l**2]], rtol=1e-14)
             np.testing.assert_allclose(m.sigma0, [[4.0 * l]], rtol=1e-14)
 
     def test_second_moments_unchanged(self):
@@ -363,9 +363,9 @@ class TestGaussianResampledClosedForms:
         n = 200_000
         rw = reweighted_moments(spec, scheme.c_inverse, mc_samples=n, seed=5)
         mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, scheme.c_inverse, n, 5)
-        np.testing.assert_allclose(rw.fourth_moment_eigbasis, mean4, rtol=1e-10,
+        np.testing.assert_allclose(rw.frame.fourth_moment(), mean4, rtol=1e-10,
                                    atol=1e-12 * np.abs(mean4).max())
-        assert np.all(np.abs(rw.fourth_moment_eigbasis - exact.fourth_moment_eigbasis)
+        assert np.all(np.abs(rw.frame.fourth_moment() - exact.frame.fourth_moment())
                       <= 5.0 * se4)
         noise = spec.noise.sigma**2
         assert np.all(np.abs(rw.sigma0 - exact.sigma0) <= 5.0 * noise * se2)
@@ -449,7 +449,7 @@ class TestEigenbasisProducers:
         moments, oracle = producer(spec)
         _, u = np.linalg.eigh(spec.hmat)
         want = to_eigbasis(oracle, u)
-        err = np.abs(moments.fourth_moment_eigbasis - want).max()
+        err = np.abs(moments.frame.fourth_moment() - want).max()
         assert err <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [1, 3, 6])
@@ -523,7 +523,7 @@ class TestSpecSecondMoment:
             spec = make_discrete(3, 8, 64, residual=residual)
             base = compute_moments(spec)
             rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
-            np.testing.assert_array_equal(rw.fourth_moment_eigbasis, base.fourth_moment_eigbasis)
+            np.testing.assert_array_equal(rw.frame.fourth_moment(), base.frame.fourth_moment())
             np.testing.assert_array_equal(rw.sigma0, base.sigma0)
         assert len(calls) == 4
 

@@ -221,7 +221,7 @@ class TestGains:
         spec = make_discrete(2, 5, 1700, residual=False)
         rw = reweighted_moments(spec, uniform_scheme().c_inverse)
         base = compute_moments(spec)
-        np.testing.assert_allclose(rw.fourth_moment_eigbasis, base.fourth_moment_eigbasis,
+        np.testing.assert_allclose(rw.frame.fourth_moment(), base.frame.fourth_moment(),
                                    atol=1e-13)
 
 
