@@ -14,17 +14,19 @@ computed and rank-checked once per spec; every ``MomentSet`` of the spec
 holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`reweighted_moments` gives the same objects after
-importance resampling; :func:`norm_resampled_moments` and
-:func:`leverage_resampled_moments` are its exact closed forms for the two
-optimal schemes on Gaussian designs.
+importance resampling of a discrete design.  Gaussian resampled moments
+are exact or refused: :func:`norm_resampled_moments` and
+:func:`leverage_resampled_moments` are the closed forms of the two optimal
+schemes, and any other density ratio on a Gaussian design raises
+SchemeError (draw rows and build ``ProblemSpec.discrete`` instead).
 
 Every producer writes the fourth moment directly in H's eigenbasis (the
 coordinates of u^T A u, H = u diag(l) u^T), where T is read, and hands it
 to the MomentSet's frame.  The three exact Gaussian forms give only their
 scaled P to a structured :class:`~avlms.operators.BlockFrame`, which never
-forms a D x D array; atoms and Monte Carlo draws give the D x D weighted
-Gram of the rank-one coordinates of the rotated rows ``xs @ u`` to the
-dense :class:`~avlms.operators.SpectralFrame`.
+forms a D x D array; atoms give the D x D weighted Gram of the rank-one
+coordinates of the rotated rows ``xs @ u`` to the dense
+:class:`~avlms.operators.SpectralFrame`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .operators import (
 
 RANK_TOL = 1e-10  # smallest eigenvalue of H below this times trace -> rank deficient
 
-# Rows per Monte Carlo chunk: sampled estimates hold O(MC_CHUNK x D) memory.
-MC_CHUNK = 4096
 
 # Trapezoid rule in x = log s for the norm-resampling integrals: the
 # integrands are analytic in the strip |Im x| < pi, so the rule's error is
@@ -230,8 +230,8 @@ class MomentSet:
     for the Gaussian forms a block frame; ``frame.fourth_moment()`` writes
     it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
     rank-one matrix eta0 eta0^T, both in the original coordinates.
-    ``n_samples`` records the draw count when the fourth moment was
-    estimated from samples rather than computed exactly.
+    Every fourth moment is exact, so ``n_samples`` is always None; the
+    field is kept only for the benchmark's span hook (``bench/spans.py``).
     """
 
     dim: int
@@ -250,8 +250,7 @@ class MomentSet:
             arr.setflags(write=False)
 
 
-def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
-              n_samples=None) -> MomentSet:
+def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0) -> MomentSet:
     """Bundle the frame of a fourth moment with the spec's own H and the
     start matrix."""
     hmat = spec.hmat
@@ -266,7 +265,6 @@ def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
         mu=float(lam[0]),
         lmax=float(lam[-1]),
         frame=frame,
-        n_samples=n_samples,
     )
 
 
@@ -348,11 +346,9 @@ def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
     return cinv
 
 
-def reweighted_moments(
-    spec: ProblemSpec, c_inverse, mc_samples: int = 200_000, seed: int = 0,
-    coords: np.ndarray | None = None,
-) -> MomentSet:
-    """Moments of the importance-resampled instance.
+def reweighted_moments(spec: ProblemSpec, c_inverse,
+                       coords: np.ndarray | None = None) -> MomentSet:
+    """Moments of the importance-resampled instance of a discrete spec.
 
     Resampling with density ratio c^{-1} = dq/dp and rescaling samples by
     sqrt(c) leaves every second-order moment (H in particular, and the
@@ -360,63 +356,24 @@ def reweighted_moments(
     factor c = 1/c_inverse per atom: the fourth-moment operator becomes
     E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
 
-    Exact for discrete designs: :func:`compute_moments`' atom average with
-    weights ``probs * c`` (over ``coords``, the spec's :func:`atom_coords`,
-    when given).  On Gaussian designs an arbitrary
-    ``c_inverse`` is estimated from ``mc_samples`` seeded draws (recorded
-    in the result's ``n_samples``), streamed in chunks of ``MC_CHUNK`` rows
-    so that memory stays O(MC_CHUNK x D); the two optimal schemes have
-    exact forms instead, :func:`norm_resampled_moments` and
-    :func:`leverage_resampled_moments`.
+    Exact: :func:`compute_moments`' atom average with weights ``probs * c``
+    (over ``coords``, the spec's :func:`atom_coords`, when given).  A
+    Gaussian spec raises SchemeError: its resampled moments are exact only
+    in the closed forms (:func:`compute_moments`,
+    :func:`norm_resampled_moments`, :func:`leverage_resampled_moments`).
     """
     design = spec.design
-    if isinstance(design, DiscreteDesign):
-        cinv = _atom_c_inverse(spec, c_inverse)
-        xs, probs = design.xs, design.probs
-        live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
-        c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
-        return _atom_moments(spec, probs * c, coords)
-    # Gaussian design: atomize by Monte Carlo, one chunk of draws at a time.
-    if mc_samples < 2:
-        raise ValueError("the Monte Carlo estimate needs at least 2 draws")
-    basis = SymBasis(spec.dim)
-    rot = spec.h_eig[1]
-    m4 = np.zeros((basis.size, basis.size))
-    cxx = np.zeros((spec.dim, spec.dim))
-    sum1 = sum2 = 0.0
-    for xs in _gaussian_draws(spec.h_eig, mc_samples, seed):
-        cinv = np.asarray(c_inverse(xs, xs @ spec.w_star), dtype=float).reshape(-1)
-        if cinv.min() <= 0:
-            raise SchemeError(
-                "c_inverse must stay positive on Gaussian draws (X != 0 almost surely)"
-            )
-        sum1 += float(cinv.sum())
-        sum2 += float(cinv @ cinv)
-        c = 1.0 / cinv
-        u = _rank_one_coords(xs @ rot, basis)
-        m4 += (u * c[:, None]).T @ u
-        cxx += (xs * c[:, None]).T @ xs
-    mean = sum1 / mc_samples
-    se = math.sqrt(max(sum2 - sum1 * mean, 0.0) / (mc_samples - 1) / mc_samples)
-    if abs(mean - 1.0) > max(4.0 * se, 1e-6):
-        raise SchemeError(f"c_inverse has sample mean {mean!r}, not 1")
-    m4 /= mc_samples
-    sigma0 = spec.noise.sigma**2 * cxx / mc_samples
-    frame = SpectralFrame(basis, *spec.h_eig, 0.5 * (m4 + m4.T))
-    return _assemble(spec, frame, sigma0, n_samples=mc_samples)
-
-
-def _gaussian_draws(h_eig, n: int, seed: int):
-    """Seeded draws of N(0, H), H with eigenpairs ``h_eig``, yielded in
-    blocks of at most MC_CHUNK rows.
-
-    The blocks concatenate to the rows of one ``(n, d)`` draw from the same
-    generator, so the sample does not depend on the chunk size.
-    """
-    rng = np.random.default_rng(seed)
-    root_t = _sqrt_psd(*h_eig).T
-    for start in range(0, n, MC_CHUNK):
-        yield rng.standard_normal((min(MC_CHUNK, n - start), root_t.shape[0])) @ root_t
+    if not isinstance(design, DiscreteDesign):
+        raise SchemeError(
+            "a Gaussian spec has exact resampled moments only in closed form "
+            "(compute_moments, norm_resampled_moments, leverage_resampled_moments); "
+            "for any other density ratio, draw rows and build ProblemSpec.discrete"
+        )
+    cinv = _atom_c_inverse(spec, c_inverse)
+    xs, probs = design.xs, design.probs
+    live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
+    c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
+    return _atom_moments(spec, probs * c, coords)
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ Two frames share one interface (``pencil_top``, ``t_eigenpairs``,
 ``t_eigenvalues``):
 
 * :class:`SpectralFrame` holds M as a dense D x D matrix and solves
-  T(gamma) with one D x D eigensolve; atom sets and sampled estimates
-  use it;
+  T(gamma) with one D x D eigensolve; atom sets use it, plain or
+  resampled (Gaussian resampled moments are exact or refused, so no
+  sampled estimate reaches a frame);
 * :class:`BlockFrame` uses the structure of the Gaussian forms, where T
   splits into D - d scalar eigenpairs and one d x d block, so it forms
   only d x d and length-D arrays.

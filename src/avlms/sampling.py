@@ -145,16 +145,18 @@ def _gaussian_closed_form(spec: ProblemSpec, form) -> Callable[[], MomentSet] | 
     return None
 
 
-def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme, **kwargs) -> MomentSet:
+def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme,
+                      coords: np.ndarray | None = None) -> MomentSet:
     """Moments of the instance after resampling by a scheme.
 
     The scheme's closed form when it has one, otherwise
-    :func:`~avlms.moments.reweighted_moments` of its ratio (``kwargs`` go
-    to the latter's Monte Carlo fallback).
+    :func:`~avlms.moments.reweighted_moments` of its ratio, which is exact
+    on discrete specs (over ``coords`` when given) and refuses Gaussian
+    ones with SchemeError: Gaussian resampled moments are exact or refused.
     """
     if scheme.exact_moments is not None:
         return scheme.exact_moments()
-    return reweighted_moments(spec, scheme.c_inverse, **kwargs)
+    return reweighted_moments(spec, scheme.c_inverse, coords)
 
 
 def _mean_squared_norm(spec: ProblemSpec) -> float:
@@ -188,8 +190,8 @@ def bias_gain(gamma_before: float, gamma_after: float) -> float:
     return (gamma_before / gamma_after) ** 2
 
 
-def resampled_gamma_max(spec: ProblemSpec, scheme: SamplingScheme, **kwargs) -> float:
+def resampled_gamma_max(spec: ProblemSpec, scheme: SamplingScheme) -> float:
     """Stability threshold of the instance after resampling by a scheme."""
     from .stepsize import gamma_max
 
-    return gamma_max(resampled_moments(spec, scheme, **kwargs))
+    return gamma_max(resampled_moments(spec, scheme))

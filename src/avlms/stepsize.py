@@ -135,8 +135,7 @@ class StepSizeReport:
     """Step-size thresholds of an instance and the smallest eigenvalue of T.
 
     The invariants gamma_max <= 2/Tr(H) <= gamma_max_det hold for every
-    distribution; ``sample_count`` carries through the draw count when the
-    fourth moment was estimated rather than exact.
+    distribution.
     """
 
     moments: MomentSet
@@ -144,7 +143,6 @@ class StepSizeReport:
     gamma_max_det: float
     trace_bound: float
     mu: float
-    sample_count: int | None = None
 
     def mu_t(self, gamma: float) -> float:
         return smallest_t_eigenvalue(self.moments, gamma)
@@ -157,5 +155,4 @@ def step_size_report(moments: MomentSet) -> StepSizeReport:
         gamma_max_det=gamma_max_det(moments),
         trace_bound=trace_step_bound(moments),
         mu=moments.mu,
-        sample_count=moments.n_samples,
     )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from avlms import (
     ProblemSpec,
+    SchemeError,
     SpecError,
     check_cross_term_condition,
     compute_moments,
@@ -19,7 +20,7 @@ from avlms import (
     reweighted_moments,
     uniform_scheme,
 )
-from avlms.moments import MC_CHUNK, _chi_mean, _norm_resampling_integrals, _sqrt_psd
+from avlms.moments import _chi_mean, _norm_resampling_integrals, _sqrt_psd
 from avlms.operators import SymBasis, _rank_one_coords
 from conftest import make_discrete, make_empirical, make_gaussian
 from oracles import (
@@ -212,22 +213,20 @@ class TestReweightedMoments:
         with pytest.raises(ValueError, match="expectation"):
             reweighted_moments(spec, lambda x, y: np.full(len(x), 0.7))
 
-    def test_gaussian_backend_is_sampled(self):
-        spec = ProblemSpec.gaussian(np.eye(2), sigma=1.0)
-        rw = reweighted_moments(
-            spec, lambda x, y: np.einsum("ti,ti->t", x, x) / 2.0, mc_samples=20_000, seed=3
-        )
-        assert rw.n_samples == 20_000
-        np.testing.assert_allclose(rw.hmat, np.eye(2), atol=1e-14)
-
-    def test_sample_count_flows_into_step_size_report(self):
-        from avlms import step_size_report
-
-        spec = ProblemSpec.gaussian(np.eye(2), sigma=1.0)
-        rw = reweighted_moments(
-            spec, lambda x, y: np.einsum("ti,ti->t", x, x) / 2.0, mc_samples=10_000, seed=1
-        )
-        assert step_size_report(rw).sample_count == 10_000
+    def test_gaussian_spec_is_refused(self):
+        """Gaussian resampled moments are exact or refused: an arbitrary ratio,
+        directly or through a scheme without a closed form, raises and names
+        the exact forms and the way out."""
+        spec = make_gaussian(3, 0.6, 47)
+        ratio = _ratio(spec)
+        calls = [lambda: reweighted_moments(spec, ratio),
+                 lambda: resampled_moments(spec, uniform_scheme())]
+        for call in calls:
+            with pytest.raises(SchemeError, match="ProblemSpec.discrete") as info:
+                call()
+            for name in ("compute_moments", "norm_resampled_moments",
+                         "leverage_resampled_moments"):
+                assert name in str(info.value)
 
     def test_zero_atom_is_tolerated_and_excluded_from_proposals(self):
         """Atoms at the origin never trigger an update; the ratio may vanish
@@ -240,61 +239,6 @@ class TestReweightedMoments:
         rw = reweighted_moments(spec, lambda x, y, _v=cinv: _v)
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
         assert np.isfinite(rw.frame.fourth_moment()).all()
-
-
-def _unchunked_reweighted(spec, c_inverse, mc_samples, seed):
-    """The Monte Carlo estimate of reweighted_moments from one (n, d) draw,
-    its fourth moment in H's eigenbasis."""
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((mc_samples, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
-    c = 1.0 / c_inverse(xs, xs @ spec.w_star)
-    u = _rank_one_coords(xs @ spec.h_eig[1], SymBasis(spec.dim))
-    m4 = (u * (c / mc_samples)[:, None]).T @ u
-    sigma0 = spec.noise.sigma**2 * np.einsum("t,ti,tj->ij", c / mc_samples, xs, xs)
-    return 0.5 * (m4 + m4.T), sigma0
-
-
-class TestChunkedMonteCarlo:
-    @staticmethod
-    def _spec_and_ratio(d):
-        rg = np.random.default_rng(40 + d)
-        a = rg.standard_normal((d, d))
-        cov = a @ a.T / d + 0.3 * np.eye(d)
-        spec = ProblemSpec.gaussian(cov, w_star=rg.standard_normal(d), sigma=0.7)
-        trace = float(np.trace(cov))
-
-        def c_inverse(xs, ys):
-            return (0.5 + np.einsum("ti,ti->t", xs, xs) / trace) / 1.5
-
-        return spec, c_inverse
-
-    def test_matches_single_draw_estimate(self):
-        """Streaming several chunks (the last one partial) reproduces the
-        single-array estimate to 1e-12 relative and keeps the draw count."""
-        spec, c_inverse = self._spec_and_ratio(4)
-        n = 2 * MC_CHUNK + 777
-        rw = reweighted_moments(spec, c_inverse, mc_samples=n, seed=11)
-        m4, sigma0 = _unchunked_reweighted(spec, c_inverse, n, 11)
-        assert rw.n_samples == n
-        np.testing.assert_allclose(rw.frame.fourth_moment(), m4, rtol=1e-12,
-                                   atol=1e-12 * np.abs(m4).max())
-        np.testing.assert_allclose(rw.sigma0, sigma0, rtol=1e-12,
-                                   atol=1e-12 * np.abs(sigma0).max())
-
-    def test_peak_memory_is_bounded_by_the_chunk(self):
-        """200k draws at d=6: the traced peak stays below a tenth of the
-        (draws x D) coordinate array a single-draw estimate would hold."""
-        import tracemalloc
-
-        spec, c_inverse = self._spec_and_ratio(6)
-        n = 200_000
-        tracemalloc.start()
-        try:
-            reweighted_moments(spec, c_inverse, mc_samples=n, seed=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * n * SymBasis(6).size * 8
 
 
 def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
@@ -354,21 +298,17 @@ class TestGaussianResampledClosedForms:
     @pytest.mark.parametrize("make_scheme", [optimal_bias_scheme, optimal_variance_scheme])
     def test_agrees_with_monte_carlo(self, make_scheme):
         """At d=4 on a rotated H, the closed form lies within 5 standard errors
-        of the Monte Carlo path on every operator and noise entry."""
+        of a seeded Monte Carlo estimate on every operator and noise entry."""
         from conftest import make_gaussian
 
         spec = make_gaussian(4, 0.9, 46)
         scheme = make_scheme(spec)
         exact = scheme.exact_moments()
         n = 200_000
-        rw = reweighted_moments(spec, scheme.c_inverse, mc_samples=n, seed=5)
         mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, scheme.c_inverse, n, 5)
-        np.testing.assert_allclose(rw.frame.fourth_moment(), mean4, rtol=1e-10,
-                                   atol=1e-12 * np.abs(mean4).max())
-        assert np.all(np.abs(rw.frame.fourth_moment() - exact.frame.fourth_moment())
-                      <= 5.0 * se4)
+        assert np.all(np.abs(mean4 - exact.frame.fourth_moment()) <= 5.0 * se4)
         noise = spec.noise.sigma**2
-        assert np.all(np.abs(rw.sigma0 - exact.sigma0) <= 5.0 * noise * se2)
+        assert np.all(np.abs(noise * mean2 - exact.sigma0) <= 5.0 * noise * se2)
 
     def test_needs_a_gaussian_design(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
@@ -415,15 +355,6 @@ def _norm_producer(spec):
     return norm_resampled_moments(spec), _norm_resampled_dense(spec)
 
 
-def _monte_carlo_producer(spec):
-    n, seed, ratio = MC_CHUNK + 500, 9, _ratio(spec)
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
-    c = 1.0 / ratio(xs, xs @ spec.w_star)
-    rw = reweighted_moments(spec, ratio, mc_samples=n, seed=seed)
-    return rw, samples_fourth_moment(xs, c / n)
-
-
 def _atoms_producer(spec):
     return compute_moments(spec), samples_fourth_moment(spec.design.xs, spec.design.probs)
 
@@ -434,8 +365,7 @@ def _reweighted_atoms_producer(spec):
     return reweighted_moments(spec, ratio), samples_fourth_moment(xs, probs * c)
 
 
-GAUSSIAN_PRODUCERS = [_gaussian_producer, _leverage_producer, _norm_producer,
-                      _monte_carlo_producer]
+GAUSSIAN_PRODUCERS = [_gaussian_producer, _leverage_producer, _norm_producer]
 ATOM_PRODUCERS = [_atoms_producer, _reweighted_atoms_producer]
 
 
@@ -488,16 +418,19 @@ class TestSpecSecondMoment:
 
         for spec in self.specs():
             assert compute_moments(spec).hmat is spec.hmat
-            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)), mc_samples=1000)
+        atom_specs = [s for s in self.specs() if s.kind != "gaussian"]
+        for spec in atom_specs:
+            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
             assert rw.hmat is spec.hmat
         gauss = make_gaussian(3, 0.8, 63)
         for form in (norm_resampled_moments, leverage_resampled_moments):
             assert form(gauss).hmat is gauss.hmat
         for spec in self.specs():
-            for make in (lambda s: uniform_scheme(), optimal_bias_scheme,
-                         optimal_variance_scheme):
-                m = resampled_moments(spec, make(spec), mc_samples=1000)
-                assert m.hmat is spec.hmat
+            makes = [optimal_bias_scheme, optimal_variance_scheme]
+            if spec.kind != "gaussian":
+                makes.append(lambda s: uniform_scheme())
+            for make in makes:
+                assert resampled_moments(spec, make(spec)).hmat is spec.hmat
 
     def test_rank_deficient_independent_noise_rejected_at_construction(self):
         xs = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])

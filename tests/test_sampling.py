@@ -18,7 +18,7 @@ from avlms import (
     uniform_scheme,
     variance_gain,
 )
-from avlms.moments import MC_CHUNK, _chi_mean, _sqrt_psd
+from avlms.moments import _chi_mean, _sqrt_psd
 from conftest import make_discrete
 
 
@@ -178,15 +178,15 @@ class TestGains:
     def test_gaussian_variance_gain_matches_draws(self):
         """d=25 on a rotated H with spectrum 1/i: E||X|| from the gain lies
         within 5 standard errors of a seeded 200k-draw sample mean."""
-        d, n = 25, 200_000
+        d, n, chunk = 25, 200_000, 4096
         rg = np.random.default_rng(12)
         q, _ = np.linalg.qr(rg.standard_normal((d, d)))
         cov = (q / np.arange(1, d + 1)) @ q.T
         spec = ProblemSpec.gaussian(0.5 * (cov + cov.T), sigma=1.0)
         root_t = _sqrt_psd(*spec.h_eig).T
         norms = np.concatenate([
-            np.linalg.norm(rg.standard_normal((MC_CHUNK, d)) @ root_t, axis=1)
-            for _ in range(n // MC_CHUNK + 1)
+            np.linalg.norm(rg.standard_normal((chunk, d)) @ root_t, axis=1)
+            for _ in range(n // chunk + 1)
         ])[:n]
         mean_norm = np.sqrt(variance_gain(spec) * np.trace(spec.design.cov))
         assert abs(norms.mean() - mean_norm) <= 5.0 * norms.std(ddof=1) / np.sqrt(n)
