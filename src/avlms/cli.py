@@ -269,7 +269,7 @@ def cmd_gamma_max(args) -> int:
             report.gamma_max_det,
             report.trace_bound,
             report.mu,
-            report.mu_t(g_max / 2.0) if np.isfinite(g_max) else None,
+            report.mu_t(g_max / 2.0),
         ])
         # Free this scheme's moments and spectral frame before the next is built.
         del report

@@ -27,7 +27,6 @@ readers here and by :class:`~avlms.asymptotics.CovarianceModel`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +56,17 @@ def gamma_max(moments: MomentSet) -> float:
     """Supremum of step-sizes keeping T(gamma) positive definite.
 
     The threshold is 1/lambda_max of the pencil (M, H_L + H_R), which the
-    MomentSet's frame solves (``pencil_top``).  Returns +inf when the
-    fourth moment vanishes.
+    MomentSet's frame solves (``pencil_top``), clamped at 2/Tr(H).  The
+    pencil's top is at least Tr(H)/2 for every distribution (take A = I in
+    its Rayleigh quotient), so the clamp only absorbs the eigensolver's
+    last-ulp rounding, and gamma_max <= 2/Tr(H) holds by construction.
     """
     if moments.mu <= 0:
         raise SingularOperatorError(
             "second-moment matrix must be positive definite",
             smallest_eigenvalue=moments.mu,
         )
-    lam_top = moments.frame.pencil_top()
-    if lam_top <= 1e-300:
-        return math.inf
-    return 1.0 / lam_top
+    return min(1.0 / moments.frame.pencil_top(), trace_step_bound(moments))
 
 
 def gamma_max_det(moments: MomentSet) -> float:

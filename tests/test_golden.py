@@ -203,11 +203,11 @@ ALL_SCHEMES = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "varia
 
 GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b6a4d63c"
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
-DATA_SAMPLING_SHA256 = "02d56bafd9030ef0859ec12578b8105f690551236dade8e94ef831d5fa300ebb"
+DATA_SAMPLING_SHA256 = "c1bf07114fd90716b15d19a4440c2a51d03beebef99a4497747d8643b93c9603"
 DATA_PREDICT_SHA256 = "b0b41bd3eea5e994de620ad39dfb742a7b9282a63fcbcb51e409425b0ac7fc68"
 SPEC_PREDICT_SHA256 = "255aaf3bdc7b832e7722d5a31f62faf186a90f88dbb509bc76d52a34ffeeb18e"
-DATA_GAMMA_MAX_SHA256 = "df34da7c550d59c0678b265d3da40d232a9900913b22bb9bb8b26e2f1df4daf5"
-SPEC_GAMMA_MAX_SHA256 = "7770876f1a7e77f9cef8132427623c62a87db1876cba42c14d2eebce7f24e870"
+DATA_GAMMA_MAX_SHA256 = "5de3b4b338d096d3d64ecda97e177bd0000754fcd05a029f39b5d469dae835fa"
+SPEC_GAMMA_MAX_SHA256 = "df4248a75b57e0bde582d517e16be9ce2a2c0baffc0b23adb30f3287e2bb2b49"
 
 
 def _digest(*paths) -> str:
