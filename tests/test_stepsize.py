@@ -21,7 +21,7 @@ from avlms import (
 )
 from avlms.cli import main, parse_spec_descriptor
 from avlms.engine import _Sampler
-from avlms.moments import atom_coords, norm_resampled_moments
+from avlms.moments import atom_coords, leverage_resampled_moments, norm_resampled_moments
 from avlms.operators import BlockFrame, SpectralFrame
 from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
 from avlms.stepsize import t_positive
@@ -50,8 +50,8 @@ class TestGammaMax:
         assert abs(gamma_max(m) - 2.0 / (d + 2)) < 1e-8
 
     def test_threshold_finite_for_valid_specs(self):
-        # H > 0 forces a nonzero fourth moment, so the +inf branch can only
-        # trigger on degenerate inputs; valid specs get a finite threshold.
+        # H > 0 puts the pencil's top at or above Tr(H)/2, so every valid
+        # spec gets a finite threshold.
         m = compute_moments(ProblemSpec.discrete(np.array([[1.0]]), sigma=0.0))
         assert math.isfinite(gamma_max(m))
 
@@ -90,7 +90,53 @@ class TestGammaMax:
             raw = rg.uniform(0.2, 2.0, n)
             raw /= spec.design.probs @ raw
             rw = reweighted_moments(spec, lambda x, y, _v=raw: _v)
-            assert gamma_max(rw) <= 2.0 / compute_moments(spec).trace_h + 1e-10
+            assert gamma_max(rw) <= 2.0 / compute_moments(spec).trace_h
+
+    def test_gaussian_forms_never_beat_trace_bound(self, battery):
+        """On every Gaussian battery member, the three exact forms keep
+        gamma_max <= 2/Tr(H) exactly, and norm resampling (bias-opt) reaches
+        2/Tr(H) to 1e-14 relative."""
+        forms = (compute_moments, leverage_resampled_moments, norm_resampled_moments)
+        for name, spec in battery:
+            if spec.kind != "gaussian":
+                continue
+            for form in forms:
+                m = form(spec)
+                assert gamma_max(m) <= trace_step_bound(m), (name, form.__name__)
+            m = norm_resampled_moments(spec)
+            assert abs(gamma_max(m) - trace_step_bound(m)) <= 1e-14 * trace_step_bound(m), name
+
+    @pytest.mark.parametrize("spectrum", ["1/i", "1/i^2", "ones"])
+    def test_norm_resampled_threshold_is_trace_bound(self, spectrum):
+        """d = 1..64 on diagonal H: the pencil alone lands up to a few ulps
+        above 2/Tr(H) on most of these specs; gamma_max never does."""
+        for d in range(1, 65):
+            i = np.arange(1.0, d + 1)
+            lam = {"1/i": 1.0 / i, "1/i^2": 1.0 / i**2, "ones": np.ones(d)}[spectrum]
+            m = norm_resampled_moments(ProblemSpec.gaussian(np.diag(lam), sigma=1.0))
+            bound = trace_step_bound(m)
+            assert gamma_max(m) <= bound, d
+            assert bound - gamma_max(m) <= 1e-14 * bound, d
+
+    def test_drawn_gaussian_rows_keep_the_bound(self):
+        """The way out for a Gaussian design and an arbitrary ratio: draw rows
+        and build a discrete spec.  H and M then come from the same atoms,
+        so the pencil itself, before any clamp, stays below 2/Tr(H)."""
+        for seed in range(20):
+            rg = np.random.default_rng(900 + seed)
+            d = 2 + seed % 4
+            xs = rg.standard_normal((300, d)) / np.sqrt(np.arange(1.0, d + 1))
+            spec = ProblemSpec.discrete(xs, w_star=rg.standard_normal(d), sigma=0.5)
+            mean_sq = float(np.trace(spec.hmat))
+
+            def ratio(x, y):
+                return 0.5 * (1.0 + np.einsum("ti,ti->t", x, x) / mean_sq)
+
+            rw = reweighted_moments(spec, ratio)
+            bound = trace_step_bound(rw)
+            assert rw.trace_h == compute_moments(spec).trace_h
+            assert 1.0 / rw.frame.pencil_top() < bound, seed
+            assert gamma_max(rw) <= bound, seed
 
 
 class TestGammaMaxDet:
