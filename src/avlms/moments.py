@@ -49,7 +49,6 @@ from .operators import (
 
 RANK_TOL = 1e-10  # smallest eigenvalue of H below this times trace -> rank deficient
 
-
 # Trapezoid rule in x = log s for the norm-resampling integrals: the
 # integrands are analytic in the strip |Im x| < pi, so the rule's error is
 # of order exp(-2 pi^2 / step), far below rounding; the ends are cut where

@@ -56,12 +56,19 @@ class TestGammaMax:
         assert math.isfinite(gamma_max(m))
 
     def test_trace_ordering(self, battery):
-        """gamma_max <= 2/Tr(H) <= gamma_max_det on every battery member."""
+        """gamma_max <= 2/Tr(H) <= gamma_max_det on every battery member, the
+        first exactly, and on Gaussian members under all three exact forms;
+        norm resampling (bias-opt) reaches 2/Tr(H) to 1e-14 relative."""
+        gaussian_forms = (compute_moments, leverage_resampled_moments, norm_resampled_moments)
         for name, spec in battery:
-            m = compute_moments(spec)
-            g = gamma_max(m)
-            assert g <= trace_step_bound(m) + 1e-12, name
-            assert trace_step_bound(m) <= gamma_max_det(m) + 1e-15, name
+            forms = gaussian_forms if spec.kind == "gaussian" else (compute_moments,)
+            for form in forms:
+                m = form(spec)
+                assert gamma_max(m) <= trace_step_bound(m), (name, form.__name__)
+                assert trace_step_bound(m) <= gamma_max_det(m) + 1e-15, name
+            if spec.kind == "gaussian":
+                bound = trace_step_bound(m)
+                assert bound - gamma_max(m) <= 1e-14 * bound, name
 
     def test_improves_on_norm_weighted_criterion(self):
         """The threshold dominates the stricter criterion based on
@@ -91,20 +98,6 @@ class TestGammaMax:
             raw /= spec.design.probs @ raw
             rw = reweighted_moments(spec, lambda x, y, _v=raw: _v)
             assert gamma_max(rw) <= 2.0 / compute_moments(spec).trace_h
-
-    def test_gaussian_forms_never_beat_trace_bound(self, battery):
-        """On every Gaussian battery member, the three exact forms keep
-        gamma_max <= 2/Tr(H) exactly, and norm resampling (bias-opt) reaches
-        2/Tr(H) to 1e-14 relative."""
-        forms = (compute_moments, leverage_resampled_moments, norm_resampled_moments)
-        for name, spec in battery:
-            if spec.kind != "gaussian":
-                continue
-            for form in forms:
-                m = form(spec)
-                assert gamma_max(m) <= trace_step_bound(m), (name, form.__name__)
-            m = norm_resampled_moments(spec)
-            assert abs(gamma_max(m) - trace_step_bound(m)) <= 1e-14 * trace_step_bound(m), name
 
     @pytest.mark.parametrize("spectrum", ["1/i", "1/i^2", "ones"])
     def test_norm_resampled_threshold_is_trace_bound(self, spectrum):
