@@ -18,13 +18,22 @@ sampling schemes on one spec) are stepped in lockstep and share one draw
 per step: every scheme maps the same uniforms to its own atoms.  Each
 cell's bits equal those of the same config run alone, and splitting a
 grid into groups (each restarting the streams from the seed) never
-changes them.  Resampled draws are taken in blocks of several steps; a
-block consumes both streams in the same order as one draw per step, so
-the block length never changes bits either.
+changes them.  Every draw, Gaussian or resampled, is taken in blocks of
+several steps; a block consumes both streams in the same order as one
+draw per step, so the block length never changes bits either.  When two
+CPUs are usable, a background thread draws the next block while the
+current one is stepped.  The draws depend only on the streams, never on
+the state, and a cell that leaves the stack only stops later blocks from
+drawing for it, so the bits do not depend on how far ahead the blocks are
+drawn or on whether a thread draws them.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +53,10 @@ DIVERGENCE_NORM = 1e12
 # State budget of one lockstep group of cells.  At its peak a step holds
 # four (cells, replicates, d) float64 arrays: wbar, w, the scratch of the
 # update and the average, and the inputs gathered per cell; together they
-# stay under GROUP_BYTES.  A block of resampled draws stays under
-# GROUP_BYTES // CHUNK_SHARE.
+# stay under GROUP_BYTES.  The draws of one group stay under
+# GROUP_BYTES // CHUNK_SHARE: a block of draws, its buffer and its
+# temporaries, takes at most half of that, so the block being stepped and
+# the block being drawn fit together.
 GROUP_BYTES = 1 << 26
 _STATE_ARRAYS = 4
 CHUNK_SHARE = 4
@@ -222,53 +233,81 @@ class _Sampler:
             self._raw = _stack([clean] * len(scales))
             self._scale = _stack(scales)
 
+    def step_floats(self, reps: int, schemes: int) -> int:
+        """Floats one step of a :meth:`block` writes into its buffer: x, the
+        clean and the observed responses for ``schemes`` schemes, and on
+        Gaussian specs the standard normals x is made from."""
+        floats = schemes * reps * (self.spec.dim + 2)
+        return floats + reps * self.spec.dim if self.gaussian else floats
+
     def block_steps(self, reps: int, schemes: int) -> int:
-        """Steps per :meth:`block`: one on Gaussian specs; on discrete ones as
-        many as keep a block's uniforms, indices and gathered draws for
-        ``schemes`` schemes under ``GROUP_BYTES // CHUNK_SHARE``."""
-        if self.gaussian:
-            return 1
-        per_step = 8 * reps * (3 + schemes * (self.spec.dim + 5))
-        return max(1, GROUP_BYTES // CHUNK_SHARE // per_step)
+        """Steps per :meth:`block`: as many as keep a block's buffer and
+        temporaries for ``schemes`` schemes under half of
+        ``GROUP_BYTES // CHUNK_SHARE``, so that two blocks in flight, one
+        stepped and one drawn, fit the budget together."""
+        per_step = 8 * self.step_floats(reps, schemes)
+        if not self.gaussian:
+            # The uniforms, the noise, the indices, the guide lookups and the
+            # gathered scales.
+            per_step += 8 * reps * (3 + 3 * schemes)
+        return max(1, GROUP_BYTES // CHUNK_SHARE // 2 // per_step)
 
     def block(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, reps: int,
               steps: int, noisy: bool, schemes, out: np.ndarray | None = None):
         """The draws of ``steps`` consecutive steps for the schemes indexed by
         ``schemes``: ``(x, y_clean, y_noisy)`` of shapes
         (steps, len(schemes), reps, d), (steps, len(schemes), reps) and the
-        same, the observed responses only when ``noisy`` (else None).  On
-        discrete specs x is gathered into the front of ``out``, a flat
-        float array, when one is given.
+        same, the observed responses only when ``noisy`` (else None).  They
+        are views of ``out``, a flat float array of at least
+        ``steps * step_floats(reps, len(schemes))`` entries, allocated here
+        when not given.
 
-        One ``random`` call per block draws the uniforms of all its steps,
-        and consecutive blocks concatenate to the per-step stream.  Noise is
-        drawn from ``gen_eps`` only when asked for, so cells that share a
-        draw see the same noise as cells run alone.
+        One call per block draws the uniforms (or standard normals) of all
+        its steps, and consecutive blocks concatenate to the per-step
+        stream; a Gaussian block still rotates and projects each step's
+        inputs by its own matrix product, so the products are those of a
+        one-step block.  Noise is drawn from ``gen_eps`` only when asked
+        for, so cells that share a draw see the same noise as cells run
+        alone.
         """
+        d, width = self.spec.dim, len(schemes)
+        if out is None:
+            out = np.empty(steps * self.step_floats(reps, width))
+        size = steps * width * reps
+        shape = (steps, width, reps)
+        x = out[:size * d].reshape(shape + (d,))
+        clean = out[size * d:size * (d + 1)].reshape(shape)
+        observed = out[size * (d + 1):size * (d + 2)].reshape(shape)
+        y = None
         if self.gaussian:
-            x = gen_x.standard_normal((reps, self.spec.dim)) @ self._root.T
-            clean = x @ self.spec.w_star
-            y = clean
-            if noisy and self.sigma > 0:
-                y = clean + self.sigma * gen_eps.standard_normal(reps)
-            return x[None, None], clean[None, None], y[None, None] if noisy else None
+            z = out[size * (d + 2):size * (d + 2) + steps * reps * d].reshape(steps, reps, d)
+            gen_x.standard_normal(out=z)
+            root_t = self._root.T
+            for k in range(steps):
+                np.matmul(z[k], root_t, out=x[k, 0])
+                np.matmul(x[k, 0], self.spec.w_star, out=clean[k, 0])
+            if noisy:
+                y = clean
+                if self.sigma > 0:
+                    y = gen_eps.standard_normal(out=observed)
+                    y *= self.sigma
+                    y += clean
+            return x, clean, y
         u = gen_x.random(steps * reps)
-        idx = np.empty((steps, len(schemes), reps), dtype=np.intp)
+        idx = np.empty(shape, dtype=np.intp)
         for k, s in enumerate(schemes):
             idx[:, k] = (self._guides[s].lookup(u) + s * self.atoms).reshape(steps, reps)
-        if out is not None:
-            out = out[:idx.size * self.spec.dim].reshape(idx.shape + (self.spec.dim,))
         # Every index is in range; mode="clip" lets take write into out unbuffered.
-        x = np.take(self._xs, idx, axis=0, out=out, mode="clip")
-        clean = np.take(self._clean, idx)
-        y = None
+        np.take(self._xs, idx, axis=0, out=x, mode="clip")
+        np.take(self._clean, idx, out=clean, mode="clip")
         if noisy:
             if self.residual:
-                y = np.take(self._ys, idx)
+                y = np.take(self._ys, idx, out=observed, mode="clip")
             elif self.sigma > 0:
                 eps = self.sigma * gen_eps.standard_normal(steps * reps)
-                y = (np.take(self._raw, idx) + eps.reshape(steps, 1, reps)) * np.take(
-                    self._scale, idx)
+                y = np.take(self._raw, idx, out=observed, mode="clip")
+                y += eps.reshape(steps, 1, reps)
+                y *= np.take(self._scale, idx)
             else:
                 y = clean
         return x, clean, y
@@ -277,6 +316,88 @@ class _Sampler:
 def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_blocks(sampler: _Sampler, seed: int, reps: int, n: int, steps: int, plan: list,
+                 buffers: list[np.ndarray]):
+    """The draws of steps 2..n, ``steps`` at a time: one
+    ``(drawn, x, y_clean, y_noisy)`` per block, as :meth:`_Sampler.block`
+    returns them, with ``drawn`` the scheme indices the block holds.
+
+    ``plan`` is ``[drawn, noisy]``, read as each block starts; the caller
+    narrows it as cells leave.  Block k is written into
+    ``buffers[k % len(buffers)]``, so its views stay valid until block
+    ``k + len(buffers)`` is drawn.
+
+    With two usable CPUs this runs on a background thread: it calls no
+    public avlms function and no ``np.einsum``, which tracers of those
+    calls wrap with a span stack that is not thread-safe.
+    """
+    gen_x, gen_eps = _generators(seed)
+    for k, first in enumerate(range(2, n + 1, steps)):
+        drawn, noisy = plan
+        yield (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, n + 1 - first), noisy,
+                                     drawn, out=buffers[k % len(buffers)]))
+
+
+class _Prefetch:
+    """Iterates ``blocks`` on a background thread, drawing ahead of the caller
+    while it steps the block it holds.
+
+    Each request for a block lets the thread draw one more, so it starts
+    block k + 1 only once block k - 1 is done with: with blocks written
+    round-robin into ``buffers`` buffers, no buffer is overwritten while
+    the caller reads it.  An exception of the thread is raised in the
+    caller.  Leaving the ``with`` block stops the thread, joins it and
+    drops the blocks still queued, on every exit.
+    """
+
+    def __init__(self, blocks, buffers: int):
+        self._blocks = blocks
+        self._free = threading.Semaphore(buffers - 1)
+        self._ready = queue.SimpleQueue()
+        self._stop = False
+        self._thread = threading.Thread(target=self._produce, name="avlms-draws", daemon=True)
+
+    def _produce(self) -> None:
+        try:
+            while True:
+                self._free.acquire()
+                if self._stop:
+                    return
+                block = next(self._blocks, None)
+                self._ready.put(block)
+                if block is None:
+                    return
+        except BaseException as exc:  # handed to the caller, which raises it
+            self._ready.put(exc)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __next__(self):
+        self._free.release()
+        item = self._ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        if item is None:
+            raise StopIteration
+        return item
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+        while not self._ready.empty():
+            self._ready.get()
 
 
 def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
@@ -288,18 +409,22 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     noise once while a noisy cell is live.  ``schemes`` gives each cell's
     scheme index into ``sampler`` (default 0); each cell sees the inputs of
     its own scheme, and "bias" cells the noiseless response, the others the
-    observed one.  Resampled draws come in blocks of
-    :meth:`_Sampler.block_steps` steps, refilled from this call's streams.
+    observed one.  Draws come in blocks of :meth:`_Sampler.block_steps`
+    steps from this call's streams (:func:`_draw_blocks`).  With two
+    usable CPUs a background thread draws the next block into the second of
+    two buffers while this one is stepped; with one, the blocks are drawn
+    here, into one buffer, and the bits are the same.
     ``update(w, x, y, gamma, m, out)`` returns the next state and may write
     it into ``w``, with ``x`` of shape (replicates, d) when one scheme is
     drawn and (cells, replicates, d) otherwise, ``y`` of shape
     (cells, replicates), ``gamma`` of shape (cells, 1, 1) and ``out``
     scratch of w's shape.  A cell whose largest squared replicate norm
     exceeds ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that
-    step, and its scheme leaves the draws at the next block.
+    step; its scheme, and the noise once no noisy cell is left, leave the
+    draws from the next block started, and whatever a block drawn before
+    holds for it is never read.  No thread outlives the call.
     """
     config = configs[0]
-    gen_x, gen_eps = _generators(config.seed)
     reps = config.replicates
     hmat = spec.hmat
     w_star = spec.w_star
@@ -339,57 +464,55 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
         next_idx = 1
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
-    drawn = np.unique(scheme_of)
-    pos, gather = cell_rows()
-    steps = sampler.block_steps(reps, len(drawn))
-    xbuf = np.empty(steps * len(drawn) * reps * spec.dim)
+    plan = [np.unique(scheme_of), noisy]
+    steps = min(sampler.block_steps(reps, len(plan[0])), max(1, config.n - 1))
+    threaded = _usable_cpus() > 1
+    buffers = [np.empty(steps * sampler.step_floats(reps, len(plan[0])))
+               for _ in range(2 if threaded else 1)]
+    blocks = _draw_blocks(sampler, config.seed, reps, config.n, steps, plan, buffers)
     j = end = 0
-    stale = False
-    for m in range(2, config.n + 1):
-        if j == end:
-            if stale:
-                drawn = np.unique(scheme_of)
+    with _Prefetch(blocks, len(buffers)) if threaded else nullcontext(blocks) as feed:
+        for m in range(2, config.n + 1):
+            if j == end:
+                drawn, xb, cb, yb = next(feed)
                 pos, gather = cell_rows()
-                stale = False
-            xb, cb, yb = sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - m),
-                                       noisy, drawn, out=xbuf)
-            j, end = 0, len(xb)
-        if gather:
-            x = xb[j][pos]
-        elif len(drawn) > 1:
-            x = xb[j]
-        else:
-            x = xb[j, 0]
-        if not noisy:
-            y = cb[j][pos]
-        elif mixed:
-            y = np.where(noiseless[:, None], cb[j][pos], yb[j][pos])
-        else:
-            y = yb[j][pos]
-        j += 1
-        w = update(w, x, y, gamma, m, scratch)
-        sq = _past_limit(w, limit)
-        if sq is not None:
-            bad = ~(sq.max(axis=1) <= limit)
-            for k in np.flatnonzero(bad):
-                rep = int(np.argmax(sq[k]))
-                diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
-            keep = ~bad
-            w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
-            noiseless, live, scheme_of = noiseless[keep], live[keep], scheme_of[keep]
-            if not len(live):
-                break
-            scratch = np.empty_like(w)
-            pos, gather = cell_rows()
-            stale = True
-            noisy = not noiseless.all()
-            mixed = noisy and noiseless.any()
-        np.subtract(w, wbar, out=scratch)
-        np.divide(scratch, m, out=scratch)
-        wbar += scratch
-        if next_idx < len(points) and points[next_idx] == m:
-            record(m)
-            next_idx += 1
+                j, end = 0, len(xb)
+            if gather:
+                x = xb[j][pos]
+            elif len(drawn) > 1:
+                x = xb[j]
+            else:
+                x = xb[j, 0]
+            if not noisy:
+                y = cb[j][pos]
+            elif mixed:
+                y = np.where(noiseless[:, None], cb[j][pos], yb[j][pos])
+            else:
+                y = yb[j][pos]
+            j += 1
+            w = update(w, x, y, gamma, m, scratch)
+            sq = _past_limit(w, limit)
+            if sq is not None:
+                bad = ~(sq.max(axis=1) <= limit)
+                for k in np.flatnonzero(bad):
+                    rep = int(np.argmax(sq[k]))
+                    diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
+                keep = ~bad
+                w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
+                noiseless, live, scheme_of = noiseless[keep], live[keep], scheme_of[keep]
+                if not len(live):
+                    break
+                scratch = np.empty_like(w)
+                pos, gather = cell_rows()
+                noisy = not noiseless.all()
+                mixed = noisy and noiseless.any()
+                plan[:] = [np.unique(scheme_of), noisy]
+            np.subtract(w, wbar, out=scratch)
+            np.divide(scratch, m, out=scratch)
+            wbar += scratch
+            if next_idx < len(points) and points[next_idx] == m:
+                record(m)
+                next_idx += 1
     return [
         Trajectory(
             iterations=np.array(iters[k], dtype=int),

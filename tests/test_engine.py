@@ -1,5 +1,9 @@
 """Simulation engine: averaged runs, resampled streams, baselines."""
 
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -490,6 +494,129 @@ class TestBlocks:
                                                           [0])
             for a, b in zip(whole, alone):
                 np.testing.assert_array_equal(a[:, k], b[:, 0])
+
+
+class TestDrawThread:
+    """With two usable CPUs a background thread draws the next block; no
+    thread outlives the engine call, however it ends."""
+
+    @pytest.fixture(autouse=True)
+    def short_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 7)
+
+    @staticmethod
+    def counting_schedule(seen, stop_at=None):
+        def schedule(i):
+            seen.append(threading.active_count())
+            return 0.0 if stop_at is not None and i >= stop_at else 0.1
+        return schedule
+
+    def test_an_update_that_raises_stops_the_thread(self):
+        spec = make_discrete(3, 9, 61, residual=True)
+        before, seen = threading.active_count(), []
+        with pytest.raises(ValueError, match="positive"):
+            isgd_run(spec, self.counting_schedule(seen, stop_at=30), n=100, seed=0,
+                     replicates=3)
+        assert len(seen) == 30
+        assert max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_a_grid_that_diverges_mid_block_stops_the_thread(self):
+        spec = scalar_unit_spec()
+        configs = [RunConfig(gamma=g, n=2000, replicates=2, mode=mode, seed=0)
+                   for g in (25.0, 40.0) for mode in ("bias", "total")]
+        before = threading.active_count()
+        grid = run_cells(spec, configs)
+        assert threading.active_count() == before
+        assert all(t.diverged for t in grid)
+        # The last cell leaves inside a block, not at its end.
+        assert (max(t.diverged_at for t in grid) - 2) % 7 != 6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_shortest_runs(self, n):
+        spec = make_discrete(2, 5, 3, residual=True)
+        before = threading.active_count()
+        traj = run_averaged_lms(spec, RunConfig(gamma=0.1, n=n, replicates=3, seed=1))
+        assert threading.active_count() == before
+        assert traj.iterations.tolist() == list(range(1, n + 1))
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        spec = make_discrete(3, 9, 61, residual=True)
+        before, seen = threading.active_count(), []
+        isgd_run(spec, self.counting_schedule(seen), n=100, seed=0, replicates=3)
+        assert len(seen) == 99 and set(seen) == {before}
+
+    def test_the_producer_calls_no_einsum_and_no_public_function(self, monkeypatch):
+        """Tracers wrap np.einsum and the public avlms functions with a span
+        stack that is not thread-safe, so only the calling thread may reach
+        them; the blocks themselves are drawn on the other thread."""
+        callers, drawers = set(), set()
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np, "einsum", spy(np.einsum))
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("avlms."):
+                for attr, fn in list(vars(mod).items()):
+                    if (not attr.startswith("_") and inspect.isfunction(fn)
+                            and fn.__module__ == name):
+                        monkeypatch.setattr(mod, attr, spy(fn))
+        block = engine._Sampler.block
+
+        def drawing(self, *args, **kwargs):
+            drawers.add(threading.current_thread())
+            return block(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine._Sampler, "block", drawing)
+        discrete = make_discrete(3, 9, 61, residual=False)
+        config = RunConfig(gamma=0.05, n=60, replicates=4, seed=2)
+        engine.run_cells(discrete, [config] * 3,
+                         [None, optimal_bias_scheme(discrete), optimal_variance_scheme(discrete)])
+        engine.run_cells(make_gaussian(3, 0.5, 1), [config])
+        assert callers == {threading.current_thread()}
+        assert drawers and threading.current_thread() not in drawers
+
+
+class TestDrawBuffers:
+    @staticmethod
+    def gaussian_grid():
+        spec = make_gaussian(25, 1.0, 5)
+        configs = [RunConfig(gamma=g, n=250, replicates=200, mode=mode, seed=1)
+                   for g in (0.01, 0.001) for mode in ("bias", "variance", "total")]
+        return spec, configs, None
+
+    @staticmethod
+    def discrete_grid():
+        spec = make_discrete(30, 60, 8, residual=False)
+        config = RunConfig(gamma=0.001, n=60, replicates=500, seed=1)
+        return spec, [config] * 3, [None, optimal_bias_scheme(spec),
+                                    optimal_variance_scheme(spec)]
+
+    @pytest.mark.parametrize("grid", ["gaussian_grid", "discrete_grid"])
+    def test_draw_buffers_fit_the_budget(self, grid, monkeypatch):
+        """Two buffers, one stepped and one drawn, reused for every block of a
+        run several blocks long, and together within the draw budget."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        spec, configs, schemes = getattr(self, grid)()
+        buffers, steps = {}, []
+        block = engine._Sampler.block
+
+        def spy(self, *args, out=None):
+            buffers[out.__array_interface__["data"][0]] = out.nbytes
+            steps.append(args[3])
+            return block(self, *args, out=out)
+
+        monkeypatch.setattr(engine._Sampler, "block", spy)
+        run_cells(spec, configs, schemes)
+        assert len(steps) > 2
+        assert len(buffers) == 2
+        assert sum(buffers.values()) <= engine.GROUP_BYTES // engine.CHUNK_SHARE
 
 
 class TestDivergenceCheck:

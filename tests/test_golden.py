@@ -392,6 +392,30 @@ class TestGrid:
         assert all(_same(a, b) for a, b in zip(whole, grouped))
 
 
+class TestGaussianBlocks:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_step_blocks_match_default_blocks(self, cpus, monkeypatch):
+        """Gaussian inputs come in one standard-normal draw per block: blocks
+        of one step and the default blocks (the whole run here) give every
+        cell of the diverging grid the same bits, drawn inline or ahead."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        spec = rotated_gaussian()
+        configs = _grid()
+        sampler = engine._Sampler(spec)
+        assert sampler.block_steps(30, 1) >= 399
+        whole = run_cells(spec, configs)
+        assert [t.diverged for t in whole] == [False] * 3 + [True] * 3
+        # Still one group of six cells, now drawn one step at a time.
+        monkeypatch.setattr(engine, "GROUP_BYTES", 6 * engine._STATE_ARRAYS * 8 * 30 * 6)
+        assert sampler.block_steps(30, 1) == 1
+        calls = []
+        drive = engine._drive
+        monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
+        stepped = run_cells(spec, configs)
+        assert len(calls) == 1
+        assert all(_same(a, b) for a, b in zip(whole, stepped))
+
+
 class TestSchemeGrid:
     """Cells that differ in scheme share one uniform stream: each cell of a
     multi-scheme grid has the bits of its scheme run alone."""
@@ -443,6 +467,26 @@ class TestSchemeGrid:
         grouped = run_cells(spec, configs, schemes)
         assert len(calls) == 5
         assert all(_same(a, b) for a, b in zip(whole, grouped))
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_inline_draws_match_threaded_draws(self, residual, monkeypatch):
+        """With one usable CPU the blocks are drawn inline, with two on a
+        thread that may draw for the lone scheme after its cell has left:
+        the same bits either way.  The lone scheme goes first, so dropping it
+        moves every other scheme's row in later blocks."""
+        spec = make_discrete(3, 9, 61, residual=residual)
+        cells = self._cells(spec)
+        cells = cells[-1:] + cells[:-1]
+        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 10)
+        runs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            runs[cpus] = run_cells(spec, configs, schemes)
+        assert runs[2][0].diverged and not any(t.diverged for t in runs[2][1:])
+        assert all(_same(a, b) for a, b in zip(runs[2], runs[1]))
+        for (config, scheme), traj in zip(cells, runs[2]):
+            _assert_matches_oracle(traj, spec, config, scheme)
 
     def test_gaussian_spec_refuses_resampled_cells(self):
         spec = rotated_gaussian()
