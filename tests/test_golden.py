@@ -14,6 +14,7 @@ Two checks guard every change to the engine:
 """
 
 import hashlib
+import sys
 import warnings
 
 import numpy as np
@@ -468,21 +469,28 @@ class TestSchemeGrid:
         assert len(calls) == 5
         assert all(_same(a, b) for a, b in zip(whole, grouped))
 
+    @pytest.mark.parametrize("steps", [1, 10])
     @pytest.mark.parametrize("residual", [True, False])
-    def test_inline_draws_match_threaded_draws(self, residual, monkeypatch):
+    def test_inline_draws_match_threaded_draws(self, residual, steps, monkeypatch):
         """With one usable CPU the blocks are drawn inline, with two on a
         thread that may draw for the lone scheme after its cell has left:
         the same bits either way.  The lone scheme goes first, so dropping it
-        moves every other scheme's row in later blocks."""
+        moves every other scheme's row in later blocks, and the threads
+        switch often, so a buffer redrawn while it is read would show."""
         spec = make_discrete(3, 9, 61, residual=residual)
         cells = self._cells(spec)
         cells = cells[-1:] + cells[:-1]
         configs, schemes = [c for c, _ in cells], [s for _, s in cells]
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 10)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: steps)
         runs = {}
+        interval = sys.getswitchinterval()
         for cpus in (2, 1):
             monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
-            runs[cpus] = run_cells(spec, configs, schemes)
+            sys.setswitchinterval(1e-6)
+            try:
+                runs[cpus] = run_cells(spec, configs, schemes)
+            finally:
+                sys.setswitchinterval(interval)
         assert runs[2][0].diverged and not any(t.diverged for t in runs[2][1:])
         assert all(_same(a, b) for a, b in zip(runs[2], runs[1]))
         for (config, scheme), traj in zip(cells, runs[2]):
