@@ -32,7 +32,7 @@ from .errors import (
     SingularOperatorError,
     SpecError,
 )
-from .moments import ProblemSpec, atom_coords, compute_moments
+from .moments import ProblemSpec, compute_moments
 from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -229,12 +229,11 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return cells
 
 
-def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme, coords):
-    """Moments of one scheme cell; ``coords`` is ``atom_coords(spec)``, shared
-    by every atom Gram on ``spec`` itself."""
+def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme):
+    """Moments of one scheme cell."""
     if scheme is None:
-        return compute_moments(run_spec, coords if run_spec is spec else None)
-    return sampling.resampled_moments(spec, scheme, coords=coords)
+        return compute_moments(run_spec)
+    return sampling.resampled_moments(spec, scheme)
 
 
 def _run_grid(grid) -> list:
@@ -258,10 +257,9 @@ def _run_grid(grid) -> list:
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
-    coords = atom_coords(spec) if any(cell[1] is spec for cell in cells) else None
     rows = []
     for name, run_spec, scheme in cells:
-        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme, coords))
+        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme))
         g_max = report.gamma_max
         rows.append([
             name,
@@ -399,8 +397,7 @@ def cmd_sampling(args) -> int:
     schedule = _n_schedule(args)
     measure_at = sorted({schedule[len(schedule) // 2], schedule[-1]})
     replicates = _count(args, "replicates", 200)
-    coords = atom_coords(spec)
-    base_moments = compute_moments(spec, coords)
+    base_moments = compute_moments(spec)
     _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
     base_gamma_max = stepsize.gamma_max(base_moments)
     header = (["scheme", "variance_gain", "gamma_max", "predicted_bias_gain"]
@@ -415,11 +412,11 @@ def cmd_sampling(args) -> int:
             continue
         name, run_spec, scheme = cells[0]
         if scheme is None and run_spec is spec:
-            m = base_moments
+            g_max, var_limit = base_gamma_max, base_var_limit
         else:
-            m = _cell_moments(spec, run_spec, scheme, coords)
-        g_max = stepsize.gamma_max(m)
-        _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
+            m = _cell_moments(spec, run_spec, scheme)
+            g_max = stepsize.gamma_max(m)
+            _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)
@@ -436,7 +433,6 @@ def cmd_sampling(args) -> int:
                   f"{exc}", file=sys.stderr)
         else:
             grid.append((len(rows) - 1, config, run_spec, scheme))
-    del coords  # the engine does not need the (N, D) array
     measured = {cell[0]: traj for cell, traj in zip(grid, _run_grid(grid))}
     for k, row in enumerate(rows):
         traj = measured.get(k)

@@ -43,7 +43,6 @@ from .operators import (
     SpectralFrame,
     SymBasis,
     _as_symmetric,
-    _rank_one_coords,
     fourth_moment_operator_from_samples,
 )
 
@@ -280,36 +279,21 @@ def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
     return design.ys - design.xs @ spec.w_star
 
 
-def atom_coords(spec: ProblemSpec) -> np.ndarray | None:
-    """Rank-one coordinates of x x^T in H's eigenbasis (those of x' x'^T,
-    x' = u^T x) for every atom of a discrete spec, shape (N, D); None on
-    Gaussian specs.
-
-    Pass them as ``coords`` to :func:`compute_moments` and
-    :func:`reweighted_moments` so that several moment builds of one dataset
-    share a single (N, D) array.
-    """
-    if not isinstance(spec.design, DiscreteDesign):
-        return None
-    return _rank_one_coords(spec.design.xs @ spec.h_eig[1], SymBasis(spec.dim))
-
-
-def compute_moments(spec: ProblemSpec, coords: np.ndarray | None = None) -> MomentSet:
+def compute_moments(spec: ProblemSpec) -> MomentSet:
     """Exact moments of a specification.
 
     Gaussian designs use the closed-form fourth moment (the Gaussian form
     of :class:`~avlms.operators.BlockFrame` with P = l l^T), and their noise
     covariance factorizes to sigma^2 H; discrete designs use exact
-    probability-weighted atom averages (over ``coords``, the spec's
-    :func:`atom_coords`, when given).
+    probability-weighted atom averages.
     """
     if isinstance(spec.design, DiscreteDesign):
-        return _atom_moments(spec, spec.design.probs, coords)
+        return _atom_moments(spec, spec.design.probs)
     lam = spec.h_eig[0]
     return _gaussian_moments(spec, np.outer(lam, lam), 1.0, spec.noise.sigma**2 * spec.hmat)
 
 
-def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
+def _atom_moments(spec: ProblemSpec, wts: np.ndarray) -> MomentSet:
     """Moments of a discrete spec whose fourth-order objects weight atom t
     by ``wts[t]``: ``probs`` for the spec itself, ``probs * c`` resampled.
     """
@@ -317,8 +301,7 @@ def _atom_moments(spec: ProblemSpec, wts: np.ndarray, coords=None) -> MomentSet:
     residual = isinstance(spec.noise, ResidualNoise)
     eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
     basis = SymBasis(spec.dim)
-    fourth = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis, weights=wts,
-                                                 coords=coords)
+    fourth = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis, weights=wts)
     frame = SpectralFrame(basis, *spec.h_eig, fourth)
     return _assemble(spec, frame, (xs * (wts * eps2)[:, None]).T @ xs)
 
@@ -345,8 +328,7 @@ def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
     return cinv
 
 
-def reweighted_moments(spec: ProblemSpec, c_inverse,
-                       coords: np.ndarray | None = None) -> MomentSet:
+def reweighted_moments(spec: ProblemSpec, c_inverse) -> MomentSet:
     """Moments of the importance-resampled instance of a discrete spec.
 
     Resampling with density ratio c^{-1} = dq/dp and rescaling samples by
@@ -355,8 +337,7 @@ def reweighted_moments(spec: ProblemSpec, c_inverse,
     factor c = 1/c_inverse per atom: the fourth-moment operator becomes
     E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
 
-    Exact: :func:`compute_moments`' atom average with weights ``probs * c``
-    (over ``coords``, the spec's :func:`atom_coords`, when given).  A
+    Exact: :func:`compute_moments`' atom average with weights ``probs * c``.  A
     Gaussian spec raises SchemeError: its resampled moments are exact only
     in the closed forms (:func:`compute_moments`,
     :func:`norm_resampled_moments`, :func:`leverage_resampled_moments`).
@@ -372,7 +353,7 @@ def reweighted_moments(spec: ProblemSpec, c_inverse,
     xs, probs = design.xs, design.probs
     live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
     c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
-    return _atom_moments(spec, probs * c, coords)
+    return _atom_moments(spec, probs * c)
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

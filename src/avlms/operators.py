@@ -36,6 +36,9 @@ from .errors import DimensionError
 # Dense D x D algebra stays trivial up to this size (D <= 2080).
 MAX_DIM = 64
 
+# Bytes of rank-one coordinates per row chunk of an atom Gram.
+GRAM_CHUNK_BYTES = 4 << 20
+
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -115,7 +118,6 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
 
 def fourth_moment_operator_from_samples(
     samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
-    coords: np.ndarray | None = None,
 ) -> np.ndarray:
     """D x D matrix of the empirical fourth-moment operator
     A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
@@ -123,27 +125,34 @@ def fourth_moment_operator_from_samples(
     In orthonormal coordinates this is the (weighted) second-moment matrix
     of the coordinate vectors of x x^T, hence symmetric positive
     semidefinite by construction.  Rows already rotated into H's
-    eigenbasis (``xs @ u``) give the operator in that basis.  ``coords``,
-    when given, holds those vectors (``_rank_one_coords(samples, basis)``),
-    so several weightings of one sample share a single (N, D) array.
+    eigenbasis (``xs @ u``) give the operator in that basis.  The
+    coordinate vectors are built for GRAM_CHUNK_BYTES of rows at a time
+    and their Grams summed, so memory stays O(chunk x D) for any number of
+    samples; a sample that fits in one chunk gets the one-shot product.
     """
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
-    if xs.shape[0] == 0:
+    n = xs.shape[0]
+    if n == 0:
         raise DimensionError("sample list is empty")
     if basis is None:
         basis = SymBasis(xs.shape[1])
     elif basis.dim != xs.shape[1]:
         raise DimensionError("basis and sample dimensions differ")
-    u = _rank_one_coords(xs, basis) if coords is None else coords
-    if u.shape != (xs.shape[0], basis.size):
-        raise DimensionError("coords must hold one rank-one coordinate row per sample")
-    if weights is None:
-        mat = u.T @ u / xs.shape[0]
-    else:
+    if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (xs.shape[0],):
+        if weights.shape != (n,):
             raise DimensionError("weights must have one entry per sample")
-        mat = (u * weights[:, None]).T @ u
+    rows = max(1, GRAM_CHUNK_BYTES // (8 * basis.size))
+    mat = None
+    for k in range(0, n, rows):
+        u = _rank_one_coords(xs[k:k + rows], basis)
+        part = u.T @ u if weights is None else (u * weights[k:k + rows, None]).T @ u
+        if mat is None:
+            mat = part
+        else:
+            mat += part
+    if weights is None:
+        mat /= n
     return 0.5 * (mat + mat.T)
 
 

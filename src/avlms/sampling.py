@@ -145,18 +145,17 @@ def _gaussian_closed_form(spec: ProblemSpec, form) -> Callable[[], MomentSet] | 
     return None
 
 
-def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme,
-                      coords: np.ndarray | None = None) -> MomentSet:
+def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:
     """Moments of the instance after resampling by a scheme.
 
     The scheme's closed form when it has one, otherwise
     :func:`~avlms.moments.reweighted_moments` of its ratio, which is exact
-    on discrete specs (over ``coords`` when given) and refuses Gaussian
-    ones with SchemeError: Gaussian resampled moments are exact or refused.
+    on discrete specs and refuses Gaussian ones with SchemeError: Gaussian
+    resampled moments are exact or refused.
     """
     if scheme.exact_moments is not None:
         return scheme.exact_moments()
-    return reweighted_moments(spec, scheme.c_inverse, coords)
+    return reweighted_moments(spec, scheme.c_inverse)
 
 
 def _mean_squared_norm(spec: ProblemSpec) -> float:

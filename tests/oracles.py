@@ -17,6 +17,7 @@ from avlms.operators import (
     SpectralFrame,
     SymBasis,
     _as_symmetric,
+    _rank_one_coords,
     fourth_moment_operator_from_samples,
 )
 
@@ -85,6 +86,16 @@ def samples_fourth_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> 
     """The weighted atom average E[c (X^T A X) X X^T] on the raw rows ``xs``."""
     basis = SymBasis(xs.shape[1])
     return SymOperator(basis, fourth_moment_operator_from_samples(xs, basis, weights=weights))
+
+
+def one_shot_fourth_moment(xs: np.ndarray, basis: SymBasis,
+                           weights: np.ndarray | None = None) -> np.ndarray:
+    """The atom Gram of ``fourth_moment_operator_from_samples`` as one
+    product over the (N, D) rank-one coordinates of all rows at once: the
+    reference for the library's sum over row chunks."""
+    u = _rank_one_coords(xs, basis)
+    mat = u.T @ u / xs.shape[0] if weights is None else (u * weights[:, None]).T @ u
+    return 0.5 * (mat + mat.T)
 
 
 def dense_fourth_moment(spec) -> SymOperator:

@@ -161,45 +161,68 @@ class TestCommands:
         got, bound = float(row["gamma_max"]), float(row["trace_bound"])
         assert abs(got - bound) <= 1e-12 * bound
 
-    def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
-        """gamma-max and sampling over three schemes on data build the atoms'
-        rank-one coordinates once and three weighted atom Grams on them: the
-        uniform moments, then one per resampled scheme."""
-        import avlms.moments
-        import avlms.operators
-
+    @staticmethod
+    def _data_file(tmp_path):
         rg = np.random.default_rng(8)
         xs = rg.standard_normal((40, 3)) * rg.uniform(0.5, 2.0, (40, 1))
         ys = xs @ [1.0, -1.0, 0.5] + 0.3 * rg.standard_normal(40)
         data = tmp_path / "d.csv"
         data.write_text("".join(",".join(f"{v:.17g}" for v in (*x, y)) + "\n"
                                 for x, y in zip(xs, ys)))
-        builds, grams = [], []
+        return str(data)
+
+    def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
+        """gamma-max and sampling over three schemes on data build three
+        weighted atom Grams, the uniform moments and one per resampled
+        scheme, and each Gram builds the atoms' rank-one coordinates one
+        chunk of rows at a time, never all N rows at once."""
+        import avlms.moments
+        import avlms.operators
+
+        data = self._data_file(tmp_path)
+        chunk_rows = 16  # 40 atoms: chunks of 16, 16 and 8 rows
+        monkeypatch.setattr(avlms.operators, "GRAM_CHUNK_BYTES", 8 * 6 * chunk_rows)
+        grams = []
         original = avlms.operators._rank_one_coords
         gram = avlms.moments.fourth_moment_operator_from_samples
 
         def counting(xs, basis):
-            builds.append(xs.shape)
+            grams[-1].append(xs.shape[0])
             return original(xs, basis)
 
         def counting_gram(*args, **kwargs):
-            grams.append(kwargs["coords"])
+            grams.append([])
             return gram(*args, **kwargs)
 
         monkeypatch.setattr(avlms.operators, "_rank_one_coords", counting)
-        monkeypatch.setattr(avlms.moments, "_rank_one_coords", counting)
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting_gram)
         schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
-        for argv in (["gamma-max", "--data", str(data), *schemes],
-                     ["sampling", "--data", str(data), *schemes, "--n-max", "50",
+        for argv in (["gamma-max", "--data", data, *schemes],
+                     ["sampling", "--data", data, *schemes, "--n-max", "50",
                       "--points", "2", "--replicates", "10",
                       "--out", str(tmp_path / "s.csv")]):
-            builds.clear()
             grams.clear()
             assert main(argv) == EXIT_OK
-            assert builds == [(40, 3)]
-            assert len(grams) == 3
-            assert all(coords is grams[0] for coords in grams)
+            assert grams == [[16, 16, 8]] * 3
+
+    def test_sampling_solves_one_pencil_per_moment_set(self, tmp_path, monkeypatch):
+        """The uniform row of sampling reuses the base moments' threshold:
+        three schemes solve the order-D pencil three times, not four."""
+        from avlms.operators import SpectralFrame
+
+        calls = []
+        original = SpectralFrame.pencil_top
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SpectralFrame, "pencil_top", counting)
+        argv = ["sampling", "--data", self._data_file(tmp_path), "--scheme", "uniform",
+                "--scheme", "bias-opt", "--scheme", "variance-opt", "--n-max", "50",
+                "--points", "2", "--replicates", "10", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 3
 
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -477,16 +500,16 @@ class TestExitCodes:
 
     def test_manifest_scheme_is_checked_before_moments(self, tmp_path, monkeypatch, capsys):
         """A bad manifest scheme fails before ``sampling --data`` builds the
-        (N, D) rank-one coordinates of the data."""
+        atom Gram of the data."""
         data = tmp_path / "data.csv"
         data.write_text("1,0,1\n0,1,2\n1,1,2\n")
         manifest = tmp_path / "m.cfg"
         manifest.write_text("scheme = bogus\n")
 
-        def refuse(spec):
-            raise AssertionError("atom_coords ran before the scheme was checked")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the atom Gram was built before the scheme was checked")
 
-        monkeypatch.setattr("avlms.cli.atom_coords", refuse)
+        monkeypatch.setattr("avlms.moments.fourth_moment_operator_from_samples", refuse)
         argv = ["sampling", "--data", str(data), "--manifest", str(manifest)]
         assert main(argv) == EXIT_USAGE
         assert "'scheme' must be one of" in capsys.readouterr().err

@@ -241,6 +241,35 @@ class TestReweightedMoments:
         assert np.isfinite(rw.frame.fourth_moment()).all()
 
 
+class TestAtomMomentMemory:
+    @staticmethod
+    def _traced_peak(n_atoms, d):
+        """tracemalloc peak of the uniform and a norm-resampled moment build
+        on ``n_atoms`` heavy-tailed atoms, the spec built beforehand."""
+        import tracemalloc
+
+        rg = np.random.default_rng(31)
+        xs = rg.standard_t(5, (n_atoms, d))
+        spec = ProblemSpec.discrete(xs, w_star=np.ones(d), sigma=1.0)
+        norms = np.einsum("ti,ti->t", xs, xs)
+        cinv = norms / (spec.design.probs @ norms)
+        tracemalloc.start()
+        try:
+            compute_moments(spec)
+            reweighted_moments(spec, lambda x, y: cinv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_with_the_inputs_not_with_n_times_d_squared(self):
+        """From 10000 to 40000 atoms at d=30 (D=465) the peak may grow by a
+        few (N, d) arrays, 7.2 MB each, never by one (N, D) array, which
+        would add 112 MB."""
+        d, small, large = 30, 10_000, 40_000
+        growth = self._traced_peak(large, d) - self._traced_peak(small, d)
+        assert growth <= 4 * (large - small) * d * 8
+
+
 def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
     """Per-draw Monte Carlo of E[c u u^T] (u the rank-one coordinates in H's
     eigenbasis) and E[c X X^T], with entrywise standard errors."""
@@ -445,9 +474,9 @@ class TestSpecSecondMoment:
         calls = []
         original = avlms.moments.fourth_moment_operator_from_samples
 
-        def counting(xs, basis=None, weights=None, coords=None):
+        def counting(xs, basis=None, weights=None):
             calls.append(weights)
-            return original(xs, basis, weights=weights, coords=coords)
+            return original(xs, basis, weights=weights)
 
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
         from conftest import make_discrete

@@ -27,6 +27,7 @@ from oracles import (
     contraction_generator,
     gaussian_fourth_moment,
     left_right_operator,
+    one_shot_fourth_moment,
     samples_fourth_moment,
 )
 
@@ -175,6 +176,42 @@ class TestFourthMomentFromSamples:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             fourth_moment_operator_from_samples(np.zeros((0, 2)))
+
+    @staticmethod
+    def _atoms(n, d, seed):
+        """Heavy-tailed rows and weights with every tenth atom weightless."""
+        rg = np.random.default_rng(seed)
+        xs = rg.standard_t(5, (n, d))
+        weights = rg.uniform(0.0, 2.0, n) / n
+        weights[::10] = 0.0
+        return xs, weights
+
+    def test_row_chunks_match_the_one_shot_gram(self):
+        """About 2.5 chunks of rows (not a whole number of them): the chunked
+        sum matches the one-shot product to 1e-13 of its largest entry,
+        weighted and unweighted."""
+        from avlms.operators import GRAM_CHUNK_BYTES
+
+        basis = SymBasis(30)
+        rows = GRAM_CHUNK_BYTES // (8 * basis.size)
+        n = 5 * rows // 2 + 7
+        xs, weights = self._atoms(n, 30, 21)
+        for w in (None, weights):
+            want = one_shot_fourth_moment(xs, basis, w)
+            got = fourth_moment_operator_from_samples(xs, basis, weights=w)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_chunk_is_the_one_shot_gram_bit_for_bit(self):
+        from avlms.operators import GRAM_CHUNK_BYTES
+
+        basis = SymBasis(30)
+        rows = GRAM_CHUNK_BYTES // (8 * basis.size)
+        for n in (1, 100, rows):
+            xs, weights = self._atoms(n, 30, 22)
+            for w in (None, weights):
+                np.testing.assert_array_equal(
+                    fourth_moment_operator_from_samples(xs, basis, weights=w),
+                    one_shot_fourth_moment(xs, basis, w))
 
 
 class TestApply:

@@ -21,7 +21,7 @@ from avlms import (
 )
 from avlms.cli import main, parse_spec_descriptor
 from avlms.engine import _Sampler
-from avlms.moments import atom_coords, leverage_resampled_moments, norm_resampled_moments
+from avlms.moments import leverage_resampled_moments, norm_resampled_moments
 from avlms.operators import BlockFrame, SpectralFrame
 from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
 from avlms.stepsize import t_positive
@@ -289,9 +289,8 @@ class TestOneSpectralFrame:
             variance_gain(spec)
             _Sampler(spec)
         else:
-            coords = atom_coords(spec)
             scheme = optimal_bias_scheme(spec)
-            extra = [resampled_moments(spec, scheme, coords=coords)]
+            extra = [resampled_moments(spec, scheme)]
             _Sampler(spec, (None, scheme))
         for m in [compute_moments(spec)] + extra:
             g = gamma_max(m)
