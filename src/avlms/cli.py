@@ -229,11 +229,15 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return cells
 
 
-def _cell_moments(spec: ProblemSpec, run_spec: ProblemSpec, scheme):
-    """Moments of one scheme cell."""
-    if scheme is None:
-        return compute_moments(run_spec)
-    return sampling.resampled_moments(spec, scheme)
+def _cells_moments(spec: ProblemSpec, cells) -> list:
+    """Moments of each scheme cell.  The cells on ``spec`` itself share one
+    pass over its atoms; a derived spec (class-weighted) gets its own."""
+    own = [k for k, (_, run_spec, _) in enumerate(cells) if run_spec is spec]
+    out = [None] * len(cells)
+    for k, moments in zip(own, sampling._moment_sets(spec, [cells[k][2] for k in own])):
+        out[k] = moments
+    return [compute_moments(run_spec) if m is None else m
+            for m, (_, run_spec, _) in zip(out, cells)]
 
 
 def _run_grid(grid) -> list:
@@ -257,9 +261,10 @@ def _run_grid(grid) -> list:
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
+    moments = _cells_moments(spec, cells)[::-1]
     rows = []
-    for name, run_spec, scheme in cells:
-        report = stepsize.step_size_report(_cell_moments(spec, run_spec, scheme))
+    for name, _, _ in cells:
+        report = stepsize.step_size_report(moments.pop())
         g_max = report.gamma_max
         rows.append([
             name,
@@ -269,7 +274,7 @@ def cmd_gamma_max(args) -> int:
             report.mu,
             report.mu_t(g_max / 2.0),
         ])
-        # Free this scheme's moments and spectral frame before the next is built.
+        # Free this scheme's moments and spectral frame before the next is solved.
         del report
     header = ["scheme", "gamma_max", "gamma_max_det", "trace_bound", "mu",
               "mu_T_at_half_gamma_max"]
@@ -397,26 +402,39 @@ def cmd_sampling(args) -> int:
     schedule = _n_schedule(args)
     measure_at = sorted({schedule[len(schedule) // 2], schedule[-1]})
     replicates = _count(args, "replicates", 200)
-    base_moments = compute_moments(spec)
-    _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
-    base_gamma_max = stepsize.gamma_max(base_moments)
     header = (["scheme", "variance_gain", "gamma_max", "predicted_bias_gain"]
               + [f"measured_risk_n{n}" for n in measure_at]
               + [f"measured_stderr_n{n}" for n in measure_at])
-    rows, grid = [], []
+    cells, simulated = [], []
     for name in names:
         try:
-            cells = _scheme_cells(spec, [name])
+            cell = _scheme_cells(spec, [name])[0]
         except SchemeError as exc:
             print(f"warning: scheme {name!r} skipped: {exc}", file=sys.stderr)
             continue
-        name, run_spec, scheme = cells[0]
-        if scheme is None and run_spec is spec:
-            g_max, var_limit = base_gamma_max, base_var_limit
+        cells.append(cell)
+        try:
+            engine.check_stream(cell[1], cell[2])
+        except SchemeError as exc:
+            print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
+                  f"{exc}", file=sys.stderr)
+            simulated.append(False)
         else:
-            m = _cell_moments(spec, run_spec, scheme)
-            g_max = stepsize.gamma_max(m)
-            _, var_limit = asymptotics.small_gamma_equivalents(m, 1.0, 1)
+            simulated.append(True)
+    # The uniform row on the spec itself reuses the base moments.
+    own = [k for k, (_, run_spec, scheme) in enumerate(cells)
+           if not (scheme is None and run_spec is spec)]
+    moments = _cells_moments(spec, [("uniform", spec, None)] + [cells[k] for k in own])
+    base_moments = moments[0]
+    _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
+    base_gamma_max = stepsize.gamma_max(base_moments)
+    limits = {k: (stepsize.gamma_max(m), asymptotics.small_gamma_equivalents(m, 1.0, 1)[1])
+              for k, m in zip(own, moments[1:])}
+    # Free the moments and their spectral frames before the runs.
+    del moments, base_moments
+    rows, grid = [], []
+    for k, (name, run_spec, scheme) in enumerate(cells):
+        g_max, var_limit = limits.get(k, (base_gamma_max, base_var_limit))
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)
@@ -426,13 +444,8 @@ def cmd_sampling(args) -> int:
             record_at=tuple(measure_at),
         )
         rows.append([name, gain, g_max, pred_bias_gain])
-        try:
-            engine.check_stream(run_spec, scheme)
-        except SchemeError as exc:
-            print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
-                  f"{exc}", file=sys.stderr)
-        else:
-            grid.append((len(rows) - 1, config, run_spec, scheme))
+        if simulated[k]:
+            grid.append((k, config, run_spec, scheme))
     measured = {cell[0]: traj for cell, traj in zip(grid, _run_grid(grid))}
     for k, row in enumerate(rows):
         traj = measured.get(k)

@@ -26,6 +26,13 @@ current one is stepped.  The draws depend only on the streams, never on
 the state, and a cell that leaves the stack only stops later blocks from
 drawing for it, so the bits do not depend on how far ahead the blocks are
 drawn or on whether a thread draws them.
+
+The stepping thread does only per-step work: each cell's draws are
+selected once per block, an update rule returns its step coefficients
+and the step is one product per entry, and the exact divergence check
+runs only when a running bound on max|w| could reach the limit.  A
+trajectory, and where and at what norm a cell diverged, are those of the
+plain recursion with the exact check on every step.
 """
 
 from __future__ import annotations
@@ -50,13 +57,13 @@ from .moments import (
 
 DIVERGENCE_NORM = 1e12
 
-# State budget of one lockstep group of cells.  At its peak a step holds
-# four (cells, replicates, d) float64 arrays: wbar, w, the scratch of the
-# update and the average, and the inputs gathered per cell; together they
-# stay under GROUP_BYTES.  The draws of one group stay under
-# GROUP_BYTES // CHUNK_SHARE: a block of draws, its buffer and its
-# temporaries, takes at most half of that, so the block being stepped and
-# the block being drawn fit together.
+# State budget of one lockstep group of cells: four (cells, replicates, d)
+# float64 arrays, wbar, w, the scratch of the update and the average, and
+# one step of inputs gathered per cell, stay under GROUP_BYTES.  The draws
+# of one group stay under GROUP_BYTES // CHUNK_SHARE: a block of draws, its
+# buffer, its temporaries and the per-cell selection of its steps, takes at
+# most half of that, so the block being stepped and the block being drawn
+# fit together (a one-step block's selection fits the state's fourth array).
 GROUP_BYTES = 1 << 26
 _STATE_ARRAYS = 4
 CHUNK_SHARE = 4
@@ -199,6 +206,11 @@ class _Sampler:
             check_stream(spec, scheme)
         if self.gaussian:
             self._root = _sqrt_psd(*spec.h_eig)
+            # Every descriptor has a diagonal H, hence a diagonal root.  Each
+            # entry of z @ root.T then has exactly one nonzero term, so scaling
+            # z by the diagonal gives the same bits.
+            diag = np.diagonal(self._root)
+            self._diag = diag.copy() if np.array_equal(self._root, np.diag(diag)) else None
             self.sigma = spec.noise.sigma
             return
         self.residual = isinstance(spec.noise, ResidualNoise)
@@ -224,6 +236,8 @@ class _Sampler:
             scales.append(scale)
         clean = xs @ spec.w_star
         self._xs = _stack([xs * s[:, None] for s in scales])
+        # The largest |x| entry of each scheme's table bounds every input it draws.
+        self._xmax = np.abs(self._xs).reshape(len(scales), -1).max(axis=1)
         self._clean = _stack([clean * s for s in scales])
         if self.residual:
             ys = clean if design.ys is None else design.ys
@@ -236,39 +250,47 @@ class _Sampler:
     def step_floats(self, reps: int, schemes: int) -> int:
         """Floats one step of a :meth:`block` writes into its buffer: x, the
         clean and the observed responses for ``schemes`` schemes, and on
-        Gaussian specs the standard normals x is made from."""
+        Gaussian specs with a rotated root the standard normals x is made
+        from."""
         floats = schemes * reps * (self.spec.dim + 2)
-        return floats + reps * self.spec.dim if self.gaussian else floats
+        return floats + reps * self.spec.dim if self.gaussian and self._diag is None else floats
 
-    def block_steps(self, reps: int, schemes: int) -> int:
-        """Steps per :meth:`block`: as many as keep a block's buffer and
-        temporaries for ``schemes`` schemes under half of
-        ``GROUP_BYTES // CHUNK_SHARE``, so that two blocks in flight, one
-        stepped and one drawn, fit the budget together."""
+    def block_steps(self, reps: int, schemes: int, cells: int) -> int:
+        """Steps per :meth:`block`: as many as keep a block's buffer, its
+        temporaries and the per-cell selection :func:`_drive` takes of it
+        for ``cells`` cells under half of ``GROUP_BYTES // CHUNK_SHARE``, so
+        that two blocks in flight, one stepped and one drawn, fit the budget
+        together."""
         per_step = 8 * self.step_floats(reps, schemes)
         if not self.gaussian:
             # The uniforms, the noise, the indices, the guide lookups and the
             # gathered scales.
             per_step += 8 * reps * (3 + 3 * schemes)
+        # The selection: up to three (cells, reps) response arrays (two
+        # gathers and the mixed-mode np.where), and the inputs gathered per
+        # cell when the block holds several schemes.
+        per_step += 8 * cells * reps * (3 + (self.spec.dim if schemes > 1 else 0))
         return max(1, GROUP_BYTES // CHUNK_SHARE // 2 // per_step)
 
     def block(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, reps: int,
               steps: int, noisy: bool, schemes, out: np.ndarray | None = None):
         """The draws of ``steps`` consecutive steps for the schemes indexed by
-        ``schemes``: ``(x, y_clean, y_noisy)`` of shapes
-        (steps, len(schemes), reps, d), (steps, len(schemes), reps) and the
-        same, the observed responses only when ``noisy`` (else None).  They
-        are views of ``out``, a flat float array of at least
+        ``schemes``: ``(x, y_clean, y_noisy, x_max)`` with x of shape
+        (steps, len(schemes), reps, d), the responses of shape
+        (steps, len(schemes), reps), the observed ones only when ``noisy``
+        (else None), and ``x_max`` a bound on every |x| entry of the block.
+        The arrays are views of ``out``, a flat float array of at least
         ``steps * step_floats(reps, len(schemes))`` entries, allocated here
         when not given.
 
         One call per block draws the uniforms (or standard normals) of all
         its steps, and consecutive blocks concatenate to the per-step
-        stream; a Gaussian block still rotates and projects each step's
-        inputs by its own matrix product, so the products are those of a
-        one-step block.  Noise is drawn from ``gen_eps`` only when asked
-        for, so cells that share a draw see the same noise as cells run
-        alone.
+        stream.  A Gaussian block scales the normals by a diagonal root in
+        one product, or rotates each step's by its own matrix product, and
+        projects each step's inputs onto w* by its own product, so every
+        float is that of a one-step block.  Noise is drawn from ``gen_eps``
+        only when asked for, so cells that share a draw see the same noise
+        as cells run alone.
         """
         d, width = self.spec.dim, len(schemes)
         if out is None:
@@ -280,19 +302,25 @@ class _Sampler:
         observed = out[size * (d + 1):size * (d + 2)].reshape(shape)
         y = None
         if self.gaussian:
-            z = out[size * (d + 2):size * (d + 2) + steps * reps * d].reshape(steps, reps, d)
-            gen_x.standard_normal(out=z)
-            root_t = self._root.T
+            inputs = x[:, 0]
+            if self._diag is not None:
+                gen_x.standard_normal(out=inputs)
+                inputs *= self._diag
+            else:
+                z = out[size * (d + 2):size * (d + 2) + steps * reps * d].reshape(steps, reps, d)
+                gen_x.standard_normal(out=z)
+                root_t = self._root.T
+                for k in range(steps):
+                    np.matmul(z[k], root_t, out=inputs[k])
             for k in range(steps):
-                np.matmul(z[k], root_t, out=x[k, 0])
-                np.matmul(x[k, 0], self.spec.w_star, out=clean[k, 0])
+                np.matmul(inputs[k], self.spec.w_star, out=clean[k, 0])
             if noisy:
                 y = clean
                 if self.sigma > 0:
                     y = gen_eps.standard_normal(out=observed)
                     y *= self.sigma
                     y += clean
-            return x, clean, y
+            return x, clean, y, float(max(inputs.max(), -inputs.min()))
         u = gen_x.random(steps * reps)
         idx = np.empty(shape, dtype=np.intp)
         for k, s in enumerate(schemes):
@@ -310,7 +338,7 @@ class _Sampler:
                 y *= np.take(self._scale, idx)
             else:
                 y = clean
-        return x, clean, y
+        return x, clean, y, float(self._xmax[schemes].max())
 
 
 def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -328,8 +356,9 @@ def _usable_cpus() -> int:
 def _draw_blocks(sampler: _Sampler, seed: int, reps: int, n: int, steps: int, plan: list,
                  buffers: list[np.ndarray]):
     """The draws of steps 2..n, ``steps`` at a time: one
-    ``(drawn, x, y_clean, y_noisy)`` per block, as :meth:`_Sampler.block`
-    returns them, with ``drawn`` the scheme indices the block holds.
+    ``(drawn, x, y_clean, y_noisy, x_max)`` per block, as
+    :meth:`_Sampler.block` returns them, with ``drawn`` the scheme indices
+    the block holds.
 
     ``plan`` is ``[drawn, noisy]``, read as each block starts; the caller
     narrows it as cells leave.  Block k is written into
@@ -383,6 +412,9 @@ class _Prefetch:
         self._thread.start()
         return self
 
+    def __iter__(self):
+        return self
+
     def __next__(self):
         self._free.release()
         item = self._ready.get()
@@ -413,26 +445,39 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     steps from this call's streams (:func:`_draw_blocks`).  With two
     usable CPUs a background thread draws the next block into the second of
     two buffers while this one is stepped; with one, the blocks are drawn
-    here, into one buffer, and the bits are the same.
-    ``update(w, x, y, gamma, m, out)`` returns the next state and may write
-    it into ``w``, with ``x`` of shape (replicates, d) when one scheme is
-    drawn and (cells, replicates, d) otherwise, ``y`` of shape
-    (cells, replicates), ``gamma`` of shape (cells, 1, 1) and ``out``
-    scratch of w's shape.  A cell whose largest squared replicate norm
-    exceeds ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that
-    step; its scheme, and the noise once no noisy cell is left, leave the
-    draws from the next block started, and whatever a block drawn before
-    holds for it is never read.  No thread outlives the call.
+    here, into one buffer, and the bits are the same.  Each live cell's
+    inputs and responses are selected once per block, and again from the
+    next step on when cells leave, so a step only indexes them.
+
+    ``update(w, x, y, gamma, m)`` returns the step coefficients ``coef`` of
+    shape (cells, replicates), with the step ``w -= coef x`` applied here:
+    ``x`` has shape (replicates, d) when one scheme is drawn and
+    (cells, replicates, d) otherwise, ``y`` shape (cells, replicates) or
+    (1, replicates), and ``gamma`` shape (cells, 1).  Each entry of
+    ``coef x`` is one rounded product, as a broadcast ``np.multiply`` gives
+    it, except that a zero product is +0.
+
+    A cell whose largest squared replicate norm exceeds
+    ``DIVERGENCE_NORM**2`` (or is NaN) leaves the stack at that step.  The
+    exact check (:func:`_past_limit`) runs only when a running bound
+    ``B >= max|w|``, grown by ``max|coef| * x_max`` each step, could reach
+    the limit (d B^2 > limit / 2, as in the check itself) or is NaN; it then
+    resets B to the exact max|w|.  So cells leave at the steps, replicates
+    and norms the check run every step would give.  A leaving cell's
+    scheme, and the noise once no noisy cell is left, leave the draws from
+    the next block started, and whatever a block drawn before holds for it
+    is never read.  No thread outlives the call.
     """
     config = configs[0]
     reps = config.replicates
+    dim = spec.dim
     hmat = spec.hmat
     w_star = spec.w_star
     w = np.stack([np.tile(w_star if c.mode == "variance" else spec.w0, (reps, 1))
                   for c in configs]).astype(float)
     wbar = w.copy()
     scratch = np.empty_like(w)
-    gamma = np.array([c.gamma for c in configs], dtype=float)[:, None, None]
+    gamma = np.array([c.gamma for c in configs], dtype=float)[:, None]
     noiseless = np.array([c.mode == "bias" for c in configs])
     scheme_of = np.zeros(len(configs), dtype=np.intp) if schemes is None else np.asarray(
         schemes, dtype=np.intp)
@@ -451,13 +496,29 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
             risks[cell].append(float(r.mean()))
             errs[cell].append(float(r.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
 
-    def cell_rows():
-        """Which scheme of the block each live cell reads, and whether x needs
-        a gather."""
-        pos = np.searchsorted(drawn, scheme_of)
-        return pos, len(drawn) > 1 and not np.array_equal(pos, np.arange(len(drawn)))
+    def select(first: int):
+        """Each live cell's inputs and responses for the block's steps from
+        ``first`` on, and the subscripts of the step's product coef x."""
+        if len(drawn) == 1:
+            rows = slice(0, 1)
+        else:
+            pos = np.searchsorted(drawn, scheme_of)
+            rows = slice(None) if np.array_equal(pos, np.arange(len(drawn))) else pos
+        if not noisy:
+            y = cb[first:, rows]
+        elif mixed:
+            y = np.where(noiseless[:, None], cb[first:, rows], yb[first:, rows])
+        else:
+            y = yb[first:, rows]
+        if len(drawn) == 1:
+            return xb[first:, 0], y, "cr,ri->cri"
+        return xb[first:, rows], y, "cr,cri->cri"
 
     limit = DIVERGENCE_NORM**2
+    half_limit = 0.5 * limit
+    # Covers the rounding of the product, the step and the bound's own update.
+    slack = 1.0 + 2.0**-49
+    bound = float(max(w.max(), -w.min()))
     next_idx = 0
     if points[0] == 1:
         record(1)
@@ -465,54 +526,50 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
     plan = [np.unique(scheme_of), noisy]
-    steps = min(sampler.block_steps(reps, len(plan[0])), max(1, config.n - 1))
+    steps = min(sampler.block_steps(reps, len(plan[0]), len(configs)), max(1, config.n - 1))
     threaded = _usable_cpus() > 1
     buffers = [np.empty(steps * sampler.step_floats(reps, len(plan[0])))
                for _ in range(2 if threaded else 1)]
     blocks = _draw_blocks(sampler, config.seed, reps, config.n, steps, plan, buffers)
-    j = end = 0
+    m = 1
     with _Prefetch(blocks, len(buffers)) if threaded else nullcontext(blocks) as feed:
-        for m in range(2, config.n + 1):
-            if j == end:
-                drawn, xb, cb, yb = next(feed)
-                pos, gather = cell_rows()
-                j, end = 0, len(xb)
-            if gather:
-                x = xb[j][pos]
-            elif len(drawn) > 1:
-                x = xb[j]
-            else:
-                x = xb[j, 0]
-            if not noisy:
-                y = cb[j][pos]
-            elif mixed:
-                y = np.where(noiseless[:, None], cb[j][pos], yb[j][pos])
-            else:
-                y = yb[j][pos]
-            j += 1
-            w = update(w, x, y, gamma, m, scratch)
-            sq = _past_limit(w, limit)
-            if sq is not None:
-                bad = ~(sq.max(axis=1) <= limit)
-                for k in np.flatnonzero(bad):
-                    rep = int(np.argmax(sq[k]))
-                    diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
-                keep = ~bad
-                w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
-                noiseless, live, scheme_of = noiseless[keep], live[keep], scheme_of[keep]
-                if not len(live):
-                    break
-                scratch = np.empty_like(w)
-                pos, gather = cell_rows()
-                noisy = not noiseless.all()
-                mixed = noisy and noiseless.any()
-                plan[:] = [np.unique(scheme_of), noisy]
-            np.subtract(w, wbar, out=scratch)
-            np.divide(scratch, m, out=scratch)
-            wbar += scratch
-            if next_idx < len(points) and points[next_idx] == m:
-                record(m)
-                next_idx += 1
+        for drawn, xb, cb, yb, x_max in feed:
+            first = 0
+            xs, ys, outer = select(first)
+            for j in range(len(xb)):
+                m += 1
+                x = xs[j - first]
+                coef = update(w, x, ys[j - first], gamma, m)
+                w -= np.einsum(outer, coef, x, out=scratch)
+                bound = (bound + float(np.abs(coef).max()) * x_max) * slack
+                if not bound * bound * dim <= half_limit:
+                    sq = _past_limit(w, limit)
+                    if sq is not None:
+                        bad = ~(sq.max(axis=1) <= limit)
+                        for k in np.flatnonzero(bad):
+                            rep = int(np.argmax(sq[k]))
+                            diverged[live[k]] = (m, rep, float(np.sqrt(sq[k, rep])))
+                        keep = ~bad
+                        w, wbar, gamma = w[keep], wbar[keep], gamma[keep]
+                        noiseless, live, scheme_of = noiseless[keep], live[keep], scheme_of[keep]
+                        if not len(live):
+                            break
+                        scratch = np.empty_like(w)
+                        noisy = not noiseless.all()
+                        mixed = noisy and noiseless.any()
+                        plan[:] = [np.unique(scheme_of), noisy]
+                        first = j + 1
+                        xs = ys = None  # drop the old selection before taking the new
+                        xs, ys, outer = select(first)
+                    bound = float(max(w.max(), -w.min()))
+                np.subtract(w, wbar, out=scratch)
+                np.divide(scratch, m, out=scratch)
+                wbar += scratch
+                if next_idx < len(points) and points[next_idx] == m:
+                    record(m)
+                    next_idx += 1
+            if not len(live):
+                break
     return [
         Trajectory(
             iterations=np.array(iters[k], dtype=int),
@@ -544,13 +601,12 @@ def _past_limit(w: np.ndarray, limit: float) -> np.ndarray | None:
     return None if sq.max() <= limit else sq
 
 
-def _lms_update(w, x, y, gamma, _m, out=None):
-    """w - gamma (x^T w - y) x, written into ``w``; ``out`` is scratch."""
+def _lms_update(w, x, y, gamma, _m):
+    """The LMS step coefficients gamma (x^T w - y)."""
     resid = np.einsum("cri,ri->cr" if x.ndim == 2 else "cri,cri->cr", w, x)
     resid -= y
-    resid *= gamma[:, :, 0]
-    w -= np.multiply(resid[..., None], x, out=out)
-    return w
+    resid *= gamma
+    return resid
 
 
 def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
@@ -619,10 +675,10 @@ def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
                        seed=seed, record_at=record_at)
     sampler = _Sampler(spec, [scheme])
 
-    def update(w, x, y, _gamma, _m, _out):
+    def update(w, x, y, _gamma, _m):
         sq = np.einsum("ri,ri->r", x, x)
         resid = np.einsum("cri,ri->cr", w, x) - y
-        return w - (resid / sq)[..., None] * x
+        return resid / sq
 
     traj = _drive(spec, [config], update, sampler, labels=["nlms"])[0]
     traj.gamma = 1.0 / float(np.trace(spec.hmat))
@@ -648,13 +704,13 @@ def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: in
                        seed=seed, record_at=record_at)
     sampler = _Sampler(spec)
 
-    def update(w, x, y, _gamma, m, _out):
+    def update(w, x, y, _gamma, m):
         g = schedule(m - 1)
         if g <= 0:
             raise ValueError("step schedule must stay positive")
         sq = np.einsum("ri,ri->r", x, x)
         resid = np.einsum("cri,ri->cr", w, x) - y
-        return w - (g / (1.0 + g * sq) * resid)[..., None] * x
+        return g / (1.0 + g * sq) * resid
 
     return _drive(spec, [config], update, sampler, labels=["isgd"])[0]
 

@@ -288,22 +288,26 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
     probability-weighted atom averages.
     """
     if isinstance(spec.design, DiscreteDesign):
-        return _atom_moments(spec, spec.design.probs)
+        return _atom_moments(spec, [spec.design.probs])[0]
     lam = spec.h_eig[0]
     return _gaussian_moments(spec, np.outer(lam, lam), 1.0, spec.noise.sigma**2 * spec.hmat)
 
 
-def _atom_moments(spec: ProblemSpec, wts: np.ndarray) -> MomentSet:
+def _atom_moments(spec: ProblemSpec, weight_rows) -> list[MomentSet]:
     """Moments of a discrete spec whose fourth-order objects weight atom t
-    by ``wts[t]``: ``probs`` for the spec itself, ``probs * c`` resampled.
+    by ``wts[t]``, one MomentSet per row ``wts`` of ``weight_rows``:
+    ``probs`` for the spec itself, ``probs * c`` resampled.  The rows share
+    one pass of the atom Gram over the atoms.
     """
     xs = spec.design.xs
     residual = isinstance(spec.noise, ResidualNoise)
     eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
     basis = SymBasis(spec.dim)
-    fourth = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis, weights=wts)
-    frame = SpectralFrame(basis, *spec.h_eig, fourth)
-    return _assemble(spec, frame, (xs * (wts * eps2)[:, None]).T @ xs)
+    fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
+                                                  weights=np.stack(weight_rows))
+    return [_assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
+                      (xs * (wts * eps2)[:, None]).T @ xs)
+            for wts, fourth in zip(weight_rows, fourths)]
 
 
 def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
@@ -349,11 +353,16 @@ def reweighted_moments(spec: ProblemSpec, c_inverse) -> MomentSet:
             "(compute_moments, norm_resampled_moments, leverage_resampled_moments); "
             "for any other density ratio, draw rows and build ProblemSpec.discrete"
         )
+    return _atom_moments(spec, [_reweighted_probs(spec, c_inverse)])[0]
+
+
+def _reweighted_probs(spec: ProblemSpec, c_inverse) -> np.ndarray:
+    """The atom weights ``probs * c`` of :func:`reweighted_moments`."""
     cinv = _atom_c_inverse(spec, c_inverse)
-    xs, probs = design.xs, design.probs
+    xs, probs = spec.design.xs, spec.design.probs
     live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
     c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
-    return _atom_moments(spec, probs * c)
+    return probs * c
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -105,12 +105,13 @@ class SymBasis:
         return out
 
 
-def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
-    """Coordinates of x x^T for each row x of xs, shape (N, D).
+def _rank_one_coords(xs: np.ndarray, basis: SymBasis, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinates of x x^T for each row x of xs, shape (N, D), written into
+    ``out`` when given.
 
     Built in place: at its peak it holds two (N, D) arrays, not three.
     """
-    out = xs[:, basis._rows]
+    out = np.take(xs, basis._rows, axis=1, out=out)
     out *= xs[:, basis._cols]
     out *= basis._scale
     return out
@@ -118,7 +119,7 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis) -> np.ndarray:
 
 def fourth_moment_operator_from_samples(
     samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
-) -> np.ndarray:
+):
     """D x D matrix of the empirical fourth-moment operator
     A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
 
@@ -126,9 +127,13 @@ def fourth_moment_operator_from_samples(
     of the coordinate vectors of x x^T, hence symmetric positive
     semidefinite by construction.  Rows already rotated into H's
     eigenbasis (``xs @ u``) give the operator in that basis.  The
-    coordinate vectors are built for GRAM_CHUNK_BYTES of rows at a time
-    and their Grams summed, so memory stays O(chunk x D) for any number of
-    samples; a sample that fits in one chunk gets the one-shot product.
+    coordinate vectors are built for GRAM_CHUNK_BYTES of rows at a time,
+    into buffers reused from chunk to chunk, and their Grams summed, so
+    memory stays O(chunk x D) for any number of samples; a sample that
+    fits in one chunk gets the one-shot product.  ``weights`` is None (the
+    plain mean), one weight per sample, or a (k, N) stack of weight rows,
+    which gives a list of k matrices: each chunk's coordinates are then
+    built once for all k, and every matrix has the bits it gets alone.
     """
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
     n = xs.shape[0]
@@ -138,22 +143,34 @@ def fourth_moment_operator_from_samples(
         basis = SymBasis(xs.shape[1])
     elif basis.dim != xs.shape[1]:
         raise DimensionError("basis and sample dimensions differ")
+    stacked = weights is not None and np.ndim(weights) == 2
+    rows_of = [None]
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
+        if weights.shape[-1:] != (n,) or weights.ndim > 2:
             raise DimensionError("weights must have one entry per sample")
-    rows = max(1, GRAM_CHUNK_BYTES // (8 * basis.size))
-    mat = None
+        rows_of = weights if stacked else weights[None]
+    size = basis.size
+    rows = min(n, max(1, GRAM_CHUNK_BYTES // (8 * size)))
+    coords = np.empty((rows, size))
+    scaled = None if weights is None else np.empty((rows, size))
+    part = np.empty((size, size)) if n > rows else None
+    mats = [np.empty((size, size)) for _ in rows_of]
     for k in range(0, n, rows):
-        u = _rank_one_coords(xs[k:k + rows], basis)
-        part = u.T @ u if weights is None else (u * weights[k:k + rows, None]).T @ u
-        if mat is None:
-            mat = part
-        else:
-            mat += part
-    if weights is None:
-        mat /= n
-    return 0.5 * (mat + mat.T)
+        u = _rank_one_coords(xs[k:k + rows], basis, out=coords[:min(rows, n - k)])
+        for mat, w in zip(mats, rows_of):
+            lhs = u if w is None else np.multiply(u, w[k:k + rows, None], out=scaled[:len(u)])
+            if k == 0:
+                np.matmul(lhs.T, u, out=mat)
+            else:
+                np.matmul(lhs.T, u, out=part)
+                mat += part
+    for mat in mats:
+        if weights is None:
+            mat /= n
+        np.add(mat, mat.T, out=mat)
+        mat *= 0.5
+    return mats if stacked else mats[0]
 
 
 class TEigenpairs:

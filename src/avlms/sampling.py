@@ -23,7 +23,10 @@ from .moments import (
     ProblemSpec,
     _atom_residuals,
     _chi_mean,
+    _atom_moments,
     _gaussian_mean_norm,
+    _reweighted_probs,
+    compute_moments,
     leverage_resampled_moments,
     norm_resampled_moments,
     reweighted_moments,
@@ -74,7 +77,7 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
 
     return SamplingScheme(
         name="bias-opt",
-        c_inverse=c_inverse,
+        c_inverse=_once_on_atoms(spec, c_inverse),
         normalization=norm_const,
         requires=frozenset({"mean squared norm"}),
         exact_moments=_gaussian_closed_form(spec, norm_resampled_moments),
@@ -103,8 +106,11 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     if isinstance(spec.noise, IndependentGaussianNoise):
         if spec.noise.sigma <= 0:
             raise SchemeError("the variance scheme is undefined on a noiseless spec")
+        on_atoms = None
         if isinstance(design, DiscreteDesign):
-            norm_const = float(design.probs @ leverage(design.xs))
+            on_atoms = leverage(design.xs)
+            norm_const = float(design.probs @ on_atoms)
+            on_atoms /= norm_const
         else:
             # X^T H^-1 X is an exact chi-square with d degrees of freedom.
             norm_const = _chi_mean(spec.dim)
@@ -114,7 +120,7 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
 
         return SamplingScheme(
             name="variance-opt",
-            c_inverse=c_inverse,
+            c_inverse=_once_on_atoms(spec, c_inverse, on_atoms),
             normalization=norm_const,
             requires=frozenset({"second moment", "noise level"}),
             exact_moments=_gaussian_closed_form(spec, leverage_resampled_moments),
@@ -133,10 +139,56 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
 
     return SamplingScheme(
         name="variance-opt",
-        c_inverse=c_inverse,
+        c_inverse=_once_on_atoms(spec, c_inverse, weights / norm_const, design.ys),
         normalization=norm_const,
         requires=frozenset({"second moment", "residuals"}),
     )
+
+
+def _once_on_atoms(spec: ProblemSpec, c_inverse, on_atoms=None, ys=None):
+    """``c_inverse``, answering the atoms of ``spec`` (and labels ``ys``,
+    when the ratio reads them) with its value there, evaluated once.
+
+    Every evaluation on a command's atoms (the moments, the engine's
+    tables) then reuses the array; it is read-only and has the bits a fresh
+    evaluation gives.  Gaussian specs have no atoms and get ``c_inverse``.
+    """
+    design = spec.design
+    if not isinstance(design, DiscreteDesign):
+        return c_inverse
+    if on_atoms is None:
+        on_atoms = c_inverse(design.xs, ys)
+    on_atoms.setflags(write=False)
+
+    def cached(xs, labels):
+        if xs is design.xs and (ys is None or labels is ys):
+            return on_atoms
+        return c_inverse(xs, labels)
+
+    return cached
+
+
+def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
+    """The moments of ``spec`` under each scheme of ``schemes``:
+    :func:`~avlms.moments.compute_moments` for None, else
+    :func:`resampled_moments`, bit for bit.  On a discrete spec the atom
+    Grams of every scheme without a closed form come from one pass over
+    the atoms."""
+    out = [None] * len(schemes)
+    rows, at = [], []
+    for k, scheme in enumerate(schemes):
+        if scheme is not None and scheme.exact_moments is not None:
+            out[k] = scheme.exact_moments()
+        elif not isinstance(spec.design, DiscreteDesign):
+            out[k] = compute_moments(spec) if scheme is None else resampled_moments(spec, scheme)
+        else:
+            rows.append(spec.design.probs if scheme is None
+                        else _reweighted_probs(spec, scheme.c_inverse))
+            at.append(k)
+    if rows:
+        for k, moments in zip(at, _atom_moments(spec, rows)):
+            out[k] = moments
+    return out
 
 
 def _gaussian_closed_form(spec: ProblemSpec, form) -> Callable[[], MomentSet] | None:

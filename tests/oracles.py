@@ -5,12 +5,16 @@ T(gamma) = H_L + H_R - gamma M there.  These build the same operators
 densely, in the original coordinates and from the spec alone, as the
 references the tests compare against; :func:`eigbasis_rotation` is the
 tests' own map between the two coordinate systems.
+
+:func:`reference_run` is the reference of the engine's step loop: one
+cell, one step per draw, and the exact divergence check on every step.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from avlms import engine
 from avlms.errors import DimensionError, SpecError
 from avlms.moments import DiscreteDesign
 from avlms.operators import (
@@ -159,3 +163,59 @@ def with_dense_frame(moments):
 def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:
     """The operator applied to a symmetric matrix."""
     return op.basis.vecs_to_mats(op.matrix @ op.basis.mats_to_vecs(a))
+
+
+def reference_run(spec, config, scheme=None, rule="lms", schedule=None):
+    """One engine cell stepped alone, one draw per step, with the exact
+    divergence check (every squared replicate norm against
+    ``DIVERGENCE_NORM**2``) on every step: ``(iterations, risk,
+    standard_error, (diverged_at, diverged_replicate, diverged_norm))``.
+
+    ``rule`` is "lms" (step ``config.gamma``), "nlms" or "isgd" (step
+    ``schedule(m - 1)`` at update m); each updates w -= coef x with a
+    broadcast product.  The draws are the engine's own one-step blocks,
+    which the block tests tie to the per-step stream.
+    """
+    reps = config.replicates
+    limit = engine.DIVERGENCE_NORM**2
+    noisy = config.mode != "bias"
+    sampler = engine._Sampler(spec, [scheme])
+    gen_x, gen_eps = engine._generators(config.seed)
+    w = np.tile(spec.w_star if config.mode == "variance" else spec.w0, (reps, 1)).astype(float)
+    wbar = w.copy()
+    points = set(config.record_points())
+    iters, risks, errs = [], [], []
+    diverged = (None, None, None)
+
+    def record(m):
+        diff = wbar - spec.w_star
+        r = np.einsum("ri,ij,rj->r", diff, spec.hmat, diff)
+        iters.append(m)
+        risks.append(float(r.mean()))
+        errs.append(float(r.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
+
+    if 1 in points:
+        record(1)
+    for m in range(2, config.n + 1):
+        x, clean, y, _ = sampler.block(gen_x, gen_eps, reps, 1, noisy, [0])
+        x, y = x[0, 0], (y if noisy else clean)[0, 0]
+        resid = np.einsum("ri,ri->r", x, w) - y
+        if rule == "lms":
+            coef = config.gamma * resid
+        else:
+            sq = np.einsum("ri,ri->r", x, x)
+            if rule == "nlms":
+                coef = resid / sq
+            else:
+                g = schedule(m - 1)
+                coef = g / (1.0 + g * sq) * resid
+        w = w - coef[:, None] * x
+        norms = np.einsum("ri,ri->r", w, w)
+        if not norms.max() <= limit:
+            rep = int(np.argmax(norms))
+            diverged = (m, rep, float(np.sqrt(norms[rep])))
+            break
+        wbar += (w - wbar) / m
+        if m in points:
+            record(m)
+    return np.array(iters, dtype=int), np.array(risks), np.array(errs), diverged

@@ -174,8 +174,9 @@ class TestCommands:
     def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
         """gamma-max and sampling over three schemes on data build three
         weighted atom Grams, the uniform moments and one per resampled
-        scheme, and each Gram builds the atoms' rank-one coordinates one
-        chunk of rows at a time, never all N rows at once."""
+        scheme, in one pass over the atoms: each chunk of rows has its
+        rank-one coordinates built once for all three Grams, and never all
+        N rows at once."""
         import avlms.moments
         import avlms.operators
 
@@ -186,13 +187,15 @@ class TestCommands:
         original = avlms.operators._rank_one_coords
         gram = avlms.moments.fourth_moment_operator_from_samples
 
-        def counting(xs, basis):
-            grams[-1].append(xs.shape[0])
-            return original(xs, basis)
+        def counting(xs, basis, out=None):
+            grams[-1][1].append(xs.shape[0])
+            return original(xs, basis, out=out)
 
-        def counting_gram(*args, **kwargs):
-            grams.append([])
-            return gram(*args, **kwargs)
+        def counting_gram(*args, weights=None, **kwargs):
+            grams.append((len(weights), []))
+            mats = gram(*args, weights=weights, **kwargs)
+            assert len(mats) == len(weights)
+            return mats
 
         monkeypatch.setattr(avlms.operators, "_rank_one_coords", counting)
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting_gram)
@@ -203,7 +206,7 @@ class TestCommands:
                       "--out", str(tmp_path / "s.csv")]):
             grams.clear()
             assert main(argv) == EXIT_OK
-            assert grams == [[16, 16, 8]] * 3
+            assert grams == [(3, [16, 16, 8])]
 
     def test_sampling_solves_one_pencil_per_moment_set(self, tmp_path, monkeypatch):
         """The uniform row of sampling reuses the base moments' threshold:

@@ -1,11 +1,15 @@
 """Simulation engine: averaged runs, resampled streams, baselines."""
 
+import dataclasses
 import inspect
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avlms import (
     CovarianceModel,
@@ -26,8 +30,10 @@ from avlms import (
     run_cells,
     uniform_scheme,
 )
-from avlms import engine
+from avlms import cli, engine
+from avlms.moments import DiscreteDesign
 from conftest import make_discrete, make_gaussian
+from oracles import reference_run
 
 
 def scalar_unit_spec(w0=1.0, sigma=1.0):
@@ -35,17 +41,18 @@ def scalar_unit_spec(w0=1.0, sigma=1.0):
 
 
 def lms_step(w, x, y, gamma):
-    """The engine's update on one replicate of one cell."""
-    out = engine._lms_update(np.asarray(w, dtype=float)[None, None],
-                             np.asarray(x, dtype=float)[None], np.array([[y]], dtype=float),
-                             np.full((1, 1, 1), gamma), 2)
-    return out[0, 0]
+    """The engine's update on one replicate of one cell: the coefficient of
+    the update rule, applied as ``_drive`` applies it."""
+    w = np.asarray(w, dtype=float)[None, None]
+    x = np.asarray(x, dtype=float)[None]
+    coef = engine._lms_update(w, x, np.array([[y]], dtype=float), np.full((1, 1), gamma), 2)
+    return (w - np.einsum("cr,ri->cri", coef, x))[0, 0]
 
 
 def resampled_draws(spec, scheme, seed, size):
     """``size`` sqrt(c)-scaled pairs (x, y) from the engine's sampler for a scheme."""
-    x, _, y = engine._Sampler(spec, [scheme]).block(*engine._generators(seed), size, 1,
-                                                    True, [0])
+    x, _, y, _ = engine._Sampler(spec, [scheme]).block(*engine._generators(seed), size, 1,
+                                                       True, [0])
     return x[0, 0], y[0, 0]
 
 
@@ -486,13 +493,15 @@ class TestBlocks:
         whole = sampler.block(*engine._generators(4), 7, 5, True, drawn)
         gens = engine._generators(4)
         steps = [sampler.block(*gens, 7, 1, True, drawn) for _ in range(5)]
-        for a, b in zip(whole, zip(*steps)):
+        for a, b in zip(whole[:3], zip(*steps)):
             np.testing.assert_array_equal(a, np.concatenate(b))
+        # x_max bounds the block's inputs: the largest entry of the tables drawn from
+        assert np.abs(whole[0]).max() <= whole[3] == max(s[3] for s in steps)
         # each scheme's slice is the stream of that scheme drawn alone
         for k, scheme in enumerate(schemes):
             alone = engine._Sampler(spec, [scheme]).block(*engine._generators(4), 7, 5, True,
                                                           [0])
-            for a, b in zip(whole, alone):
+            for a, b in zip(whole[:3], alone[:3]):
                 np.testing.assert_array_equal(a[:, k], b[:, 0])
 
 
@@ -503,7 +512,7 @@ class TestDrawThread:
     @pytest.fixture(autouse=True)
     def short_blocks(self, monkeypatch):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 7)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
 
     @staticmethod
     def counting_schedule(seen, stop_at=None):
@@ -641,3 +650,189 @@ class TestDivergenceCheck:
         w[2, 1, 3] = bad
         sq = engine._past_limit(w, engine.DIVERGENCE_NORM**2)
         assert sq is not None and not sq[2, 1] <= engine.DIVERGENCE_NORM**2
+
+
+def _with_nan_labels(spec):
+    """The residual spec with two atoms' labels NaN: a cell that draws one
+    steps to NaN, while its bias cells read the clean responses."""
+    ys = np.array(spec.design.ys)
+    ys[[2, 5]] = np.nan
+    design = DiscreteDesign(spec.design.xs, spec.design.probs, ys)
+    return dataclasses.replace(spec, design=design)
+
+
+_DIAGONAL = ProblemSpec.gaussian(np.diag(1.0 / np.arange(1, 5)), w_star=[1.0, -2.0, 0.5, 3.0],
+                                 w0=[0.5, 0.0, -1.0, 2.0], sigma=0.7)
+STEP_SPECS = {
+    "diagonal-gaussian": _DIAGONAL,
+    "rotated-gaussian": make_gaussian(3, 0.5, 7),
+    "discrete": make_discrete(3, 9, 61, residual=False),
+    "residual": make_discrete(3, 9, 61, residual=True),
+    "nan-labels": _with_nan_labels(make_discrete(3, 9, 61, residual=True)),
+}
+
+
+def _engine_and_reference(spec, rule, cells, n, reps, seed, stride):
+    """The engine's trajectories of ``cells`` ((gamma, mode, scheme) triples;
+    one cell for nlms and isgd) and the reference's, cell by cell."""
+    record = tuple(range(stride, n + 1, stride)) + (n,)
+    configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=seed, record_at=record)
+               for g, mode, _ in cells]
+    schemes = [s for _, _, s in cells]
+    schedule = None
+    if rule == "lms":
+        got = run_cells(spec, configs, schemes)
+    elif rule == "nlms":
+        got = [nlms_run(spec, n, seed, reps, record)]
+        schemes = [optimal_bias_scheme(spec)]
+    else:
+        g0 = cells[0][0]
+
+        def schedule(i):
+            return g0 * (1 + i % 3)
+
+        got = [isgd_run(spec, schedule, n, seed, reps, record)]
+        schemes = [None]
+    want = [reference_run(spec, c, s, rule, schedule) for c, s in zip(configs, schemes)]
+    return got, want
+
+
+def _assert_same_run(traj, want):
+    iters, risk, err, diverged = want
+    np.testing.assert_array_equal(traj.iterations, iters)
+    np.testing.assert_array_equal(traj.risk, risk)
+    np.testing.assert_array_equal(traj.standard_error, err)
+    np.testing.assert_equal((traj.diverged_at, traj.diverged_replicate, traj.diverged_norm),
+                            diverged)
+    assert traj.diverged == (diverged[0] is not None)
+
+
+class TestStepLoopReference:
+    """The step loop screens divergence with a running bound and selects
+    each cell's draws once per block; it must match the reference that
+    checks every step exactly, one draw at a time, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(STEP_SPECS)),
+        rule=st.sampled_from(["lms", "nlms", "isgd"]),
+        cells=st.lists(st.tuples(st.floats(0.05, 6.0), st.sampled_from(engine.MODES),
+                                 st.integers(0, 2)), min_size=1, max_size=4),
+        near_limit=st.sampled_from([None, 0.3, 0.45, 0.5, 0.999, 1.001]),
+        n=st.integers(2, 90),
+        reps=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 9),
+        cpus=st.sampled_from([1, 2]),
+    )
+    @example(name="residual", rule="lms", cells=[(5.0, "total", 1), (0.3, "bias", 0)],
+             near_limit=0.999, n=60, reps=3, seed=1, steps=1, cpus=2)
+    def test_matches_the_exact_check_every_step(self, name, rule, cells, near_limit, n, reps,
+                                                seed, steps, cpus):
+        spec = STEP_SPECS[name]
+        gaussian = name.endswith("gaussian")
+        if near_limit is not None:
+            # Every entry at sqrt(near_limit * limit / d): the squared norm of
+            # w0 sits just under or over the limit.
+            entry = np.sqrt(near_limit / spec.dim) * engine.DIVERGENCE_NORM
+            spec = dataclasses.replace(spec, w0=np.full(spec.dim, entry))
+        if rule == "nlms" and gaussian:
+            rule = "isgd"
+        choices = [None] if gaussian else [None, optimal_bias_scheme(spec)]
+        if name in ("discrete", "residual"):
+            choices.append(optimal_variance_scheme(spec))
+        trace_h = float(np.trace(spec.hmat))
+        cells = [(g / trace_h, mode, choices[k % len(choices)]) for g, mode, k in cells]
+        if rule != "lms":
+            # nlms_run and isgd_run run one "total" cell.
+            cells = [(cells[0][0], "total", cells[0][2])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_usable_cpus", lambda: cpus)
+            mp.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
+            got, want = _engine_and_reference(spec, rule, cells, n, reps, seed, stride=3)
+        for traj, ref in zip(got, want):
+            _assert_same_run(traj, ref)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_divergence_on_a_blocks_first_step_and_mid_block(self, where, cpus, monkeypatch):
+        """The grid's last cell diverges at step D; blocks of D - 2 steps make
+        D the first step of the second block, blocks of D steps put it in the
+        middle of the first."""
+        spec = make_discrete(3, 9, 61, residual=True)
+        cells = [(0.05, "total", None), (0.05, "bias", optimal_bias_scheme(spec)),
+                 (0.9, "variance", optimal_bias_scheme(spec)), (1.2, "total", None)]
+        record = dict(n=400, replicates=3, seed=5, record_stride=7)
+        last = reference_run(spec, RunConfig(gamma=1.2, mode="total", **record))[3][0]
+        assert last is not None and last > 4
+        steps = last - 2 if where == "first" else last
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
+        got, want = _engine_and_reference(spec, "lms", cells, 400, 3, 5, stride=7)
+        assert sum(ref[3][0] is not None for ref in want) >= 2
+        for traj, ref in zip(got, want):
+            _assert_same_run(traj, ref)
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_step_that_meets_the_bound_is_caught(self, cpus, monkeypatch):
+        """From w0 = 0 with X = 3 and a huge label the first step lands at
+        exactly max|coef| x_max, the running bound, and just past the
+        limit: a bound grown any slower would miss it."""
+        spec = ProblemSpec.discrete(np.array([[3.0]]), ys=np.array([4e14]))
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        got, want = _engine_and_reference(spec, "lms", [(1e-3, "total", None)], 5, 2, 0, 1)
+        assert want[0][3][0] == 2 and 1e12 < want[0][3][2] <= 1.2e12
+        _assert_same_run(got[0], want[0])
+
+
+class TestGaussianDraws:
+    def test_diagonal_root_scales_with_the_matmul_bits(self):
+        """A descriptor's root is diagonal: its blocks scale the normals in
+        one product and hold the bits of the per-step matmul."""
+        spec = cli.parse_spec_descriptor("gaussian:d=25,spectrum=1/i,sigma=1")
+        sampler = engine._Sampler(spec)
+        assert sampler._diag is not None
+        diagonal = sampler.block(*engine._generators(3), 40, 6, True, [0])
+        sampler._diag = None
+        rotated = sampler.block(*engine._generators(3), 40, 6, True, [0])
+        for a, b in zip(diagonal[:3], rotated[:3]):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert diagonal[3] == rotated[3] == np.abs(rotated[0]).max()
+
+    def test_rotated_root_takes_the_matmul(self):
+        from test_golden import rotated_gaussian
+
+        sampler = engine._Sampler(rotated_gaussian())
+        assert sampler._diag is None
+        assert sampler.step_floats(30, 1) == 30 * (6 + 2) + 30 * 6
+
+
+class TestSelectionBudget:
+    def test_a_150_cell_grid_fits_the_draw_budget(self, monkeypatch):
+        """Blocks, their buffers and the per-cell selections of a 150-cell
+        mixed-mode grid stay within GROUP_BYTES // CHUNK_SHARE beyond the
+        state (w, wbar and the scratch): numpy reports its arrays to
+        tracemalloc."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        spec = make_discrete(6, 20, 3, residual=False)
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        cells = [(g, mode, s) for g in np.linspace(0.01, 0.05, 25)
+                 for mode in ("bias", "total") for s in schemes]
+        assert len(cells) == 150
+        reps, n = 40, 300
+        configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=1, record_at=(n,))
+                   for g, mode, _ in cells]
+        steps = []
+        block_steps = engine._Sampler.block_steps
+        monkeypatch.setattr(engine._Sampler, "block_steps",
+                            lambda self, *a: steps.append(block_steps(self, *a)) or steps[-1])
+        state = 3 * 150 * reps * spec.dim * 8
+        tracemalloc.start()
+        try:
+            run_cells(spec, configs, [s for _, _, s in cells])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 < steps[0] < n
+        assert peak - state <= engine.GROUP_BYTES // engine.CHUNK_SHARE

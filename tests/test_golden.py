@@ -403,12 +403,12 @@ class TestGaussianBlocks:
         spec = rotated_gaussian()
         configs = _grid()
         sampler = engine._Sampler(spec)
-        assert sampler.block_steps(30, 1) >= 399
+        assert sampler.block_steps(30, 1, 6) >= 399
         whole = run_cells(spec, configs)
         assert [t.diverged for t in whole] == [False] * 3 + [True] * 3
         # Still one group of six cells, now drawn one step at a time.
         monkeypatch.setattr(engine, "GROUP_BYTES", 6 * engine._STATE_ARRAYS * 8 * 30 * 6)
-        assert sampler.block_steps(30, 1) == 1
+        assert sampler.block_steps(30, 1, 6) == 1
         calls = []
         drive = engine._drive
         monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
@@ -446,7 +446,7 @@ class TestSchemeGrid:
             return block(self, *args, **kwargs)
 
         monkeypatch.setattr(engine._Sampler, "block", spy)
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: 10)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 10)
         grid = run_cells(spec, configs, schemes)
         assert grid[-1].diverged and not any(t.diverged for t in grid[:-1])
         assert drawn[0] == 4 and drawn[-1] == 3
@@ -481,7 +481,7 @@ class TestSchemeGrid:
         cells = self._cells(spec)
         cells = cells[-1:] + cells[:-1]
         configs, schemes = [c for c, _ in cells], [s for _, s in cells]
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes: steps)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: steps)
         runs = {}
         interval = sys.getswitchinterval()
         for cpus in (2, 1):
