@@ -119,7 +119,7 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis, out: np.ndarray | None = N
 
 def fourth_moment_operator_from_samples(
     samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
-):
+) -> np.ndarray | list[np.ndarray]:
     """D x D matrix of the empirical fourth-moment operator
     A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
 

@@ -21,9 +21,9 @@ from .moments import (
     IndependentGaussianNoise,
     MomentSet,
     ProblemSpec,
+    _atom_moments,
     _atom_residuals,
     _chi_mean,
-    _atom_moments,
     _gaussian_mean_norm,
     _reweighted_probs,
     compute_moments,
@@ -177,14 +177,13 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     out = [None] * len(schemes)
     rows, at = [], []
     for k, scheme in enumerate(schemes):
-        if scheme is not None and scheme.exact_moments is not None:
-            out[k] = scheme.exact_moments()
-        elif not isinstance(spec.design, DiscreteDesign):
-            out[k] = compute_moments(spec) if scheme is None else resampled_moments(spec, scheme)
-        else:
+        if isinstance(spec.design, DiscreteDesign) and (
+                scheme is None or scheme.exact_moments is None):
             rows.append(spec.design.probs if scheme is None
                         else _reweighted_probs(spec, scheme.c_inverse))
             at.append(k)
+        else:
+            out[k] = compute_moments(spec) if scheme is None else resampled_moments(spec, scheme)
     if rows:
         for k, moments in zip(at, _atom_moments(spec, rows)):
             out[k] = moments

@@ -189,7 +189,8 @@ class TestFourthMomentFromSamples:
     def test_row_chunks_match_the_one_shot_gram(self):
         """About 2.5 chunks of rows (not a whole number of them): the chunked
         sum matches the one-shot product to 1e-13 of its largest entry,
-        weighted and unweighted."""
+        weighted and unweighted; a stack of weight rows, summed in one pass,
+        gives each row the bits of its own pass."""
         from avlms.operators import GRAM_CHUNK_BYTES
 
         basis = SymBasis(30)
@@ -200,6 +201,12 @@ class TestFourthMomentFromSamples:
             want = one_shot_fourth_moment(xs, basis, w)
             got = fourth_moment_operator_from_samples(xs, basis, weights=w)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        stack = np.stack([weights, weights[::-1], np.full(n, 1.0 / n)])
+        grams = fourth_moment_operator_from_samples(xs, basis, weights=stack)
+        assert len(grams) == 3
+        for got, w in zip(grams, stack):
+            np.testing.assert_array_equal(got, fourth_moment_operator_from_samples(xs, basis,
+                                                                                   weights=w))
 
     def test_one_chunk_is_the_one_shot_gram_bit_for_bit(self):
         from avlms.operators import GRAM_CHUNK_BYTES
