@@ -11,8 +11,6 @@ from .engine import (
     RunConfig,
     Trajectory,
     class_weighted_spec,
-    isgd_run,
-    nlms_run,
     run_averaged_lms,
     run_cells,
 )

@@ -28,11 +28,12 @@ drawing for it, so the bits do not depend on how far ahead the blocks are
 drawn or on whether a thread draws them.
 
 The stepping thread does only per-step work: each cell's draws are
-selected once per block, an update rule returns its step coefficients
-and the step is one product per entry, and the exact divergence check
-runs only when a running bound on max|w| could reach the limit.  A
-trajectory, and where and at what norm a cell diverged, are those of the
-plain recursion with the exact check on every step.
+selected once per block, the LMS coefficients gamma (x^T w - y) take one
+einsum and two in-place operations and the step one product per entry,
+and the exact divergence check runs only when a running bound on max|w|
+could reach the limit.  A trajectory, and where and at what norm a cell
+diverged, are those of the plain recursion with the exact check on every
+step.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class RunConfig:
     record_at: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.replicates < 1:
@@ -129,7 +130,7 @@ class Trajectory:
     risk: np.ndarray
     standard_error: np.ndarray
     mode: str
-    gamma: float | None = None
+    gamma: float
     diverged: bool = False
     diverged_at: int | None = None
     diverged_replicate: int | None = None
@@ -432,15 +433,15 @@ class _Prefetch:
             self._ready.get()
 
 
-def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
-           schemes=None, labels=None) -> list[Trajectory]:
+def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int],
+           labels: list[str]) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
 
     The state ``w`` has shape (cells, replicates, d).  Every step shares one
     draw among all cells: the uniforms (or Gaussian inputs) once, and the
     noise once while a noisy cell is live.  ``schemes`` gives each cell's
-    scheme index into ``sampler`` (default 0); each cell sees the inputs of
-    its own scheme, and "bias" cells the noiseless response, the others the
+    scheme index into ``sampler``; each cell sees the inputs of its own
+    scheme, and "bias" cells the noiseless response, the others the
     observed one.  Draws come in blocks of :meth:`_Sampler.block_steps`
     steps from this call's streams (:func:`_draw_blocks`).  With two
     usable CPUs a background thread draws the next block into the second of
@@ -449,11 +450,10 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     inputs and responses are selected once per block, and again from the
     next step on when cells leave, so a step only indexes them.
 
-    ``update(w, x, y, gamma, m)`` returns the step coefficients ``coef`` of
-    shape (cells, replicates), with the step ``w -= coef x`` applied here:
-    ``x`` has shape (replicates, d) when one scheme is drawn and
-    (cells, replicates, d) otherwise, ``y`` shape (cells, replicates) or
-    (1, replicates), and ``gamma`` shape (cells, 1).  Each entry of
+    Each step computes the LMS coefficients ``coef = gamma (x^T w - y)`` of
+    shape (cells, replicates), as an einsum, ``-= y`` and ``*= gamma``, and
+    applies ``w -= coef x``: ``x`` has shape (replicates, d) when one scheme
+    is drawn and (cells, replicates, d) otherwise.  Each entry of
     ``coef x`` is one rounded product, as a broadcast ``np.multiply`` gives
     it, except that a zero product is +0.
 
@@ -479,8 +479,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     scratch = np.empty_like(w)
     gamma = np.array([c.gamma for c in configs], dtype=float)[:, None]
     noiseless = np.array([c.mode == "bias" for c in configs])
-    scheme_of = np.zeros(len(configs), dtype=np.intp) if schemes is None else np.asarray(
-        schemes, dtype=np.intp)
+    scheme_of = np.asarray(schemes, dtype=np.intp)
     live = np.arange(len(configs))
     points = config.record_points()
     iters = [[] for _ in configs]
@@ -498,7 +497,8 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
 
     def select(first: int):
         """Each live cell's inputs and responses for the block's steps from
-        ``first`` on, and the subscripts of the step's product coef x."""
+        ``first`` on, and the subscripts of the residual x^T w and of the
+        step's product coef x."""
         if len(drawn) == 1:
             rows = slice(0, 1)
         else:
@@ -511,8 +511,8 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
         else:
             y = yb[first:, rows]
         if len(drawn) == 1:
-            return xb[first:, 0], y, "cr,ri->cri"
-        return xb[first:, rows], y, "cr,cri->cri"
+            return xb[first:, 0], y, "cri,ri->cr", "cr,ri->cri"
+        return xb[first:, rows], y, "cri,cri->cr", "cr,cri->cri"
 
     limit = DIVERGENCE_NORM**2
     half_limit = 0.5 * limit
@@ -535,11 +535,13 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
     with _Prefetch(blocks, len(buffers)) if threaded else nullcontext(blocks) as feed:
         for drawn, xb, cb, yb, x_max in feed:
             first = 0
-            xs, ys, outer = select(first)
+            xs, ys, inner, outer = select(first)
             for j in range(len(xb)):
                 m += 1
                 x = xs[j - first]
-                coef = update(w, x, ys[j - first], gamma, m)
+                coef = np.einsum(inner, w, x)
+                coef -= ys[j - first]
+                coef *= gamma
                 w -= np.einsum(outer, coef, x, out=scratch)
                 bound = (bound + float(np.abs(coef).max()) * x_max) * slack
                 if not bound * bound * dim <= half_limit:
@@ -560,7 +562,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
                         plan[:] = [np.unique(scheme_of), noisy]
                         first = j + 1
                         xs = ys = None  # drop the old selection before taking the new
-                        xs, ys, outer = select(first)
+                        xs, ys, inner, outer = select(first)
                     bound = float(max(w.max(), -w.min()))
                 np.subtract(w, wbar, out=scratch)
                 np.divide(scratch, m, out=scratch)
@@ -581,7 +583,7 @@ def _drive(spec, configs: list[RunConfig], update, sampler: _Sampler,
             diverged_at=diverged[k][0],
             diverged_replicate=diverged[k][1],
             diverged_norm=diverged[k][2],
-            label="" if labels is None else labels[k],
+            label=labels[k],
         )
         for k, c in enumerate(configs)
     ]
@@ -599,14 +601,6 @@ def _past_limit(w: np.ndarray, limit: float) -> np.ndarray | None:
         return None
     sq = np.einsum("cri,cri->cr", w, w)
     return None if sq.max() <= limit else sq
-
-
-def _lms_update(w, x, y, gamma, _m):
-    """The LMS step coefficients gamma (x^T w - y)."""
-    resid = np.einsum("cri,ri->cr" if x.ndim == 2 else "cri,cri->cr", w, x)
-    resid -= y
-    resid *= gamma
-    return resid
 
 
 def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
@@ -645,8 +639,8 @@ def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
     size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * first.replicates * spec.dim))
     out = []
     for k in range(0, len(configs), size):
-        out += _drive(spec, configs[k:k + size], _lms_update, sampler,
-                      cell_scheme[k:k + size], labels[k:k + size])
+        out += _drive(spec, configs[k:k + size], sampler, cell_scheme[k:k + size],
+                      labels[k:k + size])
     return out
 
 
@@ -654,65 +648,6 @@ def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Traje
     """Averaged constant-step LMS under the requested mode: one cell of
     :func:`run_cells`."""
     return run_cells(spec, [config], scheme)[0]
-
-
-def nlms_run(spec: ProblemSpec, n: int, seed: int, replicates: int = 1,
-             record_at: tuple[int, ...] | None = None) -> Trajectory:
-    """Normalized LMS on the norm-proportional resampled stream.
-
-    Update w -= x (x^T w - y) / (x^T x), scale-invariant in the sample, so
-    it coincides with plain averaged LMS at gamma = 1/E[X^T X] under the
-    norm-proportional scheme and shared draws.
-    """
-    from .sampling import optimal_bias_scheme
-
-    scheme = optimal_bias_scheme(spec)
-    if isinstance(spec.design, DiscreteDesign):
-        norms = np.einsum("ti,ti->t", spec.design.xs, spec.design.xs)
-        if norms.min() <= 0:
-            raise SpecError("normalized LMS needs X != 0 on every atom")
-    config = RunConfig(gamma=1.0, n=n, replicates=replicates, mode="total",
-                       seed=seed, record_at=record_at)
-    sampler = _Sampler(spec, [scheme])
-
-    def update(w, x, y, _gamma, _m):
-        sq = np.einsum("ri,ri->r", x, x)
-        resid = np.einsum("cri,ri->cr", w, x) - y
-        return resid / sq
-
-    traj = _drive(spec, [config], update, sampler, labels=["nlms"])[0]
-    traj.gamma = 1.0 / float(np.trace(spec.hmat))
-    return traj
-
-
-def isgd_run(spec: ProblemSpec, step_schedule, n: int, seed: int, replicates: int = 1,
-             record_at: tuple[int, ...] | None = None) -> Trajectory:
-    """Implicit-update SGD baseline with a per-iteration step schedule.
-
-    Update w -= gamma_i / (1 + gamma_i x^T x) * x (x^T w - y); approaches
-    the normalized update for large gamma_i and freezes for gamma_i -> 0.
-    """
-    if callable(step_schedule):
-        schedule = step_schedule
-    else:
-        steps = np.asarray(step_schedule, dtype=float)
-
-        def schedule(i: int) -> float:
-            return float(steps[min(i - 1, len(steps) - 1)])
-
-    config = RunConfig(gamma=1.0, n=n, replicates=replicates, mode="total",
-                       seed=seed, record_at=record_at)
-    sampler = _Sampler(spec)
-
-    def update(w, x, y, _gamma, m):
-        g = schedule(m - 1)
-        if g <= 0:
-            raise ValueError("step schedule must stay positive")
-        sq = np.einsum("ri,ri->r", x, x)
-        resid = np.einsum("cri,ri->cr", w, x) - y
-        return g / (1.0 + g * sq) * resid
-
-    return _drive(spec, [config], update, sampler, labels=["isgd"])[0]
 
 
 def class_weighted_spec(spec: ProblemSpec, weights: dict | None = None) -> ProblemSpec:

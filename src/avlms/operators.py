@@ -29,7 +29,6 @@ references the tests compare against, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError
 
@@ -236,6 +235,10 @@ class SpectralFrame:
     def pencil_top(self) -> float:
         """Top eigenvalue of the pencil (M, H_L + H_R): that of the standard
         symmetric problem diag(bdiag)^-1/2 m_eig diag(bdiag)^-1/2."""
+        # Imported here: Gaussian specs never reach the dense frame, and their
+        # commands then never load scipy.
+        import scipy.linalg
+
         size = self.basis.size
         if size == 1:
             return self.m_eig[0, 0] / self.bdiag[0]

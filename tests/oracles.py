@@ -165,16 +165,15 @@ def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:
     return op.basis.vecs_to_mats(op.matrix @ op.basis.mats_to_vecs(a))
 
 
-def reference_run(spec, config, scheme=None, rule="lms", schedule=None):
+def reference_run(spec, config, scheme=None):
     """One engine cell stepped alone, one draw per step, with the exact
     divergence check (every squared replicate norm against
     ``DIVERGENCE_NORM**2``) on every step: ``(iterations, risk,
     standard_error, (diverged_at, diverged_replicate, diverged_norm))``.
 
-    ``rule`` is "lms" (step ``config.gamma``), "nlms" or "isgd" (step
-    ``schedule(m - 1)`` at update m); each updates w -= coef x with a
-    broadcast product.  The draws are the engine's own one-step blocks,
-    which the block tests tie to the per-step stream.
+    Each step updates w -= gamma (x^T w - y) x with a broadcast product.
+    The draws are the engine's own one-step blocks, which the block tests
+    tie to the per-step stream.
     """
     reps = config.replicates
     limit = engine.DIVERGENCE_NORM**2
@@ -199,16 +198,7 @@ def reference_run(spec, config, scheme=None, rule="lms", schedule=None):
     for m in range(2, config.n + 1):
         x, clean, y, _ = sampler.block(gen_x, gen_eps, reps, 1, noisy, [0])
         x, y = x[0, 0], (y if noisy else clean)[0, 0]
-        resid = np.einsum("ri,ri->r", x, w) - y
-        if rule == "lms":
-            coef = config.gamma * resid
-        else:
-            sq = np.einsum("ri,ri->r", x, x)
-            if rule == "nlms":
-                coef = resid / sq
-            else:
-                g = schedule(m - 1)
-                coef = g / (1.0 + g * sq) * resid
+        coef = config.gamma * (np.einsum("ri,ri->r", x, w) - y)
         w = w - coef[:, None] * x
         norms = np.einsum("ri,ri->r", w, w)
         if not norms.max() <= limit:

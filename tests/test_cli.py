@@ -1,8 +1,14 @@
 """Command-line surface: ingestion, CSV emission, plotting, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import avlms
 from avlms import compute_moments
 from avlms.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avlms.dataio import DataFormatError, export_csv, ingest
@@ -538,3 +544,29 @@ class TestExitCodes:
 
     def test_bad_flag_is_usage(self):
         assert main(["run", "--nope"]) == EXIT_USAGE
+
+
+class TestImports:
+    def test_gaussian_commands_never_load_scipy(self, tmp_path, tiny_csv):
+        """scipy serves only the dense frame of atom sets and data: a fresh
+        process runs Gaussian gamma-max and predict without importing it,
+        and loads it at the first data command."""
+        spec = "gaussian:d=25,spectrum=1/i,sigma=1"
+        commands = [
+            ["gamma-max", "--spec", spec, "--scheme", "uniform", "--scheme", "bias-opt",
+             "--scheme", "variance-opt", "--out", "gamma_max.csv"],
+            ["predict", "--spec", spec, "--gamma", "0.07", "--n-max", "1000", "--points", "5",
+             "--out", "predict.csv"],
+            ["gamma-max", "--data", tiny_csv, "--out", "data.csv"],
+        ]
+        script = "\n".join(["import sys", "from avlms.cli import main"] + [
+            f"assert main({argv!r}) == 0; print('scipy loaded:', 'scipy' in sys.modules)"
+            for argv in commands])
+        src = str(Path(avlms.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        loaded = [line.split()[-1] for line in done.stdout.splitlines()
+                  if line.startswith("scipy loaded:")]
+        assert loaded == ["False", "False", "True"]

@@ -1,4 +1,4 @@
-"""Simulation engine: averaged runs, resampled streams, baselines."""
+"""Simulation engine: averaged runs, resampled streams, normalized LMS."""
 
 import dataclasses
 import inspect
@@ -22,8 +22,6 @@ from avlms import (
     compute_moments,
     excess_risk,
     gamma_max,
-    isgd_run,
-    nlms_run,
     optimal_bias_scheme,
     optimal_variance_scheme,
     run_averaged_lms,
@@ -40,13 +38,13 @@ def scalar_unit_spec(w0=1.0, sigma=1.0):
     return ProblemSpec.discrete(np.array([[1.0]]), w_star=[0.0], w0=[w0], sigma=sigma)
 
 
-def lms_step(w, x, y, gamma):
-    """The engine's update on one replicate of one cell: the coefficient of
-    the update rule, applied as ``_drive`` applies it."""
-    w = np.asarray(w, dtype=float)[None, None]
-    x = np.asarray(x, dtype=float)[None]
-    coef = engine._lms_update(w, x, np.array([[y]], dtype=float), np.full((1, 1), gamma), 2)
-    return (w - np.einsum("cr,ri->cri", coef, x))[0, 0]
+def one_step_risks(xs, ys, w0, gamma, probs=None, replicates=1):
+    """The risks at m = 1 and 2 of one engine cell on a labelled scalar spec:
+    those of w_0 and of the average of w_0 and the first step w_1."""
+    spec = ProblemSpec.discrete(np.array(xs, dtype=float), probs, ys=np.array(ys, dtype=float),
+                                w0=[w0])
+    config = RunConfig(gamma=gamma, n=2, replicates=replicates, seed=0)
+    return run_averaged_lms(spec, config).risk.tolist()
 
 
 def resampled_draws(spec, scheme, seed, size):
@@ -58,16 +56,20 @@ def resampled_draws(spec, scheme, seed, size):
 
 class TestLmsStep:
     def test_zero_input_is_no_update(self):
-        w = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(lms_step(w, np.zeros(2), 5.0, 0.3), w)
+        """w0 = w* = 2: the zero atom, drawn by most replicates, leaves w in
+        place whatever its label; the other atom's residual is zero."""
+        risks = one_step_risks([[0.0], [1.0]], [5.0, 2.0], 2.0, 0.3, probs=[0.9, 0.1],
+                               replicates=8)
+        assert risks == [0.0, 0.0]
 
     def test_fixed_point(self):
-        w = np.array([2.0, 1.0])
-        x = np.array([0.5, -1.0])
-        np.testing.assert_array_equal(lms_step(w, x, float(x @ w), 0.4), w)
+        """x w0 = y on the one atom: a zero residual is no step."""
+        assert one_step_risks([[0.5]], [1.0], 2.0, 0.4) == [0.0, 0.0]
 
     def test_scalar_arithmetic(self):
-        np.testing.assert_allclose(lms_step([0.0], [1.0], 1.0, 0.5), [0.5])
+        """x = y = 1, w0 = 0, gamma = 1/2: w_1 = 1/2, so the average 1/4 sits
+        3/4 below w* = 1."""
+        assert one_step_risks([[1.0]], [1.0], 0.0, 0.5) == [1.0, 0.5625]
 
 
 class TestRunAveragedLms:
@@ -167,6 +169,11 @@ class TestRunAveragedLms:
             RunConfig(gamma=0.1, n=10, record_at=(5, 20)).record_points()
         assert RunConfig(gamma=0.1, n=10, record_stride=4).record_points() == [4, 8, 10]
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            RunConfig(gamma=gamma, n=10)
+
 
 class TestRunCells:
     @pytest.mark.parametrize("change", [
@@ -228,21 +235,8 @@ class TestImportanceStream:
 
 
 class TestNlms:
-    def test_equivalent_to_resampled_run_at_matched_step(self):
-        """Same draws, gamma = 1/E[X^T X]: the normalized update coincides
-        with plain averaged LMS on the scaled resampled stream."""
-        spec = make_discrete(3, 6, 8, residual=True)
-        scheme = optimal_bias_scheme(spec)
-        cfg = RunConfig(
-            gamma=1.0 / scheme.normalization, n=300, replicates=5, mode="total",
-            seed=77, record_stride=10,
-        )
-        t_lms = run_averaged_lms(spec, cfg, scheme=scheme)
-        t_nlms = nlms_run(spec, n=300, seed=77, replicates=5,
-                          record_at=tuple(int(v) for v in t_lms.iterations))
-        np.testing.assert_allclose(t_nlms.risk, t_lms.risk, rtol=1e-12, atol=1e-15)
-        assert t_nlms.gamma == 1.0 / float(np.trace(spec.hmat))
-        assert t_nlms.label == "nlms"
+    """Normalized LMS is the bias-opt cell at gamma = 1/Tr(H); the golden
+    tests check it against a normalized-update recursion."""
 
     def test_constant_norm_equals_plain_lms(self):
         """With constant input norms the proposal is uniform, so normalized
@@ -252,11 +246,10 @@ class TestNlms:
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ys = xs @ [1.0, -1.0] + 0.1 * rg.standard_normal(6)
         spec = ProblemSpec.discrete(xs, ys=ys, w0=[2.0, 2.0])
-        t_plain = run_averaged_lms(
-            spec, RunConfig(gamma=1.0, n=100, replicates=3, seed=6, record_stride=25)
-        )
-        t_nlms = nlms_run(spec, n=100, seed=6, replicates=3,
-                          record_at=tuple(int(v) for v in t_plain.iterations))
+        record = dict(n=100, replicates=3, seed=6, record_stride=25)
+        t_plain = run_averaged_lms(spec, RunConfig(gamma=1.0, **record))
+        t_nlms = run_averaged_lms(spec, RunConfig(gamma=1.0 / float(np.trace(spec.hmat)),
+                                                  **record), optimal_bias_scheme(spec))
         np.testing.assert_allclose(t_nlms.risk, t_plain.risk, rtol=1e-12)
 
     def test_scalar_tracks_running_label_average(self):
@@ -266,7 +259,8 @@ class TestNlms:
         ys = np.array([2.0, -1.0])
         spec = ProblemSpec.discrete(xs, ys=ys, w0=[0.0])
         n = 12
-        traj = nlms_run(spec, n=n, seed=13, replicates=1, record_at=(n,))
+        config = RunConfig(gamma=1.0 / float(np.trace(spec.hmat)), n=n, seed=13, record_at=(n,))
+        traj = run_averaged_lms(spec, config, optimal_bias_scheme(spec))
         # replay the draw protocol: inputs come from the first spawned stream
         gen = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[0])
         cum = np.cumsum(np.full(2, 0.5))
@@ -279,55 +273,6 @@ class TestNlms:
         m = compute_moments(spec)
         want = (wbar - spec.w_star[0]) ** 2 * m.hmat[0, 0]
         np.testing.assert_allclose(traj.risk[-1], want, rtol=1e-12)
-
-    def test_zero_norm_atom_rejected(self):
-        spec = ProblemSpec.discrete(np.array([[0.0], [1.0]]), ys=np.array([0.0, 1.0]))
-        with pytest.raises(SpecError):
-            nlms_run(spec, n=10, seed=0)
-
-
-class TestIsgd:
-    def test_vanishing_steps_freeze(self):
-        spec = scalar_unit_spec(w0=3.0, sigma=0.5)
-        traj = isgd_run(spec, lambda i: 1e-12, n=50, seed=2, record_at=(50,))
-        m = compute_moments(spec)
-        np.testing.assert_allclose(traj.risk[-1], excess_risk(m, m.e0), rtol=1e-6)
-
-    def test_large_steps_approach_normalized_update(self):
-        """gamma_i -> inf turns the implicit coefficient into 1 / X^T X:
-        replaying the same uniform draws through a manual normalized-step
-        recursion reproduces the run to 1e-9."""
-        spec = make_discrete(2, 5, 31, residual=True)
-        n, seed = 120, 9
-        big = isgd_run(spec, lambda i: 1e12, n=n, seed=seed, replicates=1, record_at=(n,))
-        gen = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        cum = np.cumsum(spec.design.probs)
-        cum[-1] = 1.0
-        w = spec.w0.copy()
-        ws = [w.copy()]
-        for _ in range(n - 1):
-            idx = int(np.searchsorted(cum, gen.random(1), side="right")[0])
-            x, y = spec.design.xs[idx], spec.design.ys[idx]
-            w = w - (x @ w - y) / (x @ x) * x
-            ws.append(w.copy())
-        wbar = np.mean(ws, axis=0)
-        m = compute_moments(spec)
-        want = float((wbar - spec.w_star) @ m.hmat @ (wbar - spec.w_star))
-        np.testing.assert_allclose(big.risk[-1], want, rtol=1e-9)
-
-    def test_scalar_geometric_trajectory(self):
-        """d=1, X = 1, gamma_i = 1: coefficient 1/2 per step gives the
-        closed-form averaged offset (4/n)(1 - 2^-n) around the optimum."""
-        spec = ProblemSpec.discrete(np.array([[1.0]]), w_star=[2.0], w0=[0.0], sigma=0.0)
-        n = 20
-        traj = isgd_run(spec, lambda i: 1.0, n=n, seed=0, record_at=(n,))
-        want = (4.0 / n * (1.0 - 0.5**n)) ** 2
-        np.testing.assert_allclose(traj.risk[-1], want, rtol=1e-12)
-
-    def test_nonpositive_schedule_rejected(self):
-        spec = scalar_unit_spec()
-        with pytest.raises(ValueError):
-            isgd_run(spec, lambda i: 0.0, n=5, seed=0)
 
 
 class TestClassWeighting:
@@ -514,21 +459,20 @@ class TestDrawThread:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
 
-    @staticmethod
-    def counting_schedule(seen, stop_at=None):
-        def schedule(i):
-            seen.append(threading.active_count())
-            return 0.0 if stop_at is not None and i >= stop_at else 0.1
-        return schedule
+    def test_an_update_that_raises_stops_the_thread(self, monkeypatch):
+        """The exact divergence check raises on the stepping thread, in the
+        second block of fourteen."""
+        seen = []
 
-    def test_an_update_that_raises_stops_the_thread(self):
-        spec = make_discrete(3, 9, 61, residual=True)
-        before, seen = threading.active_count(), []
-        with pytest.raises(ValueError, match="positive"):
-            isgd_run(spec, self.counting_schedule(seen, stop_at=30), n=100, seed=0,
-                     replicates=3)
-        assert len(seen) == 30
-        assert max(seen) == before + 1
+        def raising(w, limit):
+            seen.append(threading.active_count())
+            raise FloatingPointError("stepping failed")
+
+        monkeypatch.setattr(engine, "_past_limit", raising)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="stepping failed"):
+            run_cells(scalar_unit_spec(), [RunConfig(gamma=25.0, n=100, replicates=3, seed=0)])
+        assert seen == [before + 1]
         assert threading.active_count() == before
 
     def test_a_grid_that_diverges_mid_block_stops_the_thread(self):
@@ -552,10 +496,18 @@ class TestDrawThread:
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        block, seen = engine._Sampler.block, []
+
+        def drawing(self, *args, **kwargs):
+            seen.append((threading.active_count(), threading.current_thread()))
+            return block(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine._Sampler, "block", drawing)
         spec = make_discrete(3, 9, 61, residual=True)
-        before, seen = threading.active_count(), []
-        isgd_run(spec, self.counting_schedule(seen), n=100, seed=0, replicates=3)
-        assert len(seen) == 99 and set(seen) == {before}
+        before = threading.active_count()
+        run_cells(spec, [RunConfig(gamma=0.1, n=100, replicates=3, seed=0)])
+        # 99 steps in blocks of 7, all drawn here
+        assert len(seen) == 15 and set(seen) == {(before, threading.current_thread())}
 
     def test_the_producer_calls_no_einsum_and_no_public_function(self, monkeypatch):
         """Tracers wrap np.einsum and the public avlms functions with a span
@@ -672,29 +624,15 @@ STEP_SPECS = {
 }
 
 
-def _engine_and_reference(spec, rule, cells, n, reps, seed, stride):
-    """The engine's trajectories of ``cells`` ((gamma, mode, scheme) triples;
-    one cell for nlms and isgd) and the reference's, cell by cell."""
+def _engine_and_reference(spec, cells, n, reps, seed, stride):
+    """The engine's trajectories of ``cells`` ((gamma, mode, scheme) triples)
+    and the reference's, cell by cell."""
     record = tuple(range(stride, n + 1, stride)) + (n,)
     configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=seed, record_at=record)
                for g, mode, _ in cells]
     schemes = [s for _, _, s in cells]
-    schedule = None
-    if rule == "lms":
-        got = run_cells(spec, configs, schemes)
-    elif rule == "nlms":
-        got = [nlms_run(spec, n, seed, reps, record)]
-        schemes = [optimal_bias_scheme(spec)]
-    else:
-        g0 = cells[0][0]
-
-        def schedule(i):
-            return g0 * (1 + i % 3)
-
-        got = [isgd_run(spec, schedule, n, seed, reps, record)]
-        schemes = [None]
-    want = [reference_run(spec, c, s, rule, schedule) for c, s in zip(configs, schemes)]
-    return got, want
+    got = run_cells(spec, configs, schemes)
+    return got, [reference_run(spec, c, s) for c, s in zip(configs, schemes)]
 
 
 def _assert_same_run(traj, want):
@@ -715,7 +653,6 @@ class TestStepLoopReference:
     @settings(max_examples=60, deadline=None)
     @given(
         name=st.sampled_from(sorted(STEP_SPECS)),
-        rule=st.sampled_from(["lms", "nlms", "isgd"]),
         cells=st.lists(st.tuples(st.floats(0.05, 6.0), st.sampled_from(engine.MODES),
                                  st.integers(0, 2)), min_size=1, max_size=4),
         near_limit=st.sampled_from([None, 0.3, 0.45, 0.5, 0.999, 1.001]),
@@ -725,10 +662,10 @@ class TestStepLoopReference:
         steps=st.integers(1, 9),
         cpus=st.sampled_from([1, 2]),
     )
-    @example(name="residual", rule="lms", cells=[(5.0, "total", 1), (0.3, "bias", 0)],
+    @example(name="residual", cells=[(5.0, "total", 1), (0.3, "bias", 0)],
              near_limit=0.999, n=60, reps=3, seed=1, steps=1, cpus=2)
-    def test_matches_the_exact_check_every_step(self, name, rule, cells, near_limit, n, reps,
-                                                seed, steps, cpus):
+    def test_matches_the_exact_check_every_step(self, name, cells, near_limit, n, reps, seed,
+                                                steps, cpus):
         spec = STEP_SPECS[name]
         gaussian = name.endswith("gaussian")
         if near_limit is not None:
@@ -736,20 +673,15 @@ class TestStepLoopReference:
             # w0 sits just under or over the limit.
             entry = np.sqrt(near_limit / spec.dim) * engine.DIVERGENCE_NORM
             spec = dataclasses.replace(spec, w0=np.full(spec.dim, entry))
-        if rule == "nlms" and gaussian:
-            rule = "isgd"
         choices = [None] if gaussian else [None, optimal_bias_scheme(spec)]
         if name in ("discrete", "residual"):
             choices.append(optimal_variance_scheme(spec))
         trace_h = float(np.trace(spec.hmat))
         cells = [(g / trace_h, mode, choices[k % len(choices)]) for g, mode, k in cells]
-        if rule != "lms":
-            # nlms_run and isgd_run run one "total" cell.
-            cells = [(cells[0][0], "total", cells[0][2])]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_usable_cpus", lambda: cpus)
             mp.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
-            got, want = _engine_and_reference(spec, rule, cells, n, reps, seed, stride=3)
+            got, want = _engine_and_reference(spec, cells, n, reps, seed, stride=3)
         for traj, ref in zip(got, want):
             _assert_same_run(traj, ref)
 
@@ -768,7 +700,7 @@ class TestStepLoopReference:
         steps = last - 2 if where == "first" else last
         monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
-        got, want = _engine_and_reference(spec, "lms", cells, 400, 3, 5, stride=7)
+        got, want = _engine_and_reference(spec, cells, 400, 3, 5, stride=7)
         assert sum(ref[3][0] is not None for ref in want) >= 2
         for traj, ref in zip(got, want):
             _assert_same_run(traj, ref)
@@ -781,7 +713,7 @@ class TestStepLoopReference:
         limit: a bound grown any slower would miss it."""
         spec = ProblemSpec.discrete(np.array([[3.0]]), ys=np.array([4e14]))
         monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
-        got, want = _engine_and_reference(spec, "lms", [(1e-3, "total", None)], 5, 2, 0, 1)
+        got, want = _engine_and_reference(spec, [(1e-3, "total", None)], 5, 2, 0, 1)
         assert want[0][3][0] == 2 and 1e12 < want[0][3][2] <= 1.2e12
         _assert_same_run(got[0], want[0])
 

@@ -25,7 +25,6 @@ from avlms import (
     RunConfig,
     compute_moments,
     gamma_max,
-    nlms_run,
     optimal_bias_scheme,
     optimal_variance_scheme,
     run_averaged_lms,
@@ -331,13 +330,18 @@ class TestFrozenOracle:
         _assert_matches_oracle(run_averaged_lms(spec, config), spec, config)
 
     def test_nlms(self):
+        """Normalized LMS is the bias-opt cell at gamma = 1/Tr(H): the step
+        x (x^T w - y) / (x^T x) on the norm-proportional stream (the paper's
+        claim (c))."""
         spec = make_discrete(3, 8, 12, residual=True)
         record_at = (5, 50, 200)
-        traj = nlms_run(spec, n=200, seed=9, replicates=6, record_at=record_at)
+        config = RunConfig(gamma=1.0 / float(np.trace(spec.hmat)), n=200, replicates=6, seed=9,
+                           record_at=record_at)
+        traj = run_averaged_lms(spec, config, optimal_bias_scheme(spec))
         iters, risk, err, _ = oracle_nlms(spec, 200, 9, 6, record_at)
         assert np.array_equal(traj.iterations, iters)
-        assert np.array_equal(traj.risk, risk)
-        assert np.array_equal(traj.standard_error, err)
+        np.testing.assert_allclose(traj.risk, risk, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(traj.standard_error, err, rtol=1e-13, atol=0)
 
 
 def _grid(gammas=GAUSSIAN_GAMMAS, **kw):
