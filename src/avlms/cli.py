@@ -12,7 +12,7 @@ ingest      parse a data file and print its summary report
 Configuration comes from flags plus an optional ``key = value`` manifest
 file (flags override the file).  Outputs are deterministic for a given
 manifest and master seed.  Exit status: 0 success, 1 usage error, 2 data
-error, 3 numerical error.
+error, 3 numerical error, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 from .moments import ProblemSpec, compute_moments
 from .svg import Series, render_loglog_svg
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY = 0, 1, 2, 3, 4
 
 SCHEME_NAMES = ("uniform", "bias-opt", "variance-opt", "class-weighted")
 MODES = engine.MODES + ("all",)
@@ -579,6 +579,10 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -184,19 +184,19 @@ def check_stream(spec: ProblemSpec, scheme) -> None:
         )
 
 
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 class _Sampler:
     """Vectorized (X, Y) draws of a spec under one or more sampling schemes.
 
     On discrete specs scheme s draws atoms from q_s = c_inverse_s * p: each
     scheme maps the one shared uniform sequence through its own guide table
-    and scales every sample by sqrt(c_s).  The scaled atom tables are built
-    once here, stacked over schemes (scheme s at row offset s * atoms), so a
-    draw is a gather; the uniform scheme (None) has scale 1, which leaves
-    its values exact.  Gaussian specs support only the uniform scheme.
+    and scales every sample by sqrt(c_s).  A draw gathers from the spec's
+    own atoms (``design.xs``) and from one clean and one labelled response
+    per atom, shared by all schemes; each resampled scheme then multiplies
+    its share of the block in place by its gathered scales.  So each drawn
+    float is the one rounded product x sqrt(c_s) that a table of scaled
+    atoms would hold, and the sampler's memory beyond the spec is O(atoms)
+    per scheme.  The uniform scheme (None) has scale 1 and is not
+    multiplied.  Gaussian specs support only the uniform scheme.
     """
 
     def __init__(self, spec: ProblemSpec, schemes=(None,)):
@@ -217,10 +217,16 @@ class _Sampler:
         self.residual = isinstance(spec.noise, ResidualNoise)
         self.sigma = 0.0 if self.residual else spec.noise.sigma
         xs, probs = design.xs, design.probs
-        self.atoms = probs.size
-        self._guides, scales = [], []
+        self._xs = xs
+        self._clean = xs @ spec.w_star
+        if self.residual:
+            self._ys = self._clean if design.ys is None else design.ys
+        # Each atom's largest |x| entry.  Rounding is monotone, so scaled by
+        # sqrt(c_s) its maximum is the largest |x| entry scheme s can draw.
+        row_max = np.maximum(xs.max(axis=1), -xs.min(axis=1))
+        self._guides, self._scales, xmax = [], [], []
         for scheme in schemes:
-            weights, scale = probs, np.ones_like(probs)
+            weights, scale = probs, None
             if scheme is not None:
                 cinv = _atom_c_inverse(spec, scheme.c_inverse)
                 weights = probs * cinv
@@ -234,19 +240,9 @@ class _Sampler:
             cum = np.cumsum(weights)
             cum[-1] = 1.0
             self._guides.append(_GuideTable(cum))
-            scales.append(scale)
-        clean = xs @ spec.w_star
-        self._xs = _stack([xs * s[:, None] for s in scales])
-        # The largest |x| entry of each scheme's table bounds every input it draws.
-        self._xmax = np.abs(self._xs).reshape(len(scales), -1).max(axis=1)
-        self._clean = _stack([clean * s for s in scales])
-        if self.residual:
-            ys = clean if design.ys is None else design.ys
-            self._ys = _stack([ys * s for s in scales])
-        elif self.sigma > 0:
-            # The observed response is (clean + sigma eps) sqrt(c), in that order.
-            self._raw = _stack([clean] * len(scales))
-            self._scale = _stack(scales)
+            self._scales.append(scale)
+            xmax.append(row_max.max() if scale is None else (row_max * scale).max())
+        self._xmax = np.array(xmax)
 
     def step_floats(self, reps: int, schemes: int) -> int:
         """Floats one step of a :meth:`block` writes into its buffer: x, the
@@ -264,9 +260,10 @@ class _Sampler:
         together."""
         per_step = 8 * self.step_floats(reps, schemes)
         if not self.gaussian:
-            # The uniforms, the noise, the indices, the guide lookups and the
-            # gathered scales.
-            per_step += 8 * reps * (3 + 3 * schemes)
+            # The uniforms, the noise, one index per scheme, and one scheme at
+            # a time either its guide lookup (the result, the buckets and the
+            # gathered cumulative weights) or its gathered scales.
+            per_step += 8 * reps * (5 + schemes)
         # The selection: up to three (cells, reps) response arrays (two
         # gathers and the mixed-mode np.where), and the inputs gathered per
         # cell when the block holds several schemes.
@@ -325,20 +322,28 @@ class _Sampler:
         u = gen_x.random(steps * reps)
         idx = np.empty(shape, dtype=np.intp)
         for k, s in enumerate(schemes):
-            idx[:, k] = (self._guides[s].lookup(u) + s * self.atoms).reshape(steps, reps)
+            idx[:, k] = self._guides[s].lookup(u).reshape(steps, reps)
         # Every index is in range; mode="clip" lets take write into out unbuffered.
         np.take(self._xs, idx, axis=0, out=x, mode="clip")
         np.take(self._clean, idx, out=clean, mode="clip")
+        filled = 1  # the responses held in out: clean, then observed
         if noisy:
+            y = clean
             if self.residual:
                 y = np.take(self._ys, idx, out=observed, mode="clip")
+                filled = 2
             elif self.sigma > 0:
-                eps = self.sigma * gen_eps.standard_normal(steps * reps)
-                y = np.take(self._raw, idx, out=observed, mode="clip")
-                y += eps.reshape(steps, 1, reps)
-                y *= np.take(self._scale, idx)
-            else:
-                y = clean
+                # The observed response is (clean + sigma eps) sqrt(c), in that order.
+                eps = gen_eps.standard_normal(steps * reps)
+                eps *= self.sigma
+                y = np.add(clean, eps.reshape(steps, 1, reps), out=observed)
+                filled = 2
+        responses = out[size * d:size * (d + filled)].reshape((filled,) + shape)
+        for k, s in enumerate(schemes):
+            if self._scales[s] is not None:
+                scale = np.take(self._scales[s], idx[:, k])
+                x[:, k] *= scale[..., None]
+                responses[:, :, k] *= scale
         return x, clean, y, float(self._xmax[schemes].max())
 
 
