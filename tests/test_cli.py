@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import avlms
-from avlms import compute_moments
-from avlms.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from avlms import compute_moments, engine
+from avlms.cli import EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avlms.dataio import DataFormatError, export_csv, ingest
 from oracles import original_fourth_moment
 
@@ -530,6 +530,20 @@ class TestExitCodes:
         path = tmp_path / "singular.csv"
         path.write_text("1,1,1\n2,2,2\n3,3,1\n")  # duplicated feature column
         assert main(["gamma-max", "--data", str(path)]) == EXIT_NUMERIC
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        """A failed allocation is one error line and its own status, not a
+        traceback with the usage-error status."""
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(engine, "run_cells", refuse)
+        argv = ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "10",
+                "--replicates", "2"]
+        assert main(argv) == EXIT_MEMORY
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 2.00 GiB for an array\n"
 
     @pytest.mark.parametrize("command, flag", [
         ("run", "--n-max"), ("run", "--points"), ("run", "--replicates"),

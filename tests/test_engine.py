@@ -30,7 +30,7 @@ from avlms import (
 )
 from avlms import cli, engine
 from avlms.moments import DiscreteDesign
-from conftest import make_discrete, make_gaussian
+from conftest import make_discrete, make_empirical, make_gaussian
 from oracles import reference_run
 
 
@@ -448,6 +448,51 @@ class TestBlocks:
                                                           [0])
             for a, b in zip(whole[:3], alone[:3]):
                 np.testing.assert_array_equal(a[:, k], b[:, 0])
+
+
+class TestSamplerTables:
+    """Resampled draws gather from the spec's own atoms: beyond the spec a
+    sampler holds O(atoms) floats per scheme, never a scaled atom table."""
+
+    def test_more_schemes_add_no_atom_table(self):
+        rows, d = 4000, 20
+        spec = make_empirical(d, rows, 5)
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        engine._Sampler(spec, schemes)  # the schemes evaluate their ratios once
+
+        def footprint(count):
+            tracemalloc.start()
+            try:
+                kept = engine._Sampler(spec, schemes[:count])  # alive while measured
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        (held_one, peak_one), (held_three, peak_three) = footprint(1), footprint(3)
+        assert held_three - held_one < rows * d * 8
+        assert peak_three - peak_one < rows * d * 8
+
+    def test_input_bound_is_the_largest_scaled_entry(self):
+        """Each scheme's x_max is max |x sqrt(c_s)| over the atoms bit for bit,
+        with an atom the scheme never draws (scale 0) holding the largest |x|."""
+        rg = np.random.default_rng(8)
+        xs = rg.standard_t(3, (40, 4))
+        xs[0] = [1e3, -2e3, 5.0, 0.0]
+        probs = np.r_[0.0, np.full(39, 1 / 39)]
+        spec = ProblemSpec.discrete(xs, probs, ys=xs @ rg.standard_normal(4) + 1.0)
+        sq = np.einsum("ti,ti->t", xs, xs)
+        ratio = np.where(probs > 0, sq, 0.0) / (probs @ sq)
+        skip_first = SamplingScheme(name="skip-first", c_inverse=lambda x, y: ratio,
+                                    normalization=1.0)
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec), skip_first]
+        sampler = engine._Sampler(spec, schemes)
+        for k, scheme in enumerate(schemes):
+            scale = np.ones(len(xs))
+            if scheme is not None:
+                cinv = engine._atom_c_inverse(spec, scheme.c_inverse)
+                scale = np.divide(1.0, np.sqrt(cinv), out=np.zeros_like(cinv), where=cinv > 0)
+            assert sampler._xmax[k] == np.abs(xs * scale[:, None]).max()
+        assert sampler._xmax[3] < 2e3 == sampler._xmax[0]
 
 
 class TestDrawThread:
