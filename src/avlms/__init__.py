@@ -52,13 +52,11 @@ from .sampling import (
 )
 from .stepsize import (
     ContractionFactors,
-    StepSizeReport,
     contraction_factors,
     contraction_rate_bound,
     gamma_max,
     gamma_max_det,
     smallest_t_eigenvalue,
-    step_size_report,
     trace_step_bound,
 )
 

@@ -264,18 +264,18 @@ def cmd_gamma_max(args) -> int:
     moments = _cells_moments(spec, cells)[::-1]
     rows = []
     for name, _, _ in cells:
-        report = stepsize.step_size_report(moments.pop())
-        g_max = report.gamma_max
+        m = moments.pop()
+        g_max = stepsize.gamma_max(m)
         rows.append([
             name,
             g_max,
-            report.gamma_max_det,
-            report.trace_bound,
-            report.mu,
-            report.mu_t(g_max / 2.0),
+            stepsize.gamma_max_det(m),
+            stepsize.trace_step_bound(m),
+            m.mu,
+            stepsize.smallest_t_eigenvalue(m, g_max / 2.0),
         ])
         # Free this scheme's moments and spectral frame before the next is solved.
-        del report
+        del m
     header = ["scheme", "gamma_max", "gamma_max_det", "trace_bound", "mu",
               "mu_T_at_half_gamma_max"]
     for row in rows:

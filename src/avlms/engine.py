@@ -21,7 +21,7 @@ grid into groups (each restarting the streams from the seed) never
 changes them.  Every draw, Gaussian or resampled, is taken in blocks of
 several steps; a block consumes both streams in the same order as one
 draw per step, so the block length never changes bits either.  When two
-CPUs are usable, a background thread draws the next block while the
+CPUs are usable, a one-worker executor draws the next block while the
 current one is stepped.  The draws depend only on the streams, never on
 the state, and a cell that leaves the stack only stops later blocks from
 drawing for it, so the bits do not depend on how far ahead the blocks are
@@ -39,8 +39,6 @@ step.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -359,85 +357,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_blocks(sampler: _Sampler, seed: int, reps: int, n: int, steps: int, plan: list,
-                 buffers: list[np.ndarray]):
-    """The draws of steps 2..n, ``steps`` at a time: one
-    ``(drawn, x, y_clean, y_noisy, x_max)`` per block, as
-    :meth:`_Sampler.block` returns them, with ``drawn`` the scheme indices
-    the block holds.
-
-    ``plan`` is ``[drawn, noisy]``, read as each block starts; the caller
-    narrows it as cells leave.  Block k is written into
-    ``buffers[k % len(buffers)]``, so its views stay valid until block
-    ``k + len(buffers)`` is drawn.
-
-    With two usable CPUs this runs on a background thread: it calls no
-    public avlms function and no ``np.einsum``, which tracers of those
-    calls wrap with a span stack that is not thread-safe.
-    """
-    gen_x, gen_eps = _generators(seed)
-    for k, first in enumerate(range(2, n + 1, steps)):
-        drawn, noisy = plan
-        yield (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, n + 1 - first), noisy,
-                                     drawn, out=buffers[k % len(buffers)]))
-
-
-class _Prefetch:
-    """Iterates ``blocks`` on a background thread, drawing ahead of the caller
-    while it steps the block it holds.
-
-    Each request for a block lets the thread draw one more, so it starts
-    block k + 1 only once block k - 1 is done with: with blocks written
-    round-robin into ``buffers`` buffers, no buffer is overwritten while
-    the caller reads it.  An exception of the thread is raised in the
-    caller.  Leaving the ``with`` block stops the thread, joins it and
-    drops the blocks still queued, on every exit.
-    """
-
-    def __init__(self, blocks, buffers: int):
-        self._blocks = blocks
-        self._free = threading.Semaphore(buffers - 1)
-        self._ready = queue.SimpleQueue()
-        self._stop = False
-        self._thread = threading.Thread(target=self._produce, name="avlms-draws", daemon=True)
-
-    def _produce(self) -> None:
-        try:
-            while True:
-                self._free.acquire()
-                if self._stop:
-                    return
-                block = next(self._blocks, None)
-                self._ready.put(block)
-                if block is None:
-                    return
-        except BaseException as exc:  # handed to the caller, which raises it
-            self._ready.put(exc)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        self._free.release()
-        item = self._ready.get()
-        if isinstance(item, BaseException):
-            raise item
-        if item is None:
-            raise StopIteration
-        return item
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()
-        self._thread.join()
-        while not self._ready.empty():
-            self._ready.get()
-
-
 def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int],
            labels: list[str]) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
@@ -448,10 +367,13 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     scheme index into ``sampler``; each cell sees the inputs of its own
     scheme, and "bias" cells the noiseless response, the others the
     observed one.  Draws come in blocks of :meth:`_Sampler.block_steps`
-    steps from this call's streams (:func:`_draw_blocks`).  With two
-    usable CPUs a background thread draws the next block into the second of
-    two buffers while this one is stepped; with one, the blocks are drawn
-    here, into one buffer, and the bits are the same.  Each live cell's
+    steps from this call's streams.  With two usable CPUs, block b + 1 is
+    submitted to a one-worker executor as soon as block b is received, and
+    drawn into the other of two buffers while b is stepped; with one, each
+    block is drawn here when it is taken, into one buffer, and the bits are
+    the same.  The worker calls no public avlms function and no
+    ``np.einsum``, which tracers of those calls wrap with a span stack that
+    is not thread-safe.  Each live cell's
     inputs and responses are selected once per block, and again from the
     next step on when cells leave, so a step only indexes them.
 
@@ -469,9 +391,11 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     the limit (d B^2 > limit / 2, as in the check itself) or is NaN; it then
     resets B to the exact max|w|.  So cells leave at the steps, replicates
     and norms the check run every step would give.  A leaving cell's
-    scheme, and the noise once no noisy cell is left, leave the draws from
-    the next block started, and whatever a block drawn before holds for it
-    is never read.  No thread outlives the call.
+    scheme, and the noise once no noisy cell is left, leave the draws of
+    later blocks, and whatever a block drawn before holds for it is never
+    read.  An error of the worker is raised here when its block
+    is taken, and leaving the executor joins the worker, so no thread
+    outlives the call.
     """
     config = configs[0]
     reps = config.replicates
@@ -530,15 +454,40 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
         next_idx = 1
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
-    plan = [np.unique(scheme_of), noisy]
-    steps = min(sampler.block_steps(reps, len(plan[0]), len(configs)), max(1, config.n - 1))
+    wanted = np.unique(scheme_of)
+    steps = min(sampler.block_steps(reps, len(wanted), len(configs)), max(1, config.n - 1))
+    firsts = range(2, config.n + 1, steps)
     threaded = _usable_cpus() > 1
-    buffers = [np.empty(steps * sampler.step_floats(reps, len(plan[0])))
+    buffers = [np.empty(steps * sampler.step_floats(reps, len(wanted)))
                for _ in range(2 if threaded else 1)]
-    blocks = _draw_blocks(sampler, config.seed, reps, config.n, steps, plan, buffers)
+    gen_x, gen_eps = _generators(config.seed)
+
+    def draw(b: int, drawn: np.ndarray, noise: bool):
+        return (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - firsts[b]),
+                                      noise, drawn, out=buffers[b % len(buffers)]))
+
+    if threaded:
+        # Imported here: concurrent.futures loads logging, which no
+        # single-CPU run or closed-form command needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="avlms-draws")
+
+        def ask(b: int):
+            return pool.submit(draw, b, wanted, noisy).result
+    else:
+        pool = nullcontext()
+
+        def ask(b: int):
+            return lambda: draw(b, wanted, noisy)
+
     m = 1
-    with _Prefetch(blocks, len(buffers)) if threaded else nullcontext(blocks) as feed:
-        for drawn, xb, cb, yb, x_max in feed:
+    with pool:
+        take = ask(0) if firsts else None
+        for b in range(len(firsts)):
+            drawn, xb, cb, yb, x_max = take()
+            if b + 1 < len(firsts):
+                take = ask(b + 1)
             first = 0
             xs, ys, inner, outer = select(first)
             for j in range(len(xb)):
@@ -564,7 +513,7 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
                         scratch = np.empty_like(w)
                         noisy = not noiseless.all()
                         mixed = noisy and noiseless.any()
-                        plan[:] = [np.unique(scheme_of), noisy]
+                        wanted = np.unique(scheme_of)
                         first = j + 1
                         xs = ys = None  # drop the old selection before taking the new
                         xs, ys, inner, outer = select(first)

@@ -9,7 +9,7 @@ threshold and the asymptotic variance constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,17 +39,15 @@ class SamplingScheme:
 
     ``c_inverse`` maps a batch (xs, ys) to the per-sample ratio; it must
     be nonnegative, integrate to one under the original distribution, and
-    stay positive wherever X is nonzero.  ``requires`` names the oracle
-    knowledge the scheme assumes (e.g. the second moment, the residuals).
-    ``exact_moments``, when set, returns the resampled moments of the spec
-    the scheme was built for in closed form; :func:`resampled_moments`
-    uses it in place of :func:`~avlms.moments.reweighted_moments`.
+    stay positive wherever X is nonzero.  ``exact_moments``, when set,
+    returns the resampled moments of the spec the scheme was built for in
+    closed form; :func:`resampled_moments` uses it in place of
+    :func:`~avlms.moments.reweighted_moments`.
     """
 
     name: str
     c_inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normalization: float
-    requires: frozenset = field(default_factory=frozenset)
     exact_moments: Callable[[], MomentSet] | None = None
 
 
@@ -79,7 +77,6 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
         name="bias-opt",
         c_inverse=_once_on_atoms(spec, c_inverse),
         normalization=norm_const,
-        requires=frozenset({"mean squared norm"}),
         exact_moments=_gaussian_closed_form(spec, norm_resampled_moments),
     )
 
@@ -122,7 +119,6 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
             name="variance-opt",
             c_inverse=_once_on_atoms(spec, c_inverse, on_atoms),
             normalization=norm_const,
-            requires=frozenset({"second moment", "noise level"}),
             exact_moments=_gaussian_closed_form(spec, leverage_resampled_moments),
         )
 
@@ -141,7 +137,6 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
         name="variance-opt",
         c_inverse=_once_on_atoms(spec, c_inverse, weights / norm_const, design.ys),
         normalization=norm_const,
-        requires=frozenset({"second moment", "residuals"}),
     )
 
 

@@ -126,31 +126,3 @@ def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> f
 def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
     """Smallest eigenvalue of T(gamma); positive iff gamma is stable."""
     return float(moments.frame.t_eigenvalues(gamma)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class StepSizeReport:
-    """Step-size thresholds of an instance and the smallest eigenvalue of T.
-
-    The invariants gamma_max <= 2/Tr(H) <= gamma_max_det hold for every
-    distribution.
-    """
-
-    moments: MomentSet
-    gamma_max: float
-    gamma_max_det: float
-    trace_bound: float
-    mu: float
-
-    def mu_t(self, gamma: float) -> float:
-        return smallest_t_eigenvalue(self.moments, gamma)
-
-
-def step_size_report(moments: MomentSet) -> StepSizeReport:
-    return StepSizeReport(
-        moments=moments,
-        gamma_max=gamma_max(moments),
-        gamma_max_det=gamma_max_det(moments),
-        trace_bound=trace_step_bound(moments),
-        mu=moments.mu,
-    )

@@ -564,7 +564,9 @@ class TestImports:
     def test_gaussian_commands_never_load_scipy(self, tmp_path, tiny_csv):
         """scipy serves only the dense frame of atom sets and data: a fresh
         process runs Gaussian gamma-max and predict without importing it,
-        and loads it at the first data command."""
+        and loads it at the first data command.  concurrent.futures serves
+        only the engine's draw worker, so the Gaussian commands leave it
+        unloaded too."""
         spec = "gaussian:d=25,spectrum=1/i,sigma=1"
         commands = [
             ["gamma-max", "--spec", spec, "--scheme", "uniform", "--scheme", "bias-opt",
@@ -574,7 +576,8 @@ class TestImports:
             ["gamma-max", "--data", tiny_csv, "--out", "data.csv"],
         ]
         script = "\n".join(["import sys", "from avlms.cli import main"] + [
-            f"assert main({argv!r}) == 0; print('scipy loaded:', 'scipy' in sys.modules)"
+            f"assert main({argv!r}) == 0; print('scipy loaded:', 'scipy' in sys.modules); "
+            f"print('futures loaded:', 'concurrent.futures' in sys.modules)"
             for argv in commands])
         src = str(Path(avlms.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -584,3 +587,6 @@ class TestImports:
         loaded = [line.split()[-1] for line in done.stdout.splitlines()
                   if line.startswith("scipy loaded:")]
         assert loaded == ["False", "False", "True"]
+        futures = [line.split()[-1] for line in done.stdout.splitlines()
+                   if line.startswith("futures loaded:")]
+        assert futures[:2] == ["False", "False"]

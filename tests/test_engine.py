@@ -589,6 +589,47 @@ class TestDrawThread:
         assert drawers and threading.current_thread() not in drawers
 
 
+class TestFailingDraw:
+    """A draw that fails is raised by the engine call, on either path, and
+    leaves no thread behind."""
+
+    @pytest.fixture(autouse=True)
+    def second_block_fails(self, monkeypatch):
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
+        block, drawers = engine._Sampler.block, []
+
+        def failing(self, *args, **kwargs):
+            drawers.append(threading.current_thread())
+            if len(drawers) == 2:
+                raise MemoryError("Unable to allocate the second block")
+            return block(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine._Sampler, "block", failing)
+        return drawers
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_run_cells_raises_it(self, cpus, monkeypatch, second_block_fails):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        spec = make_discrete(3, 9, 61, residual=True)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="second block"):
+            run_cells(spec, [RunConfig(gamma=0.1, n=100, replicates=3, seed=0)])
+        assert threading.active_count() == before
+        assert len(second_block_fails) == 2
+        drawn_here = {t is threading.current_thread() for t in second_block_fails}
+        assert drawn_here == {cpus == 1}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_command_reports_one_line(self, cpus, monkeypatch, capsys):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        argv = ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "100",
+                "--replicates", "2"]
+        assert cli.main(argv) == cli.EXIT_MEMORY
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate the second block\n"
+        assert threading.active_count() == before
+
+
 class TestDrawBuffers:
     @staticmethod
     def gaussian_grid():

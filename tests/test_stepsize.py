@@ -16,7 +16,6 @@ from avlms import (
     gamma_max_det,
     reweighted_moments,
     smallest_t_eigenvalue,
-    step_size_report,
     trace_step_bound,
 )
 from avlms.cli import main, parse_spec_descriptor
@@ -239,18 +238,17 @@ class TestPositivityBoundary:
 class TestReport:
     def test_fields_and_diagnostics(self):
         m = scalar_unit_moments()
-        report = step_size_report(m)
-        assert report.gamma_max == 2.0
-        assert report.trace_bound == 2.0
-        assert report.gamma_max_det == 2.0
-        assert report.mu == 1.0
+        assert gamma_max(m) == 2.0
+        assert trace_step_bound(m) == 2.0
+        assert gamma_max_det(m) == 2.0
+        assert m.mu == 1.0
         assert t_positive(m.frame.t_eigenvalues(0.5))
         assert abs(contraction_factors(m, 0.5).rho - 0.5) < 1e-14
-        assert abs(contraction_rate_bound(0.5, report.mu, report.gamma_max, m.dim) - 0.5) < 1e-14
+        assert abs(contraction_rate_bound(0.5, m.mu, gamma_max(m), m.dim) - 0.5) < 1e-14
         assert not t_positive(m.frame.t_eigenvalues(3.0))
         with pytest.raises(ValueError):
-            contraction_rate_bound(3.0, report.mu, report.gamma_max, m.dim)
-        assert abs(report.mu_t(0.5) - 1.5) < 1e-14
+            contraction_rate_bound(3.0, m.mu, gamma_max(m), m.dim)
+        assert abs(smallest_t_eigenvalue(m, 0.5) - 1.5) < 1e-14
 
 
 @pytest.fixture
