@@ -3,6 +3,7 @@
 from .asymptotics import (
     CovarianceModel,
     CovarianceReport,
+    Risks,
     excess_risk,
     small_gamma_equivalents,
     total_error_envelope,

@@ -18,31 +18,38 @@ MomentSet; so T = diag(l_a + l_b) - gamma M is solved once per
 (moments, gamma), when the :class:`CovarianceModel` of that pair is built.
 The double sums then collapse into scalar geometric sums per
 (T-eigenvalue, H-eigenvalue) pair.  The horizon-independent contractions
-T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are formed with the model, and each
-horizon n costs the same, independent of n: O(D^2 d) on the dense frame,
-O(D + d^2) plus two d x d rotations on the Gaussian block frame.  Matrix
-powers are never formed.
+T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are formed once per model, and each
+horizon n costs the same, independent of n.  Matrix powers are never
+formed.
 For step-sizes in the stable range the exact value is assembled as
 leading-terms-plus-remainder so that the difference between the two
 methods reproduces the remainder to machine precision even when it sits
 far below the rounding error of the leading terms.
 
+One term assembly serves two read-outs.  The covariance matrices read
+every H-eigen coordinate and rotate back: O(D^2 d) per horizon on the
+dense frame, O(D + d^2) plus two d x d rotations on the Gaussian block
+frame.  A risk Tr(H Delta) = sum_a l_a Delta'_aa reads only the d
+diagonal coordinates (:meth:`CovarianceModel.risks`): O(D d) on the dense
+frame and O(d^2) on the block frame, whose pair eigenvectors never reach
+the diagonal, with no rotation.
+
 The model reaches T only through the frame's per-step-size
 :class:`~avlms.operators.TEigenpairs`: its eigenvalues ``tau``, the
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
-two ways back to d x d matrices, ``contract`` and ``side_sum``.  Nothing
-here knows how those eigenvectors are stored: ``side_sum`` takes its
-weights as a kernel of (T index, H index), which the dense frame
-evaluates on the full (D, d) grid and the block frame only at the
-O(D + d^2) entries it reads.  The model is the
-one entry point: build one per (moments, gamma) and reuse it across
-horizons; :meth:`CovarianceModel.report` gathers every closed form at one
-horizon.
+two ways back to d x d matrices, ``contract`` and ``side_sum``, each with
+its diagonal read-out.  Nothing here knows how those eigenvectors are
+stored: ``side_sum`` takes its weights as a kernel of (T index, H index),
+which the frames evaluate only at the entries they read.  The model is
+the one entry point: build one per (moments, gamma) and reuse it across
+horizons; :meth:`CovarianceModel.risks` gives the four risks at one
+horizon and :meth:`CovarianceModel.report` every closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,14 +93,55 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a * inner
 
 
+class _Readout:
+    """The model's terms in H-eigen coordinates, read out either as full
+    d x d matrices or as their d diagonal entries only, which is all a risk
+    Tr(H Delta) = sum_a l_a Delta'_aa reads.
+
+    ``contract`` and ``side_sum`` are the T eigenpairs' matrix or diagonal
+    read-outs, ``surface(v)`` is v_a + v_b on the same coordinates (a, b),
+    and the horizon-independent contractions T^-1 E0, T^-1 Sigma0 and
+    T^-2 Sigma0 are formed once per read-out.
+    """
+
+    def __init__(self, model: CovarianceModel, diagonal: bool):
+        t_eig, tau, g, lam = model.t_eig, model.tau, model.gamma, model.lam
+        self.diagonal = diagonal
+        self.contract = t_eig.contract_diag if diagonal else t_eig.contract
+        self.side_sum = t_eig.side_sum_diag if diagonal else t_eig.side_sum
+        # inverse-weight surface (1/l_a + 1/l_b - gamma) of H_L^-1 + H_R^-1 - gamma I
+        self.wsurf = self.surface(1.0 / lam) - g
+        if model.t_invertible:
+            self.e0_t1 = self.contract(model.e0_coords / tau)
+            self.s0_t1 = self.contract(model.sigma0_coords / tau)
+            self.s0_t2 = self.contract(model.sigma0_coords / tau**2)
+            self.var_corr = self.surface(model.omega / (g * lam) ** 2) * self.s0_t1
+
+    def surface(self, v: np.ndarray) -> np.ndarray:
+        """v_a + v_b at every read-out coordinate (a, b)."""
+        return 2.0 * v if self.diagonal else v[:, None] + v[None, :]
+
+
+@dataclass(frozen=True)
+class Risks:
+    """The four excess risks Tr(H Delta) of one model at one horizon; a
+    field is None where :class:`CovarianceReport` leaves its matrix out."""
+
+    bias_exact: float
+    bias_leading: float | None
+    variance_exact: float | None
+    variance_leading: float | None
+
+
 class CovarianceModel:
     """Spectral data of one (moments, gamma) pair, reused across horizons.
 
     Holds the H eigendecomposition from the MomentSet's frame, the
     eigenpairs ``t_eig`` of the contraction generator T in those
     coordinates, the coefficients of eta0 eta0^T and E[eps^2 X X^T] on the
-    T eigenvectors, the horizon-independent pieces of the leading terms
-    and the traces of the small step-size equivalents.
+    T eigenvectors and the traces of the small step-size equivalents.  The
+    horizon-independent pieces of the leading terms are formed on first
+    use, once for the matrices and once for the risks.
     """
 
     def __init__(self, moments: MomentSet, gamma: float):
@@ -117,31 +165,37 @@ class CovarianceModel:
         self.e0_coords = self.t_eig.coords(u.T @ moments.e0 @ u)
         self.sigma0_coords = self.t_eig.coords(u.T @ moments.sigma0 @ u)
 
-        # inverse-weight surface (1/l_a + 1/l_b - gamma) of H_L^-1 + H_R^-1 - gamma I
-        inv = 1.0 / lam
-        self.wsurf = inv[:, None] + inv[None, :] - gamma
-
         self.rho_t = float(np.abs(self.theta).max())
         self.rho_h = float(np.abs(self.omega).max())
         self.rho = max(self.rho_t, self.rho_h)
         self.mu_t = float(tau[0])
         self.t_positive = t_positive(tau)
         self.t_invertible = t_invertible(tau)
-
-        if self.t_invertible:
-            # Horizon-independent contractions T^-1 E0, T^-1 Sigma0, T^-2 Sigma0.
-            self._e0_t1 = self.t_eig.contract(self.e0_coords / tau)
-            self._s0_t1 = self.t_eig.contract(self.sigma0_coords / tau)
-            self._s0_t2 = self.t_eig.contract(self.sigma0_coords / tau**2)
-            qk = self.omega / (gamma * lam) ** 2
-            self._var_corr = (qk[:, None] + qk[None, :]) * self._s0_t1
+        # Leading terms and remainder bounds exist only here.
+        self.stable = self.t_positive and self.rho < 1.0
         self._tr_e0, self._tr_s0 = _hinv_traces(moments)
 
-    # -- internal pieces, all in the rotated (H-eigen) coordinates ---------
+    @cached_property
+    def _full(self) -> _Readout:
+        return _Readout(self, diagonal=False)
+
+    @cached_property
+    def _diag(self) -> _Readout:
+        return _Readout(self, diagonal=True)
+
+    @property
+    def wsurf(self) -> np.ndarray:
+        """The surface 1/l_a + 1/l_b - gamma of H_L^-1 + H_R^-1 - gamma I."""
+        return self._full.wsurf
+
+    # -- term assembly, in the rotated (H-eigen) coordinates of a read-out --
 
     def _rotate_back(self, a: np.ndarray) -> np.ndarray:
         out = self.rot @ a @ self.rot.T
         return 0.5 * (out + out.T)
+
+    def _risk(self, diag: np.ndarray) -> float:
+        return float(self.lam @ diag)
 
     def _require_stable(self, what: str) -> None:
         if not self.t_positive:
@@ -151,21 +205,54 @@ class CovarianceModel:
                 smallest_eigenvalue=self.mu_t,
             )
 
-    def _bias_leading_rotated(self, n: int) -> np.ndarray:
-        return self.wsurf * self._e0_t1 / (self.gamma**2 * n**2)
+    def _bias_leading_terms(self, n: int, r: _Readout) -> np.ndarray:
+        return r.wsurf * r.e0_t1 / (self.gamma**2 * n**2)
 
-    def _variance_leading_rotated(self, n: int) -> np.ndarray:
+    def _variance_leading_terms(self, n: int, r: _Readout) -> np.ndarray:
         g = self.gamma
-        z1 = self.wsurf * self._s0_t1
-        z2 = self.wsurf * self._s0_t2
-        return z1 / n - z2 / (g * n**2) - g * self._var_corr / n**2
+        z1 = r.wsurf * r.s0_t1
+        z2 = r.wsurf * r.s0_t2
+        return z1 / n - z2 / (g * n**2) - g * r.var_corr / n**2
+
+    def _bias_exact_terms(self, n: int, r: _Readout) -> tuple[np.ndarray | None, np.ndarray]:
+        """The exact bias at n >= 2 as (leading terms, remainder); off the
+        stable range, (None, the finite sum evaluated directly)."""
+        g = self.gamma
+
+        def side(q, a):
+            return _pair_sum(self.omega[a], self.theta[q], n) / (g * self.lam)[a]
+
+        a_term = -r.side_sum(self.e0_coords, side) / n**2
+        if self.t_positive:
+            b_term = -r.wsurf * r.contract(self.e0_coords * self.theta**n / self.tau) / (
+                g**2 * n**2)
+            return self._bias_leading_terms(n, r), a_term + b_term
+        # T is singular or indefinite: evaluate the finite sum directly.
+        s_inf = self.omega / (g * self.lam)
+        main = (1.0 + r.surface(s_inf)) * r.contract(self.e0_coords * _geom_sum(self.theta, n))
+        return None, main / n**2 + a_term
+
+    def _variance_exact_terms(self, n: int, r: _Readout) -> tuple[np.ndarray, np.ndarray]:
+        """The exact variance at n >= 2, T invertible, as (leading terms,
+        remainder)."""
+        g = self.gamma
+
+        def side(q, a):
+            omega = self.omega[a]
+            return (_pair_sum(omega, self.theta[q], n) - omega**n) / self.lam[a]
+
+        c_term = r.side_sum(self.sigma0_coords / self.tau, side) / n**2
+        d_term = r.wsurf * r.contract(self.sigma0_coords * self.theta**n / self.tau**2) / (
+            g * n**2)
+        q_term = g * r.surface(self.omega**n / (g * self.lam) ** 2) * r.s0_t1 / n**2
+        return self._variance_leading_terms(n, r), c_term + d_term + q_term
 
     # -- public evaluations -------------------------------------------------
 
     def bias_leading(self, n: int) -> np.ndarray:
         """The 1/(gamma^2 n^2) bias term (H_L^-1 + H_R^-1 - gamma I) T^-1 E0."""
         self._require_stable("the leading bias term")
-        return self._rotate_back(self._bias_leading_rotated(_check_n(n)))
+        return self._rotate_back(self._bias_leading_terms(_check_n(n), self._full))
 
     def bias_exact(self, n: int) -> np.ndarray:
         """Exact E[etabar etabar^T] under eps = 0 for any gamma > 0.
@@ -176,34 +263,17 @@ class CovarianceModel:
         n = _check_n(n)
         if n == 1:
             return self.moments.e0.copy()
-        g = self.gamma
-
-        def side(q, a):
-            return _pair_sum(self.omega[a], self.theta[q], n) / (g * self.lam)[a]
-
         with np.errstate(over="ignore", invalid="ignore"):
-            a_term = -self.t_eig.side_sum(self.e0_coords, side) / n**2
-            if self.t_positive:
-                b_term = (
-                    -self.wsurf
-                    * self.t_eig.contract(self.e0_coords * self.theta**n / self.tau)
-                    / (g**2 * n**2)
-                )
-                lead = self._rotate_back(self._bias_leading_rotated(n))
-                return lead + self._rotate_back(a_term + b_term)
-            # T is singular or indefinite: evaluate the finite sum directly.
-            s_inf = self.omega / (g * self.lam)
-            g_sum = _geom_sum(self.theta, n)
-            main = (1.0 + s_inf[:, None] + s_inf[None, :]) * self.t_eig.contract(
-                self.e0_coords * g_sum
-            )
-            return self._rotate_back((main / n**2) + a_term)
+            lead, rest = self._bias_exact_terms(n, self._full)
+            if lead is None:
+                return self._rotate_back(rest)
+            return self._rotate_back(lead) + self._rotate_back(rest)
 
     def variance_leading(self, n: int) -> np.ndarray:
         """(H_L^-1 + H_R^-1 - gamma I) T^-1 Sigma0 / n plus the complete 1/n^2
         correction: exact minus leading is purely exponential at every n."""
         self._require_stable("the leading variance terms")
-        return self._rotate_back(self._variance_leading_rotated(_check_n(n)))
+        return self._rotate_back(self._variance_leading_terms(_check_n(n), self._full))
 
     def variance_exact(self, n: int) -> np.ndarray:
         """Exact E[etabar etabar^T] under eta0 = 0; needs T invertible."""
@@ -216,23 +286,46 @@ class CovarianceModel:
             )
         if n == 1:
             return np.zeros((self.moments.dim, self.moments.dim))
-        g = self.gamma
-
-        def side(q, a):
-            omega = self.omega[a]
-            return (_pair_sum(omega, self.theta[q], n) - omega**n) / self.lam[a]
-
         with np.errstate(over="ignore", invalid="ignore"):
-            c_term = self.t_eig.side_sum(self.sigma0_coords / self.tau, side) / n**2
-            d_term = (
-                self.wsurf
-                * self.t_eig.contract(self.sigma0_coords * self.theta**n / self.tau**2)
-                / (g * n**2)
-            )
-            qpk = self.omega**n / (g * self.lam) ** 2
-            q_term = g * (qpk[:, None] + qpk[None, :]) * self._s0_t1 / n**2
-            lead = self._rotate_back(self._variance_leading_rotated(n))
-            return lead + self._rotate_back(c_term + d_term + q_term)
+            lead, rest = self._variance_exact_terms(n, self._full)
+            return self._rotate_back(lead) + self._rotate_back(rest)
+
+    def risks(self, n: int) -> Risks:
+        """The excess risks Tr(H Delta) of the four covariances at horizon n.
+
+        Assembled from the same terms as the matrices, read out on the d
+        diagonal H-eigen coordinates only: O(d^2) per horizon on the
+        Gaussian block frame, O(D d) on the dense frame, and no rotation.
+        The leading risks are None off the stable range, the exact variance
+        risk when T is singular; an exact risk that overflows is returned
+        non-finite.
+        """
+        n = _check_n(n)
+        r = self._diag
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 1:
+                bias = excess_risk(self.moments, self.moments.e0)
+                var = 0.0 if self.t_invertible else None
+            else:
+                lead, rest = self._bias_exact_terms(n, r)
+                bias = self._risk(rest if lead is None else lead + rest)
+                var = None
+                if self.t_invertible:
+                    lead, rest = self._variance_exact_terms(n, r)
+                    var = self._risk(lead + rest)
+        stable = self.stable
+        return Risks(
+            bias_exact=bias,
+            bias_leading=self._risk(self._bias_leading_terms(n, r)) if stable else None,
+            variance_exact=var,
+            variance_leading=self._risk(self._variance_leading_terms(n, r)) if stable else None,
+        )
+
+    def small_gamma(self, n: int) -> tuple[float, float]:
+        """The small step-size equivalents of the bias and variance risks at
+        horizon n (:func:`small_gamma_equivalents`)."""
+        n = _check_n(n)
+        return self._tr_e0 / (self.gamma**2 * n**2), self._tr_s0 / n
 
     def bias_remainder_bound(self, n: int) -> float:
         """Frobenius bound on exact-minus-leading for the bias part."""
@@ -273,28 +366,26 @@ class CovarianceModel:
         return m.dim * self.rho**n * s0_norm / n * bracket
 
     def report(self, n: int) -> CovarianceReport:
-        """Every closed-form prediction of this model at horizon n."""
-        moments, gamma = self.moments, self.gamma
-        bias_exact = self.bias_exact(n)
-        var_exact = self.variance_exact(n) if self.t_invertible else None
-        stable = self.t_positive and self.rho < 1.0
-        bias_lead = self.bias_leading(n) if stable else None
-        var_lead = self.variance_leading(n) if stable else None
+        """Every closed-form prediction of this model at horizon n; the risks
+        come from :meth:`risks`."""
+        risks = self.risks(n)
+        stable = self.stable
+        small_bias, small_var = self.small_gamma(n)
         return CovarianceReport(
-            gamma=gamma,
+            gamma=self.gamma,
             n=int(n),
-            bias_exact=bias_exact,
-            bias_leading=bias_lead,
-            variance_exact=var_exact,
-            variance_leading=var_lead,
+            bias_exact=self.bias_exact(n),
+            bias_leading=self.bias_leading(n) if stable else None,
+            variance_exact=self.variance_exact(n) if self.t_invertible else None,
+            variance_leading=self.variance_leading(n) if stable else None,
             bias_remainder_bound=self.bias_remainder_bound(n) if stable else None,
             variance_remainder_bound=self.variance_remainder_bound(n) if stable else None,
-            bias_risk_exact=excess_risk(moments, bias_exact),
-            bias_risk_leading=excess_risk(moments, bias_lead) if stable else None,
-            variance_risk_exact=excess_risk(moments, var_exact) if var_exact is not None else None,
-            variance_risk_leading=excess_risk(moments, var_lead) if stable else None,
-            small_gamma_bias=self._tr_e0 / (gamma**2 * n**2),
-            small_gamma_variance=self._tr_s0 / n,
+            bias_risk_exact=risks.bias_exact,
+            bias_risk_leading=risks.bias_leading,
+            variance_risk_exact=risks.variance_exact,
+            variance_risk_leading=risks.variance_leading,
+            small_gamma_bias=small_bias,
+            small_gamma_variance=small_var,
         )
 
 

@@ -337,11 +337,12 @@ def cmd_predict(args) -> int:
     out_paths = []
     for gi, gamma in enumerate(gammas):
         model = asymptotics.CovarianceModel(moments, gamma)
+        stable = model.stable
         rows = []
         overflowed = False
         for n in schedule:
-            rep = model.report(n)
-            bias_ex, var_ex = rep.bias_risk_exact, rep.variance_risk_exact
+            risks = model.risks(n)
+            bias_ex, var_ex = risks.bias_exact, risks.variance_exact
             if not np.isfinite(bias_ex):
                 bias_ex, overflowed = None, True
             if var_ex is not None and not np.isfinite(var_ex):
@@ -349,16 +350,14 @@ def cmd_predict(args) -> int:
             rows.append([
                 n,
                 bias_ex,
-                rep.bias_risk_leading,
-                rep.bias_remainder_bound,
+                risks.bias_leading,
+                model.bias_remainder_bound(n) if stable else None,
                 var_ex,
-                rep.variance_risk_leading,
-                rep.variance_remainder_bound,
-                rep.small_gamma_bias,
-                rep.small_gamma_variance,
+                risks.variance_leading,
+                model.variance_remainder_bound(n) if stable else None,
+                *model.small_gamma(n),
             ])
-        # Stability depends on gamma alone: every report of it agrees.
-        if rep.bias_risk_leading is None:
+        if not stable:
             print(
                 f"warning: gamma={gamma:g} is at or beyond the stability threshold; "
                 "leading-term columns are left empty",
@@ -370,7 +369,8 @@ def cmd_predict(args) -> int:
                 "is left empty",
                 file=sys.stderr,
             )
-        # Only this gamma's rows use its model: free its D x D arrays before the next.
+        # Only this gamma's rows use its model: free its T eigenvectors (D x D on
+        # the dense frame) before the next.
         del model
         if overflowed:
             print(

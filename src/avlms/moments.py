@@ -230,6 +230,9 @@ class MomentSet:
     rank-one matrix eta0 eta0^T, both in the original coordinates.
     Every fourth moment is exact, so ``n_samples`` is always None; the
     field is kept only for the benchmark's span hook (``bench/spans.py``).
+    ``_norm_resampled`` marks the moments of norm-proportional resampling,
+    set only by their builders: every resampled draw then has
+    ||X||^2 = Tr(H), so the threshold is 2/Tr(H) without a pencil solve.
     """
 
     dim: int
@@ -242,13 +245,15 @@ class MomentSet:
     lmax: float
     frame: SpectralFrame | BlockFrame = field(repr=False)
     n_samples: int | None = None
+    _norm_resampled: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.hmat, self.sigma0, self.e0):
             arr.setflags(write=False)
 
 
-def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0) -> MomentSet:
+def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
+              norm_resampled: bool = False) -> MomentSet:
     """Bundle the frame of a fourth moment with the spec's own H and the
     start matrix."""
     hmat = spec.hmat
@@ -263,13 +268,16 @@ def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0) -> M
         mu=float(lam[0]),
         lmax=float(lam[-1]),
         frame=frame,
+        _norm_resampled=norm_resampled,
     )
 
 
-def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0) -> MomentSet:
+def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0,
+                      norm_resampled: bool = False) -> MomentSet:
     """The MomentSet whose fourth moment is ``scale`` times the Gaussian form
     of ``pmat`` (:class:`~avlms.operators.BlockFrame`)."""
-    return _assemble(spec, BlockFrame(SymBasis(spec.dim), *spec.h_eig, scale * pmat), sigma0)
+    frame = BlockFrame(SymBasis(spec.dim), *spec.h_eig, scale * pmat)
+    return _assemble(spec, frame, sigma0, norm_resampled)
 
 
 def _atom_residuals(spec: ProblemSpec) -> np.ndarray:
@@ -293,11 +301,12 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
     return _gaussian_moments(spec, np.outer(lam, lam), 1.0, spec.noise.sigma**2 * spec.hmat)
 
 
-def _atom_moments(spec: ProblemSpec, weight_rows) -> list[MomentSet]:
+def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[MomentSet]:
     """Moments of a discrete spec whose fourth-order objects weight atom t
     by ``wts[t]``, one MomentSet per row ``wts`` of ``weight_rows``:
     ``probs`` for the spec itself, ``probs * c`` resampled.  The rows share
-    one pass of the atom Gram over the atoms.
+    one pass of the atom Gram over the atoms.  ``norm_resampled`` flags the
+    rows of norm-proportional resampling (none when None).
     """
     xs = spec.design.xs
     residual = isinstance(spec.noise, ResidualNoise)
@@ -305,9 +314,10 @@ def _atom_moments(spec: ProblemSpec, weight_rows) -> list[MomentSet]:
     basis = SymBasis(spec.dim)
     fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
                                                   weights=np.stack(weight_rows))
+    flags = norm_resampled or [False] * len(weight_rows)
     return [_assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
-                      (xs * (wts * eps2)[:, None]).T @ xs)
-            for wts, fourth in zip(weight_rows, fourths)]
+                      (xs * (wts * eps2)[:, None]).T @ xs, flag)
+            for wts, fourth, flag in zip(weight_rows, fourths, flags)]
 
 
 def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
@@ -371,8 +381,16 @@ def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _chi_mean(d: int) -> float:
-    """E||Z|| for Z ~ N(0, I_d): sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
-    return math.sqrt(2.0) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
+    """E||Z|| for Z ~ N(0, I_d): sqrt(2) Gamma((d+1)/2) / Gamma(d/2).
+
+    Gamma overflows from d = 343 on; there the ratio is the exp of a
+    difference of lgamma values.  That difference cancels to about 1e-13
+    relative, so where Gamma is finite its ratio (about 1e-16) is kept.
+    """
+    try:
+        return math.sqrt(2.0) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
+    except OverflowError:
+        return math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2) - math.lgamma(d / 2))
 
 
 def _gaussian_cov(spec: ProblemSpec, scheme: str) -> np.ndarray:
@@ -421,7 +439,7 @@ def norm_resampled_moments(spec: ProblemSpec) -> MomentSet:
     lam, u = spec.h_eig
     g, gmat = _norm_resampling_integrals(lam)
     sigma0 = spec.noise.sigma**2 * trace_h * ((u * g) @ u.T)
-    return _gaussian_moments(spec, gmat, trace_h, sigma0)
+    return _gaussian_moments(spec, gmat, trace_h, sigma0, norm_resampled=True)
 
 
 def _norm_resampling_integrals(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

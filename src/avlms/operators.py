@@ -177,7 +177,8 @@ class TEigenpairs:
 
     ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
     symmetric d x d matrices; callers never see their dense layout and work
-    with d x d matrices and length-D coefficient vectors only.
+    with d x d matrices, their diagonals (``contract_diag``,
+    ``side_sum_diag``) and length-D coefficient vectors only.
     """
 
     def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
@@ -207,6 +208,18 @@ class TEigenpairs:
         g = self._v @ (coeffs[:, None] * weights)
         at = np.arange(g.shape[0])
         return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
+
+    def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
+        """The diagonal of :meth:`contract`: the first d rows of the
+        eigenvectors, O(D d)."""
+        return self._v[: self._basis.dim] @ coeffs
+
+    def side_sum_diag(self, coeffs: np.ndarray, kernel) -> np.ndarray:
+        """The diagonal of :meth:`side_sum`, 2 sum_q coeffs[q] E_q[a,a] w[q,a]:
+        the diagonal of its product only, O(D d)."""
+        d = self._basis.dim
+        weights = kernel(np.arange(self.tau.size)[:, None], np.arange(d)[None, :])
+        return 2.0 * np.einsum("aq,qa->a", self._v[:d], coeffs[:, None] * weights)
 
 
 class SpectralFrame:
@@ -266,7 +279,8 @@ class SpectralFrame:
 
 class BlockEigenpairs:
     """The eigenpairs of T(gamma) of a :class:`BlockFrame`, with the
-    interface of :class:`TEigenpairs` in O(D + d^2) per call.
+    interface of :class:`TEigenpairs` in O(D + d^2) per call, and O(d^2)
+    for the diagonal read-outs.
 
     Before sorting, eigenpair r < d is block eigenvector ``v[:, r]`` on the
     diagonal coordinates, and r >= d is basis coordinate r itself (a pair
@@ -293,25 +307,35 @@ class BlockEigenpairs:
 
     def contract(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q."""
-        d = self._basis.dim
-        raw = coeffs[self._pos]
-        return self._basis.vecs_to_mats(np.concatenate([self._v @ raw[:d], raw[d:]]))
+        pairs = coeffs[self._pos[self._basis.dim:]]
+        return self._basis.vecs_to_mats(np.concatenate([self.contract_diag(coeffs), pairs]))
+
+    def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
+        """The diagonal of :meth:`contract`, O(d^2): a pair eigenvector never
+        reaches the diagonal, so only the block eigenvectors are read."""
+        return self._v @ coeffs[self._pos[: self._basis.dim]]
 
     def side_sum(self, coeffs: np.ndarray, kernel) -> np.ndarray:
         """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), w[q,a] = kernel(q, a).
 
-        A block eigenvector is diagonal, so it reaches only the diagonal,
-        through the d x d weights w[q, a]; pair (a, b) reaches only its own
+        A block eigenvector is diagonal, so it reaches only the diagonal
+        (:meth:`side_sum_diag`); pair (a, b) reaches only its own
         coordinate, through w[q, a] and w[q, b].
         """
         d = self._basis.dim
         rows, cols = self._basis.pairs
-        raw = coeffs[self._pos]
-        q_block, q_pairs = self._pos[:d], self._pos[d:]
+        q_pairs = self._pos[d:]
+        pairs = coeffs[q_pairs] * (kernel(q_pairs, rows[d:]) + kernel(q_pairs, cols[d:]))
+        return self._basis.vecs_to_mats(
+            np.concatenate([self.side_sum_diag(coeffs, kernel), pairs]))
+
+    def side_sum_diag(self, coeffs: np.ndarray, kernel) -> np.ndarray:
+        """The diagonal of :meth:`side_sum`, O(d^2): the block eigenvectors
+        with the d x d weights w[q, a] of the block indices q."""
+        d = self._basis.dim
+        q_block = self._pos[:d]
         w_block = kernel(q_block[:, None], np.arange(d)[None, :])
-        diag = 2.0 * ((self._v * w_block.T) @ raw[:d])
-        pairs = raw[d:] * (kernel(q_pairs, rows[d:]) + kernel(q_pairs, cols[d:]))
-        return self._basis.vecs_to_mats(np.concatenate([diag, pairs]))
+        return 2.0 * ((self._v * w_block.T) @ coeffs[q_block])
 
 
 class BlockFrame:

@@ -9,7 +9,7 @@ threshold and the asymptotic variance constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,6 +49,9 @@ class SamplingScheme:
     c_inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normalization: float
     exact_moments: Callable[[], MomentSet] | None = None
+    # Set by optimal_bias_scheme: the atom moments of its ratio are marked
+    # norm-resampled, so their threshold is 2/Tr(H) exactly.
+    _norm_resampled: bool = field(default=False, repr=False)
 
 
 def uniform_scheme() -> SamplingScheme:
@@ -78,6 +81,7 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
         c_inverse=_once_on_atoms(spec, c_inverse),
         normalization=norm_const,
         exact_moments=_gaussian_closed_form(spec, norm_resampled_moments),
+        _norm_resampled=True,
     )
 
 
@@ -168,7 +172,8 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     :func:`~avlms.moments.compute_moments` for None, else
     :func:`resampled_moments`, bit for bit.  On a discrete spec the atom
     Grams of every scheme without a closed form come from one pass over
-    the atoms."""
+    the atoms, and the moments of a norm-resampling scheme are marked so
+    (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H))."""
     out = [None] * len(schemes)
     rows, at = [], []
     for k, scheme in enumerate(schemes):
@@ -180,7 +185,8 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
         else:
             out[k] = compute_moments(spec) if scheme is None else resampled_moments(spec, scheme)
     if rows:
-        for k, moments in zip(at, _atom_moments(spec, rows)):
+        flags = [schemes[k] is not None and schemes[k]._norm_resampled for k in at]
+        for k, moments in zip(at, _atom_moments(spec, rows, flags)):
             out[k] = moments
     return out
 
@@ -197,10 +203,14 @@ def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:
     The scheme's closed form when it has one, otherwise
     :func:`~avlms.moments.reweighted_moments` of its ratio, which is exact
     on discrete specs and refuses Gaussian ones with SchemeError: Gaussian
-    resampled moments are exact or refused.
+    resampled moments are exact or refused.  On discrete specs the moments
+    come from :func:`_moment_sets`, with the bits of ``reweighted_moments``
+    and the norm-resampled marker of the bias scheme.
     """
     if scheme.exact_moments is not None:
         return scheme.exact_moments()
+    if isinstance(spec.design, DiscreteDesign):
+        return _moment_sets(spec, [scheme])[0]
     return reweighted_moments(spec, scheme.c_inverse)
 
 

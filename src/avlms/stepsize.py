@@ -60,12 +60,17 @@ def gamma_max(moments: MomentSet) -> float:
     pencil's top is at least Tr(H)/2 for every distribution (take A = I in
     its Rayleigh quotient), so the clamp only absorbs the eigensolver's
     last-ulp rounding, and gamma_max <= 2/Tr(H) holds by construction.
+    Norm-resampled moments reach the bound: with ||X||^2 = Tr(H) on every
+    draw, (X^T A X)^2 <= Tr(H) X^T A^2 X caps the quotient at Tr(H)/2, so
+    their threshold is 2/Tr(H) itself, with no pencil solve.
     """
     if moments.mu <= 0:
         raise SingularOperatorError(
             "second-moment matrix must be positive definite",
             smallest_eigenvalue=moments.mu,
         )
+    if moments._norm_resampled:
+        return trace_step_bound(moments)
     return min(1.0 / moments.frame.pencil_top(), trace_step_bound(moments))
 
 

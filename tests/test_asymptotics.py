@@ -219,6 +219,71 @@ class TestBlockFrame:
                     assert np.abs(getattr(model, method)(n) - ref).max() < 1e-12 * scale, n
 
 
+RISK_SPECS = full_battery() + [("rotated-gauss", NON_DIAGONAL[0][1]),
+                               ("rotated-gauss-40", rotated_gaussian_spec(40, 43))]
+
+
+@pytest.mark.parametrize("frame", ["own", "dense"])
+class TestRisks:
+    """``risks`` reads the four risks from the d diagonal H-eigen
+    coordinates; on the spec's own frame and on the dense frame it matches
+    the risks of the model's full matrices."""
+
+    @staticmethod
+    def _moments(spec, frame):
+        m = compute_moments(spec)
+        return with_dense_frame(m) if frame == "dense" else m
+
+    def test_match_full_matrices(self, frame):
+        """From n = 50 on, to 1e-12 relative, at three step-sizes."""
+        for name, spec in RISK_SPECS:
+            m = self._moments(spec, frame)
+            for frac in (0.1, 0.5, 0.95):
+                model = CovarianceModel(m, frac * gamma_max(m))
+                for n in (50, 317, 10_000):
+                    risks = model.risks(n)
+                    for got, mat in ((risks.bias_exact, model.bias_exact(n)),
+                                     (risks.bias_leading, model.bias_leading(n)),
+                                     (risks.variance_exact, model.variance_exact(n)),
+                                     (risks.variance_leading, model.variance_leading(n))):
+                        want = excess_risk(m, mat)
+                        assert abs(got - want) <= 1e-12 * abs(want), (name, frac, n)
+
+    def test_match_recursion_at_small_n(self, frame):
+        """Below n = 50 the risks hold the recursion to the tolerance of
+        TestDenseOracle, carried through Tr(H .)."""
+        for name, spec in NON_DIAGONAL:
+            m = self._moments(spec, frame)
+            g = 0.5 * gamma_max(m)
+            risks = [CovarianceModel(m, g).risks(n) for n in (2, 17)]
+            for n, r in zip((2, 17), risks):
+                for got, ref, src in ((r.bias_exact, dp_bias(spec, m, g, n), m.e0),
+                                      (r.variance_exact, dp_variance(spec, m, g, n), m.sigma0)):
+                    scale = max(np.abs(ref).max(), np.abs(src).max())
+                    tol = 1e-12 * scale * np.abs(m.hmat).sum()
+                    assert abs(got - excess_risk(m, ref)) < tol, (name, n)
+
+    def test_unstable_and_singular_fields(self, frame):
+        """Beyond the threshold the leading risks are None and the exact ones
+        stay; at the threshold T is singular and the exact variance is None
+        too.  The exact bias risk still equals that of its matrix."""
+        m = self._moments(rotated_gaussian_spec(5, 44), frame)
+        g_max = gamma_max(m)
+        for g, invertible in ((1.5 * g_max, True), (g_max, False)):
+            model = CovarianceModel(m, g)
+            for n in (1, 2, 60):
+                r = model.risks(n)
+                assert r.bias_leading is None and r.variance_leading is None
+                assert (r.variance_exact is not None) == invertible == model.t_invertible
+                want = excess_risk(m, model.bias_exact(n))
+                assert abs(r.bias_exact - want) <= 1e-12 * abs(want)
+
+    def test_first_iterate(self, frame):
+        m = self._moments(rotated_gaussian_spec(4, 45), frame)
+        r = CovarianceModel(m, 0.5 * gamma_max(m)).risks(1)
+        assert r.bias_exact == excess_risk(m, m.e0) and r.variance_exact == 0.0
+
+
 class TestExactBias:
     def test_zero_start_gives_zero(self):
         model = CovarianceModel(compute_moments(scalar_unit_spec(w0=0.0)), 0.5)

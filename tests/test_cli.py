@@ -215,8 +215,9 @@ class TestCommands:
             assert grams == [(3, [16, 16, 8])]
 
     def test_sampling_solves_one_pencil_per_moment_set(self, tmp_path, monkeypatch):
-        """The uniform row of sampling reuses the base moments' threshold:
-        three schemes solve the order-D pencil three times, not four."""
+        """The uniform row of sampling reuses the base moments' threshold and
+        bias-opt reads 2/Tr(H): three schemes solve the order-D pencil twice
+        (base and variance-opt), not four times."""
         from avlms.operators import SpectralFrame
 
         calls = []
@@ -231,7 +232,7 @@ class TestCommands:
                 "--scheme", "bias-opt", "--scheme", "variance-opt", "--n-max", "50",
                 "--points", "2", "--replicates", "10", "--out", str(tmp_path / "s.csv")]
         assert main(argv) == EXIT_OK
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -335,6 +336,72 @@ class TestCommands:
         assert "gamma=2 makes T singular; the variance_exact column is left empty" in err
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert all(r[4] == "" for r in rows) and all(r[1] != "" for r in rows)
+
+    @pytest.mark.parametrize("gamma", ["0.2", "1.0", "2.0"])
+    def test_predict_columns_match_full_report(self, tmp_path, gamma):
+        """At a stable, a beyond-threshold and a singular-T gamma, each predict
+        cell is empty exactly where the full report's matrix is absent or
+        overflows, and from n = 50 on holds that matrix's risk to 1e-12."""
+        from avlms import CovarianceModel, excess_risk
+        from avlms.cli import _build_parser, _resolve_spec
+
+        argv = ["predict", "--spec", "gaussian:d=5,spectrum=1/i,sigma=1,wstar=random,w0=ones",
+                "--gamma", gamma, "--n-max", "3000", "--points", "8"]
+        out = tmp_path / "p.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        model = CovarianceModel(compute_moments(_resolve_spec(_build_parser().parse_args(argv))),
+                                float(gamma))
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            rep = model.report(int(row["n"]))
+            for col, mat in (("bias_exact", rep.bias_exact), ("bias_leading", rep.bias_leading),
+                             ("variance_exact", rep.variance_exact),
+                             ("variance_leading", rep.variance_leading)):
+                want = None if mat is None else excess_risk(model.moments, mat)
+                if want is None or not np.isfinite(want):
+                    assert row[col] == "", (col, row)
+                else:
+                    got = float(row[col])
+                    assert int(row["n"]) < 50 or abs(got - want) <= 1e-12 * abs(want), (col, row)
+
+    def test_gaussian_predict_reads_only_diagonal_coordinates(self, tmp_path, monkeypatch):
+        """A Gaussian predict reads each risk from the d diagonal H-eigen
+        coordinates: it never rotates a matrix back, never expands basis
+        coordinates into a d x d matrix, never takes the full side sum, and
+        never hands a pair sum more than d^2 entries."""
+        from avlms import asymptotics
+        from avlms.operators import BlockEigenpairs, SymBasis
+
+        calls, sizes = [], []
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(asymptotics.CovarianceModel, "_rotate_back")
+        counted(SymBasis, "vecs_to_mats")
+        counted(BlockEigenpairs, "side_sum")
+        pair_sum = asymptotics._pair_sum
+
+        def sized(a, b, n):
+            sizes.append(np.broadcast(a, b).size)
+            return pair_sum(a, b, n)
+
+        monkeypatch.setattr(asymptotics, "_pair_sum", sized)
+        d = 12
+        rc = main(["predict", "--spec", f"gaussian:d={d},spectrum=1/i,sigma=1,w0=ones",
+                   "--gamma", "0.05", "--gamma", "0.5", "--n-max", "5000", "--points", "6",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_OK
+        assert calls == []
+        assert sizes and max(sizes) <= d * d
 
     def test_sampling_skips_variance_scheme_on_noiseless_data(self, tmp_path, capsys, tiny_csv):
         out = tmp_path / "s.csv"

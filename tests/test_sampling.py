@@ -18,8 +18,13 @@ from avlms import (
     uniform_scheme,
     variance_gain,
 )
-from avlms.moments import _chi_mean, _sqrt_psd
+from avlms.moments import _chi_mean, _sqrt_psd, norm_resampled_moments
+from avlms.sampling import _moment_sets
+from avlms.stepsize import trace_step_bound
 from conftest import make_discrete
+from oracles import dense_frame
+
+EPS = np.finfo(float).eps
 
 
 def _rotated_gaussian(d, seed, sigma=1.0):
@@ -62,6 +67,62 @@ class TestBiasScheme:
             scheme = optimal_bias_scheme(spec)
             got = resampled_gamma_max(spec, scheme)
             np.testing.assert_allclose(got, 2.0 / scheme.normalization, atol=1e-10)
+
+
+class TestNormResampledThreshold:
+    """Norm-resampled moments read gamma_max = 2/Tr(H) exactly, with no
+    pencil solve; the solved pencil, on the moments' own frame and on the
+    dense frame, is the oracle within a few ulps."""
+
+    ULPS = 16
+
+    def _check(self, m, dense=True):
+        bound = trace_step_bound(m)
+        assert gamma_max(m) == bound
+        for frame in (m.frame, dense_frame(m)) if dense else (m.frame,):
+            assert abs(1.0 / frame.pencil_top() - bound) <= self.ULPS * EPS * bound
+
+    def test_gaussian_diagonal_specs(self):
+        """d = 1..64 with spectra 1/i, 1/i^2 and ones: 192 specs; the dense
+        oracle up to d = 8."""
+        for d in range(1, 65):
+            i = np.arange(1.0, d + 1)
+            for eig in (1.0 / i, 1.0 / i**2, np.ones(d)):
+                spec = ProblemSpec.gaussian(np.diag(eig), sigma=1.0)
+                self._check(resampled_moments(spec, optimal_bias_scheme(spec)), dense=d <= 8)
+
+    def test_rotated_gaussian_specs(self):
+        for seed, d in enumerate((2, 3, 6)):
+            self._check(norm_resampled_moments(_rotated_gaussian(d, 1850 + seed)))
+
+    def test_atom_specs(self):
+        """Both ways to the atom moments (one scheme, or a command's shared
+        pass) carry the marker; other schemes do not."""
+        for seed in range(8):
+            spec = make_discrete(1 + seed % 4, 9, 1700 + seed, residual=seed % 2 == 0)
+            scheme = optimal_bias_scheme(spec)
+            self._check(resampled_moments(spec, scheme))
+            plain, shared, other = _moment_sets(spec, [None, scheme,
+                                                       optimal_variance_scheme(spec)])
+            self._check(shared)
+            assert not plain._norm_resampled and not other._norm_resampled
+
+
+class TestChiMean:
+    """K(d) = E||Z||, Z ~ N(0, I_d), against K(d+2) = K(d) (d+1)/d from
+    K(1) = sqrt(2/pi) and K(2) = sqrt(pi/2), past the overflow of Gamma."""
+
+    @staticmethod
+    def _recurrence(d):
+        k, m = (np.sqrt(2.0 / np.pi), 1) if d % 2 else (np.sqrt(np.pi / 2.0), 2)
+        while m < d:
+            k *= (m + 1) / m
+            m += 2
+        return k
+
+    @pytest.mark.parametrize("d", [1, 2, 25, 342, 343, 400, 1000])
+    def test_matches_recurrence(self, d):
+        assert abs(_chi_mean(d) / self._recurrence(d) - 1.0) <= 1e-12
 
 
 class TestVarianceScheme:
