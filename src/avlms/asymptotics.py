@@ -18,9 +18,14 @@ MomentSet; so T = diag(l_a + l_b) - gamma M is solved once per
 (moments, gamma), when the :class:`CovarianceModel` of that pair is built.
 The double sums then collapse into scalar geometric sums per
 (T-eigenvalue, H-eigenvalue) pair.  The horizon-independent contractions
-T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are formed once per model, and each
-horizon n costs the same, independent of n.  Matrix powers are never
-formed.
+T^-1 E0, T^-1 Sigma0 and T^-2 Sigma0 are formed once per model, and a
+horizon's cost does not depend on n.  Matrix powers are never formed.
+A whole schedule of horizons is evaluated in one pass: every sum and
+power takes a leading horizon axis, and a group of horizons, sized so
+its temporaries stay within ``operators.GRAM_CHUNK_BYTES``, forms its
+pair sum sum_i omega_a^(n-i) theta_q^i once, for both the bias and the
+variance side sums.  The horizons are float64, exact up to 2^53, and each
+of them gets the bits it gets alone.
 For step-sizes in the stable range the exact value is assembled as
 leading-terms-plus-remainder so that the difference between the two
 methods reproduces the remainder to machine precision even when it sits
@@ -39,11 +44,14 @@ The model reaches T only through the frame's per-step-size
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``, each with
 its diagonal read-out.  Nothing here knows how those eigenvectors are
-stored: ``side_sum`` takes its weights as a kernel of (T index, H index),
-which the frames evaluate only at the entries they read.  The model is
-the one entry point: build one per (moments, gamma) and reuse it across
-horizons; :meth:`CovarianceModel.risks` gives the four risks at one
-horizon and :meth:`CovarianceModel.report` every closed form.
+stored: the frames name the T indices a diagonal read-out reads
+(``diag_index``: d of D on the block frame) and the (T index, H index)
+grid of the side sum weights (``side_grid``), and the model evaluates
+its coefficients and weights there only.  The model is the one entry
+point: build one per (moments, gamma) and reuse it across horizons;
+:meth:`CovarianceModel.risks` gives the four risks at every horizon of a
+schedule; the matrix methods and :meth:`CovarianceModel.report` take one
+horizon, the one-horizon case of the same sums.
 """
 
 from __future__ import annotations
@@ -55,42 +63,60 @@ import numpy as np
 
 from .errors import SingularOperatorError
 from .moments import MomentSet
+from .operators import GRAM_CHUNK_BYTES
 from .stepsize import t_invertible, t_positive
 
 
-def _geom_sum(a: np.ndarray, n: int) -> np.ndarray:
-    """sum_{i=0}^{n-1} a^i elementwise, stable near a = 1."""
+def _powers(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """x ** n elementwise for each horizon n of ns, on a new leading axis.
+
+    Bit for bit ``x ** int(n)``: numpy squares for a scalar exponent 2,
+    where np.power of an exponent array rounds differently.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.power(x, ns.reshape(ns.shape + (1,) * x.ndim))
+    out[ns == 2.0] = np.square(x)
+    return out
+
+
+def _geom_sum(a: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """sum_{i=0}^{n-1} a^i elementwise for each horizon n of ns (a new
+    leading axis), stable near a = 1."""
     a = np.asarray(a, dtype=float)
     u = 1.0 - a
-    out = np.full(a.shape, float(n))
+    out = np.empty(ns.shape + a.shape)
+    out[...] = ns.reshape(ns.shape + (1,) * a.ndim)
     pos = (a > 0.0) & (u != 0.0)
     rest = (a <= 0.0) & (u != 0.0)
     if np.any(pos):
         up = u[pos]
-        out[pos] = -np.expm1(n * np.log1p(-up)) / up
+        out[:, pos] = -np.expm1(ns[:, None] * np.log1p(-up)) / up
     if np.any(rest):
-        out[rest] = (1.0 - a[rest] ** n) / u[rest]
+        out[:, rest] = (1.0 - _powers(a[rest], ns)) / u[rest]
     return out
 
 
-def _pair_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """sum_{i=0}^{n-1} a^(n-i) b^i elementwise with broadcasting.
+def _pair_sum(a: np.ndarray, b: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """sum_{i=0}^{n-1} a^(n-i) b^i elementwise with broadcasting, for each
+    horizon n of ns (a new leading axis).
 
     Evaluated as a * hi^(n-1) * geom(lo/hi, n) with |lo| <= |hi| so the
-    geometric part never grows and near-equal bases stay accurate.
+    geometric part never grows and near-equal bases stay accurate.  Only
+    the power of hi and the geometric sum depend on n.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if n == 1:
-        return a.copy()
     swap = np.abs(b) > np.abs(a)
     hi = np.where(swap, b, a)
     lo = np.where(swap, a, b)
-    inner = np.zeros_like(hi)
     nz = hi != 0.0
-    ratio = np.zeros_like(hi)
-    ratio[nz] = lo[nz] / hi[nz]
-    inner[nz] = hi[nz] ** (n - 1) * _geom_sum(ratio[nz], n)
-    return a * inner
+    hi_nz = hi[nz]
+    part = _powers(hi_nz, ns - 1.0)
+    part *= _geom_sum(lo[nz] / hi_nz, ns)
+    out = np.zeros(ns.shape + hi.shape)
+    out[:, nz] = part
+    out *= a
+    out[ns == 1.0] = a
+    return out
 
 
 class _Readout:
@@ -101,25 +127,48 @@ class _Readout:
     ``contract`` and ``side_sum`` are the T eigenpairs' matrix or diagonal
     read-outs, ``surface(v)`` is v_a + v_b on the same coordinates (a, b),
     and the horizon-independent contractions T^-1 E0, T^-1 Sigma0 and
-    T^-2 Sigma0 are formed once per read-out.
+    T^-2 Sigma0 are formed once per read-out.  A read-out keeps only what
+    it reads: ``tau``, ``theta`` and the coefficients at the T indices its
+    contractions read (d of D for the diagonal on the block frame), and
+    omega and the eigenvalues of H on the index grid of its side weights.
+    Terms carry a leading horizon axis; ``horizons(ns)`` lines a horizon
+    array up with them.
     """
 
     def __init__(self, model: CovarianceModel, diagonal: bool):
-        t_eig, tau, g, lam = model.t_eig, model.tau, model.gamma, model.lam
+        t_eig, g, lam = model.t_eig, model.gamma, model.lam
         self.diagonal = diagonal
         self.contract = t_eig.contract_diag if diagonal else t_eig.contract
         self.side_sum = t_eig.side_sum_diag if diagonal else t_eig.side_sum
+        at = t_eig.diag_index if diagonal else slice(None)
+        self.tau, self.theta = model.tau[at], model.theta[at]
+        self.e0, self.sigma0 = model.e0_coords[at], model.sigma0_coords[at]
+        q, a = t_eig.side_grid(diagonal)
+        self.side_theta, self.side_omega = model.theta[q], model.omega[a]
+        self.side_a = a
+        # Horizons per group: one (group, side grid) array of floats is an
+        # eighth of GRAM_CHUNK_BYTES, so the group's temporaries stay within it.
+        self.group = max(1, GRAM_CHUNK_BYTES // (64 * np.broadcast(q, a).size))
         # inverse-weight surface (1/l_a + 1/l_b - gamma) of H_L^-1 + H_R^-1 - gamma I
         self.wsurf = self.surface(1.0 / lam) - g
         if model.t_invertible:
-            self.e0_t1 = self.contract(model.e0_coords / tau)
-            self.s0_t1 = self.contract(model.sigma0_coords / tau)
-            self.s0_t2 = self.contract(model.sigma0_coords / tau**2)
+            self.e0_t1 = self.contract(self.e0 / self.tau)
+            self.s0_t1 = self.contract(self.sigma0 / self.tau)
+            self.s0_t2 = self.contract(self.sigma0 / self.tau**2)
             self.var_corr = self.surface(model.omega / (g * lam) ** 2) * self.s0_t1
 
     def surface(self, v: np.ndarray) -> np.ndarray:
-        """v_a + v_b at every read-out coordinate (a, b)."""
-        return 2.0 * v if self.diagonal else v[:, None] + v[None, :]
+        """v_a + v_b at every read-out coordinate (a, b), over v's leading axes."""
+        return 2.0 * v if self.diagonal else v[..., :, None] + v[..., None, :]
+
+    def horizons(self, ns: np.ndarray) -> np.ndarray:
+        """The horizons ns shaped to broadcast against a term."""
+        return ns.reshape(ns.shape + ((1,) if self.diagonal else (1, 1)))
+
+    def pair_sum(self, ns: np.ndarray) -> np.ndarray:
+        """sum_i omega_a^(n-i) theta_q^i on the side grid at each horizon:
+        the one array both side sums derive their weights from."""
+        return _pair_sum(self.side_omega, self.side_theta, ns)
 
 
 @dataclass(frozen=True)
@@ -194,8 +243,9 @@ class CovarianceModel:
         out = self.rot @ a @ self.rot.T
         return 0.5 * (out + out.T)
 
-    def _risk(self, diag: np.ndarray) -> float:
-        return float(self.lam @ diag)
+    def _risks(self, terms: np.ndarray) -> list[float]:
+        """Tr(H Delta) = sum_a l_a Delta'_aa at each horizon of diagonal terms."""
+        return np.matmul(terms[:, None, :], self.lam)[:, 0].tolist()
 
     def _require_stable(self, what: str) -> None:
         if not self.t_positive:
@@ -205,54 +255,52 @@ class CovarianceModel:
                 smallest_eigenvalue=self.mu_t,
             )
 
-    def _bias_leading_terms(self, n: int, r: _Readout) -> np.ndarray:
+    def _bias_leading_terms(self, ns: np.ndarray, r: _Readout) -> np.ndarray:
+        n = r.horizons(ns)
         return r.wsurf * r.e0_t1 / (self.gamma**2 * n**2)
 
-    def _variance_leading_terms(self, n: int, r: _Readout) -> np.ndarray:
-        g = self.gamma
+    def _variance_leading_terms(self, ns: np.ndarray, r: _Readout) -> np.ndarray:
+        g, n = self.gamma, r.horizons(ns)
         z1 = r.wsurf * r.s0_t1
         z2 = r.wsurf * r.s0_t2
         return z1 / n - z2 / (g * n**2) - g * r.var_corr / n**2
 
-    def _bias_exact_terms(self, n: int, r: _Readout) -> tuple[np.ndarray | None, np.ndarray]:
-        """The exact bias at n >= 2 as (leading terms, remainder); off the
-        stable range, (None, the finite sum evaluated directly)."""
-        g = self.gamma
-
-        def side(q, a):
-            return _pair_sum(self.omega[a], self.theta[q], n) / (g * self.lam)[a]
-
-        a_term = -r.side_sum(self.e0_coords, side) / n**2
+    def _bias_exact_terms(self, ns: np.ndarray, r: _Readout,
+                          pair: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """The exact bias at horizons n >= 2 as (leading terms, remainder); off
+        the stable range, (None, the finite sum evaluated directly).  ``pair``
+        is ``r.pair_sum(ns)``."""
+        g, n = self.gamma, r.horizons(ns)
+        a_term = -r.side_sum(r.e0, pair / (g * self.lam)[r.side_a]) / n**2
         if self.t_positive:
-            b_term = -r.wsurf * r.contract(self.e0_coords * self.theta**n / self.tau) / (
+            b_term = -r.wsurf * r.contract(r.e0 * _powers(r.theta, ns) / r.tau) / (
                 g**2 * n**2)
-            return self._bias_leading_terms(n, r), a_term + b_term
+            return self._bias_leading_terms(ns, r), a_term + b_term
         # T is singular or indefinite: evaluate the finite sum directly.
         s_inf = self.omega / (g * self.lam)
-        main = (1.0 + r.surface(s_inf)) * r.contract(self.e0_coords * _geom_sum(self.theta, n))
+        main = (1.0 + r.surface(s_inf)) * r.contract(r.e0 * _geom_sum(r.theta, ns))
         return None, main / n**2 + a_term
 
-    def _variance_exact_terms(self, n: int, r: _Readout) -> tuple[np.ndarray, np.ndarray]:
-        """The exact variance at n >= 2, T invertible, as (leading terms,
-        remainder)."""
-        g = self.gamma
-
-        def side(q, a):
-            omega = self.omega[a]
-            return (_pair_sum(omega, self.theta[q], n) - omega**n) / self.lam[a]
-
-        c_term = r.side_sum(self.sigma0_coords / self.tau, side) / n**2
-        d_term = r.wsurf * r.contract(self.sigma0_coords * self.theta**n / self.tau**2) / (
+    def _variance_exact_terms(self, ns: np.ndarray, r: _Readout,
+                              pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exact variance at horizons n >= 2, T invertible, as (leading
+        terms, remainder).  ``pair`` is ``r.pair_sum(ns)``."""
+        g, n = self.gamma, r.horizons(ns)
+        omega_n = _powers(self.omega, ns)
+        side = (pair - omega_n[:, r.side_a]) / self.lam[r.side_a]
+        c_term = r.side_sum(r.sigma0 / r.tau, side) / n**2
+        d_term = r.wsurf * r.contract(r.sigma0 * _powers(r.theta, ns) / r.tau**2) / (
             g * n**2)
-        q_term = g * r.surface(self.omega**n / (g * self.lam) ** 2) * r.s0_t1 / n**2
-        return self._variance_leading_terms(n, r), c_term + d_term + q_term
+        q_term = g * r.surface(omega_n / (g * self.lam) ** 2) * r.s0_t1 / n**2
+        return self._variance_leading_terms(ns, r), c_term + d_term + q_term
 
     # -- public evaluations -------------------------------------------------
 
     def bias_leading(self, n: int) -> np.ndarray:
         """The 1/(gamma^2 n^2) bias term (H_L^-1 + H_R^-1 - gamma I) T^-1 E0."""
         self._require_stable("the leading bias term")
-        return self._rotate_back(self._bias_leading_terms(_check_n(n), self._full))
+        ns = np.array([_check_n(n)], dtype=float)
+        return self._rotate_back(self._bias_leading_terms(ns, self._full)[0])
 
     def bias_exact(self, n: int) -> np.ndarray:
         """Exact E[etabar etabar^T] under eps = 0 for any gamma > 0.
@@ -263,17 +311,19 @@ class CovarianceModel:
         n = _check_n(n)
         if n == 1:
             return self.moments.e0.copy()
+        ns, r = np.array([n], dtype=float), self._full
         with np.errstate(over="ignore", invalid="ignore"):
-            lead, rest = self._bias_exact_terms(n, self._full)
+            lead, rest = self._bias_exact_terms(ns, r, r.pair_sum(ns))
             if lead is None:
-                return self._rotate_back(rest)
-            return self._rotate_back(lead) + self._rotate_back(rest)
+                return self._rotate_back(rest[0])
+            return self._rotate_back(lead[0]) + self._rotate_back(rest[0])
 
     def variance_leading(self, n: int) -> np.ndarray:
         """(H_L^-1 + H_R^-1 - gamma I) T^-1 Sigma0 / n plus the complete 1/n^2
         correction: exact minus leading is purely exponential at every n."""
         self._require_stable("the leading variance terms")
-        return self._rotate_back(self._variance_leading_terms(_check_n(n), self._full))
+        ns = np.array([_check_n(n)], dtype=float)
+        return self._rotate_back(self._variance_leading_terms(ns, self._full)[0])
 
     def variance_exact(self, n: int) -> np.ndarray:
         """Exact E[etabar etabar^T] under eta0 = 0; needs T invertible."""
@@ -286,40 +336,50 @@ class CovarianceModel:
             )
         if n == 1:
             return np.zeros((self.moments.dim, self.moments.dim))
+        ns, r = np.array([n], dtype=float), self._full
         with np.errstate(over="ignore", invalid="ignore"):
-            lead, rest = self._variance_exact_terms(n, self._full)
-            return self._rotate_back(lead) + self._rotate_back(rest)
+            lead, rest = self._variance_exact_terms(ns, r, r.pair_sum(ns))
+            return self._rotate_back(lead[0]) + self._rotate_back(rest[0])
 
-    def risks(self, n: int) -> Risks:
-        """The excess risks Tr(H Delta) of the four covariances at horizon n.
+    def risks(self, schedule) -> list[Risks]:
+        """The excess risks Tr(H Delta) of the four covariances at each
+        horizon of ``schedule``.
 
         Assembled from the same terms as the matrices, read out on the d
-        diagonal H-eigen coordinates only: O(d^2) per horizon on the
-        Gaussian block frame, O(D d) on the dense frame, and no rotation.
+        diagonal H-eigen coordinates only, with no rotation: O(d^2) per
+        horizon on the Gaussian block frame, O(D d) on the dense frame.
+        The horizons are evaluated in groups, each one pass: the group's
+        pair sum is formed once and serves the bias and the variance side
+        sums, and the group's temporaries stay within GRAM_CHUNK_BYTES.
         The leading risks are None off the stable range, the exact variance
         risk when T is singular; an exact risk that overflows is returned
         non-finite.
         """
-        n = _check_n(n)
+        ns = np.array([_check_n(n) for n in schedule], dtype=float)
         r = self._diag
+        out = []
+        for start in range(0, ns.size, r.group):
+            out += self._group_risks(ns[start:start + r.group], r)
+        return out
+
+    def _group_risks(self, ns: np.ndarray, r: _Readout) -> list[Risks]:
+        none = [None] * ns.size
+        var = list(none)
         with np.errstate(over="ignore", invalid="ignore"):
-            if n == 1:
-                bias = excess_risk(self.moments, self.moments.e0)
-                var = 0.0 if self.t_invertible else None
-            else:
-                lead, rest = self._bias_exact_terms(n, r)
-                bias = self._risk(rest if lead is None else lead + rest)
-                var = None
-                if self.t_invertible:
-                    lead, rest = self._variance_exact_terms(n, r)
-                    var = self._risk(lead + rest)
+            pair = r.pair_sum(ns)
+            lead, rest = self._bias_exact_terms(ns, r, pair)
+            bias = self._risks(rest if lead is None else lead + rest)
+            if self.t_invertible:
+                lead, rest = self._variance_exact_terms(ns, r, pair)
+                var = self._risks(lead + rest)
+        for k in np.flatnonzero(ns == 1.0):
+            # The first iterate is the start: no sum to evaluate.
+            bias[k] = excess_risk(self.moments, self.moments.e0)
+            var[k] = 0.0 if self.t_invertible else None
         stable = self.stable
-        return Risks(
-            bias_exact=bias,
-            bias_leading=self._risk(self._bias_leading_terms(n, r)) if stable else None,
-            variance_exact=var,
-            variance_leading=self._risk(self._variance_leading_terms(n, r)) if stable else None,
-        )
+        bias_leading = self._risks(self._bias_leading_terms(ns, r)) if stable else none
+        var_leading = self._risks(self._variance_leading_terms(ns, r)) if stable else none
+        return [Risks(*fields) for fields in zip(bias, bias_leading, var, var_leading)]
 
     def small_gamma(self, n: int) -> tuple[float, float]:
         """The small step-size equivalents of the bias and variance risks at
@@ -368,7 +428,7 @@ class CovarianceModel:
     def report(self, n: int) -> CovarianceReport:
         """Every closed-form prediction of this model at horizon n; the risks
         come from :meth:`risks`."""
-        risks = self.risks(n)
+        risks = self.risks([n])[0]
         stable = self.stable
         small_bias, small_var = self.small_gamma(n)
         return CovarianceReport(

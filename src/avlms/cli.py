@@ -202,9 +202,13 @@ def _count(args, key: str, default: int) -> int:
 
 def _n_schedule(args) -> list[int]:
     n_max, points = _count(args, "n_max", 1000), _count(args, "points", 20)
+    top = np.iinfo(np.int64).max
+    if n_max > top:
+        raise UsageError(f"--n-max must be at most {top}")
     lo = min(10, n_max)
-    grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(n_max), points)).astype(int))
-    sched = [int(v) for v in grid if v >= 1]
+    grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(n_max), points)))
+    # Below n_max every grid point fits an int64; n_max itself closes the schedule.
+    sched = [int(v) for v in grid if 1 <= v < n_max]
     if not sched or sched[-1] != n_max:
         sched.append(n_max)
     if any(b <= a for a, b in zip(sched, sched[1:])):
@@ -340,8 +344,7 @@ def cmd_predict(args) -> int:
         stable = model.stable
         rows = []
         overflowed = False
-        for n in schedule:
-            risks = model.risks(n)
+        for n, risks in zip(schedule, model.risks(schedule)):
             bias_ex, var_ex = risks.bias_exact, risks.variance_exact
             if not np.isfinite(bias_ex):
                 bias_ex, overflowed = None, True

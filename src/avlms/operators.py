@@ -72,15 +72,11 @@ class SymBasis:
     def __init__(self, dim: int):
         self.dim = _check_dim(dim)
         d = self.dim
-        rows = list(range(d))
-        cols = list(range(d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                rows.append(i)
-                cols.append(j)
+        upper = np.triu_indices(d, k=1)
+        diag = np.arange(d)
         self.size = d * (d + 1) // 2
-        self._rows = np.array(rows)
-        self._cols = np.array(cols)
+        self._rows = np.concatenate([diag, upper[0]])
+        self._cols = np.concatenate([diag, upper[1]])
         # sqrt(2) on off-diagonal coordinates makes the basis orthonormal
         self._scale = np.where(self._rows == self._cols, 1.0, _SQRT2)
 
@@ -178,13 +174,22 @@ class TEigenpairs:
     ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
     symmetric d x d matrices; callers never see their dense layout and work
     with d x d matrices, their diagonals (``contract_diag``,
-    ``side_sum_diag``) and length-D coefficient vectors only.
+    ``side_sum_diag``) and coefficient vectors only.
+
+    Each read-out names what it reads.  The diagonal read-outs take their
+    coefficients at the T indices ``diag_index`` only.  A side sum's
+    weights w[q, a] (T index q, H index a) are evaluated by the caller on
+    the index grid ``side_grid`` gives, and passed as that array.  Every
+    coefficient and weight array may carry leading axes (one per horizon,
+    say); the result carries the same ones.
     """
 
     def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
         self.tau = tau
         self._basis = basis
         self._v = v
+        # Every eigenvector reaches the diagonal.
+        self.diag_index = np.arange(tau.size)
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
@@ -192,34 +197,37 @@ class TEigenpairs:
 
     def contract(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q."""
-        return self._basis.vecs_to_mats(self._v @ coeffs)
+        return self._basis.vecs_to_mats(np.matmul(self._v, coeffs[..., None])[..., 0])
 
-    def side_sum(self, coeffs: np.ndarray, kernel) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), w[q,a] = kernel(q, a).
+    def side_grid(self, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Broadcastable T and H indices (q, a) of the weights that
+        :meth:`side_sum` (or, ``diagonal``, :meth:`side_sum_diag`) reads:
+        here the full (D, d) grid for both."""
+        return np.arange(self.tau.size)[:, None], np.arange(self._basis.dim)[None, :]
 
-        ``kernel`` maps broadcastable index arrays q (into ``tau``) and a
-        (into H's eigenvalues) to the weights there.  Here it is evaluated
-        on the full (D, d) grid; coordinate p = (a, b) of the result is
-        g[p,a] + g[p,b] with g = v @ (coeffs * w), one (D, D) x (D, d)
-        product.
+    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), with ``weights``
+        the w of ``side_grid(False)``.
+
+        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
+        g = v @ (coeffs * w), one (D, D) x (D, d) product.
         """
         rows, cols = self._basis.pairs
-        weights = kernel(np.arange(self.tau.size)[:, None], np.arange(self._basis.dim)[None, :])
         g = self._v @ (coeffs[:, None] * weights)
-        at = np.arange(g.shape[0])
-        return self._basis.vecs_to_mats(g[at, rows] + g[at, cols])
+        at = np.arange(g.shape[-2])
+        return self._basis.vecs_to_mats(g[..., at, rows] + g[..., at, cols])
 
     def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
         """The diagonal of :meth:`contract`: the first d rows of the
         eigenvectors, O(D d)."""
-        return self._v[: self._basis.dim] @ coeffs
+        return np.matmul(self._v[: self._basis.dim], coeffs[..., None])[..., 0]
 
-    def side_sum_diag(self, coeffs: np.ndarray, kernel) -> np.ndarray:
-        """The diagonal of :meth:`side_sum`, 2 sum_q coeffs[q] E_q[a,a] w[q,a]:
-        the diagonal of its product only, O(D d)."""
+    def side_sum_diag(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The diagonal of :meth:`side_sum`, 2 sum_q coeffs[q] E_q[a,a] w[q,a]
+        with ``weights`` the w of ``side_grid(True)``: the diagonal of its
+        product only, O(D d)."""
         d = self._basis.dim
-        weights = kernel(np.arange(self.tau.size)[:, None], np.arange(d)[None, :])
-        return 2.0 * np.einsum("aq,qa->a", self._v[:d], coeffs[:, None] * weights)
+        return 2.0 * np.einsum("aq,...qa->...a", self._v[:d], coeffs[:, None] * weights)
 
 
 class SpectralFrame:
@@ -285,7 +293,9 @@ class BlockEigenpairs:
     Before sorting, eigenpair r < d is block eigenvector ``v[:, r]`` on the
     diagonal coordinates, and r >= d is basis coordinate r itself (a pair
     a < b).  ``tau`` is sorted ascending through a stable permutation;
-    ``_pos[r]`` is the sorted index of eigenpair r.
+    ``_pos[r]`` is the sorted index of eigenpair r.  A pair eigenvector
+    never reaches the diagonal, so the diagonal read-outs read the d block
+    eigenpairs only: ``diag_index`` holds their sorted indices.
     """
 
     def __init__(self, basis: SymBasis, tau_block: np.ndarray, v: np.ndarray,
@@ -298,6 +308,7 @@ class BlockEigenpairs:
         self._pos[order] = np.arange(order.size)
         self._basis = basis
         self._v = v
+        self.diag_index = self._pos[: basis.dim]
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
@@ -307,35 +318,50 @@ class BlockEigenpairs:
 
     def contract(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q."""
-        pairs = coeffs[self._pos[self._basis.dim:]]
-        return self._basis.vecs_to_mats(np.concatenate([self.contract_diag(coeffs), pairs]))
+        pairs = coeffs[..., self._pos[self._basis.dim:]]
+        diag = self.contract_diag(coeffs[..., self.diag_index])
+        return self._basis.vecs_to_mats(np.concatenate([diag, pairs], axis=-1))
 
     def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`contract`, O(d^2): a pair eigenvector never
-        reaches the diagonal, so only the block eigenvectors are read."""
-        return self._v @ coeffs[self._pos[: self._basis.dim]]
+        """The diagonal of :meth:`contract`, O(d^2): the block eigenvectors."""
+        return np.matmul(self._v, coeffs[..., None])[..., 0]
 
-    def side_sum(self, coeffs: np.ndarray, kernel) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), w[q,a] = kernel(q, a).
+    def side_grid(self, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The T and H indices (q, a) of the weights :meth:`side_sum` (or,
+        ``diagonal``, :meth:`side_sum_diag`) reads.  The diagonal grid is
+        d x d, row a and column r holding w[diag_index[r], a].  The full
+        grid is flat: that block grid, then every pair (a, b) at its own T
+        index with a, then with b."""
+        d = self._basis.dim
+        q_block, a_block = self.diag_index[None, :], np.arange(d)[:, None]
+        if diagonal:
+            return q_block, a_block
+        rows, cols = self._basis.pairs
+        q_pairs = self._pos[d:]
+        q_block, a_block = np.broadcast_arrays(q_block, a_block)
+        return (np.concatenate([q_block.ravel(), q_pairs, q_pairs]),
+                np.concatenate([a_block.ravel(), rows[d:], cols[d:]]))
+
+    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), with ``weights``
+        the w of ``side_grid(False)``.
 
         A block eigenvector is diagonal, so it reaches only the diagonal
         (:meth:`side_sum_diag`); pair (a, b) reaches only its own
         coordinate, through w[q, a] and w[q, b].
         """
         d = self._basis.dim
-        rows, cols = self._basis.pairs
-        q_pairs = self._pos[d:]
-        pairs = coeffs[q_pairs] * (kernel(q_pairs, rows[d:]) + kernel(q_pairs, cols[d:]))
-        return self._basis.vecs_to_mats(
-            np.concatenate([self.side_sum_diag(coeffs, kernel), pairs]))
+        block, w_rows, w_cols = np.split(weights, [d * d, d * d + self._basis.size - d], axis=-1)
+        block = block.reshape(weights.shape[:-1] + (d, d))
+        pairs = coeffs[self._pos[d:]] * (w_rows + w_cols)
+        diag = self.side_sum_diag(coeffs[self.diag_index], block)
+        return self._basis.vecs_to_mats(np.concatenate([diag, pairs], axis=-1))
 
-    def side_sum_diag(self, coeffs: np.ndarray, kernel) -> np.ndarray:
+    def side_sum_diag(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """The diagonal of :meth:`side_sum`, O(d^2): the block eigenvectors
-        with the d x d weights w[q, a] of the block indices q."""
-        d = self._basis.dim
-        q_block = self._pos[:d]
-        w_block = kernel(q_block[:, None], np.arange(d)[None, :])
-        return 2.0 * ((self._v * w_block.T) @ coeffs[q_block])
+        scaled by the d x d weights of ``side_grid(True)``, times the block
+        coefficients."""
+        return 2.0 * np.matmul(self._v * weights, coeffs)
 
 
 class BlockFrame:

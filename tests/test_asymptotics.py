@@ -24,9 +24,11 @@ from avlms import (
     smallest_t_eigenvalue,
     total_error_envelope,
 )
+from avlms.asymptotics import _geom_sum, _pair_sum
+from avlms.cli import parse_spec_descriptor
 from avlms.moments import leverage_resampled_moments, norm_resampled_moments
 from avlms.operators import BlockFrame
-from conftest import full_battery, make_discrete
+from conftest import full_battery, make_discrete, make_empirical
 from oracles import apply as op_apply
 from oracles import (
     SymOperator,
@@ -240,8 +242,8 @@ class TestRisks:
             m = self._moments(spec, frame)
             for frac in (0.1, 0.5, 0.95):
                 model = CovarianceModel(m, frac * gamma_max(m))
-                for n in (50, 317, 10_000):
-                    risks = model.risks(n)
+                schedule = (50, 317, 10_000)
+                for n, risks in zip(schedule, model.risks(schedule)):
                     for got, mat in ((risks.bias_exact, model.bias_exact(n)),
                                      (risks.bias_leading, model.bias_leading(n)),
                                      (risks.variance_exact, model.variance_exact(n)),
@@ -255,7 +257,7 @@ class TestRisks:
         for name, spec in NON_DIAGONAL:
             m = self._moments(spec, frame)
             g = 0.5 * gamma_max(m)
-            risks = [CovarianceModel(m, g).risks(n) for n in (2, 17)]
+            risks = CovarianceModel(m, g).risks((2, 17))
             for n, r in zip((2, 17), risks):
                 for got, ref, src in ((r.bias_exact, dp_bias(spec, m, g, n), m.e0),
                                       (r.variance_exact, dp_variance(spec, m, g, n), m.sigma0)):
@@ -271,8 +273,7 @@ class TestRisks:
         g_max = gamma_max(m)
         for g, invertible in ((1.5 * g_max, True), (g_max, False)):
             model = CovarianceModel(m, g)
-            for n in (1, 2, 60):
-                r = model.risks(n)
+            for n, r in zip((1, 2, 60), model.risks((1, 2, 60))):
                 assert r.bias_leading is None and r.variance_leading is None
                 assert (r.variance_exact is not None) == invertible == model.t_invertible
                 want = excess_risk(m, model.bias_exact(n))
@@ -280,8 +281,110 @@ class TestRisks:
 
     def test_first_iterate(self, frame):
         m = self._moments(rotated_gaussian_spec(4, 45), frame)
-        r = CovarianceModel(m, 0.5 * gamma_max(m)).risks(1)
+        (r,) = CovarianceModel(m, 0.5 * gamma_max(m)).risks([1])
         assert r.bias_exact == excess_risk(m, m.e0) and r.variance_exact == 0.0
+
+
+def geom_sum_one(a, n):
+    """One horizon of ``_geom_sum``, as it was evaluated per horizon: the
+    reference for the horizon axis."""
+    a = np.asarray(a, dtype=float)
+    u = 1.0 - a
+    out = np.full(a.shape, float(n))
+    pos = (a > 0.0) & (u != 0.0)
+    rest = (a <= 0.0) & (u != 0.0)
+    if np.any(pos):
+        up = u[pos]
+        out[pos] = -np.expm1(n * np.log1p(-up)) / up
+    if np.any(rest):
+        out[rest] = (1.0 - a[rest] ** n) / u[rest]
+    return out
+
+
+def pair_sum_one(a, b, n):
+    """One horizon of ``_pair_sum``, as it was evaluated per horizon."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if n == 1:
+        return a.copy()
+    swap = np.abs(b) > np.abs(a)
+    hi = np.where(swap, b, a)
+    lo = np.where(swap, a, b)
+    inner = np.zeros_like(hi)
+    nz = hi != 0.0
+    ratio = np.zeros_like(hi)
+    ratio[nz] = lo[nz] / hi[nz]
+    inner[nz] = hi[nz] ** (n - 1) * geom_sum_one(ratio[nz], n)
+    return a * inner
+
+
+def risk_bits(risks):
+    """Every field of a list of Risks as exact text, None kept."""
+    return [tuple(None if v is None else float(v).hex() for v in vars(r).values())
+            for r in risks]
+
+
+# T(2.0) of this spec is singular.
+SINGULAR_AT_2 = "gaussian:d=5,spectrum=1/i,sigma=1"
+
+
+class TestHorizonSchedule:
+    """A schedule of horizons is evaluated in one pass per group, with the
+    bits of one horizon at a time."""
+
+    SCHEDULE = (1, 2, 3, 4, 7, 10, 33, 100, 1000, 31623, 10**6, 10**9, 3 * 10**15)
+
+    def test_sums_on_edge_grids(self):
+        """a == b (u = 0), hi = 0, negative ratios, n = 1, 2, 3 and overflow
+        to inf: every horizon of the batched sums equals the per-horizon
+        evaluation bit for bit."""
+        rg = np.random.default_rng(7)
+        edge = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, 2.0, -3.0, 1.5e150,
+                         1.0 - 1e-16, 1.0 + 1e-12, -1.0 + 1e-16, 0.999999])
+        a = np.concatenate([edge, rg.uniform(-1.2, 1.2, 300)])[:, None]
+        b = np.concatenate([edge, rg.uniform(-1.2, 1.2, 40)])[None, :]
+        ns = np.array(self.SCHEDULE, dtype=float)
+        # Whole grids, and single entries, whose powers numpy iterates along
+        # the horizon axis.
+        grids = [(a, b)] + [(a[i], b[:, j]) for i, j in rg.integers(0, 40, (300, 2))]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for a, b in grids:
+                pairs, geoms = _pair_sum(a, b, ns), _geom_sum(a, ns)
+                for k, n in enumerate(self.SCHEDULE):
+                    assert pairs[k].tobytes() == pair_sum_one(a, b, n).tobytes(), n
+                    assert geoms[k].tobytes() == geom_sum_one(a, n).tobytes(), n
+                    one = ns[k:k + 1]
+                    assert pairs[k].tobytes() == _pair_sum(a, b, one)[0].tobytes(), n
+            assert np.isinf(_pair_sum(*grids[0], ns)[-1]).any()
+            assert np.isinf(_geom_sum(grids[0][0], ns)[-1]).any()
+
+    @pytest.mark.parametrize("frame", ["own", "dense"])
+    def test_model_risks_match_per_horizon(self, frame):
+        """On the 22-spec battery, a data spec, step-sizes beyond the
+        threshold and a singular T, both frames: the risks of a schedule
+        equal the per-horizon calls, also when the schedule spans several
+        horizon groups."""
+        cases = [(spec, None) for _, spec in full_battery()]
+        cases.append((make_empirical(8, 300, 808), None))
+        cases.append((parse_spec_descriptor(SINGULAR_AT_2), (1.0, 2.0)))
+        for spec, gammas in cases:
+            m = compute_moments(spec)
+            m = with_dense_frame(m) if frame == "dense" else m
+            for g in gammas or (0.5 * gamma_max(m),):
+                model = CovarianceModel(m, g)
+                one = [model.risks([n])[0] for n in self.SCHEDULE]
+                assert risk_bits(model.risks(self.SCHEDULE)) == risk_bits(one), g
+                model._diag.group = 3
+                assert risk_bits(model.risks(self.SCHEDULE)) == risk_bits(one), g
+
+    def test_singular_t_schedule(self):
+        """At gamma = 2, T of SINGULAR_AT_2 is singular, so the exact
+        variance risk is None at every horizon."""
+        m = compute_moments(parse_spec_descriptor(SINGULAR_AT_2))
+        model = CovarianceModel(m, 2.0)
+        assert not model.t_invertible
+        risks = model.risks(self.SCHEDULE)
+        assert all(r.variance_exact is None and r.bias_leading is None for r in risks)
+        assert risk_bits(risks) == risk_bits([model.risks([n])[0] for n in self.SCHEDULE])
 
 
 class TestExactBias:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,11 +371,13 @@ class TestCommands:
         """A Gaussian predict reads each risk from the d diagonal H-eigen
         coordinates: it never rotates a matrix back, never expands basis
         coordinates into a d x d matrix, never takes the full side sum, and
-        never hands a pair sum more than d^2 entries."""
+        hands the pair sum at most d^2 entries per horizon.  Each model
+        evaluates the pair sum once per horizon group (here one group holds
+        the whole schedule), not twice per horizon."""
         from avlms import asymptotics
         from avlms.operators import BlockEigenpairs, SymBasis
 
-        calls, sizes = [], []
+        calls, pair_sums = [], []
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -390,18 +393,60 @@ class TestCommands:
         counted(BlockEigenpairs, "side_sum")
         pair_sum = asymptotics._pair_sum
 
-        def sized(a, b, n):
-            sizes.append(np.broadcast(a, b).size)
-            return pair_sum(a, b, n)
+        def sized(a, b, ns):
+            pair_sums.append((np.broadcast(a, b).size, len(ns)))
+            return pair_sum(a, b, ns)
 
         monkeypatch.setattr(asymptotics, "_pair_sum", sized)
         d = 12
+        out = tmp_path / "p.csv"
         rc = main(["predict", "--spec", f"gaussian:d={d},spectrum=1/i,sigma=1,w0=ones",
                    "--gamma", "0.05", "--gamma", "0.5", "--n-max", "5000", "--points", "6",
-                   "--out", str(tmp_path / "p.csv")])
+                   "--out", str(out)])
         assert rc == EXIT_OK
         assert calls == []
-        assert sizes and max(sizes) <= d * d
+        horizons = len((tmp_path / "p_g0.csv").read_text().splitlines()) - 1
+        assert [n for _, n in pair_sums] == [horizons, horizons]
+        assert max(size for size, _ in pair_sums) <= d * d
+
+    def test_predict_horizon_groups_bound_memory(self, tmp_path, monkeypatch):
+        """predict on a d=30 data file (dense frame, D = 465) with 400
+        points evaluates its schedule in several horizon groups, and the
+        risk evaluation's traced allocations stay within a small multiple of
+        one group's (group, side grid) array: within GRAM_CHUNK_BYTES."""
+        import tracemalloc
+
+        from avlms import asymptotics
+        from avlms.operators import GRAM_CHUNK_BYTES
+
+        rg = np.random.default_rng(30)
+        xs = rg.standard_t(5, (200, 30))
+        data = tmp_path / "d30.csv"
+        np.savetxt(data, np.column_stack([xs, xs @ rg.standard_normal(30)
+                                          + rg.standard_normal(200)]),
+                   fmt="%.17g", delimiter=",")
+        risks, seen = asymptotics.CovarianceModel.risks, []
+
+        def traced(model, schedule):
+            r = model._diag
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = risks(model, schedule)
+                growth = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            group_bytes = 8 * r.group * np.broadcast(r.side_theta, r.side_omega).size
+            seen.append((len(schedule), r.group, growth, group_bytes))
+            return out
+
+        monkeypatch.setattr(asymptotics.CovarianceModel, "risks", traced)
+        rc = main(["predict", "--data", str(data), "--gamma", "0.01", "--n-max", "100000",
+                   "--points", "400", "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_OK
+        ((horizons, group, growth, group_bytes),) = seen
+        assert horizons > 10 * group
+        assert growth <= 8 * group_bytes <= GRAM_CHUNK_BYTES
 
     def test_sampling_skips_variance_scheme_on_noiseless_data(self, tmp_path, capsys, tiny_csv):
         out = tmp_path / "s.csv"
@@ -625,6 +670,19 @@ class TestExitCodes:
 
     def test_bad_flag_is_usage(self):
         assert main(["run", "--nope"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    @pytest.mark.parametrize("n_max", [10**23, 10**19])
+    def test_n_max_beyond_int64_is_usage(self, command, n_max, tmp_path, capsys):
+        """An --n-max past the int64 range is one error line and the usage
+        status, with no traceback and no cast warning."""
+        argv = [command, "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", str(n_max),
+                "--out", str(tmp_path / "out.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestImports:

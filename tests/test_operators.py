@@ -54,6 +54,19 @@ class TestBasis:
     def test_size(self):
         assert SymBasis(5).size == 15
 
+    def test_pairs_match_the_loop_order(self):
+        """Diagonal first, then i < j row-major, with sqrt(2) off the
+        diagonal: the indices as a double loop lists them, d = 1..64."""
+        for d in range(1, 65):
+            loop = [(i, i) for i in range(d)]
+            loop += [(i, j) for i in range(d) for j in range(i + 1, d)]
+            basis = SymBasis(d)
+            rows, cols = basis.pairs
+            assert rows.tolist() == [i for i, _ in loop]
+            assert cols.tolist() == [j for _, j in loop]
+            scale = [1.0 if i == j else np.sqrt(2.0) for i, j in loop]
+            assert basis._scale.tolist() == scale
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             SymBasis(65)

@@ -318,7 +318,8 @@ class TestOneSpectralFrame:
 
     def test_side_sum_matches_its_defining_sum(self):
         """On the block frame of a Gaussian MomentSet and on the dense frame
-        of its fourth moment, with the weights given as a kernel."""
+        of its fourth moment, with the weights evaluated on each read-out's
+        index grid (`side_grid`)."""
         m = compute_moments(make_gaussian(3, 0.5, 906))
         size = m.basis.size
         rg = np.random.default_rng(1)
@@ -332,8 +333,11 @@ class TestOneSpectralFrame:
                 for a in range(3):
                     for b in range(3):
                         expected[a, b] += coeffs[q] * e_q[a, b] * (weights[q, a] + weights[q, b])
-            got = t_eig.side_sum(coeffs, lambda q, a: weights[q, a])
+            got = t_eig.side_sum(coeffs, weights[t_eig.side_grid(False)])
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+            at = t_eig.diag_index
+            diag = t_eig.side_sum_diag(coeffs[at], weights[t_eig.side_grid(True)])
+            np.testing.assert_allclose(diag, np.diag(expected), rtol=0, atol=1e-13)
 
     def test_gaussian_commands_solve_nothing_above_order_d(self, eigensolves, capsys):
         """On a Gaussian spec, gamma-max with every scheme and predict read T
