@@ -323,7 +323,7 @@ def risk_bits(risks):
             for r in risks]
 
 
-# T(2.0) of this spec is singular.
+# T(2.0) of this spec is singular; T(1.0) is past the threshold.
 SINGULAR_AT_2 = "gaussian:d=5,spectrum=1/i,sigma=1"
 
 
@@ -375,16 +375,6 @@ class TestHorizonSchedule:
                 assert risk_bits(model.risks(self.SCHEDULE)) == risk_bits(one), g
                 model._diag.group = 3
                 assert risk_bits(model.risks(self.SCHEDULE)) == risk_bits(one), g
-
-    def test_singular_t_schedule(self):
-        """At gamma = 2, T of SINGULAR_AT_2 is singular, so the exact
-        variance risk is None at every horizon."""
-        m = compute_moments(parse_spec_descriptor(SINGULAR_AT_2))
-        model = CovarianceModel(m, 2.0)
-        assert not model.t_invertible
-        risks = model.risks(self.SCHEDULE)
-        assert all(r.variance_exact is None and r.bias_leading is None for r in risks)
-        assert risk_bits(risks) == risk_bits([model.risks([n])[0] for n in self.SCHEDULE])
 
 
 class TestExactBias:
