@@ -200,12 +200,17 @@ PREDICT_SPEC = "gaussian:d=5,spectrum=1/i,sigma=1,wstar=random,w0=ones"
 DATA_PREDICT = ["--gamma", "0.05", "--gamma", "0.5", "--n-max", "3000", "--points", "8"]
 SPEC_PREDICT = ["--gamma", "0.2", "--gamma", "2.0", "--n-max", "3000", "--points", "8"]
 ALL_SCHEMES = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
+# The d=5 descriptor's block has few terms per sum; d=25 at gamma_max/2 and
+# gamma_max/20 over the default 25-point schedule pins the summation order
+# of the Gaussian block read-out too.
+PREDICT_SPEC_25 = "gaussian:d=25,spectrum=1/i,sigma=1"
 
 GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b6a4d63c"
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
 DATA_SAMPLING_SHA256 = "c1bf07114fd90716b15d19a4440c2a51d03beebef99a4497747d8643b93c9603"
 DATA_PREDICT_SHA256 = "594105972714c19df6a8e5899a21104aed336c2b8c850d9e9601ddbe6de929ff"
 SPEC_PREDICT_SHA256 = "29d915abf5a4372028541a7745175e87a34acd0f36fd64c0792fcac87163f415"
+SPEC_PREDICT_25_SHA256 = "68463fede5adfaf7e11383b13a74c06a76395ad5d30e8ab39b7f88eeb926b514"
 DATA_GAMMA_MAX_SHA256 = "5de3b4b338d096d3d64ecda97e177bd0000754fcd05a029f39b5d469dae835fa"
 SPEC_GAMMA_MAX_SHA256 = "df4248a75b57e0bde582d517e16be9ce2a2c0baffc0b23adb30f3287e2bb2b49"
 
@@ -272,6 +277,14 @@ class TestPinnedDigests:
         outs = predict_csvs(tmp_path, ["--spec", PREDICT_SPEC], SPEC_PREDICT)
         _assert_unstable_warnings(capsys.readouterr().err, "2")
         assert _digest(*outs) == SPEC_PREDICT_SHA256
+
+    @pinned
+    def test_gaussian_predict_d25(self, tmp_path):
+        g = gamma_max(compute_moments(cli.parse_spec_descriptor(PREDICT_SPEC_25)))
+        args = ["--gamma", repr(g / 2), "--gamma", repr(g / 20),
+                "--n-max", "10000", "--points", "25"]
+        outs = predict_csvs(tmp_path, ["--spec", PREDICT_SPEC_25], args)
+        assert _digest(*outs) == SPEC_PREDICT_25_SHA256
 
     @pinned
     def test_discrete_gamma_max(self, tmp_path):
