@@ -32,11 +32,11 @@ methods reproduces the remainder to machine precision even when it sits
 far below the rounding error of the leading terms.
 
 One term assembly serves two read-outs.  The covariance matrices read
-every H-eigen coordinate and rotate back: O(D^2 d) per horizon on the
-dense frame, O(D + d^2) plus two d x d rotations on the Gaussian block
-frame.  A risk Tr(H Delta) = sum_a l_a Delta'_aa reads only the d
-diagonal coordinates (:meth:`CovarianceModel.risks`): O(D d) on the dense
-frame and O(d^2) on the block frame, whose pair eigenvectors never reach
+every H-eigen coordinate and rotate back: O(D^2 d) per horizon on an atom
+set's order-D block, O(D + d^2) plus two d x d rotations on a Gaussian
+form's d x d block.  A risk Tr(H Delta) = sum_a l_a Delta'_aa reads only
+the d diagonal coordinates (:meth:`CovarianceModel.risks`): O(D d) and
+O(d^2) respectively, since the frame's scalar eigenvectors never reach
 the diagonal, with no rotation.
 
 The model reaches T only through the frame's per-step-size
@@ -45,7 +45,7 @@ coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``, each with
 its diagonal read-out.  Nothing here knows how those eigenvectors are
 stored: the frames name the T indices a diagonal read-out reads
-(``diag_index``: d of D on the block frame) and the (T index, H index)
+(``diag_index``: the k block eigenpairs, d of D on a Gaussian form) and the (T index, H index)
 grid of the side sum weights (``side_grid``), and the model evaluates
 its coefficients and weights there only.  The model is the one entry
 point: build one per (moments, gamma) and reuse it across horizons;
@@ -129,7 +129,7 @@ class _Readout:
     and the horizon-independent contractions T^-1 E0, T^-1 Sigma0 and
     T^-2 Sigma0 are formed once per read-out.  A read-out keeps only what
     it reads: ``tau``, ``theta`` and the coefficients at the T indices its
-    contractions read (d of D for the diagonal on the block frame), and
+    contractions read (d of D for the diagonal on a Gaussian form), and
     omega and the eigenvalues of H on the index grid of its side weights.
     Terms carry a leading horizon axis; ``horizons(ns)`` lines a horizon
     array up with them.
@@ -347,7 +347,8 @@ class CovarianceModel:
 
         Assembled from the same terms as the matrices, read out on the d
         diagonal H-eigen coordinates only, with no rotation: O(d^2) per
-        horizon on the Gaussian block frame, O(D d) on the dense frame.
+        horizon on a Gaussian form's d x d block, O(D d) on an atom set's
+        order-D block.
         The horizons are evaluated in groups, each one pass: the group's
         pair sum is formed once and serves the bias and the variance side
         sums, and the group's temporaries stay within GRAM_CHUNK_BYTES.

@@ -373,7 +373,7 @@ def cmd_predict(args) -> int:
                 file=sys.stderr,
             )
         # Only this gamma's rows use its model: free its T eigenvectors (D x D on
-        # the dense frame) before the next.
+        # an atom set) before the next.
         del model
         if overflowed:
             print(

@@ -22,11 +22,12 @@ SchemeError (draw rows and build ``ProblemSpec.discrete`` instead).
 
 Every producer writes the fourth moment directly in H's eigenbasis (the
 coordinates of u^T A u, H = u diag(l) u^T), where T is read, and hands it
-to the MomentSet's frame.  The three exact Gaussian forms give only their
-scaled P to a structured :class:`~avlms.operators.BlockFrame`, which never
-forms a D x D array; atoms give the D x D weighted Gram of the rank-one
-coordinates of the rotated rows ``xs @ u`` to the dense
-:class:`~avlms.operators.SpectralFrame`.
+to the MomentSet's :class:`~avlms.operators.SpectralFrame` as a block on
+the first basis coordinates plus one scalar on each of the others.  The
+three exact Gaussian forms give a d x d block and D - d scalars, built
+from their scaled P by :func:`_gaussian_moments`, so no D x D array is
+formed; atoms give the D x D weighted Gram of the rank-one coordinates of
+the rotated rows ``xs @ u`` as one block.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .errors import DimensionError, SchemeError, SpecError
 from .operators import (
     MAX_DIM,
-    BlockFrame,
     SpectralFrame,
     SymBasis,
     _as_symmetric,
@@ -224,9 +224,10 @@ class MomentSet:
 
     ``frame`` holds the fourth moment A -> E[(X^T A X) X X^T] in H's
     eigenbasis (the ``basis`` coordinates of u^T A u, with
-    ``(l, u) = spec.h_eig``) and reads T(gamma) from it: a dense frame, or
-    for the Gaussian forms a block frame; ``frame.fourth_moment()`` writes
-    it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
+    ``(l, u) = spec.h_eig``) and reads T(gamma) from it: one block on the
+    first basis coordinates, of order D for atom sets and d for the
+    Gaussian forms, plus scalars on the rest; ``frame.fourth_moment()``
+    writes it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
     rank-one matrix eta0 eta0^T, both in the original coordinates.
     Every fourth moment is exact, so ``n_samples`` is always None; the
     field is kept only for the benchmark's span hook (``bench/spans.py``).
@@ -243,7 +244,7 @@ class MomentSet:
     trace_h: float
     mu: float
     lmax: float
-    frame: SpectralFrame | BlockFrame = field(repr=False)
+    frame: SpectralFrame = field(repr=False)
     n_samples: int | None = None
     _norm_resampled: bool = field(default=False, repr=False)
 
@@ -252,7 +253,7 @@ class MomentSet:
             arr.setflags(write=False)
 
 
-def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
+def _assemble(spec: ProblemSpec, frame: SpectralFrame, sigma0,
               norm_resampled: bool = False) -> MomentSet:
     """Bundle the frame of a fourth moment with the spec's own H and the
     start matrix."""
@@ -275,8 +276,19 @@ def _assemble(spec: ProblemSpec, frame: SpectralFrame | BlockFrame, sigma0,
 def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0,
                       norm_resampled: bool = False) -> MomentSet:
     """The MomentSet whose fourth moment is ``scale`` times the Gaussian form
-    of ``pmat`` (:class:`~avlms.operators.BlockFrame`)."""
-    frame = BlockFrame(SymBasis(spec.dim), *spec.h_eig, scale * pmat)
+    of ``pmat``: A -> 2 P o A + diag(P diag(A)) in H-eigen coordinates,
+    with P the scaled ``pmat``.  With P = l l^T it is the Gaussian fourth
+    moment 2 H A H + Tr(A H) H; the resampled Gaussian moments are
+    multiples of it for other P.  Its matrix holds the d x d block
+    P + 2 diag(diag P) on the diagonal coordinates and the scalar 2 P_ab on
+    each pair coordinate a < b, so each pair is an exact eigenvector of
+    T(gamma) and each step-size costs one order-d eigensolve."""
+    basis = SymBasis(spec.dim)
+    rows, cols = basis.pairs
+    d = spec.dim
+    pmat = scale * pmat
+    frame = SpectralFrame(basis, *spec.h_eig, pmat + np.diag(2.0 * np.diag(pmat)),
+                          2.0 * pmat[rows[d:], cols[d:]])
     return _assemble(spec, frame, sigma0, norm_resampled)
 
 
@@ -291,7 +303,7 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
     """Exact moments of a specification.
 
     Gaussian designs use the closed-form fourth moment (the Gaussian form
-    of :class:`~avlms.operators.BlockFrame` with P = l l^T), and their noise
+    of :func:`_gaussian_moments` with P = l l^T), and their noise
     covariance factorizes to sigma^2 H; discrete designs use exact
     probability-weighted atom averages.
     """

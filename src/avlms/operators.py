@@ -8,22 +8,19 @@ operator this way in the coordinates of u^T A u, where H = u diag(l) u^T:
 there H_L + H_R is diagonal, so a frame reads the threshold and every
 spectrum of T(gamma) = H_L + H_R - gamma M without rotating anything.
 
-Two frames share one interface (``pencil_top``, ``t_eigenpairs``,
-``t_eigenvalues``):
+One :class:`SpectralFrame` serves every MomentSet.  In those coordinates
+the fourth moment is a k x k block on the first k basis coordinates plus
+one scalar on each remaining coordinate, and T(gamma) splits the same way.
+Atom sets give the whole D x D matrix as the block (k = D); the Gaussian
+forms give a d x d block and D - d scalars, so they never form a D x D
+array.  The layouts differ only in k, and every method of the frame and
+of its per-step-size :class:`TEigenpairs` has one code path for both.
 
-* :class:`SpectralFrame` holds M as a dense D x D matrix and solves
-  T(gamma) with one D x D eigensolve; atom sets use it, plain or
-  resampled (Gaussian resampled moments are exact or refused, so no
-  sampled estimate reaches a frame);
-* :class:`BlockFrame` uses the structure of the Gaussian forms, where T
-  splits into D - d scalar eigenpairs and one d x d block, so it forms
-  only d x d and length-D arrays.
-
-Each frame also writes its fourth moment out as a D x D matrix on
-request (``fourth_moment``); nothing in the library reads it, and the
-dense frame built from a block frame's matrix is the oracle of the block
-frame.  The dense operators in the original coordinates are the
-references the tests compare against, in ``tests/oracles.py``.
+The frame also writes its fourth moment out as a D x D matrix on request
+(``fourth_moment``); nothing in the library reads it, and the all-block
+frame of that matrix is the oracle of the Gaussian layout.  The dense
+operators in the original coordinates are the references the tests
+compare against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -171,136 +168,28 @@ def fourth_moment_operator_from_samples(
 class TEigenpairs:
     """The eigenpairs of T(gamma) at one step-size, in H-eigen coordinates.
 
-    ``tau`` holds the ascending eigenvalues.  The eigenvectors E_q are
-    symmetric d x d matrices; callers never see their dense layout and work
-    with d x d matrices, their diagonals (``contract_diag``,
-    ``side_sum_diag``) and coefficient vectors only.
+    The layout is that of :class:`SpectralFrame`: a k x k block on the
+    first k basis coordinates and one scalar on each of the others.  Before
+    sorting, eigenpair r < k is block eigenvector ``v[:, r]`` on the first
+    k coordinates, and r >= k is basis coordinate r itself.  ``tau`` holds
+    the eigenvalues sorted ascending through a stable permutation (the
+    identity when k = D); ``_pos[r]`` is the sorted index of eigenpair r.
+    Callers never see this layout and work with d x d matrices, their
+    diagonals (``contract_diag``, ``side_sum_diag``) and coefficient
+    vectors only.
 
-    Each read-out names what it reads.  The diagonal read-outs take their
-    coefficients at the T indices ``diag_index`` only.  A side sum's
-    weights w[q, a] (T index q, H index a) are evaluated by the caller on
-    the index grid ``side_grid`` gives, and passed as that array.  Every
-    coefficient and weight array may carry leading axes (one per horizon,
-    say); the result carries the same ones.
-    """
-
-    def __init__(self, basis: SymBasis, tau: np.ndarray, v: np.ndarray):
-        self.tau = tau
-        self._basis = basis
-        self._v = v
-        # Every eigenvector reaches the diagonal.
-        self.diag_index = np.arange(tau.size)
-
-    def coords(self, a: np.ndarray) -> np.ndarray:
-        """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
-        return self._v.T @ self._basis.mats_to_vecs(a)
-
-    def contract(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q."""
-        return self._basis.vecs_to_mats(np.matmul(self._v, coeffs[..., None])[..., 0])
-
-    def side_grid(self, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcastable T and H indices (q, a) of the weights that
-        :meth:`side_sum` (or, ``diagonal``, :meth:`side_sum_diag`) reads:
-        here the full (D, d) grid for both."""
-        return np.arange(self.tau.size)[:, None], np.arange(self._basis.dim)[None, :]
-
-    def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), with ``weights``
-        the w of ``side_grid(False)``.
-
-        Coordinate p = (a, b) of the result is g[p,a] + g[p,b] with
-        g = v @ (coeffs * w), one (D, D) x (D, d) product.
-        """
-        rows, cols = self._basis.pairs
-        g = self._v @ (coeffs[:, None] * weights)
-        at = np.arange(g.shape[-2])
-        return self._basis.vecs_to_mats(g[..., at, rows] + g[..., at, cols])
-
-    def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`contract`: the first d rows of the
-        eigenvectors, O(D d)."""
-        return np.matmul(self._v[: self._basis.dim], coeffs[..., None])[..., 0]
-
-    def side_sum_diag(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`side_sum`, 2 sum_q coeffs[q] E_q[a,a] w[q,a]
-        with ``weights`` the w of ``side_grid(True)``: the diagonal of its
-        product only, O(D d)."""
-        d = self._basis.dim
-        return 2.0 * np.einsum("aq,...qa->...a", self._v[:d], coeffs[:, None] * weights)
-
-
-class SpectralFrame:
-    """T(gamma) of one MomentSet in the eigenbasis of H, for every step-size.
-
-    ``lam`` and ``u`` are the eigenpairs of H.  In the coordinates of
-    u^T A u, H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair sums
-    l_a + l_b, and the fourth moment is ``m_eig``, so that
-    T(gamma) = diag(bdiag) - gamma * m_eig.  Building the frame is O(D);
-    every call solves T(gamma) afresh.  This dense frame serves any fourth
-    moment; :class:`BlockFrame` is its structured twin for Gaussian forms.
-    """
-
-    def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, m_eig: np.ndarray):
-        rows, cols = basis.pairs
-        self.basis = basis
-        self.lam, self.u = lam, u
-        self.bdiag = lam[rows] + lam[cols]
-        m_eig.setflags(write=False)
-        self.m_eig = m_eig
-
-    def fourth_moment(self) -> np.ndarray:
-        """The D x D matrix of the fourth moment, as given."""
-        return self.m_eig
-
-    def pencil_top(self) -> float:
-        """Top eigenvalue of the pencil (M, H_L + H_R): that of the standard
-        symmetric problem diag(bdiag)^-1/2 m_eig diag(bdiag)^-1/2."""
-        # Imported here: Gaussian specs never reach the dense frame, and their
-        # commands then never load scipy.
-        import scipy.linalg
-
-        size = self.basis.size
-        if size == 1:
-            return self.m_eig[0, 0] / self.bdiag[0]
-        s = 1.0 / np.sqrt(self.bdiag)
-        scaled = s[:, None] * self.m_eig * s[None, :]
-        return float(
-            scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
-        )
-
-    def t_matrix(self, gamma: float) -> np.ndarray:
-        """T(gamma) in H-eigen coordinates."""
-        t = -gamma * self.m_eig
-        t[np.diag_indices_from(t)] += self.bdiag
-        return t
-
-    def t_eigenpairs(self, gamma: float) -> TEigenpairs:
-        """Eigenpairs of T(gamma)."""
-        tau, v = np.linalg.eigh(self.t_matrix(gamma))
-        return TEigenpairs(self.basis, tau, v)
-
-    def t_eigenvalues(self, gamma: float) -> np.ndarray:
-        """Ascending eigenvalues of T(gamma)."""
-        return np.linalg.eigvalsh(self.t_matrix(gamma))
-
-
-class BlockEigenpairs:
-    """The eigenpairs of T(gamma) of a :class:`BlockFrame`, with the
-    interface of :class:`TEigenpairs` in O(D + d^2) per call, and O(d^2)
-    for the diagonal read-outs.
-
-    Before sorting, eigenpair r < d is block eigenvector ``v[:, r]`` on the
-    diagonal coordinates, and r >= d is basis coordinate r itself (a pair
-    a < b).  ``tau`` is sorted ascending through a stable permutation;
-    ``_pos[r]`` is the sorted index of eigenpair r.  A pair eigenvector
-    never reaches the diagonal, so the diagonal read-outs read the d block
-    eigenpairs only: ``diag_index`` holds their sorted indices.
+    Each read-out names what it reads.  Since k >= d, a scalar eigenvector
+    never reaches the diagonal, so the diagonal read-outs take their
+    coefficients at the sorted indices ``diag_index`` of the k block
+    eigenpairs only.  A side sum's weights w[q, a] (T index q, H index a)
+    are evaluated by the caller on the index grid ``side_grid`` gives, and
+    passed as that array.  Every coefficient and weight array may carry
+    leading axes (one per horizon, say); the result carries the same ones.
     """
 
     def __init__(self, basis: SymBasis, tau_block: np.ndarray, v: np.ndarray,
-                 tau_pairs: np.ndarray):
-        raw = np.concatenate([tau_block, tau_pairs])
+                 tau_scalars: np.ndarray):
+        raw = np.concatenate([tau_block, tau_scalars])
         order = np.argsort(raw, kind="stable")
         self.tau = raw[order]
         self._order = order
@@ -308,121 +197,136 @@ class BlockEigenpairs:
         self._pos[order] = np.arange(order.size)
         self._basis = basis
         self._v = v
-        self.diag_index = self._pos[: basis.dim]
+        self._k = v.shape[0]
+        self.diag_index = self._pos[: self._k]
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
-        d = self._basis.dim
         vec = self._basis.mats_to_vecs(a)
-        return np.concatenate([self._v.T @ vec[:d], vec[d:]])[self._order]
+        return np.concatenate([self._v.T @ vec[: self._k], vec[self._k:]])[self._order]
 
     def contract(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q."""
-        pairs = coeffs[..., self._pos[self._basis.dim:]]
-        diag = self.contract_diag(coeffs[..., self.diag_index])
-        return self._basis.vecs_to_mats(np.concatenate([diag, pairs], axis=-1))
+        block = coeffs[..., self.diag_index]
+        block = np.matmul(self._v, block[..., None])[..., 0]
+        scalars = coeffs[..., self._pos[self._k:]]
+        return self._basis.vecs_to_mats(np.concatenate([block, scalars], axis=-1))
 
     def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`contract`, O(d^2): the block eigenvectors."""
-        return np.matmul(self._v, coeffs[..., None])[..., 0]
+        """The diagonal of :meth:`contract`, O(d k): the first d rows of the
+        block eigenvectors."""
+        return np.matmul(self._v[: self._basis.dim], coeffs[..., None])[..., 0]
 
     def side_grid(self, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
         """The T and H indices (q, a) of the weights :meth:`side_sum` (or,
         ``diagonal``, :meth:`side_sum_diag`) reads.  The diagonal grid is
-        d x d, row a and column r holding w[diag_index[r], a].  The full
-        grid is flat: that block grid, then every pair (a, b) at its own T
-        index with a, then with b."""
-        d = self._basis.dim
+        d x k, row a and column r holding w[diag_index[r], a].  The full
+        grid is flat: that block grid, then every scalar coordinate (a, b)
+        at its own T index with a, then with b."""
+        d, k = self._basis.dim, self._k
         q_block, a_block = self.diag_index[None, :], np.arange(d)[:, None]
         if diagonal:
             return q_block, a_block
         rows, cols = self._basis.pairs
-        q_pairs = self._pos[d:]
+        q_scalars = self._pos[k:]
         q_block, a_block = np.broadcast_arrays(q_block, a_block)
-        return (np.concatenate([q_block.ravel(), q_pairs, q_pairs]),
-                np.concatenate([a_block.ravel(), rows[d:], cols[d:]]))
+        return (np.concatenate([q_block.ravel(), q_scalars, q_scalars]),
+                np.concatenate([a_block.ravel(), rows[k:], cols[k:]]))
 
     def side_sum(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q[a,b] * (w[q,a] + w[q,b]), with ``weights``
         the w of ``side_grid(False)``.
 
-        A block eigenvector is diagonal, so it reaches only the diagonal
-        (:meth:`side_sum_diag`); pair (a, b) reaches only its own
-        coordinate, through w[q, a] and w[q, b].
+        The diagonal coordinates are :meth:`side_sum_diag`.  Block
+        coordinate p = (a, b) off the diagonal is g[p,a] + g[p,b], with
+        g[p, a] = sum_r v[p,r] coeffs[r] w[r,a] one (k - d, k) x (k, d)
+        product; scalar coordinate (a, b) reaches only itself, through
+        w[q, a] and w[q, b].
         """
-        d = self._basis.dim
-        block, w_rows, w_cols = np.split(weights, [d * d, d * d + self._basis.size - d], axis=-1)
-        block = block.reshape(weights.shape[:-1] + (d, d))
-        pairs = coeffs[self._pos[d:]] * (w_rows + w_cols)
-        diag = self.side_sum_diag(coeffs[self.diag_index], block)
-        return self._basis.vecs_to_mats(np.concatenate([diag, pairs], axis=-1))
+        d, k, size = self._basis.dim, self._k, self._basis.size
+        block, w_rows, w_cols = np.split(weights, [d * k, d * k + size - k], axis=-1)
+        block = block.reshape(weights.shape[:-1] + (d, k))
+        c_block = coeffs[self.diag_index]
+        diag = self.side_sum_diag(c_block, block)
+        g = np.matmul(self._v[d:], np.swapaxes(block * c_block, -1, -2))
+        rows, cols = self._basis.pairs
+        at = np.arange(k - d)
+        off = g[..., at, rows[d:k]] + g[..., at, cols[d:k]]
+        scalars = coeffs[self._pos[k:]] * (w_rows + w_cols)
+        return self._basis.vecs_to_mats(np.concatenate([diag, off, scalars], axis=-1))
 
     def side_sum_diag(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`side_sum`, O(d^2): the block eigenvectors
-        scaled by the d x d weights of ``side_grid(True)``, times the block
-        coefficients."""
-        return 2.0 * np.matmul(self._v * weights, coeffs)
+        """The diagonal of :meth:`side_sum`, 2 sum_r coeffs[r] E_r[a,a] w[r,a]
+        with ``coeffs`` at ``diag_index`` and ``weights`` the d x k w of
+        ``side_grid(True)``: the first d rows of the block eigenvectors
+        scaled by the weights, times the coefficients, O(d k)."""
+        return 2.0 * np.matmul(self._v[: self._basis.dim] * weights, coeffs)
 
 
-class BlockFrame:
-    """T(gamma) of a Gaussian-form fourth moment, solved without any D x D array.
+class SpectralFrame:
+    """T(gamma) of one MomentSet in the eigenbasis of H, for every step-size.
 
-    The fourth moment is A -> 2 P o A + diag(P diag(A)) in H-eigen
-    coordinates, with ``pmat`` the scaled P: with P = l l^T it is the
-    Gaussian fourth moment 2 H A H + Tr(A H) H, and the resampled Gaussian
-    moments are multiples of it for other P.  Its matrix is diagonal on
-    the D - d pair coordinates a < b, with the scalar 2 P_ab, and holds
-    one d x d block P + 2 diag(diag P) on the diagonal coordinates.  So
-    each pair is an exact eigenvector of T(gamma) with eigenvalue
-    l_a + l_b - 2 gamma P_ab, the block of T(gamma) is
-    diag(2 l) - gamma (P + 2 diag(diag P)), and each step-size costs one
-    order-d eigensolve and O(D) scalars.  ``lam``, ``u`` and ``bdiag`` are
-    those of :class:`SpectralFrame`.
+    ``lam`` and ``u`` are the eigenpairs of H.  In the coordinates of
+    u^T A u, H_L + H_R is ``diag(bdiag)`` with ``bdiag`` the pair sums
+    l_a + l_b.  The fourth moment is a k x k ``block`` on the first k
+    coordinates (k >= d: the diagonal ones come first) and one of the
+    ``scalars`` on each of the D - k others, so T(gamma) splits the same
+    way: one order-k eigensolve and D - k scalars per step-size.  Atom sets
+    give the whole D x D matrix as the block (k = D, no scalars); the
+    Gaussian forms give a d x d block and D - d scalars, and never form a
+    D x D array.  Building the frame is O(D); every call solves T(gamma)
+    afresh.
     """
 
-    def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, pmat: np.ndarray):
+    def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, block: np.ndarray,
+                 scalars: np.ndarray = np.empty(0)):
         rows, cols = basis.pairs
-        d = basis.dim
         self.basis = basis
         self.lam, self.u = lam, u
         self.bdiag = lam[rows] + lam[cols]
-        self._block_m = pmat + np.diag(2.0 * np.diag(pmat))
-        self._pair_m = 2.0 * pmat[rows[d:], cols[d:]]
+        self._block, self._scalars = block, scalars
+        self._k = block.shape[0]
 
     def fourth_moment(self) -> np.ndarray:
-        """The D x D matrix of the fourth moment, built afresh: the block on
-        the diagonal coordinates, the pair scalars on the rest of the
-        diagonal.  O(D^2) memory; the frame itself never forms it."""
-        d = self.basis.dim
-        m = np.diag(np.concatenate([np.zeros(d), self._pair_m]))
-        m[:d, :d] = self._block_m
+        """The D x D matrix of the fourth moment, built afresh: the block,
+        then the scalars on the rest of the diagonal.  O(D^2) memory."""
+        k = self._k
+        m = np.diag(np.concatenate([np.zeros(k), self._scalars]))
+        m[:k, :k] = self._block
         return m
 
     def pencil_top(self) -> float:
         """Top eigenvalue of the pencil (M, H_L + H_R): the larger of the top
-        pair ratio 2 P_ab / (l_a + l_b) and the top eigenvalue of
-        S^-1/2 (P + 2 diag(diag P)) S^-1/2, S = diag(2 l)."""
-        d = self.basis.dim
-        s = 1.0 / np.sqrt(self.bdiag[:d])
-        top = float(np.linalg.eigvalsh(s[:, None] * self._block_m * s[None, :])[-1])
-        if self.basis.size > d:
-            top = max(top, float((self._pair_m / self.bdiag[d:]).max()))
-        return top
+        scalar ratio and the top eigenvalue of S^-1/2 block S^-1/2, with S
+        the block's diagonal of ``bdiag``.  A block of order at most d is
+        solved whole; a larger one for its top eigenvalue only."""
+        k = self._k
+        s = 1.0 / np.sqrt(self.bdiag[:k])
+        scaled = s[:, None] * self._block * s[None, :]
+        if k <= self.basis.dim:
+            top = np.linalg.eigvalsh(scaled)[-1]
+        else:
+            # Imported here: the Gaussian forms' blocks are of order d, and
+            # their commands then never load scipy.
+            import scipy.linalg
+
+            top = scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[k - 1, k - 1])[0]
+        return float((self._scalars / self.bdiag[k:]).max(initial=top))
 
     def _t_block(self, gamma: float) -> np.ndarray:
-        t = -gamma * self._block_m
-        t[np.diag_indices_from(t)] += self.bdiag[: self.basis.dim]
+        t = -gamma * self._block
+        t[np.diag_indices_from(t)] += self.bdiag[: self._k]
         return t
 
-    def _t_pairs(self, gamma: float) -> np.ndarray:
-        return self.bdiag[self.basis.dim:] - gamma * self._pair_m
+    def _t_scalars(self, gamma: float) -> np.ndarray:
+        return self.bdiag[self._k:] - gamma * self._scalars
 
-    def t_eigenpairs(self, gamma: float) -> BlockEigenpairs:
+    def t_eigenpairs(self, gamma: float) -> TEigenpairs:
         """Eigenpairs of T(gamma)."""
         tau, v = np.linalg.eigh(self._t_block(gamma))
-        return BlockEigenpairs(self.basis, tau, v, self._t_pairs(gamma))
+        return TEigenpairs(self.basis, tau, v, self._t_scalars(gamma))
 
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
         """Ascending eigenvalues of T(gamma)."""
         return np.sort(np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)),
-                                       self._t_pairs(gamma)]))
+                                       self._t_scalars(gamma)]))

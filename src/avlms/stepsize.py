@@ -13,10 +13,10 @@ The threshold and every spectrum of T are read from the frame each
 MomentSet is built with (:mod:`avlms.operators`), in the eigenbasis of H,
 where H_L + H_R is the diagonal matrix of pair sums l_a + l_b.  The pencil
 then reduces to a standard symmetric eigenproblem after a diagonal
-scaling.  A :class:`~avlms.operators.SpectralFrame` solves it, and T(gamma),
-densely in D = d(d+1)/2 coordinates; the Gaussian forms carry a
-:class:`~avlms.operators.BlockFrame`, which needs one d x d eigensolve and
-O(D) scalars for either.  The dense operators in the original coordinates
+scaling.  The :class:`~avlms.operators.SpectralFrame` solves it, and
+T(gamma), as one block plus scalars in D = d(d+1)/2 coordinates: one
+order-D block on atom sets, and one d x d block and O(D) scalars on the
+Gaussian forms.  The dense operators in the original coordinates
 are kept only as the references the tests compare against, in
 ``tests/oracles.py``.
 

@@ -149,8 +149,9 @@ def original_fourth_moment(moments) -> SymOperator:
 
 
 def dense_frame(moments) -> SpectralFrame:
-    """The dense frame of the D x D matrix of a MomentSet's fourth moment:
-    the oracle of the block frame the Gaussian forms carry."""
+    """The all-block frame of the D x D matrix of a MomentSet's fourth
+    moment: the oracle of the d x d block and scalars the Gaussian forms
+    carry."""
     frame = moments.frame
     return SpectralFrame(moments.basis, frame.lam, frame.u, frame.fourth_moment())
 

@@ -27,7 +27,6 @@ from avlms import (
 from avlms.asymptotics import _geom_sum, _pair_sum
 from avlms.cli import parse_spec_descriptor
 from avlms.moments import leverage_resampled_moments, norm_resampled_moments
-from avlms.operators import BlockFrame
 from conftest import full_battery, make_discrete, make_empirical
 from oracles import apply as op_apply
 from oracles import (
@@ -180,13 +179,15 @@ GAUSSIAN_FORMS = {"plain": compute_moments, "leverage": leverage_resampled_momen
 @pytest.mark.parametrize("form", list(GAUSSIAN_FORMS))
 @pytest.mark.parametrize("name,spec", BLOCK_SPECS, ids=[n for n, _ in BLOCK_SPECS])
 class TestBlockFrame:
-    """The block frame of every Gaussian form against the dense frame of
-    the same fourth moment, written out by ``frame.fourth_moment()``."""
+    """The d x d block and scalars of every Gaussian form against the
+    all-block frame of the same fourth moment, written out by
+    ``frame.fourth_moment()``."""
 
     def test_spectra_and_threshold_match_dense_frame(self, name, spec, form):
         m = GAUSSIAN_FORMS[form](spec)
         dense = with_dense_frame(m)
-        assert isinstance(m.frame, BlockFrame)
+        assert len(m.frame.t_eigenpairs(1.0).diag_index) == spec.dim
+        assert len(dense.frame.t_eigenpairs(1.0).diag_index) == m.basis.size
         g_max = gamma_max(dense)
         assert abs(gamma_max(m) / g_max - 1.0) < 1e-12
         for frac in (0.05, 0.5, 0.95):

@@ -375,7 +375,7 @@ class TestCommands:
         evaluates the pair sum once per horizon group (here one group holds
         the whole schedule), not twice per horizon."""
         from avlms import asymptotics
-        from avlms.operators import BlockEigenpairs, SymBasis
+        from avlms.operators import SymBasis, TEigenpairs
 
         calls, pair_sums = [], []
 
@@ -390,7 +390,7 @@ class TestCommands:
 
         counted(asymptotics.CovarianceModel, "_rotate_back")
         counted(SymBasis, "vecs_to_mats")
-        counted(BlockEigenpairs, "side_sum")
+        counted(TEigenpairs, "side_sum")
         pair_sum = asymptotics._pair_sum
 
         def sized(a, b, ns):

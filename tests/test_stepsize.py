@@ -21,7 +21,7 @@ from avlms import (
 from avlms.cli import main, parse_spec_descriptor
 from avlms.engine import _Sampler
 from avlms.moments import leverage_resampled_moments, norm_resampled_moments
-from avlms.operators import BlockFrame, SpectralFrame
+from avlms.operators import SpectralFrame
 from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
 from avlms.stepsize import t_positive
 from conftest import make_discrete, make_gaussian
@@ -297,12 +297,11 @@ class TestOneSpectralFrame:
 
     def test_two_models_share_the_frame_built_with_the_moments(self, monkeypatch):
         builds = []
-        for frame in (SpectralFrame, BlockFrame):
-            def counted(self, *args, _init=frame.__init__):
-                builds.append(args)
-                _init(self, *args)
+        def counted(self, *args, _init=SpectralFrame.__init__):
+            builds.append(args)
+            _init(self, *args)
 
-            monkeypatch.setattr(frame, "__init__", counted)
+        monkeypatch.setattr(SpectralFrame, "__init__", counted)
         m = compute_moments(make_gaussian(5, 0.5, 903))
         g = gamma_max(m)
         CovarianceModel(m, 0.5 * g)
@@ -317,14 +316,14 @@ class TestOneSpectralFrame:
         np.testing.assert_allclose(t_eig.contract(t_eig.coords(a)), a, rtol=0, atol=1e-13)
 
     def test_side_sum_matches_its_defining_sum(self):
-        """On the block frame of a Gaussian MomentSet and on the dense frame
-        of its fourth moment, with the weights evaluated on each read-out's
-        index grid (`side_grid`)."""
+        """On the d x d block and scalars of a Gaussian MomentSet and on the
+        all-block frame of its fourth moment, with the weights evaluated on
+        each read-out's index grid (`side_grid`)."""
         m = compute_moments(make_gaussian(3, 0.5, 906))
         size = m.basis.size
         rg = np.random.default_rng(1)
         coeffs, weights = rg.standard_normal(size), rg.standard_normal((size, 3))
-        assert isinstance(m.frame, BlockFrame)
+        assert len(m.frame.t_eigenpairs(1.0).diag_index) == 3
         for frame in (m.frame, dense_frame(m)):
             t_eig = frame.t_eigenpairs(0.4 * gamma_max(m))
             expected = np.zeros((3, 3))
