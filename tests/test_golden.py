@@ -208,7 +208,7 @@ PREDICT_SPEC_25 = "gaussian:d=25,spectrum=1/i,sigma=1"
 GAUSSIAN_RUN_SHA256 = "b442b29371c493ac50b935de5247dcf1c6df3badd81503a8d0e236b1b6a4d63c"
 DATA_RUN_SHA256 = "10a3378406257107f801ecc3f8e77045a30d5b51daa038bfce83f3d72658f278"
 DATA_SAMPLING_SHA256 = "c1bf07114fd90716b15d19a4440c2a51d03beebef99a4497747d8643b93c9603"
-DATA_PREDICT_SHA256 = "594105972714c19df6a8e5899a21104aed336c2b8c850d9e9601ddbe6de929ff"
+DATA_PREDICT_SHA256 = "bcd5d9ec43140284a6bfd0c966c30f98e70aa6b66fba47f928d20e796d64de04"
 SPEC_PREDICT_SHA256 = "29d915abf5a4372028541a7745175e87a34acd0f36fd64c0792fcac87163f415"
 SPEC_PREDICT_25_SHA256 = "68463fede5adfaf7e11383b13a74c06a76395ad5d30e8ab39b7f88eeb926b514"
 DATA_GAMMA_MAX_SHA256 = "5de3b4b338d096d3d64ecda97e177bd0000754fcd05a029f39b5d469dae835fa"
