@@ -66,12 +66,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _number(kind, text: str, what: str):
-    """``kind(text)`` (int or float); a usage error when the text is not one."""
+    """``kind(text)`` (int or float); a usage error when the text is not one,
+    or is not finite."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise UsageError(f"{what} must be {noun}, got {text!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
@@ -108,6 +112,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
             raise UsageError(f"spectrum lists {len(eig)} values for d={d}")
     if "seed" in opts:
         seed = _number(int, opts["seed"], "spec option seed")
+    if seed < 0:
+        raise UsageError(f"spec seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
 
     def vec(kind: str) -> np.ndarray:
@@ -571,6 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         _merge_manifest(args)
         if not all(0 < gamma < np.inf for gamma in getattr(args, "gamma", None) or ()):
             raise UsageError("gamma values must be positive and finite")
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,13 +130,19 @@ def _parse_libsvm(path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
 
 def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
            w0=None) -> tuple[ProblemSpec, IngestReport]:
-    """Load a data file into an empirical spec plus a summary report."""
+    """Load a data file into an empirical spec plus a summary report.
+
+    A row holding a NaN or an infinity is a data error, named by its index
+    among the data rows."""
     if fmt in ("csv", "csv-dense"):
         xs, ys = _parse_csv(path)
     elif fmt in ("libsvm", "libsvm-sparse"):
         xs, ys = _parse_libsvm(path, dim)
     else:
         raise DataFormatError(f"unknown format {fmt!r} (use csv-dense or libsvm-sparse)")
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
+    if not finite.all():
+        raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")
     spec = ProblemSpec.empirical(xs, ys, w0=w0)
     uniq, counts = np.unique(ys, return_counts=True)
     class_counts = (

@@ -132,6 +132,7 @@ class ProblemSpec:
 
     @staticmethod
     def gaussian(cov, w_star=None, w0=None, sigma: float = 0.0) -> "ProblemSpec":
+        _require_finite(cov=cov, w_star=w_star, w0=w0, sigma=sigma)
         cov = _as_symmetric(cov, "cov")
         d = cov.shape[0]
         if d > MAX_DIM:
@@ -148,6 +149,7 @@ class ProblemSpec:
     @staticmethod
     def discrete(xs, probs=None, ys=None, w_star=None, w0=None, sigma: float = 0.0,
                  kind: str = "discrete") -> "ProblemSpec":
+        _require_finite(xs=xs, probs=probs, ys=ys, w_star=w_star, w0=w0, sigma=sigma)
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         n, d = xs.shape
         if n == 0:
@@ -190,6 +192,14 @@ class ProblemSpec:
     def empirical(xs, ys, w0=None) -> "ProblemSpec":
         """Spec for an ingested sample set: uniform rows, residual noise."""
         return ProblemSpec.discrete(xs, ys=ys, w0=w0, kind="empirical")
+
+
+def _require_finite(**values) -> None:
+    """SpecError naming the first of ``values`` (None skipped) with a
+    non-finite entry."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise SpecError(f"{name} must be finite")
 
 
 def _vector(v, d: int, default: float) -> np.ndarray:

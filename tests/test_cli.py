@@ -58,6 +58,19 @@ class TestIngest:
         with pytest.raises(DataFormatError, match="line 2"):
             ingest(str(path), "csv-dense")
 
+    @pytest.mark.parametrize("fmt, text, row", [
+        ("csv-dense", "# header\n1,2,3\n\n4,nan,6\n7,8,1e400\n", 2),
+        ("csv-dense", "1,2,3\n4,5,6\n7,8,-inf\n", 3),
+        ("libsvm", "1 1:2\n0 1:1 2:inf\nnan 2:1\n", 2),
+    ])
+    def test_non_finite_row_rejected_by_data_row(self, tmp_path, fmt, text, row):
+        """The first data row holding a NaN or an infinity is named by its
+        index among the data rows (comments and blank lines skipped)."""
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"data row {row} holds a non-finite value"):
+            ingest(str(path), fmt)
+
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\n1,2\n")
@@ -637,6 +650,37 @@ class TestExitCodes:
 
     def test_data_error(self, tmp_path):
         assert main(["gamma-max", "--data", str(tmp_path / "absent.csv")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["ingest", "gamma-max"])
+    def test_non_finite_data_row_is_data_error(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,0,1\n0,1,2\nnan,1,2\n1,1,2\n")
+        assert main([command, "--data", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: data row 3 holds a non-finite value\n"
+
+    @pytest.mark.parametrize("spec", [
+        "gaussian:d=3,sigma=nan", "gaussian:d=3,sigma=inf", "gaussian:d=3,sigma=1e400",
+        "gaussian:d=2,spectrum=nan:1", "gaussian:d=2,spectrum=1:-inf",
+    ])
+    @pytest.mark.parametrize("command", [["gamma-max"], ["predict", "--gamma", "0.1"]])
+    def test_non_finite_spec_number_is_usage(self, command, spec, tmp_path, capsys):
+        argv = [command[0], "--spec", spec, *command[1:], "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_seed_is_usage(self, tmp_path, capsys):
+        """By flag, by manifest and by descriptor option alike."""
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text("seed = -1\n")
+        run = ["run", "--gamma", "0.1", "--n-max", "10", "--replicates", "2",
+               "--out", str(tmp_path / "out.csv")]
+        for argv in (["--spec", "gaussian:d=2", "--seed", "-1"],
+                     ["--spec", "gaussian:d=2", "--manifest", str(manifest)],
+                     ["--spec", "gaussian:d=2,seed=-1"]):
+            assert main([*run, *argv]) == EXIT_USAGE
+            assert "must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_numerical_error(self, tmp_path):
         path = tmp_path / "singular.csv"

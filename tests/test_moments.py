@@ -131,6 +131,34 @@ class TestComputeMoments:
         with pytest.raises(SpecError):
             ProblemSpec.discrete(np.eye(2), probs=np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["cov", "w_star", "w0", "sigma"])
+    def test_gaussian_non_finite_input_rejected(self, field, bad):
+        args = {"cov": np.eye(3), "w_star": np.ones(3), "w0": np.zeros(3), "sigma": 1.0}
+        if field == "cov":
+            args["cov"][1, 1] = bad
+        elif field == "sigma":
+            args["sigma"] = bad
+        else:
+            args[field][2] = bad
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            ProblemSpec.gaussian(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["xs", "probs", "ys", "w_star", "w0", "sigma"])
+    def test_discrete_non_finite_input_rejected(self, field, bad):
+        rg = np.random.default_rng(5)
+        args = {"xs": rg.standard_normal((6, 2)), "probs": np.full(6, 1.0 / 6),
+                "w0": np.zeros(2)}
+        args.update({"ys": rg.standard_normal(6)} if field == "ys"
+                    else {"w_star": np.ones(2), "sigma": 0.5})
+        if field == "sigma":
+            args["sigma"] = bad
+        else:
+            args[field][1] = bad
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            ProblemSpec.discrete(**args)
+
     def test_jensen_lower_bound(self):
         """The fourth-moment form dominates the squared trace form."""
         for name, spec in [
