@@ -44,10 +44,10 @@ The model reaches T only through the frame's per-step-size
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``, each with
 its diagonal read-out.  Nothing here knows how those eigenvectors are
-stored: the frames name the T indices a diagonal read-out reads
-(``diag_index``: the k block eigenpairs, d of D on a Gaussian form) and the (T index, H index)
-grid of the side sum weights (``side_grid``), and the model evaluates
-its coefficients and weights there only.  The model is the one entry
+stored: the eigenpairs name the T indices a diagonal read-out reads
+(``diag_index``: the k block eigenpairs, d of D on a Gaussian form) and
+the (T index, H index) grid of the side sum weights (``side_grid``), and
+the model evaluates its coefficients and weights there only.  The model is the one entry
 point: build one per (moments, gamma) and reuse it across horizons;
 :meth:`CovarianceModel.risks` gives the four risks at every horizon of a
 schedule; the matrix methods and :meth:`CovarianceModel.report` take one

@@ -237,8 +237,9 @@ class MomentSet:
     ``(l, u) = spec.h_eig``) and reads T(gamma) from it: one block on the
     first basis coordinates, of order D for atom sets and d for the
     Gaussian forms, plus scalars on the rest; ``frame.fourth_moment()``
-    writes it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and ``e0`` the
-    rank-one matrix eta0 eta0^T, both in the original coordinates.
+    writes it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and
+    ``e0`` the rank-one matrix eta0 eta0^T, both in the original
+    coordinates.
     Every fourth moment is exact, so ``n_samples`` is always None; the
     field is kept only for the benchmark's span hook (``bench/spans.py``).
     ``_norm_resampled`` marks the moments of norm-proportional resampling,
@@ -293,9 +294,9 @@ def _gaussian_moments(spec: ProblemSpec, pmat: np.ndarray, scale: float, sigma0,
     P + 2 diag(diag P) on the diagonal coordinates and the scalar 2 P_ab on
     each pair coordinate a < b, so each pair is an exact eigenvector of
     T(gamma) and each step-size costs one order-d eigensolve."""
-    basis = SymBasis(spec.dim)
-    rows, cols = basis.pairs
     d = spec.dim
+    basis = SymBasis(d)
+    rows, cols = basis.pairs
     pmat = scale * pmat
     frame = SpectralFrame(basis, *spec.h_eig, pmat + np.diag(2.0 * np.diag(pmat)),
                           2.0 * pmat[rows[d:], cols[d:]])

@@ -229,8 +229,8 @@ RISK_SPECS = full_battery() + [("rotated-gauss", NON_DIAGONAL[0][1]),
 @pytest.mark.parametrize("frame", ["own", "dense"])
 class TestRisks:
     """``risks`` reads the four risks from the d diagonal H-eigen
-    coordinates; on the spec's own frame and on the dense frame it matches
-    the risks of the model's full matrices."""
+    coordinates; on the spec's own frame and on the all-block frame it
+    matches the risks of the model's full matrices."""
 
     @staticmethod
     def _moments(spec, frame):

@@ -423,7 +423,7 @@ class TestCommands:
         assert max(size for size, _ in pair_sums) <= d * d
 
     def test_predict_horizon_groups_bound_memory(self, tmp_path, monkeypatch):
-        """predict on a d=30 data file (dense frame, D = 465) with 400
+        """predict on a d=30 data file (an order-D block, D = 465) with 400
         points evaluates its schedule in several horizon groups, and the
         risk evaluation's traced allocations stay within a small multiple of
         one group's (group, side grid) array: within GRAM_CHUNK_BYTES."""
@@ -731,9 +731,9 @@ class TestExitCodes:
 
 class TestImports:
     def test_gaussian_commands_never_load_scipy(self, tmp_path, tiny_csv):
-        """scipy serves only the dense frame of atom sets and data: a fresh
-        process runs Gaussian gamma-max and predict without importing it,
-        and loads it at the first data command.  concurrent.futures serves
+        """scipy serves only the pencil of blocks above order d (atom sets
+        and data): a fresh process runs Gaussian gamma-max and predict
+        without importing it, and loads it at the first data command.  concurrent.futures serves
         only the engine's draw worker, so the Gaussian commands leave it
         unloaded too."""
         spec = "gaussian:d=25,spectrum=1/i,sigma=1"

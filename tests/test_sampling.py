@@ -72,7 +72,7 @@ class TestBiasScheme:
 class TestNormResampledThreshold:
     """Norm-resampled moments read gamma_max = 2/Tr(H) exactly, with no
     pencil solve; the solved pencil, on the moments' own frame and on the
-    dense frame, is the oracle within a few ulps."""
+    all-block frame, is the oracle within a few ulps."""
 
     ULPS = 16
 

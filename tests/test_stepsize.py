@@ -271,7 +271,7 @@ class TestOneSpectralFrame:
     def test_one_h_solve_per_spec(self, kind, eigensolves):
         """Building the spec solves H; every moment, threshold, model, gain
         and sampler of it reads those eigenpairs and solves H no more.  (The
-        Gaussian block frame solves d x d blocks of T, which are not H.)"""
+        Gaussian forms solve d x d blocks of T, which are not H.)"""
         d = 3
         if kind == "gaussian":
             spec = make_gaussian(d, 0.5, 907)
@@ -297,9 +297,11 @@ class TestOneSpectralFrame:
 
     def test_two_models_share_the_frame_built_with_the_moments(self, monkeypatch):
         builds = []
-        def counted(self, *args, _init=SpectralFrame.__init__):
+        init = SpectralFrame.__init__
+
+        def counted(self, *args):
             builds.append(args)
-            _init(self, *args)
+            init(self, *args)
 
         monkeypatch.setattr(SpectralFrame, "__init__", counted)
         m = compute_moments(make_gaussian(5, 0.5, 903))
