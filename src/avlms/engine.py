@@ -228,10 +228,7 @@ class _Sampler:
             if scheme is not None:
                 cinv = _atom_c_inverse(spec, scheme.c_inverse)
                 weights = probs * cinv
-                total = weights.sum()
-                if abs(total - 1.0) > 1e-10:
-                    raise SchemeError(f"proposal weights sum to {total!r}, not 1")
-                weights = weights / total
+                weights = weights / weights.sum()
                 scale = np.zeros_like(cinv)
                 live = cinv > 0
                 scale[live] = 1.0 / np.sqrt(cinv[live])

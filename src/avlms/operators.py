@@ -298,19 +298,11 @@ class SpectralFrame:
     def pencil_top(self) -> float:
         """Top eigenvalue of the pencil (M, H_L + H_R): the larger of the top
         scalar ratio and the top eigenvalue of S^-1/2 block S^-1/2, with S
-        the block's diagonal of ``bdiag``.  A block of order at most d is
-        solved whole; a larger one for its top eigenvalue only."""
+        the block's diagonal of ``bdiag``.  The block is solved whole, with
+        ``np.linalg.eigvalsh``, whatever its order."""
         k = self._k
         s = 1.0 / np.sqrt(self.bdiag[:k])
-        scaled = s[:, None] * self._block * s[None, :]
-        if k <= self.basis.dim:
-            top = np.linalg.eigvalsh(scaled)[-1]
-        else:
-            # Imported here: the Gaussian forms' blocks are of order d, and
-            # their commands then never load scipy.
-            import scipy.linalg
-
-            top = scipy.linalg.eigh(scaled, eigvals_only=True, subset_by_index=[k - 1, k - 1])[0]
+        top = np.linalg.eigvalsh(s[:, None] * self._block * s[None, :])[-1]
         return float((self._scalars / self.bdiag[k:]).max(initial=top))
 
     def _t_block(self, gamma: float) -> np.ndarray:

@@ -9,7 +9,7 @@ threshold and the asymptotic variance constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,19 +39,17 @@ class SamplingScheme:
 
     ``c_inverse`` maps a batch (xs, ys) to the per-sample ratio; it must
     be nonnegative, integrate to one under the original distribution, and
-    stay positive wherever X is nonzero.  ``exact_moments``, when set,
-    returns the resampled moments of the spec the scheme was built for in
-    closed form; :func:`resampled_moments` uses it in place of
-    :func:`~avlms.moments.reweighted_moments`.
+    stay positive wherever X is nonzero.  ``closed_form``, when set, maps
+    a Gaussian spec to its resampled moments in closed form
+    (:func:`~avlms.moments.norm_resampled_moments` or
+    :func:`~avlms.moments.leverage_resampled_moments`), evaluated on the
+    spec it is passed; :func:`_moment_sets` uses it on Gaussian specs only.
     """
 
     name: str
     c_inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normalization: float
-    exact_moments: Callable[[], MomentSet] | None = None
-    # Set by optimal_bias_scheme: the atom moments of its ratio are marked
-    # norm-resampled, so their threshold is 2/Tr(H) exactly.
-    _norm_resampled: bool = field(default=False, repr=False)
+    closed_form: Callable[[ProblemSpec], MomentSet] | None = None
 
 
 def uniform_scheme() -> SamplingScheme:
@@ -66,9 +64,8 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
     """Norm-proportional resampling c*^{-1} = X^T X / E[X^T X].
 
     Pushes the stability threshold to its universal maximum 2/E[X^T X];
-    needs no knowledge beyond the mean squared norm.  On Gaussian specs the
-    scheme carries the exact resampled moments
-    (:func:`~avlms.moments.norm_resampled_moments`).
+    needs no knowledge beyond the mean squared norm.  Its closed form is
+    :func:`~avlms.moments.norm_resampled_moments`.
     """
     norm_const = _mean_squared_norm(spec)  # > 0: every spec has a full-rank H
 
@@ -80,8 +77,7 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
         name="bias-opt",
         c_inverse=_once_on_atoms(spec, c_inverse),
         normalization=norm_const,
-        exact_moments=_gaussian_closed_form(spec, norm_resampled_moments),
-        _norm_resampled=True,
+        closed_form=norm_resampled_moments,
     )
 
 
@@ -92,9 +88,9 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     equality case for the small-step variance constant.  On specs whose
     noise is independent of X the |eps| factor is constant across inputs
     and drops out of the ratio, leaving the pure leverage density.  An
-    idealized oracle scheme: it presumes H and the residuals.  On Gaussian
-    specs the scheme carries the exact resampled moments
-    (:func:`~avlms.moments.leverage_resampled_moments`).
+    idealized oracle scheme: it presumes H and the residuals.  With noise
+    independent of X its closed form is
+    :func:`~avlms.moments.leverage_resampled_moments`.
     """
     hinv = np.linalg.inv(spec.hmat)
     w_star = spec.w_star
@@ -123,7 +119,7 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
             name="variance-opt",
             c_inverse=_once_on_atoms(spec, c_inverse, on_atoms),
             normalization=norm_const,
-            exact_moments=_gaussian_closed_form(spec, leverage_resampled_moments),
+            closed_form=leverage_resampled_moments,
         )
 
     eps = _atom_residuals(spec)
@@ -168,50 +164,31 @@ def _once_on_atoms(spec: ProblemSpec, c_inverse, on_atoms=None, ys=None):
 
 
 def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
-    """The moments of ``spec`` under each scheme of ``schemes``:
-    :func:`~avlms.moments.compute_moments` for None, else
-    :func:`resampled_moments`, bit for bit.  On a discrete spec the atom
-    Grams of every scheme without a closed form come from one pass over
-    the atoms, and the moments of a norm-resampling scheme are marked so
-    (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H))."""
-    out = [None] * len(schemes)
-    rows, at = [], []
-    for k, scheme in enumerate(schemes):
-        if isinstance(spec.design, DiscreteDesign) and (
-                scheme is None or scheme.exact_moments is None):
-            rows.append(spec.design.probs if scheme is None
-                        else _reweighted_probs(spec, scheme.c_inverse))
-            at.append(k)
-        else:
-            out[k] = compute_moments(spec) if scheme is None else resampled_moments(spec, scheme)
-    if rows:
-        flags = [schemes[k] is not None and schemes[k]._norm_resampled for k in at]
-        for k, moments in zip(at, _atom_moments(spec, rows, flags)):
-            out[k] = moments
-    return out
+    """The moments of ``spec`` under each scheme of ``schemes`` (None: the
+    spec itself, :func:`~avlms.moments.compute_moments`).
 
-
-def _gaussian_closed_form(spec: ProblemSpec, form) -> Callable[[], MomentSet] | None:
-    if isinstance(spec.design, GaussianDesign):
-        return lambda: form(spec)
-    return None
+    On a Gaussian spec each scheme gives its closed form, and a scheme
+    without one is refused by :func:`~avlms.moments.reweighted_moments`.
+    On a discrete spec every scheme's atom weights share one pass of the
+    atom Gram, and the moments of norm-proportional resampling are marked
+    so (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H)).
+    """
+    if not isinstance(spec.design, DiscreteDesign):
+        return [compute_moments(spec) if scheme is None
+                else scheme.closed_form(spec) if scheme.closed_form is not None
+                else reweighted_moments(spec, scheme.c_inverse) for scheme in schemes]
+    rows = [spec.design.probs if scheme is None else _reweighted_probs(spec, scheme.c_inverse)
+            for scheme in schemes]
+    flags = [scheme is not None and scheme.closed_form is norm_resampled_moments
+             for scheme in schemes]
+    return _atom_moments(spec, rows, flags)
 
 
 def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:
-    """Moments of the instance after resampling by a scheme.
-
-    The scheme's closed form when it has one, otherwise
-    :func:`~avlms.moments.reweighted_moments` of its ratio, which is exact
-    on discrete specs and refuses Gaussian ones with SchemeError: Gaussian
-    resampled moments are exact or refused.  On discrete specs the moments
-    come from :func:`_moment_sets`, with the bits of ``reweighted_moments``
-    and the norm-resampled marker of the bias scheme.
-    """
-    if scheme.exact_moments is not None:
-        return scheme.exact_moments()
-    if isinstance(spec.design, DiscreteDesign):
-        return _moment_sets(spec, [scheme])[0]
-    return reweighted_moments(spec, scheme.c_inverse)
+    """Moments of the instance after resampling by a scheme: the one-scheme
+    case of :func:`_moment_sets`.  Exact on every spec, or refused with
+    SchemeError on a Gaussian spec when the scheme has no closed form."""
+    return _moment_sets(spec, [scheme])[0]
 
 
 def _mean_squared_norm(spec: ProblemSpec) -> float:

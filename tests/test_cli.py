@@ -730,19 +730,22 @@ class TestExitCodes:
 
 
 class TestImports:
-    def test_gaussian_commands_never_load_scipy(self, tmp_path, tiny_csv):
-        """scipy serves only the pencil of blocks above order d (atom sets
-        and data): a fresh process runs Gaussian gamma-max and predict
-        without importing it, and loads it at the first data command.  concurrent.futures serves
-        only the engine's draw worker, so the Gaussian commands leave it
-        unloaded too."""
+    def test_no_command_loads_scipy(self, tmp_path, tiny_csv):
+        """avlms runs on numpy alone: a fresh process runs Gaussian and data
+        gamma-max and predict, then sampling on data, without importing
+        scipy.  concurrent.futures serves only the engine's draw worker, so
+        the closed-form commands leave it unloaded too."""
         spec = "gaussian:d=25,spectrum=1/i,sigma=1"
+        schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
         commands = [
-            ["gamma-max", "--spec", spec, "--scheme", "uniform", "--scheme", "bias-opt",
-             "--scheme", "variance-opt", "--out", "gamma_max.csv"],
+            ["gamma-max", "--spec", spec, *schemes, "--out", "gamma_max.csv"],
             ["predict", "--spec", spec, "--gamma", "0.07", "--n-max", "1000", "--points", "5",
              "--out", "predict.csv"],
-            ["gamma-max", "--data", tiny_csv, "--out", "data.csv"],
+            ["gamma-max", "--data", tiny_csv, *schemes[:4], "--out", "data.csv"],
+            ["predict", "--data", tiny_csv, "--gamma", "0.1", "--n-max", "100", "--points", "3",
+             "--out", "data_predict.csv"],
+            ["sampling", "--data", tiny_csv, *schemes[:4], "--n-max", "100", "--points", "2",
+             "--replicates", "10", "--out", "sampling.csv"],
         ]
         script = "\n".join(["import sys", "from avlms.cli import main"] + [
             f"assert main({argv!r}) == 0; print('scipy loaded:', 'scipy' in sys.modules); "
@@ -755,7 +758,7 @@ class TestImports:
                               env={**os.environ, "PYTHONPATH": path})
         loaded = [line.split()[-1] for line in done.stdout.splitlines()
                   if line.startswith("scipy loaded:")]
-        assert loaded == ["False", "False", "True"]
+        assert loaded == ["False"] * len(commands)
         futures = [line.split()[-1] for line in done.stdout.splitlines()
                    if line.startswith("futures loaded:")]
-        assert futures[:2] == ["False", "False"]
+        assert futures[:4] == ["False"] * 4

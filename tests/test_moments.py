@@ -360,12 +360,31 @@ class TestGaussianResampledClosedForms:
 
         spec = make_gaussian(4, 0.9, 46)
         scheme = make_scheme(spec)
-        exact = scheme.exact_moments()
+        exact = scheme.closed_form(spec)
         n = 200_000
         mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, scheme.c_inverse, n, 5)
         assert np.all(np.abs(mean4 - exact.frame.fourth_moment()) <= 5.0 * se4)
         noise = spec.noise.sigma**2
         assert np.all(np.abs(noise * mean2 - exact.sigma0) <= 5.0 * noise * se2)
+
+    @pytest.mark.parametrize("make_scheme, form", [
+        (optimal_bias_scheme, norm_resampled_moments),
+        (optimal_variance_scheme, leverage_resampled_moments),
+    ])
+    def test_closed_form_reads_the_spec_it_is_passed(self, make_scheme, form):
+        """A scheme's closed form is evaluated on the spec it is passed, not
+        captured from the one it was built for: built on one Gaussian spec
+        and passed another, of another dimension, it gives the other spec's
+        closed form, bit for bit."""
+        built_on, other = make_gaussian(4, 0.9, 46), make_gaussian(3, 0.5, 48)
+        scheme = make_scheme(built_on)
+        assert scheme.closed_form is form
+        for spec in (built_on, other):
+            got, want = resampled_moments(spec, scheme), form(spec)
+            assert got.hmat is spec.hmat
+            np.testing.assert_array_equal(got.frame.fourth_moment(), want.frame.fourth_moment())
+            np.testing.assert_array_equal(got.sigma0, want.sigma0)
+            assert got._norm_resampled == want._norm_resampled
 
     def test_needs_a_gaussian_design(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
