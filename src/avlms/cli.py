@@ -33,6 +33,7 @@ from .errors import (
     SpecError,
 )
 from .moments import ProblemSpec, compute_moments
+from .operators import MAX_DIM
 from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY = 0, 1, 2, 3, 4
@@ -99,8 +100,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     if "d" not in opts:
         raise UsageError("gaussian spec needs d=<dim>")
     d = _number(int, opts["d"], "spec option d")
-    if d < 1:
-        raise UsageError(f"spec option d must be at least 1, got {d}")
+    if not 1 <= d <= MAX_DIM:
+        raise UsageError(f"spec option d must be from 1 to {MAX_DIM}, got {d}")
     spectrum = opts.get("spectrum", "uniform")
     if spectrum == "uniform":
         eig = np.ones(d)
@@ -110,6 +111,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
         eig = np.array([_number(float, v, "spectrum value") for v in spectrum.split(":")])
         if len(eig) != d:
             raise UsageError(f"spectrum lists {len(eig)} values for d={d}")
+        if eig.min() <= 0:
+            raise UsageError(f"spectrum values must be positive, got {spectrum!r}")
     if "seed" in opts:
         seed = _number(int, opts["seed"], "spec option seed")
     if seed < 0:
@@ -128,6 +131,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     w_star = vec(opts.get("wstar", "random"))
     w0 = vec(opts.get("w0", "zeros"))
     sigma = _number(float, opts.get("sigma", "1.0"), "spec option sigma")
+    if sigma < 0:
+        raise UsageError(f"spec option sigma must be nonnegative, got {opts['sigma']!r}")
     return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0, sigma=sigma)
 
 
@@ -579,6 +584,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("gamma values must be positive and finite")
         if (getattr(args, "seed", None) or 0) < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        if getattr(args, "dim", None) is not None and args.dim < 1:
+            raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -614,10 +614,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec", [
         "gaussian:d=abc", "gaussian:d=2,sigma=x", "gaussian:d=2,seed=1.5",
         "gaussian:d=2,spectrum=1:x", "gaussian:d=0", "gaussian:d=-3",
+        "gaussian:d=65", "gaussian:d=2,sigma=-1", "gaussian:d=2,spectrum=1:-1",
+        "gaussian:d=2,spectrum=1:0",
     ])
     def test_malformed_spec_number_is_usage(self, spec, capsys):
         assert main(["gamma-max", "--spec", spec]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_dimension_below_one_is_usage(self, dim, tmp_path, capsys):
+        """--dim below 1, by flag or by manifest, is a usage error, not a
+        data error from the parser."""
+        path = tmp_path / "rows.svm"
+        path.write_text("1 1:0.5\n-1 2:1\n")
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(f"dim = {dim}\n")
+        ingest_argv = ["ingest", "--data", str(path), "--format", "libsvm"]
+        for extra in (["--dim", dim], ["--manifest", str(manifest)]):
+            assert main([*ingest_argv, *extra]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: --dim must be at least 1, got {dim}\n"
 
     @pytest.mark.parametrize("line, flags", [
         ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
