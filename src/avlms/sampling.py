@@ -181,7 +181,7 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
             for scheme in schemes]
     flags = [scheme is not None and scheme.closed_form is norm_resampled_moments
              for scheme in schemes]
-    return _atom_moments(spec, rows, flags)
+    return _atom_moments(spec, rows, flags) if rows else []
 
 
 def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:

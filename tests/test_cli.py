@@ -174,6 +174,14 @@ class TestCommands:
         trace_bound = float(rows[0][3])
         np.testing.assert_allclose(got["bias-opt"], trace_bound, rtol=1e-10)
 
+    def test_gamma_max_class_weighted_alone_on_data(self, tmp_path, capsys):
+        """class-weighted alone leaves no scheme on the data's own spec, so
+        its shared atom pass has no weights to build."""
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,1\n0,1,0\n1,1,1\n")
+        assert main(["gamma-max", "--data", str(data), "--scheme", "class-weighted"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("scheme=class-weighted ")
+
     def test_gaussian_bias_opt_reaches_trace_bound(self, capsys):
         rc = main(["gamma-max", "--spec", "gaussian:d=25", "--scheme", "bias-opt"])
         assert rc == EXIT_OK
