@@ -242,9 +242,11 @@ class MomentSet:
     coordinates.
     Every fourth moment is exact, so ``n_samples`` is always None; the
     field is kept only for the benchmark's span hook (``bench/spans.py``).
-    ``_norm_resampled`` marks the moments of norm-proportional resampling,
-    set only by their builders: every resampled draw then has
-    ||X||^2 = Tr(H), so the threshold is 2/Tr(H) without a pencil solve.
+    ``_norm_resampled`` marks the moments of norm-proportional resampling:
+    :func:`norm_resampled_moments` sets it on Gaussian specs, and
+    ``sampling._moment_sets`` on atoms for a scheme whose ``closed_form``
+    is that function.  Every resampled draw then has ||X||^2 = Tr(H), so
+    the threshold is 2/Tr(H) without a pencil solve.
     """
 
     dim: int
