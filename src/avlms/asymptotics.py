@@ -44,14 +44,15 @@ The model reaches T only through the frame's per-step-size
 coordinates ``coords`` of E0 and Sigma0 on the T eigenvectors, and the
 two ways back to d x d matrices, ``contract`` and ``side_sum``, each with
 its diagonal read-out.  Nothing here knows how those eigenvectors are
-stored: the eigenpairs name the T indices a diagonal read-out reads
-(``diag_index``: the k block eigenpairs, d of D on a Gaussian form) and
-the (T index, H index) grid of the side sum weights (``side_grid``), and
-the model evaluates its coefficients and weights there only.  The model is the one entry
-point: build one per (moments, gamma) and reuse it across horizons;
-:meth:`CovarianceModel.risks` gives the four risks at every horizon of a
-schedule; the matrix methods and :meth:`CovarianceModel.report` take one
-horizon, the one-horizon case of the same sums.
+stored: the eigenpairs name the T indices a diagonal read-out reads (the
+first ``k``: the block eigenpairs, d of D on a Gaussian form) and the
+(T index, H index) grid of the side sum weights (``side_grid``), and the
+model evaluates its coefficients and weights there only.  The model is
+the one entry point: build one per (moments, gamma) and reuse it across
+horizons; :meth:`CovarianceModel.risks` gives the four risks at every
+horizon of a schedule; the matrix methods and
+:meth:`CovarianceModel.report` take one horizon, the one-horizon case of
+the same sums.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class _Readout:
         self.diagonal = diagonal
         self.contract = t_eig.contract_diag if diagonal else t_eig.contract
         self.side_sum = t_eig.side_sum_diag if diagonal else t_eig.side_sum
-        at = t_eig.diag_index if diagonal else slice(None)
+        at = slice(t_eig.k if diagonal else None)
         self.tau, self.theta = model.tau[at], model.theta[at]
         self.e0, self.sigma0 = model.e0_coords[at], model.sigma0_coords[at]
         q, a = t_eig.side_grid(diagonal)
@@ -217,7 +218,7 @@ class CovarianceModel:
         self.rho_t = float(np.abs(self.theta).max())
         self.rho_h = float(np.abs(self.omega).max())
         self.rho = max(self.rho_t, self.rho_h)
-        self.mu_t = float(tau[0])
+        self.mu_t = float(tau.min())
         self.t_positive = t_positive(tau)
         self.t_invertible = t_invertible(tau)
         # Leading terms and remainder bounds exist only here.

@@ -228,7 +228,8 @@ def _n_schedule(args) -> list[int]:
 
 
 def _scheme_cells(spec: ProblemSpec, names: list[str]):
-    """Resolve scheme names into (name, spec_for_runs, scheme_or_None)."""
+    """Resolve scheme names into (name, spec_for_runs, scheme_or_None); a
+    scheme that cannot apply to ``spec`` raises ``SchemeError``."""
     cells = []
     for name in names:
         if name == "uniform":
@@ -238,7 +239,10 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
         elif name == "variance-opt":
             cells.append((name, spec, sampling.optimal_variance_scheme(spec)))
         elif name == "class-weighted":
-            cells.append((name, engine.class_weighted_spec(spec), None))
+            try:
+                cells.append((name, engine.class_weighted_spec(spec), None))
+            except SpecError as exc:
+                raise SchemeError(str(exc)) from None
         else:
             raise UsageError(f"unknown scheme {name!r} (choose from {', '.join(SCHEME_NAMES)})")
     return cells
@@ -477,36 +481,42 @@ def cmd_plot(args) -> int:
     if not args.csv or not os.path.exists(args.csv):
         raise DataFormatError(f"csv file {args.csv!r} does not exist")
     with open(args.csv, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise DataFormatError("csv file is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if "n" not in header:
         raise DataFormatError("csv needs an 'n' column")
     cols = {name: i for i, name in enumerate(header)}
-    records = [ln.split(",") for ln in lines[1:]]
+    # Short rows read as empty cells.
+    records = [(k, ln.split(",") + [""] * len(header)) for k, ln in lines[1:]]
+
+    def number(line: int, rec: list[str], name: str) -> float:
+        try:
+            return float(rec[cols[name]])
+        except ValueError:
+            raise DataFormatError(f"column {name!r} holds {rec[cols[name]]!r}, not a number",
+                                  line=line) from None
+
     series: list[Series] = []
     if {"gamma", "scheme", "mode", "risk"} <= set(cols):
         keyed: dict[tuple, Series] = {}
-        for rec in records:
-            risk = rec[cols["risk"]]
-            if risk == "":
+        for line, rec in records:
+            if rec[cols["risk"]] == "":
                 continue
             key = (rec[cols["gamma"]], rec[cols["scheme"]], rec[cols["mode"]])
             if key not in keyed:
                 label = f"gamma={key[0]} {key[1]} {key[2]}"
                 keyed[key] = Series(label=label, xs=[], ys=[])
                 series.append(keyed[key])
-            keyed[key].xs.append(float(rec[cols["n"]]))
-            keyed[key].ys.append(float(risk))
+            keyed[key].xs.append(number(line, rec, "n"))
+            keyed[key].ys.append(number(line, rec, "risk"))
     else:
         for name, idx in cols.items():
-            if name == "n":
-                continue
-            xs = [float(r[cols["n"]]) for r in records if idx < len(r) and r[idx] != ""]
-            ys = [float(r[idx]) for r in records if idx < len(r) and r[idx] != ""]
-            if xs:
-                series.append(Series(label=name, xs=xs, ys=ys))
+            rows = [(line, rec) for line, rec in records if rec[idx] != ""]
+            if name != "n" and rows:
+                series.append(Series(label=name, xs=[number(*row, "n") for row in rows],
+                                     ys=[number(*row, name) for row in rows]))
     render_loglog_svg(series, args.out or "plot.svg",
                       title=os.path.basename(args.csv))
     return EXIT_OK

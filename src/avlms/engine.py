@@ -20,12 +20,12 @@ cell's bits equal those of the same config run alone, and splitting a
 grid into groups (each restarting the streams from the seed) never
 changes them.  Every draw, Gaussian or resampled, is taken in blocks of
 several steps; a block consumes both streams in the same order as one
-draw per step, so the block length never changes bits either.  When two
-CPUs are usable, a one-worker executor draws the next block while the
-current one is stepped.  The draws depend only on the streams, never on
-the state, and a cell that leaves the stack only stops later blocks from
-drawing for it, so the bits do not depend on how far ahead the blocks are
-drawn or on whether a thread draws them.
+draw per step, so the block length never changes bits either.  A
+one-worker executor draws the next block while the current one is
+stepped.  The draws depend only on the streams, never on the state, and a
+cell that leaves the stack only stops later blocks from drawing for it,
+so the bits do not depend on how far ahead the blocks are drawn, or on
+how many CPUs the worker and the stepping thread share.
 
 The stepping thread does only per-step work: each cell's draws are
 selected once per block, the LMS coefficients gamma (x^T w - y) take one
@@ -38,8 +38,6 @@ step.
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,13 +345,6 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int],
            labels: list[str]) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
@@ -364,15 +355,13 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     scheme index into ``sampler``; each cell sees the inputs of its own
     scheme, and "bias" cells the noiseless response, the others the
     observed one.  Draws come in blocks of :meth:`_Sampler.block_steps`
-    steps from this call's streams.  With two usable CPUs, block b + 1 is
-    submitted to a one-worker executor as soon as block b is received, and
-    drawn into the other of two buffers while b is stepped; with one, each
-    block is drawn here when it is taken, into one buffer, and the bits are
-    the same.  The worker calls no public avlms function and no
-    ``np.einsum``, which tracers of those calls wrap with a span stack that
-    is not thread-safe.  Each live cell's
-    inputs and responses are selected once per block, and again from the
-    next step on when cells leave, so a step only indexes them.
+    steps from this call's streams.  Block b + 1 is submitted to a
+    one-worker executor as soon as block b is received, and drawn into the
+    other of two buffers while b is stepped.  The worker calls no public
+    avlms function and no ``np.einsum``, which tracers of those calls wrap
+    with a span stack that is not thread-safe.  Each live cell's inputs and
+    responses are selected once per block, and again from the next step on
+    when cells leave, so a step only indexes them.
 
     Each step computes the LMS coefficients ``coef = gamma (x^T w - y)`` of
     shape (cells, replicates), as an einsum, ``-= y`` and ``*= gamma``, and
@@ -454,32 +443,23 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     wanted = np.unique(scheme_of)
     steps = min(sampler.block_steps(reps, len(wanted), len(configs)), max(1, config.n - 1))
     firsts = range(2, config.n + 1, steps)
-    threaded = _usable_cpus() > 1
-    buffers = [np.empty(steps * sampler.step_floats(reps, len(wanted)))
-               for _ in range(2 if threaded else 1)]
+    buffers = [np.empty(steps * sampler.step_floats(reps, len(wanted))) for _ in range(2)]
     gen_x, gen_eps = _generators(config.seed)
 
     def draw(b: int, drawn: np.ndarray, noise: bool):
         return (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - firsts[b]),
-                                      noise, drawn, out=buffers[b % len(buffers)]))
+                                      noise, drawn, out=buffers[b % 2]))
 
-    if threaded:
-        # Imported here: concurrent.futures loads logging, which no
-        # single-CPU run or closed-form command needs.
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here: concurrent.futures loads logging, which no closed-form
+    # command needs.
+    from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="avlms-draws")
+    m = 1
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="avlms-draws") as pool:
 
         def ask(b: int):
             return pool.submit(draw, b, wanted, noisy).result
-    else:
-        pool = nullcontext()
 
-        def ask(b: int):
-            return lambda: draw(b, wanted, noisy)
-
-    m = 1
-    with pool:
         take = ask(0) if firsts else None
         for b in range(len(firsts)):
             drawn, xb, cb, yb, x_max = take()

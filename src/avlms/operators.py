@@ -169,48 +169,37 @@ class TEigenpairs:
     """The eigenpairs of T(gamma) at one step-size, in H-eigen coordinates.
 
     The layout is that of :class:`SpectralFrame`: a k x k block on the
-    first k basis coordinates and one scalar on each of the others.  Before
-    sorting, eigenpair r < k is block eigenvector ``v[:, r]`` on the first
-    k coordinates, and r >= k is basis coordinate r itself.  ``tau`` holds
-    the eigenvalues sorted ascending through a stable permutation (the
-    identity when k = D); ``_pos[r]`` is the sorted index of eigenpair r.
-    Callers never see this layout and work with d x d matrices, their
-    diagonals (``contract_diag``, ``side_sum_diag``) and coefficient
-    vectors only.
+    first k basis coordinates and one scalar on each of the others.
+    Eigenpair q < k is block eigenvector ``v[:, q]`` on the first k
+    coordinates, and q >= k is basis coordinate q itself; ``tau`` holds the
+    block's eigenvalues, then the scalars, in that order.  Callers never
+    see this layout and work with d x d matrices, their diagonals
+    (``contract_diag``, ``side_sum_diag``) and coefficient vectors only.
 
     Each read-out names what it reads.  Since k >= d, a scalar eigenvector
     never reaches the diagonal, so the diagonal read-outs take their
-    coefficients at the sorted indices ``diag_index`` of the k block
-    eigenpairs only.  A side sum's weights w[q, a] (T index q, H index a)
-    are evaluated by the caller on the index grid ``side_grid`` gives, and
-    passed as that array.  Every coefficient and weight array may carry
-    leading axes (one per horizon, say); the result carries the same ones.
+    coefficients at the first k T indices, the block eigenpairs, only.  A
+    side sum's weights w[q, a] (T index q, H index a) are evaluated by the
+    caller on the index grid ``side_grid`` gives, and passed as that array.
+    Every coefficient and weight array may carry leading axes (one per
+    horizon, say); the result carries the same ones.
     """
 
     def __init__(self, basis: SymBasis, tau_block: np.ndarray, v: np.ndarray,
                  tau_scalars: np.ndarray):
-        raw = np.concatenate([tau_block, tau_scalars])
-        order = np.argsort(raw, kind="stable")
-        self.tau = raw[order]
-        self._order = order
-        self._pos = np.empty_like(order)
-        self._pos[order] = np.arange(order.size)
-        self._basis = basis
-        self._v = v
-        self._k = v.shape[0]
-        self.diag_index = self._pos[: self._k]
+        self.tau = np.concatenate([tau_block, tau_scalars])
+        self.k = v.shape[0]
+        self._basis, self._v = basis, v
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         """Coefficients <E_q, a> of a symmetric matrix a on the eigenvectors."""
         vec = self._basis.mats_to_vecs(a)
-        return np.concatenate([self._v.T @ vec[: self._k], vec[self._k:]])[self._order]
+        return np.concatenate([self._v.T @ vec[: self.k], vec[self.k:]])
 
     def contract(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_q coeffs[q] * E_q."""
-        block = coeffs[..., self.diag_index]
-        block = np.matmul(self._v, block[..., None])[..., 0]
-        scalars = coeffs[..., self._pos[self._k:]]
-        return self._basis.vecs_to_mats(np.concatenate([block, scalars], axis=-1))
+        block = np.matmul(self._v, coeffs[..., : self.k, None])[..., 0]
+        return self._basis.vecs_to_mats(np.concatenate([block, coeffs[..., self.k:]], axis=-1))
 
     def contract_diag(self, coeffs: np.ndarray) -> np.ndarray:
         """The diagonal of :meth:`contract`, O(d k): the first d rows of the
@@ -220,15 +209,15 @@ class TEigenpairs:
     def side_grid(self, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
         """The T and H indices (q, a) of the weights :meth:`side_sum` (or,
         ``diagonal``, :meth:`side_sum_diag`) reads.  The diagonal grid is
-        d x k, row a and column r holding w[diag_index[r], a].  The full
-        grid is flat: that block grid, then every scalar coordinate (a, b)
-        at its own T index with a, then with b."""
-        d, k = self._basis.dim, self._k
-        q_block, a_block = self.diag_index[None, :], np.arange(d)[:, None]
+        d x k, row a and column q holding w[q, a].  The full grid is flat:
+        that block grid, then every scalar coordinate (a, b) at its own T
+        index with a, then with b."""
+        d, k = self._basis.dim, self.k
+        q_block, a_block = np.arange(k)[None, :], np.arange(d)[:, None]
         if diagonal:
             return q_block, a_block
         rows, cols = self._basis.pairs
-        q_scalars = self._pos[k:]
+        q_scalars = np.arange(k, self._basis.size)
         q_block, a_block = np.broadcast_arrays(q_block, a_block)
         return (np.concatenate([q_block.ravel(), q_scalars, q_scalars]),
                 np.concatenate([a_block.ravel(), rows[k:], cols[k:]]))
@@ -243,22 +232,22 @@ class TEigenpairs:
         product; scalar coordinate (a, b) reaches only itself, through
         w[q, a] and w[q, b].
         """
-        d, k, size = self._basis.dim, self._k, self._basis.size
+        d, k, size = self._basis.dim, self.k, self._basis.size
         block, w_rows, w_cols = np.split(weights, [d * k, d * k + size - k], axis=-1)
         block = block.reshape(weights.shape[:-1] + (d, k))
-        c_block = coeffs[self.diag_index]
+        c_block = coeffs[:k]
         diag = self.side_sum_diag(c_block, block)
         g = np.matmul(self._v[d:], np.swapaxes(block * c_block, -1, -2))
         rows, cols = self._basis.pairs
         at = np.arange(k - d)
         off = g[..., at, rows[d:k]] + g[..., at, cols[d:k]]
-        scalars = coeffs[self._pos[k:]] * (w_rows + w_cols)
+        scalars = coeffs[k:] * (w_rows + w_cols)
         return self._basis.vecs_to_mats(np.concatenate([diag, off, scalars], axis=-1))
 
     def side_sum_diag(self, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The diagonal of :meth:`side_sum`, 2 sum_r coeffs[r] E_r[a,a] w[r,a]
-        with ``coeffs`` at ``diag_index`` and ``weights`` the d x k w of
-        ``side_grid(True)``: the first d rows of the block eigenvectors
+        """The diagonal of :meth:`side_sum`, 2 sum_q coeffs[q] E_q[a,a] w[q,a]
+        with ``coeffs`` at the first k T indices and ``weights`` the d x k w
+        of ``side_grid(True)``: the first d rows of the block eigenvectors
         scaled by the weights, times the coefficients, O(d k)."""
         return 2.0 * np.matmul(self._v[: self._basis.dim] * weights, coeffs)
 
@@ -319,6 +308,6 @@ class SpectralFrame:
         return TEigenpairs(self.basis, tau, v, self._t_scalars(gamma))
 
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
-        """Ascending eigenvalues of T(gamma)."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)),
-                                       self._t_scalars(gamma)]))
+        """Eigenvalues of T(gamma): the block's, then the scalars, in the
+        frame's own order, as :class:`TEigenpairs` holds them."""
+        return np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)), self._t_scalars(gamma)])

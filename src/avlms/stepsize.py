@@ -39,16 +39,16 @@ PD_TOL = 1e-12
 
 
 def _tau_scale(tau: np.ndarray) -> float:
-    return max(abs(tau[0]), abs(tau[-1]), 1e-300)
+    return max(np.abs(tau).max(), 1e-300)
 
 
 def t_positive(tau: np.ndarray) -> bool:
-    """Whether T, with ascending eigenvalues ``tau``, is positive definite."""
-    return bool(tau[0] > PD_TOL * _tau_scale(tau))
+    """Whether T, with eigenvalues ``tau`` in any order, is positive definite."""
+    return bool(tau.min() > PD_TOL * _tau_scale(tau))
 
 
 def t_invertible(tau: np.ndarray) -> bool:
-    """Whether T, with ascending eigenvalues ``tau``, is invertible."""
+    """Whether T, with eigenvalues ``tau`` in any order, is invertible."""
     return bool(np.abs(tau).min() > PD_TOL * _tau_scale(tau))
 
 
@@ -130,4 +130,4 @@ def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> f
 
 def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
     """Smallest eigenvalue of T(gamma); positive iff gamma is stable."""
-    return float(moments.frame.t_eigenvalues(gamma)[0])
+    return float(moments.frame.t_eigenvalues(gamma).min())

@@ -479,6 +479,28 @@ class TestCommands:
         assert "variance-opt" not in body
         assert body.splitlines()[0].startswith("scheme,variance_gain,gamma_max,predicted_bias_gain")
 
+    @pytest.mark.parametrize("source", ["spec", "data"])
+    def test_class_weighting_that_cannot_apply(self, source, tmp_path, capsys):
+        """On a Gaussian spec and on data with continuous labels, sampling
+        skips class-weighted with a warning; gamma-max and run refuse it."""
+        where = ["--spec", "gaussian:d=3"]
+        if source == "data":
+            data = tmp_path / "d.csv"
+            np.savetxt(data, np.random.default_rng(3).standard_normal((50, 4)), delimiter=",")
+            where = ["--data", str(data)]
+        out = tmp_path / "s.csv"
+        rc = main(["sampling", *where, "--scheme", "uniform", "--scheme", "class-weighted",
+                   "--n-max", "50", "--replicates", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning: scheme 'class-weighted' skipped: class weighting needs" in err
+        assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["uniform"]
+        run = ["run", "--gamma", "0.01", "--n-max", "20", "--replicates", "2",
+               "--out", str(tmp_path / "r.csv")]
+        for argv in (["gamma-max"], run):
+            assert main([*argv, *where, "--scheme", "class-weighted"]) == EXIT_NUMERIC
+            assert capsys.readouterr().err.startswith("numerical error: class weighting needs")
+
     def test_sampling_on_gaussian_spec_keeps_closed_form_columns(self, tmp_path, capsys):
         """Resampled schemes cannot be streamed on a Gaussian design: their
         measured columns stay empty with a warning, and the command succeeds."""
@@ -602,6 +624,23 @@ class TestPlot:
         csv = tmp_path / "bad.csv"
         csv.write_text("a,b\n1,2\n")
         assert main(["plot", str(csv), "--out", str(tmp_path / "x.svg")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("body, line, column", [
+        ("n,bias_exact\n10,abc\n", 2, "bias_exact"),
+        ("n,bias_exact\n10,1.0\n,0.5\n", 3, "n"),
+        ("n,gamma,scheme,mode,risk,stderr,flag\n10,0.1,uniform,bias,1.0,0.0,\n\n"
+         ",0.1,uniform,bias,0.5,0.0,\n", 4, "n"),
+        ("n,gamma,scheme,mode,risk,stderr,flag\n10,0.1,uniform,bias,x,0.0,\n", 2, "risk"),
+    ], ids=["column-text", "column-empty-n", "run-empty-n", "run-risk-text"])
+    def test_malformed_cell_is_a_data_error(self, body, line, column, tmp_path, capsys):
+        """A cell of n or of a plotted column that is not a number is a data
+        error naming its file line, blank lines counted; no SVG is written."""
+        csv = tmp_path / "bad.csv"
+        csv.write_text(body)
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(csv), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: line {line}: column {column!r}")
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -496,12 +496,11 @@ class TestSamplerTables:
 
 
 class TestDrawThread:
-    """With two usable CPUs a background thread draws the next block; no
-    thread outlives the engine call, however it ends."""
+    """A background thread draws the next block; no thread outlives the
+    engine call, however it ends."""
 
     @pytest.fixture(autouse=True)
     def short_blocks(self, monkeypatch):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
 
     def test_an_update_that_raises_stops_the_thread(self, monkeypatch):
@@ -539,21 +538,6 @@ class TestDrawThread:
         assert threading.active_count() == before
         assert traj.iterations.tolist() == list(range(1, n + 1))
 
-    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-        block, seen = engine._Sampler.block, []
-
-        def drawing(self, *args, **kwargs):
-            seen.append((threading.active_count(), threading.current_thread()))
-            return block(self, *args, **kwargs)
-
-        monkeypatch.setattr(engine._Sampler, "block", drawing)
-        spec = make_discrete(3, 9, 61, residual=True)
-        before = threading.active_count()
-        run_cells(spec, [RunConfig(gamma=0.1, n=100, replicates=3, seed=0)])
-        # 99 steps in blocks of 7, all drawn here
-        assert len(seen) == 15 and set(seen) == {(before, threading.current_thread())}
-
     def test_the_producer_calls_no_einsum_and_no_public_function(self, monkeypatch):
         """Tracers wrap np.einsum and the public avlms functions with a span
         stack that is not thread-safe, so only the calling thread may reach
@@ -590,7 +574,7 @@ class TestDrawThread:
 
 
 class TestFailingDraw:
-    """A draw that fails is raised by the engine call, on either path, and
+    """A draw that fails on the worker is raised by the engine call, and
     leaves no thread behind."""
 
     @pytest.fixture(autouse=True)
@@ -607,21 +591,16 @@ class TestFailingDraw:
         monkeypatch.setattr(engine._Sampler, "block", failing)
         return drawers
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_run_cells_raises_it(self, cpus, monkeypatch, second_block_fails):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    def test_run_cells_raises_it(self, second_block_fails):
         spec = make_discrete(3, 9, 61, residual=True)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="second block"):
             run_cells(spec, [RunConfig(gamma=0.1, n=100, replicates=3, seed=0)])
         assert threading.active_count() == before
         assert len(second_block_fails) == 2
-        drawn_here = {t is threading.current_thread() for t in second_block_fails}
-        assert drawn_here == {cpus == 1}
+        assert threading.current_thread() not in second_block_fails
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_command_reports_one_line(self, cpus, monkeypatch, capsys):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    def test_the_command_reports_one_line(self, capsys):
         before = threading.active_count()
         argv = ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "100",
                 "--replicates", "2"]
@@ -649,7 +628,6 @@ class TestDrawBuffers:
     def test_draw_buffers_fit_the_budget(self, grid, monkeypatch):
         """Two buffers, one stepped and one drawn, reused for every block of a
         run several blocks long, and together within the draw budget."""
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         spec, configs, schemes = getattr(self, grid)()
         buffers, steps = {}, []
         block = engine._Sampler.block
@@ -746,12 +724,11 @@ class TestStepLoopReference:
         reps=st.integers(1, 4),
         seed=st.integers(0, 2**16),
         steps=st.integers(1, 9),
-        cpus=st.sampled_from([1, 2]),
     )
     @example(name="residual", cells=[(5.0, "total", 1), (0.3, "bias", 0)],
-             near_limit=0.999, n=60, reps=3, seed=1, steps=1, cpus=2)
+             near_limit=0.999, n=60, reps=3, seed=1, steps=1)
     def test_matches_the_exact_check_every_step(self, name, cells, near_limit, n, reps, seed,
-                                                steps, cpus):
+                                                steps):
         spec = STEP_SPECS[name]
         gaussian = name.endswith("gaussian")
         if near_limit is not None:
@@ -765,15 +742,13 @@ class TestStepLoopReference:
         trace_h = float(np.trace(spec.hmat))
         cells = [(g / trace_h, mode, choices[k % len(choices)]) for g, mode, k in cells]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_usable_cpus", lambda: cpus)
             mp.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
             got, want = _engine_and_reference(spec, cells, n, reps, seed, stride=3)
         for traj, ref in zip(got, want):
             _assert_same_run(traj, ref)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("where", ["first", "middle"])
-    def test_divergence_on_a_blocks_first_step_and_mid_block(self, where, cpus, monkeypatch):
+    def test_divergence_on_a_blocks_first_step_and_mid_block(self, where, monkeypatch):
         """The grid's last cell diverges at step D; blocks of D - 2 steps make
         D the first step of the second block, blocks of D steps put it in the
         middle of the first."""
@@ -784,7 +759,6 @@ class TestStepLoopReference:
         last = reference_run(spec, RunConfig(gamma=1.2, mode="total", **record))[3][0]
         assert last is not None and last > 4
         steps = last - 2 if where == "first" else last
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
         got, want = _engine_and_reference(spec, cells, 400, 3, 5, stride=7)
         assert sum(ref[3][0] is not None for ref in want) >= 2
@@ -792,13 +766,11 @@ class TestStepLoopReference:
             _assert_same_run(traj, ref)
 
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_step_that_meets_the_bound_is_caught(self, cpus, monkeypatch):
+    def test_a_step_that_meets_the_bound_is_caught(self):
         """From w0 = 0 with X = 3 and a huge label the first step lands at
         exactly max|coef| x_max, the running bound, and just past the
         limit: a bound grown any slower would miss it."""
         spec = ProblemSpec.discrete(np.array([[3.0]]), ys=np.array([4e14]))
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
         got, want = _engine_and_reference(spec, [(1e-3, "total", None)], 5, 2, 0, 1)
         assert want[0][3][0] == 2 and 1e12 < want[0][3][2] <= 1.2e12
         _assert_same_run(got[0], want[0])
@@ -832,7 +804,6 @@ class TestSelectionBudget:
         mixed-mode grid stay within GROUP_BYTES // CHUNK_SHARE beyond the
         state (w, wbar and the scratch): numpy reports its arrays to
         tracemalloc."""
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         spec = make_discrete(6, 20, 3, residual=False)
         schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
         cells = [(g, mode, s) for g in np.linspace(0.01, 0.05, 25)

@@ -411,12 +411,10 @@ class TestGrid:
 
 
 class TestGaussianBlocks:
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_one_step_blocks_match_default_blocks(self, cpus, monkeypatch):
+    def test_one_step_blocks_match_default_blocks(self, monkeypatch):
         """Gaussian inputs come in one standard-normal draw per block: blocks
         of one step and the default blocks (the whole run here) give every
-        cell of the diverging grid the same bits, drawn inline or ahead."""
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        cell of the diverging grid the same bits."""
         spec = rotated_gaussian()
         configs = _grid()
         sampler = engine._Sampler(spec)
@@ -488,29 +486,25 @@ class TestSchemeGrid:
 
     @pytest.mark.parametrize("steps", [1, 10])
     @pytest.mark.parametrize("residual", [True, False])
-    def test_inline_draws_match_threaded_draws(self, residual, steps, monkeypatch):
-        """With one usable CPU the blocks are drawn inline, with two on a
-        thread that may draw for the lone scheme after its cell has left:
-        the same bits either way.  The lone scheme goes first, so dropping it
-        moves every other scheme's row in later blocks, and the threads
-        switch often, so a buffer redrawn while it is read would show."""
+    def test_drawing_ahead_under_fast_switching(self, residual, steps, monkeypatch):
+        """The worker may draw for the lone scheme after its cell has left,
+        and still every cell keeps the oracle's bits.  The lone scheme goes
+        first, so dropping it moves every other scheme's row in later
+        blocks, and the threads switch often, so a buffer redrawn while it
+        is read would show."""
         spec = make_discrete(3, 9, 61, residual=residual)
         cells = self._cells(spec)
         cells = cells[-1:] + cells[:-1]
         configs, schemes = [c for c, _ in cells], [s for _, s in cells]
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: steps)
-        runs = {}
         interval = sys.getswitchinterval()
-        for cpus in (2, 1):
-            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
-            sys.setswitchinterval(1e-6)
-            try:
-                runs[cpus] = run_cells(spec, configs, schemes)
-            finally:
-                sys.setswitchinterval(interval)
-        assert runs[2][0].diverged and not any(t.diverged for t in runs[2][1:])
-        assert all(_same(a, b) for a, b in zip(runs[2], runs[1]))
-        for (config, scheme), traj in zip(cells, runs[2]):
+        sys.setswitchinterval(1e-6)
+        try:
+            grid = run_cells(spec, configs, schemes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert grid[0].diverged and not any(t.diverged for t in grid[1:])
+        for (config, scheme), traj in zip(cells, grid):
             _assert_matches_oracle(traj, spec, config, scheme)
 
     def test_gaussian_spec_refuses_resampled_cells(self):
