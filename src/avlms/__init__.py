@@ -34,7 +34,6 @@ from .moments import (
     compute_moments,
     leverage_resampled_moments,
     norm_resampled_moments,
-    reweighted_moments,
 )
 from .operators import (
     MAX_DIM,
@@ -43,12 +42,11 @@ from .operators import (
 )
 from .sampling import (
     SamplingScheme,
+    atom_scheme,
     bias_gain,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    resampled_gamma_max,
     resampled_moments,
-    uniform_scheme,
     variance_gain,
 )
 from .stepsize import (

@@ -277,6 +277,14 @@ def _run_grid(grid) -> list:
     return trajs
 
 
+def _warn_diverged(name: str, traj) -> None:
+    """Warn on stderr, in one line, when the cell ``traj`` of ``name`` diverged."""
+    if traj.diverged:
+        print(f"warning: gamma={traj.gamma:g} scheme={name} mode={traj.mode} diverged at "
+              f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
+              f"norm {traj.diverged_norm:.3g})", file=sys.stderr)
+
+
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
@@ -332,12 +340,7 @@ def cmd_run(args) -> int:
             rows.append([int(n), gamma, name, mode, traj.risk[i], traj.standard_error[i], ""])
         if traj.diverged:
             rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
-            print(
-                f"warning: gamma={gamma:g} scheme={name} mode={mode} diverged at "
-                f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
-                f"norm {traj.diverged_norm:.3g})",
-                file=sys.stderr,
-            )
+        _warn_diverged(name, traj)
     header = ["n", "gamma", "scheme", "mode", "risk", "stderr", "flag"]
     _write_csv(args.out or "-", header, rows)
     return EXIT_OK
@@ -469,6 +472,7 @@ def cmd_sampling(args) -> int:
         traj = measured.get(k)
         risk_by_n = err_by_n = {}
         if traj is not None:
+            _warn_diverged(row[0], traj)
             risk_by_n = dict(zip((int(v) for v in traj.iterations), traj.risk))
             err_by_n = dict(zip((int(v) for v in traj.iterations), traj.standard_error))
         row += ([risk_by_n.get(n) for n in measure_at]
@@ -594,8 +598,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("gamma values must be positive and finite")
         if (getattr(args, "seed", None) or 0) < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        if getattr(args, "dim", None) is not None and args.dim < 1:
-            raise UsageError(f"--dim must be at least 1, got {args.dim}")
+        if getattr(args, "dim", None) is not None and not 1 <= args.dim <= MAX_DIM:
+            raise UsageError(f"--dim must be from 1 to {MAX_DIM}, got {args.dim}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

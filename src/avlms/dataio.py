@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .moments import ProblemSpec
+from .operators import MAX_DIM
 
 MAX_REPORTED_CLASSES = 20
 
@@ -121,11 +122,17 @@ def _parse_libsvm(path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
     d = dim if dim is not None else max_idx
     if max_idx > d:
         raise DataFormatError(f"feature index {max_idx} exceeds declared dimension {d}")
+    _check_width(d)
     xs = np.zeros((len(entries), d))
     for t, row in enumerate(entries):
         for idx, val in row:
             xs[t, idx - 1] = val
     return xs, np.array(labels)
+
+
+def _check_width(d: int) -> None:
+    if d > MAX_DIM:
+        raise DataFormatError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
 def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
@@ -136,6 +143,7 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     among the data rows."""
     if fmt in ("csv", "csv-dense"):
         xs, ys = _parse_csv(path)
+        _check_width(xs.shape[1])
     elif fmt in ("libsvm", "libsvm-sparse"):
         xs, ys = _parse_libsvm(path, dim)
     else:

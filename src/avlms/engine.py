@@ -48,7 +48,6 @@ from .moments import (
     GaussianDesign,
     ProblemSpec,
     ResidualNoise,
-    _atom_c_inverse,
     _sqrt_psd,
 )
 
@@ -183,12 +182,14 @@ def check_stream(spec: ProblemSpec, scheme) -> None:
 class _Sampler:
     """Vectorized (X, Y) draws of a spec under one or more sampling schemes.
 
-    On discrete specs scheme s draws atoms from q_s = c_inverse_s * p: each
-    scheme maps the one shared uniform sequence through its own guide table
-    and scales every sample by sqrt(c_s).  A draw gathers from the spec's
-    own atoms (``design.xs``) and from one clean and one labelled response
-    per atom, shared by all schemes; each resampled scheme then multiplies
-    its share of the block in place by its gathered scales.  So each drawn
+    On discrete specs scheme s draws atoms from q_s = p / c_s, with c_s^{-1}
+    its ratios on the spec's atoms (``ratios_on``: SchemeError for a scheme
+    built on other atoms).  Each scheme maps the one shared uniform sequence
+    through its own guide table and scales every sample by sqrt(c_s).  A
+    draw gathers from the spec's own atoms (``design.xs``) and from one
+    clean and one labelled response per atom, shared by all schemes; each
+    resampled scheme then multiplies its share of the block in place by its
+    gathered scales.  So each drawn
     float is the one rounded product x sqrt(c_s) that a table of scaled
     atoms would hold, and the sampler's memory beyond the spec is O(atoms)
     per scheme.  The uniform scheme (None) has scale 1 and is not
@@ -224,7 +225,7 @@ class _Sampler:
         for scheme in schemes:
             weights, scale = probs, None
             if scheme is not None:
-                cinv = _atom_c_inverse(spec, scheme.c_inverse)
+                cinv = scheme.ratios_on(spec)
                 weights = probs * cinv
                 weights = weights / weights.sum()
                 scale = np.zeros_like(cinv)

@@ -13,12 +13,11 @@ H = E[X X^T] is ``spec.hmat`` and its eigenpairs are ``spec.h_eig``, both
 computed and rank-checked once per spec; every ``MomentSet`` of the spec
 holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
-matrix eta0 eta0^T; :func:`reweighted_moments` gives the same objects after
-importance resampling of a discrete design.  Gaussian resampled moments
-are exact or refused: :func:`norm_resampled_moments` and
-:func:`leverage_resampled_moments` are the closed forms of the two optimal
-schemes, and any other density ratio on a Gaussian design raises
-SchemeError (draw rows and build ``ProblemSpec.discrete`` instead).
+matrix eta0 eta0^T; :func:`_atom_moments` gives the same objects of a
+discrete design under any atom weights, which is how
+``sampling._moment_sets`` resamples one.  Gaussian resampled moments are
+exact in closed form only: :func:`norm_resampled_moments` and
+:func:`leverage_resampled_moments` are those of the two optimal schemes.
 
 Every producer writes the fourth moment directly in H's eigenbasis (the
 coordinates of u^T A u, H = u diag(l) u^T), where T is read, and hands it
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SchemeError, SpecError
+from .errors import DimensionError, SpecError
 from .operators import (
     MAX_DIM,
     SpectralFrame,
@@ -240,8 +239,6 @@ class MomentSet:
     writes it out as a D x D matrix.  ``sigma0`` is E[eps^2 X X^T] and
     ``e0`` the rank-one matrix eta0 eta0^T, both in the original
     coordinates.
-    Every fourth moment is exact, so ``n_samples`` is always None; the
-    field is kept only for the benchmark's span hook (``bench/spans.py``).
     ``_norm_resampled`` marks the moments of norm-proportional resampling:
     :func:`norm_resampled_moments` sets it on Gaussian specs, and
     ``sampling._moment_sets`` on atoms for a scheme whose ``closed_form``
@@ -258,7 +255,6 @@ class MomentSet:
     mu: float
     lmax: float
     frame: SpectralFrame = field(repr=False)
-    n_samples: int | None = None
     _norm_resampled: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -343,61 +339,6 @@ def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[M
     return [_assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
                       (xs * (wts * eps2)[:, None]).T @ xs, flag)
             for wts, fourth, flag in zip(weight_rows, fourths, flags)]
-
-
-def _atom_c_inverse(spec: ProblemSpec, c_inverse) -> np.ndarray:
-    """Evaluate and validate a density ratio dq/dp on the atoms of a spec."""
-    design = spec.design
-    xs = design.xs
-    ys = design.ys if design.ys is not None else xs @ spec.w_star
-    cinv = np.asarray(c_inverse(xs, ys), dtype=float).reshape(-1)
-    if cinv.shape != (xs.shape[0],):
-        raise SchemeError("c_inverse must return one value per atom")
-    if cinv.min() < 0:
-        raise SchemeError("c_inverse must be nonnegative")
-    total = float(design.probs @ cinv)
-    if abs(total - 1.0) > 1e-10:
-        raise SchemeError(f"c_inverse has expectation {total!r} under the spec, not 1")
-    nonzero_x = np.einsum("ti,ti->t", xs, xs) > 0
-    if np.any(nonzero_x & (cinv == 0.0) & (design.probs > 0)):
-        raise SchemeError(
-            "c_inverse vanishes on an atom with X != 0; the original "
-            "distribution is not absolutely continuous w.r.t. the proposal"
-        )
-    return cinv
-
-
-def reweighted_moments(spec: ProblemSpec, c_inverse) -> MomentSet:
-    """Moments of the importance-resampled instance of a discrete spec.
-
-    Resampling with density ratio c^{-1} = dq/dp and rescaling samples by
-    sqrt(c) leaves every second-order moment (H in particular, and the
-    start matrix) unchanged, while each fourth-order object picks up a
-    factor c = 1/c_inverse per atom: the fourth-moment operator becomes
-    E[c (X^T A X) X X^T] and the noise covariance E[c eps^2 X X^T].
-
-    Exact: :func:`compute_moments`' atom average with weights ``probs * c``.  A
-    Gaussian spec raises SchemeError: its resampled moments are exact only
-    in the closed forms (:func:`compute_moments`,
-    :func:`norm_resampled_moments`, :func:`leverage_resampled_moments`).
-    """
-    design = spec.design
-    if not isinstance(design, DiscreteDesign):
-        raise SchemeError(
-            "a Gaussian spec has exact resampled moments only in closed form "
-            "(compute_moments, norm_resampled_moments, leverage_resampled_moments); "
-            "for any other density ratio, draw rows and build ProblemSpec.discrete"
-        )
-    return _atom_moments(spec, [_reweighted_probs(spec, c_inverse)])[0]
-
-
-def _reweighted_probs(spec: ProblemSpec, c_inverse) -> np.ndarray:
-    """The atom weights ``probs * c`` of :func:`reweighted_moments`."""
-    cinv = _atom_c_inverse(spec, c_inverse)
-    xs, probs = spec.design.xs, spec.design.probs
-    live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
-    c = np.divide(1.0, cinv, out=np.zeros_like(cinv), where=live)
-    return probs * c
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Non-uniform sampling densities and their predicted gains.
 
-A scheme is a density ratio c^{-1} = dq/dp together with its
-normalization; runs draw from q and rescale samples by sqrt(c), which
-keeps the objective (and every second-order moment) unchanged while
-reshaping the fourth-order moments that control both the stability
-threshold and the asymptotic variance constant.
+A scheme is a density ratio c^{-1} = dq/dp: runs draw from q and rescale
+samples by sqrt(c), which keeps the objective (and every second-order
+moment) unchanged while reshaping the fourth-order moments that control
+both the stability threshold and the asymptotic variance constant.
+
+A scheme is plain data: its ratio on each atom of one discrete spec
+(``ratios``, checked once by :func:`atom_scheme`), its Gaussian closed
+form, or both.  This module alone decides how a scheme reweights a spec:
+:func:`_moment_sets` for the moments, ``ratios_on`` for the engine's draws.
 """
 
 from __future__ import annotations
@@ -17,47 +21,78 @@ import numpy as np
 from .errors import SchemeError
 from .moments import (
     DiscreteDesign,
-    GaussianDesign,
     IndependentGaussianNoise,
     MomentSet,
     ProblemSpec,
     _atom_moments,
     _atom_residuals,
-    _chi_mean,
     _gaussian_mean_norm,
-    _reweighted_probs,
     compute_moments,
     leverage_resampled_moments,
     norm_resampled_moments,
-    reweighted_moments,
+)
+
+_GAUSSIAN_REFUSAL = (
+    "a Gaussian spec has exact resampled moments only in closed form "
+    "(compute_moments, norm_resampled_moments, leverage_resampled_moments); "
+    "for any other density ratio, draw rows and build ProblemSpec.discrete"
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingScheme:
-    """A density ratio dq/dp over (X, Y) with its normalization constant.
+    """A density ratio c^{-1} = dq/dp, as data.
 
-    ``c_inverse`` maps a batch (xs, ys) to the per-sample ratio; it must
-    be nonnegative, integrate to one under the original distribution, and
-    stay positive wherever X is nonzero.  ``closed_form``, when set, maps
-    a Gaussian spec to its resampled moments in closed form
-    (:func:`~avlms.moments.norm_resampled_moments` or
+    ``ratios`` holds c^{-1} on each atom of ``atoms``, the discrete design
+    it was built for, read-only (None for a scheme built on a Gaussian
+    spec).  ``closed_form``, when set, maps a Gaussian spec to its
+    resampled moments (:func:`~avlms.moments.norm_resampled_moments` or
     :func:`~avlms.moments.leverage_resampled_moments`), evaluated on the
-    spec it is passed; :func:`_moment_sets` uses it on Gaussian specs only.
+    spec it is passed.  Build atom ratios with :func:`atom_scheme`, which
+    validates them.
     """
 
     name: str
-    c_inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    normalization: float
+    atoms: DiscreteDesign | None
+    ratios: np.ndarray | None
     closed_form: Callable[[ProblemSpec], MomentSet] | None = None
 
+    def ratios_on(self, spec: ProblemSpec) -> np.ndarray:
+        """``ratios``; SchemeError unless the scheme was built for the atoms
+        of ``spec``."""
+        if self.ratios is None or spec.design is not self.atoms:
+            raise SchemeError(f"scheme {self.name!r} was not built for the atoms of this "
+                              "spec; build it on this spec")
+        return self.ratios
 
-def uniform_scheme() -> SamplingScheme:
-    return SamplingScheme(
-        name="uniform",
-        c_inverse=lambda xs, ys: np.ones(np.atleast_2d(xs).shape[0]),
-        normalization=1.0,
-    )
+
+def atom_scheme(spec: ProblemSpec, name: str, ratios, closed_form=None) -> SamplingScheme:
+    """The scheme with ratio ``ratios[t]`` on atom t of a discrete spec.
+
+    The ratios must be one per atom, nonnegative, of expectation 1 under
+    the spec, and positive on every atom with X != 0 and positive mass (so
+    the spec is absolutely continuous w.r.t. the proposal); SchemeError
+    otherwise, and on a Gaussian spec.  The scheme holds a read-only copy.
+    """
+    design = spec.design
+    if not isinstance(design, DiscreteDesign):
+        raise SchemeError(_GAUSSIAN_REFUSAL)
+    cinv = np.array(ratios, dtype=float).reshape(-1)
+    if cinv.shape != (design.xs.shape[0],):
+        raise SchemeError("c_inverse must return one value per atom")
+    if cinv.min() < 0:
+        raise SchemeError("c_inverse must be nonnegative")
+    total = float(design.probs @ cinv)
+    if not abs(total - 1.0) <= 1e-10:
+        raise SchemeError(f"c_inverse has expectation {total!r} under the spec, not 1")
+    nonzero_x = np.einsum("ti,ti->t", design.xs, design.xs) > 0
+    if np.any(nonzero_x & (cinv == 0.0) & (design.probs > 0)):
+        raise SchemeError(
+            "c_inverse vanishes on an atom with X != 0; the original "
+            "distribution is not absolutely continuous w.r.t. the proposal"
+        )
+    cinv.setflags(write=False)
+    return SamplingScheme(name, design, cinv, closed_form)
 
 
 def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
@@ -67,18 +102,12 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
     needs no knowledge beyond the mean squared norm.  Its closed form is
     :func:`~avlms.moments.norm_resampled_moments`.
     """
-    norm_const = _mean_squared_norm(spec)  # > 0: every spec has a full-rank H
-
-    def c_inverse(xs, ys):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.einsum("ti,ti->t", xs, xs) / norm_const
-
-    return SamplingScheme(
-        name="bias-opt",
-        c_inverse=_once_on_atoms(spec, c_inverse),
-        normalization=norm_const,
-        closed_form=norm_resampled_moments,
-    )
+    design = spec.design
+    if not isinstance(design, DiscreteDesign):
+        return SamplingScheme("bias-opt", None, None, norm_resampled_moments)
+    sq = np.einsum("ti,ti->t", design.xs, design.xs)
+    # E[X^T X] > 0: every spec has a full-rank H.
+    return atom_scheme(spec, "bias-opt", sq / float(design.probs @ sq), norm_resampled_moments)
 
 
 def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
@@ -92,75 +121,23 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     independent of X its closed form is
     :func:`~avlms.moments.leverage_resampled_moments`.
     """
-    hinv = np.linalg.inv(spec.hmat)
-    w_star = spec.w_star
     design = spec.design
-
-    def leverage(xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", xs, hinv, xs), 0.0))
-
-    if isinstance(spec.noise, IndependentGaussianNoise):
-        if spec.noise.sigma <= 0:
-            raise SchemeError("the variance scheme is undefined on a noiseless spec")
-        on_atoms = None
-        if isinstance(design, DiscreteDesign):
-            on_atoms = leverage(design.xs)
-            norm_const = float(design.probs @ on_atoms)
-            on_atoms /= norm_const
-        else:
-            # X^T H^-1 X is an exact chi-square with d degrees of freedom.
-            norm_const = _chi_mean(spec.dim)
-
-        def c_inverse(xs, ys):
-            return leverage(xs) / norm_const
-
-        return SamplingScheme(
-            name="variance-opt",
-            c_inverse=_once_on_atoms(spec, c_inverse, on_atoms),
-            normalization=norm_const,
-            closed_form=leverage_resampled_moments,
-        )
-
-    eps = _atom_residuals(spec)
-    weights = np.abs(eps) * leverage(design.xs)
+    independent = isinstance(spec.noise, IndependentGaussianNoise)
+    if independent and spec.noise.sigma <= 0:
+        raise SchemeError("the variance scheme is undefined on a noiseless spec")
+    closed_form = leverage_resampled_moments if independent else None
+    if not isinstance(design, DiscreteDesign):
+        return SamplingScheme("variance-opt", None, None, closed_form)
+    xs = design.xs
+    weights = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", xs, np.linalg.inv(spec.hmat), xs),
+                                 0.0))
+    if not independent:
+        weights = np.abs(_atom_residuals(spec)) * weights
     norm_const = float(design.probs @ weights)
     if norm_const <= 0:
         raise SchemeError("the variance scheme is undefined on a noiseless spec")
-
-    def c_inverse(xs, ys):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        resid = np.abs(np.asarray(ys, dtype=float) - xs @ w_star)
-        return resid * leverage(xs) / norm_const
-
-    return SamplingScheme(
-        name="variance-opt",
-        c_inverse=_once_on_atoms(spec, c_inverse, weights / norm_const, design.ys),
-        normalization=norm_const,
-    )
-
-
-def _once_on_atoms(spec: ProblemSpec, c_inverse, on_atoms=None, ys=None):
-    """``c_inverse``, answering the atoms of ``spec`` (and labels ``ys``,
-    when the ratio reads them) with its value there, evaluated once.
-
-    Every evaluation on a command's atoms (the moments, the engine's
-    tables) then reuses the array; it is read-only and has the bits a fresh
-    evaluation gives.  Gaussian specs have no atoms and get ``c_inverse``.
-    """
-    design = spec.design
-    if not isinstance(design, DiscreteDesign):
-        return c_inverse
-    if on_atoms is None:
-        on_atoms = c_inverse(design.xs, ys)
-    on_atoms.setflags(write=False)
-
-    def cached(xs, labels):
-        if xs is design.xs and (ys is None or labels is ys):
-            return on_atoms
-        return c_inverse(xs, labels)
-
-    return cached
+    weights /= norm_const
+    return atom_scheme(spec, "variance-opt", weights, closed_form)
 
 
 def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
@@ -168,17 +145,23 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     spec itself, :func:`~avlms.moments.compute_moments`).
 
     On a Gaussian spec each scheme gives its closed form, and a scheme
-    without one is refused by :func:`~avlms.moments.reweighted_moments`.
-    On a discrete spec every scheme's atom weights share one pass of the
-    atom Gram, and the moments of norm-proportional resampling are marked
-    so (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H)).
+    without one is refused.  On a discrete spec atom t is weighted by
+    ``probs[t] / ratios[t]`` (0 where X = 0 or the mass is 0): every
+    second-order moment is unchanged and every fourth-order one picks up
+    the factor c = 1/c^{-1}.  All schemes share one pass of the atom Gram,
+    and the moments of norm-proportional resampling are marked so
+    (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H)).
     """
-    if not isinstance(spec.design, DiscreteDesign):
-        return [compute_moments(spec) if scheme is None
-                else scheme.closed_form(spec) if scheme.closed_form is not None
-                else reweighted_moments(spec, scheme.c_inverse) for scheme in schemes]
-    rows = [spec.design.probs if scheme is None else _reweighted_probs(spec, scheme.c_inverse)
-            for scheme in schemes]
+    design = spec.design
+    if not isinstance(design, DiscreteDesign):
+        if any(scheme is not None and scheme.closed_form is None for scheme in schemes):
+            raise SchemeError(_GAUSSIAN_REFUSAL)
+        return [compute_moments(spec) if scheme is None else scheme.closed_form(spec)
+                for scheme in schemes]
+    xs, probs = design.xs, design.probs
+    live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
+    rows = [probs if scheme is None else probs * np.divide(
+        1.0, scheme.ratios_on(spec), out=np.zeros(probs.size), where=live) for scheme in schemes]
     flags = [scheme is not None and scheme.closed_form is norm_resampled_moments
              for scheme in schemes]
     return _atom_moments(spec, rows, flags) if rows else []
@@ -187,15 +170,9 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
 def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:
     """Moments of the instance after resampling by a scheme: the one-scheme
     case of :func:`_moment_sets`.  Exact on every spec, or refused with
-    SchemeError on a Gaussian spec when the scheme has no closed form."""
+    SchemeError: on a Gaussian spec when the scheme has no closed form, on
+    a discrete one when it was built for other atoms."""
     return _moment_sets(spec, [scheme])[0]
-
-
-def _mean_squared_norm(spec: ProblemSpec) -> float:
-    design = spec.design
-    if isinstance(design, GaussianDesign):
-        return float(np.trace(design.cov))
-    return float(design.probs @ np.einsum("ti,ti->t", design.xs, design.xs))
 
 
 def variance_gain(spec: ProblemSpec) -> float:
@@ -220,10 +197,3 @@ def bias_gain(gamma_before: float, gamma_after: float) -> float:
     if gamma_before <= 0 or gamma_after <= 0:
         raise ValueError("step-sizes must be positive")
     return (gamma_before / gamma_after) ** 2
-
-
-def resampled_gamma_max(spec: ProblemSpec, scheme: SamplingScheme) -> float:
-    """Stability threshold of the instance after resampling by a scheme."""
-    from .stepsize import gamma_max
-
-    return gamma_max(resampled_moments(spec, scheme))

@@ -25,8 +25,7 @@ from avlms import (
     gamma_max_det,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    resampled_gamma_max,
-    reweighted_moments,
+    resampled_moments,
     run_averaged_lms,
     small_gamma_equivalents,
     total_error_envelope,
@@ -202,8 +201,8 @@ class TestCriterion6:
             d = int(rg.integers(1, 5))
             spec = make_discrete(d, d + int(rg.integers(3, 7)), 5000 + i, residual=False)
             scheme = optimal_bias_scheme(spec)
-            got = resampled_gamma_max(spec, scheme)
-            assert abs(got - 2.0 / scheme.normalization) < 1e-6
+            got = gamma_max(resampled_moments(spec, scheme))
+            assert abs(got - 2.0 / np.trace(spec.hmat)) < 1e-6
         elapsed = time.time() - t0
         assert elapsed < 60.0
         report(6, "norm-proportional scheme attains 2/E[X^T X] on 20 specs", t0)
@@ -229,7 +228,7 @@ class TestCriterion6:
             if np.abs(eps).max() < 1e-9:
                 continue
             scheme = optimal_variance_scheme(spec)
-            rw = reweighted_moments(spec, scheme.c_inverse)
+            rw = resampled_moments(spec, scheme)
             _, scheme_value = small_gamma_equivalents(rw, 1.0, 1)
             lev2 = np.einsum("ti,ij,tj->t", xs, np.linalg.inv(m.hmat), xs)
             q1 = np.linspace(1e-4, 1 - 1e-4, 1000)

@@ -574,6 +574,30 @@ class TestCommands:
             assert "gamma=3 " in line and f"mode={row[3]} " in line
             assert f"at n={row[0]} " in line and "replicate " in line and "norm " in line
 
+    def test_sampling_warns_once_per_diverged_cell(self, tmp_path, capsys):
+        """Past every scheme's gamma_max, sampling leaves the measured cells
+        past the divergence empty and warns once per diverged cell, in run's
+        words."""
+        data = tmp_path / "d.csv"
+        rg = np.random.default_rng(0)
+        x = rg.standard_t(5, (40, 3))
+        np.savetxt(data, np.column_stack([x, x @ [1.0, -2.0, 0.5] + rg.standard_normal(40)]),
+                   fmt="%.17g", delimiter=",")
+        out = tmp_path / "s.csv"
+        rc = main(["sampling", "--data", str(data), "--gamma", "0.6", "--n-max", "200",
+                   "--replicates", "10", "--out", str(out)])
+        assert rc == EXIT_OK
+        warned = [ln for ln in capsys.readouterr().err.splitlines() if "diverged" in ln]
+        names = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]]
+        assert names == ["uniform", "bias-opt", "variance-opt"]
+        assert len(warned) == 3
+        for line, name in zip(warned, names):
+            assert line.startswith(f"warning: gamma=0.6 scheme={name} mode=total diverged at n=")
+            assert "replicate " in line and "norm " in line
+        header, *rows = [ln.split(",") for ln in out.read_text().splitlines()]
+        last = header.index("measured_risk_n200")
+        assert all(row[last] == row[last + 2] == "" for row in rows)
+
     def test_manifest_supplies_defaults_and_flags_override(self, tmp_path):
         manifest = tmp_path / "m.cfg"
         manifest.write_text(
@@ -668,10 +692,10 @@ class TestExitCodes:
         assert main(["gamma-max", "--spec", spec]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("dim", ["0", "-3"])
-    def test_dimension_below_one_is_usage(self, dim, tmp_path, capsys):
-        """--dim below 1, by flag or by manifest, is a usage error, not a
-        data error from the parser."""
+    @pytest.mark.parametrize("dim", ["0", "-3", "65"])
+    def test_dimension_out_of_range_is_usage(self, dim, tmp_path, capsys):
+        """--dim below 1 or above MAX_DIM, by flag or by manifest, is a usage
+        error, as ``gaussian:d=65`` is, not a data or numerical error."""
         path = tmp_path / "rows.svm"
         path.write_text("1 1:0.5\n-1 2:1\n")
         manifest = tmp_path / "m.cfg"
@@ -679,7 +703,20 @@ class TestExitCodes:
         ingest_argv = ["ingest", "--data", str(path), "--format", "libsvm"]
         for extra in (["--dim", dim], ["--manifest", str(manifest)]):
             assert main([*ingest_argv, *extra]) == EXIT_USAGE
-            assert capsys.readouterr().err == f"error: --dim must be at least 1, got {dim}\n"
+            assert capsys.readouterr().err == f"error: --dim must be from 1 to 64, got {dim}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_file_wider_than_the_cap_is_a_data_error(self, fmt, tmp_path, capsys):
+        """A data file with 65 feature columns (or a sparse index 65) is a
+        data error."""
+        path = tmp_path / "wide.txt"
+        if fmt == "csv":
+            np.savetxt(path, np.random.default_rng(3).standard_normal((70, 66)), delimiter=",")
+        else:
+            path.write_text("1 1:0.5 65:1\n-1 2:1\n")
+        assert main(["ingest", "--data", str(path), "--format", fmt]) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: dimension 65 exceeds the supported "
+                                           "cap 64\n")
 
     @pytest.mark.parametrize("line, flags", [
         ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),

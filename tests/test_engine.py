@@ -15,9 +15,9 @@ from avlms import (
     CovarianceModel,
     ProblemSpec,
     RunConfig,
-    SamplingScheme,
     SchemeError,
     SpecError,
+    atom_scheme,
     class_weighted_spec,
     compute_moments,
     excess_risk,
@@ -26,7 +26,6 @@ from avlms import (
     optimal_variance_scheme,
     run_averaged_lms,
     run_cells,
-    uniform_scheme,
 )
 from avlms import cli, engine
 from avlms.moments import DiscreteDesign
@@ -112,11 +111,11 @@ class TestRunAveragedLms:
         """End to end: a run under the norm-proportional scheme agrees with
         the exact closed forms evaluated on the reweighted moments, for
         both error components, within four standard errors."""
-        from avlms import optimal_bias_scheme, reweighted_moments
+        from avlms import optimal_bias_scheme, resampled_moments
 
         spec = make_discrete(3, 7, 2203, residual=True)
         scheme = optimal_bias_scheme(spec)
-        rw = reweighted_moments(spec, scheme.c_inverse)
+        rw = resampled_moments(spec, scheme)
         g = 0.4 * gamma_max(rw)
         model = CovarianceModel(rw, g)
         n = 300
@@ -200,8 +199,9 @@ class TestRunCells:
 class TestImportanceStream:
     def test_unit_ratio_reproduces_the_base_stream(self):
         spec = make_discrete(2, 5, 9, residual=True)
-        x1, y1 = resampled_draws(spec, uniform_scheme(), 4, 50)
-        x2, y2 = resampled_draws(spec, uniform_scheme(), 4, 50)
+        unit = atom_scheme(spec, "uniform", np.ones(5))
+        x1, y1 = resampled_draws(spec, unit, 4, 50)
+        x2, y2 = resampled_draws(spec, unit, 4, 50)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
         # the unit ratio leaves the plain stream of the spec untouched
@@ -215,7 +215,7 @@ class TestImportanceStream:
         scheme = optimal_bias_scheme(spec)
         xs, _ = resampled_draws(spec, scheme, 8, 200)
         norms = np.einsum("ti,ti->t", xs, xs)
-        np.testing.assert_allclose(norms, scheme.normalization, rtol=1e-12)
+        np.testing.assert_allclose(norms, np.trace(spec.hmat), rtol=1e-12)
 
     def test_second_moments_preserved(self):
         spec = make_discrete(2, 6, 12, residual=True)
@@ -304,15 +304,10 @@ class TestClassWeighting:
         # so use asymmetric weights with E[c_y] = 1: 1.5 and 0.5.
         weights = {1.0: 1.5, -1.0: 0.5}
         weighted = class_weighted_spec(spec, weights)
-        cy = np.array([weights[float(l)] for l in spec.design.ys])
-
-        def c_inverse(xs, ys):
-            # on the weighted spec, atoms with scaled label sign +/- carry c_y
-            lab = np.sign(np.asarray(ys))
-            vals = np.where(lab > 0, weights[1.0], weights[-1.0])
-            return vals  # E_p[c_y] = 1 by construction
-
-        scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=1.0)
+        # on the weighted spec, atoms with scaled label sign +/- carry c_y, and
+        # E_p[c_y] = 1 by construction
+        ratios = np.where(weighted.design.ys > 0, weights[1.0], weights[-1.0])
+        scheme = atom_scheme(weighted, "class-restore", ratios)
         originals = {tuple(np.round(x, 12)) for x in spec.design.xs}
         for x in resampled_draws(weighted, scheme, 3, 64)[0]:
             assert tuple(np.round(x, 12)) in originals
@@ -327,11 +322,7 @@ class TestClassWeighting:
         spec = ProblemSpec.discrete(xs, ys=ys)
         weighted = class_weighted_spec(spec)  # c_y = 2 for both classes
         mean_cy = 2.0  # sum_y P(y) * (1/P(y)) over two balanced classes
-
-        def c_inverse(x, y):
-            return np.full(np.atleast_2d(x).shape[0], 2.0) / mean_cy
-
-        scheme = SamplingScheme(name="class-restore", c_inverse=c_inverse, normalization=mean_cy)
+        scheme = atom_scheme(weighted, "class-restore", np.full(2, 2.0) / mean_cy)
         w = np.array([0.4, -0.2])
         originals = {
             tuple(np.round(np.sqrt(mean_cy) * x, 12)): (x, y) for x, y in zip(xs, ys)
@@ -482,14 +473,13 @@ class TestSamplerTables:
         spec = ProblemSpec.discrete(xs, probs, ys=xs @ rg.standard_normal(4) + 1.0)
         sq = np.einsum("ti,ti->t", xs, xs)
         ratio = np.where(probs > 0, sq, 0.0) / (probs @ sq)
-        skip_first = SamplingScheme(name="skip-first", c_inverse=lambda x, y: ratio,
-                                    normalization=1.0)
+        skip_first = atom_scheme(spec, "skip-first", ratio)
         schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec), skip_first]
         sampler = engine._Sampler(spec, schemes)
         for k, scheme in enumerate(schemes):
             scale = np.ones(len(xs))
             if scheme is not None:
-                cinv = engine._atom_c_inverse(spec, scheme.c_inverse)
+                cinv = scheme.ratios
                 scale = np.divide(1.0, np.sqrt(cinv), out=np.zeros_like(cinv), where=cinv > 0)
             assert sampler._xmax[k] == np.abs(xs * scale[:, None]).max()
         assert sampler._xmax[3] < 2e3 == sampler._xmax[0]

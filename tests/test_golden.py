@@ -71,8 +71,7 @@ def _oracle_sampler(spec, scheme, noiseless):
     scale = None
     weights = probs
     if scheme is not None:
-        cinv = np.asarray(scheme.c_inverse(xs, ys if ys is not None else xs @ spec.w_star),
-                          dtype=float).reshape(-1)
+        cinv = scheme.ratios_on(spec)
         weights = probs * cinv
         weights = weights / weights.sum()
         scale = np.zeros_like(cinv)

@@ -9,6 +9,7 @@ from avlms import (
     ProblemSpec,
     SchemeError,
     SpecError,
+    atom_scheme,
     check_cross_term_condition,
     compute_moments,
     fourth_moment_operator_from_samples,
@@ -17,8 +18,6 @@ from avlms import (
     optimal_bias_scheme,
     optimal_variance_scheme,
     resampled_moments,
-    reweighted_moments,
-    uniform_scheme,
 )
 from avlms.moments import _chi_mean, _norm_resampling_integrals, _sqrt_psd
 from avlms.operators import SymBasis, _rank_one_coords
@@ -181,7 +180,7 @@ class TestReweightedMoments:
         xs = rg.standard_normal((5, 2))
         spec = ProblemSpec.discrete(xs, w_star=[1.0, 2.0], sigma=0.5)
         base = compute_moments(spec)
-        rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
+        rw = _reweighted(spec, np.ones(5))
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
         np.testing.assert_allclose(rw.frame.fourth_moment(), base.frame.fourth_moment(),
                                    atol=1e-14)
@@ -192,11 +191,7 @@ class TestReweightedMoments:
         moment stays 2.5 while the fourth moment becomes E[X^T X] * H = 6.25."""
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
         mean_sq = 0.5 * (1.0 + 4.0)
-
-        def c_inverse(xs, ys):
-            return np.einsum("ti,ti->t", xs, xs) / mean_sq
-
-        rw = reweighted_moments(spec, c_inverse)
+        rw = _reweighted(spec, np.array([1.0, 4.0]) / mean_sq)
         np.testing.assert_allclose(rw.hmat, [[2.5]], atol=1e-14)
         np.testing.assert_allclose(rw.frame.fourth_moment(), [[6.25]], atol=1e-12)
 
@@ -217,7 +212,7 @@ class TestReweightedMoments:
             return
         raw = rg.uniform(0.1, 2.0, n)
         raw /= probs @ raw
-        rw = reweighted_moments(spec, lambda x, y, _v=raw: _v)
+        rw = _reweighted(spec, raw)
         np.testing.assert_allclose(rw.hmat, compute_moments(spec).hmat, atol=1e-13)
 
     def test_noise_covariance_gains_a_factor(self):
@@ -227,28 +222,36 @@ class TestReweightedMoments:
         spec = ProblemSpec.discrete(xs, ys=ys)
         eps = ys - xs @ spec.w_star
         cinv = np.array([0.5, 1.5])  # E_p[cinv] = 1 for equal weights
-        rw = reweighted_moments(spec, lambda x, y: cinv[(np.asarray(x)[:, 0] > 1.5).astype(int)])
+        rw = _reweighted(spec, cinv)
         want = 0.5 * (eps[0] ** 2 * 1.0 / 0.5 + eps[1] ** 2 * 4.0 / 1.5)
         np.testing.assert_allclose(rw.sigma0, [[want]], atol=1e-13)
 
     def test_absolute_continuity_required(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
-        with pytest.raises(ValueError, match="absolutely continuous"):
-            reweighted_moments(spec, lambda x, y: np.array([0.0, 2.0]))
+        with pytest.raises(SchemeError, match="absolutely continuous"):
+            atom_scheme(spec, "test", [0.0, 2.0])
 
     def test_normalization_required(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
-        with pytest.raises(ValueError, match="expectation"):
-            reweighted_moments(spec, lambda x, y: np.full(len(x), 0.7))
+        for ratios in ([0.7, 0.7], [np.nan, 1.0]):
+            with pytest.raises(SchemeError, match="expectation"):
+                atom_scheme(spec, "test", ratios)
+
+    def test_one_nonnegative_ratio_per_atom_required(self):
+        spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
+        with pytest.raises(SchemeError, match="one value per atom"):
+            atom_scheme(spec, "test", [1.0, 1.0, 1.0])
+        with pytest.raises(SchemeError, match="nonnegative"):
+            atom_scheme(spec, "test", [-0.5, 2.5])
 
     def test_gaussian_spec_is_refused(self):
-        """Gaussian resampled moments are exact or refused: an arbitrary ratio,
-        directly or through a scheme without a closed form, raises and names
-        the exact forms and the way out."""
+        """Gaussian resampled moments are exact or refused: atom ratios on a
+        Gaussian spec, or a scheme without a closed form passed one, raise and
+        name the exact forms and the way out."""
         spec = make_gaussian(3, 0.6, 47)
-        ratio = _ratio(spec)
-        calls = [lambda: reweighted_moments(spec, ratio),
-                 lambda: resampled_moments(spec, uniform_scheme())]
+        atoms = make_discrete(3, 5, 47, residual=False)
+        calls = [lambda: atom_scheme(spec, "test", np.ones(5)),
+                 lambda: resampled_moments(spec, atom_scheme(atoms, "unit", np.ones(5)))]
         for call in calls:
             with pytest.raises(SchemeError, match="ProblemSpec.discrete") as info:
                 call()
@@ -264,7 +267,7 @@ class TestReweightedMoments:
         base = compute_moments(spec)
         cinv = np.array([0.0, 1.0, 1.0, 2.0])
         cinv = cinv / (spec.design.probs @ cinv)
-        rw = reweighted_moments(spec, lambda x, y, _v=cinv: _v)
+        rw = _reweighted(spec, cinv)
         np.testing.assert_allclose(rw.hmat, base.hmat, atol=1e-14)
         assert np.isfinite(rw.frame.fourth_moment()).all()
 
@@ -284,7 +287,7 @@ class TestAtomMomentMemory:
         tracemalloc.start()
         try:
             compute_moments(spec)
-            reweighted_moments(spec, lambda x, y: cinv)
+            _reweighted(spec, cinv)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,10 +303,11 @@ class TestAtomMomentMemory:
 
 def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
     """Per-draw Monte Carlo of E[c u u^T] (u the rank-one coordinates in H's
-    eigenbasis) and E[c X X^T], with entrywise standard errors."""
+    eigenbasis) and E[c X X^T], with entrywise standard errors, for the
+    ratio ``c_inverse(xs)`` of the draws."""
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n, spec.dim)) @ _sqrt_psd(*spec.h_eig).T
-    c = 1.0 / c_inverse(xs, xs @ spec.w_star)
+    c = 1.0 / c_inverse(xs)
     out = []
     for coords in (_rank_one_coords(xs @ spec.h_eig[1], SymBasis(spec.dim)), xs):
         mean = (coords * c[:, None]).T @ coords / n
@@ -348,7 +352,6 @@ class TestGaussianResampledClosedForms:
         base = compute_moments(spec)
         for form in (norm_resampled_moments, leverage_resampled_moments):
             m = form(spec)
-            assert m.n_samples is None
             np.testing.assert_array_equal(m.hmat, base.hmat)
             np.testing.assert_array_equal(m.e0, base.e0)
 
@@ -362,7 +365,14 @@ class TestGaussianResampledClosedForms:
         scheme = make_scheme(spec)
         exact = scheme.closed_form(spec)
         n = 200_000
-        mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, scheme.c_inverse, n, 5)
+        if make_scheme is optimal_bias_scheme:  # ||x||^2 / Tr(H)
+            def ratio(xs):
+                return np.einsum("ti,ti->t", xs, xs) / np.trace(spec.hmat)
+        else:  # ||H^-1/2 x|| / E||Z||
+            def ratio(xs):
+                hinv = np.linalg.inv(spec.hmat)
+                return np.sqrt(np.einsum("ti,ij,tj->t", xs, hinv, xs)) / _chi_mean(spec.dim)
+        mean4, se4, mean2, se2 = _resampled_operator_and_stderr(spec, ratio, n, 5)
         assert np.all(np.abs(mean4 - exact.frame.fourth_moment()) <= 5.0 * se4)
         noise = spec.noise.sigma**2
         assert np.all(np.abs(noise * mean2 - exact.sigma0) <= 5.0 * noise * se2)
@@ -410,10 +420,9 @@ def _norm_resampled_dense(spec) -> SymOperator:
     return operator_from_map(act, SymBasis(spec.dim))
 
 
-def _ratio(spec):
-    """A valid density ratio on any spec: (1 + ||x||^2 / E||X||^2) / 2."""
-    mean_sq = float(np.trace(spec.hmat))
-    return lambda xs, ys: 0.5 * (1.0 + np.einsum("ti,ti->t", xs, xs) / mean_sq)
+def _reweighted(spec, ratios):
+    """The moments of a discrete spec resampled by ``ratios`` on its atoms."""
+    return resampled_moments(spec, atom_scheme(spec, "test", ratios))
 
 
 def _gaussian_producer(spec):
@@ -436,9 +445,10 @@ def _atoms_producer(spec):
 
 
 def _reweighted_atoms_producer(spec):
-    xs, probs, ratio = spec.design.xs, spec.design.probs, _ratio(spec)
-    c = 1.0 / ratio(xs, None)
-    return reweighted_moments(spec, ratio), samples_fourth_moment(xs, probs * c)
+    xs, probs = spec.design.xs, spec.design.probs
+    # (1 + ||x||^2 / E||X||^2) / 2: a valid density ratio on any spec.
+    ratio = 0.5 * (1.0 + np.einsum("ti,ti->t", xs, xs) / float(np.trace(spec.hmat)))
+    return _reweighted(spec, ratio), samples_fourth_moment(xs, probs * (1.0 / ratio))
 
 
 GAUSSIAN_PRODUCERS = [_gaussian_producer, _leverage_producer, _norm_producer]
@@ -496,7 +506,7 @@ class TestSpecSecondMoment:
             assert compute_moments(spec).hmat is spec.hmat
         atom_specs = [s for s in self.specs() if s.kind != "gaussian"]
         for spec in atom_specs:
-            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
+            rw = _reweighted(spec, np.ones(spec.design.xs.shape[0]))
             assert rw.hmat is spec.hmat
         gauss = make_gaussian(3, 0.8, 63)
         for form in (norm_resampled_moments, leverage_resampled_moments):
@@ -504,7 +514,7 @@ class TestSpecSecondMoment:
         for spec in self.specs():
             makes = [optimal_bias_scheme, optimal_variance_scheme]
             if spec.kind != "gaussian":
-                makes.append(lambda s: uniform_scheme())
+                makes.append(lambda s: atom_scheme(s, "uniform", np.ones(s.design.xs.shape[0])))
             for make in makes:
                 assert resampled_moments(spec, make(spec)).hmat is spec.hmat
 
@@ -531,7 +541,7 @@ class TestSpecSecondMoment:
         for residual in (False, True):
             spec = make_discrete(3, 8, 64, residual=residual)
             base = compute_moments(spec)
-            rw = reweighted_moments(spec, lambda x, y: np.ones(len(x)))
+            rw = _reweighted(spec, np.ones(8))
             np.testing.assert_array_equal(rw.frame.fourth_moment(), base.frame.fourth_moment())
             np.testing.assert_array_equal(rw.sigma0, base.sigma0)
         assert len(calls) == 4

@@ -10,12 +10,10 @@ from avlms import (
     compute_moments,
     gamma_max,
     optimal_bias_scheme,
+    atom_scheme,
     optimal_variance_scheme,
-    resampled_gamma_max,
     resampled_moments,
-    reweighted_moments,
     small_gamma_equivalents,
-    uniform_scheme,
     variance_gain,
 )
 from avlms.moments import _chi_mean, _sqrt_psd, norm_resampled_moments
@@ -40,14 +38,14 @@ class TestBiasScheme:
         xs = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
         spec = ProblemSpec.discrete(xs, w_star=[1.0, 1.0], sigma=0.5)
         scheme = optimal_bias_scheme(spec)
-        np.testing.assert_allclose(scheme.c_inverse(xs, None), np.ones(3), rtol=1e-12)
+        np.testing.assert_allclose(scheme.ratios, np.ones(3), rtol=1e-12)
 
     def test_two_atom_values(self):
         """Norms 1 and 9 with equal mass: ratios 0.2 and 1.8."""
         xs = np.array([[1.0, 0.0], [0.0, 3.0]])
         spec = ProblemSpec.discrete(xs, w_star=[0.0, 1.0], sigma=0.5)
         scheme = optimal_bias_scheme(spec)
-        np.testing.assert_allclose(scheme.c_inverse(xs, None), [0.2, 1.8], rtol=1e-12)
+        np.testing.assert_allclose(scheme.ratios, [0.2, 1.8], rtol=1e-12)
 
     def test_achieves_trace_bound_on_gaussian_specs(self):
         """Norm-proportional resampling of a rotated, non-diagonal Gaussian
@@ -57,16 +55,15 @@ class TestBiasScheme:
             cov = spec.design.cov
             assert d == 1 or np.abs(cov - np.diag(np.diag(cov))).max() > 1e-2 * np.abs(cov).max()
             bound = 2.0 / np.trace(cov)
-            got = resampled_gamma_max(spec, optimal_bias_scheme(spec))
+            got = gamma_max(resampled_moments(spec, optimal_bias_scheme(spec)))
             assert abs(got - bound) <= 1e-12 * bound
 
     def test_achieves_trace_bound_exactly(self):
         """Resampled threshold equals 2/E[X^T X] through the eigenproblem."""
         for seed in range(6):
             spec = make_discrete(1 + seed % 4, 7, 1300 + seed, residual=False)
-            scheme = optimal_bias_scheme(spec)
-            got = resampled_gamma_max(spec, scheme)
-            np.testing.assert_allclose(got, 2.0 / scheme.normalization, atol=1e-10)
+            got = gamma_max(resampled_moments(spec, optimal_bias_scheme(spec)))
+            np.testing.assert_allclose(got, 2.0 / np.trace(spec.hmat), atol=1e-10)
 
 
 class TestNormResampledThreshold:
@@ -134,14 +131,14 @@ class TestVarianceScheme:
         spec = ProblemSpec.discrete(xs, ys=ys)
         scheme = optimal_variance_scheme(spec)
         eps = np.abs(ys - xs @ spec.w_star)
-        vals = scheme.c_inverse(xs, ys)
+        vals = scheme.ratios
         np.testing.assert_allclose(vals / vals.sum(), eps / eps.sum(), rtol=1e-12)
 
     def test_constant_everything_is_uniform(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         spec = ProblemSpec.discrete(xs, w_star=[1.0, -1.0], sigma=0.8)
         scheme = optimal_variance_scheme(spec)
-        np.testing.assert_allclose(scheme.c_inverse(xs, None), np.ones(4), rtol=1e-12)
+        np.testing.assert_allclose(scheme.ratios, np.ones(4), rtol=1e-12)
 
     def test_noiseless_rejected(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[1.0], sigma=0.0)
@@ -178,7 +175,7 @@ class TestVarianceScheme:
             ))
             target = float(spec.design.probs @ (np.abs(eps) * lev)) ** 2
             scheme = optimal_variance_scheme(spec)
-            rw = reweighted_moments(spec, scheme.c_inverse)
+            rw = resampled_moments(spec, scheme)
             _, limit = small_gamma_equivalents(rw, 1.0, 1)
             np.testing.assert_allclose(limit, target, rtol=1e-10)
 
@@ -199,7 +196,7 @@ class TestVarianceScheme:
                 continue
             lev2 = np.einsum("ti,ij,tj->t", xs, np.linalg.inv(m.hmat), xs)
             scheme = optimal_variance_scheme(spec)
-            rw = reweighted_moments(spec, scheme.c_inverse)
+            rw = resampled_moments(spec, scheme)
             _, scheme_value = small_gamma_equivalents(rw, 1.0, 1)
             q1 = np.linspace(1e-4, 1 - 1e-4, 1000)
             grid = (
@@ -270,7 +267,7 @@ class TestGains:
         m = compute_moments(spec)
         g0 = 0.1 * gamma_max(m)
         scheme = optimal_bias_scheme(spec)
-        rw = reweighted_moments(spec, scheme.c_inverse)
+        rw = resampled_moments(spec, scheme)
         g1 = 0.1 * gamma_max(rw)
         predicted = bias_gain(g0, g1)
         n = 10_000
@@ -280,7 +277,7 @@ class TestGains:
 
     def test_uniform_scheme_is_normalized(self):
         spec = make_discrete(2, 5, 1700, residual=False)
-        rw = reweighted_moments(spec, uniform_scheme().c_inverse)
+        rw = resampled_moments(spec, atom_scheme(spec, "uniform", np.ones(5)))
         base = compute_moments(spec)
         np.testing.assert_allclose(rw.frame.fourth_moment(), base.frame.fourth_moment(),
                                    atol=1e-13)
@@ -297,7 +294,56 @@ class TestIdentityCovarianceInvariance:
         m = compute_moments(spec)
         np.testing.assert_allclose(m.hmat, np.eye(2), atol=1e-12)
         scheme = optimal_bias_scheme(spec)
-        rw = reweighted_moments(spec, scheme.c_inverse)
+        rw = resampled_moments(spec, scheme)
         _, before = small_gamma_equivalents(m, 1.0, 1)
         _, after = small_gamma_equivalents(rw, 1.0, 1)
         np.testing.assert_allclose(after, before, rtol=1e-10)
+
+
+class TestSchemeData:
+    """A scheme is its validated ratios on the atoms it was built for, or its
+    closed form; each reader refuses it on any other spec."""
+
+    def test_ratios_are_read_only(self):
+        spec = make_discrete(3, 8, 1960, residual=True)
+        raw = np.ones(8)
+        unit = atom_scheme(spec, "unit", raw)
+        for scheme in (optimal_bias_scheme(spec), optimal_variance_scheme(spec), unit):
+            assert not scheme.ratios.flags.writeable
+            with pytest.raises(ValueError):
+                scheme.ratios[0] = 2.0
+        raw[0] = 5.0  # the scheme holds its own copy
+        assert unit.ratios[0] == 1.0
+
+    def test_gaussian_schemes_are_closed_forms_only(self):
+        spec = _rotated_gaussian(3, 1961)
+        for scheme in (optimal_bias_scheme(spec), optimal_variance_scheme(spec)):
+            assert scheme.ratios is None and scheme.closed_form is not None
+            with pytest.raises(SchemeError, match="not built for the atoms"):
+                scheme.ratios_on(spec)
+
+    def test_scheme_on_another_spec_is_refused(self):
+        """Built on one discrete spec and passed another, even one of the same
+        dimension and atom count, a scheme is refused by the moments and by
+        the engine."""
+        from avlms import RunConfig, run_cells
+
+        built_on = make_discrete(2, 6, 1962, residual=False)
+        other = make_discrete(2, 6, 1963, residual=False)
+        config = RunConfig(gamma=0.01, n=5, replicates=2)
+        for make in (optimal_bias_scheme, optimal_variance_scheme,
+                     lambda s: atom_scheme(s, "unit", np.ones(6))):
+            scheme = make(built_on)
+            resampled_moments(built_on, scheme)
+            with pytest.raises(SchemeError, match="not built for the atoms"):
+                resampled_moments(other, scheme)
+            with pytest.raises(SchemeError, match="not built for the atoms"):
+                run_cells(other, [config], scheme)
+
+    def test_gaussian_spec_refuses_atom_schemes(self):
+        gauss = _rotated_gaussian(2, 1964)
+        with pytest.raises(SchemeError, match="ProblemSpec.discrete"):
+            atom_scheme(gauss, "unit", np.ones(2))
+        scheme = atom_scheme(make_discrete(2, 4, 1965, residual=False), "unit", np.ones(4))
+        with pytest.raises(SchemeError, match="ProblemSpec.discrete"):
+            resampled_moments(gauss, scheme)

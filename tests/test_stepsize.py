@@ -13,8 +13,8 @@ from avlms import (
     contraction_factors,
     contraction_rate_bound,
     gamma_max,
+    atom_scheme,
     gamma_max_det,
-    reweighted_moments,
     smallest_t_eigenvalue,
     trace_step_bound,
 )
@@ -95,7 +95,7 @@ class TestGammaMax:
             n = spec.design.xs.shape[0]
             raw = rg.uniform(0.2, 2.0, n)
             raw /= spec.design.probs @ raw
-            rw = reweighted_moments(spec, lambda x, y, _v=raw: _v)
+            rw = resampled_moments(spec, atom_scheme(spec, "test", raw))
             assert gamma_max(rw) <= 2.0 / compute_moments(spec).trace_h
 
     @pytest.mark.parametrize("spectrum", ["1/i", "1/i^2", "ones"])
@@ -120,11 +120,8 @@ class TestGammaMax:
             xs = rg.standard_normal((300, d)) / np.sqrt(np.arange(1.0, d + 1))
             spec = ProblemSpec.discrete(xs, w_star=rg.standard_normal(d), sigma=0.5)
             mean_sq = float(np.trace(spec.hmat))
-
-            def ratio(x, y):
-                return 0.5 * (1.0 + np.einsum("ti,ti->t", x, x) / mean_sq)
-
-            rw = reweighted_moments(spec, ratio)
+            ratio = 0.5 * (1.0 + np.einsum("ti,ti->t", xs, xs) / mean_sq)
+            rw = resampled_moments(spec, atom_scheme(spec, "test", ratio))
             bound = trace_step_bound(rw)
             assert rw.trace_h == compute_moments(spec).trace_h
             assert 1.0 / rw.frame.pencil_top() < bound, seed
