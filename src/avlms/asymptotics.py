@@ -212,8 +212,8 @@ class CovarianceModel:
         self.t_eig = frame.t_eigenpairs(gamma)
         tau = self.tau = self.t_eig.tau
         self.theta = 1.0 - gamma * tau
-        self.e0_coords = self.t_eig.coords(u.T @ moments.e0 @ u)
-        self.sigma0_coords = self.t_eig.coords(u.T @ moments.sigma0 @ u)
+        self.e0_coords = self.t_eig.coords(moments.e0_eigbasis)
+        self.sigma0_coords = self.t_eig.coords(moments.sigma0_eigbasis)
 
         self.rho_t = float(np.abs(self.theta).max())
         self.rho_h = float(np.abs(self.omega).max())
@@ -223,7 +223,6 @@ class CovarianceModel:
         self.t_invertible = t_invertible(tau)
         # Leading terms and remainder bounds exist only here.
         self.stable = self.t_positive and self.rho < 1.0
-        self._tr_e0, self._tr_s0 = _hinv_traces(moments)
 
     @cached_property
     def _full(self) -> _Readout:
@@ -266,32 +265,31 @@ class CovarianceModel:
         z2 = r.wsurf * r.s0_t2
         return z1 / n - z2 / (g * n**2) - g * r.var_corr / n**2
 
-    def _bias_exact_terms(self, ns: np.ndarray, r: _Readout,
-                          pair: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    def _bias_exact_terms(self, ns: np.ndarray, r: _Readout, pair: np.ndarray,
+                          theta_n: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """The exact bias at horizons n >= 2 as (leading terms, remainder); off
         the stable range, (None, the finite sum evaluated directly).  ``pair``
-        is ``r.pair_sum(ns)``."""
+        is ``r.pair_sum(ns)`` and ``theta_n`` is ``_powers(r.theta, ns)``."""
         g, n = self.gamma, r.horizons(ns)
         a_term = -r.side_sum(r.e0, pair / (g * self.lam)[r.side_a]) / n**2
         if self.t_positive:
-            b_term = -r.wsurf * r.contract(r.e0 * _powers(r.theta, ns) / r.tau) / (
-                g**2 * n**2)
+            b_term = -r.wsurf * r.contract(r.e0 * theta_n / r.tau) / (g**2 * n**2)
             return self._bias_leading_terms(ns, r), a_term + b_term
         # T is singular or indefinite: evaluate the finite sum directly.
         s_inf = self.omega / (g * self.lam)
         main = (1.0 + r.surface(s_inf)) * r.contract(r.e0 * _geom_sum(r.theta, ns))
         return None, main / n**2 + a_term
 
-    def _variance_exact_terms(self, ns: np.ndarray, r: _Readout,
-                              pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _variance_exact_terms(self, ns: np.ndarray, r: _Readout, pair: np.ndarray,
+                              theta_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exact variance at horizons n >= 2, T invertible, as (leading
-        terms, remainder).  ``pair`` is ``r.pair_sum(ns)``."""
+        terms, remainder).  ``pair`` and ``theta_n`` are as in
+        :meth:`_bias_exact_terms`."""
         g, n = self.gamma, r.horizons(ns)
         omega_n = _powers(self.omega, ns)
         side = (pair - omega_n[:, r.side_a]) / self.lam[r.side_a]
         c_term = r.side_sum(r.sigma0 / r.tau, side) / n**2
-        d_term = r.wsurf * r.contract(r.sigma0 * _powers(r.theta, ns) / r.tau**2) / (
-            g * n**2)
+        d_term = r.wsurf * r.contract(r.sigma0 * theta_n / r.tau**2) / (g * n**2)
         q_term = g * r.surface(omega_n / (g * self.lam) ** 2) * r.s0_t1 / n**2
         return self._variance_leading_terms(ns, r), c_term + d_term + q_term
 
@@ -314,7 +312,8 @@ class CovarianceModel:
             return self.moments.e0.copy()
         ns, r = np.array([n], dtype=float), self._full
         with np.errstate(over="ignore", invalid="ignore"):
-            lead, rest = self._bias_exact_terms(ns, r, r.pair_sum(ns))
+            lead, rest = self._bias_exact_terms(ns, r, r.pair_sum(ns),
+                                                _powers(r.theta, ns))
             if lead is None:
                 return self._rotate_back(rest[0])
             return self._rotate_back(lead[0]) + self._rotate_back(rest[0])
@@ -339,7 +338,8 @@ class CovarianceModel:
             return np.zeros((self.moments.dim, self.moments.dim))
         ns, r = np.array([n], dtype=float), self._full
         with np.errstate(over="ignore", invalid="ignore"):
-            lead, rest = self._variance_exact_terms(ns, r, r.pair_sum(ns))
+            lead, rest = self._variance_exact_terms(ns, r, r.pair_sum(ns),
+                                                    _powers(r.theta, ns))
             return self._rotate_back(lead[0]) + self._rotate_back(rest[0])
 
     def risks(self, schedule) -> list[Risks]:
@@ -365,29 +365,35 @@ class CovarianceModel:
         return out
 
     def _group_risks(self, ns: np.ndarray, r: _Readout) -> list[Risks]:
+        """One group's risks.  The pair sum and theta^n serve both exact
+        sums, and the leading risks read the leading terms those sums return
+        (stable implies T positive definite, hence invertible)."""
         none = [None] * ns.size
-        var = list(none)
+        var, bias_leading, var_leading = list(none), none, none
         with np.errstate(over="ignore", invalid="ignore"):
             pair = r.pair_sum(ns)
-            lead, rest = self._bias_exact_terms(ns, r, pair)
+            theta_n = _powers(r.theta, ns) if self.t_invertible else None
+            lead, rest = self._bias_exact_terms(ns, r, pair, theta_n)
             bias = self._risks(rest if lead is None else lead + rest)
+            if self.stable:
+                bias_leading = self._risks(lead)
             if self.t_invertible:
-                lead, rest = self._variance_exact_terms(ns, r, pair)
+                lead, rest = self._variance_exact_terms(ns, r, pair, theta_n)
                 var = self._risks(lead + rest)
+                if self.stable:
+                    var_leading = self._risks(lead)
         for k in np.flatnonzero(ns == 1.0):
             # The first iterate is the start: no sum to evaluate.
             bias[k] = excess_risk(self.moments, self.moments.e0)
             var[k] = 0.0 if self.t_invertible else None
-        stable = self.stable
-        bias_leading = self._risks(self._bias_leading_terms(ns, r)) if stable else none
-        var_leading = self._risks(self._variance_leading_terms(ns, r)) if stable else none
         return [Risks(*fields) for fields in zip(bias, bias_leading, var, var_leading)]
 
     def small_gamma(self, n: int) -> tuple[float, float]:
         """The small step-size equivalents of the bias and variance risks at
         horizon n (:func:`small_gamma_equivalents`)."""
         n = _check_n(n)
-        return self._tr_e0 / (self.gamma**2 * n**2), self._tr_s0 / n
+        tr_e0, tr_s0 = self.moments.hinv_traces
+        return tr_e0 / (self.gamma**2 * n**2), tr_s0 / n
 
     def bias_remainder_bound(self, n: int) -> float:
         """Frobenius bound on exact-minus-leading for the bias part."""
@@ -397,7 +403,7 @@ class CovarianceModel:
             raise SingularOperatorError("the remainder bound needs a contraction factor below 1")
         m = self.moments
         g, mu = self.gamma, m.mu
-        e0_norm = float(np.linalg.norm(m.e0))
+        e0_norm = m.frobenius_norms[0]
         return (
             m.dim
             * self.rho**n
@@ -419,7 +425,7 @@ class CovarianceModel:
             raise SingularOperatorError("the remainder bound needs a contraction factor below 1")
         m = self.moments
         g, mu, mu_t = self.gamma, m.mu, self.mu_t
-        s0_norm = float(np.linalg.norm(m.sigma0))
+        s0_norm = m.frobenius_norms[1]
         bracket = (
             (2.0 / mu - g) / (n * g * mu_t**2)
             + 2.0 / (mu * mu_t)
@@ -466,16 +472,8 @@ def small_gamma_equivalents(moments: MomentSet, gamma: float, n: int) -> tuple[f
     n = _check_n(n)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    tr_e0, tr_s0 = _hinv_traces(moments)
+    tr_e0, tr_s0 = moments.hinv_traces
     return tr_e0 / (gamma**2 * n**2), tr_s0 / n
-
-
-def _hinv_traces(moments: MomentSet) -> tuple[float, float]:
-    """Tr(H^-1 E0) and Tr(H^-1 Sigma0), the horizon-free factors of the
-    small step-size equivalents."""
-    hinv_e0 = np.linalg.solve(moments.hmat, moments.e0)
-    hinv_s0 = np.linalg.solve(moments.hmat, moments.sigma0)
-    return float(np.trace(hinv_e0)), float(np.trace(hinv_s0))
 
 
 def excess_risk(moments: MomentSet, delta: np.ndarray) -> float:

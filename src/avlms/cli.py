@@ -12,12 +12,19 @@ ingest      parse a data file and print its summary report
 Configuration comes from flags plus an optional ``key = value`` manifest
 file (flags override the file).  Outputs are deterministic for a given
 manifest and master seed.  Exit status: 0 success, 1 usage error, 2 data
-error, 3 numerical error, 4 out of memory.
+error, 3 numerical error, 4 out of memory.  A reader that closes stdout
+early (``avlms predict ... --out - | head -1``) is not an error: the
+command stops writing, stdout is pointed at os.devnull and the status is 0.
+
+:func:`main` may be called any number of times in one process: the
+argument parser is built once, and each call parses into a fresh
+namespace, so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -540,7 +547,11 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged: every ``parse_args`` call fills a new namespace and copies
+    the append options' defaults."""
     parser = argparse.ArgumentParser(
         prog="avlms",
         description="Averaged constant-step-size LMS analysis and simulation",
@@ -586,6 +597,22 @@ _COMMANDS = {
 }
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that flushing what
+    is left in its buffer (at exit, say) writes nowhere instead of raising
+    BrokenPipeError again.  A stdout without a descriptor (an in-process
+    capture) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -604,6 +631,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone: what it did not read is dropped.
+        _silence_stdout()
+        return EXIT_OK
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

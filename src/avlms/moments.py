@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -244,6 +245,9 @@ class MomentSet:
     ``sampling._moment_sets`` on atoms for a scheme whose ``closed_form``
     is that function.  Every resampled draw then has ||X||^2 = Tr(H), so
     the threshold is 2/Tr(H) without a pencil solve.
+    The step-size-free inputs of the closed forms (``e0_eigbasis``,
+    ``sigma0_eigbasis``, ``hinv_traces``, ``frobenius_norms``) are formed
+    on first use and kept, so every model on one MomentSet shares them.
     """
 
     dim: int
@@ -260,6 +264,34 @@ class MomentSet:
     def __post_init__(self):
         for arr in (self.hmat, self.sigma0, self.e0):
             arr.setflags(write=False)
+
+    @cached_property
+    def e0_eigbasis(self) -> np.ndarray:
+        """E0 in H's eigenbasis, u^T E0 u (read-only)."""
+        return _read_only(self.frame.u.T @ self.e0 @ self.frame.u)
+
+    @cached_property
+    def sigma0_eigbasis(self) -> np.ndarray:
+        """Sigma0 in H's eigenbasis, u^T Sigma0 u (read-only)."""
+        return _read_only(self.frame.u.T @ self.sigma0 @ self.frame.u)
+
+    @cached_property
+    def hinv_traces(self) -> tuple[float, float]:
+        """Tr(H^-1 E0) and Tr(H^-1 Sigma0), the horizon-free factors of the
+        small step-size equivalents."""
+        hinv_e0 = np.linalg.solve(self.hmat, self.e0)
+        hinv_s0 = np.linalg.solve(self.hmat, self.sigma0)
+        return float(np.trace(hinv_e0)), float(np.trace(hinv_s0))
+
+    @cached_property
+    def frobenius_norms(self) -> tuple[float, float]:
+        """||E0||_F and ||Sigma0||_F, the scales of the remainder bounds."""
+        return float(np.linalg.norm(self.e0)), float(np.linalg.norm(self.sigma0))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _assemble(spec: ProblemSpec, frame: SpectralFrame, sigma0,

@@ -379,6 +379,50 @@ class TestHorizonSchedule:
                 assert risk_bits(model.risks(self.SCHEDULE)) == risk_bits(one), g
 
 
+class TestSharedMomentPieces:
+    """The step-size-free pieces a MomentSet keeps (its E0 and Sigma0 in H's
+    eigenbasis, the H^-1 traces, the Frobenius norms) give every model on
+    it the values of a model on a freshly computed MomentSet, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [rotated_gaussian_spec(40, 43), make_empirical(8, 300, 808),
+                                      make_discrete(4, 9, 303, residual=False)],
+                             ids=["gaussian-40", "empirical-8", "discrete-4"])
+    def test_models_on_one_moment_set_match_fresh_ones(self, spec):
+        shared = compute_moments(spec)
+        g_max = gamma_max(shared)
+        schedule = (1, 2, 10, 317, 10**5)
+        for g in (0.5 * g_max, 0.05 * g_max):
+            model = CovarianceModel(shared, g)
+            fresh = CovarianceModel(compute_moments(spec), g)
+            assert risk_bits(model.risks(schedule)) == risk_bits(fresh.risks(schedule)), g
+            for n in schedule:
+                assert model.small_gamma(n) == fresh.small_gamma(n), (g, n)
+                assert model.bias_remainder_bound(n) == fresh.bias_remainder_bound(n), (g, n)
+                assert (model.variance_remainder_bound(n)
+                        == fresh.variance_remainder_bound(n)), (g, n)
+        for piece in (shared.e0_eigbasis, shared.sigma0_eigbasis):
+            assert not piece.flags.writeable
+
+    def test_pieces_are_formed_once_per_moment_set(self, monkeypatch):
+        """Two models, their small step-size equivalents and remainder bounds
+        make the two H solves once."""
+        m = compute_moments(rotated_gaussian_spec(6, 46))
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        for g in (0.5 * gamma_max(m), 0.05 * gamma_max(m)):
+            model = CovarianceModel(m, g)
+            model.small_gamma(10)
+            model.bias_remainder_bound(10)
+            small_gamma_equivalents(m, g, 10)
+        assert len(solves) == 2
+
+
 class TestExactBias:
     def test_zero_start_gives_zero(self):
         model = CovarianceModel(compute_moments(scalar_unit_spec(w0=0.0)), 0.5)

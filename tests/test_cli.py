@@ -11,7 +11,8 @@ import pytest
 
 import avlms
 from avlms import compute_moments, engine
-from avlms.cli import EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from avlms.cli import (EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                       _build_parser, main)
 from avlms.dataio import DataFormatError, export_csv, ingest
 from oracles import original_fourth_moment
 
@@ -826,6 +827,69 @@ class TestExitCodes:
             assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; a call leaves nothing behind
+    for the next one."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_gamma_does_not_carry_over(self, tmp_path, capsys):
+        predict = ["predict", "--spec", "gaussian:d=2", "--n-max", "10", "--points", "2",
+                   "--out", str(tmp_path / "p.csv")]
+        assert main([*predict, "--gamma", "0.1"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(predict) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --gamma is required for predict\n"
+
+    def test_scheme_does_not_carry_over(self, capsys):
+        schemes = []
+        for extra in (["--scheme", "bias-opt"], []):
+            assert main(["gamma-max", "--spec", "gaussian:d=2", *extra]) == EXIT_OK
+            schemes.append([line.split()[0] for line in capsys.readouterr().out.splitlines()])
+        assert schemes == [["scheme=bias-opt"], ["scheme=uniform"]]
+
+    def test_mode_does_not_carry_over(self, tmp_path):
+        """Neither from a flag nor from a manifest value."""
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text("mode = all\n")
+        out = tmp_path / "run.csv"
+        run = ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "10",
+               "--replicates", "2", "--out", str(out)]
+        for extra in (["--mode", "all"], ["--manifest", str(manifest)]):
+            modes = []
+            for argv in ([*run, *extra], run):
+                assert main(argv) == EXIT_OK
+                modes.append({line.split(",")[3] for line in out.read_text().splitlines()[1:]})
+            assert modes == [{"bias", "variance", "total"}, {"total"}]
+
+    @pytest.mark.parametrize("with_fd", [True, False])
+    def test_broken_pipe_is_not_a_data_error(self, with_fd, tmp_path, monkeypatch, capsys):
+        """A reader that closes stdout early ends the command with status 0
+        and no message; stdout's descriptor, when it has one, then points at
+        os.devnull, so the final flush at exit writes nowhere."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        with open(tmp_path / "stdout", "w") as fh:
+            pipe = ClosedPipe()
+            if with_fd:
+                pipe.fileno = fh.fileno
+            monkeypatch.setattr(sys, "stdout", pipe)
+            for argv in (["predict", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "10",
+                          "--points", "2", "--out", "-"],
+                         ["gamma-max", "--spec", "gaussian:d=2"]):
+                assert main(argv) == EXIT_OK
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull)) == with_fd
+        assert capsys.readouterr().err == ""
 
 
 class TestImports:
