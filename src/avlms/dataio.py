@@ -4,12 +4,26 @@ Two on-disk formats are supported: dense CSV (feature columns followed by
 a label column) and the sparse ``label index:value ...`` format with
 1-based indices.  Ingested rows become an empirical spec: uniform row
 weights, the exact least-squares fit as optimum, residual noise.
+
+A data file is parsed once per process per content.  :func:`ingest`
+reads the file's bytes once per call and hashes them (SHA-256); the last
+data set ingested is kept, keyed by that hash with the format and the
+declared dimension, so the same bytes again return the same spec and
+report without a parse, whatever the path or modification time.  Any
+other content is parsed from the bytes just hashed, so a fresh process
+pays one hash pass beyond the parse, and holds the file's bytes until its
+rows are parsed.  Every array the spec holds is read-only, and so is the
+report's class count, since every hit shares them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,7 +39,7 @@ class IngestReport:
     dim: int
     rows: int
     trace_h: float
-    class_counts: dict | None
+    class_counts: Mapping[float, int] | None
 
     def lines(self) -> list[str]:
         out = [
@@ -39,84 +53,102 @@ class IngestReport:
         return out
 
 
-def _parse_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dense CSV rows: blank and ``#`` lines skipped, the last column the label.
+def _lines(data: io.BytesIO):
+    """The lines of ``data`` as ``open(path, "r", encoding="utf-8")`` reads
+    them from a file holding its bytes: decoded in the same chunks, with
+    universal newlines.  Each call reads from the start; ``data`` stays
+    open."""
+    data.seek(0)
+    text = io.TextIOWrapper(data, encoding="utf-8")
+    try:
+        for line in text:  # not yield from, whose close() would close data
+            yield line
+    finally:
+        text.detach()
+
+
+def _parse_csv(data: io.BytesIO, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV rows of a file's bytes: blank and ``#`` lines skipped, the
+    last column the label.
 
     One whole-file numeric parse reads every data line; on any failure (or
-    fewer than two columns) the line loop re-reads the file, so the result
-    and every error message, with its line number, are the loop's.
+    fewer than two columns) the line loop reads the bytes again, so the
+    result and every error message, with its line number, are the loop's.
+    Once the whole-file parse succeeds, ``data`` is closed, which frees the
+    bytes before the columns are copied out.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = (raw for raw in fh if (line := raw.strip()) and not line.startswith("#"))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an input without data rows warns
-                table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            table = None
+    lines = _lines(data)
+    rows = (raw for raw in lines if (line := raw.strip()) and not line.startswith("#"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an input without data rows warns
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    finally:
+        lines.close()
     if table is None or table.shape[0] == 0 or table.shape[1] < 2:
-        return _parse_csv_lines(path)
+        return _parse_csv_lines(data, path)
+    data.close()
     return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
 
 
-def _parse_csv_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_csv_lines(data: io.BytesIO, path: str) -> tuple[np.ndarray, np.ndarray]:
     xs_rows: list[list[float]] = []
     ys_rows: list[float] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DataFormatError("need at least one feature and a label", line=lineno)
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DataFormatError(
-                    f"row has {len(parts)} columns, expected {width}", line=lineno
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-            xs_rows.append(vals[:-1])
-            ys_rows.append(vals[-1])
+    for lineno, raw in enumerate(_lines(data), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise DataFormatError("need at least one feature and a label", line=lineno)
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise DataFormatError(
+                f"row has {len(parts)} columns, expected {width}", line=lineno
+            )
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+        xs_rows.append(vals[:-1])
+        ys_rows.append(vals[-1])
     if not xs_rows:
         raise DataFormatError(f"no data rows in {path!r}")
     return np.array(xs_rows), np.array(ys_rows)
 
 
-def _parse_libsvm(path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _parse_libsvm(data: io.BytesIO, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
     entries: list[list[tuple[int, float]]] = []
     labels: list[float] = []
     max_idx = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, raw in enumerate(_lines(data), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            labels.append(float(parts[0]))
+        except ValueError:
+            raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
+        row = []
+        for tok in parts[1:]:
+            if ":" not in tok:
+                raise DataFormatError(f"expected index:value, got {tok!r}", line=lineno)
+            idx_s, val_s = tok.split(":", 1)
             try:
-                labels.append(float(parts[0]))
+                idx = int(idx_s)
+                val = float(val_s)
             except ValueError:
-                raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
-            row = []
-            for tok in parts[1:]:
-                if ":" not in tok:
-                    raise DataFormatError(f"expected index:value, got {tok!r}", line=lineno)
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise DataFormatError(f"bad pair {tok!r}", line=lineno) from None
-                if idx < 1:
-                    raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
-                row.append((idx, val))
-                max_idx = max(max_idx, idx)
-            entries.append(row)
+                raise DataFormatError(f"bad pair {tok!r}", line=lineno) from None
+            if idx < 1:
+                raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
+            row.append((idx, val))
+            max_idx = max(max_idx, idx)
+        entries.append(row)
     if not entries:
         raise DataFormatError(f"no data rows in {path!r}")
     d = dim if dim is not None else max_idx
@@ -135,26 +167,50 @@ def _check_width(d: int) -> None:
         raise DataFormatError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
+# The last data set ingested: (key, spec, report), the key being the
+# file's SHA-256 digest, the format and the declared dimension.
+_last: tuple | None = None
+
+
 def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
            w0=None) -> tuple[ProblemSpec, IngestReport]:
     """Load a data file into an empirical spec plus a summary report.
 
     A row holding a NaN or an infinity is a data error, named by its index
-    among the data rows."""
-    if fmt in ("csv", "csv-dense"):
-        xs, ys = _parse_csv(path)
-        _check_width(xs.shape[1])
-    elif fmt in ("libsvm", "libsvm-sparse"):
-        xs, ys = _parse_libsvm(path, dim)
-    else:
+    among the data rows.  The file is read once per call.  When its bytes
+    hash as those of the last data set ingested, under the same ``fmt``
+    and ``dim``, that spec and report are returned as they are; otherwise
+    the bytes read are parsed, and a data set that parses replaces the
+    last one.  A ``w0`` gets a spec of its own on the same rows."""
+    global _last
+    if fmt not in ("csv", "csv-dense", "libsvm", "libsvm-sparse"):
         raise DataFormatError(f"unknown format {fmt!r} (use csv-dense or libsvm-sparse)")
+    with open(path, "rb") as fh:
+        data = io.BytesIO(fh.read())  # shares the bytes read, without a copy
+    key = (hashlib.sha256(data.getvalue()).digest(), fmt, dim)
+    if _last is None or _last[0] != key:
+        _last = None  # one data set at a time, also while the next is parsed
+        _last = (key, *_load(data, path, fmt, dim))
+    _, spec, report = _last
+    if w0 is not None:
+        spec = ProblemSpec.empirical(spec.design.xs, spec.design.ys, w0=w0)
+    return spec, report
+
+
+def _load(data: io.BytesIO, path: str, fmt: str,
+          dim: int | None) -> tuple[ProblemSpec, IngestReport]:
+    if fmt in ("csv", "csv-dense"):
+        xs, ys = _parse_csv(data, path)
+        _check_width(xs.shape[1])
+    else:
+        xs, ys = _parse_libsvm(data, path, dim)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
     if not finite.all():
         raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")
-    spec = ProblemSpec.empirical(xs, ys, w0=w0)
+    spec = ProblemSpec.empirical(xs, ys)
     uniq, counts = np.unique(ys, return_counts=True)
     class_counts = (
-        {float(u): int(c) for u, c in zip(uniq, counts)}
+        MappingProxyType({float(u): int(c) for u, c in zip(uniq, counts)})
         if len(uniq) <= MAX_REPORTED_CLASSES
         else None
     )

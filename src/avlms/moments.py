@@ -185,7 +185,7 @@ class ProblemSpec:
         if ys is None:
             noise = IndependentGaussianNoise(float(sigma))
             return ProblemSpec(d, design, w_star, w0, noise, kind, h_eig)
-        w_star = np.linalg.solve(design.hmat, np.einsum("t,ti,t->i", probs, xs, ys))
+        w_star = _read_only(np.linalg.solve(design.hmat, np.einsum("t,ti,t->i", probs, xs, ys)))
         return ProblemSpec(d, design, w_star, w0, ResidualNoise(), kind, h_eig)
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Command-line surface: ingestion, CSV emission, plotting, exit codes."""
 
+import io
 import os
 import subprocess
 import sys
@@ -114,11 +115,11 @@ class TestIngest:
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode())
 
-        def refuse(path):
+        def refuse(data, path):
             raise AssertionError("the line loop ran")
 
         monkeypatch.setattr(avlms.dataio, "_parse_csv_lines", refuse)
-        xs, ys = avlms.dataio._parse_csv(str(path))
+        xs, ys = avlms.dataio._parse_csv(io.BytesIO(path.read_bytes()), str(path))
         want = np.array([[float(v) for v in r] for r in rows])
         assert np.array_equal(xs, want[:, :-1]) and np.array_equal(ys, want[:, -1])
         assert xs.flags.c_contiguous and ys.flags.c_contiguous
@@ -141,6 +142,96 @@ class TestIngest:
         path.write_text("# nothing\n\n")
         with pytest.raises(DataFormatError, match="no data rows"):
             ingest(str(path), "csv-dense")
+
+
+class TestIngestCache:
+    """One data set per process, keyed by the SHA-256 of the file's bytes
+    with the format and the declared dimension."""
+
+    def test_a_hit_returns_the_same_spec_and_report(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        spec, report = ingest(str(path))
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(path.read_bytes())
+        for again in (str(path), str(copy)):
+            hit = ingest(again)
+            assert hit[0] is spec and hit[1] is report
+        with pytest.raises(TypeError):
+            report.class_counts[2.0] = 1
+
+    def test_a_same_size_rewrite_keeping_the_mtime_is_parsed_again(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        before = os.stat(path)
+        spec, _ = ingest(str(path))
+        path.write_text("1,0,1\n0,1,0\n2,1,3\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        rewritten, _ = ingest(str(path))
+        assert rewritten is not spec
+        np.testing.assert_array_equal(rewritten.design.ys, [1.0, 0.0, 3.0])
+
+    def test_another_format_or_dimension_misses(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        spec, _ = ingest(str(csv), "csv-dense")
+        other, _ = ingest(str(csv), "csv")
+        assert other is not spec
+        np.testing.assert_array_equal(other.design.xs, spec.design.xs)
+        svm = tmp_path / "d.svm"
+        svm.write_text("1 1:1 2:1\n0 2:2\n1 1:0.5 2:-1\n")
+        inferred = ingest(str(svm), "libsvm")
+        declared = ingest(str(svm), "libsvm", dim=2)
+        assert declared[0] is not inferred[0]
+        assert inferred[1].dim == declared[1].dim == 2
+        assert ingest(str(svm), "libsvm")[0] is not inferred[0]
+
+    def test_a_failed_parse_is_not_kept(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,1\n0,x,0\n2,1,1\n")
+        for _ in range(2):
+            with pytest.raises(DataFormatError, match="line 2"):
+                ingest(str(path))
+        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        spec, report = ingest(str(path))
+        assert report.rows == 3 and ingest(str(path))[0] is spec
+
+    def test_w0_reuses_the_rows_with_a_spec_of_its_own(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        spec, report = ingest(str(path))
+        moved, moved_report = ingest(str(path), w0=[1.0, 2.0])
+        assert moved is not spec and moved_report is report
+        assert moved.design.xs is spec.design.xs and moved.design.ys is spec.design.ys
+        np.testing.assert_array_equal(moved.w0, [1.0, 2.0])
+        np.testing.assert_array_equal(moved.w_star, spec.w_star)
+        assert ingest(str(path))[0] is spec
+
+    def test_the_file_is_opened_once_per_call(self, tmp_path, monkeypatch):
+        """A miss, a hit, and a parse that falls back to the line loop and
+        fails each open the file once."""
+        import builtins
+
+        import avlms.dataio
+
+        opened = []
+
+        def counting(file, *args, **kwargs):
+            opened.append(file)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(avlms.dataio, "open", counting, raising=False)
+        good = tmp_path / "good.csv"
+        good.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,0,1\n0,1\n")
+        ingest(str(good))
+        ingest(str(good))
+        with pytest.raises(DataFormatError, match="line 2"):
+            ingest(str(bad))
+        assert opened == [str(good), str(good), str(bad)]
 
 
 class TestCommands:

@@ -499,6 +499,30 @@ class TestSpecSecondMoment:
             np.testing.assert_array_equal(spec.hmat, spec.hmat.T)
             assert spec.hmat is spec.design.hmat
 
+    def test_every_spec_array_is_read_only(self):
+        """A spec may be shared (an ingested one is, by every hit), so no
+        array reachable from its fields is writable: the design's, w*
+        (solved from the labels on residual specs), w0 and h_eig's."""
+        import dataclasses
+
+        from conftest import make_discrete
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+
+        for spec in [*self.specs(), make_discrete(3, 7, 65, residual=True)]:
+            found = list(arrays(spec))
+            # w*, w0, the two of h_eig, and cov or xs, probs (and ys), hmat
+            assert len(found) >= 5 + (spec.kind != "gaussian") + (spec.kind == "empirical")
+            assert not any(arr.flags.writeable for arr in found), spec.kind
+
     def test_every_moment_set_holds_the_spec_array(self):
         from conftest import make_gaussian
 
