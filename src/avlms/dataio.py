@@ -6,20 +6,22 @@ a label column) and the sparse ``label index:value ...`` format with
 weights, the exact least-squares fit as optimum, residual noise.
 
 A data file is parsed once per process per content.  :func:`ingest`
-reads the file's bytes once per call and hashes them (SHA-256); the last
-data set ingested is kept, keyed by that hash with the format and the
-declared dimension, so the same bytes again return the same spec and
-report without a parse, whatever the path or modification time.  Any
-other content is parsed from the bytes just hashed, so a fresh process
-pays one hash pass beyond the parse, and holds the file's bytes until its
-rows are parsed.  Every array the spec holds is read-only, and so is the
-report's class count, since every hit shares them.
+keeps the last data set ingested, keyed by the format, the declared
+dimension, and the length and SHA-256 digest of the bytes it was parsed
+from, hashed as the parse reads them.  A later call on a file of that
+length hashes the file first, and the same digest returns the same spec
+and report without a parse, whatever the path or modification time.  So
+a fresh process reads a file once, as without the key, and pays one
+SHA-256 of its bytes on top; the bytes are never held whole.  Every array
+the spec holds is read-only, and so is the report's class count, since
+every hit shares them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -53,102 +55,124 @@ class IngestReport:
         return out
 
 
-def _lines(data: io.BytesIO):
-    """The lines of ``data`` as ``open(path, "r", encoding="utf-8")`` reads
-    them from a file holding its bytes: decoded in the same chunks, with
-    universal newlines.  Each call reads from the start; ``data`` stays
-    open."""
-    data.seek(0)
-    text = io.TextIOWrapper(data, encoding="utf-8")
-    try:
-        for line in text:  # not yield from, whose close() would close data
-            yield line
-    finally:
-        text.detach()
+class _HashedReads(io.RawIOBase):
+    """The reads of a binary file, counted and fed to a SHA-256 hash."""
+
+    def __init__(self, fh):
+        self._fh, self.size, self.sha = fh, 0, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        self.size += n
+        self.sha.update(memoryview(buf)[:n])
+        return n
 
 
-def _parse_csv(data: io.BytesIO, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dense CSV rows of a file's bytes: blank and ``#`` lines skipped, the
-    last column the label.
+class _Source:
+    """A data file opened once, in binary, for one :func:`ingest` call.
+
+    Each :meth:`text` reads it from the start as ``open(path, "r",
+    encoding="utf-8")`` reads a file (the same chunks decoded, with
+    universal newlines) and hashes the bytes as they are read, so
+    :meth:`key` names the bytes of the last pass.  Only a second pass
+    seeks, so a pipe is read once."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._reads = None
+
+    def text(self) -> io.TextIOWrapper:
+        if self._reads is not None:
+            self._fh.seek(0)
+        self._reads = _HashedReads(self._fh)
+        return io.TextIOWrapper(io.BufferedReader(self._reads), encoding="utf-8")
+
+    def key(self) -> tuple[int, bytes]:
+        """The length and SHA-256 digest of the bytes the last pass read."""
+        return self._reads.size, self._reads.sha.digest()
+
+
+def _parse_csv(source: _Source, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV rows: blank and ``#`` lines skipped, the last column the label.
 
     One whole-file numeric parse reads every data line; on any failure (or
-    fewer than two columns) the line loop reads the bytes again, so the
-    result and every error message, with its line number, are the loop's.
-    Once the whole-file parse succeeds, ``data`` is closed, which frees the
-    bytes before the columns are copied out.
+    fewer than two columns) the line loop re-reads the file, so the result
+    and every error message, with its line number, are the loop's.
     """
-    lines = _lines(data)
-    rows = (raw for raw in lines if (line := raw.strip()) and not line.startswith("#"))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an input without data rows warns
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        table = None
-    finally:
-        lines.close()
+    with source.text() as fh:
+        data = (raw for raw in fh if (line := raw.strip()) and not line.startswith("#"))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an input without data rows warns
+                table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
     if table is None or table.shape[0] == 0 or table.shape[1] < 2:
-        return _parse_csv_lines(data, path)
-    data.close()
+        return _parse_csv_lines(source, path)
     return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
 
 
-def _parse_csv_lines(data: io.BytesIO, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_csv_lines(source: _Source, path: str) -> tuple[np.ndarray, np.ndarray]:
     xs_rows: list[list[float]] = []
     ys_rows: list[float] = []
     width = None
-    for lineno, raw in enumerate(_lines(data), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise DataFormatError("need at least one feature and a label", line=lineno)
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise DataFormatError(
-                f"row has {len(parts)} columns, expected {width}", line=lineno
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line=lineno) from None
-        xs_rows.append(vals[:-1])
-        ys_rows.append(vals[-1])
+    with source.text() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise DataFormatError("need at least one feature and a label", line=lineno)
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise DataFormatError(
+                    f"row has {len(parts)} columns, expected {width}", line=lineno
+                )
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as exc:
+                raise DataFormatError(str(exc), line=lineno) from None
+            xs_rows.append(vals[:-1])
+            ys_rows.append(vals[-1])
     if not xs_rows:
         raise DataFormatError(f"no data rows in {path!r}")
     return np.array(xs_rows), np.array(ys_rows)
 
 
-def _parse_libsvm(data: io.BytesIO, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _parse_libsvm(source: _Source, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
     entries: list[list[tuple[int, float]]] = []
     labels: list[float] = []
     max_idx = 0
-    for lineno, raw in enumerate(_lines(data), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            labels.append(float(parts[0]))
-        except ValueError:
-            raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
-        row = []
-        for tok in parts[1:]:
-            if ":" not in tok:
-                raise DataFormatError(f"expected index:value, got {tok!r}", line=lineno)
-            idx_s, val_s = tok.split(":", 1)
+    with source.text() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
             try:
-                idx = int(idx_s)
-                val = float(val_s)
+                labels.append(float(parts[0]))
             except ValueError:
-                raise DataFormatError(f"bad pair {tok!r}", line=lineno) from None
-            if idx < 1:
-                raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
-            row.append((idx, val))
-            max_idx = max(max_idx, idx)
-        entries.append(row)
+                raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
+            row = []
+            for tok in parts[1:]:
+                if ":" not in tok:
+                    raise DataFormatError(f"expected index:value, got {tok!r}", line=lineno)
+                idx_s, val_s = tok.split(":", 1)
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise DataFormatError(f"bad pair {tok!r}", line=lineno) from None
+                if idx < 1:
+                    raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
+                row.append((idx, val))
+                max_idx = max(max_idx, idx)
+            entries.append(row)
     if not entries:
         raise DataFormatError(f"no data rows in {path!r}")
     d = dim if dim is not None else max_idx
@@ -168,7 +192,8 @@ def _check_width(d: int) -> None:
 
 
 # The last data set ingested: (key, spec, report), the key being the
-# file's SHA-256 digest, the format and the declared dimension.
+# format, the declared dimension, and the length and SHA-256 digest of the
+# bytes the data set was parsed from.
 _last: tuple | None = None
 
 
@@ -177,33 +202,42 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     """Load a data file into an empirical spec plus a summary report.
 
     A row holding a NaN or an infinity is a data error, named by its index
-    among the data rows.  The file is read once per call.  When its bytes
-    hash as those of the last data set ingested, under the same ``fmt``
-    and ``dim``, that spec and report are returned as they are; otherwise
-    the bytes read are parsed, and a data set that parses replaces the
-    last one.  A ``w0`` gets a spec of its own on the same rows."""
+    among the data rows.  The file is opened once per call.  When the last
+    data set ingested came, under the same ``fmt`` and ``dim``, from as
+    many bytes as the file holds, the file is hashed, and the same digest
+    returns that spec and report as they are.  Otherwise the file is
+    parsed, and a data set that parses replaces the last one, keyed by the
+    bytes its parse read.  A ``w0`` gets a spec of its own on the same
+    rows."""
     global _last
     if fmt not in ("csv", "csv-dense", "libsvm", "libsvm-sparse"):
         raise DataFormatError(f"unknown format {fmt!r} (use csv-dense or libsvm-sparse)")
-    with open(path, "rb") as fh:
-        data = io.BytesIO(fh.read())  # shares the bytes read, without a copy
-    key = (hashlib.sha256(data.getvalue()).digest(), fmt, dim)
-    if _last is None or _last[0] != key:
-        _last = None  # one data set at a time, also while the next is parsed
-        _last = (key, *_load(data, path, fmt, dim))
-    _, spec, report = _last
+    with open(path, "rb", buffering=0) as fh:
+        held = _last
+        if held is not None and held[0][:3] == (fmt, dim, os.fstat(fh.fileno()).st_size):
+            if hashlib.file_digest(fh, "sha256").digest() != held[0][3]:
+                held = None
+            fh.seek(0)
+        else:
+            held = None
+        if held is None:
+            _last = None  # one data set at a time, also while the next is parsed
+            source = _Source(fh)
+            spec, report = _load(source, path, fmt, dim)
+            held = _last = ((fmt, dim, *source.key()), spec, report)
+    _, spec, report = held
     if w0 is not None:
         spec = ProblemSpec.empirical(spec.design.xs, spec.design.ys, w0=w0)
     return spec, report
 
 
-def _load(data: io.BytesIO, path: str, fmt: str,
+def _load(source: _Source, path: str, fmt: str,
           dim: int | None) -> tuple[ProblemSpec, IngestReport]:
     if fmt in ("csv", "csv-dense"):
-        xs, ys = _parse_csv(data, path)
+        xs, ys = _parse_csv(source, path)
         _check_width(xs.shape[1])
     else:
-        xs, ys = _parse_libsvm(data, path, dim)
+        xs, ys = _parse_libsvm(source, path, dim)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
     if not finite.all():
         raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")

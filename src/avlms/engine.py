@@ -246,13 +246,12 @@ class _Sampler:
         floats = schemes * reps * (self.spec.dim + 2)
         return floats + reps * self.spec.dim if self.gaussian and self._diag is None else floats
 
-    def block_steps(self, reps: int, schemes: int, cells: int, gathered: bool) -> int:
+    def block_steps(self, reps: int, schemes: int, cells: int) -> int:
         """Steps per :meth:`block`: as many as keep a block's buffer, its
         temporaries and the per-cell selection :func:`_drive` takes of it
         for ``cells`` cells under half of ``GROUP_BYTES // CHUNK_SHARE``, so
         that two blocks in flight, one stepped and one drawn, fit the budget
-        together.  ``gathered`` says whether that selection gathers each
-        cell's inputs, or is a view of the block's."""
+        together."""
         per_step = 8 * self.step_floats(reps, schemes)
         if not self.gaussian:
             # The uniforms, the noise, one index per scheme, and one scheme at
@@ -260,8 +259,9 @@ class _Sampler:
             # gathered cumulative weights) or its gathered scales.
             per_step += 8 * reps * (5 + schemes)
         # The selection: up to three (cells, reps) response arrays (two
-        # gathers and the mixed-mode np.where), and the inputs when gathered.
-        per_step += 8 * cells * reps * (3 + (self.spec.dim if gathered else 0))
+        # gathers and the mixed-mode np.where), and the inputs gathered per
+        # cell when the block holds several schemes.
+        per_step += 8 * cells * reps * (3 + (self.spec.dim if schemes > 1 else 0))
         return max(1, GROUP_BYTES // CHUNK_SHARE // 2 // per_step)
 
     def block(self, gen_x: np.random.Generator, gen_eps: np.random.Generator, reps: int,
@@ -341,20 +341,6 @@ class _Sampler:
         return x, clean, y, float(self._xmax[schemes].max())
 
 
-class _StepGather:
-    """The selection ``block[:, rows]`` taken one step at a time: indexing
-    by k gathers step k's rows into one (cells, replicates, d) array,
-    which the next step's overwrite."""
-
-    def __init__(self, block: np.ndarray, rows: np.ndarray):
-        self.block, self.rows = block, rows
-        self.out = np.empty((len(rows),) + block.shape[2:])
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        # Every row is in range; mode="clip" lets take write into out unbuffered.
-        return np.take(self.block[k], self.rows, axis=0, out=self.out, mode="clip")
-
-
 def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
@@ -376,11 +362,7 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     avlms function and no ``np.einsum``, which tracers of those calls wrap
     with a span stack that is not thread-safe.  Each live cell's inputs and
     responses are selected once per block, and again from the next step on
-    when cells leave, so a step only indexes them.  A selection is a view
-    of the block when the cells are one per drawn scheme in scheme order,
-    and blocks are sized for a gathered one only when it is not; when a
-    cell leaves such a view block, the rest of its inputs are gathered one
-    step at a time.
+    when cells leave, so a step only indexes them.
 
     Each step computes the LMS coefficients ``coef = gamma (x^T w - y)`` of
     shape (cells, replicates), as an einsum, ``-= y`` and ``*= gamma``, and
@@ -446,11 +428,7 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
             y = yb[first:, rows]
         if len(drawn) == 1:
             return xb[first:, 0], y, "cri,ri->cr", "cr,ri->cri"
-        if gathered or isinstance(rows, slice):
-            return xb[first:, rows], y, "cri,cri->cr", "cr,cri->cri"
-        # A cell left a block sized for a view: the rest of the block is
-        # gathered one step at a time, into the state budget's fourth array.
-        return _StepGather(xb[first:], rows), y, "cri,cri->cr", "cr,cri->cri"
+        return xb[first:, rows], y, "cri,cri->cr", "cr,cri->cri"
 
     limit = DIVERGENCE_NORM**2
     half_limit = 0.5 * limit
@@ -464,12 +442,7 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
     wanted = np.unique(scheme_of)
-    # One cell per drawn scheme, in scheme order, selects a view; a cell that
-    # leaves keeps it one (a subsequence of an increasing sequence) from the
-    # next block on.
-    gathered = len(wanted) > 1 and not np.array_equal(scheme_of, wanted)
-    steps = min(sampler.block_steps(reps, len(wanted), len(configs), gathered),
-                max(1, config.n - 1))
+    steps = min(sampler.block_steps(reps, len(wanted), len(configs)), max(1, config.n - 1))
     firsts = range(2, config.n + 1, steps)
     buffers = [np.empty(steps * sampler.step_floats(reps, len(wanted))) for _ in range(2)]
     gen_x, gen_eps = _generators(config.seed)

@@ -1,6 +1,5 @@
 """Command-line surface: ingestion, CSV emission, plotting, exit codes."""
 
-import io
 import os
 import subprocess
 import sys
@@ -115,11 +114,12 @@ class TestIngest:
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode())
 
-        def refuse(data, path):
+        def refuse(source, path):
             raise AssertionError("the line loop ran")
 
         monkeypatch.setattr(avlms.dataio, "_parse_csv_lines", refuse)
-        xs, ys = avlms.dataio._parse_csv(io.BytesIO(path.read_bytes()), str(path))
+        with open(path, "rb", buffering=0) as fh:
+            xs, ys = avlms.dataio._parse_csv(avlms.dataio._Source(fh), str(path))
         want = np.array([[float(v) for v in r] for r in rows])
         assert np.array_equal(xs, want[:, :-1]) and np.array_equal(ys, want[:, -1])
         assert xs.flags.c_contiguous and ys.flags.c_contiguous
@@ -210,8 +210,9 @@ class TestIngestCache:
         assert ingest(str(path))[0] is spec
 
     def test_the_file_is_opened_once_per_call(self, tmp_path, monkeypatch):
-        """A miss, a hit, and a parse that falls back to the line loop and
-        fails each open the file once."""
+        """A miss, a hit, a miss on a file as long as the last data set, and
+        a parse that falls back to the line loop and fails each open the
+        file once."""
         import builtins
 
         import avlms.dataio
@@ -227,11 +228,90 @@ class TestIngestCache:
         good.write_text("1,0,1\n0,1,0\n2,1,1\n")
         bad = tmp_path / "bad.csv"
         bad.write_text("1,0,1\n0,1\n")
+        same_length = tmp_path / "same.csv"
+        same_length.write_text("1,0,1\n0,1,0\n2,1,3\n")
         ingest(str(good))
         ingest(str(good))
+        ingest(str(same_length))
         with pytest.raises(DataFormatError, match="line 2"):
             ingest(str(bad))
-        assert opened == [str(good), str(good), str(bad)]
+        assert opened == [str(good), str(good), str(same_length), str(bad)]
+
+    def test_a_pipe_is_read_once(self):
+        """A file that cannot seek, such as a pipe, is parsed in its one
+        pass, also after a data set of its content is kept."""
+        for _ in range(2):
+            r, w = os.pipe()
+            os.write(w, b"1,0,1\n0,1,0\n2,1,1\n")
+            os.close(w)
+            try:
+                spec, report = ingest(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
+            assert report.rows == 3
+
+    def test_only_a_file_as_long_as_the_last_data_set_is_hashed_first(self, tmp_path,
+                                                                     monkeypatch):
+        """A first call, or one on a file of another length, parses the file
+        without hashing it first; a file of the same length is hashed
+        first, and a hit is not parsed."""
+        import hashlib
+
+        import avlms.dataio
+
+        hashed, parsed = [], []
+        digest, load = hashlib.file_digest, avlms.dataio._load
+        monkeypatch.setattr(hashlib, "file_digest",
+                            lambda fh, name: hashed.append(1) or digest(fh, name))
+        monkeypatch.setattr(avlms.dataio, "_load", lambda *a: parsed.append(1) or load(*a))
+        monkeypatch.setattr(avlms.dataio, "_last", None)
+        short = tmp_path / "short.csv"
+        short.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        longer = tmp_path / "long.csv"
+        longer.write_text("1,0,1\n0,1,0\n2,1,1\n3,1,1\n")
+        rewritten = tmp_path / "rewritten.csv"
+        rewritten.write_text("1,0,1\n0,1,0\n2,1,1\n3,1,2\n")
+        counts = []
+        for path in (short, longer, longer, rewritten):
+            ingest(str(path))
+            counts.append((len(hashed), len(parsed)))
+        assert counts == [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+    def test_a_call_returns_its_own_data_set_while_the_slot_changes(self, tmp_path,
+                                                                    monkeypatch):
+        """Another caller may empty or replace the slot while a call hashes
+        or parses: the call still returns the data set it matched or
+        parsed, and a parse leaves its own in the slot."""
+        import hashlib
+
+        import avlms.dataio
+
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
+        other = tmp_path / "other.csv"
+        other.write_text("1,0,1\n0,1,0\n2,1,1\n3,1,1\n")
+        spec, report = ingest(str(path))
+        digest = hashlib.file_digest
+
+        def emptying(fh, name):
+            avlms.dataio._last = None
+            return digest(fh, name)
+
+        monkeypatch.setattr(hashlib, "file_digest", emptying)
+        hit = ingest(str(path))
+        assert hit[0] is spec and hit[1] is report
+        ingest(str(other))
+        slot = avlms.dataio._last
+        load = avlms.dataio._load
+
+        def replacing(*args):
+            avlms.dataio._last = slot
+            return load(*args)
+
+        monkeypatch.setattr(avlms.dataio, "_load", replacing)
+        parsed = ingest(str(path))
+        assert parsed[0] is not slot[1] and parsed[1].rows == 3
+        assert avlms.dataio._last[1] is parsed[0]
 
 
 class TestCommands:

@@ -491,7 +491,7 @@ class TestDrawThread:
 
     @pytest.fixture(autouse=True)
     def short_blocks(self, monkeypatch):
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, *args: 7)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
 
     def test_an_update_that_raises_stops_the_thread(self, monkeypatch):
         """The exact divergence check raises on the stepping thread, in the
@@ -569,7 +569,7 @@ class TestFailingDraw:
 
     @pytest.fixture(autouse=True)
     def second_block_fails(self, monkeypatch):
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, *args: 7)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 7)
         block, drawers = engine._Sampler.block, []
 
         def failing(self, *args, **kwargs):
@@ -732,7 +732,7 @@ class TestStepLoopReference:
         trace_h = float(np.trace(spec.hmat))
         cells = [(g / trace_h, mode, choices[k % len(choices)]) for g, mode, k in cells]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine._Sampler, "block_steps", lambda self, *args: steps)
+            mp.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
             got, want = _engine_and_reference(spec, cells, n, reps, seed, stride=3)
         for traj, ref in zip(got, want):
             _assert_same_run(traj, ref)
@@ -749,7 +749,7 @@ class TestStepLoopReference:
         last = reference_run(spec, RunConfig(gamma=1.2, mode="total", **record))[3][0]
         assert last is not None and last > 4
         steps = last - 2 if where == "first" else last
-        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, *args: steps)
+        monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
         got, want = _engine_and_reference(spec, cells, 400, 3, 5, stride=7)
         assert sum(ref[3][0] is not None for ref in want) >= 2
         for traj, ref in zip(got, want):
@@ -815,56 +815,3 @@ class TestSelectionBudget:
             tracemalloc.stop()
         assert 1 < steps[0] < n
         assert peak - state <= engine.GROUP_BYTES // engine.CHUNK_SHARE
-
-    def test_a_view_grid_is_not_sized_for_a_gather(self):
-        """One cell per scheme, in scheme order (every sampling grid), steps
-        a view of each block: on the sampling grid of 3 schemes, 500
-        replicates and d=30, blocks of 18 steps instead of the 10 that a
-        gathered selection leaves room for."""
-        spec = make_discrete(30, 40, 7, residual=True)
-        sampler = engine._Sampler(spec)
-        assert sampler.block_steps(500, 3, 3, False) == 18
-        assert sampler.block_steps(500, 3, 3, True) == 10
-
-    @pytest.mark.parametrize("order, gathered", [((0, 1, 2), False), ((0, 1, 0), True),
-                                                  ((2, 0, 1), False), ((1,), False)])
-    def test_the_selection_is_sized_as_it_is_taken(self, order, gathered, monkeypatch):
-        """Cells are indexed by first appearance, so distinct schemes in
-        any order select a view; a repeated scheme gathers."""
-        spec = make_discrete(3, 9, 61, residual=True)
-        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
-        seen = []
-        block_steps = engine._Sampler.block_steps
-        monkeypatch.setattr(engine._Sampler, "block_steps",
-                            lambda self, *a: seen.append(a) or block_steps(self, *a))
-        configs = [RunConfig(gamma=0.01, n=20, replicates=3, mode="total", seed=1)
-                   for _ in order]
-        run_cells(spec, configs, [schemes[k] for k in order])
-        assert [a[-1] for a in seen] == [gathered]
-
-    def test_a_cell_leaving_a_view_block_gathers_one_step_at_a_time(self):
-        """The bias-opt cell of a view grid diverges on the first step of a
-        block: the rest of that block is gathered step by step, so the
-        draws stay within GROUP_BYTES // CHUNK_SHARE beyond the state (all
-        of it at once would not), and every cell keeps the bits of the
-        reference."""
-        spec = make_discrete(30, 40, 7, residual=True)
-        trace_h = float(np.trace(spec.hmat))
-        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
-        cells = [(0.5 / trace_h, "total", schemes[0]), (14.0 / trace_h, "total", schemes[1]),
-                 (0.5 / trace_h, "total", schemes[2])]
-        reps, n = 2000, 30
-        steps = engine._Sampler(spec, schemes).block_steps(reps, 3, 3, False)
-        configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=3, record_at=(n,))
-                   for g, mode, _ in cells]
-        state = 3 * len(cells) * reps * spec.dim * 8
-        tracemalloc.start()
-        try:
-            got = run_cells(spec, configs, schemes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got[1].diverged_at == 22 and (22 - 2) % steps == 0 and 22 + 1 < n
-        assert peak - state <= engine.GROUP_BYTES // engine.CHUNK_SHARE
-        for traj, config, scheme in zip(got, configs, schemes):
-            _assert_same_run(traj, reference_run(spec, config, scheme))
