@@ -11,7 +11,6 @@ from .asymptotics import (
 from .engine import (
     RunConfig,
     Trajectory,
-    class_weighted_spec,
     run_averaged_lms,
     run_cells,
 )

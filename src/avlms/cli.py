@@ -45,7 +45,7 @@ from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY = 0, 1, 2, 3, 4
 
-SCHEME_NAMES = ("uniform", "bias-opt", "variance-opt", "class-weighted")
+SCHEME_NAMES = ("uniform", "bias-opt", "variance-opt")
 MODES = engine.MODES + ("all",)
 FORMATS = ("csv-dense", "csv", "libsvm-sparse", "libsvm")
 
@@ -235,53 +235,19 @@ def _n_schedule(args) -> list[int]:
 
 
 def _scheme_cells(spec: ProblemSpec, names: list[str]):
-    """Resolve scheme names into (name, spec_for_runs, scheme_or_None); a
-    scheme that cannot apply to ``spec`` raises ``SchemeError``."""
+    """Resolve scheme names into (name, scheme_or_None) pairs; a scheme that
+    cannot apply to ``spec`` raises ``SchemeError``."""
     cells = []
     for name in names:
         if name == "uniform":
-            cells.append((name, spec, None))
+            cells.append((name, None))
         elif name == "bias-opt":
-            cells.append((name, spec, sampling.optimal_bias_scheme(spec)))
+            cells.append((name, sampling.optimal_bias_scheme(spec)))
         elif name == "variance-opt":
-            cells.append((name, spec, sampling.optimal_variance_scheme(spec)))
-        elif name == "class-weighted":
-            try:
-                cells.append((name, engine.class_weighted_spec(spec), None))
-            except SpecError as exc:
-                raise SchemeError(str(exc)) from None
+            cells.append((name, sampling.optimal_variance_scheme(spec)))
         else:
             raise UsageError(f"unknown scheme {name!r} (choose from {', '.join(SCHEME_NAMES)})")
     return cells
-
-
-def _cells_moments(spec: ProblemSpec, cells) -> list:
-    """Moments of each scheme cell.  The cells on ``spec`` itself share one
-    pass over its atoms; a derived spec (class-weighted) gets its own."""
-    own = [k for k, (_, run_spec, _) in enumerate(cells) if run_spec is spec]
-    out = [None] * len(cells)
-    for k, moments in zip(own, sampling._moment_sets(spec, [cells[k][2] for k in own])):
-        out[k] = moments
-    return [compute_moments(run_spec) if m is None else m
-            for m, (_, run_spec, _) in zip(out, cells)]
-
-
-def _run_grid(grid) -> list:
-    """Trajectories of ``(key, config, run_spec, scheme)`` cells, in order.
-
-    Cells on one spec, whatever their schemes, are stepped in one lockstep
-    engine call; a derived spec (class-weighted) gets a call of its own.
-    """
-    by_spec = {}
-    for k, cell in enumerate(grid):
-        by_spec.setdefault(id(cell[2]), []).append(k)
-    trajs = [None] * len(grid)
-    for ks in by_spec.values():
-        runs = engine.run_cells(grid[ks[0]][2], [grid[k][1] for k in ks],
-                                scheme=[grid[k][3] for k in ks])
-        for k, traj in zip(ks, runs):
-            trajs[k] = traj
-    return trajs
 
 
 def _warn_diverged(name: str, traj) -> None:
@@ -295,9 +261,9 @@ def _warn_diverged(name: str, traj) -> None:
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
-    moments = _cells_moments(spec, cells)[::-1]
+    moments = sampling._moment_sets(spec, [scheme for _, scheme in cells])[::-1]
     rows = []
-    for name, _, _ in cells:
+    for name, _ in cells:
         m = moments.pop()
         g_max = stepsize.gamma_max(m)
         rows.append([
@@ -336,12 +302,12 @@ def cmd_run(args) -> int:
         for gamma in gammas
         for mode in modes
     ]
-    cells = _scheme_cells(spec, names)
-    grid = [(name, config, run_spec, scheme)
-            for name, run_spec, scheme in cells for config in configs]
-    trajs = _run_grid(grid)
+    grid = [(name, config, scheme)
+            for name, scheme in _scheme_cells(spec, names) for config in configs]
+    trajs = engine.run_cells(spec, [config for _, config, _ in grid],
+                             scheme=[scheme for _, _, scheme in grid])
     rows = []
-    for (name, config, _, _), traj in zip(grid, trajs):
+    for (name, config, _), traj in zip(grid, trajs):
         gamma, mode = config.gamma, config.mode
         for i, n in enumerate(traj.iterations):
             rows.append([int(n), gamma, name, mode, traj.risk[i], traj.standard_error[i], ""])
@@ -436,23 +402,21 @@ def cmd_sampling(args) -> int:
     cells, simulated = [], []
     for name in names:
         try:
-            cell = _scheme_cells(spec, [name])[0]
+            cells += _scheme_cells(spec, [name])
         except SchemeError as exc:
             print(f"warning: scheme {name!r} skipped: {exc}", file=sys.stderr)
             continue
-        cells.append(cell)
         try:
-            engine.check_stream(cell[1], cell[2])
+            engine.check_stream(spec, cells[-1][1])
         except SchemeError as exc:
             print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
                   f"{exc}", file=sys.stderr)
             simulated.append(False)
         else:
             simulated.append(True)
-    # The uniform row on the spec itself reuses the base moments.
-    own = [k for k, (_, run_spec, scheme) in enumerate(cells)
-           if not (scheme is None and run_spec is spec)]
-    moments = _cells_moments(spec, [("uniform", spec, None)] + [cells[k] for k in own])
+    # The uniform rows reuse the base moments.
+    own = [k for k, (_, scheme) in enumerate(cells) if scheme is not None]
+    moments = sampling._moment_sets(spec, [None] + [cells[k][1] for k in own])
     base_moments = moments[0]
     _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
     base_gamma_max = stepsize.gamma_max(base_moments)
@@ -461,7 +425,7 @@ def cmd_sampling(args) -> int:
     # Free the moments and their spectral frames before the runs.
     del moments, base_moments
     rows, grid = [], []
-    for k, (name, run_spec, scheme) in enumerate(cells):
+    for k, (name, scheme) in enumerate(cells):
         g_max, var_limit = limits.get(k, (base_gamma_max, base_var_limit))
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
@@ -473,8 +437,12 @@ def cmd_sampling(args) -> int:
         )
         rows.append([name, gain, g_max, pred_bias_gain])
         if simulated[k]:
-            grid.append((k, config, run_spec, scheme))
-    measured = {cell[0]: traj for cell, traj in zip(grid, _run_grid(grid))}
+            grid.append((k, config, scheme))
+    measured = {}
+    if grid:  # run_cells refuses an empty grid
+        trajs = engine.run_cells(spec, [config for _, config, _ in grid],
+                                 scheme=[scheme for _, _, scheme in grid])
+        measured = {k: traj for (k, _, _), traj in zip(grid, trajs)}
     for k, row in enumerate(rows):
         traj = measured.get(k)
         risk_by_n = err_by_n = {}
@@ -563,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="path to a data file")
         p.add_argument("--format", choices=list(FORMATS),
                        help="data file format (default csv-dense)")
-        p.add_argument("--dim", type=int, help="declared dimension for sparse files")
+        p.add_argument("--dim", type=int, help="declared dimension (a CSV's must match its width)")
         if gamma:
             p.add_argument("--gamma", type=float, action="append", help="step-size (repeatable)")
         p.add_argument("--n-max", type=int, dest="n_max", help="largest iterate count")

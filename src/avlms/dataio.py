@@ -202,7 +202,8 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     """Load a data file into an empirical spec plus a summary report.
 
     A row holding a NaN or an infinity is a data error, named by its index
-    among the data rows.  The file is opened once per call.  When the last
+    among the data rows, and so is a ``dim`` other than a CSV's number of
+    feature columns.  The file is opened once per call.  When the last
     data set ingested came, under the same ``fmt`` and ``dim``, from as
     many bytes as the file holds, the file is hashed, and the same digest
     returns that spec and report as they are.  Otherwise the file is
@@ -236,6 +237,9 @@ def _load(source: _Source, path: str, fmt: str,
     if fmt in ("csv", "csv-dense"):
         xs, ys = _parse_csv(source, path)
         _check_width(xs.shape[1])
+        if dim is not None and dim != xs.shape[1]:
+            raise DataFormatError(f"declared dimension {dim} does not match the "
+                                  f"{xs.shape[1]} feature columns of {path!r}")
     else:
         xs, ys = _parse_libsvm(source, path, dim)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemeError, SpecError
+from .errors import SchemeError
 from .moments import (
-    DiscreteDesign,
     GaussianDesign,
     ProblemSpec,
     ResidualNoise,
@@ -580,39 +579,3 @@ def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Traje
     """Averaged constant-step LMS under the requested mode: one cell of
     :func:`run_cells`."""
     return run_cells(spec, [config], scheme)[0]
-
-
-def class_weighted_spec(spec: ProblemSpec, weights: dict | None = None) -> ProblemSpec:
-    """Rescale a binary-labelled spec so each class carries chosen weight.
-
-    Every atom (x, y) becomes (sqrt(c_y) x, sqrt(c_y) y); by default
-    c_y = 1/P(Y = y), giving both classes the same total loss weight.  The
-    optimum and all moments change accordingly (the new optimum is
-    recomputed from the reweighted data).
-    """
-    design = spec.design
-    if not isinstance(design, DiscreteDesign) or design.ys is None:
-        raise SpecError("class weighting needs a labelled discrete or empirical spec")
-    labels = np.unique(design.ys)
-    if len(labels) != 2:
-        raise SpecError(f"class weighting needs exactly two label values, found {len(labels)}")
-    if weights is None:
-        weights = {}
-        for lab in labels:
-            mass = float(design.probs[design.ys == lab].sum())
-            if mass <= 0:
-                raise SpecError(f"class {lab!r} has zero probability")
-            weights[float(lab)] = 1.0 / mass
-    else:
-        weights = {float(k): float(v) for k, v in weights.items()}
-        for lab in labels:
-            if float(lab) not in weights:
-                raise SpecError(f"missing weight for class {lab!r}")
-    scale = np.sqrt(np.array([weights[float(lab)] for lab in design.ys]))
-    return ProblemSpec.discrete(
-        design.xs * scale[:, None],
-        probs=design.probs,
-        ys=design.ys * scale,
-        w0=spec.w0,
-        kind=spec.kind,
-    )

@@ -346,14 +346,6 @@ class TestCommands:
         trace_bound = float(rows[0][3])
         np.testing.assert_allclose(got["bias-opt"], trace_bound, rtol=1e-10)
 
-    def test_gamma_max_class_weighted_alone_on_data(self, tmp_path, capsys):
-        """class-weighted alone leaves no scheme on the data's own spec, so
-        its shared atom pass has no weights to build."""
-        data = tmp_path / "d.csv"
-        data.write_text("1,0,1\n0,1,0\n1,1,1\n")
-        assert main(["gamma-max", "--data", str(data), "--scheme", "class-weighted"]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("scheme=class-weighted ")
-
     def test_gaussian_bias_opt_reaches_trace_bound(self, capsys):
         rc = main(["gamma-max", "--spec", "gaussian:d=25", "--scheme", "bias-opt"])
         assert rc == EXIT_OK
@@ -651,27 +643,18 @@ class TestCommands:
         assert "variance-opt" not in body
         assert body.splitlines()[0].startswith("scheme,variance_gain,gamma_max,predicted_bias_gain")
 
-    @pytest.mark.parametrize("source", ["spec", "data"])
-    def test_class_weighting_that_cannot_apply(self, source, tmp_path, capsys):
-        """On a Gaussian spec and on data with continuous labels, sampling
-        skips class-weighted with a warning; gamma-max and run refuse it."""
-        where = ["--spec", "gaussian:d=3"]
-        if source == "data":
-            data = tmp_path / "d.csv"
-            np.savetxt(data, np.random.default_rng(3).standard_normal((50, 4)), delimiter=",")
-            where = ["--data", str(data)]
-        out = tmp_path / "s.csv"
-        rc = main(["sampling", *where, "--scheme", "uniform", "--scheme", "class-weighted",
-                   "--n-max", "50", "--replicates", "5", "--out", str(out)])
-        assert rc == EXIT_OK
-        err = capsys.readouterr().err
-        assert "warning: scheme 'class-weighted' skipped: class weighting needs" in err
-        assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["uniform"]
-        run = ["run", "--gamma", "0.01", "--n-max", "20", "--replicates", "2",
-               "--out", str(tmp_path / "r.csv")]
-        for argv in (["gamma-max"], run):
-            assert main([*argv, *where, "--scheme", "class-weighted"]) == EXIT_NUMERIC
-            assert capsys.readouterr().err.startswith("numerical error: class weighting needs")
+    def test_class_weighted_is_not_a_scheme(self, tmp_path, capsys):
+        """Weighting classes changes the objective, not the sampling density:
+        ``class-weighted`` is a usage error, by flag and by manifest, in every
+        command that takes schemes."""
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,1\n0,1,0\n1,1,1\n")
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text("scheme = uniform, class-weighted\n")
+        for command in (["gamma-max"], ["run", "--gamma", "0.01"], ["sampling"]):
+            for extra in (["--scheme", "class-weighted"], ["--manifest", str(manifest)]):
+                assert main([*command, "--data", str(data), *extra]) == EXIT_USAGE
+                assert "'class-weighted'" in capsys.readouterr().err
 
     def test_sampling_on_gaussian_spec_keeps_closed_form_columns(self, tmp_path, capsys):
         """Resampled schemes cannot be streamed on a Gaussian design: their
@@ -688,9 +671,9 @@ class TestCommands:
             assert all(v != "" for v in r[1:4])
             assert all((v == "") == (r[0] != "uniform") for v in r[4:])
 
-    def test_one_engine_call_per_spec(self, tmp_path, monkeypatch, capsys):
-        """sampling and run step every scheme on the data in one lockstep
-        engine call; class weighting changes the spec and gets its own."""
+    def test_one_engine_call_per_command(self, tmp_path, monkeypatch, capsys):
+        """sampling and run step every cell of the command, whatever its
+        scheme, in one lockstep engine call."""
         from avlms import engine
 
         rg = np.random.default_rng(8)
@@ -710,7 +693,7 @@ class TestCommands:
             (["sampling", *schemes], [3]),
             (["run", "--scheme", "uniform", "--scheme", "bias-opt", "--mode", "all",
               "--gamma", "0.02", "--gamma", "0.004"], [12]),
-            (["run", *schemes, "--scheme", "class-weighted", "--gamma", "0.02"], [3, 1]),
+            (["run", *schemes, "--gamma", "0.02"], [3]),
         ):
             calls.clear()
             out = tmp_path / "o.csv"
@@ -731,6 +714,23 @@ class TestCommands:
         assert rc == EXIT_OK and calls == [1]
         err = capsys.readouterr().err.splitlines()
         assert [ln.split("'")[1] for ln in err if "not simulated" in ln] == [
+            "bias-opt", "variance-opt"]
+
+    def test_sampling_without_a_streamable_scheme_calls_no_engine(self, monkeypatch, capsys):
+        """Resampled schemes alone on a Gaussian spec: no cell can be
+        streamed, so no engine call is made, and both rows keep their
+        closed-form columns, with the measured ones empty and a warning."""
+        calls = []
+        monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(a))
+        rc = main(["sampling", "--spec", "gaussian:d=5,spectrum=1/i,sigma=1",
+                   "--scheme", "bias-opt", "--scheme", "variance-opt"])
+        assert rc == EXIT_OK and calls == []
+        out, err = capsys.readouterr()
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["bias-opt", "variance-opt"]
+        for r in rows:
+            assert all(v != "" for v in r[1:4]) and r[4:] == ["", "", "", ""]
+        assert [ln.split("'")[1] for ln in err.splitlines() if "not simulated" in ln] == [
             "bias-opt", "variance-opt"]
 
     def test_run_warns_once_per_diverged_cell(self, tmp_path, capsys):
@@ -876,6 +876,23 @@ class TestExitCodes:
         for extra in (["--dim", dim], ["--manifest", str(manifest)]):
             assert main([*ingest_argv, *extra]) == EXIT_USAGE
             assert capsys.readouterr().err == f"error: --dim must be from 1 to 64, got {dim}\n"
+
+    def test_dimension_other_than_a_csv_width_is_a_data_error(self, tmp_path, capsys):
+        """A --dim that contradicts a CSV's feature count, by flag or by
+        manifest, is a data error naming both, and its parse is not kept;
+        the CSV's own width is accepted."""
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,2,1\n0,1,1,0\n2,1,0,1\n")
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text("dim = 7\n")
+        for extra in (["--dim", "7"], ["--manifest", str(manifest)]):
+            assert main(["ingest", "--data", str(path), *extra]) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"data error: declared dimension 7 does not match the 3 feature columns "
+                f"of {str(path)!r}\n")
+            assert avlms.dataio._last is None
+        assert main(["ingest", "--data", str(path), "--dim", "3"]) == EXIT_OK
+        assert "dim: 3" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
     def test_file_wider_than_the_cap_is_a_data_error(self, fmt, tmp_path, capsys):

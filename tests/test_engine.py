@@ -16,9 +16,7 @@ from avlms import (
     ProblemSpec,
     RunConfig,
     SchemeError,
-    SpecError,
     atom_scheme,
-    class_weighted_spec,
     compute_moments,
     excess_risk,
     gamma_max,
@@ -228,6 +226,22 @@ class TestImportanceStream:
         stderr = prods.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(hhat - m.hmat) <= 4.0 * stderr + 1e-12)
 
+    def test_label_scales_with_the_input(self):
+        """A resampled draw (x', y') = sqrt(c) (x, y) scales the label by the
+        input's factor, so its update (x'^T w - y') x' is c (x^T w - y) x."""
+        spec = make_discrete(3, 7, 14, residual=True)
+        xs, ys = spec.design.xs, spec.design.ys
+        ratios = np.linspace(0.4, 1.6, 7)
+        ratios /= spec.design.probs @ ratios
+        scheme = atom_scheme(spec, "graded", ratios)
+        c = 1.0 / ratios
+        w = np.array([0.7, -0.4, 1.1])
+        for xp, yp in zip(*resampled_draws(spec, scheme, 5, 64)):
+            t = int(np.argmin(np.abs(xs * np.sqrt(c)[:, None] - xp).sum(axis=1)))
+            np.testing.assert_allclose(xp, np.sqrt(c[t]) * xs[t], rtol=1e-14)
+            np.testing.assert_allclose((xp @ w - yp) * xp, c[t] * (xs[t] @ w - ys[t]) * xs[t],
+                                       rtol=1e-12)
+
     def test_gaussian_resampling_unsupported(self):
         spec = make_gaussian(2, 0.5, 1)
         with pytest.raises(SchemeError):
@@ -273,72 +287,6 @@ class TestNlms:
         m = compute_moments(spec)
         want = (wbar - spec.w_star[0]) ** 2 * m.hmat[0, 0]
         np.testing.assert_allclose(traj.risk[-1], want, rtol=1e-12)
-
-
-class TestClassWeighting:
-    def binary_spec(self):
-        xs = np.array([[1.0, 0.2], [0.4, 1.0], [0.9, -0.3], [-0.2, 0.8]])
-        ys = np.array([1.0, -1.0, 1.0, -1.0])
-        return ProblemSpec.discrete(xs, ys=ys)
-
-    def test_unit_weights_change_nothing(self):
-        spec = self.binary_spec()
-        same = class_weighted_spec(spec, {1.0: 1.0, -1.0: 1.0})
-        np.testing.assert_allclose(same.design.xs, spec.design.xs)
-        np.testing.assert_allclose(same.design.ys, spec.design.ys)
-
-    def test_balanced_default_halves_threshold(self):
-        """Equal classes get c_y = 2, a uniform sqrt(2) rescale, so the
-        stability threshold is exactly halved."""
-        spec = self.binary_spec()
-        weighted = class_weighted_spec(spec)
-        g0 = gamma_max(compute_moments(spec))
-        g1 = gamma_max(compute_moments(weighted))
-        np.testing.assert_allclose(g1, g0 / 2.0, rtol=1e-12)
-
-    def test_resampling_restores_gradients(self):
-        """Weights c_y with mean one, undone by the ratio c = 1/c_y: the
-        scaled resampled stream reproduces the original atoms exactly."""
-        spec = self.binary_spec()
-        # class masses are 1/2 each; c_y = 1/(2 P(y)) = 1 would be trivial,
-        # so use asymmetric weights with E[c_y] = 1: 1.5 and 0.5.
-        weights = {1.0: 1.5, -1.0: 0.5}
-        weighted = class_weighted_spec(spec, weights)
-        # on the weighted spec, atoms with scaled label sign +/- carry c_y, and
-        # E_p[c_y] = 1 by construction
-        ratios = np.where(weighted.design.ys > 0, weights[1.0], weights[-1.0])
-        scheme = atom_scheme(weighted, "class-restore", ratios)
-        originals = {tuple(np.round(x, 12)) for x in spec.design.xs}
-        for x in resampled_draws(weighted, scheme, 3, 64)[0]:
-            assert tuple(np.round(x, 12)) in originals
-
-    def test_default_weights_scale_gradients_uniformly(self):
-        """Two atoms, default c_y = 1/P(y): weighting then resampling with
-        the inverse ratio multiplies every atom's update by the constant
-        E[c_y] (= 2 here), so relative per-class gradient scales are
-        restored."""
-        xs = np.array([[1.0, 0.5], [0.3, -1.0]])
-        ys = np.array([1.0, -1.0])
-        spec = ProblemSpec.discrete(xs, ys=ys)
-        weighted = class_weighted_spec(spec)  # c_y = 2 for both classes
-        mean_cy = 2.0  # sum_y P(y) * (1/P(y)) over two balanced classes
-        scheme = atom_scheme(weighted, "class-restore", np.full(2, 2.0) / mean_cy)
-        w = np.array([0.4, -0.2])
-        originals = {
-            tuple(np.round(np.sqrt(mean_cy) * x, 12)): (x, y) for x, y in zip(xs, ys)
-        }
-        for xp, yp in zip(*resampled_draws(weighted, scheme, 11, 32)):
-            x0, y0 = originals[tuple(np.round(xp, 12))]
-            update_scaled = (xp @ w - yp) * xp
-            update_plain = (x0 @ w - y0) * x0
-            np.testing.assert_allclose(update_scaled, mean_cy * update_plain, rtol=1e-12)
-
-    def test_missing_class_rejected(self):
-        xs = np.array([[1.0], [2.0]])
-        with pytest.raises(SpecError):
-            class_weighted_spec(ProblemSpec.discrete(xs, ys=np.array([1.0, 1.0])))
-        with pytest.raises(SpecError):
-            class_weighted_spec(self.binary_spec(), {1.0: 2.0})
 
 
 class TestDivergenceProbe:
