@@ -391,9 +391,7 @@ class CovarianceModel:
     def small_gamma(self, n: int) -> tuple[float, float]:
         """The small step-size equivalents of the bias and variance risks at
         horizon n (:func:`small_gamma_equivalents`)."""
-        n = _check_n(n)
-        tr_e0, tr_s0 = self.moments.hinv_traces
-        return tr_e0 / (self.gamma**2 * n**2), tr_s0 / n
+        return small_gamma_equivalents(self.moments, self.gamma, n)
 
     def bias_remainder_bound(self, n: int) -> float:
         """Frobenius bound on exact-minus-leading for the bias part."""

@@ -10,11 +10,13 @@ plot        render a run/predict CSV as a log-log SVG
 ingest      parse a data file and print its summary report
 
 Configuration comes from flags plus an optional ``key = value`` manifest
-file (flags override the file).  Outputs are deterministic for a given
-manifest and master seed.  Exit status: 0 success, 1 usage error, 2 data
-error, 3 numerical error, 4 out of memory.  A reader that closes stdout
-early (``avlms predict ... --out - | head -1``) is not an error: the
-command stops writing, stdout is pointed at os.devnull and the status is 0.
+file (flags override the file), whose values the flags' own parser reads.
+Every usage error, by flag or by manifest, is one ``error: ...`` line on
+stderr.  Outputs are deterministic for a given manifest and master seed.
+Exit status: 0 success, 1 usage error, 2 data error, 3 numerical error,
+4 out of memory.  A reader that closes stdout early (``avlms predict ...
+--out - | head -1``) is not an error: the command stops writing, stdout
+is pointed at os.devnull and the status is 0.
 
 :func:`main` may be called any number of times in one process: the
 argument parser is built once, and each call parses into a fresh
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, engine, sampling, stepsize
-from .dataio import export_csv, ingest
+from .dataio import FORMATS, export_csv, ingest
 from .errors import (
     DataFormatError,
     DimensionError,
@@ -45,13 +47,24 @@ from .svg import Series, render_loglog_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY = 0, 1, 2, 3, 4
 
-SCHEME_NAMES = ("uniform", "bias-opt", "variance-opt")
 MODES = engine.MODES + ("all",)
-FORMATS = ("csv-dense", "csv", "libsvm-sparse", "libsvm")
+# Each scheme name and the builder of its scheme on a spec (None: uniform).
+SCHEMES = {
+    "uniform": lambda spec: None,
+    "bias-opt": sampling.optimal_bias_scheme,
+    "variance-opt": sampling.optimal_variance_scheme,
+}
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise UsageError: one ``error:`` line, like any other."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
@@ -86,6 +99,19 @@ def _number(kind, text: str, what: str):
     return value
 
 
+def _checked(kind, what: str, rule: str, ok):
+    """A parser of one option's text (an argparse ``type``): ``kind(text)``
+    when ``ok`` holds for it, else a usage error naming ``what`` and ``rule``."""
+
+    def parse(text: str):
+        value = _number(kind, text, what)
+        if not ok(value):
+            raise UsageError(f"{what} must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
 def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     """Build a synthetic spec from a compact descriptor.
 
@@ -106,9 +132,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
             opts[k.strip()] = v.strip()
     if "d" not in opts:
         raise UsageError("gaussian spec needs d=<dim>")
-    d = _number(int, opts["d"], "spec option d")
-    if not 1 <= d <= MAX_DIM:
-        raise UsageError(f"spec option d must be from 1 to {MAX_DIM}, got {d}")
+    d = _checked(int, "spec option d", f"from 1 to {MAX_DIM}",
+                 lambda d: 1 <= d <= MAX_DIM)(opts["d"])
     spectrum = opts.get("spectrum", "uniform")
     if spectrum == "uniform":
         eig = np.ones(d)
@@ -137,9 +162,8 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
 
     w_star = vec(opts.get("wstar", "random"))
     w0 = vec(opts.get("w0", "zeros"))
-    sigma = _number(float, opts.get("sigma", "1.0"), "spec option sigma")
-    if sigma < 0:
-        raise UsageError(f"spec option sigma must be nonnegative, got {opts['sigma']!r}")
+    sigma = _checked(float, "spec option sigma", "nonnegative",
+                     lambda s: s >= 0)(opts.get("sigma", "1.0"))
     return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0, sigma=sigma)
 
 
@@ -160,47 +184,38 @@ def _load_manifest(path: str) -> dict:
 
 
 _LIST_KEYS = {"gamma", "scheme"}
-_INT_KEYS = {"n_max", "points", "replicates", "seed", "dim"}
-# Manifest values skip argparse, so the flags' choices are checked here.
-_CHOICE_KEYS = {"mode": MODES, "format": FORMATS, "scheme": SCHEME_NAMES}
-
-
-def _check_choice(key: str, value: str) -> None:
-    choices = _CHOICE_KEYS.get(key)
-    if choices is not None and value not in choices:
-        raise UsageError(f"manifest key {key!r} must be one of "
-                         f"{', '.join(choices)}, got {value!r}")
 
 
 def _merge_manifest(args: argparse.Namespace) -> None:
+    """Fill each option that no flag set from the manifest: each value becomes
+    flag tokens (one per item of a list key), read by the flags' own parser."""
     if not getattr(args, "manifest", None):
         return
-    values = _load_manifest(args.manifest)
-    for key, raw in values.items():
+    keys, tokens = [], []
+    for key, raw in _load_manifest(args.manifest).items():
         if not hasattr(args, key):
             raise UsageError(f"manifest key {key!r} is not a recognized option")
         if getattr(args, key) is not None:
             continue  # flags override the manifest
-        if key in _LIST_KEYS:
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if key == "gamma":
-                parts = [_number(float, p, f"manifest key {key!r}") for p in parts]
-            for part in parts:
-                _check_choice(key, part)
-            setattr(args, key, parts)
-        elif key in _INT_KEYS:
-            setattr(args, key, _number(int, raw, f"manifest key {key!r}"))
-        else:
-            _check_choice(key, raw)
-            setattr(args, key, raw)
+        parts = [p.strip() for p in raw.split(",") if p.strip()] if key in _LIST_KEYS else [raw]
+        # ``--flag=value``, so that a value such as -1 is never read as a flag
+        tokens += [f"--{key.replace('_', '-')}={part}" for part in parts]
+        keys.append(key)
+    values = _build_parser().parse_args([args.command, *tokens])
+    for key in keys:
+        setattr(args, key, getattr(values, key))
+
+
+def _ingest(args):
+    """The spec and report of the ``--data`` file, read as ``--format``."""
+    if not os.path.exists(args.data):
+        raise DataFormatError(f"data file {args.data!r} does not exist")
+    return ingest(args.data, args.format or FORMATS[0], dim=args.dim)
 
 
 def _resolve_spec(args) -> ProblemSpec:
     if getattr(args, "data", None):
-        if not os.path.exists(args.data):
-            raise DataFormatError(f"data file {args.data!r} does not exist")
-        spec, _ = ingest(args.data, args.format or "csv-dense", dim=getattr(args, "dim", None))
-        return spec
+        return _ingest(args)[0]
     if getattr(args, "spec", None):
         stray = [key for key in ("format", "dim") if getattr(args, key, None) is not None]
         if stray:
@@ -210,16 +225,8 @@ def _resolve_spec(args) -> ProblemSpec:
     raise UsageError("one of --spec or --data is required")
 
 
-def _count(args, key: str, default: int) -> int:
-    """A count option: ``default`` when unset, a usage error below 1."""
-    value = default if getattr(args, key) is None else getattr(args, key)
-    if value < 1:
-        raise UsageError(f"--{key.replace('_', '-')} must be positive")
-    return value
-
-
 def _n_schedule(args) -> list[int]:
-    n_max, points = _count(args, "n_max", 1000), _count(args, "points", 20)
+    n_max, points = args.n_max or 1000, args.points or 20
     top = np.iinfo(np.int64).max
     if n_max > top:
         raise UsageError(f"--n-max must be at most {top}")
@@ -229,25 +236,13 @@ def _n_schedule(args) -> list[int]:
     sched = [int(v) for v in grid if 1 <= v < n_max]
     if not sched or sched[-1] != n_max:
         sched.append(n_max)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise UsageError("n schedule must be strictly increasing")
     return sched
 
 
 def _scheme_cells(spec: ProblemSpec, names: list[str]):
     """Resolve scheme names into (name, scheme_or_None) pairs; a scheme that
     cannot apply to ``spec`` raises ``SchemeError``."""
-    cells = []
-    for name in names:
-        if name == "uniform":
-            cells.append((name, None))
-        elif name == "bias-opt":
-            cells.append((name, sampling.optimal_bias_scheme(spec)))
-        elif name == "variance-opt":
-            cells.append((name, sampling.optimal_variance_scheme(spec)))
-        else:
-            raise UsageError(f"unknown scheme {name!r} (choose from {', '.join(SCHEME_NAMES)})")
-    return cells
+    return [(name, SCHEMES[name](spec)) for name in names]
 
 
 def _warn_diverged(name: str, traj) -> None:
@@ -292,7 +287,7 @@ def cmd_run(args) -> int:
         raise UsageError("--gamma is required for run")
     schedule = _n_schedule(args)
     names = args.scheme or ["uniform"]
-    replicates = _count(args, "replicates", 100)
+    replicates = args.replicates or 100
     modes = [args.mode] if args.mode else ["total"]
     if modes == ["all"]:
         modes = list(engine.MODES)
@@ -395,7 +390,7 @@ def cmd_sampling(args) -> int:
     names = args.scheme or ["uniform", "bias-opt", "variance-opt"]
     schedule = _n_schedule(args)
     measure_at = sorted({schedule[len(schedule) // 2], schedule[-1]})
-    replicates = _count(args, "replicates", 200)
+    replicates = args.replicates or 200
     header = (["scheme", "variance_gain", "gamma_max", "predicted_bias_gain"]
               + [f"measured_risk_n{n}" for n in measure_at]
               + [f"measured_stderr_n{n}" for n in measure_at])
@@ -504,9 +499,7 @@ def cmd_plot(args) -> int:
 def cmd_ingest(args) -> int:
     if not args.data:
         raise UsageError("--data is required for ingest")
-    if not os.path.exists(args.data):
-        raise DataFormatError(f"data file {args.data!r} does not exist")
-    spec, report = ingest(args.data, args.format or "csv-dense", dim=args.dim)
+    spec, report = _ingest(args)
     for line in report.lines():
         print(line)
     if args.out:
@@ -517,10 +510,11 @@ def cmd_ingest(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.  Parsing leaves it
-    unchanged: every ``parse_args`` call fills a new namespace and copies
-    the append options' defaults."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process: the one place that
+    says what each option accepts, by flag or by manifest.  Parsing leaves
+    it unchanged: every ``parse_args`` call fills a new namespace and
+    copies the append options' defaults."""
+    parser = _Parser(
         prog="avlms",
         description="Averaged constant-step-size LMS analysis and simulation",
     )
@@ -529,18 +523,22 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, gamma=True):
         p.add_argument("--spec", help="synthetic spec descriptor, e.g. gaussian:d=25,spectrum=1/i,sigma=1")
         p.add_argument("--data", help="path to a data file")
-        p.add_argument("--format", choices=list(FORMATS),
-                       help="data file format (default csv-dense)")
-        p.add_argument("--dim", type=int, help="declared dimension (a CSV's must match its width)")
+        p.add_argument("--format", choices=FORMATS, help=f"data file format (default {FORMATS[0]})")
+        p.add_argument("--dim", type=_checked(int, "--dim", f"from 1 to {MAX_DIM}",
+                                              lambda d: 1 <= d <= MAX_DIM),
+                       help="declared dimension (a CSV's must match its width)")
         if gamma:
-            p.add_argument("--gamma", type=float, action="append", help="step-size (repeatable)")
-        p.add_argument("--n-max", type=int, dest="n_max", help="largest iterate count")
-        p.add_argument("--points", type=int, help="points in the log-spaced n schedule")
-        p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-        p.add_argument("--mode", choices=list(MODES))
-        p.add_argument("--scheme", action="append", choices=list(SCHEME_NAMES),
+            p.add_argument("--gamma", type=_checked(float, "--gamma", "positive", lambda g: g > 0),
+                           action="append", help="step-size (repeatable)")
+        for flag, text in (("--n-max", "largest iterate count"),
+                           ("--points", "points in the log-spaced n schedule"),
+                           ("--replicates", "Monte Carlo replicates")):
+            p.add_argument(flag, type=_checked(int, flag, "positive", lambda n: n >= 1), help=text)
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--scheme", action="append", choices=SCHEMES,
                        help="sampling scheme (repeatable)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--seed", type=_checked(int, "--seed", "nonnegative", lambda s: s >= 0),
+                       help="master seed (default 0)")
         p.add_argument("--out", help="output path ('-' for stdout)")
         p.add_argument("--manifest", help="key = value manifest file; flags override it")
 
@@ -582,19 +580,12 @@ def _silence_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # --help has printed; a bad argument raises UsageError
+            return EXIT_OK
         _merge_manifest(args)
-        if not all(0 < gamma < np.inf for gamma in getattr(args, "gamma", None) or ()):
-            raise UsageError("gamma values must be positive and finite")
-        if (getattr(args, "seed", None) or 0) < 0:
-            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        if getattr(args, "dim", None) is not None and not 1 <= args.dim <= MAX_DIM:
-            raise UsageError(f"--dim must be from 1 to {MAX_DIM}, got {args.dim}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

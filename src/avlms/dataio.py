@@ -2,8 +2,9 @@
 
 Two on-disk formats are supported: dense CSV (feature columns followed by
 a label column) and the sparse ``label index:value ...`` format with
-1-based indices.  Ingested rows become an empirical spec: uniform row
-weights, the exact least-squares fit as optimum, residual noise.
+1-based indices; :data:`FORMATS` names them, the default first.  Ingested
+rows become an empirical spec: uniform row weights, the exact
+least-squares fit as optimum, residual noise.
 
 A data file is parsed once per process per content.  :func:`ingest`
 keeps the last data set ingested, keyed by the format, the declared
@@ -191,13 +192,29 @@ def _check_width(d: int) -> None:
         raise DataFormatError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
+def _read_csv(source: _Source, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV rows, at most MAX_DIM features wide, and ``dim`` wide if given."""
+    xs, ys = _parse_csv(source, path)
+    _check_width(xs.shape[1])
+    if dim is not None and dim != xs.shape[1]:
+        raise DataFormatError(f"declared dimension {dim} does not match the "
+                              f"{xs.shape[1]} feature columns of {path!r}")
+    return xs, ys
+
+
+# Each format name and the reader of its rows; the first is the default.
+_READERS = {"csv-dense": _read_csv, "csv": _read_csv,
+            "libsvm-sparse": _parse_libsvm, "libsvm": _parse_libsvm}
+FORMATS = tuple(_READERS)
+
+
 # The last data set ingested: (key, spec, report), the key being the
 # format, the declared dimension, and the length and SHA-256 digest of the
 # bytes the data set was parsed from.
 _last: tuple | None = None
 
 
-def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
+def ingest(path: str, fmt: str = FORMATS[0], dim: int | None = None,
            w0=None) -> tuple[ProblemSpec, IngestReport]:
     """Load a data file into an empirical spec plus a summary report.
 
@@ -211,8 +228,8 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
     bytes its parse read.  A ``w0`` gets a spec of its own on the same
     rows."""
     global _last
-    if fmt not in ("csv", "csv-dense", "libsvm", "libsvm-sparse"):
-        raise DataFormatError(f"unknown format {fmt!r} (use csv-dense or libsvm-sparse)")
+    if fmt not in _READERS:
+        raise DataFormatError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
     with open(path, "rb", buffering=0) as fh:
         held = _last
         if held is not None and held[0][:3] == (fmt, dim, os.fstat(fh.fileno()).st_size):
@@ -234,14 +251,7 @@ def ingest(path: str, fmt: str = "csv-dense", dim: int | None = None,
 
 def _load(source: _Source, path: str, fmt: str,
           dim: int | None) -> tuple[ProblemSpec, IngestReport]:
-    if fmt in ("csv", "csv-dense"):
-        xs, ys = _parse_csv(source, path)
-        _check_width(xs.shape[1])
-        if dim is not None and dim != xs.shape[1]:
-            raise DataFormatError(f"declared dimension {dim} does not match the "
-                                  f"{xs.shape[1]} feature columns of {path!r}")
-    else:
-        xs, ys = _parse_libsvm(source, path, dim)
+    xs, ys = _READERS[fmt](source, path, dim)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
     if not finite.all():
         raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")

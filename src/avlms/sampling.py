@@ -79,16 +79,16 @@ def atom_scheme(spec: ProblemSpec, name: str, ratios, closed_form=None) -> Sampl
         raise SchemeError(_GAUSSIAN_REFUSAL)
     cinv = np.array(ratios, dtype=float).reshape(-1)
     if cinv.shape != (design.xs.shape[0],):
-        raise SchemeError("c_inverse must return one value per atom")
+        raise SchemeError("ratios must hold one value per atom")
     if cinv.min() < 0:
-        raise SchemeError("c_inverse must be nonnegative")
+        raise SchemeError("ratios must be nonnegative")
     total = float(design.probs @ cinv)
     if not abs(total - 1.0) <= 1e-10:
-        raise SchemeError(f"c_inverse has expectation {total!r} under the spec, not 1")
+        raise SchemeError(f"ratios have expectation {total!r} under the spec, not 1")
     nonzero_x = np.einsum("ti,ti->t", design.xs, design.xs) > 0
     if np.any(nonzero_x & (cinv == 0.0) & (design.probs > 0)):
         raise SchemeError(
-            "c_inverse vanishes on an atom with X != 0; the original "
+            "ratios vanish on an atom with X != 0; the original "
             "distribution is not absolutely continuous w.r.t. the proposal"
         )
     cinv.setflags(write=False)

@@ -934,7 +934,50 @@ class TestExitCodes:
         monkeypatch.setattr("avlms.moments.fourth_moment_operator_from_samples", refuse)
         argv = ["sampling", "--data", str(data), "--manifest", str(manifest)]
         assert main(argv) == EXIT_USAGE
-        assert "'scheme' must be one of" in capsys.readouterr().err
+        assert "argument --scheme: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        *[("gamma", v) for v in ("nan", "0", "-1", "abc")],
+        ("seed", "-1"), ("seed", "1.5"), ("dim", "0"), ("dim", "65"),
+        *[(k, v) for k in ("n_max", "points", "replicates") for v in ("0", "abc")],
+        ("mode", "bogus"), ("format", "bogus"), ("scheme", "bogus"),
+    ])
+    def test_flag_and_manifest_refuse_alike(self, key, value, tmp_path, capsys):
+        """A bad value is the same one ``error:`` line naming the option,
+        and the usage status, whether it comes by flag or by manifest."""
+        flag = "--" + key.replace("_", "-")
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        run = ["run", "--spec", "gaussian:d=2", "--out", str(out)]
+        lines = []
+        for extra in ([flag, value], ["--manifest", str(manifest)]):
+            assert main([*run, *extra]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.append(captured.err.splitlines())
+        assert lines[0] == lines[1]
+        assert len(lines[0]) == 1 and lines[0][0].startswith("error: ")
+        assert flag in lines[0][0]
+        assert not out.exists()
+
+    def test_readme_run_by_manifest_writes_the_flag_run_csv(self, tmp_path):
+        manifest = tmp_path / "run.cfg"
+        manifest.write_text(
+            "spec = gaussian:d=25,spectrum=1/i,sigma=1\n"
+            "gamma = 0.07, 0.007\n"
+            "mode = all\n"
+            "n-max = 10000\n"
+            "points = 15\n"
+            "replicates = 200\n"
+            "seed = 1\n"
+        )
+        by_flag, by_manifest = tmp_path / "flag.csv", tmp_path / "manifest.csv"
+        assert main(["run", "--spec", "gaussian:d=25,spectrum=1/i,sigma=1", "--gamma", "0.07",
+                     "--gamma", "0.007", "--mode", "all", "--n-max", "10000", "--points", "15",
+                     "--replicates", "200", "--seed", "1", "--out", str(by_flag)]) == EXIT_OK
+        assert main(["run", "--manifest", str(manifest), "--out", str(by_manifest)]) == EXIT_OK
+        assert by_manifest.read_bytes() == by_flag.read_bytes()
 
     def test_data_error(self, tmp_path):
         assert main(["gamma-max", "--data", str(tmp_path / "absent.csv")]) == EXIT_DATA

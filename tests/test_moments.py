@@ -228,7 +228,7 @@ class TestReweightedMoments:
 
     def test_absolute_continuity_required(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
-        with pytest.raises(SchemeError, match="absolutely continuous"):
+        with pytest.raises(SchemeError, match="^ratios .*absolutely continuous"):
             atom_scheme(spec, "test", [0.0, 2.0])
 
     def test_normalization_required(self):
@@ -239,7 +239,7 @@ class TestReweightedMoments:
 
     def test_one_nonnegative_ratio_per_atom_required(self):
         spec = ProblemSpec.discrete(np.array([[1.0], [2.0]]), w_star=[0.0], sigma=1.0)
-        with pytest.raises(SchemeError, match="one value per atom"):
+        with pytest.raises(SchemeError, match="^ratios .*one value per atom"):
             atom_scheme(spec, "test", [1.0, 1.0, 1.0])
         with pytest.raises(SchemeError, match="nonnegative"):
             atom_scheme(spec, "test", [-0.5, 2.5])
