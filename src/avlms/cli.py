@@ -61,7 +61,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors raise UsageError: one ``error:`` line, like any other."""
+    """A parser whose errors raise UsageError: one ``error:`` line, like any other.
+    A flag is its whole name, as a manifest key is: no prefix abbreviates it.
+    Sub-parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -225,11 +230,17 @@ def _resolve_spec(args) -> ProblemSpec:
     raise UsageError("one of --spec or --data is required")
 
 
-def _n_schedule(args) -> list[int]:
-    n_max, points = args.n_max or 1000, args.points or 20
+def _n_max(text: str) -> int:
+    """``--n-max``: positive, and at most the int64 range the schedule is cast to."""
+    n_max = _checked(int, "--n-max", "positive", lambda n: n >= 1)(text)
     top = np.iinfo(np.int64).max
     if n_max > top:
         raise UsageError(f"--n-max must be at most {top}")
+    return n_max
+
+
+def _n_schedule(args) -> list[int]:
+    n_max, points = args.n_max or 1000, args.points or 20
     lo = min(10, n_max)
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(n_max), points)))
     # Below n_max every grid point fits an int64; n_max itself closes the schedule.
@@ -256,10 +267,9 @@ def _warn_diverged(name: str, traj) -> None:
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
-    moments = sampling._moment_sets(spec, [scheme for _, scheme in cells])[::-1]
+    moments = sampling._moment_sets(spec, [scheme for _, scheme in cells])
     rows = []
-    for name, _ in cells:
-        m = moments.pop()
+    for (name, _), m in zip(cells, moments):
         g_max = stepsize.gamma_max(m)
         rows.append([
             name,
@@ -269,8 +279,6 @@ def cmd_gamma_max(args) -> int:
             m.mu,
             stepsize.smallest_t_eigenvalue(m, g_max / 2.0),
         ])
-        # Free this scheme's moments and spectral frame before the next is solved.
-        del m
     header = ["scheme", "gamma_max", "gamma_max_det", "trace_bound", "mu",
               "mu_T_at_half_gamma_max"]
     for row in rows:
@@ -417,8 +425,6 @@ def cmd_sampling(args) -> int:
     base_gamma_max = stepsize.gamma_max(base_moments)
     limits = {k: (stepsize.gamma_max(m), asymptotics.small_gamma_equivalents(m, 1.0, 1)[1])
               for k, m in zip(own, moments[1:])}
-    # Free the moments and their spectral frames before the runs.
-    del moments, base_moments
     rows, grid = [], []
     for k, (name, scheme) in enumerate(cells):
         g_max, var_limit = limits.get(k, (base_gamma_max, base_var_limit))
@@ -530,8 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if gamma:
             p.add_argument("--gamma", type=_checked(float, "--gamma", "positive", lambda g: g > 0),
                            action="append", help="step-size (repeatable)")
-        for flag, text in (("--n-max", "largest iterate count"),
-                           ("--points", "points in the log-spaced n schedule"),
+        p.add_argument("--n-max", type=_n_max, help="largest iterate count")
+        for flag, text in (("--points", "points in the log-spaced n schedule"),
                            ("--replicates", "Monte Carlo replicates")):
             p.add_argument(flag, type=_checked(int, flag, "positive", lambda n: n >= 1), help=text)
         p.add_argument("--mode", choices=MODES)

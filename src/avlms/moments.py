@@ -15,9 +15,12 @@ holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`_atom_moments` gives the same objects of a
 discrete design under any atom weights, which is how
-``sampling._moment_sets`` resamples one.  Gaussian resampled moments are
-exact in closed form only: :func:`norm_resampled_moments` and
-:func:`leverage_resampled_moments` are those of the two optimal schemes.
+``sampling._moment_sets`` resamples one.  A discrete spec keeps the
+MomentSets of its last :func:`_atom_moments` call, so a later call on the
+same spec builds only the atom Grams of weight rows that call did not
+have.  Gaussian resampled moments are exact in closed form only:
+:func:`norm_resampled_moments` and :func:`leverage_resampled_moments` are
+those of the two optimal schemes.
 
 Every producer writes the fourth moment directly in H's eigenbasis (the
 coordinates of u^T A u, H = u diag(l) u^T), where T is read, and hands it
@@ -31,6 +34,7 @@ the rotated rows ``xs @ u`` as one block.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -111,7 +115,8 @@ class ProblemSpec:
     optimum is the exact least-squares fit of the ingested rows.  ``hmat``
     is the design's H = E[X X^T] and ``h_eig`` its ascending eigenpairs
     ``(l, u)``, solved once by the constructors, which reject H rank
-    deficient.
+    deficient.  ``_atom_sets`` holds the MomentSets of the last
+    :func:`_atom_moments` call on a discrete spec.
     """
 
     dim: int
@@ -121,6 +126,7 @@ class ProblemSpec:
     noise: Noise
     kind: str
     h_eig: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _atom_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eta0(self) -> np.ndarray:
@@ -357,20 +363,33 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
 def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[MomentSet]:
     """Moments of a discrete spec whose fourth-order objects weight atom t
     by ``wts[t]``, one MomentSet per row ``wts`` of ``weight_rows``:
-    ``probs`` for the spec itself, ``probs * c`` resampled.  The rows share
-    one pass of the atom Gram over the atoms.  ``norm_resampled`` flags the
-    rows of norm-proportional resampling (none when None).
+    ``probs`` for the spec itself, ``probs * c`` resampled.  ``norm_resampled``
+    flags the rows of norm-proportional resampling (none when None).
+
+    The spec keeps the sets of its last call, keyed by the flag and the
+    SHA-256 of the row's bytes.  A row of that call gets its set as it is;
+    the other rows share one pass of the atom Gram over the atoms, which
+    gives each row the bits it gets alone, so a kept set is the one a new
+    pass would build.  The spec then keeps exactly this call's sets.
     """
-    xs = spec.design.xs
-    residual = isinstance(spec.noise, ResidualNoise)
-    eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
-    basis = SymBasis(spec.dim)
-    fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
-                                                  weights=np.stack(weight_rows))
     flags = norm_resampled or [False] * len(weight_rows)
-    return [_assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
-                      (xs * (wts * eps2)[:, None]).T @ xs, flag)
-            for wts, fourth, flag in zip(weight_rows, fourths, flags)]
+    rows = [np.ascontiguousarray(wts, dtype=float) for wts in weight_rows]
+    keys = [(flag, hashlib.sha256(wts).digest()) for wts, flag in zip(rows, flags)]
+    held = spec._atom_sets
+    sets = {key: held[key] for key in keys if key in held}
+    missing = {key: wts for key, wts in zip(keys, rows) if key not in sets}
+    if missing:
+        xs = spec.design.xs
+        residual = isinstance(spec.noise, ResidualNoise)
+        eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
+        basis = SymBasis(spec.dim)
+        fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
+                                                      weights=np.stack(list(missing.values())))
+        for (key, wts), fourth in zip(missing.items(), fourths):
+            sets[key] = _assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
+                                  (xs * (wts * eps2)[:, None]).T @ xs, key[0])
+    object.__setattr__(spec, "_atom_sets", sets)
+    return [sets[key] for key in keys]
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

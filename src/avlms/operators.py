@@ -264,7 +264,8 @@ class SpectralFrame:
     give the whole D x D matrix as the block (k = D, no scalars); the
     Gaussian forms give a d x d block and D - d scalars, and never form a
     D x D array.  Building the frame is O(D); every call solves T(gamma)
-    afresh.
+    afresh.  Its arrays are read-only, since one MomentSet may serve many
+    callers.
     """
 
     def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, block: np.ndarray,
@@ -275,6 +276,8 @@ class SpectralFrame:
         self.bdiag = lam[rows] + lam[cols]
         self._block, self._scalars = block, scalars
         self._k = block.shape[0]
+        for arr in (self.bdiag, block, scalars):
+            arr.setflags(write=False)
 
     def fourth_moment(self) -> np.ndarray:
         """The D x D matrix of the fourth moment, built afresh: the block,

@@ -364,14 +364,17 @@ class TestCommands:
         return str(data)
 
     def test_one_fourth_moment_gram_per_moment_set(self, tmp_path, monkeypatch):
-        """gamma-max and sampling over three schemes on data build three
-        weighted atom Grams, the uniform moments and one per resampled
-        scheme, in one pass over the atoms: each chunk of rows has its
-        rank-one coordinates built once for all three Grams, and never all
-        N rows at once."""
+        """gamma-max over three schemes on data builds three weighted atom
+        Grams, the uniform moments and one per resampled scheme, in one
+        pass over the atoms: each chunk of rows has its rank-one
+        coordinates built once for all three Grams, and never all N rows at
+        once.  sampling on the same file then reuses the spec's three sets
+        and makes no pass."""
+        import avlms.dataio
         import avlms.moments
         import avlms.operators
 
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # no spec kept from an earlier test
         data = self._data_file(tmp_path)
         chunk_rows = 16  # 40 atoms: chunks of 16, 16 and 8 rows
         monkeypatch.setattr(avlms.operators, "GRAM_CHUNK_BYTES", 8 * 6 * chunk_rows)
@@ -392,13 +395,13 @@ class TestCommands:
         monkeypatch.setattr(avlms.operators, "_rank_one_coords", counting)
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting_gram)
         schemes = ["--scheme", "uniform", "--scheme", "bias-opt", "--scheme", "variance-opt"]
-        for argv in (["gamma-max", "--data", data, *schemes],
-                     ["sampling", "--data", data, *schemes, "--n-max", "50",
-                      "--points", "2", "--replicates", "10",
-                      "--out", str(tmp_path / "s.csv")]):
+        for argv, passes in ((["gamma-max", "--data", data, *schemes], [(3, [16, 16, 8])]),
+                             (["sampling", "--data", data, *schemes, "--n-max", "50",
+                               "--points", "2", "--replicates", "10",
+                               "--out", str(tmp_path / "s.csv")], [])):
             grams.clear()
             assert main(argv) == EXIT_OK
-            assert grams == [(3, [16, 16, 8])]
+            assert grams == passes
 
     def test_sampling_solves_one_pencil_per_moment_set(self, tmp_path, monkeypatch):
         """The uniform row of sampling reuses the base moments' threshold and
@@ -1058,6 +1061,34 @@ class TestExitCodes:
             assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
         assert not (tmp_path / "out.csv").exists()
+
+
+    def test_n_max_beyond_int64_is_refused_before_ingest(self, tmp_path, monkeypatch, capsys):
+        """By flag and by manifest, the range check fires before --data is read."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the data file was ingested before --n-max was checked")
+
+        monkeypatch.setattr("avlms.cli.ingest", refuse)
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(f"n_max = {2**63}\n")
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,1\n0,1,2\n1,1,2\n")
+        sampling = ["sampling", "--data", str(data), "--out", str(tmp_path / "out.csv")]
+        for extra in (["--n-max", str(2**63)], ["--manifest", str(manifest)]):
+            assert main([*sampling, *extra]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--spec", "gaussian:d=2", "--gam", "0.1", "--n-max", "10", "--replicates", "2"],
+        ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n", "10", "--replicates", "2"],
+        ["gamma-max", "--spe", "gaussian:d=2"],
+    ])
+    def test_an_abbreviated_flag_is_usage(self, argv, capsys):
+        """A flag is its whole name, as a manifest key is."""
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: ")
 
 
 class TestRepeatedCalls:

@@ -301,6 +301,121 @@ class TestAtomMomentMemory:
         assert growth <= 4 * (large - small) * d * 8
 
 
+class TestAtomMomentMemo:
+    """A discrete spec keeps the MomentSets of its last atom-Gram call."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The number of weight rows of each atom-Gram pass, in call order."""
+        import avlms.moments
+
+        counts = []
+        original = avlms.moments.fourth_moment_operator_from_samples
+
+        def counting(xs, basis=None, weights=None):
+            counts.append(len(weights))
+            return original(xs, basis, weights=weights)
+
+        monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
+        return counts
+
+    @staticmethod
+    def _schemes(spec):
+        return [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got._norm_resampled == want._norm_resampled
+        np.testing.assert_array_equal(got.frame.fourth_moment(), want.frame.fourth_moment())
+        for name in ("hmat", "sigma0", "e0"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_a_hit_is_the_kept_set_with_a_fresh_specs_bits(self, passes):
+        from avlms.sampling import _moment_sets
+
+        spec = make_empirical(3, 50, 41)
+        first = _moment_sets(spec, self._schemes(spec))
+        again = _moment_sets(spec, self._schemes(spec))
+        assert all(a is b for a, b in zip(again, first))
+        assert compute_moments(spec) is first[0]
+        assert passes == [3]
+        fresh_spec = make_empirical(3, 50, 41)
+        for got, want in zip(first, _moment_sets(fresh_spec, self._schemes(fresh_spec))):
+            self._assert_same_bits(got, want)
+
+    def test_a_new_scheme_passes_only_its_missing_rows(self, passes):
+        from avlms.sampling import _moment_sets
+
+        spec = make_discrete(3, 30, 42, residual=True)
+        base = compute_moments(spec)
+        sets = _moment_sets(spec, self._schemes(spec))
+        assert sets[0] is base
+        assert passes == [1, 2]
+        twice = _moment_sets(spec, [None, None])
+        assert twice[0] is twice[1] is base
+        assert passes == [1, 2]
+
+    def test_the_norm_resampled_flag_separates_keys(self, passes):
+        from avlms.sampling import _moment_sets
+
+        spec = make_discrete(3, 30, 43, residual=False)
+        ratios = optimal_bias_scheme(spec).ratios
+        flagged = atom_scheme(spec, "flagged", ratios, norm_resampled_moments)
+        plain = atom_scheme(spec, "plain", ratios)
+        sets = _moment_sets(spec, [flagged, plain])
+        assert passes == [2]
+        assert sets[0]._norm_resampled and not sets[1]._norm_resampled
+        np.testing.assert_array_equal(sets[0].frame.fourth_moment(),
+                                      sets[1].frame.fourth_moment())
+        assert resampled_moments(spec, plain) is sets[1]
+        assert passes == [2]
+
+    def test_a_w0_spec_and_a_rewritten_file_miss(self, tmp_path, passes):
+        from avlms.dataio import ingest
+
+        rg = np.random.default_rng(44)
+        xs = rg.standard_normal((30, 3))
+        table = np.column_stack([xs, xs @ [1.0, -2.0, 0.5] + rg.standard_normal(30)])
+        path = tmp_path / "rows.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",")
+        spec = ingest(str(path))[0]
+        base = compute_moments(spec)
+        w0_spec = ingest(str(path), w0=np.ones(3))[0]
+        with_w0 = compute_moments(w0_spec)
+        assert with_w0 is not base
+        np.testing.assert_array_equal(with_w0.e0, np.outer(w0_spec.eta0, w0_spec.eta0))
+        assert compute_moments(spec) is base
+        assert passes == [1, 1]
+        np.savetxt(path, table[::-1], fmt="%.17g", delimiter=",")
+        rewritten = ingest(str(path))[0]
+        assert rewritten is not spec
+        assert compute_moments(rewritten) is not base
+        assert passes == [1, 1, 1]
+
+    def test_the_spec_keeps_only_the_last_calls_sets(self, passes):
+        spec = make_discrete(3, 30, 45, residual=True)
+        base = compute_moments(spec)
+        biased = resampled_moments(spec, optimal_bias_scheme(spec))
+        assert list(spec._atom_sets.values()) == [biased]
+        again = compute_moments(spec)
+        assert again is not base
+        self._assert_same_bits(again, base)
+        assert list(spec._atom_sets.values()) == [again]
+        assert passes == [1, 1, 1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_discrete(3, 30, 46, residual=True), lambda: make_gaussian(4, 1.0, 46),
+    ], ids=["kept atom set", "gaussian"])
+    def test_a_frames_arrays_are_read_only(self, make):
+        """A write into a set that later calls share raises, not corrupts them."""
+        frame = compute_moments(make()).frame
+        arrays = [frame.bdiag, frame._block, frame._scalars]
+        assert all(arr.size for arr in arrays[:2])
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
 def _resampled_operator_and_stderr(spec, c_inverse, n, seed):
     """Per-draw Monte Carlo of E[c u u^T] (u the rank-one coordinates in H's
     eigenbasis) and E[c X X^T], with entrywise standard errors, for the
@@ -549,7 +664,9 @@ class TestSpecSecondMoment:
 
     def test_unit_ratio_reweighting_is_compute_moments(self, monkeypatch):
         """c = 1 gives compute_moments' atom Gram bit for bit, and both go
-        through the one weighted atom-Gram routine."""
+        through the one weighted atom-Gram routine.  Each is built on a
+        spec of its own, since one spec would keep the unit-ratio set of
+        compute_moments and hand it back."""
         import avlms.moments
 
         calls = []
@@ -563,9 +680,8 @@ class TestSpecSecondMoment:
         from conftest import make_discrete
 
         for residual in (False, True):
-            spec = make_discrete(3, 8, 64, residual=residual)
-            base = compute_moments(spec)
-            rw = _reweighted(spec, np.ones(8))
+            base = compute_moments(make_discrete(3, 8, 64, residual=residual))
+            rw = _reweighted(make_discrete(3, 8, 64, residual=residual), np.ones(8))
             np.testing.assert_array_equal(rw.frame.fourth_moment(), base.frame.fourth_moment())
             np.testing.assert_array_equal(rw.sigma0, base.sigma0)
         assert len(calls) == 4
