@@ -417,17 +417,11 @@ def cmd_sampling(args) -> int:
             simulated.append(False)
         else:
             simulated.append(True)
-    # The uniform rows reuse the base moments.
-    own = [k for k, (_, scheme) in enumerate(cells) if scheme is not None]
-    moments = sampling._moment_sets(spec, [None] + [cells[k][1] for k in own])
-    base_moments = moments[0]
-    _, base_var_limit = asymptotics.small_gamma_equivalents(base_moments, 1.0, 1)
-    base_gamma_max = stepsize.gamma_max(base_moments)
-    limits = {k: (stepsize.gamma_max(m), asymptotics.small_gamma_equivalents(m, 1.0, 1)[1])
-              for k, m in zip(own, moments[1:])}
+    base, *moments = sampling._moment_sets(spec, [None, *(scheme for _, scheme in cells)])
+    base_gamma_max, base_var_limit = stepsize.gamma_max(base), base.hinv_traces[1]
     rows, grid = [], []
-    for k, (name, scheme) in enumerate(cells):
-        g_max, var_limit = limits.get(k, (base_gamma_max, base_var_limit))
+    for k, ((name, scheme), m) in enumerate(zip(cells, moments)):
+        g_max, var_limit = stepsize.gamma_max(m), m.hinv_traces[1]
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)

@@ -209,30 +209,31 @@ FORMATS = tuple(_READERS)
 
 
 # The last data set ingested: (key, spec, report), the key being the
-# format, the declared dimension, and the length and SHA-256 digest of the
-# bytes the data set was parsed from.
+# format's reader, the declared dimension, and the length and SHA-256
+# digest of the bytes the data set was parsed from.
 _last: tuple | None = None
 
 
-def ingest(path: str, fmt: str = FORMATS[0], dim: int | None = None,
-           w0=None) -> tuple[ProblemSpec, IngestReport]:
+def ingest(path: str, fmt: str = FORMATS[0],
+           dim: int | None = None) -> tuple[ProblemSpec, IngestReport]:
     """Load a data file into an empirical spec plus a summary report.
 
     A row holding a NaN or an infinity is a data error, named by its index
     among the data rows, and so is a ``dim`` other than a CSV's number of
     feature columns.  The file is opened once per call.  When the last
-    data set ingested came, under the same ``fmt`` and ``dim``, from as
-    many bytes as the file holds, the file is hashed, and the same digest
-    returns that spec and report as they are.  Otherwise the file is
-    parsed, and a data set that parses replaces the last one, keyed by the
-    bytes its parse read.  A ``w0`` gets a spec of its own on the same
-    rows."""
+    data set ingested came, under the reader of ``fmt`` (``csv`` and
+    ``csv-dense`` share one, as do ``libsvm`` and ``libsvm-sparse``) and
+    the same ``dim``, from as many bytes as the file holds, the file is
+    hashed, and the same digest returns that spec and report as they are.
+    Otherwise the file is parsed, and a data set that parses replaces the
+    last one, keyed by the bytes its parse read."""
     global _last
     if fmt not in _READERS:
         raise DataFormatError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
+    reader = _READERS[fmt]
     with open(path, "rb", buffering=0) as fh:
         held = _last
-        if held is not None and held[0][:3] == (fmt, dim, os.fstat(fh.fileno()).st_size):
+        if held is not None and held[0][:3] == (reader, dim, os.fstat(fh.fileno()).st_size):
             if hashlib.file_digest(fh, "sha256").digest() != held[0][3]:
                 held = None
             fh.seek(0)
@@ -241,17 +242,14 @@ def ingest(path: str, fmt: str = FORMATS[0], dim: int | None = None,
         if held is None:
             _last = None  # one data set at a time, also while the next is parsed
             source = _Source(fh)
-            spec, report = _load(source, path, fmt, dim)
-            held = _last = ((fmt, dim, *source.key()), spec, report)
-    _, spec, report = held
-    if w0 is not None:
-        spec = ProblemSpec.empirical(spec.design.xs, spec.design.ys, w0=w0)
-    return spec, report
+            spec, report = _load(source, path, reader, dim)
+            held = _last = ((reader, dim, *source.key()), spec, report)
+    return held[1:]
 
 
-def _load(source: _Source, path: str, fmt: str,
+def _load(source: _Source, path: str, reader,
           dim: int | None) -> tuple[ProblemSpec, IngestReport]:
-    xs, ys = _READERS[fmt](source, path, dim)
+    xs, ys = reader(source, path, dim)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
     if not finite.all():
         raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")

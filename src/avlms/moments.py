@@ -16,9 +16,9 @@ fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`_atom_moments` gives the same objects of a
 discrete design under any atom weights, which is how
 ``sampling._moment_sets`` resamples one.  A discrete spec keeps the
-MomentSets of its last :func:`_atom_moments` call, so a later call on the
-same spec builds only the atom Grams of weight rows that call did not
-have.  Gaussian resampled moments are exact in closed form only:
+MomentSets of the last :func:`_atom_moments` call that built any, so a
+later call on the same spec builds only the atom Grams of weight rows that
+call did not have.  Gaussian resampled moments are exact in closed form only:
 :func:`norm_resampled_moments` and :func:`leverage_resampled_moments` are
 those of the two optimal schemes.
 
@@ -116,7 +116,7 @@ class ProblemSpec:
     is the design's H = E[X X^T] and ``h_eig`` its ascending eigenpairs
     ``(l, u)``, solved once by the constructors, which reject H rank
     deficient.  ``_atom_sets`` holds the MomentSets of the last
-    :func:`_atom_moments` call on a discrete spec.
+    :func:`_atom_moments` call that built any on a discrete spec.
     """
 
     dim: int
@@ -366,19 +366,21 @@ def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[M
     ``probs`` for the spec itself, ``probs * c`` resampled.  ``norm_resampled``
     flags the rows of norm-proportional resampling (none when None).
 
-    The spec keeps the sets of its last call, keyed by the flag and the
-    SHA-256 of the row's bytes.  A row of that call gets its set as it is;
-    the other rows share one pass of the atom Gram over the atoms, which
-    gives each row the bits it gets alone, so a kept set is the one a new
-    pass would build.  The spec then keeps exactly this call's sets.
+    The spec keeps sets keyed by the flag and the SHA-256 of the row's
+    bytes.  A kept row gets its set as it is; the other rows share one pass
+    of the atom Gram over the atoms, which gives each row the bits it gets
+    alone, so a kept set is the one a new pass would build.  A call that
+    builds no row leaves the kept sets as they are; one that builds rows
+    then keeps exactly its own rows' sets.
     """
     flags = norm_resampled or [False] * len(weight_rows)
     rows = [np.ascontiguousarray(wts, dtype=float) for wts in weight_rows]
     keys = [(flag, hashlib.sha256(wts).digest()) for wts, flag in zip(rows, flags)]
     held = spec._atom_sets
-    sets = {key: held[key] for key in keys if key in held}
-    missing = {key: wts for key, wts in zip(keys, rows) if key not in sets}
+    missing = {key: wts for key, wts in zip(keys, rows) if key not in held}
     if missing:
+        for stale in held.keys() - keys:
+            del held[stale]
         xs = spec.design.xs
         residual = isinstance(spec.noise, ResidualNoise)
         eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
@@ -386,10 +388,9 @@ def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[M
         fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
                                                       weights=np.stack(list(missing.values())))
         for (key, wts), fourth in zip(missing.items(), fourths):
-            sets[key] = _assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
+            held[key] = _assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
                                   (xs * (wts * eps2)[:, None]).T @ xs, key[0])
-    object.__setattr__(spec, "_atom_sets", sets)
-    return [sets[key] for key in keys]
+    return [held[key] for key in keys]
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -264,8 +264,9 @@ class SpectralFrame:
     give the whole D x D matrix as the block (k = D, no scalars); the
     Gaussian forms give a d x d block and D - d scalars, and never form a
     D x D array.  Building the frame is O(D); every call solves T(gamma)
-    afresh.  Its arrays are read-only, since one MomentSet may serve many
-    callers.
+    afresh, and the pencil is solved once and its top kept.  Its arrays are
+    read-only, since one MomentSet may serve many callers, so the kept top
+    cannot go stale.
     """
 
     def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, block: np.ndarray,
@@ -276,6 +277,7 @@ class SpectralFrame:
         self.bdiag = lam[rows] + lam[cols]
         self._block, self._scalars = block, scalars
         self._k = block.shape[0]
+        self._top = None
         for arr in (self.bdiag, block, scalars):
             arr.setflags(write=False)
 
@@ -291,11 +293,13 @@ class SpectralFrame:
         """Top eigenvalue of the pencil (M, H_L + H_R): the larger of the top
         scalar ratio and the top eigenvalue of S^-1/2 block S^-1/2, with S
         the block's diagonal of ``bdiag``.  The block is solved whole, with
-        ``np.linalg.eigvalsh``, whatever its order."""
-        k = self._k
-        s = 1.0 / np.sqrt(self.bdiag[:k])
-        top = np.linalg.eigvalsh(s[:, None] * self._block * s[None, :])[-1]
-        return float((self._scalars / self.bdiag[k:]).max(initial=top))
+        ``np.linalg.eigvalsh``, whatever its order, on the first call."""
+        if self._top is None:
+            k = self._k
+            s = 1.0 / np.sqrt(self.bdiag[:k])
+            top = np.linalg.eigvalsh(s[:, None] * self._block * s[None, :])[-1]
+            self._top = float((self._scalars / self.bdiag[k:]).max(initial=top))
+        return self._top
 
     def _t_block(self, gamma: float) -> np.ndarray:
         t = -gamma * self._block

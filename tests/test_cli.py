@@ -174,15 +174,15 @@ class TestIngestCache:
         np.testing.assert_array_equal(rewritten.design.ys, [1.0, 0.0, 3.0])
 
     def test_another_format_or_dimension_misses(self, tmp_path):
+        """Two names of one reader hit; another reader or ``dim`` misses."""
         csv = tmp_path / "d.csv"
         csv.write_text("1,0,1\n0,1,0\n2,1,1\n")
         spec, _ = ingest(str(csv), "csv-dense")
-        other, _ = ingest(str(csv), "csv")
-        assert other is not spec
-        np.testing.assert_array_equal(other.design.xs, spec.design.xs)
+        assert ingest(str(csv), "csv")[0] is spec
         svm = tmp_path / "d.svm"
         svm.write_text("1 1:1 2:1\n0 2:2\n1 1:0.5 2:-1\n")
         inferred = ingest(str(svm), "libsvm")
+        assert ingest(str(svm), "libsvm-sparse")[0] is inferred[0]
         declared = ingest(str(svm), "libsvm", dim=2)
         assert declared[0] is not inferred[0]
         assert inferred[1].dim == declared[1].dim == 2
@@ -197,17 +197,6 @@ class TestIngestCache:
         path.write_text("1,0,1\n0,1,0\n2,1,1\n")
         spec, report = ingest(str(path))
         assert report.rows == 3 and ingest(str(path))[0] is spec
-
-    def test_w0_reuses_the_rows_with_a_spec_of_its_own(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("1,0,1\n0,1,0\n2,1,1\n")
-        spec, report = ingest(str(path))
-        moved, moved_report = ingest(str(path), w0=[1.0, 2.0])
-        assert moved is not spec and moved_report is report
-        assert moved.design.xs is spec.design.xs and moved.design.ys is spec.design.ys
-        np.testing.assert_array_equal(moved.w0, [1.0, 2.0])
-        np.testing.assert_array_equal(moved.w_star, spec.w_star)
-        assert ingest(str(path))[0] is spec
 
     def test_the_file_is_opened_once_per_call(self, tmp_path, monkeypatch):
         """A miss, a hit, a miss on a file as long as the last data set, and
@@ -404,24 +393,25 @@ class TestCommands:
             assert grams == passes
 
     def test_sampling_solves_one_pencil_per_moment_set(self, tmp_path, monkeypatch):
-        """The uniform row of sampling reuses the base moments' threshold and
-        bias-opt reads 2/Tr(H): three schemes solve the order-D pencil twice
-        (base and variance-opt), not four times."""
-        from avlms.operators import SpectralFrame
+        """The uniform row of sampling shares the base moment set, whose frame
+        keeps its pencil top, and bias-opt reads 2/Tr(H): three schemes make
+        two order-D eigensolves (base and variance-opt), not four."""
+        import avlms.dataio
 
-        calls = []
-        original = SpectralFrame.pencil_top
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # no spec kept from an earlier test
+        solves = []
+        original = np.linalg.eigvalsh
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(a):
+            solves.append(a.shape)
+            return original(a)
 
-        monkeypatch.setattr(SpectralFrame, "pencil_top", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         argv = ["sampling", "--data", self._data_file(tmp_path), "--scheme", "uniform",
                 "--scheme", "bias-opt", "--scheme", "variance-opt", "--n-max", "50",
                 "--points", "2", "--replicates", "10", "--out", str(tmp_path / "s.csv")]
         assert main(argv) == EXIT_OK
-        assert len(calls) == 2
+        assert solves == [(6, 6), (6, 6)]
 
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -370,7 +370,7 @@ class TestAtomMomentMemo:
         assert resampled_moments(spec, plain) is sets[1]
         assert passes == [2]
 
-    def test_a_w0_spec_and_a_rewritten_file_miss(self, tmp_path, passes):
+    def test_a_rewritten_file_misses(self, tmp_path, passes):
         from avlms.dataio import ingest
 
         rg = np.random.default_rng(44)
@@ -380,17 +380,25 @@ class TestAtomMomentMemo:
         np.savetxt(path, table, fmt="%.17g", delimiter=",")
         spec = ingest(str(path))[0]
         base = compute_moments(spec)
-        w0_spec = ingest(str(path), w0=np.ones(3))[0]
-        with_w0 = compute_moments(w0_spec)
-        assert with_w0 is not base
-        np.testing.assert_array_equal(with_w0.e0, np.outer(w0_spec.eta0, w0_spec.eta0))
-        assert compute_moments(spec) is base
-        assert passes == [1, 1]
+        assert compute_moments(ingest(str(path))[0]) is base
+        assert passes == [1]
         np.savetxt(path, table[::-1], fmt="%.17g", delimiter=",")
         rewritten = ingest(str(path))[0]
         assert rewritten is not spec
         assert compute_moments(rewritten) is not base
-        assert passes == [1, 1, 1]
+        assert passes == [1, 1]
+
+    def test_a_call_that_builds_nothing_keeps_the_sets(self, passes):
+        """Three schemes, then the spec's own moments, then the three again:
+        one three-row pass, and the same objects each time."""
+        from avlms.sampling import _moment_sets
+
+        spec = make_empirical(3, 50, 47)
+        first = _moment_sets(spec, self._schemes(spec))
+        assert compute_moments(spec) is first[0]
+        again = _moment_sets(spec, self._schemes(spec))
+        assert all(a is b for a, b in zip(again, first))
+        assert passes == [3]
 
     def test_the_spec_keeps_only_the_last_calls_sets(self, passes):
         spec = make_discrete(3, 30, 45, residual=True)

@@ -328,6 +328,15 @@ class TestOneSpectralFrame:
         CovarianceModel(m, 0.05 * g)
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_gaussian(4, 0.5, 909), lambda: make_discrete(3, 9, 910, residual=True),
+    ], ids=["gaussian", "discrete"])
+    def test_gamma_max_twice_solves_the_pencil_once(self, make, eigensolves):
+        m = compute_moments(make())
+        before = len(eigensolves)
+        assert gamma_max(m) == gamma_max(m)
+        assert len(eigensolves) == before + 1
+
     def test_contract_inverts_coords(self):
         m = compute_moments(make_discrete(4, 9, 905, residual=True))
         t_eig = m.frame.t_eigenpairs(0.3 * gamma_max(m))
