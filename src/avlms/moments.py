@@ -385,8 +385,9 @@ def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[M
         residual = isinstance(spec.noise, ResidualNoise)
         eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
         basis = SymBasis(spec.dim)
-        fourths = fourth_moment_operator_from_samples(xs @ spec.h_eig[1], basis,
-                                                      weights=np.stack(list(missing.values())))
+        fourths = fourth_moment_operator_from_samples(xs, basis,
+                                                      weights=np.stack(list(missing.values())),
+                                                      rotation=spec.h_eig[1])
         for (key, wts), fourth in zip(missing.items(), fourths):
             held[key] = _assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
                                   (xs * (wts * eps2)[:, None]).T @ xs, key[0])

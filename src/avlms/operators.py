@@ -101,31 +101,42 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis, out: np.ndarray | None = N
     """Coordinates of x x^T for each row x of xs, shape (N, D), written into
     ``out`` when given.
 
-    Built in place: at its peak it holds two (N, D) arrays, not three.
+    Each product goes straight into its slice of ``out``, with no temporary:
+    the diagonal x_i^2 first, then for each i the pairs x_i x_j, j > i, in
+    the basis order.
     """
-    out = np.take(xs, basis._rows, axis=1, out=out)
-    out *= xs[:, basis._cols]
-    out *= basis._scale
+    d = basis.dim
+    if out is None:
+        out = np.empty((len(xs), basis.size))
+    np.multiply(xs, xs, out=out[:, :d])
+    start = d
+    for i in range(d - 1):
+        np.multiply(xs[:, i + 1:], xs[:, i, None], out=out[:, start:start + d - 1 - i])
+        start += d - 1 - i
+    out[:, d:] *= _SQRT2
     return out
 
 
 def fourth_moment_operator_from_samples(
     samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
+    rotation: np.ndarray | None = None,
 ) -> np.ndarray | list[np.ndarray]:
     """D x D matrix of the empirical fourth-moment operator
     A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
 
     In orthonormal coordinates this is the (weighted) second-moment matrix
     of the coordinate vectors of x x^T, hence symmetric positive
-    semidefinite by construction.  Rows already rotated into H's
-    eigenbasis (``xs @ u``) give the operator in that basis.  The
-    coordinate vectors are built for GRAM_CHUNK_BYTES of rows at a time,
-    into buffers reused from chunk to chunk, and their Grams summed, so
-    memory stays O(chunk x D) for any number of samples; a sample that
-    fits in one chunk gets the one-shot product.  ``weights`` is None (the
-    plain mean), one weight per sample, or a (k, N) stack of weight rows,
-    which gives a list of k matrices: each chunk's coordinates are then
-    built once for all k, and every matrix has the bits it gets alone.
+    semidefinite by construction.  The rows arrive as they are; a d x d
+    ``rotation`` u (H's eigenvectors, say) turns each into x^T u as its
+    chunk is built, which gives the operator in that basis with the bits
+    of passing ``samples @ u``, and no N x d copy.  The coordinate vectors
+    are built for GRAM_CHUNK_BYTES of rows at a time, into buffers reused
+    from chunk to chunk, and their Grams summed, so memory stays
+    O(chunk x D + D^2) for any number of samples; a sample that fits in one
+    chunk gets the one-shot product.  ``weights`` is None (the plain
+    mean), one weight per sample, or a (k, N) stack of weight rows, which
+    gives a list of k matrices: each chunk's coordinates are then built
+    once for all k, and every matrix has the bits it gets alone.
     """
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
     n = xs.shape[0]
@@ -147,16 +158,29 @@ def fourth_moment_operator_from_samples(
     coords = np.empty((rows, size))
     scaled = None if weights is None else np.empty((rows, size))
     part = np.empty((size, size)) if n > rows else None
+    turned = None if rotation is None else np.empty((min(n, max(rows, 2)), xs.shape[1]))
     mats = [np.empty((size, size)) for _ in rows_of]
     for k in range(0, n, rows):
-        u = _rank_one_coords(xs[k:k + rows], basis, out=coords[:min(rows, n - k)])
+        m = min(rows, n - k)
+        chunk = xs[k:k + m]
+        if rotation is not None:
+            # A 1-row product takes numpy's vector path, whose last bits
+            # differ from the matrix product's, so a 1-row chunk is rotated
+            # with a neighbouring row when there is one.
+            lo = max(0, min(k, n - 2))
+            chunk = xs[lo:max(k + m, lo + 2)]
+            chunk = np.matmul(chunk, rotation, out=turned[:len(chunk)])[k - lo:k - lo + m]
+        u = _rank_one_coords(chunk, basis, out=coords[:m])
         for mat, w in zip(mats, rows_of):
-            lhs = u if w is None else np.multiply(u, w[k:k + rows, None], out=scaled[:len(u)])
+            lhs = u if w is None else np.multiply(u, w[k:k + m, None], out=scaled[:m])
             if k == 0:
                 np.matmul(lhs.T, u, out=mat)
             else:
                 np.matmul(lhs.T, u, out=part)
                 mat += part
+    # mat + mat.T copies mat.T, which overlaps the output: drop the chunk
+    # buffers and the views into them first, so that copy adds no peak.
+    coords = scaled = part = turned = chunk = u = lhs = None
     for mat in mats:
         if weights is None:
             mat /= n

@@ -312,9 +312,9 @@ class TestAtomMomentMemo:
         counts = []
         original = avlms.moments.fourth_moment_operator_from_samples
 
-        def counting(xs, basis=None, weights=None):
+        def counting(xs, basis=None, weights=None, **kwargs):
             counts.append(len(weights))
-            return original(xs, basis, weights=weights)
+            return original(xs, basis, weights=weights, **kwargs)
 
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
         return counts
@@ -680,9 +680,9 @@ class TestSpecSecondMoment:
         calls = []
         original = avlms.moments.fourth_moment_operator_from_samples
 
-        def counting(xs, basis=None, weights=None):
+        def counting(xs, basis=None, weights=None, **kwargs):
             calls.append(weights)
-            return original(xs, basis, weights=weights)
+            return original(xs, basis, weights=weights, **kwargs)
 
         monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting)
         from conftest import make_discrete

@@ -233,6 +233,64 @@ class TestFourthMomentFromSamples:
                     fourth_moment_operator_from_samples(xs, basis, weights=w),
                     one_shot_fourth_moment(xs, basis, w))
 
+    def test_rank_one_coords_are_the_scaled_pair_products_bit_for_bit(self):
+        from avlms.operators import _rank_one_coords
+
+        for d in (1, 2, 7, 30):
+            basis = SymBasis(d)
+            xs, _ = self._atoms(13, d, 23)
+            rows, cols = basis.pairs
+            want = xs[:, rows] * xs[:, cols] * np.where(rows == cols, 1.0, SQRT2)
+            np.testing.assert_array_equal(_rank_one_coords(xs, basis), want)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_rows_rotated_per_chunk_are_the_rotated_rows_bit_for_bit(self, monkeypatch,
+                                                                     chunk_rows):
+        """Passing H's eigenvectors as ``rotation`` gives the Gram of ``xs @ u``
+        exactly: with one sample, below one chunk, a whole number of chunks,
+        and one row past them (a 1-row tail chunk, which numpy's vector path
+        would rotate with other last bits); unweighted, with one weight row
+        and with a stack of them."""
+        import avlms.operators
+
+        monkeypatch.setattr(avlms.operators, "GRAM_CHUNK_BYTES", 8 * 55 * chunk_rows)
+        basis = SymBasis(10)
+        u = np.linalg.eigh(np.random.default_rng(24).standard_normal((10, 10)) + np.eye(10))[1]
+        for n in sorted({1, max(1, chunk_rows - 1), 3 * chunk_rows, 3 * chunk_rows + 1}):
+            xs, weights = self._atoms(n, 10, 25)
+            for w in (None, weights, np.stack([weights, np.full(n, 1.0 / n)])):
+                got = fourth_moment_operator_from_samples(xs, basis, weights=w, rotation=u)
+                want = fourth_moment_operator_from_samples(xs @ u, basis, weights=w)
+                assert np.array_equal(got, want), (n, w is None)
+
+    def test_gram_holds_only_its_buffers(self):
+        """On 20000 x 30 rows (D=465) with three weight rows, the traced
+        growth of a rotated Gram stays within 5% of two chunk buffers, one
+        D x D partial, the three results and one rotated chunk.  An N x d
+        copy of the rows (4.6 MiB) or one more chunk-sized temporary
+        (4.0 MiB) would break the bound."""
+        import tracemalloc
+
+        from avlms.operators import GRAM_CHUNK_BYTES
+
+        n, d, k = 20_000, 30, 3
+        basis = SymBasis(d)
+        size = basis.size
+        rows = GRAM_CHUNK_BYTES // (8 * size)
+        rg = np.random.default_rng(26)
+        xs = rg.standard_t(5, (n, d))
+        stack = rg.uniform(0.0, 2.0, (k, n)) / n
+        u = np.linalg.qr(rg.standard_normal((d, d)))[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grams = fourth_moment_operator_from_samples(xs, basis, weights=stack, rotation=u)
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(grams) == k
+        assert growth <= 1.05 * 8 * (2 * rows * size + (k + 1) * size**2 + rows * d)
+
 
 class TestApply:
     def test_identity(self):
