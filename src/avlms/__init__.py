@@ -2,7 +2,6 @@
 
 from .asymptotics import (
     CovarianceModel,
-    CovarianceReport,
     Risks,
     excess_risk,
     small_gamma_equivalents,

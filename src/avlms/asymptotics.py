@@ -50,9 +50,8 @@ first ``k``: the block eigenpairs, d of D on a Gaussian form) and the
 model evaluates its coefficients and weights there only.  The model is
 the one entry point: build one per (moments, gamma) and reuse it across
 horizons; :meth:`CovarianceModel.risks` gives the four risks at every
-horizon of a schedule; the matrix methods and
-:meth:`CovarianceModel.report` take one horizon, the one-horizon case of
-the same sums.
+horizon of a schedule, the matrix methods the one-horizon case of the
+same sums, and the remainder bounds one horizon each.
 """
 
 from __future__ import annotations
@@ -174,8 +173,9 @@ class _Readout:
 
 @dataclass(frozen=True)
 class Risks:
-    """The four excess risks Tr(H Delta) of one model at one horizon; a
-    field is None where :class:`CovarianceReport` leaves its matrix out."""
+    """The four excess risks Tr(H Delta) of one model at one horizon.  The
+    leading risks are None off the stable range (:attr:`CovarianceModel.stable`),
+    the exact variance risk where T is singular."""
 
     bias_exact: float
     bias_leading: float | None
@@ -231,11 +231,6 @@ class CovarianceModel:
     @cached_property
     def _diag(self) -> _Readout:
         return _Readout(self, diagonal=True)
-
-    @property
-    def wsurf(self) -> np.ndarray:
-        """The surface 1/l_a + 1/l_b - gamma of H_L^-1 + H_R^-1 - gamma I."""
-        return self._full.wsurf
 
     # -- term assembly, in the rotated (H-eigen) coordinates of a read-out --
 
@@ -388,11 +383,6 @@ class CovarianceModel:
             var[k] = 0.0 if self.t_invertible else None
         return [Risks(*fields) for fields in zip(bias, bias_leading, var, var_leading)]
 
-    def small_gamma(self, n: int) -> tuple[float, float]:
-        """The small step-size equivalents of the bias and variance risks at
-        horizon n (:func:`small_gamma_equivalents`)."""
-        return small_gamma_equivalents(self.moments, self.gamma, n)
-
     def bias_remainder_bound(self, n: int) -> float:
         """Frobenius bound on exact-minus-leading for the bias part."""
         n = _check_n(n)
@@ -431,29 +421,6 @@ class CovarianceModel:
         )
         return m.dim * self.rho**n * s0_norm / n * bracket
 
-    def report(self, n: int) -> CovarianceReport:
-        """Every closed-form prediction of this model at horizon n; the risks
-        come from :meth:`risks`."""
-        risks = self.risks([n])[0]
-        stable = self.stable
-        small_bias, small_var = self.small_gamma(n)
-        return CovarianceReport(
-            gamma=self.gamma,
-            n=int(n),
-            bias_exact=self.bias_exact(n),
-            bias_leading=self.bias_leading(n) if stable else None,
-            variance_exact=self.variance_exact(n) if self.t_invertible else None,
-            variance_leading=self.variance_leading(n) if stable else None,
-            bias_remainder_bound=self.bias_remainder_bound(n) if stable else None,
-            variance_remainder_bound=self.variance_remainder_bound(n) if stable else None,
-            bias_risk_exact=risks.bias_exact,
-            bias_risk_leading=risks.bias_leading,
-            variance_risk_exact=risks.variance_exact,
-            variance_risk_leading=risks.variance_leading,
-            small_gamma_bias=small_bias,
-            small_gamma_variance=small_var,
-        )
-
 
 def _check_n(n) -> int:
     if n != int(n) or int(n) < 1:
@@ -485,28 +452,3 @@ def total_error_envelope(bias_risk: float, variance_risk: float) -> float:
     if bias_risk < 0 or variance_risk < 0:
         raise ValueError("risk components must be nonnegative")
     return 2.0 * (bias_risk + variance_risk)
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Every closed-form prediction at one (gamma, n).
-
-    Leading terms and remainder bounds are None when the step-size is at
-    or beyond the stability threshold; the exact bias covariance is always
-    present and the exact variance covariance whenever T is invertible.
-    """
-
-    gamma: float
-    n: int
-    bias_exact: np.ndarray
-    bias_leading: np.ndarray | None
-    variance_exact: np.ndarray | None
-    variance_leading: np.ndarray | None
-    bias_remainder_bound: float | None
-    variance_remainder_bound: float | None
-    bias_risk_exact: float
-    bias_risk_leading: float | None
-    variance_risk_exact: float | None
-    variance_risk_leading: float | None
-    small_gamma_bias: float
-    small_gamma_variance: float

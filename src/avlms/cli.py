@@ -11,8 +11,9 @@ ingest      parse a data file and print its summary report
 
 Configuration comes from flags plus an optional ``key = value`` manifest
 file (flags override the file), whose values the flags' own parser reads.
-Every usage error, by flag or by manifest, is one ``error: ...`` line on
-stderr.  Outputs are deterministic for a given manifest and master seed.
+A command takes only the options it reads, and at most one of --spec and
+--data.  Every usage error, by flag or by manifest, is one ``error: ...``
+line on stderr.  Outputs are deterministic for a given manifest and master seed.
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical error,
 4 out of memory.  A reader that closes stdout early (``avlms predict ...
 --out - | head -1``) is not an error: the command stops writing, stdout
@@ -219,10 +220,12 @@ def _ingest(args):
 
 
 def _resolve_spec(args) -> ProblemSpec:
-    if getattr(args, "data", None):
+    if args.spec and args.data:
+        raise UsageError("give one of --spec or --data, not both (by flag or manifest)")
+    if args.data:
         return _ingest(args)[0]
-    if getattr(args, "spec", None):
-        stray = [key for key in ("format", "dim") if getattr(args, key, None) is not None]
+    if args.spec:
+        stray = [key for key in ("format", "dim") if getattr(args, key) is not None]
         if stray:
             raise UsageError(f"--spec takes no {' or '.join(stray)} (given by flag or "
                              "manifest); those describe a --data file")
@@ -352,7 +355,7 @@ def cmd_predict(args) -> int:
                 var_ex,
                 risks.variance_leading,
                 model.variance_remainder_bound(n) if stable else None,
-                *model.small_gamma(n),
+                *asymptotics.small_gamma_equivalents(moments, gamma, n),
             ])
         if not stable:
             print(
@@ -508,6 +511,38 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+# Every option of the data commands: its flag and add_argument keywords.
+_OPTIONS = {
+    "--spec": dict(help="synthetic spec descriptor, e.g. gaussian:d=25,spectrum=1/i,sigma=1"),
+    "--data": dict(help="path to a data file"),
+    "--format": dict(choices=FORMATS, help=f"data file format (default {FORMATS[0]})"),
+    "--dim": dict(type=_checked(int, "--dim", f"from 1 to {MAX_DIM}", lambda d: 1 <= d <= MAX_DIM),
+                  help="declared dimension (a CSV's must match its width)"),
+    "--gamma": dict(type=_checked(float, "--gamma", "positive", lambda g: g > 0),
+                    action="append", help="step-size (repeatable)"),
+    "--n-max": dict(type=_n_max, help="largest iterate count"),
+    "--points": dict(type=_checked(int, "--points", "positive", lambda n: n >= 1),
+                     help="points in the log-spaced n schedule"),
+    "--replicates": dict(type=_checked(int, "--replicates", "positive", lambda n: n >= 1),
+                         help="Monte Carlo replicates"),
+    "--mode": dict(choices=MODES),
+    "--scheme": dict(action="append", choices=SCHEMES, help="sampling scheme (repeatable)"),
+    "--seed": dict(type=_checked(int, "--seed", "nonnegative", lambda s: s >= 0),
+                   help="master seed (default 0)"),
+    "--out": dict(help="output path ('-' for stdout)"),
+    "--manifest": dict(help="key = value manifest file; flags override it"),
+}
+_SPEC_OPTIONS = ("--spec", "--data", "--format", "--dim")
+# The options each data command reads; any other is a usage error, by flag or by manifest.
+_COMMAND_OPTIONS = {
+    "gamma-max": (*_SPEC_OPTIONS, "--scheme", "--seed", "--out", "--manifest"),
+    "run": tuple(_OPTIONS),
+    "predict": (*_SPEC_OPTIONS, "--gamma", "--n-max", "--points", "--seed", "--out", "--manifest"),
+    "sampling": tuple(_OPTIONS),
+    "ingest": ("--data", "--format", "--dim", "--out", "--manifest"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: the one place that
@@ -520,36 +555,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma=True):
-        p.add_argument("--spec", help="synthetic spec descriptor, e.g. gaussian:d=25,spectrum=1/i,sigma=1")
-        p.add_argument("--data", help="path to a data file")
-        p.add_argument("--format", choices=FORMATS, help=f"data file format (default {FORMATS[0]})")
-        p.add_argument("--dim", type=_checked(int, "--dim", f"from 1 to {MAX_DIM}",
-                                              lambda d: 1 <= d <= MAX_DIM),
-                       help="declared dimension (a CSV's must match its width)")
-        if gamma:
-            p.add_argument("--gamma", type=_checked(float, "--gamma", "positive", lambda g: g > 0),
-                           action="append", help="step-size (repeatable)")
-        p.add_argument("--n-max", type=_n_max, help="largest iterate count")
-        for flag, text in (("--points", "points in the log-spaced n schedule"),
-                           ("--replicates", "Monte Carlo replicates")):
-            p.add_argument(flag, type=_checked(int, flag, "positive", lambda n: n >= 1), help=text)
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--scheme", action="append", choices=SCHEMES,
-                       help="sampling scheme (repeatable)")
-        p.add_argument("--seed", type=_checked(int, "--seed", "nonnegative", lambda s: s >= 0),
-                       help="master seed (default 0)")
-        p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--manifest", help="key = value manifest file; flags override it")
+    def command(name: str, text: str) -> None:
+        p = sub.add_parser(name, help=text)
+        for flag in _COMMAND_OPTIONS[name]:
+            p.add_argument(flag, **_OPTIONS[flag])
 
-    common(sub.add_parser("gamma-max", help="step-size thresholds per scheme"), gamma=False)
-    common(sub.add_parser("run", help="Monte Carlo trajectories to CSV"))
-    common(sub.add_parser("predict", help="closed-form risk curves to CSV"))
-    common(sub.add_parser("sampling", help="sampling-scheme comparison CSV"))
+    command("gamma-max", "step-size thresholds per scheme")
+    command("run", "Monte Carlo trajectories to CSV")
+    command("predict", "closed-form risk curves to CSV")
+    command("sampling", "sampling-scheme comparison CSV")
     p_plot = sub.add_parser("plot", help="render a CSV as a log-log SVG")
     p_plot.add_argument("csv", help="CSV produced by run or predict")
     p_plot.add_argument("--out", help="output SVG path (default plot.svg)")
-    common(sub.add_parser("ingest", help="parse a data file and print its report"), gamma=False)
+    command("ingest", "parse a data file and print its report")
     return parser
 
 

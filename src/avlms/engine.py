@@ -76,7 +76,7 @@ class RunConfig:
 
     ``n`` counts averaged iterates (w_0 through w_{n-1}, i.e. n - 1
     updates).  ``record_at`` lists the iterate counts to log; when absent,
-    every ``record_stride``-th count (and n itself) is logged.
+    every count is logged.
     """
 
     gamma: float
@@ -84,7 +84,6 @@ class RunConfig:
     replicates: int = 1
     mode: str = "total"
     seed: int = 0
-    record_stride: int = 1
     record_at: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -94,20 +93,15 @@ class RunConfig:
             raise ValueError("n must be at least 1")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def record_points(self) -> list[int]:
-        if self.record_at is not None:
-            pts = sorted({int(m) for m in self.record_at})
-            if not pts or pts[0] < 1 or pts[-1] > self.n:
-                raise ValueError("record_at entries must lie in [1, n]")
-            return pts
-        pts = list(range(self.record_stride, self.n + 1, self.record_stride))
-        if not pts or pts[-1] != self.n:
-            pts.append(self.n)
+        if self.record_at is None:
+            return list(range(1, self.n + 1))
+        pts = sorted({int(m) for m in self.record_at})
+        if not pts or pts[0] < 1 or pts[-1] > self.n:
+            raise ValueError("record_at entries must lie in [1, n]")
         return pts
 
 
@@ -129,7 +123,6 @@ class Trajectory:
     diverged_at: int | None = None
     diverged_replicate: int | None = None
     diverged_norm: float | None = None
-    label: str = ""
 
 
 class _GuideTable:
@@ -216,7 +209,7 @@ class _Sampler:
         self._xs = xs
         self._clean = xs @ spec.w_star
         if self.residual:
-            self._ys = self._clean if design.ys is None else design.ys
+            self._ys = design.ys
         # Each atom's largest |x| entry.  Rounding is monotone, so scaled by
         # sqrt(c_s) its maximum is the largest |x| entry scheme s can draw.
         row_max = np.maximum(xs.max(axis=1), -xs.min(axis=1))
@@ -345,8 +338,8 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int],
-           labels: list[str]) -> list[Trajectory]:
+def _drive(spec, configs: list[RunConfig], sampler: _Sampler,
+           schemes: list[int]) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
 
     The state ``w`` has shape (cells, replicates, d).  Every step shares one
@@ -514,7 +507,6 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler, schemes: list[int]
             diverged_at=diverged[k][0],
             diverged_replicate=diverged[k][1],
             diverged_norm=diverged[k][2],
-            label=labels[k],
         )
         for k, c in enumerate(configs)
     ]
@@ -539,10 +531,10 @@ def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
 
     The configs must agree on ``n``, ``replicates``, ``seed`` and the
     record points; they may differ in ``gamma`` and ``mode``.  ``scheme``
-    is one ``SamplingScheme`` (None: uniform) for every cell, or a list
-    with one per config.  All cells share one uniform (or Gaussian input)
-    stream and one noise stream, so each trajectory is bit-identical to the
-    same config run alone.  Cells are stepped in lockstep, in groups whose
+    is None (every cell uniform) or a list with one ``SamplingScheme``
+    (None: uniform) per config.  All cells share one uniform (or Gaussian
+    input) stream and one noise stream, so each trajectory is bit-identical
+    to the same config run alone.  Cells are stepped in lockstep, in groups whose
     state stays under ``GROUP_BYTES``; every group restarts the streams
     from the seed, so grouping never changes bits.  Risk is the testing
     error against the spec's true second moment ``spec.hmat``; a scheme
@@ -558,24 +550,22 @@ def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
             raise ValueError("configs of one grid must share n, replicates and seed")
         if c.record_points() != first.record_points():
             raise ValueError("configs of one grid must share their record points")
-    per_cell = list(scheme) if isinstance(scheme, (list, tuple)) else [scheme] * len(configs)
+    per_cell = [None] * len(configs) if scheme is None else list(scheme)
     if len(per_cell) != len(configs):
         raise ValueError("give one scheme per config")
     distinct = list({id(s): s for s in per_cell}.values())
     index = {id(s): k for k, s in enumerate(distinct)}
     sampler = _Sampler(spec, distinct)
     cell_scheme = [index[id(s)] for s in per_cell]
-    labels = ["uniform" if s is None else s.name for s in per_cell]
     # A single cell above the budget still runs, alone in its group.
     size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * first.replicates * spec.dim))
     out = []
     for k in range(0, len(configs), size):
-        out += _drive(spec, configs[k:k + size], sampler, cell_scheme[k:k + size],
-                      labels[k:k + size])
+        out += _drive(spec, configs[k:k + size], sampler, cell_scheme[k:k + size])
     return out
 
 
 def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Trajectory:
     """Averaged constant-step LMS under the requested mode: one cell of
     :func:`run_cells`."""
-    return run_cells(spec, [config], scheme)[0]
+    return run_cells(spec, [config], [scheme])[0]

@@ -396,7 +396,8 @@ class TestSharedMomentPieces:
             fresh = CovarianceModel(compute_moments(spec), g)
             assert risk_bits(model.risks(schedule)) == risk_bits(fresh.risks(schedule)), g
             for n in schedule:
-                assert model.small_gamma(n) == fresh.small_gamma(n), (g, n)
+                assert (small_gamma_equivalents(shared, g, n)
+                        == small_gamma_equivalents(fresh.moments, g, n)), (g, n)
                 assert model.bias_remainder_bound(n) == fresh.bias_remainder_bound(n), (g, n)
                 assert (model.variance_remainder_bound(n)
                         == fresh.variance_remainder_bound(n)), (g, n)
@@ -417,7 +418,6 @@ class TestSharedMomentPieces:
         monkeypatch.setattr(np.linalg, "solve", counted)
         for g in (0.5 * gamma_max(m), 0.05 * gamma_max(m)):
             model = CovarianceModel(m, g)
-            model.small_gamma(10)
             model.bias_remainder_bound(10)
             small_gamma_equivalents(m, g, 10)
         assert len(solves) == 2
@@ -736,7 +736,7 @@ class TestRatesAndRegimes:
                 for n in (10, 100, 1000, 10_000):
                     lead_risk = excess_risk(m, model.variance_leading(n))
                     main = model._rotate_back(
-                        model.wsurf * model.t_eig.contract(model.sigma0_coords / model.tau)
+                        model._full.wsurf * model.t_eig.contract(model.sigma0_coords / model.tau)
                     )
                     main_risk = excess_risk(m, main) / n
                     assert lead_risk <= main_risk + 1e-12 * max(1.0, main_risk), (name, frac, n)
@@ -745,26 +745,40 @@ class TestRatesAndRegimes:
 
 
 class TestCovarianceReport:
+    """What one model answers at one horizon, through its matrix methods, its
+    remainder bounds and :meth:`CovarianceModel.risks`, stable or not."""
+
     def test_stable_report_is_complete(self):
         m = compute_moments(scalar_unit_spec())
-        rep = CovarianceModel(m, 0.5).report(100)
-        assert rep.bias_leading is not None and rep.variance_leading is not None
-        np.testing.assert_allclose(rep.bias_risk_leading, 4.0 / 100**2, rtol=1e-12)
-        assert rep.bias_remainder_bound is not None
-        np.testing.assert_allclose(rep.small_gamma_variance, 1.0 / 100, rtol=1e-12)
+        model = CovarianceModel(m, 0.5)
+        assert model.stable
+        assert model.bias_leading(100).shape == model.variance_leading(100).shape == (1, 1)
+        risks = model.risks([100])[0]
+        np.testing.assert_allclose(risks.bias_leading, 4.0 / 100**2, rtol=1e-12)
+        assert risks.variance_leading is not None
+        assert np.isfinite(model.bias_remainder_bound(100))
+        np.testing.assert_allclose(small_gamma_equivalents(m, 0.5, 100)[1], 1.0 / 100,
+                                   rtol=1e-12)
 
     def test_unstable_report_keeps_exact_columns(self):
         m = compute_moments(scalar_unit_spec())
-        rep = CovarianceModel(m, 2.5).report(50)
-        assert rep.bias_leading is None
-        assert rep.bias_exact is not None
-        assert rep.variance_exact is not None  # T invertible beyond the threshold
+        model = CovarianceModel(m, 2.5)
+        risks = model.risks([50])[0]
+        assert not model.stable and risks.bias_leading is None
+        with pytest.raises(SingularOperatorError):
+            model.bias_leading(50)
+        assert model.bias_exact(50).shape == (1, 1) and risks.bias_exact is not None
+        # T invertible beyond the threshold
+        assert model.variance_exact(50).shape == (1, 1) and risks.variance_exact is not None
 
     def test_report_at_exactly_singular_generator(self):
-        """At the threshold itself T is singular: the exact bias column is
-        still produced, the exact variance column is absent."""
+        """At the threshold itself T is singular: the exact bias is still
+        evaluated, the exact and leading variance are absent."""
         m = compute_moments(scalar_unit_spec())
-        rep = CovarianceModel(m, gamma_max(m)).report(20)
-        assert rep.bias_exact is not None and np.isfinite(rep.bias_exact).all()
-        assert rep.variance_exact is None
-        assert rep.variance_leading is None
+        model = CovarianceModel(m, gamma_max(m))
+        risks = model.risks([20])[0]
+        assert np.isfinite(model.bias_exact(20)).all() and np.isfinite(risks.bias_exact)
+        assert risks.variance_exact is None and risks.variance_leading is None
+        for method in (model.variance_exact, model.variance_leading):
+            with pytest.raises(SingularOperatorError):
+                method(20)

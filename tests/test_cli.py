@@ -12,7 +12,7 @@ import pytest
 import avlms
 from avlms import compute_moments, engine
 from avlms.cli import (EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                       _build_parser, main)
+                       _build_parser, _merge_manifest, main)
 from avlms.dataio import DataFormatError, export_csv, ingest
 from oracles import original_fourth_moment
 
@@ -519,7 +519,8 @@ class TestCommands:
     @pytest.mark.parametrize("gamma", ["0.2", "1.0", "2.0"])
     def test_predict_columns_match_full_report(self, tmp_path, gamma):
         """At a stable, a beyond-threshold and a singular-T gamma, each predict
-        cell is empty exactly where the full report's matrix is absent or
+        cell is empty exactly where the model's matrix is absent (leading
+        terms off the stable range, the exact variance at a singular T) or
         overflows, and from n = 50 on holds that matrix's risk to 1e-12."""
         from avlms import CovarianceModel, excess_risk
         from avlms.cli import _build_parser, _resolve_spec
@@ -532,12 +533,14 @@ class TestCommands:
         header = lines[0].split(",")
         model = CovarianceModel(compute_moments(_resolve_spec(_build_parser().parse_args(argv))),
                                 float(gamma))
+        methods = {"bias_exact": model.bias_exact,
+                   "bias_leading": model.bias_leading if model.stable else None,
+                   "variance_exact": model.variance_exact if model.t_invertible else None,
+                   "variance_leading": model.variance_leading if model.stable else None}
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
-            rep = model.report(int(row["n"]))
-            for col, mat in (("bias_exact", rep.bias_exact), ("bias_leading", rep.bias_leading),
-                             ("variance_exact", rep.variance_exact),
-                             ("variance_leading", rep.variance_leading)):
+            for col, method in methods.items():
+                mat = None if method is None else method(int(row["n"]))
                 want = None if mat is None else excess_risk(model.moments, mat)
                 if want is None or not np.isfinite(want):
                     assert row[col] == "", (col, row)
@@ -1079,6 +1082,76 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: unrecognized arguments: ")
+
+
+# A value each option accepts, and the options each command reads, written
+# out apart from the parser.
+OPTION_VALUES = {
+    "--spec": "gaussian:d=2", "--data": "d.csv", "--format": "csv", "--dim": "2",
+    "--gamma": "0.1", "--n-max": "10", "--points": "3", "--replicates": "2", "--mode": "bias",
+    "--scheme": "uniform", "--seed": "1", "--out": "out.csv", "--manifest": "m.cfg",
+}
+COMMAND_READS = {
+    "gamma-max": {"--spec", "--data", "--format", "--dim", "--scheme", "--seed", "--out",
+                  "--manifest"},
+    "run": set(OPTION_VALUES),
+    "predict": {"--spec", "--data", "--format", "--dim", "--gamma", "--n-max", "--points",
+                "--seed", "--out", "--manifest"},
+    "sampling": set(OPTION_VALUES),
+    "ingest": {"--data", "--format", "--dim", "--out", "--manifest"},
+}
+
+
+class TestOptions:
+    """Each command takes exactly the options it reads, by flag and by
+    manifest alike."""
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in COMMAND_READS
+                                               for f in OPTION_VALUES])
+    def test_an_option_is_taken_only_where_it_is_read(self, command, flag, tmp_path, capsys):
+        """An option the command reads is parsed to the same value by flag
+        and by manifest key; any other is the usage status and one error
+        line naming it, by flag and by manifest key."""
+        key, value = flag[2:].replace("-", "_"), OPTION_VALUES[flag]
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(f"{key} = {value}\n")
+        if flag in COMMAND_READS[command]:
+            by_flag = _build_parser().parse_args([command, flag, value])
+            assert getattr(by_flag, key) is not None
+            if flag != "--manifest":
+                by_manifest = _build_parser().parse_args([command, "--manifest", str(manifest)])
+                _merge_manifest(by_manifest)
+                assert getattr(by_manifest, key) == getattr(by_flag, key)
+            return
+        assert main([command, flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert main([command, "--manifest", str(manifest)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: manifest key {key!r} is not a recognized "
+                                           "option\n")
+
+    @pytest.mark.parametrize("command", ["gamma-max", "run", "predict", "sampling"])
+    def test_spec_and_data_together_are_usage(self, command, tiny_csv, tmp_path, monkeypatch,
+                                              capsys):
+        """--spec beside --data is refused before the file is read, whether
+        each comes by flag or by manifest: neither overrides the other."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the data file was ingested beside a --spec")
+
+        monkeypatch.setattr("avlms.cli.ingest", refuse)
+        spec = "gaussian:d=2"
+        manifests = {}
+        for name, text in (("spec", f"spec = {spec}\n"), ("data", f"data = {tiny_csv}\n"),
+                           ("both", f"spec = {spec}\ndata = {tiny_csv}\n")):
+            manifests[name] = tmp_path / f"{name}.cfg"
+            manifests[name].write_text(text)
+        gamma = ["--gamma", "0.1"] if command in ("run", "predict") else []
+        for given in (["--spec", spec, "--data", tiny_csv],
+                      ["--spec", spec, "--manifest", str(manifests["data"])],
+                      ["--data", tiny_csv, "--manifest", str(manifests["spec"])],
+                      ["--manifest", str(manifests["both"])]):
+            assert main([command, *given, *gamma]) == EXIT_USAGE
+            assert capsys.readouterr().err == ("error: give one of --spec or --data, not both "
+                                               "(by flag or manifest)\n")
 
 
 class TestRepeatedCalls:

@@ -90,7 +90,8 @@ class TestRunAveragedLms:
 
     def test_bit_identical_for_equal_seeds(self):
         spec = make_discrete(3, 7, 55, residual=True)
-        cfg = RunConfig(gamma=0.1, n=400, replicates=9, mode="total", seed=123, record_stride=40)
+        cfg = RunConfig(gamma=0.1, n=400, replicates=9, mode="total", seed=123,
+                        record_at=tuple(range(40, 401, 40)))
         a = run_averaged_lms(spec, cfg)
         b = run_averaged_lms(spec, cfg)
         assert np.array_equal(a.risk, b.risk)
@@ -164,7 +165,7 @@ class TestRunAveragedLms:
             RunConfig(gamma=0.1, n=10, record_at=(0, 5)).record_points()
         with pytest.raises(ValueError):
             RunConfig(gamma=0.1, n=10, record_at=(5, 20)).record_points()
-        assert RunConfig(gamma=0.1, n=10, record_stride=4).record_points() == [4, 8, 10]
+        assert RunConfig(gamma=0.1, n=10).record_points() == list(range(1, 11))
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf])
     def test_gamma_must_be_positive_and_finite(self, gamma):
@@ -185,8 +186,8 @@ class TestRunCells:
 
     def test_equal_record_points_from_different_fields_are_accepted(self):
         spec = make_discrete(2, 5, 3, residual=True)
-        a = RunConfig(gamma=0.1, n=40, replicates=3, record_stride=20)
-        b = RunConfig(gamma=0.2, n=40, replicates=3, record_at=(20, 40))
+        a = RunConfig(gamma=0.1, n=40, replicates=3)
+        b = RunConfig(gamma=0.2, n=40, replicates=3, record_at=tuple(range(1, 41)))
         assert len(run_cells(spec, [a, b])) == 2
 
     def test_rejects_an_empty_grid(self):
@@ -260,7 +261,7 @@ class TestNlms:
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ys = xs @ [1.0, -1.0] + 0.1 * rg.standard_normal(6)
         spec = ProblemSpec.discrete(xs, ys=ys, w0=[2.0, 2.0])
-        record = dict(n=100, replicates=3, seed=6, record_stride=25)
+        record = dict(n=100, replicates=3, seed=6, record_at=(25, 50, 75, 100))
         t_plain = run_averaged_lms(spec, RunConfig(gamma=1.0, **record))
         t_nlms = run_averaged_lms(spec, RunConfig(gamma=1.0 / float(np.trace(spec.hmat)),
                                                   **record), optimal_bias_scheme(spec))
@@ -297,7 +298,8 @@ class TestDivergenceProbe:
         m = compute_moments(spec)
         g = 2.0 * gamma_max(m)
         traj = run_averaged_lms(
-            spec, RunConfig(gamma=g, n=5000, replicates=50, mode="bias", seed=7, record_stride=500)
+            spec, RunConfig(gamma=g, n=5000, replicates=50, mode="bias", seed=7,
+                            record_at=tuple(range(500, 5001, 500)))
         )
         assert isinstance(traj.diverged, bool)
 
@@ -693,7 +695,7 @@ class TestStepLoopReference:
         spec = make_discrete(3, 9, 61, residual=True)
         cells = [(0.05, "total", None), (0.05, "bias", optimal_bias_scheme(spec)),
                  (0.9, "variance", optimal_bias_scheme(spec)), (1.2, "total", None)]
-        record = dict(n=400, replicates=3, seed=5, record_stride=7)
+        record = dict(n=400, replicates=3, seed=5, record_at=(*range(7, 401, 7), 400))
         last = reference_run(spec, RunConfig(gamma=1.2, mode="total", **record))[3][0]
         assert last is not None and last > 4
         steps = last - 2 if where == "first" else last

@@ -315,7 +315,7 @@ class TestFrozenOracle:
     def test_rotated_gaussian(self, mode, gamma):
         spec = rotated_gaussian()
         config = RunConfig(gamma=gamma, n=400, replicates=30, mode=mode, seed=7,
-                           record_stride=37)
+                           record_at=(*range(37, 401, 37), 400))
         _assert_matches_oracle(run_averaged_lms(spec, config), spec, config)
 
     def test_gaussian_grid_diverges_above_gamma_max(self):
@@ -338,7 +338,8 @@ class TestFrozenOracle:
 
     def test_single_replicate(self):
         spec = rotated_gaussian(d=3, seed=2)
-        config = RunConfig(gamma=0.2, n=120, replicates=1, seed=1, record_stride=10)
+        config = RunConfig(gamma=0.2, n=120, replicates=1, seed=1,
+                           record_at=tuple(range(10, 121, 10)))
         _assert_matches_oracle(run_averaged_lms(spec, config), spec, config)
 
     def test_nlms(self):
@@ -357,7 +358,7 @@ class TestFrozenOracle:
 
 
 def _grid(gammas=GAUSSIAN_GAMMAS, **kw):
-    base = dict(n=400, replicates=30, seed=7, record_stride=37)
+    base = dict(n=400, replicates=30, seed=7, record_at=(*range(37, 401, 37), 400))
     base.update(kw)
     return [RunConfig(gamma=g, mode=mode, **base)
             for g in gammas for mode in ("bias", "variance", "total")]
@@ -391,10 +392,10 @@ class TestGrid:
     def test_discrete_resampled_grid(self):
         spec = make_discrete(3, 9, 61, residual=False)
         scheme = optimal_bias_scheme(spec)
-        configs = _grid(gammas=(0.02, 0.3), n=250, replicates=11, seed=5, record_stride=20)
-        for config, traj in zip(configs, run_cells(spec, configs, scheme)):
+        configs = _grid(gammas=(0.02, 0.3), n=250, replicates=11, seed=5,
+                        record_at=(*range(20, 251, 20), 250))
+        for config, traj in zip(configs, run_cells(spec, configs, [scheme] * len(configs))):
             _assert_matches_oracle(traj, spec, config, scheme)
-            assert traj.label == "bias-opt"
 
     def test_grouping_never_changes_bits(self, monkeypatch):
         spec = rotated_gaussian()
@@ -465,8 +466,7 @@ class TestSchemeGrid:
         assert grid[-1].diverged and not any(t.diverged for t in grid[:-1])
         assert drawn[0] == 4 and drawn[-1] == 3
         for (config, scheme), traj in zip(cells, grid):
-            assert _same(traj, run_cells(spec, [config], scheme)[0])
-            assert traj.label == ("uniform" if scheme is None else scheme.name)
+            assert _same(traj, run_cells(spec, [config], [scheme])[0])
             _assert_matches_oracle(traj, spec, config, scheme)
 
     def test_grouping_and_block_length_never_change_bits(self, monkeypatch):

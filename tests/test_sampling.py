@@ -338,7 +338,7 @@ class TestSchemeData:
             with pytest.raises(SchemeError, match="not built for the atoms"):
                 resampled_moments(other, scheme)
             with pytest.raises(SchemeError, match="not built for the atoms"):
-                run_cells(other, [config], scheme)
+                run_cells(other, [config], [scheme])
 
     def test_gaussian_spec_refuses_atom_schemes(self):
         gauss = _rotated_gaussian(2, 1964)
