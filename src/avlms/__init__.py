@@ -8,9 +8,8 @@ from .asymptotics import (
     total_error_envelope,
 )
 from .engine import (
-    RunConfig,
+    Cell,
     Trajectory,
-    run_averaged_lms,
     run_cells,
 )
 from .errors import (

@@ -199,7 +199,8 @@ def _merge_manifest(args: argparse.Namespace) -> None:
         return
     keys, tokens = [], []
     for key, raw in _load_manifest(args.manifest).items():
-        if not hasattr(args, key):
+        # The command and the manifest itself are named on the command line only.
+        if key in ("command", "manifest") or not hasattr(args, key):
             raise UsageError(f"manifest key {key!r} is not a recognized option")
         if getattr(args, key) is not None:
             continue  # flags override the manifest
@@ -259,10 +260,11 @@ def _scheme_cells(spec: ProblemSpec, names: list[str]):
     return [(name, SCHEMES[name](spec)) for name in names]
 
 
-def _warn_diverged(name: str, traj) -> None:
-    """Warn on stderr, in one line, when the cell ``traj`` of ``name`` diverged."""
+def _warn_diverged(name: str, cell, traj) -> None:
+    """Warn on stderr, in one line, when ``traj``, the run of ``cell`` under
+    the scheme named ``name``, diverged."""
     if traj.diverged:
-        print(f"warning: gamma={traj.gamma:g} scheme={name} mode={traj.mode} diverged at "
+        print(f"warning: gamma={cell.gamma:g} scheme={name} mode={cell.mode} diverged at "
               f"n={traj.diverged_at} (replicate {traj.diverged_replicate}, "
               f"norm {traj.diverged_norm:.3g})", file=sys.stderr)
 
@@ -302,24 +304,18 @@ def cmd_run(args) -> int:
     modes = [args.mode] if args.mode else ["total"]
     if modes == ["all"]:
         modes = list(engine.MODES)
-    configs = [
-        engine.RunConfig(gamma=gamma, n=schedule[-1], replicates=replicates, mode=mode,
-                         seed=args.seed or 0, record_at=tuple(schedule))
-        for gamma in gammas
-        for mode in modes
-    ]
-    grid = [(name, config, scheme)
-            for name, scheme in _scheme_cells(spec, names) for config in configs]
-    trajs = engine.run_cells(spec, [config for _, config, _ in grid],
-                             scheme=[scheme for _, _, scheme in grid])
+    grid = [(name, engine.Cell(gamma, mode, scheme))
+            for name, scheme in _scheme_cells(spec, names) for gamma in gammas for mode in modes]
+    trajs = engine.run_cells(spec, [cell for _, cell in grid], schedule[-1], replicates,
+                             args.seed or 0, schedule)
     rows = []
-    for (name, config, _), traj in zip(grid, trajs):
-        gamma, mode = config.gamma, config.mode
+    for (name, cell), traj in zip(grid, trajs):
+        gamma, mode = cell.gamma, cell.mode
         for i, n in enumerate(traj.iterations):
             rows.append([int(n), gamma, name, mode, traj.risk[i], traj.standard_error[i], ""])
         if traj.diverged:
             rows.append([traj.diverged_at, gamma, name, mode, "", "", "diverged"])
-        _warn_diverged(name, traj)
+        _warn_diverged(name, cell, traj)
     header = ["n", "gamma", "scheme", "mode", "risk", "stderr", "flag"]
     _write_csv(args.out or "-", header, rows)
     return EXIT_OK
@@ -405,47 +401,43 @@ def cmd_sampling(args) -> int:
     header = (["scheme", "variance_gain", "gamma_max", "predicted_bias_gain"]
               + [f"measured_risk_n{n}" for n in measure_at]
               + [f"measured_stderr_n{n}" for n in measure_at])
-    cells, simulated = [], []
+    schemes, simulated = [], []
     for name in names:
         try:
-            cells += _scheme_cells(spec, [name])
+            schemes += _scheme_cells(spec, [name])
         except SchemeError as exc:
             print(f"warning: scheme {name!r} skipped: {exc}", file=sys.stderr)
             continue
         try:
-            engine.check_stream(spec, cells[-1][1])
+            engine.check_stream(spec, schemes[-1][1])
         except SchemeError as exc:
             print(f"warning: scheme {name!r} not simulated, measured columns left empty: "
                   f"{exc}", file=sys.stderr)
             simulated.append(False)
         else:
             simulated.append(True)
-    base, *moments = sampling._moment_sets(spec, [None, *(scheme for _, scheme in cells)])
+    base, *moments = sampling._moment_sets(spec, [None, *(scheme for _, scheme in schemes)])
     base_gamma_max, base_var_limit = stepsize.gamma_max(base), base.hinv_traces[1]
     rows, grid = [], []
-    for k, ((name, scheme), m) in enumerate(zip(cells, moments)):
+    for k, ((name, scheme), m) in enumerate(zip(schemes, moments)):
         g_max, var_limit = stepsize.gamma_max(m), m.hinv_traces[1]
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
         pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)
-        config = engine.RunConfig(
-            gamma=gamma_run, n=measure_at[-1], replicates=replicates,
-            mode=args.mode or "total", seed=args.seed or 0,
-            record_at=tuple(measure_at),
-        )
+        cell = engine.Cell(gamma_run, args.mode or "total", scheme)
         rows.append([name, gain, g_max, pred_bias_gain])
         if simulated[k]:
-            grid.append((k, config, scheme))
+            grid.append((k, cell))
     measured = {}
     if grid:  # run_cells refuses an empty grid
-        trajs = engine.run_cells(spec, [config for _, config, _ in grid],
-                                 scheme=[scheme for _, _, scheme in grid])
-        measured = {k: traj for (k, _, _), traj in zip(grid, trajs)}
+        trajs = engine.run_cells(spec, [cell for _, cell in grid], measure_at[-1], replicates,
+                                 args.seed or 0, measure_at)
+        measured = {k: (cell, traj) for (k, cell), traj in zip(grid, trajs)}
     for k, row in enumerate(rows):
-        traj = measured.get(k)
         risk_by_n = err_by_n = {}
-        if traj is not None:
-            _warn_diverged(row[0], traj)
+        if k in measured:
+            cell, traj = measured[k]
+            _warn_diverged(row[0], cell, traj)
             risk_by_n = dict(zip((int(v) for v in traj.iterations), traj.risk))
             err_by_n = dict(zip((int(v) for v in traj.iterations), traj.standard_error))
         row += ([risk_by_n.get(n) for n in measure_at]

@@ -14,18 +14,19 @@ trajectories, input draws are shared across modes and (via a common
 uniform sequence) across discrete sampling schemes, and results do not
 depend on how replicates would be scheduled.  The cells of one grid
 (:func:`run_cells`: several gammas, modes and, on discrete specs,
-sampling schemes on one spec) are stepped in lockstep and share one draw
-per step: every scheme maps the same uniforms to its own atoms.  Each
-cell's bits equal those of the same config run alone, and splitting a
-grid into groups (each restarting the streams from the seed) never
-changes them.  Every draw, Gaussian or resampled, is taken in blocks of
-several steps; a block consumes both streams in the same order as one
-draw per step, so the block length never changes bits either.  A
-one-worker executor draws the next block while the current one is
-stepped.  The draws depend only on the streams, never on the state, and a
-cell that leaves the stack only stops later blocks from drawing for it,
-so the bits do not depend on how far ahead the blocks are drawn, or on
-how many CPUs the worker and the stepping thread share.
+sampling schemes on one spec, with one horizon, replicate count and seed)
+are stepped in lockstep and share one draw per step: every scheme maps
+the same uniforms to its own atoms.  Each cell's bits equal those of the
+same cell run alone, and splitting a grid into groups (each restarting
+the streams from the seed) never changes them.  Every draw, Gaussian or
+resampled, is taken in blocks of several steps; a block consumes both
+streams in the same order as one draw per step, so the block length never
+changes bits either.  A one-worker executor draws the next block while
+the current one is stepped.  The draws depend only on the streams, never
+on the state, and a cell that leaves the stack only stops later blocks
+from drawing for it, so the bits do not depend on how far ahead the
+blocks are drawn, or on how many CPUs the worker and the stepping thread
+share.
 
 The stepping thread does only per-step work: each cell's draws are
 selected once per block, the LMS coefficients gamma (x^T w - y) take one
@@ -49,6 +50,7 @@ from .moments import (
     ResidualNoise,
     _sqrt_psd,
 )
+from .sampling import SamplingScheme
 
 DIVERGENCE_NORM = 1e12
 
@@ -71,43 +73,25 @@ MODES = ("bias", "variance", "total")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One simulation request.
-
-    ``n`` counts averaged iterates (w_0 through w_{n-1}, i.e. n - 1
-    updates).  ``record_at`` lists the iterate counts to log; when absent,
-    every count is logged.
-    """
+class Cell:
+    """One cell of a grid: a step-size, the error component it measures
+    (``mode``, one of ``MODES``) and the sampling scheme of its draws (None:
+    uniform)."""
 
     gamma: float
-    n: int
-    replicates: int = 1
     mode: str = "total"
-    seed: int = 0
-    record_at: tuple[int, ...] | None = None
+    scheme: SamplingScheme | None = None
 
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def record_points(self) -> list[int]:
-        if self.record_at is None:
-            return list(range(1, self.n + 1))
-        pts = sorted({int(m) for m in self.record_at})
-        if not pts or pts[0] < 1 or pts[-1] > self.n:
-            raise ValueError("record_at entries must lie in [1, n]")
-        return pts
 
 
 @dataclass
 class Trajectory:
-    """Averaged-iterate risk along one run, averaged over replicates.
+    """Averaged-iterate risk along one cell's run, averaged over replicates.
 
     A diverged run stops at ``diverged_at``; ``diverged_replicate`` is the
     replicate with the largest norm there and ``diverged_norm`` that norm
@@ -117,12 +101,13 @@ class Trajectory:
     iterations: np.ndarray
     risk: np.ndarray
     standard_error: np.ndarray
-    mode: str
-    gamma: float
-    diverged: bool = False
     diverged_at: int | None = None
     diverged_replicate: int | None = None
     diverged_norm: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 class _GuideTable:
@@ -338,8 +323,8 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def _drive(spec, configs: list[RunConfig], sampler: _Sampler,
-           schemes: list[int]) -> list[Trajectory]:
+def _drive(spec, cells: list[Cell], sampler: _Sampler, schemes: list[int], n: int,
+           reps: int, seed: int, points: list[int]) -> list[Trajectory]:
     """The one replicate-vectorized loop: steps a stack of cells in lockstep.
 
     The state ``w`` has shape (cells, replicates, d).  Every step shares one
@@ -376,24 +361,21 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler,
     is taken, and leaving the executor joins the worker, so no thread
     outlives the call.
     """
-    config = configs[0]
-    reps = config.replicates
     dim = spec.dim
     hmat = spec.hmat
     w_star = spec.w_star
     w = np.stack([np.tile(w_star if c.mode == "variance" else spec.w0, (reps, 1))
-                  for c in configs]).astype(float)
+                  for c in cells]).astype(float)
     wbar = w.copy()
     scratch = np.empty_like(w)
-    gamma = np.array([c.gamma for c in configs], dtype=float)[:, None]
-    noiseless = np.array([c.mode == "bias" for c in configs])
+    gamma = np.array([c.gamma for c in cells], dtype=float)[:, None]
+    noiseless = np.array([c.mode == "bias" for c in cells])
     scheme_of = np.asarray(schemes, dtype=np.intp)
-    live = np.arange(len(configs))
-    points = config.record_points()
-    iters = [[] for _ in configs]
-    risks = [[] for _ in configs]
-    errs = [[] for _ in configs]
-    diverged = [(None, None, None)] * len(configs)
+    live = np.arange(len(cells))
+    iters = [[] for _ in cells]
+    risks = [[] for _ in cells]
+    errs = [[] for _ in cells]
+    diverged = [(None, None, None)] * len(cells)
 
     def record(m: int) -> None:
         for k, cell in enumerate(live):
@@ -434,13 +416,13 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler,
     noisy = not noiseless.all()
     mixed = noisy and noiseless.any()
     wanted = np.unique(scheme_of)
-    steps = min(sampler.block_steps(reps, len(wanted), len(configs)), max(1, config.n - 1))
-    firsts = range(2, config.n + 1, steps)
+    steps = min(sampler.block_steps(reps, len(wanted), len(cells)), max(1, n - 1))
+    firsts = range(2, n + 1, steps)
     buffers = [np.empty(steps * sampler.step_floats(reps, len(wanted))) for _ in range(2)]
-    gen_x, gen_eps = _generators(config.seed)
+    gen_x, gen_eps = _generators(seed)
 
     def draw(b: int, drawn: np.ndarray, noise: bool):
-        return (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, config.n + 1 - firsts[b]),
+        return (drawn, *sampler.block(gen_x, gen_eps, reps, min(steps, n + 1 - firsts[b]),
                                       noise, drawn, out=buffers[b % 2]))
 
     # Imported here: concurrent.futures loads logging, which no closed-form
@@ -501,14 +483,11 @@ def _drive(spec, configs: list[RunConfig], sampler: _Sampler,
             iterations=np.array(iters[k], dtype=int),
             risk=np.array(risks[k]),
             standard_error=np.array(errs[k]),
-            mode=c.mode,
-            gamma=c.gamma,
-            diverged=diverged[k][0] is not None,
             diverged_at=diverged[k][0],
             diverged_replicate=diverged[k][1],
             diverged_norm=diverged[k][2],
         )
-        for k, c in enumerate(configs)
+        for k in range(len(cells))
     ]
 
 
@@ -526,46 +505,40 @@ def _past_limit(w: np.ndarray, limit: float) -> np.ndarray | None:
     return None if sq.max() <= limit else sq
 
 
-def run_cells(spec: ProblemSpec, configs, scheme=None) -> list[Trajectory]:
-    """Averaged constant-step LMS for a grid of (gamma, mode, scheme) cells.
+def run_cells(spec: ProblemSpec, cells, n: int, replicates: int = 1, seed: int = 0,
+              record_at=None) -> list[Trajectory]:
+    """Averaged constant-step LMS for a grid of cells (:class:`Cell`), one
+    trajectory per cell.
 
-    The configs must agree on ``n``, ``replicates``, ``seed`` and the
-    record points; they may differ in ``gamma`` and ``mode``.  ``scheme``
-    is None (every cell uniform) or a list with one ``SamplingScheme``
-    (None: uniform) per config.  All cells share one uniform (or Gaussian
-    input) stream and one noise stream, so each trajectory is bit-identical
-    to the same config run alone.  Cells are stepped in lockstep, in groups whose
-    state stays under ``GROUP_BYTES``; every group restarts the streams
-    from the seed, so grouping never changes bits.  Risk is the testing
-    error against the spec's true second moment ``spec.hmat``; a scheme
-    leaves the objective (and hence H and w*) unchanged and draws the
-    scaled resampled stream.
+    Every cell runs ``n`` averaged iterates (w_0 through w_{n-1}, i.e.
+    n - 1 updates) over ``replicates`` replicates from the master ``seed``,
+    and logs the iterate counts in ``record_at`` (every count when None).
+    All cells share one uniform (or Gaussian input) stream and one noise
+    stream, so each trajectory is bit-identical to its cell run alone.
+    Cells are stepped in lockstep, in groups whose state stays under
+    ``GROUP_BYTES``; every group restarts the streams from the seed, so
+    grouping never changes bits.  Risk is the testing error against the
+    spec's true second moment ``spec.hmat``; a scheme leaves the objective
+    (and hence H and w*) unchanged and draws the scaled resampled stream.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("run_cells needs at least one config")
-    first = configs[0]
-    for c in configs[1:]:
-        if (c.n, c.replicates, c.seed) != (first.n, first.replicates, first.seed):
-            raise ValueError("configs of one grid must share n, replicates and seed")
-        if c.record_points() != first.record_points():
-            raise ValueError("configs of one grid must share their record points")
-    per_cell = [None] * len(configs) if scheme is None else list(scheme)
-    if len(per_cell) != len(configs):
-        raise ValueError("give one scheme per config")
-    distinct = list({id(s): s for s in per_cell}.values())
+    cells = list(cells)
+    if not cells:
+        raise ValueError("run_cells needs at least one cell")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
+    points = list(range(1, n + 1)) if record_at is None else sorted({int(m) for m in record_at})
+    if not points or points[0] < 1 or points[-1] > n:
+        raise ValueError("record_at entries must lie in [1, n]")
+    distinct = list({id(c.scheme): c.scheme for c in cells}.values())
     index = {id(s): k for k, s in enumerate(distinct)}
     sampler = _Sampler(spec, distinct)
-    cell_scheme = [index[id(s)] for s in per_cell]
     # A single cell above the budget still runs, alone in its group.
-    size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * first.replicates * spec.dim))
+    size = max(1, GROUP_BYTES // (_STATE_ARRAYS * 8 * replicates * spec.dim))
     out = []
-    for k in range(0, len(configs), size):
-        out += _drive(spec, configs[k:k + size], sampler, cell_scheme[k:k + size])
+    for k in range(0, len(cells), size):
+        group = cells[k:k + size]
+        out += _drive(spec, group, sampler, [index[id(c.scheme)] for c in group], n,
+                      replicates, seed, points)
     return out
-
-
-def run_averaged_lms(spec: ProblemSpec, config: RunConfig, scheme=None) -> Trajectory:
-    """Averaged constant-step LMS under the requested mode: one cell of
-    :func:`run_cells`."""
-    return run_cells(spec, [config], [scheme])[0]

@@ -166,7 +166,7 @@ def apply(op: SymOperator, a: np.ndarray) -> np.ndarray:
     return op.basis.vecs_to_mats(op.matrix @ op.basis.mats_to_vecs(a))
 
 
-def reference_run(spec, config, scheme=None):
+def reference_run(spec, cell, n, replicates=1, seed=0, record_at=None):
     """One engine cell stepped alone, one draw per step, with the exact
     divergence check (every squared replicate norm against
     ``DIVERGENCE_NORM**2``) on every step: ``(iterations, risk,
@@ -176,14 +176,14 @@ def reference_run(spec, config, scheme=None):
     The draws are the engine's own one-step blocks, which the block tests
     tie to the per-step stream.
     """
-    reps = config.replicates
+    reps = replicates
     limit = engine.DIVERGENCE_NORM**2
-    noisy = config.mode != "bias"
-    sampler = engine._Sampler(spec, [scheme])
-    gen_x, gen_eps = engine._generators(config.seed)
-    w = np.tile(spec.w_star if config.mode == "variance" else spec.w0, (reps, 1)).astype(float)
+    noisy = cell.mode != "bias"
+    sampler = engine._Sampler(spec, [cell.scheme])
+    gen_x, gen_eps = engine._generators(seed)
+    w = np.tile(spec.w_star if cell.mode == "variance" else spec.w0, (reps, 1)).astype(float)
     wbar = w.copy()
-    points = set(config.record_points())
+    points = set(range(1, n + 1) if record_at is None else record_at)
     iters, risks, errs = [], [], []
     diverged = (None, None, None)
 
@@ -196,10 +196,10 @@ def reference_run(spec, config, scheme=None):
 
     if 1 in points:
         record(1)
-    for m in range(2, config.n + 1):
+    for m in range(2, n + 1):
         x, clean, y, _ = sampler.block(gen_x, gen_eps, reps, 1, noisy, [0])
         x, y = x[0, 0], (y if noisy else clean)[0, 0]
-        coef = config.gamma * (np.einsum("ri,ri->r", x, w) - y)
+        coef = cell.gamma * (np.einsum("ri,ri->r", x, w) - y)
         w = w - coef[:, None] * x
         norms = np.einsum("ri,ri->r", w, w)
         if not norms.max() <= limit:

@@ -14,9 +14,9 @@ import time
 import numpy as np
 
 from avlms import (
+    Cell,
     CovarianceModel,
     ProblemSpec,
-    RunConfig,
     compute_moments,
     contraction_factors,
     contraction_rate_bound,
@@ -26,7 +26,7 @@ from avlms import (
     optimal_bias_scheme,
     optimal_variance_scheme,
     resampled_moments,
-    run_averaged_lms,
+    run_cells,
     small_gamma_equivalents,
     total_error_envelope,
     trace_step_bound,
@@ -162,9 +162,8 @@ class TestCriterion4:
             ("bias", model.bias_exact),
             ("variance", model.variance_exact),
         ):
-            cfg = RunConfig(gamma=g0, n=1000, replicates=2000, mode=mode, seed=404,
-                            record_at=(1000,))
-            traj = run_averaged_lms(spec, cfg)
+            [traj] = run_cells(spec, [Cell(g0, mode)], 1000, replicates=2000, seed=404,
+                               record_at=(1000,))
             want = excess_risk(m, oracle(1000))
             assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1], mode
         elapsed = time.time() - t0
@@ -273,9 +272,8 @@ class TestCriterion8:
         for n in (100, 1000):
             parts = {}
             for mode in ("bias", "variance", "total"):
-                cfg = RunConfig(gamma=g, n=n, replicates=4000, mode=mode, seed=99,
-                                record_at=(n,))
-                traj = run_averaged_lms(spec, cfg)
+                [traj] = run_cells(spec, [Cell(g, mode)], n, replicates=4000, seed=99,
+                                   record_at=(n,))
                 parts[mode] = (traj.risk[-1], traj.standard_error[-1])
             gap = parts["total"][0] - parts["bias"][0] - parts["variance"][0]
             combined = np.sqrt(sum(se**2 for _, se in parts.values()))
@@ -299,9 +297,8 @@ class TestCriterion8:
         for n in (100, 1000):
             parts = {}
             for mode in ("bias", "variance", "total"):
-                cfg = RunConfig(gamma=g, n=n, replicates=4000, mode=mode, seed=77,
-                                record_at=(n,))
-                traj = run_averaged_lms(spec, cfg)
+                [traj] = run_cells(spec, [Cell(g, mode)], n, replicates=4000, seed=77,
+                                   record_at=(n,))
                 parts[mode] = (traj.risk[-1], traj.standard_error[-1])
             envelope = total_error_envelope(parts["bias"][0], parts["variance"][0])
             slack = 4.0 * np.sqrt(sum(se**2 for _, se in parts.values()))

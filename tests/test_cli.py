@@ -1129,6 +1129,34 @@ class TestOptions:
         assert capsys.readouterr().err == (f"error: manifest key {key!r} is not a recognized "
                                            "option\n")
 
+    @pytest.mark.parametrize("command", list(COMMAND_READS))
+    @pytest.mark.parametrize("key, value", [("manifest", "nowhere.cfg"), ("command", "predict")])
+    def test_a_manifest_names_no_manifest_and_no_command(self, command, key, value, tiny_csv,
+                                                         tmp_path, capsys):
+        """Both are given on the command line only: as manifest keys they are
+        the usage status and one error line, not silently skipped."""
+        manifest = tmp_path / "m.cfg"
+        manifest.write_text(f"{key} = {value}\n")
+        assert main([command, "--data", tiny_csv, "--manifest", str(manifest)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: manifest key {key!r} is not a recognized "
+                                           "option\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("gamma-max", ["--scheme", "uniform", "--scheme", "bias-opt"]),
+        ("predict", ["--gamma", "0.05", "--n-max", "50", "--points", "4"]),
+    ])
+    def test_seed_beside_data_is_read_and_changes_nothing(self, command, extra, tiny_csv,
+                                                           capsys):
+        """gamma-max and predict read --seed only for a descriptor's random
+        vectors, so beside --data it is accepted and two seeds print the same
+        bytes (the benchmark's thresholds op passes one)."""
+        outs = []
+        for seed in ("3", "4"):
+            assert main([command, "--data", tiny_csv, *extra, "--seed", seed,
+                         "--out", "-"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["gamma-max", "run", "predict", "sampling"])
     def test_spec_and_data_together_are_usage(self, command, tiny_csv, tmp_path, monkeypatch,
                                               capsys):

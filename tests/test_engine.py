@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avlms import (
+    Cell,
     CovarianceModel,
     ProblemSpec,
-    RunConfig,
     SchemeError,
     atom_scheme,
     compute_moments,
@@ -22,7 +22,6 @@ from avlms import (
     gamma_max,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    run_averaged_lms,
     run_cells,
 )
 from avlms import cli, engine
@@ -40,8 +39,7 @@ def one_step_risks(xs, ys, w0, gamma, probs=None, replicates=1):
     those of w_0 and of the average of w_0 and the first step w_1."""
     spec = ProblemSpec.discrete(np.array(xs, dtype=float), probs, ys=np.array(ys, dtype=float),
                                 w0=[w0])
-    config = RunConfig(gamma=gamma, n=2, replicates=replicates, seed=0)
-    return run_averaged_lms(spec, config).risk.tolist()
+    return run_cells(spec, [Cell(gamma)], 2, replicates)[0].risk.tolist()
 
 
 def resampled_draws(spec, scheme, seed, size):
@@ -72,7 +70,7 @@ class TestLmsStep:
 class TestRunAveragedLms:
     def test_zero_bias_run_is_exactly_zero(self):
         spec = scalar_unit_spec(w0=0.0)
-        traj = run_averaged_lms(spec, RunConfig(gamma=0.5, n=50, mode="bias", seed=0))
+        [traj] = run_cells(spec, [Cell(0.5, "bias")], 50)
         np.testing.assert_array_equal(traj.risk, np.zeros(len(traj.risk)))
 
     def test_deterministic_path_matches_exact_oracle(self):
@@ -81,19 +79,16 @@ class TestRunAveragedLms:
         spec = scalar_unit_spec()
         m = compute_moments(spec)
         model = CovarianceModel(m, 0.5)
-        traj = run_averaged_lms(
-            spec, RunConfig(gamma=0.5, n=60, replicates=4, mode="bias", seed=3)
-        )
+        [traj] = run_cells(spec, [Cell(0.5, "bias")], 60, replicates=4, seed=3)
         for n, risk in zip(traj.iterations, traj.risk):
             want = excess_risk(m, model.bias_exact(int(n)))
             assert abs(risk - want) < 1e-12
 
     def test_bit_identical_for_equal_seeds(self):
         spec = make_discrete(3, 7, 55, residual=True)
-        cfg = RunConfig(gamma=0.1, n=400, replicates=9, mode="total", seed=123,
-                        record_at=tuple(range(40, 401, 40)))
-        a = run_averaged_lms(spec, cfg)
-        b = run_averaged_lms(spec, cfg)
+        run = dict(n=400, replicates=9, seed=123, record_at=tuple(range(40, 401, 40)))
+        [a] = run_cells(spec, [Cell(0.1, "total")], **run)
+        [b] = run_cells(spec, [Cell(0.1, "total")], **run)
         assert np.array_equal(a.risk, b.risk)
         assert np.array_equal(a.standard_error, b.standard_error)
 
@@ -101,8 +96,8 @@ class TestRunAveragedLms:
         spec = make_gaussian(4, 0.7, 3)
         m = compute_moments(spec)
         g = 0.4 * gamma_max(m)
-        cfg = RunConfig(gamma=g, n=200, replicates=2000, mode="variance", seed=11, record_at=(200,))
-        traj = run_averaged_lms(spec, cfg)
+        [traj] = run_cells(spec, [Cell(g, "variance")], 200, replicates=2000, seed=11,
+                           record_at=(200,))
         want = excess_risk(m, CovarianceModel(m, g).variance_exact(200))
         assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1]
 
@@ -119,8 +114,8 @@ class TestRunAveragedLms:
         model = CovarianceModel(rw, g)
         n = 300
         for mode, oracle in (("variance", model.variance_exact), ("bias", model.bias_exact)):
-            cfg = RunConfig(gamma=g, n=n, replicates=3000, mode=mode, seed=3, record_at=(n,))
-            traj = run_averaged_lms(spec, cfg, scheme=scheme)
+            [traj] = run_cells(spec, [Cell(g, mode, scheme)], n, replicates=3000, seed=3,
+                               record_at=(n,))
             want = excess_risk(rw, oracle(n))
             assert abs(traj.risk[-1] - want) <= 4.0 * traj.standard_error[-1], mode
 
@@ -133,8 +128,8 @@ class TestRunAveragedLms:
         g = 0.4 * gamma_max(m)
         out = {}
         for mode in ("bias", "variance", "total"):
-            cfg = RunConfig(gamma=g, n=300, replicates=3000, mode=mode, seed=42, record_at=(300,))
-            t = run_averaged_lms(spec, cfg)
+            [t] = run_cells(spec, [Cell(g, mode)], 300, replicates=3000, seed=42,
+                            record_at=(300,))
             out[mode] = (t.risk[-1], t.standard_error[-1])
         gap = out["total"][0] - out["bias"][0] - out["variance"][0]
         combined = np.sqrt(sum(se**2 for _, se in out.values()))
@@ -142,7 +137,7 @@ class TestRunAveragedLms:
 
     def test_divergence_flagged_and_truncated(self):
         spec = scalar_unit_spec()
-        traj = run_averaged_lms(spec, RunConfig(gamma=25.0, n=2000, mode="bias", seed=0))
+        [traj] = run_cells(spec, [Cell(25.0, "bias")], 2000)
         assert traj.diverged
         assert traj.diverged_at is not None
         assert traj.iterations[-1] <= traj.diverged_at if len(traj.iterations) else True
@@ -153,46 +148,31 @@ class TestRunAveragedLms:
         specs += [make_gaussian(2 + s, 0.6, 1200 + s) for s in (1, 2, 3)]
         for seed, spec in enumerate(specs):
             m = compute_moments(spec)
-            cfg = RunConfig(
-                gamma=0.9 * gamma_max(m), n=10_000, replicates=100, mode="total",
-                seed=seed, record_at=(10_000,),
-            )
-            traj = run_averaged_lms(spec, cfg)
+            [traj] = run_cells(spec, [Cell(0.9 * gamma_max(m), "total")], 10_000,
+                               replicates=100, seed=seed, record_at=(10_000,))
             assert not traj.diverged
 
     def test_record_points_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(gamma=0.1, n=10, record_at=(0, 5)).record_points()
-        with pytest.raises(ValueError):
-            RunConfig(gamma=0.1, n=10, record_at=(5, 20)).record_points()
-        assert RunConfig(gamma=0.1, n=10).record_points() == list(range(1, 11))
+        spec = make_discrete(2, 5, 3, residual=True)
+        for record_at in [(0, 5), (5, 20), ()]:
+            with pytest.raises(ValueError, match="record_at entries must lie in"):
+                run_cells(spec, [Cell(0.1)], 10, record_at=record_at)
+        [every] = run_cells(spec, [Cell(0.1)], 10)
+        assert every.iterations.tolist() == list(range(1, 11))
+        # Unsorted and repeated points are logged once each, in order.
+        [some] = run_cells(spec, [Cell(0.1)], 10, record_at=[7, 3, 7, 10])
+        assert some.iterations.tolist() == [3, 7, 10]
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf])
     def test_gamma_must_be_positive_and_finite(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            RunConfig(gamma=gamma, n=10)
+            Cell(gamma)
 
 
 class TestRunCells:
-    @pytest.mark.parametrize("change", [
-        {"n": 41}, {"replicates": 4}, {"seed": 2}, {"record_at": (5, 40)},
-    ])
-    def test_rejects_configs_that_disagree(self, change):
-        spec = make_discrete(2, 5, 3, residual=True)
-        base = dict(gamma=0.1, n=40, replicates=3, seed=1, record_at=(10, 40))
-        other = {**base, "gamma": 0.2, "mode": "bias", **change}
-        with pytest.raises(ValueError):
-            run_cells(spec, [RunConfig(**base), RunConfig(**other)])
-
-    def test_equal_record_points_from_different_fields_are_accepted(self):
-        spec = make_discrete(2, 5, 3, residual=True)
-        a = RunConfig(gamma=0.1, n=40, replicates=3)
-        b = RunConfig(gamma=0.2, n=40, replicates=3, record_at=tuple(range(1, 41)))
-        assert len(run_cells(spec, [a, b])) == 2
-
     def test_rejects_an_empty_grid(self):
-        with pytest.raises(ValueError):
-            run_cells(make_discrete(2, 5, 3, residual=True), [])
+        with pytest.raises(ValueError, match="at least one cell"):
+            run_cells(make_discrete(2, 5, 3, residual=True), [], 10)
 
 
 class TestImportanceStream:
@@ -261,10 +241,9 @@ class TestNlms:
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ys = xs @ [1.0, -1.0] + 0.1 * rg.standard_normal(6)
         spec = ProblemSpec.discrete(xs, ys=ys, w0=[2.0, 2.0])
-        record = dict(n=100, replicates=3, seed=6, record_at=(25, 50, 75, 100))
-        t_plain = run_averaged_lms(spec, RunConfig(gamma=1.0, **record))
-        t_nlms = run_averaged_lms(spec, RunConfig(gamma=1.0 / float(np.trace(spec.hmat)),
-                                                  **record), optimal_bias_scheme(spec))
+        run = dict(n=100, replicates=3, seed=6, record_at=(25, 50, 75, 100))
+        nlms = Cell(1.0 / float(np.trace(spec.hmat)), scheme=optimal_bias_scheme(spec))
+        t_plain, t_nlms = run_cells(spec, [Cell(1.0), nlms], **run)
         np.testing.assert_allclose(t_nlms.risk, t_plain.risk, rtol=1e-12)
 
     def test_scalar_tracks_running_label_average(self):
@@ -274,8 +253,8 @@ class TestNlms:
         ys = np.array([2.0, -1.0])
         spec = ProblemSpec.discrete(xs, ys=ys, w0=[0.0])
         n = 12
-        config = RunConfig(gamma=1.0 / float(np.trace(spec.hmat)), n=n, seed=13, record_at=(n,))
-        traj = run_averaged_lms(spec, config, optimal_bias_scheme(spec))
+        cell = Cell(1.0 / float(np.trace(spec.hmat)), scheme=optimal_bias_scheme(spec))
+        [traj] = run_cells(spec, [cell], n, seed=13, record_at=(n,))
         # replay the draw protocol: inputs come from the first spawned stream
         gen = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[0])
         cum = np.cumsum(np.full(2, 0.5))
@@ -297,10 +276,8 @@ class TestDivergenceProbe:
         spec = ProblemSpec.gaussian(np.eye(3), w0=np.full(3, 5.0), sigma=0.0)
         m = compute_moments(spec)
         g = 2.0 * gamma_max(m)
-        traj = run_averaged_lms(
-            spec, RunConfig(gamma=g, n=5000, replicates=50, mode="bias", seed=7,
-                            record_at=tuple(range(500, 5001, 500)))
-        )
+        [traj] = run_cells(spec, [Cell(g, "bias")], 5000, replicates=50, seed=7,
+                           record_at=tuple(range(500, 5001, 500)))
         assert isinstance(traj.diverged, bool)
 
 
@@ -455,16 +432,15 @@ class TestDrawThread:
         monkeypatch.setattr(engine, "_past_limit", raising)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="stepping failed"):
-            run_cells(scalar_unit_spec(), [RunConfig(gamma=25.0, n=100, replicates=3, seed=0)])
+            run_cells(scalar_unit_spec(), [Cell(25.0)], 100, replicates=3)
         assert seen == [before + 1]
         assert threading.active_count() == before
 
     def test_a_grid_that_diverges_mid_block_stops_the_thread(self):
         spec = scalar_unit_spec()
-        configs = [RunConfig(gamma=g, n=2000, replicates=2, mode=mode, seed=0)
-                   for g in (25.0, 40.0) for mode in ("bias", "total")]
+        cells = [Cell(g, mode) for g in (25.0, 40.0) for mode in ("bias", "total")]
         before = threading.active_count()
-        grid = run_cells(spec, configs)
+        grid = run_cells(spec, cells, 2000, replicates=2)
         assert threading.active_count() == before
         assert all(t.diverged for t in grid)
         # The last cell leaves inside a block, not at its end.
@@ -474,7 +450,7 @@ class TestDrawThread:
     def test_the_shortest_runs(self, n):
         spec = make_discrete(2, 5, 3, residual=True)
         before = threading.active_count()
-        traj = run_averaged_lms(spec, RunConfig(gamma=0.1, n=n, replicates=3, seed=1))
+        [traj] = run_cells(spec, [Cell(0.1)], n, replicates=3, seed=1)
         assert threading.active_count() == before
         assert traj.iterations.tolist() == list(range(1, n + 1))
 
@@ -505,10 +481,10 @@ class TestDrawThread:
 
         monkeypatch.setattr(engine._Sampler, "block", drawing)
         discrete = make_discrete(3, 9, 61, residual=False)
-        config = RunConfig(gamma=0.05, n=60, replicates=4, seed=2)
-        engine.run_cells(discrete, [config] * 3,
-                         [None, optimal_bias_scheme(discrete), optimal_variance_scheme(discrete)])
-        engine.run_cells(make_gaussian(3, 0.5, 1), [config])
+        run = dict(n=60, replicates=4, seed=2)
+        schemes = [None, optimal_bias_scheme(discrete), optimal_variance_scheme(discrete)]
+        engine.run_cells(discrete, [engine.Cell(0.05, scheme=s) for s in schemes], **run)
+        engine.run_cells(make_gaussian(3, 0.5, 1), [engine.Cell(0.05)], **run)
         assert callers == {threading.current_thread()}
         assert drawers and threading.current_thread() not in drawers
 
@@ -535,7 +511,7 @@ class TestFailingDraw:
         spec = make_discrete(3, 9, 61, residual=True)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="second block"):
-            run_cells(spec, [RunConfig(gamma=0.1, n=100, replicates=3, seed=0)])
+            run_cells(spec, [Cell(0.1)], 100, replicates=3)
         assert threading.active_count() == before
         assert len(second_block_fails) == 2
         assert threading.current_thread() not in second_block_fails
@@ -553,22 +529,20 @@ class TestDrawBuffers:
     @staticmethod
     def gaussian_grid():
         spec = make_gaussian(25, 1.0, 5)
-        configs = [RunConfig(gamma=g, n=250, replicates=200, mode=mode, seed=1)
-                   for g in (0.01, 0.001) for mode in ("bias", "variance", "total")]
-        return spec, configs, None
+        cells = [Cell(g, mode) for g in (0.01, 0.001) for mode in ("bias", "variance", "total")]
+        return spec, cells, dict(n=250, replicates=200, seed=1)
 
     @staticmethod
     def discrete_grid():
         spec = make_discrete(30, 60, 8, residual=False)
-        config = RunConfig(gamma=0.001, n=60, replicates=500, seed=1)
-        return spec, [config] * 3, [None, optimal_bias_scheme(spec),
-                                    optimal_variance_scheme(spec)]
+        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        return spec, [Cell(0.001, scheme=s) for s in schemes], dict(n=60, replicates=500, seed=1)
 
     @pytest.mark.parametrize("grid", ["gaussian_grid", "discrete_grid"])
     def test_draw_buffers_fit_the_budget(self, grid, monkeypatch):
         """Two buffers, one stepped and one drawn, reused for every block of a
         run several blocks long, and together within the draw budget."""
-        spec, configs, schemes = getattr(self, grid)()
+        spec, cells, run = getattr(self, grid)()
         buffers, steps = {}, []
         block = engine._Sampler.block
 
@@ -578,7 +552,7 @@ class TestDrawBuffers:
             return block(self, *args, out=out)
 
         monkeypatch.setattr(engine._Sampler, "block", spy)
-        run_cells(spec, configs, schemes)
+        run_cells(spec, cells, **run)
         assert len(steps) > 2
         assert len(buffers) == 2
         assert sum(buffers.values()) <= engine.GROUP_BYTES // engine.CHUNK_SHARE
@@ -631,12 +605,10 @@ STEP_SPECS = {
 def _engine_and_reference(spec, cells, n, reps, seed, stride):
     """The engine's trajectories of ``cells`` ((gamma, mode, scheme) triples)
     and the reference's, cell by cell."""
-    record = tuple(range(stride, n + 1, stride)) + (n,)
-    configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=seed, record_at=record)
-               for g, mode, _ in cells]
-    schemes = [s for _, _, s in cells]
-    got = run_cells(spec, configs, schemes)
-    return got, [reference_run(spec, c, s) for c, s in zip(configs, schemes)]
+    run = dict(n=n, replicates=reps, seed=seed,
+               record_at=tuple(range(stride, n + 1, stride)) + (n,))
+    cells = [Cell(g, mode, scheme) for g, mode, scheme in cells]
+    return run_cells(spec, cells, **run), [reference_run(spec, cell, **run) for cell in cells]
 
 
 def _assert_same_run(traj, want):
@@ -695,8 +667,8 @@ class TestStepLoopReference:
         spec = make_discrete(3, 9, 61, residual=True)
         cells = [(0.05, "total", None), (0.05, "bias", optimal_bias_scheme(spec)),
                  (0.9, "variance", optimal_bias_scheme(spec)), (1.2, "total", None)]
-        record = dict(n=400, replicates=3, seed=5, record_at=(*range(7, 401, 7), 400))
-        last = reference_run(spec, RunConfig(gamma=1.2, mode="total", **record))[3][0]
+        last = reference_run(spec, Cell(1.2, "total"), 400, replicates=3, seed=5,
+                             record_at=(*range(7, 401, 7), 400))[3][0]
         assert last is not None and last > 4
         steps = last - 2 if where == "first" else last
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, r, s, c: steps)
@@ -750,8 +722,6 @@ class TestSelectionBudget:
                  for mode in ("bias", "total") for s in schemes]
         assert len(cells) == 150
         reps, n = 40, 300
-        configs = [RunConfig(gamma=g, n=n, replicates=reps, mode=mode, seed=1, record_at=(n,))
-                   for g, mode, _ in cells]
         steps = []
         block_steps = engine._Sampler.block_steps
         monkeypatch.setattr(engine._Sampler, "block_steps",
@@ -759,7 +729,8 @@ class TestSelectionBudget:
         state = 3 * 150 * reps * spec.dim * 8
         tracemalloc.start()
         try:
-            run_cells(spec, configs, [s for _, _, s in cells])
+            run_cells(spec, [Cell(*cell) for cell in cells], n, replicates=reps, seed=1,
+                      record_at=(n,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

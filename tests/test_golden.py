@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 
 from avlms import (
+    Cell,
     ProblemSpec,
-    RunConfig,
     compute_moments,
     gamma_max,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    run_averaged_lms,
     run_cells,
 )
 from avlms import cli, engine
@@ -103,13 +102,13 @@ def _oracle_sampler(spec, scheme, noiseless):
     return draw
 
 
-def _oracle_drive(spec, config, update, draw, w0):
-    children = np.random.SeedSequence(config.seed).spawn(2)
+def _oracle_drive(spec, update, draw, w0, n, replicates=1, seed=0, record_at=None):
+    children = np.random.SeedSequence(seed).spawn(2)
     gen_x, gen_eps = np.random.default_rng(children[0]), np.random.default_rng(children[1])
-    reps = config.replicates
+    reps = replicates
     w = np.tile(w0, (reps, 1)).astype(float)
     wbar = w.copy()
-    points = config.record_points()
+    points = list(range(1, n + 1)) if record_at is None else sorted(set(record_at))
     iters, risks, errs = [], [], []
 
     def record(m):
@@ -124,7 +123,7 @@ def _oracle_drive(spec, config, update, draw, w0):
     if points[0] == 1:
         record(1)
         next_idx = 1
-    for m in range(2, config.n + 1):
+    for m in range(2, n + 1):
         x, y = draw(gen_x, gen_eps, reps)
         w = update(w, x, y, m)
         if not np.all(np.isfinite(w)) or np.einsum("ri,ri->r", w, w).max() > DIVERGENCE_NORM**2:
@@ -137,29 +136,28 @@ def _oracle_drive(spec, config, update, draw, w0):
     return np.array(iters, dtype=int), np.array(risks), np.array(errs), diverged_at
 
 
-def oracle_run(spec, config, scheme=None):
+def oracle_run(spec, cell, n, replicates=1, seed=0, record_at=None):
     """(iterations, risk, standard_error, diverged_at) of one averaged-LMS cell."""
-    draw = _oracle_sampler(spec, scheme, noiseless=config.mode == "bias")
-    w0 = spec.w_star if config.mode == "variance" else spec.w0
-    gamma = config.gamma
+    draw = _oracle_sampler(spec, cell.scheme, noiseless=cell.mode == "bias")
+    w0 = spec.w_star if cell.mode == "variance" else spec.w0
+    gamma = cell.gamma
 
     def update(w, x, y, _m):
         resid = np.einsum("ri,ri->r", x, w) - y
         return w - gamma * resid[:, None] * x
 
-    return _oracle_drive(spec, config, update, draw, w0)
+    return _oracle_drive(spec, update, draw, w0, n, replicates, seed, record_at)
 
 
 def oracle_nlms(spec, n, seed, replicates, record_at):
     draw = _oracle_sampler(spec, optimal_bias_scheme(spec), noiseless=False)
-    config = RunConfig(gamma=1.0, n=n, replicates=replicates, seed=seed, record_at=record_at)
 
     def update(w, x, y, _m):
         sq = np.einsum("ri,ri->r", x, x)
         resid = np.einsum("ri,ri->r", x, w) - y
         return w - (resid / sq)[:, None] * x
 
-    return _oracle_drive(spec, config, update, draw, spec.w0)
+    return _oracle_drive(spec, update, draw, spec.w0, n, replicates, seed, record_at)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +183,8 @@ def write_discrete_csv(path, seed=4) -> None:
 
 
 GAUSSIAN_GAMMAS = (0.15, 1.5)  # gamma_max of rotated_gaussian() is about 0.52
+# The settings every cell of a Gaussian grid shares.
+GAUSSIAN_GRID = dict(n=400, replicates=30, seed=7, record_at=(*range(37, 401, 37), 400))
 GAUSSIAN_RUN = ["--gamma", "0.15", "--gamma", "1.5", "--mode", "all", "--n-max", "400",
                 "--points", "12", "--replicates", "30", "--seed", "7"]
 DATA_RUN = ["--gamma", "0.02", "--gamma", "0.004", "--scheme", "uniform", "--scheme",
@@ -298,8 +298,9 @@ class TestPinnedDigests:
         assert _digest(out) == SPEC_GAMMA_MAX_SHA256
 
 
-def _assert_matches_oracle(traj, spec, config, scheme=None):
-    iters, risk, err, diverged_at = oracle_run(spec, config, scheme)
+def _assert_matches_oracle(traj, spec, cell, run):
+    """``traj`` is the oracle's run of ``cell`` under the grid settings ``run``."""
+    iters, risk, err, diverged_at = oracle_run(spec, cell, **run)
     assert np.array_equal(traj.iterations, iters)
     assert np.array_equal(traj.risk, risk)
     assert np.array_equal(traj.standard_error, err)
@@ -314,15 +315,14 @@ class TestFrozenOracle:
     @pytest.mark.parametrize("gamma", GAUSSIAN_GAMMAS)
     def test_rotated_gaussian(self, mode, gamma):
         spec = rotated_gaussian()
-        config = RunConfig(gamma=gamma, n=400, replicates=30, mode=mode, seed=7,
-                           record_at=(*range(37, 401, 37), 400))
-        _assert_matches_oracle(run_averaged_lms(spec, config), spec, config)
+        cell = Cell(gamma, mode)
+        [traj] = run_cells(spec, [cell], **GAUSSIAN_GRID)
+        _assert_matches_oracle(traj, spec, cell, GAUSSIAN_GRID)
 
     def test_gaussian_grid_diverges_above_gamma_max(self):
         spec = rotated_gaussian()
         assert GAUSSIAN_GAMMAS[0] < gamma_max(compute_moments(spec)) < GAUSSIAN_GAMMAS[1]
-        config = RunConfig(gamma=GAUSSIAN_GAMMAS[1], n=400, replicates=30, seed=7)
-        assert oracle_run(spec, config)[3] is not None
+        assert oracle_run(spec, Cell(GAUSSIAN_GAMMAS[1]), 400, replicates=30, seed=7)[3] is not None
 
     @pytest.mark.parametrize("mode", ["bias", "variance", "total"])
     @pytest.mark.parametrize("residual", [True, False])
@@ -331,16 +331,16 @@ class TestFrozenOracle:
         spec = make_discrete(3, 9, 61, residual=residual)
         scheme = {"uniform": None, "bias-opt": optimal_bias_scheme,
                   "variance-opt": optimal_variance_scheme}[scheme_name]
-        scheme = scheme(spec) if scheme else None
-        config = RunConfig(gamma=0.05, n=250, replicates=11, mode=mode, seed=5,
-                           record_at=(1, 7, 60, 250))
-        _assert_matches_oracle(run_averaged_lms(spec, config, scheme), spec, config, scheme)
+        cell = Cell(0.05, mode, scheme(spec) if scheme else None)
+        run = dict(n=250, replicates=11, seed=5, record_at=(1, 7, 60, 250))
+        [traj] = run_cells(spec, [cell], **run)
+        _assert_matches_oracle(traj, spec, cell, run)
 
     def test_single_replicate(self):
         spec = rotated_gaussian(d=3, seed=2)
-        config = RunConfig(gamma=0.2, n=120, replicates=1, seed=1,
-                           record_at=tuple(range(10, 121, 10)))
-        _assert_matches_oracle(run_averaged_lms(spec, config), spec, config)
+        run = dict(n=120, replicates=1, seed=1, record_at=tuple(range(10, 121, 10)))
+        [traj] = run_cells(spec, [Cell(0.2)], **run)
+        _assert_matches_oracle(traj, spec, Cell(0.2), run)
 
     def test_nlms(self):
         """Normalized LMS is the bias-opt cell at gamma = 1/Tr(H): the step
@@ -348,20 +348,16 @@ class TestFrozenOracle:
         claim (c))."""
         spec = make_discrete(3, 8, 12, residual=True)
         record_at = (5, 50, 200)
-        config = RunConfig(gamma=1.0 / float(np.trace(spec.hmat)), n=200, replicates=6, seed=9,
-                           record_at=record_at)
-        traj = run_averaged_lms(spec, config, optimal_bias_scheme(spec))
+        cell = Cell(1.0 / float(np.trace(spec.hmat)), scheme=optimal_bias_scheme(spec))
+        [traj] = run_cells(spec, [cell], 200, replicates=6, seed=9, record_at=record_at)
         iters, risk, err, _ = oracle_nlms(spec, 200, 9, 6, record_at)
         assert np.array_equal(traj.iterations, iters)
         np.testing.assert_allclose(traj.risk, risk, rtol=1e-13, atol=0)
         np.testing.assert_allclose(traj.standard_error, err, rtol=1e-13, atol=0)
 
 
-def _grid(gammas=GAUSSIAN_GAMMAS, **kw):
-    base = dict(n=400, replicates=30, seed=7, record_at=(*range(37, 401, 37), 400))
-    base.update(kw)
-    return [RunConfig(gamma=g, mode=mode, **base)
-            for g in gammas for mode in ("bias", "variance", "total")]
+def _grid(gammas=GAUSSIAN_GAMMAS, scheme=None):
+    return [Cell(g, mode, scheme) for g in gammas for mode in ("bias", "variance", "total")]
 
 
 def _same(a, b):
@@ -376,36 +372,34 @@ class TestGrid:
 
     def test_diverging_grid_matches_single_cells_without_warnings(self):
         spec = rotated_gaussian()
-        configs = _grid()
+        cells = _grid()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = run_cells(spec, configs)
+            grid = run_cells(spec, cells, **GAUSSIAN_GRID)
         assert [t.diverged for t in grid] == [False] * 3 + [True] * 3
-        for config, traj in zip(configs, grid):
-            _assert_matches_oracle(traj, spec, config)
-            assert _same(traj, run_averaged_lms(spec, config))
-            assert (traj.gamma, traj.mode) == (config.gamma, config.mode)
+        for cell, traj in zip(cells, grid):
+            _assert_matches_oracle(traj, spec, cell, GAUSSIAN_GRID)
+            assert _same(traj, run_cells(spec, [cell], **GAUSSIAN_GRID)[0])
         for traj in grid[3:]:
             assert 0 <= traj.diverged_replicate < 30
             assert traj.diverged_norm > DIVERGENCE_NORM
 
     def test_discrete_resampled_grid(self):
         spec = make_discrete(3, 9, 61, residual=False)
-        scheme = optimal_bias_scheme(spec)
-        configs = _grid(gammas=(0.02, 0.3), n=250, replicates=11, seed=5,
-                        record_at=(*range(20, 251, 20), 250))
-        for config, traj in zip(configs, run_cells(spec, configs, [scheme] * len(configs))):
-            _assert_matches_oracle(traj, spec, config, scheme)
+        cells = _grid(gammas=(0.02, 0.3), scheme=optimal_bias_scheme(spec))
+        run = dict(n=250, replicates=11, seed=5, record_at=(*range(20, 251, 20), 250))
+        for cell, traj in zip(cells, run_cells(spec, cells, **run)):
+            _assert_matches_oracle(traj, spec, cell, run)
 
     def test_grouping_never_changes_bits(self, monkeypatch):
         spec = rotated_gaussian()
-        configs = _grid()
-        whole = run_cells(spec, configs)
+        cells = _grid()
+        whole = run_cells(spec, cells, **GAUSSIAN_GRID)
         calls = []
         drive = engine._drive
         monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
         monkeypatch.setattr(engine, "GROUP_BYTES", 2 * engine._STATE_ARRAYS * 8 * 30 * 6)
-        grouped = run_cells(spec, configs)
+        grouped = run_cells(spec, cells, **GAUSSIAN_GRID)
         assert len(calls) == 3
         assert all(_same(a, b) for a, b in zip(whole, grouped))
 
@@ -416,10 +410,10 @@ class TestGaussianBlocks:
         of one step and the default blocks (the whole run here) give every
         cell of the diverging grid the same bits."""
         spec = rotated_gaussian()
-        configs = _grid()
+        cells = _grid()
         sampler = engine._Sampler(spec)
         assert sampler.block_steps(30, 1, 6) >= 399
-        whole = run_cells(spec, configs)
+        whole = run_cells(spec, cells, **GAUSSIAN_GRID)
         assert [t.diverged for t in whole] == [False] * 3 + [True] * 3
         # Still one group of six cells, now drawn one step at a time.
         monkeypatch.setattr(engine, "GROUP_BYTES", 6 * engine._STATE_ARRAYS * 8 * 30 * 6)
@@ -427,7 +421,7 @@ class TestGaussianBlocks:
         calls = []
         drive = engine._drive
         monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
-        stepped = run_cells(spec, configs)
+        stepped = run_cells(spec, cells, **GAUSSIAN_GRID)
         assert len(calls) == 1
         assert all(_same(a, b) for a, b in zip(whole, stepped))
 
@@ -436,23 +430,22 @@ class TestSchemeGrid:
     """Cells that differ in scheme share one uniform stream: each cell of a
     multi-scheme grid has the bits of its scheme run alone."""
 
+    RUN = dict(n=250, replicates=11, seed=5, record_at=(1, 7, 60, 250))
+
     @staticmethod
     def _cells(spec):
         schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
-        base = dict(n=250, replicates=11, seed=5, record_at=(1, 7, 60, 250))
-        cells = [(RunConfig(gamma=0.05, mode=mode, **base), scheme)
+        cells = [Cell(0.05, mode, scheme)
                  for scheme in schemes for mode in ("bias", "variance", "total")]
         # Far past 2/Tr(H): diverges, and it is the only cell of its scheme
         # object, whose draws then stop.
-        lone = optimal_bias_scheme(spec)
-        cells.append((RunConfig(gamma=50.0, mode="total", **base), lone))
+        cells.append(Cell(50.0, "total", optimal_bias_scheme(spec)))
         return cells
 
     @pytest.mark.parametrize("residual", [True, False])
     def test_matches_each_scheme_alone(self, residual, monkeypatch):
         spec = make_discrete(3, 9, 61, residual=residual)
         cells = self._cells(spec)
-        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
         drawn = []
         block = engine._Sampler.block
 
@@ -462,24 +455,23 @@ class TestSchemeGrid:
 
         monkeypatch.setattr(engine._Sampler, "block", spy)
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: 10)
-        grid = run_cells(spec, configs, schemes)
+        grid = run_cells(spec, cells, **self.RUN)
         assert grid[-1].diverged and not any(t.diverged for t in grid[:-1])
         assert drawn[0] == 4 and drawn[-1] == 3
-        for (config, scheme), traj in zip(cells, grid):
-            assert _same(traj, run_cells(spec, [config], [scheme])[0])
-            _assert_matches_oracle(traj, spec, config, scheme)
+        for cell, traj in zip(cells, grid):
+            assert _same(traj, run_cells(spec, [cell], **self.RUN)[0])
+            _assert_matches_oracle(traj, spec, cell, self.RUN)
 
     def test_grouping_and_block_length_never_change_bits(self, monkeypatch):
         spec = make_discrete(3, 9, 61, residual=False)
         cells = self._cells(spec)
-        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
-        whole = run_cells(spec, configs, schemes)
+        whole = run_cells(spec, cells, **self.RUN)
         calls = []
         drive = engine._drive
         monkeypatch.setattr(engine, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
         # Two cells per group, and blocks of a single step.
         monkeypatch.setattr(engine, "GROUP_BYTES", 2 * engine._STATE_ARRAYS * 8 * 11 * 3)
-        grouped = run_cells(spec, configs, schemes)
+        grouped = run_cells(spec, cells, **self.RUN)
         assert len(calls) == 5
         assert all(_same(a, b) for a, b in zip(whole, grouped))
 
@@ -494,26 +486,33 @@ class TestSchemeGrid:
         spec = make_discrete(3, 9, 61, residual=residual)
         cells = self._cells(spec)
         cells = cells[-1:] + cells[:-1]
-        configs, schemes = [c for c, _ in cells], [s for _, s in cells]
         monkeypatch.setattr(engine._Sampler, "block_steps", lambda self, reps, schemes, cells: steps)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            grid = run_cells(spec, configs, schemes)
+            grid = run_cells(spec, cells, **self.RUN)
         finally:
             sys.setswitchinterval(interval)
         assert grid[0].diverged and not any(t.diverged for t in grid[1:])
-        for (config, scheme), traj in zip(cells, grid):
-            _assert_matches_oracle(traj, spec, config, scheme)
+        for cell, traj in zip(cells, grid):
+            _assert_matches_oracle(traj, spec, cell, self.RUN)
 
     def test_gaussian_spec_refuses_resampled_cells(self):
         spec = rotated_gaussian()
-        config = RunConfig(gamma=0.15, n=20, replicates=3)
         with pytest.raises(engine.SchemeError):
-            run_cells(spec, [config, config], [None, optimal_bias_scheme(spec)])
+            run_cells(spec, [Cell(0.15), Cell(0.15, scheme=optimal_bias_scheme(spec))], 20,
+                      replicates=3)
 
     def test_one_scheme_per_config(self):
+        """Each cell draws under its own scheme: swapping the schemes of two
+        cells swaps their trajectories."""
         spec = make_discrete(3, 9, 61, residual=True)
-        config = RunConfig(gamma=0.05, n=20, replicates=3)
-        with pytest.raises(ValueError, match="one scheme per config"):
-            run_cells(spec, [config, config], [None])
+        run = dict(n=20, replicates=3)
+        bias_opt = optimal_bias_scheme(spec)
+        cells = [Cell(0.05, scheme=bias_opt), Cell(0.05)]
+        grid = run_cells(spec, cells, **run)
+        swapped = run_cells(spec, [Cell(0.05), Cell(0.05, scheme=bias_opt)], **run)
+        assert _same(grid[0], swapped[1]) and _same(grid[1], swapped[0])
+        assert not np.array_equal(grid[0].risk, grid[1].risk)
+        for cell, traj in zip(cells, grid):
+            _assert_matches_oracle(traj, spec, cell, run)

@@ -326,11 +326,10 @@ class TestSchemeData:
         """Built on one discrete spec and passed another, even one of the same
         dimension and atom count, a scheme is refused by the moments and by
         the engine."""
-        from avlms import RunConfig, run_cells
+        from avlms import Cell, run_cells
 
         built_on = make_discrete(2, 6, 1962, residual=False)
         other = make_discrete(2, 6, 1963, residual=False)
-        config = RunConfig(gamma=0.01, n=5, replicates=2)
         for make in (optimal_bias_scheme, optimal_variance_scheme,
                      lambda s: atom_scheme(s, "unit", np.ones(6))):
             scheme = make(built_on)
@@ -338,7 +337,7 @@ class TestSchemeData:
             with pytest.raises(SchemeError, match="not built for the atoms"):
                 resampled_moments(other, scheme)
             with pytest.raises(SchemeError, match="not built for the atoms"):
-                run_cells(other, [config], [scheme])
+                run_cells(other, [Cell(0.01, scheme=scheme)], 5, replicates=2)
 
     def test_gaussian_spec_refuses_atom_schemes(self):
         gauss = _rotated_gaussian(2, 1964)
