@@ -41,14 +41,12 @@ from .sampling import (
     SamplingScheme,
     atom_scheme,
     bias_gain,
+    moment_sets,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    resampled_moments,
     variance_gain,
 )
 from .stepsize import (
-    ContractionFactors,
-    contraction_factors,
     contraction_rate_bound,
     gamma_max,
     gamma_max_det,

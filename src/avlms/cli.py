@@ -118,13 +118,16 @@ def _checked(kind, what: str, rule: str, ok):
     return parse
 
 
+_SPEC_KEYS = ("d", "spectrum", "sigma", "wstar", "w0", "seed")
+
+
 def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     """Build a synthetic spec from a compact descriptor.
 
     Grammar: ``gaussian:key=value,...`` with keys d (required), spectrum
     (``uniform`` | ``1/i`` | colon-separated eigenvalues), sigma, wstar and
-    w0 (``zeros`` | ``ones`` | ``random``), seed (for the random vectors).
-    Example: ``gaussian:d=25,spectrum=1/i,sigma=1``.
+    w0 (``zeros`` | ``ones`` | ``random``), seed (for the random vectors),
+    each at most once.  Example: ``gaussian:d=25,spectrum=1/i,sigma=1``.
     """
     name, _, rest = text.partition(":")
     if name != "gaussian":
@@ -134,8 +137,11 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
         for item in rest.split(","):
             if "=" not in item:
                 raise UsageError(f"bad spec option {item!r}, expected key=value")
-            k, v = item.split("=", 1)
-            opts[k.strip()] = v.strip()
+            k, v = (part.strip() for part in item.split("=", 1))
+            if k not in _SPEC_KEYS or k in opts:
+                raise UsageError(f"{'repeated' if k in opts else 'unknown'} spec option {k!r} "
+                                 f"(the keys are {', '.join(_SPEC_KEYS)})")
+            opts[k] = v
     if "d" not in opts:
         raise UsageError("gaussian spec needs d=<dim>")
     d = _checked(int, "spec option d", f"from 1 to {MAX_DIM}",
@@ -217,7 +223,7 @@ def _ingest(args):
     """The spec and report of the ``--data`` file, read as ``--format``."""
     if not os.path.exists(args.data):
         raise DataFormatError(f"data file {args.data!r} does not exist")
-    return ingest(args.data, args.format or FORMATS[0], dim=args.dim)
+    return ingest(args.data, args.format or FORMATS[0])
 
 
 def _resolve_spec(args) -> ProblemSpec:
@@ -226,10 +232,9 @@ def _resolve_spec(args) -> ProblemSpec:
     if args.data:
         return _ingest(args)[0]
     if args.spec:
-        stray = [key for key in ("format", "dim") if getattr(args, key) is not None]
-        if stray:
-            raise UsageError(f"--spec takes no {' or '.join(stray)} (given by flag or "
-                             "manifest); those describe a --data file")
+        if args.format is not None:
+            raise UsageError("--spec takes no format (given by flag or manifest); it "
+                             "describes a --data file")
         return parse_spec_descriptor(args.spec, seed=args.seed or 0)
     raise UsageError("one of --spec or --data is required")
 
@@ -272,7 +277,7 @@ def _warn_diverged(name: str, cell, traj) -> None:
 def cmd_gamma_max(args) -> int:
     spec = _resolve_spec(args)
     cells = _scheme_cells(spec, args.scheme or ["uniform"])
-    moments = sampling._moment_sets(spec, [scheme for _, scheme in cells])
+    moments = sampling.moment_sets(spec, [scheme for _, scheme in cells])
     rows = []
     for (name, _), m in zip(cells, moments):
         g_max = stepsize.gamma_max(m)
@@ -416,7 +421,7 @@ def cmd_sampling(args) -> int:
             simulated.append(False)
         else:
             simulated.append(True)
-    base, *moments = sampling._moment_sets(spec, [None, *(scheme for _, scheme in schemes)])
+    base, *moments = sampling.moment_sets(spec, [None, *(scheme for _, scheme in schemes)])
     base_gamma_max, base_var_limit = stepsize.gamma_max(base), base.hinv_traces[1]
     rows, grid = [], []
     for k, ((name, scheme), m) in enumerate(zip(schemes, moments)):
@@ -508,8 +513,6 @@ _OPTIONS = {
     "--spec": dict(help="synthetic spec descriptor, e.g. gaussian:d=25,spectrum=1/i,sigma=1"),
     "--data": dict(help="path to a data file"),
     "--format": dict(choices=FORMATS, help=f"data file format (default {FORMATS[0]})"),
-    "--dim": dict(type=_checked(int, "--dim", f"from 1 to {MAX_DIM}", lambda d: 1 <= d <= MAX_DIM),
-                  help="declared dimension (a CSV's must match its width)"),
     "--gamma": dict(type=_checked(float, "--gamma", "positive", lambda g: g > 0),
                     action="append", help="step-size (repeatable)"),
     "--n-max": dict(type=_n_max, help="largest iterate count"),
@@ -524,14 +527,14 @@ _OPTIONS = {
     "--out": dict(help="output path ('-' for stdout)"),
     "--manifest": dict(help="key = value manifest file; flags override it"),
 }
-_SPEC_OPTIONS = ("--spec", "--data", "--format", "--dim")
+_SPEC_OPTIONS = ("--spec", "--data", "--format")
 # The options each data command reads; any other is a usage error, by flag or by manifest.
 _COMMAND_OPTIONS = {
     "gamma-max": (*_SPEC_OPTIONS, "--scheme", "--seed", "--out", "--manifest"),
     "run": tuple(_OPTIONS),
     "predict": (*_SPEC_OPTIONS, "--gamma", "--n-max", "--points", "--seed", "--out", "--manifest"),
     "sampling": tuple(_OPTIONS),
-    "ingest": ("--data", "--format", "--dim", "--out", "--manifest"),
+    "ingest": ("--data", "--format", "--out", "--manifest"),
 }
 
 

@@ -7,13 +7,13 @@ rows become an empirical spec: uniform row weights, the exact
 least-squares fit as optimum, residual noise.
 
 A data file is parsed once per process per content.  :func:`ingest`
-keeps the last data set ingested, keyed by the format, the declared
-dimension, and the length and SHA-256 digest of the bytes it was parsed
-from, hashed as the parse reads them.  A later call on a file of that
-length hashes the file first, and the same digest returns the same spec
-and report without a parse, whatever the path or modification time.  So
-a fresh process reads a file once, as without the key, and pays one
-SHA-256 of its bytes on top; the bytes are never held whole.  Every array
+keeps the last data set ingested, keyed by the format and the length
+and SHA-256 digest of the bytes it was parsed from, hashed as the parse
+reads them.  A later call on a file of that length hashes the file
+first, and the same digest returns the same spec and report without a
+parse, whatever the path or modification time.  So a fresh process
+reads a file once, as without the key, and pays one SHA-256 of its
+bytes on top; the bytes are never held whole.  Every array
 the spec holds is read-only, and so is the report's class count, since
 every hit shares them.
 """
@@ -145,8 +145,10 @@ def _parse_csv_lines(source: _Source, path: str) -> tuple[np.ndarray, np.ndarray
     return np.array(xs_rows), np.array(ys_rows)
 
 
-def _parse_libsvm(source: _Source, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    entries: list[list[tuple[int, float]]] = []
+def _parse_libsvm(source: _Source, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse rows, as wide as their largest index: an index twice in one
+    row is a data error."""
+    entries: list[dict[int, float]] = []
     labels: list[float] = []
     max_idx = 0
     with source.text() as fh:
@@ -159,7 +161,7 @@ def _parse_libsvm(source: _Source, path: str, dim: int | None) -> tuple[np.ndarr
                 labels.append(float(parts[0]))
             except ValueError:
                 raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
-            row = []
+            row = {}
             for tok in parts[1:]:
                 if ":" not in tok:
                     raise DataFormatError(f"expected index:value, got {tok!r}", line=lineno)
@@ -171,18 +173,19 @@ def _parse_libsvm(source: _Source, path: str, dim: int | None) -> tuple[np.ndarr
                     raise DataFormatError(f"bad pair {tok!r}", line=lineno) from None
                 if idx < 1:
                     raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
-                row.append((idx, val))
+                if idx in row:
+                    raise DataFormatError(f"index {idx} repeats in one row", line=lineno)
+                row[idx] = val
                 max_idx = max(max_idx, idx)
             entries.append(row)
     if not entries:
         raise DataFormatError(f"no data rows in {path!r}")
-    d = dim if dim is not None else max_idx
-    if max_idx > d:
-        raise DataFormatError(f"feature index {max_idx} exceeds declared dimension {d}")
-    _check_width(d)
-    xs = np.zeros((len(entries), d))
+    if max_idx == 0:
+        raise DataFormatError(f"no feature in any row of {path!r}")
+    _check_width(max_idx)
+    xs = np.zeros((len(entries), max_idx))
     for t, row in enumerate(entries):
-        for idx, val in row:
+        for idx, val in row.items():
             xs[t, idx - 1] = val
     return xs, np.array(labels)
 
@@ -192,49 +195,42 @@ def _check_width(d: int) -> None:
         raise DataFormatError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
-def _read_csv(source: _Source, path: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Dense CSV rows, at most MAX_DIM features wide, and ``dim`` wide if given."""
+def _read_csv(source: _Source, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV rows, at most MAX_DIM features wide."""
     xs, ys = _parse_csv(source, path)
     _check_width(xs.shape[1])
-    if dim is not None and dim != xs.shape[1]:
-        raise DataFormatError(f"declared dimension {dim} does not match the "
-                              f"{xs.shape[1]} feature columns of {path!r}")
     return xs, ys
 
 
 # Each format name and the reader of its rows; the first is the default.
-_READERS = {"csv-dense": _read_csv, "csv": _read_csv,
-            "libsvm-sparse": _parse_libsvm, "libsvm": _parse_libsvm}
+_READERS = {"csv-dense": _read_csv, "libsvm-sparse": _parse_libsvm}
 FORMATS = tuple(_READERS)
 
 
 # The last data set ingested: (key, spec, report), the key being the
-# format's reader, the declared dimension, and the length and SHA-256
-# digest of the bytes the data set was parsed from.
+# format and the length and SHA-256 digest of the bytes the data set was
+# parsed from.
 _last: tuple | None = None
 
 
-def ingest(path: str, fmt: str = FORMATS[0],
-           dim: int | None = None) -> tuple[ProblemSpec, IngestReport]:
+def ingest(path: str, fmt: str = FORMATS[0]) -> tuple[ProblemSpec, IngestReport]:
     """Load a data file into an empirical spec plus a summary report.
 
-    A row holding a NaN or an infinity is a data error, named by its index
-    among the data rows, and so is a ``dim`` other than a CSV's number of
-    feature columns.  The file is opened once per call.  When the last
-    data set ingested came, under the reader of ``fmt`` (``csv`` and
-    ``csv-dense`` share one, as do ``libsvm`` and ``libsvm-sparse``) and
-    the same ``dim``, from as many bytes as the file holds, the file is
-    hashed, and the same digest returns that spec and report as they are.
+    The file states its width: a CSV's feature columns, or a sparse file's
+    largest index.  A row holding a NaN or an infinity is a data error,
+    named by its index among the data rows.  The file is opened once per
+    call.  When the last data set ingested came, under the same ``fmt``,
+    from as many bytes as the file holds, the file is hashed, and the same
+    digest returns that spec and report as they are.
     Otherwise the file is parsed, and a data set that parses replaces the
     last one, keyed by the bytes its parse read."""
     global _last
     if fmt not in _READERS:
         raise DataFormatError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
-    reader = _READERS[fmt]
     with open(path, "rb", buffering=0) as fh:
         held = _last
-        if held is not None and held[0][:3] == (reader, dim, os.fstat(fh.fileno()).st_size):
-            if hashlib.file_digest(fh, "sha256").digest() != held[0][3]:
+        if held is not None and held[0][:2] == (fmt, os.fstat(fh.fileno()).st_size):
+            if hashlib.file_digest(fh, "sha256").digest() != held[0][2]:
                 held = None
             fh.seek(0)
         else:
@@ -242,14 +238,13 @@ def ingest(path: str, fmt: str = FORMATS[0],
         if held is None:
             _last = None  # one data set at a time, also while the next is parsed
             source = _Source(fh)
-            spec, report = _load(source, path, reader, dim)
-            held = _last = ((reader, dim, *source.key()), spec, report)
+            spec, report = _load(source, path, _READERS[fmt])
+            held = _last = ((fmt, *source.key()), spec, report)
     return held[1:]
 
 
-def _load(source: _Source, path: str, reader,
-          dim: int | None) -> tuple[ProblemSpec, IngestReport]:
-    xs, ys = reader(source, path, dim)
+def _load(source: _Source, path: str, reader) -> tuple[ProblemSpec, IngestReport]:
+    xs, ys = reader(source, path)
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys)
     if not finite.all():
         raise DataFormatError(f"data row {int(np.argmin(finite)) + 1} holds a non-finite value")

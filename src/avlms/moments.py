@@ -15,8 +15,8 @@ holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`_atom_moments` gives the same objects of a
 discrete design under any atom weights, which is how
-``sampling._moment_sets`` resamples one.  A discrete spec keeps the
-MomentSets of the last :func:`_atom_moments` call that built any, so a
+:func:`~avlms.sampling.moment_sets` resamples one.  A discrete spec keeps
+the MomentSets of the last :func:`_atom_moments` call that built any, so a
 later call on the same spec builds only the atom Grams of weight rows that
 call did not have.  Gaussian resampled moments are exact in closed form only:
 :func:`norm_resampled_moments` and :func:`leverage_resampled_moments` are
@@ -248,9 +248,9 @@ class MomentSet:
     coordinates.
     ``_norm_resampled`` marks the moments of norm-proportional resampling:
     :func:`norm_resampled_moments` sets it on Gaussian specs, and
-    ``sampling._moment_sets`` on atoms for a scheme whose ``closed_form``
-    is that function.  Every resampled draw then has ||X||^2 = Tr(H), so
-    the threshold is 2/Tr(H) without a pencil solve.
+    :func:`~avlms.sampling.moment_sets` on atoms for a scheme whose
+    ``closed_form`` is that function.  Every resampled draw then has
+    ||X||^2 = Tr(H), so the threshold is 2/Tr(H) without a pencil solve.
     The step-size-free inputs of the closed forms (``e0_eigbasis``,
     ``sigma0_eigbasis``, ``hinv_traces``, ``frobenius_norms``) are formed
     on first use and kept, so every model on one MomentSet shares them.

@@ -8,7 +8,7 @@ both the stability threshold and the asymptotic variance constant.
 A scheme is plain data: its ratio on each atom of one discrete spec
 (``ratios``, checked once by :func:`atom_scheme`), its Gaussian closed
 form, or both.  This module alone decides how a scheme reweights a spec:
-:func:`_moment_sets` for the moments, ``ratios_on`` for the engine's draws.
+:func:`moment_sets` for the moments, ``ratios_on`` for the engine's draws.
 """
 
 from __future__ import annotations
@@ -140,12 +140,13 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     return atom_scheme(spec, "variance-opt", weights, closed_form)
 
 
-def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
+def moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     """The moments of ``spec`` under each scheme of ``schemes`` (None: the
     spec itself, :func:`~avlms.moments.compute_moments`).
 
-    On a Gaussian spec each scheme gives its closed form, and a scheme
-    without one is refused.  On a discrete spec atom t is weighted by
+    On a Gaussian spec each scheme gives its closed form; a scheme without
+    one is refused with SchemeError, as is, on a discrete spec, a scheme
+    built for other atoms.  On a discrete spec atom t is weighted by
     ``probs[t] / ratios[t]`` (0 where X = 0 or the mass is 0): every
     second-order moment is unchanged and every fourth-order one picks up
     the factor c = 1/c^{-1}.  All schemes share one pass of the atom Gram,
@@ -165,14 +166,6 @@ def _moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     flags = [scheme is not None and scheme.closed_form is norm_resampled_moments
              for scheme in schemes]
     return _atom_moments(spec, rows, flags) if rows else []
-
-
-def resampled_moments(spec: ProblemSpec, scheme: SamplingScheme) -> MomentSet:
-    """Moments of the instance after resampling by a scheme: the one-scheme
-    case of :func:`_moment_sets`.  Exact on every spec, or refused with
-    SchemeError: on a Gaussian spec when the scheme has no closed form, on
-    a discrete one when it was built for other atoms."""
-    return _moment_sets(spec, [scheme])[0]
 
 
 def variance_gain(spec: ProblemSpec) -> float:

@@ -1,13 +1,14 @@
-"""Maximal stable step-sizes and contraction factors for averaged LMS.
+"""Maximal stable step-sizes for averaged LMS.
 
 The covariance of the iterates contracts through the operator
 T(gamma) = H_L + H_R - gamma M on symmetric matrices.  The largest usable
 step-size is the supremum of gamma keeping T positive definite, which is
 the reciprocal of the top generalized eigenvalue of the symmetric-definite
 pencil (M, H_L + H_R).  This module computes that threshold, the classical
-deterministic threshold 2/L, the universal bound 2/Tr(H), and the
-contraction factors of I - gamma*T and I - gamma*H together with an
-analytic upper bound on their maximum.
+deterministic threshold 2/L, the universal bound 2/Tr(H), and an
+analytic upper bound on the contraction factor rho, the larger spectral
+radius of I - gamma*T and I - gamma*H (``CovarianceModel(m, gamma).rho``
+measures it).
 
 The threshold and every spectrum of T are read from the frame each
 MomentSet is built with (:mod:`avlms.operators`), in the eigenbasis of H,
@@ -26,8 +27,6 @@ readers here and by :class:`~avlms.asymptotics.CovarianceModel`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,32 +81,6 @@ def gamma_max_det(moments: MomentSet) -> float:
 def trace_step_bound(moments: MomentSet) -> float:
     """The universal upper bound 2/Tr(H) on the stochastic threshold."""
     return 2.0 / moments.trace_h
-
-
-@dataclass(frozen=True)
-class ContractionFactors:
-    """Spectral radii of I - gamma*T and I - gamma*H, and their max."""
-
-    rho_t: float
-    rho_h: float
-
-    @property
-    def rho(self) -> float:
-        return max(self.rho_t, self.rho_h)
-
-
-def contraction_factors(moments: MomentSet, gamma: float) -> ContractionFactors:
-    """Measured contraction factors at a given step-size.
-
-    Values above 1 are returned as-is; they signal a step-size beyond the
-    stable range rather than an error.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    frame = moments.frame
-    rho_t = float(np.abs(1.0 - gamma * frame.t_eigenvalues(gamma)).max())
-    rho_h = float(np.abs(1.0 - gamma * frame.lam).max())
-    return ContractionFactors(rho_t=rho_t, rho_h=rho_h)
 
 
 def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> float:

@@ -18,14 +18,13 @@ from avlms import (
     CovarianceModel,
     ProblemSpec,
     compute_moments,
-    contraction_factors,
     contraction_rate_bound,
     excess_risk,
     gamma_max,
     gamma_max_det,
+    moment_sets,
     optimal_bias_scheme,
     optimal_variance_scheme,
-    resampled_moments,
     run_cells,
     small_gamma_equivalents,
     total_error_envelope,
@@ -200,7 +199,7 @@ class TestCriterion6:
             d = int(rg.integers(1, 5))
             spec = make_discrete(d, d + int(rg.integers(3, 7)), 5000 + i, residual=False)
             scheme = optimal_bias_scheme(spec)
-            got = gamma_max(resampled_moments(spec, scheme))
+            got = gamma_max(moment_sets(spec, [scheme])[0])
             assert abs(got - 2.0 / np.trace(spec.hmat)) < 1e-6
         elapsed = time.time() - t0
         assert elapsed < 60.0
@@ -227,7 +226,7 @@ class TestCriterion6:
             if np.abs(eps).max() < 1e-9:
                 continue
             scheme = optimal_variance_scheme(spec)
-            rw = resampled_moments(spec, scheme)
+            rw = moment_sets(spec, [scheme])[0]
             _, scheme_value = small_gamma_equivalents(rw, 1.0, 1)
             lev2 = np.einsum("ti,ij,tj->t", xs, np.linalg.inv(m.hmat), xs)
             q1 = np.linspace(1e-4, 1 - 1e-4, 1000)
@@ -254,7 +253,7 @@ class TestCriterion7:
             g_top = gamma_max(m)
             for frac in np.linspace(0.02, 0.98, 20):
                 g = frac * g_top
-                rho = contraction_factors(m, g).rho
+                rho = CovarianceModel(m, g).rho
                 assert rho <= contraction_rate_bound(g, m.mu, g_top, d) + 1e-10
         elapsed = time.time() - t0
         assert elapsed < 30.0

@@ -33,19 +33,34 @@ class TestIngest:
         np.testing.assert_allclose(m.hmat, np.eye(2) / 2.0, atol=1e-15)
         assert report.class_counts == {0.0: 1, 1.0: 1}
 
-    def test_libsvm_with_declared_dimension(self, tmp_path):
-        path = tmp_path / "row.svm"
-        path.write_text("1 3:0.5\n-1 1:1 2:0.25\n0.5 1:1 3:1\n")
-        spec, report = ingest(str(path), "libsvm-sparse", dim=3)
-        np.testing.assert_array_equal(spec.design.xs[0], [0.0, 0.0, 0.5])
-        assert spec.design.ys[0] == 1.0
-        assert report.dim == 3
-
     def test_libsvm_infers_dimension(self, tmp_path):
         path = tmp_path / "row.svm"
         path.write_text("1 1:1 2:1\n0 2:2\n1 1:0.5 2:-1 4:2\n-1 3:1\n")
-        _, report = ingest(str(path), "libsvm")
+        _, report = ingest(str(path), "libsvm-sparse")
         assert report.dim == 4
+
+    def test_libsvm_rows_without_a_feature_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.svm"
+        path.write_text("1\n0 # no pairs\n")
+        assert main(["ingest", "--data", str(path), "--format", "libsvm-sparse"]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: no feature in any row of "
+                                           f"{str(path)!r}\n")
+
+    def test_libsvm_index_repeated_in_a_row_is_a_data_error(self, tmp_path, capsys):
+        """An index twice in one row is a data error naming the line, not
+        the row with its last value kept; indices out of order are read."""
+        path = tmp_path / "rows.svm"
+        path.write_text("0 2:1 1:3\n# c\n1 1:1 2:0.5 1:7\n")
+        with pytest.raises(DataFormatError, match="line 3: index 1 repeats in one row"):
+            ingest(str(path), "libsvm-sparse")
+        out = tmp_path / "out.csv"
+        argv = ["ingest", "--data", str(path), "--format", "libsvm-sparse", "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: line 3: index 1 repeats in one row\n")
+        assert not out.exists()
+        path.write_text("0 2:1 1:3\n1 1:1 2:0.5\n")
+        spec, _ = ingest(str(path), "libsvm-sparse")
+        np.testing.assert_array_equal(spec.design.xs, [[3.0, 1.0], [1.0, 0.5]])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -62,7 +77,7 @@ class TestIngest:
     @pytest.mark.parametrize("fmt, text, row", [
         ("csv-dense", "# header\n1,2,3\n\n4,nan,6\n7,8,1e400\n", 2),
         ("csv-dense", "1,2,3\n4,5,6\n7,8,-inf\n", 3),
-        ("libsvm", "1 1:2\n0 1:1 2:inf\nnan 2:1\n", 2),
+        ("libsvm-sparse", "1 1:2\n0 1:1 2:inf\nnan 2:1\n", 2),
     ])
     def test_non_finite_row_rejected_by_data_row(self, tmp_path, fmt, text, row):
         """The first data row holding a NaN or an infinity is named by its
@@ -146,7 +161,7 @@ class TestIngest:
 
 class TestIngestCache:
     """One data set per process, keyed by the SHA-256 of the file's bytes
-    with the format and the declared dimension."""
+    with the format."""
 
     def test_a_hit_returns_the_same_spec_and_report(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -173,20 +188,16 @@ class TestIngestCache:
         assert rewritten is not spec
         np.testing.assert_array_equal(rewritten.design.ys, [1.0, 0.0, 3.0])
 
-    def test_another_format_or_dimension_misses(self, tmp_path):
-        """Two names of one reader hit; another reader or ``dim`` misses."""
-        csv = tmp_path / "d.csv"
-        csv.write_text("1,0,1\n0,1,0\n2,1,1\n")
-        spec, _ = ingest(str(csv), "csv-dense")
-        assert ingest(str(csv), "csv")[0] is spec
+    def test_another_format_misses(self, tmp_path):
+        """The bytes of the last data set, under another format, miss: they
+        are parsed as that format."""
         svm = tmp_path / "d.svm"
         svm.write_text("1 1:1 2:1\n0 2:2\n1 1:0.5 2:-1\n")
-        inferred = ingest(str(svm), "libsvm")
-        assert ingest(str(svm), "libsvm-sparse")[0] is inferred[0]
-        declared = ingest(str(svm), "libsvm", dim=2)
-        assert declared[0] is not inferred[0]
-        assert inferred[1].dim == declared[1].dim == 2
-        assert ingest(str(svm), "libsvm")[0] is not inferred[0]
+        spec, _ = ingest(str(svm), "libsvm-sparse")
+        assert ingest(str(svm), "libsvm-sparse")[0] is spec
+        with pytest.raises(DataFormatError, match="line 1"):
+            ingest(str(svm), "csv-dense")
+        assert ingest(str(svm), "libsvm-sparse")[0] is not spec
 
     def test_a_failed_parse_is_not_kept(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -846,9 +857,8 @@ class TestExitCodes:
         assert main([*sampling, "--mode", "all"]) == EXIT_USAGE
         for gamma in ("nan", "inf"):
             assert main(["predict", "--spec", "gaussian:d=2", "--gamma", gamma]) == EXIT_USAGE
-        # --format and --dim describe a data file; beside --spec they are refused
-        assert main(["gamma-max", "--spec", "gaussian:d=2", "--format", "csv"]) == EXIT_USAGE
-        assert main(["gamma-max", "--spec", "gaussian:d=2", "--dim", "2"]) == EXIT_USAGE
+        # --format describes a data file; beside --spec it is refused
+        assert main(["gamma-max", "--spec", "gaussian:d=2", "--format", "csv-dense"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("spec", [
         "gaussian:d=abc", "gaussian:d=2,sigma=x", "gaussian:d=2,seed=1.5",
@@ -860,42 +870,26 @@ class TestExitCodes:
         assert main(["gamma-max", "--spec", spec]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("dim", ["0", "-3", "65"])
-    def test_dimension_out_of_range_is_usage(self, dim, tmp_path, capsys):
-        """--dim below 1 or above MAX_DIM, by flag or by manifest, is a usage
-        error, as ``gaussian:d=65`` is, not a data or numerical error."""
-        path = tmp_path / "rows.svm"
-        path.write_text("1 1:0.5\n-1 2:1\n")
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(f"dim = {dim}\n")
-        ingest_argv = ["ingest", "--data", str(path), "--format", "libsvm"]
-        for extra in (["--dim", dim], ["--manifest", str(manifest)]):
-            assert main([*ingest_argv, *extra]) == EXIT_USAGE
-            assert capsys.readouterr().err == f"error: --dim must be from 1 to 64, got {dim}\n"
+    @pytest.mark.parametrize("spec, what, key", [
+        ("gaussian:d=3,sigm=0,spectrom=1/i", "unknown", "sigm"),
+        ("gaussian:d=3,d=5", "repeated", "d"),
+        ("gaussian:d=3,sigma=0,seed=1,sigma=1", "repeated", "sigma"),
+    ])
+    def test_unknown_or_repeated_spec_key_is_usage(self, spec, what, key, capsys):
+        """A misspelt or repeated descriptor key is one error line naming it
+        and the keys the grammar reads, not a key skipped or overwritten."""
+        assert main(["gamma-max", "--spec", spec]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {what} spec option {key!r} (the keys are d, spectrum, "
+                                "sigma, wstar, w0, seed)\n")
 
-    def test_dimension_other_than_a_csv_width_is_a_data_error(self, tmp_path, capsys):
-        """A --dim that contradicts a CSV's feature count, by flag or by
-        manifest, is a data error naming both, and its parse is not kept;
-        the CSV's own width is accepted."""
-        path = tmp_path / "d.csv"
-        path.write_text("1,0,2,1\n0,1,1,0\n2,1,0,1\n")
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text("dim = 7\n")
-        for extra in (["--dim", "7"], ["--manifest", str(manifest)]):
-            assert main(["ingest", "--data", str(path), *extra]) == EXIT_DATA
-            assert capsys.readouterr().err == (
-                f"data error: declared dimension 7 does not match the 3 feature columns "
-                f"of {str(path)!r}\n")
-            assert avlms.dataio._last is None
-        assert main(["ingest", "--data", str(path), "--dim", "3"]) == EXIT_OK
-        assert "dim: 3" in capsys.readouterr().out.splitlines()
-
-    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    @pytest.mark.parametrize("fmt", ["csv-dense", "libsvm-sparse"], ids=["csv", "libsvm"])
     def test_file_wider_than_the_cap_is_a_data_error(self, fmt, tmp_path, capsys):
         """A data file with 65 feature columns (or a sparse index 65) is a
         data error."""
         path = tmp_path / "wide.txt"
-        if fmt == "csv":
+        if fmt == "csv-dense":
             np.savetxt(path, np.random.default_rng(3).standard_normal((70, 66)), delimiter=",")
         else:
             path.write_text("1 1:0.5 65:1\n-1 2:1\n")
@@ -934,7 +928,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         *[("gamma", v) for v in ("nan", "0", "-1", "abc")],
-        ("seed", "-1"), ("seed", "1.5"), ("dim", "0"), ("dim", "65"),
+        ("seed", "-1"), ("seed", "1.5"),
         *[(k, v) for k in ("n_max", "points", "replicates") for v in ("0", "abc")],
         ("mode", "bogus"), ("format", "bogus"), ("scheme", "bogus"),
     ])
@@ -1085,20 +1079,20 @@ class TestExitCodes:
 
 
 # A value each option accepts, and the options each command reads, written
-# out apart from the parser.
+# out apart from the parser.  --dim, a width the data file states itself,
+# is read by no command.
 OPTION_VALUES = {
-    "--spec": "gaussian:d=2", "--data": "d.csv", "--format": "csv", "--dim": "2",
+    "--spec": "gaussian:d=2", "--data": "d.csv", "--format": "csv-dense", "--dim": "2",
     "--gamma": "0.1", "--n-max": "10", "--points": "3", "--replicates": "2", "--mode": "bias",
     "--scheme": "uniform", "--seed": "1", "--out": "out.csv", "--manifest": "m.cfg",
 }
 COMMAND_READS = {
-    "gamma-max": {"--spec", "--data", "--format", "--dim", "--scheme", "--seed", "--out",
-                  "--manifest"},
-    "run": set(OPTION_VALUES),
-    "predict": {"--spec", "--data", "--format", "--dim", "--gamma", "--n-max", "--points",
-                "--seed", "--out", "--manifest"},
-    "sampling": set(OPTION_VALUES),
-    "ingest": {"--data", "--format", "--dim", "--out", "--manifest"},
+    "gamma-max": {"--spec", "--data", "--format", "--scheme", "--seed", "--out", "--manifest"},
+    "run": set(OPTION_VALUES) - {"--dim"},
+    "predict": {"--spec", "--data", "--format", "--gamma", "--n-max", "--points", "--seed",
+                "--out", "--manifest"},
+    "sampling": set(OPTION_VALUES) - {"--dim"},
+    "ingest": {"--data", "--format", "--out", "--manifest"},
 }
 
 

@@ -105,11 +105,11 @@ class TestRunAveragedLms:
         """End to end: a run under the norm-proportional scheme agrees with
         the exact closed forms evaluated on the reweighted moments, for
         both error components, within four standard errors."""
-        from avlms import optimal_bias_scheme, resampled_moments
+        from avlms import moment_sets, optimal_bias_scheme
 
         spec = make_discrete(3, 7, 2203, residual=True)
         scheme = optimal_bias_scheme(spec)
-        rw = resampled_moments(spec, scheme)
+        rw = moment_sets(spec, [scheme])[0]
         g = 0.4 * gamma_max(rw)
         model = CovarianceModel(rw, g)
         n = 300

@@ -16,8 +16,8 @@ from avlms import (
     leverage_resampled_moments,
     norm_resampled_moments,
     optimal_bias_scheme,
+    moment_sets,
     optimal_variance_scheme,
-    resampled_moments,
 )
 from avlms.moments import _chi_mean, _norm_resampling_integrals, _sqrt_psd
 from avlms.operators import SymBasis, _rank_one_coords
@@ -251,7 +251,7 @@ class TestReweightedMoments:
         spec = make_gaussian(3, 0.6, 47)
         atoms = make_discrete(3, 5, 47, residual=False)
         calls = [lambda: atom_scheme(spec, "test", np.ones(5)),
-                 lambda: resampled_moments(spec, atom_scheme(atoms, "unit", np.ones(5)))]
+                 lambda: moment_sets(spec, [atom_scheme(atoms, "unit", np.ones(5))])[0]]
         for call in calls:
             with pytest.raises(SchemeError, match="ProblemSpec.discrete") as info:
                 call()
@@ -331,43 +331,37 @@ class TestAtomMomentMemo:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_a_hit_is_the_kept_set_with_a_fresh_specs_bits(self, passes):
-        from avlms.sampling import _moment_sets
-
         spec = make_empirical(3, 50, 41)
-        first = _moment_sets(spec, self._schemes(spec))
-        again = _moment_sets(spec, self._schemes(spec))
+        first = moment_sets(spec, self._schemes(spec))
+        again = moment_sets(spec, self._schemes(spec))
         assert all(a is b for a, b in zip(again, first))
         assert compute_moments(spec) is first[0]
         assert passes == [3]
         fresh_spec = make_empirical(3, 50, 41)
-        for got, want in zip(first, _moment_sets(fresh_spec, self._schemes(fresh_spec))):
+        for got, want in zip(first, moment_sets(fresh_spec, self._schemes(fresh_spec))):
             self._assert_same_bits(got, want)
 
     def test_a_new_scheme_passes_only_its_missing_rows(self, passes):
-        from avlms.sampling import _moment_sets
-
         spec = make_discrete(3, 30, 42, residual=True)
         base = compute_moments(spec)
-        sets = _moment_sets(spec, self._schemes(spec))
+        sets = moment_sets(spec, self._schemes(spec))
         assert sets[0] is base
         assert passes == [1, 2]
-        twice = _moment_sets(spec, [None, None])
+        twice = moment_sets(spec, [None, None])
         assert twice[0] is twice[1] is base
         assert passes == [1, 2]
 
     def test_the_norm_resampled_flag_separates_keys(self, passes):
-        from avlms.sampling import _moment_sets
-
         spec = make_discrete(3, 30, 43, residual=False)
         ratios = optimal_bias_scheme(spec).ratios
         flagged = atom_scheme(spec, "flagged", ratios, norm_resampled_moments)
         plain = atom_scheme(spec, "plain", ratios)
-        sets = _moment_sets(spec, [flagged, plain])
+        sets = moment_sets(spec, [flagged, plain])
         assert passes == [2]
         assert sets[0]._norm_resampled and not sets[1]._norm_resampled
         np.testing.assert_array_equal(sets[0].frame.fourth_moment(),
                                       sets[1].frame.fourth_moment())
-        assert resampled_moments(spec, plain) is sets[1]
+        assert moment_sets(spec, [plain])[0] is sets[1]
         assert passes == [2]
 
     def test_a_rewritten_file_misses(self, tmp_path, passes):
@@ -391,19 +385,17 @@ class TestAtomMomentMemo:
     def test_a_call_that_builds_nothing_keeps_the_sets(self, passes):
         """Three schemes, then the spec's own moments, then the three again:
         one three-row pass, and the same objects each time."""
-        from avlms.sampling import _moment_sets
-
         spec = make_empirical(3, 50, 47)
-        first = _moment_sets(spec, self._schemes(spec))
+        first = moment_sets(spec, self._schemes(spec))
         assert compute_moments(spec) is first[0]
-        again = _moment_sets(spec, self._schemes(spec))
+        again = moment_sets(spec, self._schemes(spec))
         assert all(a is b for a, b in zip(again, first))
         assert passes == [3]
 
     def test_the_spec_keeps_only_the_last_calls_sets(self, passes):
         spec = make_discrete(3, 30, 45, residual=True)
         base = compute_moments(spec)
-        biased = resampled_moments(spec, optimal_bias_scheme(spec))
+        biased = moment_sets(spec, [optimal_bias_scheme(spec)])[0]
         assert list(spec._atom_sets.values()) == [biased]
         again = compute_moments(spec)
         assert again is not base
@@ -513,7 +505,7 @@ class TestGaussianResampledClosedForms:
         scheme = make_scheme(built_on)
         assert scheme.closed_form is form
         for spec in (built_on, other):
-            got, want = resampled_moments(spec, scheme), form(spec)
+            got, want = moment_sets(spec, [scheme])[0], form(spec)
             assert got.hmat is spec.hmat
             np.testing.assert_array_equal(got.frame.fourth_moment(), want.frame.fourth_moment())
             np.testing.assert_array_equal(got.sigma0, want.sigma0)
@@ -545,7 +537,7 @@ def _norm_resampled_dense(spec) -> SymOperator:
 
 def _reweighted(spec, ratios):
     """The moments of a discrete spec resampled by ``ratios`` on its atoms."""
-    return resampled_moments(spec, atom_scheme(spec, "test", ratios))
+    return moment_sets(spec, [atom_scheme(spec, "test", ratios)])[0]
 
 
 def _gaussian_producer(spec):
@@ -663,7 +655,7 @@ class TestSpecSecondMoment:
             if spec.kind != "gaussian":
                 makes.append(lambda s: atom_scheme(s, "uniform", np.ones(s.design.xs.shape[0])))
             for make in makes:
-                assert resampled_moments(spec, make(spec)).hmat is spec.hmat
+                assert moment_sets(spec, [make(spec)])[0].hmat is spec.hmat
 
     def test_rank_deficient_independent_noise_rejected_at_construction(self):
         xs = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])

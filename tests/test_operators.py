@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avlms import (
+    CovarianceModel,
     ProblemSpec,
     SymBasis,
     compute_moments,
-    contraction_factors,
     fourth_moment_operator_from_samples,
     smallest_t_eigenvalue,
 )
@@ -332,7 +332,7 @@ class TestOperatorNorm:
         Frozen from the scalar computation |1 - 0.5 * (2 - 0.5 * 1)| = 0.25.
         """
         m = compute_moments(ProblemSpec.discrete(np.array([[1.0]]), sigma=1.0))
-        assert abs(contraction_factors(m, 0.5).rho_t - 0.25) < 1e-15
+        assert abs(CovarianceModel(m, 0.5).rho_t - 0.25) < 1e-15
 
     def test_spectral_mapping(self):
         """Norm of I - gamma (H_L + H_R) equals max_i |1 - 2 gamma lambda_i|."""

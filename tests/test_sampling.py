@@ -12,12 +12,11 @@ from avlms import (
     optimal_bias_scheme,
     atom_scheme,
     optimal_variance_scheme,
-    resampled_moments,
     small_gamma_equivalents,
     variance_gain,
 )
 from avlms.moments import _chi_mean, _sqrt_psd, norm_resampled_moments
-from avlms.sampling import _moment_sets
+from avlms.sampling import moment_sets
 from avlms.stepsize import trace_step_bound
 from conftest import make_discrete
 from oracles import dense_frame
@@ -55,14 +54,14 @@ class TestBiasScheme:
             cov = spec.design.cov
             assert d == 1 or np.abs(cov - np.diag(np.diag(cov))).max() > 1e-2 * np.abs(cov).max()
             bound = 2.0 / np.trace(cov)
-            got = gamma_max(resampled_moments(spec, optimal_bias_scheme(spec)))
+            got = gamma_max(moment_sets(spec, [optimal_bias_scheme(spec)])[0])
             assert abs(got - bound) <= 1e-12 * bound
 
     def test_achieves_trace_bound_exactly(self):
         """Resampled threshold equals 2/E[X^T X] through the eigenproblem."""
         for seed in range(6):
             spec = make_discrete(1 + seed % 4, 7, 1300 + seed, residual=False)
-            got = gamma_max(resampled_moments(spec, optimal_bias_scheme(spec)))
+            got = gamma_max(moment_sets(spec, [optimal_bias_scheme(spec)])[0])
             np.testing.assert_allclose(got, 2.0 / np.trace(spec.hmat), atol=1e-10)
 
 
@@ -86,7 +85,7 @@ class TestNormResampledThreshold:
             i = np.arange(1.0, d + 1)
             for eig in (1.0 / i, 1.0 / i**2, np.ones(d)):
                 spec = ProblemSpec.gaussian(np.diag(eig), sigma=1.0)
-                self._check(resampled_moments(spec, optimal_bias_scheme(spec)), dense=d <= 8)
+                self._check(moment_sets(spec, [optimal_bias_scheme(spec)])[0], dense=d <= 8)
 
     def test_rotated_gaussian_specs(self):
         for seed, d in enumerate((2, 3, 6)):
@@ -98,9 +97,9 @@ class TestNormResampledThreshold:
         for seed in range(8):
             spec = make_discrete(1 + seed % 4, 9, 1700 + seed, residual=seed % 2 == 0)
             scheme = optimal_bias_scheme(spec)
-            self._check(resampled_moments(spec, scheme))
-            plain, shared, other = _moment_sets(spec, [None, scheme,
-                                                       optimal_variance_scheme(spec)])
+            self._check(moment_sets(spec, [scheme])[0])
+            plain, shared, other = moment_sets(spec, [None, scheme,
+                                                      optimal_variance_scheme(spec)])
             self._check(shared)
             assert not plain._norm_resampled and not other._norm_resampled
 
@@ -157,7 +156,7 @@ class TestVarianceScheme:
             spec = _rotated_gaussian(d, 1900 + seed, sigma=0.6)
             k = _chi_mean(d)
             kappa = (d + 1) * k**2 / (d * (d + 2))
-            rw = resampled_moments(spec, optimal_variance_scheme(spec))
+            rw = moment_sets(spec, [optimal_variance_scheme(spec)])[0]
             _, limit = small_gamma_equivalents(rw, 1.0, 1)
             np.testing.assert_allclose(limit, 0.36 * k**2, rtol=1e-12)
             np.testing.assert_allclose(gamma_max(rw), gamma_max(compute_moments(spec)) / kappa,
@@ -175,7 +174,7 @@ class TestVarianceScheme:
             ))
             target = float(spec.design.probs @ (np.abs(eps) * lev)) ** 2
             scheme = optimal_variance_scheme(spec)
-            rw = resampled_moments(spec, scheme)
+            rw = moment_sets(spec, [scheme])[0]
             _, limit = small_gamma_equivalents(rw, 1.0, 1)
             np.testing.assert_allclose(limit, target, rtol=1e-10)
 
@@ -196,7 +195,7 @@ class TestVarianceScheme:
                 continue
             lev2 = np.einsum("ti,ij,tj->t", xs, np.linalg.inv(m.hmat), xs)
             scheme = optimal_variance_scheme(spec)
-            rw = resampled_moments(spec, scheme)
+            rw = moment_sets(spec, [scheme])[0]
             _, scheme_value = small_gamma_equivalents(rw, 1.0, 1)
             q1 = np.linspace(1e-4, 1 - 1e-4, 1000)
             grid = (
@@ -267,7 +266,7 @@ class TestGains:
         m = compute_moments(spec)
         g0 = 0.1 * gamma_max(m)
         scheme = optimal_bias_scheme(spec)
-        rw = resampled_moments(spec, scheme)
+        rw = moment_sets(spec, [scheme])[0]
         g1 = 0.1 * gamma_max(rw)
         predicted = bias_gain(g0, g1)
         n = 10_000
@@ -277,7 +276,7 @@ class TestGains:
 
     def test_uniform_scheme_is_normalized(self):
         spec = make_discrete(2, 5, 1700, residual=False)
-        rw = resampled_moments(spec, atom_scheme(spec, "uniform", np.ones(5)))
+        rw = moment_sets(spec, [atom_scheme(spec, "uniform", np.ones(5))])[0]
         base = compute_moments(spec)
         np.testing.assert_allclose(rw.frame.fourth_moment(), base.frame.fourth_moment(),
                                    atol=1e-13)
@@ -294,7 +293,7 @@ class TestIdentityCovarianceInvariance:
         m = compute_moments(spec)
         np.testing.assert_allclose(m.hmat, np.eye(2), atol=1e-12)
         scheme = optimal_bias_scheme(spec)
-        rw = resampled_moments(spec, scheme)
+        rw = moment_sets(spec, [scheme])[0]
         _, before = small_gamma_equivalents(m, 1.0, 1)
         _, after = small_gamma_equivalents(rw, 1.0, 1)
         np.testing.assert_allclose(after, before, rtol=1e-10)
@@ -333,9 +332,9 @@ class TestSchemeData:
         for make in (optimal_bias_scheme, optimal_variance_scheme,
                      lambda s: atom_scheme(s, "unit", np.ones(6))):
             scheme = make(built_on)
-            resampled_moments(built_on, scheme)
+            moment_sets(built_on, [scheme])[0]
             with pytest.raises(SchemeError, match="not built for the atoms"):
-                resampled_moments(other, scheme)
+                moment_sets(other, [scheme])[0]
             with pytest.raises(SchemeError, match="not built for the atoms"):
                 run_cells(other, [Cell(0.01, scheme=scheme)], 5, replicates=2)
 
@@ -345,4 +344,4 @@ class TestSchemeData:
             atom_scheme(gauss, "unit", np.ones(2))
         scheme = atom_scheme(make_discrete(2, 4, 1965, residual=False), "unit", np.ones(4))
         with pytest.raises(SchemeError, match="ProblemSpec.discrete"):
-            resampled_moments(gauss, scheme)
+            moment_sets(gauss, [scheme])[0]

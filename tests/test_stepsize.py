@@ -10,7 +10,6 @@ from avlms import (
     CovarianceModel,
     ProblemSpec,
     compute_moments,
-    contraction_factors,
     contraction_rate_bound,
     gamma_max,
     atom_scheme,
@@ -22,7 +21,7 @@ from avlms.cli import main, parse_spec_descriptor
 from avlms.engine import _Sampler
 from avlms.moments import leverage_resampled_moments, norm_resampled_moments
 from avlms.operators import SpectralFrame
-from avlms.sampling import optimal_bias_scheme, resampled_moments, variance_gain
+from avlms.sampling import moment_sets, optimal_bias_scheme, variance_gain
 from avlms.stepsize import t_positive
 from conftest import make_discrete, make_empirical, make_gaussian
 from oracles import dense_frame, left_right_operator, to_eigbasis
@@ -95,7 +94,7 @@ class TestGammaMax:
             n = spec.design.xs.shape[0]
             raw = rg.uniform(0.2, 2.0, n)
             raw /= spec.design.probs @ raw
-            rw = resampled_moments(spec, atom_scheme(spec, "test", raw))
+            rw = moment_sets(spec, [atom_scheme(spec, "test", raw)])[0]
             assert gamma_max(rw) <= 2.0 / compute_moments(spec).trace_h
 
     @pytest.mark.parametrize("spectrum", ["1/i", "1/i^2", "ones"])
@@ -121,7 +120,7 @@ class TestGammaMax:
             spec = ProblemSpec.discrete(xs, w_star=rg.standard_normal(d), sigma=0.5)
             mean_sq = float(np.trace(spec.hmat))
             ratio = 0.5 * (1.0 + np.einsum("ti,ti->t", xs, xs) / mean_sq)
-            rw = resampled_moments(spec, atom_scheme(spec, "test", ratio))
+            rw = moment_sets(spec, [atom_scheme(spec, "test", ratio)])[0]
             bound = trace_step_bound(rw)
             assert rw.trace_h == compute_moments(spec).trace_h
             assert 1.0 / rw.frame.pencil_top() < bound, seed
@@ -134,7 +133,7 @@ class TestGammaMax:
         specs = [make_discrete(d, 2 * d * d, 910 + d, residual=d % 2 == 0) for d in (2, 5, 9)]
         specs.append(make_empirical(14, 600, 913))
         for spec in specs:
-            for m in (compute_moments(spec), resampled_moments(spec, optimal_bias_scheme(spec))):
+            for m in (compute_moments(spec), moment_sets(spec, [optimal_bias_scheme(spec)])[0]):
                 frame, k = m.frame, m.basis.size
                 assert k > spec.dim
                 s = 1.0 / np.sqrt(frame.bdiag)
@@ -155,7 +154,7 @@ class TestGammaMaxDet:
 
 class TestContractionFactors:
     def test_scalar_values(self):
-        fac = contraction_factors(scalar_unit_moments(), 0.5)
+        fac = CovarianceModel(scalar_unit_moments(), 0.5)
         assert abs(fac.rho_t - 0.25) < 1e-14
         assert abs(fac.rho_h - 0.5) < 1e-14
         assert abs(fac.rho - 0.5) < 1e-14
@@ -164,12 +163,12 @@ class TestContractionFactors:
         """1 - rho behaves like gamma * mu as the step-size vanishes."""
         m = compute_moments(ProblemSpec.gaussian(np.diag([1.0, 0.4, 0.2])))
         g = 1e-7
-        fac = contraction_factors(m, g)
+        fac = CovarianceModel(m, g)
         assert abs((1.0 - fac.rho) / (g * m.mu) - 1.0) < 1e-4
 
     def test_beyond_threshold_exceeds_one(self):
         m = compute_moments(ProblemSpec.gaussian(np.eye(3)))
-        fac = contraction_factors(m, 1.01 * gamma_max(m))
+        fac = CovarianceModel(m, 1.01 * gamma_max(m))
         assert fac.rho_t > 1.0
 
     def test_exact_contraction_in_higher_dimension(self):
@@ -181,7 +180,7 @@ class TestContractionFactors:
             for frac in (0.2, 0.6, 0.95):
                 g = frac * g_max
                 if g * (m.lmax + m.mu) <= 2.0:
-                    fac = contraction_factors(m, g)
+                    fac = CovarianceModel(m, g)
                     assert abs(fac.rho_h - (1.0 - g * m.mu)) < 1e-12
 
 
@@ -202,7 +201,7 @@ class TestContractionRateBound:
         m = scalar_unit_moments()
         bound = contraction_rate_bound(0.5, m.mu, 2.0, 1)
         assert bound == 0.5
-        assert contraction_factors(m, 0.5).rho <= bound + 1e-10
+        assert CovarianceModel(m, 0.5).rho <= bound + 1e-10
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -219,7 +218,7 @@ class TestContractionRateBound:
             g_max = gamma_max(m)
             for frac in np.linspace(0.05, 0.95, 10):
                 g = frac * g_max
-                rho = contraction_factors(m, g).rho
+                rho = CovarianceModel(m, g).rho
                 assert rho <= contraction_rate_bound(g, m.mu, g_max, m.dim) + 1e-10
 
 
@@ -261,7 +260,7 @@ class TestReport:
         assert gamma_max_det(m) == 2.0
         assert m.mu == 1.0
         assert t_positive(m.frame.t_eigenvalues(0.5))
-        assert abs(contraction_factors(m, 0.5).rho - 0.5) < 1e-14
+        assert abs(CovarianceModel(m, 0.5).rho - 0.5) < 1e-14
         assert abs(contraction_rate_bound(0.5, m.mu, gamma_max(m), m.dim) - 0.5) < 1e-14
         assert not t_positive(m.frame.t_eigenvalues(3.0))
         with pytest.raises(ValueError):
@@ -306,7 +305,7 @@ class TestOneSpectralFrame:
             _Sampler(spec)
         else:
             scheme = optimal_bias_scheme(spec)
-            extra = [resampled_moments(spec, scheme)]
+            extra = [moment_sets(spec, [scheme])[0]]
             _Sampler(spec, (None, scheme))
         for m in [compute_moments(spec)] + extra:
             g = gamma_max(m)
