@@ -5,7 +5,6 @@ from .asymptotics import (
     Risks,
     excess_risk,
     small_gamma_equivalents,
-    total_error_envelope,
 )
 from .engine import (
     Cell,

@@ -445,10 +445,3 @@ def excess_risk(moments: MomentSet, delta: np.ndarray) -> float:
     """Excess risk Tr(H Delta) of a covariance contribution Delta."""
     delta = np.asarray(delta, dtype=float)
     return float(np.einsum("ij,ji->", moments.hmat, delta))
-
-
-def total_error_envelope(bias_risk: float, variance_risk: float) -> float:
-    """Upper envelope 2*(bias + variance) valid without any independence."""
-    if bias_risk < 0 or variance_risk < 0:
-        raise ValueError("risk components must be nonnegative")
-    return 2.0 * (bias_risk + variance_risk)

@@ -75,19 +75,23 @@ class GaussianDesign:
 class DiscreteDesign:
     """X drawn from finitely many atoms; ys, when present, pins Y per atom.
 
-    ``hmat`` is H = sum_t probs_t x_t x_t^T, symmetrized and read-only.
+    ``hmat`` is H = sum_t probs_t x_t x_t^T, symmetrized and read-only, and
+    ``sq_norms`` the squared atom norms x_t^T x_t, read-only: both computed
+    once per design.
     """
 
     xs: np.ndarray
     probs: np.ndarray
     ys: np.ndarray | None = None
     hmat: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hmat = np.einsum("t,ti,tj->ij", self.probs, self.xs, self.xs)
         hmat = 0.5 * (hmat + hmat.T)
-        hmat.setflags(write=False)
-        object.__setattr__(self, "hmat", hmat)
+        object.__setattr__(self, "hmat", _read_only(hmat))
+        object.__setattr__(self, "sq_norms",
+                           _read_only(np.einsum("ti,ti->t", self.xs, self.xs)))
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,12 @@ class ProblemSpec:
     optimum is the exact least-squares fit of the ingested rows.  ``hmat``
     is the design's H = E[X X^T] and ``h_eig`` its ascending eigenpairs
     ``(l, u)``, solved once by the constructors, which reject H rank
-    deficient.  ``_atom_sets`` holds the MomentSets of the last
-    :func:`_atom_moments` call that built any on a discrete spec.
+    deficient.  On a discrete spec, ``_atom_sets`` holds the MomentSets of
+    the last :func:`_atom_moments` call that built any, and ``_schemes``
+    each optimal :class:`~avlms.sampling.SamplingScheme` by name, built on
+    its first request (a build that fails keeps nothing).  So all the
+    callers that share one spec, such as the commands on one ingested data
+    set in a process, evaluate each scheme's ratios on its atoms once.
     """
 
     dim: int
@@ -127,6 +135,7 @@ class ProblemSpec:
     kind: str
     h_eig: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     _atom_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _schemes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eta0(self) -> np.ndarray:
@@ -140,9 +149,7 @@ class ProblemSpec:
     def gaussian(cov, w_star=None, w0=None, sigma: float = 0.0) -> "ProblemSpec":
         _require_finite(cov=cov, w_star=w_star, w0=w0, sigma=sigma)
         cov = _as_symmetric(cov, "cov")
-        d = cov.shape[0]
-        if d > MAX_DIM:
-            raise SpecError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
+        d = _width(cov.shape[0])
         w_star = _vector(w_star, d, default=0.0)
         w0 = _vector(w0, d, default=0.0)
         if sigma < 0:
@@ -160,8 +167,7 @@ class ProblemSpec:
         n, d = xs.shape
         if n == 0:
             raise SpecError("discrete design needs at least one atom")
-        if d > MAX_DIM:
-            raise SpecError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
+        _width(d)
         if probs is None:
             probs = np.full(n, 1.0 / n)
         else:
@@ -198,6 +204,15 @@ class ProblemSpec:
     def empirical(xs, ys, w0=None) -> "ProblemSpec":
         """Spec for an ingested sample set: uniform rows, residual noise."""
         return ProblemSpec.discrete(xs, ys=ys, w0=w0, kind="empirical")
+
+
+def _width(d: int) -> int:
+    """``d``, the width of a spec; SpecError unless 1 <= d <= MAX_DIM."""
+    if d == 0:
+        raise SpecError("a spec needs at least one feature, got dimension 0")
+    if d > MAX_DIM:
+        raise SpecError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
+    return d
 
 
 def _require_finite(**values) -> None:

@@ -51,8 +51,8 @@ def _as_symmetric(a: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> np
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > tol * scale:
+    scale = max(np.abs(a).max(initial=0.0), 1.0)
+    if np.abs(a - a.T).max(initial=0.0) > tol * scale:
         raise DimensionError(f"{name} is not symmetric")
     return 0.5 * (a + a.T)
 

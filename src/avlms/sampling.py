@@ -13,7 +13,7 @@ form, or both.  This module alone decides how a scheme reweights a spec:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,13 +49,21 @@ class SamplingScheme:
     resampled moments (:func:`~avlms.moments.norm_resampled_moments` or
     :func:`~avlms.moments.leverage_resampled_moments`), evaluated on the
     spec it is passed.  Build atom ratios with :func:`atom_scheme`, which
-    validates them.
+    validates them.  ``_norm_resampled`` marks a scheme whose closed form
+    is :func:`~avlms.moments.norm_resampled_moments`.  It is read once, at
+    construction, so a scheme that a spec keeps stays marked while that
+    name is rebound (wrapped by a tracer, say).
     """
 
     name: str
     atoms: DiscreteDesign | None
     ratios: np.ndarray | None
     closed_form: Callable[[ProblemSpec], MomentSet] | None = None
+    _norm_resampled: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_norm_resampled",
+                           self.closed_form is norm_resampled_moments)
 
     def ratios_on(self, spec: ProblemSpec) -> np.ndarray:
         """``ratios``; SchemeError unless the scheme was built for the atoms
@@ -85,8 +93,7 @@ def atom_scheme(spec: ProblemSpec, name: str, ratios, closed_form=None) -> Sampl
     total = float(design.probs @ cinv)
     if not abs(total - 1.0) <= 1e-10:
         raise SchemeError(f"ratios have expectation {total!r} under the spec, not 1")
-    nonzero_x = np.einsum("ti,ti->t", design.xs, design.xs) > 0
-    if np.any(nonzero_x & (cinv == 0.0) & (design.probs > 0)):
+    if np.any((design.sq_norms > 0) & (cinv == 0.0) & (design.probs > 0)):
         raise SchemeError(
             "ratios vanish on an atom with X != 0; the original "
             "distribution is not absolutely continuous w.r.t. the proposal"
@@ -100,14 +107,12 @@ def optimal_bias_scheme(spec: ProblemSpec) -> SamplingScheme:
 
     Pushes the stability threshold to its universal maximum 2/E[X^T X];
     needs no knowledge beyond the mean squared norm.  Its closed form is
-    :func:`~avlms.moments.norm_resampled_moments`.
+    :func:`~avlms.moments.norm_resampled_moments`.  On a discrete spec the
+    scheme is built once and kept (:func:`_kept_scheme`).
     """
-    design = spec.design
-    if not isinstance(design, DiscreteDesign):
+    if not isinstance(spec.design, DiscreteDesign):
         return SamplingScheme("bias-opt", None, None, norm_resampled_moments)
-    sq = np.einsum("ti,ti->t", design.xs, design.xs)
-    # E[X^T X] > 0: every spec has a full-rank H.
-    return atom_scheme(spec, "bias-opt", sq / float(design.probs @ sq), norm_resampled_moments)
+    return _kept_scheme(spec, "bias-opt", norm_resampled_moments)
 
 
 def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
@@ -119,25 +124,46 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
     and drops out of the ratio, leaving the pure leverage density.  An
     idealized oracle scheme: it presumes H and the residuals.  With noise
     independent of X its closed form is
-    :func:`~avlms.moments.leverage_resampled_moments`.
+    :func:`~avlms.moments.leverage_resampled_moments`.  On a discrete spec
+    the scheme is built once and kept (:func:`_kept_scheme`).
     """
-    design = spec.design
     independent = isinstance(spec.noise, IndependentGaussianNoise)
     if independent and spec.noise.sigma <= 0:
         raise SchemeError("the variance scheme is undefined on a noiseless spec")
     closed_form = leverage_resampled_moments if independent else None
-    if not isinstance(design, DiscreteDesign):
+    if not isinstance(spec.design, DiscreteDesign):
         return SamplingScheme("variance-opt", None, None, closed_form)
+    return _kept_scheme(spec, "variance-opt", closed_form)
+
+
+def _kept_scheme(spec: ProblemSpec, name: str, closed_form) -> SamplingScheme:
+    """The optimal scheme ``name`` of a discrete spec: :func:`atom_scheme` of
+    its :func:`_atom_ratios`, built on the first call and kept in
+    ``spec._schemes``, so every later call returns the same scheme.  A
+    build that raises keeps nothing, and raises again on the next call."""
+    kept = spec._schemes
+    if name not in kept:
+        kept[name] = atom_scheme(spec, name, _atom_ratios(spec, name), closed_form)
+    return kept[name]
+
+
+def _atom_ratios(spec: ProblemSpec, name: str) -> np.ndarray:
+    """The unchecked ratios c^{-1} of the optimal scheme ``name`` ("bias-opt"
+    or "variance-opt") on the atoms of a discrete spec."""
+    design = spec.design
+    if name == "bias-opt":
+        sq = design.sq_norms
+        # E[X^T X] > 0: every spec has a full-rank H.
+        return sq / float(design.probs @ sq)
     xs = design.xs
     weights = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", xs, np.linalg.inv(spec.hmat), xs),
                                  0.0))
-    if not independent:
+    if not isinstance(spec.noise, IndependentGaussianNoise):
         weights = np.abs(_atom_residuals(spec)) * weights
     norm_const = float(design.probs @ weights)
     if norm_const <= 0:
         raise SchemeError("the variance scheme is undefined on a noiseless spec")
-    weights /= norm_const
-    return atom_scheme(spec, "variance-opt", weights, closed_form)
+    return weights / norm_const
 
 
 def moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
@@ -159,12 +185,11 @@ def moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
             raise SchemeError(_GAUSSIAN_REFUSAL)
         return [compute_moments(spec) if scheme is None else scheme.closed_form(spec)
                 for scheme in schemes]
-    xs, probs = design.xs, design.probs
-    live = (np.einsum("ti,ti->t", xs, xs) > 0) & (probs > 0)
+    probs = design.probs
+    live = (design.sq_norms > 0) & (probs > 0)
     rows = [probs if scheme is None else probs * np.divide(
         1.0, scheme.ratios_on(spec), out=np.zeros(probs.size), where=live) for scheme in schemes]
-    flags = [scheme is not None and scheme.closed_form is norm_resampled_moments
-             for scheme in schemes]
+    flags = [scheme is not None and scheme._norm_resampled for scheme in schemes]
     return _atom_moments(spec, rows, flags) if rows else []
 
 
@@ -176,7 +201,7 @@ def variance_gain(spec: ProblemSpec) -> float:
     """
     design = spec.design
     if isinstance(design, DiscreteDesign):
-        sq = np.einsum("ti,ti->t", design.xs, design.xs)
+        sq = design.sq_norms
         mean_norm = float(design.probs @ np.sqrt(sq))
         mean_sq = float(design.probs @ sq)
     else:

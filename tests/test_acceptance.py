@@ -27,7 +27,6 @@ from avlms import (
     optimal_variance_scheme,
     run_cells,
     small_gamma_equivalents,
-    total_error_envelope,
     trace_step_bound,
 )
 from conftest import make_discrete, make_gaussian
@@ -299,7 +298,7 @@ class TestCriterion8:
                 [traj] = run_cells(spec, [Cell(g, mode)], n, replicates=4000, seed=77,
                                    record_at=(n,))
                 parts[mode] = (traj.risk[-1], traj.standard_error[-1])
-            envelope = total_error_envelope(parts["bias"][0], parts["variance"][0])
+            envelope = 2.0 * (parts["bias"][0] + parts["variance"][0])
             slack = 4.0 * np.sqrt(sum(se**2 for _, se in parts.values()))
             assert parts["total"][0] <= envelope + slack, n
         elapsed = time.time() - t0

@@ -22,7 +22,6 @@ from avlms import (
     gamma_max,
     small_gamma_equivalents,
     smallest_t_eigenvalue,
-    total_error_envelope,
 )
 from avlms.asymptotics import _geom_sum, _pair_sum
 from avlms.cli import parse_spec_descriptor
@@ -674,12 +673,6 @@ class TestRiskHelpers:
         np.testing.assert_allclose(
             excess_risk(m, CovarianceModel(m, 0.5).bias_leading(40)), 4.0 / 40**2, rtol=1e-13
         )
-
-    def test_envelope(self):
-        assert total_error_envelope(0.0, 3.0) == 6.0
-        assert total_error_envelope(2.0, 0.0) == 4.0
-        with pytest.raises(ValueError):
-            total_error_envelope(-1.0, 1.0)
 
 
 class TestRatesAndRegimes:

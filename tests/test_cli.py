@@ -424,6 +424,38 @@ class TestCommands:
         assert main(argv) == EXIT_OK
         assert solves == [(6, 6), (6, 6)]
 
+    @pytest.mark.parametrize("command", ["gamma-max", "sampling"])
+    def test_each_scheme_built_once_per_data_set(self, command, tmp_path, monkeypatch,
+                                                 capsys):
+        """Two calls on one file evaluate each scheme's ratios once: the kept
+        spec keeps its schemes.  Both calls print and write, byte for byte,
+        what a fresh spec of the same file gives."""
+        import avlms.dataio
+        from avlms import sampling
+
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # no spec kept from an earlier test
+        evaluated = []
+        ratios = sampling._atom_ratios
+        monkeypatch.setattr(sampling, "_atom_ratios",
+                            lambda spec, name: evaluated.append(name) or ratios(spec, name))
+        argv = [command, "--data", self._data_file(tmp_path), "--scheme", "uniform",
+                "--scheme", "bias-opt", "--scheme", "variance-opt"]
+        if command == "sampling":
+            argv += ["--n-max", "50", "--points", "2", "--replicates", "10"]
+
+        def outputs(tag):
+            out = tmp_path / f"{tag}.csv"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            return capsys.readouterr().out, out.read_bytes()
+
+        kept = [outputs("first"), outputs("second")]
+        assert evaluated == ["bias-opt", "variance-opt"]
+        evaluated.clear()
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # a fresh spec of the same bytes
+        fresh = outputs("fresh")
+        assert evaluated == ["bias-opt", "variance-opt"]
+        assert kept == [fresh, fresh]
+
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["run", "--spec", "gaussian:d=2,sigma=1,w0=ones", "--gamma", "0.2",

@@ -23,6 +23,7 @@ import pytest
 from avlms import (
     Cell,
     ProblemSpec,
+    atom_scheme,
     compute_moments,
     gamma_max,
     optimal_bias_scheme,
@@ -434,12 +435,15 @@ class TestSchemeGrid:
 
     @staticmethod
     def _cells(spec):
-        schemes = [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
+        bias = optimal_bias_scheme(spec)
+        schemes = [None, bias, optimal_variance_scheme(spec)]
         cells = [Cell(0.05, mode, scheme)
                  for scheme in schemes for mode in ("bias", "variance", "total")]
         # Far past 2/Tr(H): diverges, and it is the only cell of its scheme
-        # object, whose draws then stop.
-        cells.append(Cell(50.0, "total", optimal_bias_scheme(spec)))
+        # object, whose draws then stop.  The spec keeps one bias-opt scheme,
+        # so this second object of its ratios is built by atom_scheme.
+        cells.append(Cell(50.0, "total", atom_scheme(spec, bias.name, bias.ratios,
+                                                     bias.closed_form)))
         return cells
 
     @pytest.mark.parametrize("residual", [True, False])

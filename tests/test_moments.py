@@ -124,6 +124,25 @@ class TestComputeMoments:
         eps = ys - xs @ spec.w_star
         np.testing.assert_allclose(xs.T @ eps / len(xs), np.zeros(3), atol=1e-12)
 
+    def test_zero_width_design_rejected(self):
+        """A spec needs at least one feature: no width-0 design reaches H's
+        eigensolve."""
+        with pytest.raises(SpecError, match="at least one feature"):
+            ProblemSpec.discrete(np.zeros((2, 0)), ys=np.ones(2))
+        with pytest.raises(SpecError, match="at least one feature"):
+            ProblemSpec.discrete(np.zeros((2, 0)), sigma=1.0)
+
+    def test_zero_width_gaussian_rejected(self):
+        with pytest.raises(SpecError, match="at least one feature"):
+            ProblemSpec.gaussian(np.zeros((0, 0)))
+
+    def test_squared_atom_norms_kept_read_only(self):
+        spec = make_discrete(3, 12, 9, residual=True)
+        xs = spec.design.xs
+        sq = spec.design.sq_norms
+        assert np.array_equal(sq, np.einsum("ti,ti->t", xs, xs))
+        assert not sq.flags.writeable
+
     def test_probability_validation(self):
         with pytest.raises(SpecError):
             ProblemSpec.discrete(np.eye(2), probs=np.array([0.7, 0.2]))

@@ -1,5 +1,7 @@
 """Optimal sampling densities and their gains."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,77 @@ class TestSchemeData:
                 moment_sets(other, [scheme])[0]
             with pytest.raises(SchemeError, match="not built for the atoms"):
                 run_cells(other, [Cell(0.01, scheme=scheme)], 5, replicates=2)
+
+    @pytest.fixture()
+    def evaluated(self, monkeypatch):
+        """The names of the schemes whose atom ratios are evaluated, in order."""
+        from avlms import sampling
+
+        names = []
+        ratios = sampling._atom_ratios
+        monkeypatch.setattr(sampling, "_atom_ratios",
+                            lambda spec, name: names.append(name) or ratios(spec, name))
+        return names
+
+    def test_a_discrete_spec_keeps_its_schemes(self, evaluated):
+        """Each optimal scheme's ratios are evaluated on the first request
+        only; every later request returns the same scheme."""
+        spec = make_discrete(3, 8, 1966, residual=True)
+        for make in (optimal_bias_scheme, optimal_variance_scheme):
+            assert make(spec) is make(spec)
+        assert evaluated == ["bias-opt", "variance-opt"]
+
+    def test_kept_ratios_keep_their_bits(self):
+        """The kept ratios are those of the formulas, evaluated on the atoms."""
+        spec = make_discrete(3, 8, 1967, residual=True)
+        xs, probs = spec.design.xs, spec.design.probs
+        sq = np.einsum("ti,ti->t", xs, xs)
+        assert np.array_equal(optimal_bias_scheme(spec).ratios, sq / float(probs @ sq))
+        leverage = np.sqrt(np.maximum(
+            np.einsum("ti,ij,tj->t", xs, np.linalg.inv(spec.hmat), xs), 0.0))
+        weights = np.abs(spec.design.ys - xs @ spec.w_star) * leverage
+        assert np.array_equal(optimal_variance_scheme(spec).ratios,
+                              weights / float(probs @ weights))
+
+    def test_kept_scheme_is_refused_by_a_spec_of_the_same_rows(self):
+        spec = make_discrete(3, 8, 1968, residual=True)
+        twin = ProblemSpec.discrete(spec.design.xs, spec.design.probs, ys=spec.design.ys,
+                                    w0=spec.w0)
+        for make in (optimal_bias_scheme, optimal_variance_scheme):
+            kept = make(spec)
+            with pytest.raises(SchemeError, match="not built for the atoms"):
+                kept.ratios_on(twin)
+            own = make(twin)
+            assert own is not kept
+            assert np.array_equal(own.ratios, kept.ratios)
+
+    @pytest.mark.parametrize("wrapped_first", [False, True])
+    def test_a_kept_scheme_holds_its_mark_while_its_closed_form_is_rebound(
+            self, wrapped_first, monkeypatch):
+        """A tracer rebinds ``norm_resampled_moments`` to a wrapper for some
+        calls: the kept bias-opt scheme, built inside or outside them, keeps
+        its moment set and its 2/Tr(H) mark across them."""
+        from avlms import sampling
+
+        spec = make_discrete(3, 8, 1969, residual=True)
+        original = sampling.norm_resampled_moments
+        wrapper = functools.wraps(original)(lambda s: original(s))
+        sets = []
+        for wrapped in (wrapped_first, not wrapped_first):
+            monkeypatch.setattr(sampling, "norm_resampled_moments",
+                                wrapper if wrapped else original)
+            sets += moment_sets(spec, [optimal_bias_scheme(spec)])
+        assert sets[0] is sets[1] and sets[0]._norm_resampled
+
+    def test_a_failed_build_is_not_kept(self, evaluated):
+        """Noiseless rows: the variance scheme raises on every request."""
+        xs = np.array([[1.0], [2.0]])
+        exact = ProblemSpec.discrete(xs, ys=(xs @ np.array([1.5])))
+        for _ in range(2):
+            with pytest.raises(SchemeError, match="noiseless"):
+                optimal_variance_scheme(exact)
+        assert evaluated == ["variance-opt", "variance-opt"]
+        assert exact._schemes == {}
 
     def test_gaussian_spec_refuses_atom_schemes(self):
         gauss = _rotated_gaussian(2, 1964)
