@@ -42,7 +42,7 @@ from .errors import (
     SingularOperatorError,
     SpecError,
 )
-from .moments import ProblemSpec, compute_moments
+from .moments import ProblemSpec
 from .operators import MAX_DIM
 from .svg import Series, render_loglog_svg
 
@@ -332,7 +332,7 @@ def cmd_predict(args) -> int:
     if not gammas:
         raise UsageError("--gamma is required for predict")
     schedule = _n_schedule(args)
-    moments = compute_moments(spec)
+    moments = sampling.moment_sets(spec, [None])[0]
     header = ["n", "bias_exact", "bias_leading", "bias_bound", "variance_exact",
               "variance_leading", "variance_bound", "small_gamma_bias",
               "small_gamma_variance"]

@@ -15,10 +15,9 @@ holds them.  :func:`compute_moments` adds the
 fourth-moment operator, the noise covariance E[eps^2 X X^T] and the start
 matrix eta0 eta0^T; :func:`_atom_moments` gives the same objects of a
 discrete design under any atom weights, which is how
-:func:`~avlms.sampling.moment_sets` resamples one.  A discrete spec keeps
-the MomentSets of the last :func:`_atom_moments` call that built any, so a
-later call on the same spec builds only the atom Grams of weight rows that
-call did not have.  Gaussian resampled moments are exact in closed form only:
+:func:`~avlms.sampling.moment_sets` resamples one.  Both build new sets on
+every call; what a spec keeps, :mod:`avlms.sampling` alone decides.
+Gaussian resampled moments are exact in closed form only:
 :func:`norm_resampled_moments` and :func:`leverage_resampled_moments` are
 those of the two optimal schemes.
 
@@ -34,7 +33,6 @@ the rotated rows ``xs @ u`` as one block.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -119,12 +117,13 @@ class ProblemSpec:
     optimum is the exact least-squares fit of the ingested rows.  ``hmat``
     is the design's H = E[X X^T] and ``h_eig`` its ascending eigenpairs
     ``(l, u)``, solved once by the constructors, which reject H rank
-    deficient.  On a discrete spec, ``_atom_sets`` holds the MomentSets of
-    the last :func:`_atom_moments` call that built any, and ``_schemes``
-    each optimal :class:`~avlms.sampling.SamplingScheme` by name, built on
-    its first request (a build that fails keeps nothing).  So all the
-    callers that share one spec, such as the commands on one ingested data
-    set in a process, evaluate each scheme's ratios on its atoms once.
+    deficient.  On a discrete spec, ``_kept`` holds what
+    :mod:`avlms.sampling` keeps: the spec's own MomentSet (key None), each
+    optimal :class:`~avlms.sampling.SamplingScheme` by name, and each of
+    those schemes' MomentSets keyed by the scheme.  Each is built on its
+    first request and never dropped, so a spec holds at most three D x D
+    frames, and all the callers that share one spec, such as the commands
+    on one ingested data set in a process, build each of them once.
     """
 
     dim: int
@@ -134,8 +133,7 @@ class ProblemSpec:
     noise: Noise
     kind: str
     h_eig: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _atom_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _schemes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eta0(self) -> np.ndarray:
@@ -367,46 +365,30 @@ def compute_moments(spec: ProblemSpec) -> MomentSet:
     Gaussian designs use the closed-form fourth moment (the Gaussian form
     of :func:`_gaussian_moments` with P = l l^T), and their noise
     covariance factorizes to sigma^2 H; discrete designs use exact
-    probability-weighted atom averages.
+    probability-weighted atom averages.  Each call builds a new set.
     """
     if isinstance(spec.design, DiscreteDesign):
-        return _atom_moments(spec, [spec.design.probs])[0]
+        return _atom_moments(spec, [spec.design.probs], [False])[0]
     lam = spec.h_eig[0]
     return _gaussian_moments(spec, np.outer(lam, lam), 1.0, spec.noise.sigma**2 * spec.hmat)
 
 
-def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled=None) -> list[MomentSet]:
-    """Moments of a discrete spec whose fourth-order objects weight atom t
-    by ``wts[t]``, one MomentSet per row ``wts`` of ``weight_rows``:
-    ``probs`` for the spec itself, ``probs * c`` resampled.  ``norm_resampled``
-    flags the rows of norm-proportional resampling (none when None).
-
-    The spec keeps sets keyed by the flag and the SHA-256 of the row's
-    bytes.  A kept row gets its set as it is; the other rows share one pass
-    of the atom Gram over the atoms, which gives each row the bits it gets
-    alone, so a kept set is the one a new pass would build.  A call that
-    builds no row leaves the kept sets as they are; one that builds rows
-    then keeps exactly its own rows' sets.
+def _atom_moments(spec: ProblemSpec, weight_rows, norm_resampled) -> list[MomentSet]:
+    """New moments of a discrete spec whose fourth-order objects weight atom
+    t by ``wts[t]``, one MomentSet per row ``wts`` of ``weight_rows``:
+    ``probs`` for the spec itself, ``probs * c`` resampled, flagged row by
+    row in ``norm_resampled`` when norm-proportional.  The rows share one
+    pass of the atom Gram, which gives each row the bits it gets alone.
     """
-    flags = norm_resampled or [False] * len(weight_rows)
-    rows = [np.ascontiguousarray(wts, dtype=float) for wts in weight_rows]
-    keys = [(flag, hashlib.sha256(wts).digest()) for wts, flag in zip(rows, flags)]
-    held = spec._atom_sets
-    missing = {key: wts for key, wts in zip(keys, rows) if key not in held}
-    if missing:
-        for stale in held.keys() - keys:
-            del held[stale]
-        xs = spec.design.xs
-        residual = isinstance(spec.noise, ResidualNoise)
-        eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
-        basis = SymBasis(spec.dim)
-        fourths = fourth_moment_operator_from_samples(xs, basis,
-                                                      weights=np.stack(list(missing.values())),
-                                                      rotation=spec.h_eig[1])
-        for (key, wts), fourth in zip(missing.items(), fourths):
-            held[key] = _assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
-                                  (xs * (wts * eps2)[:, None]).T @ xs, key[0])
-    return [held[key] for key in keys]
+    xs = spec.design.xs
+    residual = isinstance(spec.noise, ResidualNoise)
+    eps2 = _atom_residuals(spec) ** 2 if residual else spec.noise.sigma**2
+    basis = SymBasis(spec.dim)
+    fourths = fourth_moment_operator_from_samples(xs, basis, weights=np.stack(weight_rows),
+                                                  rotation=spec.h_eig[1])
+    return [_assemble(spec, SpectralFrame(basis, *spec.h_eig, fourth),
+                      (xs * (wts * eps2)[:, None]).T @ xs, flag)
+            for wts, fourth, flag in zip(weight_rows, fourths, norm_resampled)]
 
 
 def _sqrt_psd(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

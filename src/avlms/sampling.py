@@ -7,8 +7,9 @@ both the stability threshold and the asymptotic variance constant.
 
 A scheme is plain data: its ratio on each atom of one discrete spec
 (``ratios``, checked once by :func:`atom_scheme`), its Gaussian closed
-form, or both.  This module alone decides how a scheme reweights a spec:
-:func:`moment_sets` for the moments, ``ratios_on`` for the engine's draws.
+form, or both.  This module alone decides how a scheme reweights a spec
+(:func:`moment_sets` for the moments, ``ratios_on`` for the engine's
+draws) and what a discrete spec keeps (:func:`moment_sets`).
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def optimal_variance_scheme(spec: ProblemSpec) -> SamplingScheme:
 def _kept_scheme(spec: ProblemSpec, name: str, closed_form) -> SamplingScheme:
     """The optimal scheme ``name`` of a discrete spec: :func:`atom_scheme` of
     its :func:`_atom_ratios`, built on the first call and kept in
-    ``spec._schemes``, so every later call returns the same scheme.  A
-    build that raises keeps nothing, and raises again on the next call."""
-    kept = spec._schemes
+    ``spec._kept`` by name: every later call returns it, and
+    :func:`moment_sets` keeps its moments.  A build that raises keeps
+    nothing, and raises again on the next call."""
+    kept = spec._kept
     if name not in kept:
         kept[name] = atom_scheme(spec, name, _atom_ratios(spec, name), closed_form)
     return kept[name]
@@ -175,9 +177,12 @@ def moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
     built for other atoms.  On a discrete spec atom t is weighted by
     ``probs[t] / ratios[t]`` (0 where X = 0 or the mass is 0): every
     second-order moment is unchanged and every fourth-order one picks up
-    the factor c = 1/c^{-1}.  All schemes share one pass of the atom Gram,
-    and the moments of norm-proportional resampling are marked so
-    (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H)).
+    the factor c = 1/c^{-1}; the moments of norm-proportional resampling
+    are marked so (:func:`~avlms.stepsize.gamma_max` reads 2/Tr(H)).  The
+    spec keeps the sets of None and of its own kept schemes
+    (:func:`_kept_scheme`); any other scheme, an :func:`atom_scheme` or
+    another spec's kept scheme, gets a new set on each call.  The sets a
+    call lacks share one pass of the atom Gram.
     """
     design = spec.design
     if not isinstance(design, DiscreteDesign):
@@ -185,12 +190,19 @@ def moment_sets(spec: ProblemSpec, schemes) -> list[MomentSet]:
             raise SchemeError(_GAUSSIAN_REFUSAL)
         return [compute_moments(spec) if scheme is None else scheme.closed_form(spec)
                 for scheme in schemes]
-    probs = design.probs
-    live = (design.sq_norms > 0) & (probs > 0)
-    rows = [probs if scheme is None else probs * np.divide(
-        1.0, scheme.ratios_on(spec), out=np.zeros(probs.size), where=live) for scheme in schemes]
-    flags = [scheme is not None and scheme._norm_resampled for scheme in schemes]
-    return _atom_moments(spec, rows, flags) if rows else []
+    kept = spec._kept
+    sets = {scheme: kept[scheme] for scheme in schemes if scheme in kept}
+    new = [scheme for scheme in dict.fromkeys(schemes) if scheme not in sets]
+    if new:
+        probs = design.probs
+        live = (design.sq_norms > 0) & (probs > 0)
+        rows = [probs if scheme is None else probs * np.divide(
+            1.0, scheme.ratios_on(spec), out=np.zeros(probs.size), where=live) for scheme in new]
+        flags = [scheme is not None and scheme._norm_resampled for scheme in new]
+        sets.update(zip(new, _atom_moments(spec, rows, flags)))
+        kept.update((scheme, sets[scheme]) for scheme in new
+                    if scheme is None or kept.get(scheme.name) is scheme)
+    return [sets[scheme] for scheme in schemes]
 
 
 def variance_gain(spec: ProblemSpec) -> float:

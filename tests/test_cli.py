@@ -456,6 +456,53 @@ class TestCommands:
         assert evaluated == ["bias-opt", "variance-opt"]
         assert kept == [fresh, fresh]
 
+    def test_interleaved_commands_build_each_set_once(self, tmp_path, monkeypatch, capsys):
+        """gamma-max (uniform, bias-opt), sampling (uniform, variance-opt),
+        gamma-max again, predict, then sampling with all three schemes, in
+        one process on one file: each moment set is built on its first
+        request only, and every output is, byte for byte, that of a fresh
+        spec of the same file."""
+        import avlms.dataio
+        import avlms.moments
+
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # no spec kept from an earlier test
+        r = np.random.default_rng(0)
+        x = r.standard_t(5, (40, 3))
+        data = tmp_path / "smoke.csv"
+        np.savetxt(data, np.column_stack([x, x @ [1.0, -2.0, 0.5] + r.standard_normal(40)]),
+                   fmt="%.17g", delimiter=",")
+        gram_rows = []
+        gram = avlms.moments.fourth_moment_operator_from_samples
+
+        def counting_gram(*args, weights=None, **kwargs):
+            gram_rows[-1] += len(weights)
+            return gram(*args, weights=weights, **kwargs)
+
+        monkeypatch.setattr(avlms.moments, "fourth_moment_operator_from_samples", counting_gram)
+        run = ["--n-max", "200", "--replicates", "10", "--seed", "1"]
+        gamma_max = ["gamma-max", "--data", str(data), "--scheme", "uniform",
+                     "--scheme", "bias-opt"]
+        sequence = [
+            gamma_max,
+            ["sampling", "--data", str(data), "--scheme", "uniform", "--scheme", "variance-opt",
+             *run],
+            gamma_max,
+            ["predict", "--data", str(data), "--gamma", "0.05", "--n-max", "200",
+             "--points", "5"],
+            ["sampling", "--data", str(data), *run],
+        ]
+
+        def stdout(argv):
+            gram_rows.append(0)
+            assert main(argv) == EXIT_OK
+            return capsys.readouterr().out
+
+        outputs = [stdout(argv) for argv in sequence]
+        assert gram_rows == [2, 1, 0, 0, 0]
+        for argv, out in zip(sequence, outputs):
+            monkeypatch.setattr(avlms.dataio, "_last", None)  # a fresh spec of the same bytes
+            assert stdout(argv) == out
+
     def test_run_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["run", "--spec", "gaussian:d=2,sigma=1,w0=ones", "--gamma", "0.2",

@@ -321,7 +321,8 @@ class TestAtomMomentMemory:
 
 
 class TestAtomMomentMemo:
-    """A discrete spec keeps the MomentSets of its last atom-Gram call."""
+    """A discrete spec keeps its own MomentSet and those of its kept schemes,
+    each built on its first request and never dropped."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -343,6 +344,10 @@ class TestAtomMomentMemo:
         return [None, optimal_bias_scheme(spec), optimal_variance_scheme(spec)]
 
     @staticmethod
+    def _own(spec):
+        return moment_sets(spec, [None])[0]
+
+    @staticmethod
     def _assert_same_bits(got, want):
         assert got._norm_resampled == want._norm_resampled
         np.testing.assert_array_equal(got.frame.fourth_moment(), want.frame.fourth_moment())
@@ -354,7 +359,7 @@ class TestAtomMomentMemo:
         first = moment_sets(spec, self._schemes(spec))
         again = moment_sets(spec, self._schemes(spec))
         assert all(a is b for a, b in zip(again, first))
-        assert compute_moments(spec) is first[0]
+        assert self._own(spec) is first[0]
         assert passes == [3]
         fresh_spec = make_empirical(3, 50, 41)
         for got, want in zip(first, moment_sets(fresh_spec, self._schemes(fresh_spec))):
@@ -362,7 +367,7 @@ class TestAtomMomentMemo:
 
     def test_a_new_scheme_passes_only_its_missing_rows(self, passes):
         spec = make_discrete(3, 30, 42, residual=True)
-        base = compute_moments(spec)
+        base = self._own(spec)
         sets = moment_sets(spec, self._schemes(spec))
         assert sets[0] is base
         assert passes == [1, 2]
@@ -370,18 +375,49 @@ class TestAtomMomentMemo:
         assert twice[0] is twice[1] is base
         assert passes == [1, 2]
 
-    def test_the_norm_resampled_flag_separates_keys(self, passes):
+    def test_a_custom_scheme_is_built_on_each_call_and_never_kept(self, passes):
+        """An atom_scheme gets a new set on every call, marked by its own
+        closed form, even with the ratios of a kept scheme."""
         spec = make_discrete(3, 30, 43, residual=False)
         ratios = optimal_bias_scheme(spec).ratios
         flagged = atom_scheme(spec, "flagged", ratios, norm_resampled_moments)
         plain = atom_scheme(spec, "plain", ratios)
-        sets = moment_sets(spec, [flagged, plain])
+        sets = moment_sets(spec, [flagged, plain, flagged])
         assert passes == [2]
+        assert sets[0] is sets[2]
         assert sets[0]._norm_resampled and not sets[1]._norm_resampled
         np.testing.assert_array_equal(sets[0].frame.fourth_moment(),
                                       sets[1].frame.fourth_moment())
-        assert moment_sets(spec, [plain])[0] is sets[1]
-        assert passes == [2]
+        again = moment_sets(spec, [plain])[0]
+        assert again is not sets[1]
+        self._assert_same_bits(again, sets[1])
+        assert passes == [2, 1]
+        assert list(spec._kept) == ["bias-opt"]
+
+    def test_compute_moments_builds_afresh(self, passes):
+        spec = make_discrete(3, 30, 45, residual=True)
+        base = compute_moments(spec)
+        again = compute_moments(spec)
+        assert again is not base
+        self._assert_same_bits(again, base)
+        assert spec._kept == {}
+        assert passes == [1, 1]
+
+    def test_a_spec_holds_at_most_three_sets(self, passes):
+        """The moments that gamma-max, predict and sampling ask for, then five
+        custom schemes: the spec keeps its own set and one per optimal
+        scheme, and nothing else."""
+        from avlms.moments import MomentSet
+
+        spec = make_discrete(3, 30, 48, residual=True)
+        bias, variance = optimal_bias_scheme(spec), optimal_variance_scheme(spec)
+        for schemes in ([None, bias], [None], [None, None, bias, variance]):
+            moment_sets(spec, schemes)
+        for k in range(5):
+            moment_sets(spec, [None, atom_scheme(spec, f"custom{k}", np.ones(30))])
+        held = [value for value in spec._kept.values() if isinstance(value, MomentSet)]
+        assert len(held) == 3
+        assert passes == [2, 1, 1, 1, 1, 1, 1]
 
     def test_a_rewritten_file_misses(self, tmp_path, passes):
         from avlms.dataio import ingest
@@ -392,13 +428,13 @@ class TestAtomMomentMemo:
         path = tmp_path / "rows.csv"
         np.savetxt(path, table, fmt="%.17g", delimiter=",")
         spec = ingest(str(path))[0]
-        base = compute_moments(spec)
-        assert compute_moments(ingest(str(path))[0]) is base
+        base = self._own(spec)
+        assert self._own(ingest(str(path))[0]) is base
         assert passes == [1]
         np.savetxt(path, table[::-1], fmt="%.17g", delimiter=",")
         rewritten = ingest(str(path))[0]
         assert rewritten is not spec
-        assert compute_moments(rewritten) is not base
+        assert self._own(rewritten) is not base
         assert passes == [1, 1]
 
     def test_a_call_that_builds_nothing_keeps_the_sets(self, passes):
@@ -406,28 +442,17 @@ class TestAtomMomentMemo:
         one three-row pass, and the same objects each time."""
         spec = make_empirical(3, 50, 47)
         first = moment_sets(spec, self._schemes(spec))
-        assert compute_moments(spec) is first[0]
+        assert self._own(spec) is first[0]
         again = moment_sets(spec, self._schemes(spec))
         assert all(a is b for a, b in zip(again, first))
         assert passes == [3]
-
-    def test_the_spec_keeps_only_the_last_calls_sets(self, passes):
-        spec = make_discrete(3, 30, 45, residual=True)
-        base = compute_moments(spec)
-        biased = moment_sets(spec, [optimal_bias_scheme(spec)])[0]
-        assert list(spec._atom_sets.values()) == [biased]
-        again = compute_moments(spec)
-        assert again is not base
-        self._assert_same_bits(again, base)
-        assert list(spec._atom_sets.values()) == [again]
-        assert passes == [1, 1, 1]
 
     @pytest.mark.parametrize("make", [
         lambda: make_discrete(3, 30, 46, residual=True), lambda: make_gaussian(4, 1.0, 46),
     ], ids=["kept atom set", "gaussian"])
     def test_a_frames_arrays_are_read_only(self, make):
         """A write into a set that later calls share raises, not corrupts them."""
-        frame = compute_moments(make()).frame
+        frame = moment_sets(make(), [None])[0].frame
         arrays = [frame.bdiag, frame._block, frame._scalars]
         assert all(arr.size for arr in arrays[:2])
         for arr in arrays:

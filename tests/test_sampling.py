@@ -1,5 +1,6 @@
 """Optimal sampling densities and their gains."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -401,6 +402,21 @@ class TestSchemeData:
             sets += moment_sets(spec, [optimal_bias_scheme(spec)])
         assert sets[0] is sets[1] and sets[0]._norm_resampled
 
+    def test_a_kept_scheme_on_a_replaced_spec_gets_that_specs_moments(self):
+        """``dataclasses.replace`` shares the atoms but not what the spec keeps:
+        the first spec's kept scheme gets, on the new spec, a new set built
+        with the new start point on each call, and the new spec keeps none."""
+        spec = make_discrete(3, 8, 1970, residual=True)
+        kept = optimal_bias_scheme(spec)
+        own = moment_sets(spec, [kept])[0]
+        moved = dataclasses.replace(spec, w0=np.ones(3))
+        got, again = moment_sets(moved, [kept]), moment_sets(moved, [kept])
+        assert got[0] is not again[0] and got[0] is not own
+        np.testing.assert_array_equal(got[0].e0, np.outer(moved.eta0, moved.eta0))
+        assert not np.array_equal(got[0].e0, own.e0)
+        np.testing.assert_array_equal(got[0].frame.fourth_moment(), own.frame.fourth_moment())
+        assert moved._kept == {}
+
     def test_a_failed_build_is_not_kept(self, evaluated):
         """Noiseless rows: the variance scheme raises on every request."""
         xs = np.array([[1.0], [2.0]])
@@ -409,7 +425,7 @@ class TestSchemeData:
             with pytest.raises(SchemeError, match="noiseless"):
                 optimal_variance_scheme(exact)
         assert evaluated == ["variance-opt", "variance-opt"]
-        assert exact._schemes == {}
+        assert exact._kept == {}
 
     def test_gaussian_spec_refuses_atom_schemes(self):
         gauss = _rotated_gaussian(2, 1964)
