@@ -34,12 +34,10 @@ from .moments import (
 from .operators import (
     MAX_DIM,
     SymBasis,
-    fourth_moment_operator_from_samples,
 )
 from .sampling import (
     SamplingScheme,
     atom_scheme,
-    bias_gain,
     moment_sets,
     optimal_bias_scheme,
     optimal_variance_scheme,

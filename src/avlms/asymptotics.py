@@ -438,7 +438,11 @@ def small_gamma_equivalents(moments: MomentSet, gamma: float, n: int) -> tuple[f
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     tr_e0, tr_s0 = moments.hinv_traces
-    return tr_e0 / (gamma**2 * n**2), tr_s0 / n
+    try:
+        bias = tr_e0 / (gamma**2 * n**2)
+    except OverflowError:  # gamma^2 is past the float range; gamma n need not be
+        bias = tr_e0 / (gamma * n) / (gamma * n)
+    return bias, tr_s0 / n
 
 
 def excess_risk(moments: MomentSet, delta: np.ndarray) -> float:

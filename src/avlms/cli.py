@@ -9,11 +9,11 @@ sampling    scheme comparison (gains, thresholds, measured risks)
 plot        render a run/predict CSV as a log-log SVG
 ingest      parse a data file and print its summary report
 
-Configuration comes from flags plus an optional ``key = value`` manifest
-file (flags override the file), whose values the flags' own parser reads.
-A command takes only the options it reads, and at most one of --spec and
---data.  Every usage error, by flag or by manifest, is one ``error: ...``
-line on stderr.  Outputs are deterministic for a given manifest and master seed.
+Each command is configured by its flags alone; a file of flags is read by
+the shell (``avlms run $(cat run.args)``).  A command takes only the
+options it reads, and at most one of --spec and --data.  Every usage error
+is one ``error: ...`` line on stderr.  Outputs are deterministic for given
+flags and master seed.
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical error,
 4 out of memory.  A reader that closes stdout early (``avlms predict ...
 --out - | head -1``) is not an error: the command stops writing, stdout
@@ -63,7 +63,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors raise UsageError: one ``error:`` line, like any other.
-    A flag is its whole name, as a manifest key is: no prefix abbreviates it.
+    A flag is its whole name: no prefix abbreviates it.
     Sub-parsers are of this class too."""
 
     def __init__(self, *args, **kwargs):
@@ -179,46 +179,6 @@ def parse_spec_descriptor(text: str, seed: int = 0) -> ProblemSpec:
     return ProblemSpec.gaussian(np.diag(eig), w_star=w_star, w0=w0, sigma=sigma)
 
 
-def _load_manifest(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"manifest file {path!r} does not exist")
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"manifest line {lineno}: expected key = value")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
-    return out
-
-
-_LIST_KEYS = {"gamma", "scheme"}
-
-
-def _merge_manifest(args: argparse.Namespace) -> None:
-    """Fill each option that no flag set from the manifest: each value becomes
-    flag tokens (one per item of a list key), read by the flags' own parser."""
-    if not getattr(args, "manifest", None):
-        return
-    keys, tokens = [], []
-    for key, raw in _load_manifest(args.manifest).items():
-        # The command and the manifest itself are named on the command line only.
-        if key in ("command", "manifest") or not hasattr(args, key):
-            raise UsageError(f"manifest key {key!r} is not a recognized option")
-        if getattr(args, key) is not None:
-            continue  # flags override the manifest
-        parts = [p.strip() for p in raw.split(",") if p.strip()] if key in _LIST_KEYS else [raw]
-        # ``--flag=value``, so that a value such as -1 is never read as a flag
-        tokens += [f"--{key.replace('_', '-')}={part}" for part in parts]
-        keys.append(key)
-    values = _build_parser().parse_args([args.command, *tokens])
-    for key in keys:
-        setattr(args, key, getattr(values, key))
-
-
 def _ingest(args):
     """The spec and report of the ``--data`` file, read as ``--format``."""
     if not os.path.exists(args.data):
@@ -228,13 +188,12 @@ def _ingest(args):
 
 def _resolve_spec(args) -> ProblemSpec:
     if args.spec and args.data:
-        raise UsageError("give one of --spec or --data, not both (by flag or manifest)")
+        raise UsageError("give one of --spec or --data, not both")
     if args.data:
         return _ingest(args)[0]
     if args.spec:
         if args.format is not None:
-            raise UsageError("--spec takes no format (given by flag or manifest); it "
-                             "describes a --data file")
+            raise UsageError("--spec takes no --format; a format describes a --data file")
         return parse_spec_descriptor(args.spec, seed=args.seed or 0)
     raise UsageError("one of --spec or --data is required")
 
@@ -250,6 +209,8 @@ def _n_max(text: str) -> int:
 
 def _n_schedule(args) -> list[int]:
     n_max, points = args.n_max or 1000, args.points or 20
+    if points == 1:
+        return [n_max]
     lo = min(10, n_max)
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(n_max), points)))
     # Below n_max every grid point fits an int64; n_max itself closes the schedule.
@@ -338,11 +299,15 @@ def cmd_predict(args) -> int:
               "small_gamma_variance"]
     out_paths = []
     for gi, gamma in enumerate(gammas):
-        model = asymptotics.CovarianceModel(moments, gamma)
+        # A gamma near the float range overflows T and its powers: the cells
+        # that overflow are left empty and warned of below, in one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = asymptotics.CovarianceModel(moments, gamma)
+            horizons = model.risks(schedule)
         stable = model.stable
         rows = []
         overflowed = False
-        for n, risks in zip(schedule, model.risks(schedule)):
+        for n, risks in zip(schedule, horizons):
             bias_ex, var_ex = risks.bias_exact, risks.variance_exact
             if not np.isfinite(bias_ex):
                 bias_ex, overflowed = None, True
@@ -427,10 +392,9 @@ def cmd_sampling(args) -> int:
     for k, ((name, scheme), m) in enumerate(zip(schemes, moments)):
         g_max, var_limit = stepsize.gamma_max(m), m.hinv_traces[1]
         gain = var_limit / base_var_limit if base_var_limit > 0 else 1.0
-        pred_bias_gain = sampling.bias_gain(base_gamma_max, g_max)
         gamma_run = (args.gamma[0] if args.gamma else 0.5 * g_max)
         cell = engine.Cell(gamma_run, args.mode or "total", scheme)
-        rows.append([name, gain, g_max, pred_bias_gain])
+        rows.append([name, gain, g_max, (base_gamma_max / g_max) ** 2])
         if simulated[k]:
             grid.append((k, cell))
     measured = {}
@@ -504,7 +468,8 @@ def cmd_ingest(args) -> int:
         print(line)
     if args.out:
         export_csv(spec, args.out)
-        print(f"wrote {args.out}")
+        if args.out != "-":
+            print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -525,25 +490,24 @@ _OPTIONS = {
     "--seed": dict(type=_checked(int, "--seed", "nonnegative", lambda s: s >= 0),
                    help="master seed (default 0)"),
     "--out": dict(help="output path ('-' for stdout)"),
-    "--manifest": dict(help="key = value manifest file; flags override it"),
 }
 _SPEC_OPTIONS = ("--spec", "--data", "--format")
-# The options each data command reads; any other is a usage error, by flag or by manifest.
+# The options each data command reads; any other is a usage error.
 _COMMAND_OPTIONS = {
-    "gamma-max": (*_SPEC_OPTIONS, "--scheme", "--seed", "--out", "--manifest"),
+    "gamma-max": (*_SPEC_OPTIONS, "--scheme", "--seed", "--out"),
     "run": tuple(_OPTIONS),
-    "predict": (*_SPEC_OPTIONS, "--gamma", "--n-max", "--points", "--seed", "--out", "--manifest"),
+    "predict": (*_SPEC_OPTIONS, "--gamma", "--n-max", "--points", "--seed", "--out"),
     "sampling": tuple(_OPTIONS),
-    "ingest": ("--data", "--format", "--out", "--manifest"),
+    "ingest": ("--data", "--format", "--out"),
 }
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: the one place that
-    says what each option accepts, by flag or by manifest.  Parsing leaves
-    it unchanged: every ``parse_args`` call fills a new namespace and
-    copies the append options' defaults."""
+    says what each option accepts.  Parsing leaves it unchanged: every
+    ``parse_args`` call fills a new namespace and copies the append
+    options' defaults."""
     parser = _Parser(
         prog="avlms",
         description="Averaged constant-step-size LMS analysis and simulation",
@@ -598,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit:  # --help has printed; a bad argument raises UsageError
             return EXIT_OK
-        _merge_manifest(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

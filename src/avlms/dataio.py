@@ -20,9 +20,11 @@ every hit shares them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
+import sys
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -265,10 +267,12 @@ def _load(source: _Source, path: str, reader) -> tuple[ProblemSpec, IngestReport
 
 
 def export_csv(spec: ProblemSpec, path: str) -> None:
-    """Write a labelled discrete/empirical spec as dense CSV rows."""
+    """Write a labelled discrete/empirical spec as dense CSV rows to ``path``
+    ('-' for stdout)."""
     design = spec.design
     if not hasattr(design, "xs") or design.ys is None:
         raise DataFormatError("only labelled discrete or empirical specs can be exported")
-    with open(path, "w", encoding="utf-8") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8")) as fh:
         for x, y in zip(design.xs, design.ys):
             fh.write(",".join(f"{v:.17g}" for v in x) + f",{y:.17g}\n")

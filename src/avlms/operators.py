@@ -117,62 +117,43 @@ def _rank_one_coords(xs: np.ndarray, basis: SymBasis, out: np.ndarray | None = N
     return out
 
 
-def fourth_moment_operator_from_samples(
-    samples: np.ndarray, basis: SymBasis | None = None, weights: np.ndarray | None = None,
-    rotation: np.ndarray | None = None,
-) -> np.ndarray | list[np.ndarray]:
-    """D x D matrix of the empirical fourth-moment operator
-    A -> mean[(x^T A x) x x^T], in the coordinates of ``basis``.
+def fourth_moment_operator_from_samples(xs: np.ndarray, basis: SymBasis, weights: np.ndarray,
+                                        rotation: np.ndarray) -> list[np.ndarray]:
+    """The D x D matrices of the weighted empirical fourth-moment operators
+    A -> sum_t w[t] (y_t^T A y_t) y_t y_t^T, with y_t = u^T x_t for each
+    row x_t of ``xs`` and u the d x d ``rotation`` (H's eigenvectors), in
+    the coordinates of ``basis``: one matrix per row w of the (k, N)
+    ``weights``.
 
-    In orthonormal coordinates this is the (weighted) second-moment matrix
-    of the coordinate vectors of x x^T, hence symmetric positive
-    semidefinite by construction.  The rows arrive as they are; a d x d
-    ``rotation`` u (H's eigenvectors, say) turns each into x^T u as its
-    chunk is built, which gives the operator in that basis with the bits
-    of passing ``samples @ u``, and no N x d copy.  The coordinate vectors
-    are built for GRAM_CHUNK_BYTES of rows at a time, into buffers reused
-    from chunk to chunk, and their Grams summed, so memory stays
-    O(chunk x D + D^2) for any number of samples; a sample that fits in one
-    chunk gets the one-shot product.  ``weights`` is None (the plain
-    mean), one weight per sample, or a (k, N) stack of weight rows, which
-    gives a list of k matrices: each chunk's coordinates are then built
-    once for all k, and every matrix has the bits it gets alone.
+    In orthonormal coordinates each is the weighted second-moment matrix
+    of the coordinate vectors of y y^T, hence symmetric positive
+    semidefinite for nonnegative weights.  The rows arrive as they are,
+    and each is turned into x^T u as its chunk is built, which gives the
+    operators in that basis with the bits of passing ``xs @ u``, and no
+    N x d copy.  The coordinate vectors are built for GRAM_CHUNK_BYTES of
+    rows at a time, into buffers reused from chunk to chunk, and their
+    Grams summed, so memory stays O(chunk x D + D^2) for any number of
+    samples; a sample that fits in one chunk gets the one-shot product.
+    Each chunk's coordinates are built once for all k weight rows, and
+    every matrix has the bits it gets alone.
     """
-    xs = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = xs.shape[0]
-    if n == 0:
-        raise DimensionError("sample list is empty")
-    if basis is None:
-        basis = SymBasis(xs.shape[1])
-    elif basis.dim != xs.shape[1]:
-        raise DimensionError("basis and sample dimensions differ")
-    stacked = weights is not None and np.ndim(weights) == 2
-    rows_of = [None]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape[-1:] != (n,) or weights.ndim > 2:
-            raise DimensionError("weights must have one entry per sample")
-        rows_of = weights if stacked else weights[None]
-    size = basis.size
+    n, size = len(xs), basis.size
     rows = min(n, max(1, GRAM_CHUNK_BYTES // (8 * size)))
-    coords = np.empty((rows, size))
-    scaled = None if weights is None else np.empty((rows, size))
+    coords, scaled = np.empty((rows, size)), np.empty((rows, size))
     part = np.empty((size, size)) if n > rows else None
-    turned = None if rotation is None else np.empty((min(n, max(rows, 2)), xs.shape[1]))
-    mats = [np.empty((size, size)) for _ in rows_of]
+    turned = np.empty((min(n, max(rows, 2)), basis.dim))
+    mats = [np.empty((size, size)) for _ in weights]
     for k in range(0, n, rows):
         m = min(rows, n - k)
-        chunk = xs[k:k + m]
-        if rotation is not None:
-            # A 1-row product takes numpy's vector path, whose last bits
-            # differ from the matrix product's, so a 1-row chunk is rotated
-            # with a neighbouring row when there is one.
-            lo = max(0, min(k, n - 2))
-            chunk = xs[lo:max(k + m, lo + 2)]
-            chunk = np.matmul(chunk, rotation, out=turned[:len(chunk)])[k - lo:k - lo + m]
+        # A 1-row product takes numpy's vector path, whose last bits differ
+        # from the matrix product's, so a 1-row chunk is rotated with a
+        # neighbouring row when there is one.
+        lo = max(0, min(k, n - 2))
+        chunk = xs[lo:max(k + m, lo + 2)]
+        chunk = np.matmul(chunk, rotation, out=turned[:len(chunk)])[k - lo:k - lo + m]
         u = _rank_one_coords(chunk, basis, out=coords[:m])
-        for mat, w in zip(mats, rows_of):
-            lhs = u if w is None else np.multiply(u, w[k:k + m, None], out=scaled[:m])
+        for mat, w in zip(mats, weights):
+            lhs = np.multiply(u, w[k:k + m, None], out=scaled[:m])
             if k == 0:
                 np.matmul(lhs.T, u, out=mat)
             else:
@@ -182,11 +163,9 @@ def fourth_moment_operator_from_samples(
     # buffers and the views into them first, so that copy adds no peak.
     coords = scaled = part = turned = chunk = u = lhs = None
     for mat in mats:
-        if weights is None:
-            mat /= n
         np.add(mat, mat.T, out=mat)
         mat *= 0.5
-    return mats if stacked else mats[0]
+    return mats
 
 
 class TEigenpairs:

@@ -220,10 +220,3 @@ def variance_gain(spec: ProblemSpec) -> float:
         mean_norm = _gaussian_mean_norm(spec.h_eig[0])
         mean_sq = float(np.trace(design.cov))
     return mean_norm**2 / mean_sq
-
-
-def bias_gain(gamma_before: float, gamma_after: float) -> float:
-    """Predicted excess-risk factor (gamma_before / gamma_after)^2."""
-    if gamma_before <= 0 or gamma_after <= 0:
-        raise ValueError("step-sizes must be positive")
-    return (gamma_before / gamma_after) ** 2

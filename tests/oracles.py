@@ -22,7 +22,6 @@ from avlms.operators import (
     SymBasis,
     _as_symmetric,
     _rank_one_coords,
-    fourth_moment_operator_from_samples,
 )
 
 
@@ -87,16 +86,18 @@ def gaussian_fourth_moment(hmat: np.ndarray, basis: SymBasis | None = None) -> S
 
 
 def samples_fourth_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> SymOperator:
-    """The weighted atom average E[c (X^T A X) X X^T] on the raw rows ``xs``."""
+    """The weighted atom average E[c (X^T A X) X X^T] on the raw rows ``xs``,
+    the plain mean when ``weights`` is None: the dense atom Gram."""
     basis = SymBasis(xs.shape[1])
-    return SymOperator(basis, fourth_moment_operator_from_samples(xs, basis, weights=weights))
+    return SymOperator(basis, one_shot_fourth_moment(xs, basis, weights))
 
 
 def one_shot_fourth_moment(xs: np.ndarray, basis: SymBasis,
                            weights: np.ndarray | None = None) -> np.ndarray:
-    """The atom Gram of ``fourth_moment_operator_from_samples`` as one
-    product over the (N, D) rank-one coordinates of all rows at once: the
-    reference for the library's sum over row chunks."""
+    """The atom Gram of any weights (one per row, or None for the plain mean)
+    as one product over the (N, D) rank-one coordinates of all rows at
+    once: the reference for the library's sum over row chunks
+    (``operators.fourth_moment_operator_from_samples``)."""
     u = _rank_one_coords(xs, basis)
     mat = u.T @ u / xs.shape[0] if weights is None else (u * weights[:, None]).T @ u
     return 0.5 * (mat + mat.T)

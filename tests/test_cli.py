@@ -12,7 +12,7 @@ import pytest
 import avlms
 from avlms import compute_moments, engine
 from avlms.cli import (EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                       _build_parser, _merge_manifest, main)
+                       _build_parser, main)
 from avlms.dataio import DataFormatError, export_csv, ingest
 from oracles import original_fourth_moment
 
@@ -606,6 +606,33 @@ class TestCommands:
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert all(r[4] == "" for r in rows) and all(r[1] != "" for r in rows)
 
+    @pytest.mark.parametrize("gamma", ["1e160", "1e308"])
+    def test_predict_at_a_step_size_near_the_float_range_warns_in_lines(self, gamma, capsys):
+        """Where gamma^2 and T overflow, predict still exits 0 with its CSV:
+        the overflowed cells are empty, and stderr holds only the one-line
+        warnings, no numpy warning and no traceback."""
+        argv = ["predict", "--spec", "gaussian:d=2", "--gamma", gamma, "--n-max", "50",
+                "--points", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        header, *rows = [line.split(",") for line in captured.out.splitlines()]
+        assert header[0] == "n" and [row[0] for row in rows] == ["10", "22", "50"]
+        assert all(row[1] == "" and float(row[7]) >= 0 for row in rows)
+        err = captured.err.splitlines()
+        assert err and all(line.startswith(f"warning: gamma={float(gamma):g} ") for line in err)
+        assert "exact values overflowed" in captured.err
+
+    @pytest.mark.parametrize("command", [["predict"], ["run", "--replicates", "2"]],
+                             ids=["predict", "run"])
+    def test_one_point_is_the_horizon_n_max_alone(self, command, capsys):
+        argv = [*command, "--spec", "gaussian:d=3", "--gamma", "0.1", "--points", "1",
+                "--n-max", "100"]
+        assert main(argv) == EXIT_OK
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "n", "100"]
+
     @pytest.mark.parametrize("gamma", ["0.2", "1.0", "2.0"])
     def test_predict_columns_match_full_report(self, tmp_path, gamma):
         """At a stable, a beyond-threshold and a singular-T gamma, each predict
@@ -731,16 +758,14 @@ class TestCommands:
 
     def test_class_weighted_is_not_a_scheme(self, tmp_path, capsys):
         """Weighting classes changes the objective, not the sampling density:
-        ``class-weighted`` is a usage error, by flag and by manifest, in every
-        command that takes schemes."""
+        ``class-weighted`` is a usage error in every command that takes
+        schemes."""
         data = tmp_path / "d.csv"
         data.write_text("1,0,1\n0,1,0\n1,1,1\n")
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text("scheme = uniform, class-weighted\n")
         for command in (["gamma-max"], ["run", "--gamma", "0.01"], ["sampling"]):
-            for extra in (["--scheme", "class-weighted"], ["--manifest", str(manifest)]):
-                assert main([*command, "--data", str(data), *extra]) == EXIT_USAGE
-                assert "'class-weighted'" in capsys.readouterr().err
+            argv = [*command, "--data", str(data), "--scheme", "class-weighted"]
+            assert main(argv) == EXIT_USAGE
+            assert "'class-weighted'" in capsys.readouterr().err
 
     def test_sampling_on_gaussian_spec_keeps_closed_form_columns(self, tmp_path, capsys):
         """Resampled schemes cannot be streamed on a Gaussian design: their
@@ -856,27 +881,21 @@ class TestCommands:
         last = header.index("measured_risk_n200")
         assert all(row[last] == row[last + 2] == "" for row in rows)
 
-    def test_manifest_supplies_defaults_and_flags_override(self, tmp_path):
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(
-            "spec = gaussian:d=2,sigma=1,w0=ones\n"
-            "gamma = 0.2\n"
-            "n-max = 60\n"
-            "points = 2\n"
-            "replicates = 10\n"
-            "seed = 9\n"
-        )
-        out1 = tmp_path / "m1.csv"
-        assert main(["run", "--manifest", str(manifest), "--out", str(out1)]) == EXIT_OK
-        out2 = tmp_path / "m2.csv"
-        assert main(["run", "--manifest", str(manifest), "--replicates", "11",
-                     "--out", str(out2)]) == EXIT_OK
-        assert out1.read_text() != out2.read_text()  # flag overrides the manifest
-
     def test_ingest_command_prints_report(self, tiny_csv, capsys):
         assert main(["ingest", "--data", tiny_csv]) == EXIT_OK
         text = capsys.readouterr().out
         assert "rows: 2" in text and "trace_h: 1" in text
+
+    def test_ingest_out_dash_writes_the_rows_to_stdout(self, tiny_csv, tmp_path, monkeypatch,
+                                                      capsys):
+        """``--out -`` is stdout, as for the other data commands: the report
+        lines, then the exported rows, and no file named ``-``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--data", tiny_csv]) == EXIT_OK
+        report = capsys.readouterr().out
+        assert main(["ingest", "--data", tiny_csv, "--out", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == report + "1,0,1\n0,1,0\n"
+        assert not (tmp_path / "-").exists()
 
 
 class TestPlot:
@@ -976,35 +995,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("data error: dimension 65 exceeds the supported "
                                            "cap 64\n")
 
-    @pytest.mark.parametrize("line, flags", [
-        ("n_max = abc", ["--gamma", "0.1"]), ("seed = 1.5", ["--gamma", "0.1"]),
-        ("gamma = 0.1, x", []), ("mode = bogus", ["--gamma", "0.1"]),
-        ("format = bogus", ["--gamma", "0.1"]), ("scheme = uniform, bogus", ["--gamma", "0.1"]),
-        ("format = csv", ["--gamma", "0.1"]), ("dim = 2", ["--gamma", "0.1"]),
-    ])
-    def test_malformed_manifest_number_is_usage(self, line, flags, tmp_path, capsys):
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(line + "\n")
-        argv = ["run", "--spec", "gaussian:d=2", *flags, "--manifest", str(manifest)]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
-
-    def test_manifest_scheme_is_checked_before_moments(self, tmp_path, monkeypatch, capsys):
-        """A bad manifest scheme fails before ``sampling --data`` builds the
-        atom Gram of the data."""
-        data = tmp_path / "data.csv"
-        data.write_text("1,0,1\n0,1,2\n1,1,2\n")
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text("scheme = bogus\n")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the atom Gram was built before the scheme was checked")
-
-        monkeypatch.setattr("avlms.moments.fourth_moment_operator_from_samples", refuse)
-        argv = ["sampling", "--data", str(data), "--manifest", str(manifest)]
-        assert main(argv) == EXIT_USAGE
-        assert "argument --scheme: invalid choice: 'bogus'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key, value", [
         *[("gamma", v) for v in ("nan", "0", "-1", "abc")],
         ("seed", "-1"), ("seed", "1.5"),
@@ -1012,41 +1002,18 @@ class TestExitCodes:
         ("mode", "bogus"), ("format", "bogus"), ("scheme", "bogus"),
     ])
     def test_flag_and_manifest_refuse_alike(self, key, value, tmp_path, capsys):
-        """A bad value is the same one ``error:`` line naming the option,
-        and the usage status, whether it comes by flag or by manifest."""
+        """A bad value is one ``error:`` line naming its flag, and the usage
+        status, with nothing written."""
         flag = "--" + key.replace("_", "-")
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(f"{key} = {value}\n")
         out = tmp_path / "out.csv"
-        run = ["run", "--spec", "gaussian:d=2", "--out", str(out)]
-        lines = []
-        for extra in ([flag, value], ["--manifest", str(manifest)]):
-            assert main([*run, *extra]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            lines.append(captured.err.splitlines())
-        assert lines[0] == lines[1]
-        assert len(lines[0]) == 1 and lines[0][0].startswith("error: ")
-        assert flag in lines[0][0]
+        argv = ["run", "--spec", "gaussian:d=2", "--out", str(out), flag, value]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0]
         assert not out.exists()
-
-    def test_readme_run_by_manifest_writes_the_flag_run_csv(self, tmp_path):
-        manifest = tmp_path / "run.cfg"
-        manifest.write_text(
-            "spec = gaussian:d=25,spectrum=1/i,sigma=1\n"
-            "gamma = 0.07, 0.007\n"
-            "mode = all\n"
-            "n-max = 10000\n"
-            "points = 15\n"
-            "replicates = 200\n"
-            "seed = 1\n"
-        )
-        by_flag, by_manifest = tmp_path / "flag.csv", tmp_path / "manifest.csv"
-        assert main(["run", "--spec", "gaussian:d=25,spectrum=1/i,sigma=1", "--gamma", "0.07",
-                     "--gamma", "0.007", "--mode", "all", "--n-max", "10000", "--points", "15",
-                     "--replicates", "200", "--seed", "1", "--out", str(by_flag)]) == EXIT_OK
-        assert main(["run", "--manifest", str(manifest), "--out", str(by_manifest)]) == EXIT_OK
-        assert by_manifest.read_bytes() == by_flag.read_bytes()
 
     def test_data_error(self, tmp_path):
         assert main(["gamma-max", "--data", str(tmp_path / "absent.csv")]) == EXIT_DATA
@@ -1070,13 +1037,10 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
 
     def test_negative_seed_is_usage(self, tmp_path, capsys):
-        """By flag, by manifest and by descriptor option alike."""
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text("seed = -1\n")
+        """By flag and by descriptor option alike."""
         run = ["run", "--gamma", "0.1", "--n-max", "10", "--replicates", "2",
                "--out", str(tmp_path / "out.csv")]
         for argv in (["--spec", "gaussian:d=2", "--seed", "-1"],
-                     ["--spec", "gaussian:d=2", "--manifest", str(manifest)],
                      ["--spec", "gaussian:d=2,seed=-1"]):
             assert main([*run, *argv]) == EXIT_USAGE
             assert "must be nonnegative, got -1" in capsys.readouterr().err
@@ -1130,19 +1094,17 @@ class TestExitCodes:
 
 
     def test_n_max_beyond_int64_is_refused_before_ingest(self, tmp_path, monkeypatch, capsys):
-        """By flag and by manifest, the range check fires before --data is read."""
+        """The range check fires before --data is read."""
         def refuse(*args, **kwargs):
             raise AssertionError("the data file was ingested before --n-max was checked")
 
         monkeypatch.setattr("avlms.cli.ingest", refuse)
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(f"n_max = {2**63}\n")
         data = tmp_path / "d.csv"
         data.write_text("1,0,1\n0,1,2\n1,1,2\n")
-        sampling = ["sampling", "--data", str(data), "--out", str(tmp_path / "out.csv")]
-        for extra in (["--n-max", str(2**63)], ["--manifest", str(manifest)]):
-            assert main([*sampling, *extra]) == EXIT_USAGE
-            assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
+        argv = ["sampling", "--data", str(data), "--out", str(tmp_path / "out.csv"),
+                "--n-max", str(2**63)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --n-max must be at most {2**63 - 1}\n"
 
     @pytest.mark.parametrize("argv", [
         ["run", "--spec", "gaussian:d=2", "--gam", "0.1", "--n-max", "10", "--replicates", "2"],
@@ -1150,7 +1112,7 @@ class TestExitCodes:
         ["gamma-max", "--spe", "gaussian:d=2"],
     ])
     def test_an_abbreviated_flag_is_usage(self, argv, capsys):
-        """A flag is its whole name, as a manifest key is."""
+        """A flag is its whole name: no prefix abbreviates it."""
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1159,60 +1121,38 @@ class TestExitCodes:
 
 # A value each option accepts, and the options each command reads, written
 # out apart from the parser.  --dim, a width the data file states itself,
-# is read by no command.
+# and --manifest, a file of options (a shell reads one: $(cat run.args)),
+# are read by no command.
 OPTION_VALUES = {
     "--spec": "gaussian:d=2", "--data": "d.csv", "--format": "csv-dense", "--dim": "2",
     "--gamma": "0.1", "--n-max": "10", "--points": "3", "--replicates": "2", "--mode": "bias",
     "--scheme": "uniform", "--seed": "1", "--out": "out.csv", "--manifest": "m.cfg",
 }
 COMMAND_READS = {
-    "gamma-max": {"--spec", "--data", "--format", "--scheme", "--seed", "--out", "--manifest"},
-    "run": set(OPTION_VALUES) - {"--dim"},
+    "gamma-max": {"--spec", "--data", "--format", "--scheme", "--seed", "--out"},
+    "run": set(OPTION_VALUES) - {"--dim", "--manifest"},
     "predict": {"--spec", "--data", "--format", "--gamma", "--n-max", "--points", "--seed",
-                "--out", "--manifest"},
-    "sampling": set(OPTION_VALUES) - {"--dim"},
-    "ingest": {"--data", "--format", "--out", "--manifest"},
+                "--out"},
+    "sampling": set(OPTION_VALUES) - {"--dim", "--manifest"},
+    "ingest": {"--data", "--format", "--out"},
 }
 
 
 class TestOptions:
-    """Each command takes exactly the options it reads, by flag and by
-    manifest alike."""
+    """Each command takes exactly the options it reads."""
 
     @pytest.mark.parametrize("command, flag", [(c, f) for c in COMMAND_READS
                                                for f in OPTION_VALUES])
-    def test_an_option_is_taken_only_where_it_is_read(self, command, flag, tmp_path, capsys):
-        """An option the command reads is parsed to the same value by flag
-        and by manifest key; any other is the usage status and one error
-        line naming it, by flag and by manifest key."""
-        key, value = flag[2:].replace("-", "_"), OPTION_VALUES[flag]
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(f"{key} = {value}\n")
+    def test_an_option_is_taken_only_where_it_is_read(self, command, flag, capsys):
+        """An option the command reads is parsed; any other is the usage
+        status and one error line naming it."""
         if flag in COMMAND_READS[command]:
-            by_flag = _build_parser().parse_args([command, flag, value])
-            assert getattr(by_flag, key) is not None
-            if flag != "--manifest":
-                by_manifest = _build_parser().parse_args([command, "--manifest", str(manifest)])
-                _merge_manifest(by_manifest)
-                assert getattr(by_manifest, key) == getattr(by_flag, key)
+            by_flag = _build_parser().parse_args([command, flag, OPTION_VALUES[flag]])
+            assert getattr(by_flag, flag[2:].replace("-", "_")) is not None
             return
-        assert main([command, flag, value]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
-        assert main([command, "--manifest", str(manifest)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (f"error: manifest key {key!r} is not a recognized "
-                                           "option\n")
-
-    @pytest.mark.parametrize("command", list(COMMAND_READS))
-    @pytest.mark.parametrize("key, value", [("manifest", "nowhere.cfg"), ("command", "predict")])
-    def test_a_manifest_names_no_manifest_and_no_command(self, command, key, value, tiny_csv,
-                                                         tmp_path, capsys):
-        """Both are given on the command line only: as manifest keys they are
-        the usage status and one error line, not silently skipped."""
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text(f"{key} = {value}\n")
-        assert main([command, "--data", tiny_csv, "--manifest", str(manifest)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (f"error: manifest key {key!r} is not a recognized "
-                                           "option\n")
+        assert main([command, flag, OPTION_VALUES[flag]]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: unrecognized arguments: {flag} "
+                                           f"{OPTION_VALUES[flag]}\n")
 
     @pytest.mark.parametrize("command, extra", [
         ("gamma-max", ["--scheme", "uniform", "--scheme", "bias-opt"]),
@@ -1233,26 +1173,17 @@ class TestOptions:
     @pytest.mark.parametrize("command", ["gamma-max", "run", "predict", "sampling"])
     def test_spec_and_data_together_are_usage(self, command, tiny_csv, tmp_path, monkeypatch,
                                               capsys):
-        """--spec beside --data is refused before the file is read, whether
-        each comes by flag or by manifest: neither overrides the other."""
+        """--spec beside --data is refused before the file is read: neither
+        overrides the other."""
         def refuse(*args, **kwargs):
             raise AssertionError("the data file was ingested beside a --spec")
 
         monkeypatch.setattr("avlms.cli.ingest", refuse)
-        spec = "gaussian:d=2"
-        manifests = {}
-        for name, text in (("spec", f"spec = {spec}\n"), ("data", f"data = {tiny_csv}\n"),
-                           ("both", f"spec = {spec}\ndata = {tiny_csv}\n")):
-            manifests[name] = tmp_path / f"{name}.cfg"
-            manifests[name].write_text(text)
         gamma = ["--gamma", "0.1"] if command in ("run", "predict") else []
-        for given in (["--spec", spec, "--data", tiny_csv],
-                      ["--spec", spec, "--manifest", str(manifests["data"])],
-                      ["--data", tiny_csv, "--manifest", str(manifests["spec"])],
-                      ["--manifest", str(manifests["both"])]):
+        for given in (["--spec", "gaussian:d=2", "--data", tiny_csv],
+                      ["--data", tiny_csv, "--spec", "gaussian:d=2"]):
             assert main([command, *given, *gamma]) == EXIT_USAGE
-            assert capsys.readouterr().err == ("error: give one of --spec or --data, not both "
-                                               "(by flag or manifest)\n")
+            assert capsys.readouterr().err == "error: give one of --spec or --data, not both\n"
 
 
 class TestRepeatedCalls:
@@ -1278,18 +1209,14 @@ class TestRepeatedCalls:
         assert schemes == [["scheme=bias-opt"], ["scheme=uniform"]]
 
     def test_mode_does_not_carry_over(self, tmp_path):
-        """Neither from a flag nor from a manifest value."""
-        manifest = tmp_path / "m.cfg"
-        manifest.write_text("mode = all\n")
         out = tmp_path / "run.csv"
         run = ["run", "--spec", "gaussian:d=2", "--gamma", "0.1", "--n-max", "10",
                "--replicates", "2", "--out", str(out)]
-        for extra in (["--mode", "all"], ["--manifest", str(manifest)]):
-            modes = []
-            for argv in ([*run, *extra], run):
-                assert main(argv) == EXIT_OK
-                modes.append({line.split(",")[3] for line in out.read_text().splitlines()[1:]})
-            assert modes == [{"bias", "variance", "total"}, {"total"}]
+        modes = []
+        for argv in ([*run, "--mode", "all"], run):
+            assert main(argv) == EXIT_OK
+            modes.append({line.split(",")[3] for line in out.read_text().splitlines()[1:]})
+        assert modes == [{"bias", "variance", "total"}, {"total"}]
 
     @pytest.mark.parametrize("with_fd", [True, False])
     def test_broken_pipe_is_not_a_data_error(self, with_fd, tmp_path, monkeypatch, capsys):

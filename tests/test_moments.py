@@ -12,7 +12,6 @@ from avlms import (
     atom_scheme,
     check_cross_term_condition,
     compute_moments,
-    fourth_moment_operator_from_samples,
     leverage_resampled_moments,
     norm_resampled_moments,
     optimal_bias_scheme,
@@ -20,7 +19,7 @@ from avlms import (
     optimal_variance_scheme,
 )
 from avlms.moments import _chi_mean, _norm_resampling_integrals, _sqrt_psd
-from avlms.operators import SymBasis, _rank_one_coords
+from avlms.operators import SymBasis, _rank_one_coords, fourth_moment_operator_from_samples
 from conftest import make_discrete, make_empirical, make_gaussian
 from oracles import (
     SymOperator,
@@ -60,7 +59,8 @@ class TestGaussianFourthMoment:
         n = 1_000_000
         xs = rg.standard_normal((n, d)) @ np.linalg.cholesky(cov).T
         basis = SymBasis(d)
-        sampled = fourth_moment_operator_from_samples(xs, basis)
+        [sampled] = fourth_moment_operator_from_samples(xs, basis, np.full((1, n), 1.0 / n),
+                                                        np.eye(d))
         analytic = gaussian_fourth_moment(cov, basis)
         u = _rank_one_coords(xs, basis)
         second = (u**2).T @ (u**2) / n

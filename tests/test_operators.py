@@ -17,9 +17,9 @@ from avlms import (
     ProblemSpec,
     SymBasis,
     compute_moments,
-    fourth_moment_operator_from_samples,
     smallest_t_eigenvalue,
 )
+from avlms.operators import fourth_moment_operator_from_samples
 from oracles import (
     SymOperator,
     apply,
@@ -153,17 +153,25 @@ class TestLeftRight:
             assert smallest_eigenvalue(op) > -1e-12
 
 
+def mean_weights(n: int) -> np.ndarray:
+    """The one weight row of the plain mean over n samples."""
+    return np.full((1, n), 1.0 / n)
+
+
 class TestFourthMomentFromSamples:
     def test_single_basis_vector_sample(self):
         """One sample X = e1 in d=2: the map sends A to A[0,0] e1 e1^T."""
-        op = samples_fourth_moment(np.array([[1.0, 0.0]]))
+        basis = SymBasis(2)
+        [mat] = fourth_moment_operator_from_samples(np.array([[1.0, 0.0]]), basis,
+                                                    mean_weights(1), np.eye(2))
         a = np.array([[2.0, 0.5], [0.5, -1.0]])
         want = np.zeros((2, 2))
         want[0, 0] = a[0, 0]
-        np.testing.assert_allclose(apply(op, a), want, atol=1e-14)
+        np.testing.assert_allclose(apply(SymOperator(basis, mat), a), want, atol=1e-14)
 
     def test_sign_samples_d1(self):
-        mat = fourth_moment_operator_from_samples(np.array([[1.0], [-1.0]]))
+        [mat] = fourth_moment_operator_from_samples(np.array([[1.0], [-1.0]]), SymBasis(1),
+                                                    mean_weights(2), np.eye(1))
         np.testing.assert_allclose(mat, [[1.0]])
 
     def test_gaussian_monte_carlo_agreement(self):
@@ -172,9 +180,10 @@ class TestFourthMomentFromSamples:
         from avlms.operators import _rank_one_coords
 
         rg = np.random.default_rng(12345)
-        xs = rg.standard_normal((1_000_000, 3))
+        n = 1_000_000
+        xs = rg.standard_normal((n, 3))
         basis = SymBasis(3)
-        sampled = fourth_moment_operator_from_samples(xs, basis)
+        [sampled] = fourth_moment_operator_from_samples(xs, basis, mean_weights(n), np.eye(3))
         analytic = gaussian_fourth_moment(np.eye(3), basis)
         u = _rank_one_coords(xs, basis)
         second = (u**2).T @ (u**2) / len(xs)
@@ -182,13 +191,13 @@ class TestFourthMomentFromSamples:
         assert np.all(np.abs(sampled - analytic.matrix) <= 3.0 * stderr + 1e-12)
 
     def test_psd(self):
+        """Nonnegative weights give a PSD operator in any rotated basis."""
         rg = np.random.default_rng(5)
-        op = samples_fourth_moment(rg.standard_normal((50, 4)))
-        assert smallest_eigenvalue(op) > -1e-12
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            fourth_moment_operator_from_samples(np.zeros((0, 2)))
+        xs = rg.standard_normal((50, 4))
+        u = np.linalg.qr(rg.standard_normal((4, 4)))[0]
+        weights = np.stack([np.full(50, 1.0 / 50), rg.uniform(0.0, 1.0, 50)])
+        for mat in fourth_moment_operator_from_samples(xs, SymBasis(4), weights, u):
+            assert np.linalg.eigvalsh(mat)[0] > -1e-12
 
     @staticmethod
     def _atoms(n, d, seed):
@@ -201,25 +210,23 @@ class TestFourthMomentFromSamples:
 
     def test_row_chunks_match_the_one_shot_gram(self):
         """About 2.5 chunks of rows (not a whole number of them): the chunked
-        sum matches the one-shot product to 1e-13 of its largest entry,
-        weighted and unweighted; a stack of weight rows, summed in one pass,
-        gives each row the bits of its own pass."""
+        sum matches the one-shot product to 1e-13 of its largest entry, for
+        atom weights and for the plain mean's; a stack of weight rows,
+        summed in one pass, gives each row the bits of its own pass."""
         from avlms.operators import GRAM_CHUNK_BYTES
 
         basis = SymBasis(30)
         rows = GRAM_CHUNK_BYTES // (8 * basis.size)
         n = 5 * rows // 2 + 7
         xs, weights = self._atoms(n, 30, 21)
-        for w in (None, weights):
-            want = one_shot_fourth_moment(xs, basis, w)
-            got = fourth_moment_operator_from_samples(xs, basis, weights=w)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         stack = np.stack([weights, weights[::-1], np.full(n, 1.0 / n)])
-        grams = fourth_moment_operator_from_samples(xs, basis, weights=stack)
+        grams = fourth_moment_operator_from_samples(xs, basis, stack, np.eye(30))
         assert len(grams) == 3
         for got, w in zip(grams, stack):
-            np.testing.assert_array_equal(got, fourth_moment_operator_from_samples(xs, basis,
-                                                                                   weights=w))
+            want = one_shot_fourth_moment(xs, basis, w)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            np.testing.assert_array_equal(
+                got, fourth_moment_operator_from_samples(xs, basis, w[None], np.eye(30))[0])
 
     def test_one_chunk_is_the_one_shot_gram_bit_for_bit(self):
         from avlms.operators import GRAM_CHUNK_BYTES
@@ -228,9 +235,9 @@ class TestFourthMomentFromSamples:
         rows = GRAM_CHUNK_BYTES // (8 * basis.size)
         for n in (1, 100, rows):
             xs, weights = self._atoms(n, 30, 22)
-            for w in (None, weights):
+            for w in (weights, np.full(n, 1.0 / n)):
                 np.testing.assert_array_equal(
-                    fourth_moment_operator_from_samples(xs, basis, weights=w),
+                    fourth_moment_operator_from_samples(xs, basis, w[None], np.eye(30))[0],
                     one_shot_fourth_moment(xs, basis, w))
 
     def test_rank_one_coords_are_the_scaled_pair_products_bit_for_bit(self):
@@ -247,10 +254,10 @@ class TestFourthMomentFromSamples:
     def test_rows_rotated_per_chunk_are_the_rotated_rows_bit_for_bit(self, monkeypatch,
                                                                      chunk_rows):
         """Passing H's eigenvectors as ``rotation`` gives the Gram of ``xs @ u``
-        exactly: with one sample, below one chunk, a whole number of chunks,
-        and one row past them (a 1-row tail chunk, which numpy's vector path
-        would rotate with other last bits); unweighted, with one weight row
-        and with a stack of them."""
+        (rotated by the identity) exactly: with one sample, below one chunk,
+        a whole number of chunks, and one row past them (a 1-row tail chunk,
+        which numpy's vector path would rotate with other last bits); with
+        one weight row and with a stack of them."""
         import avlms.operators
 
         monkeypatch.setattr(avlms.operators, "GRAM_CHUNK_BYTES", 8 * 55 * chunk_rows)
@@ -258,10 +265,10 @@ class TestFourthMomentFromSamples:
         u = np.linalg.eigh(np.random.default_rng(24).standard_normal((10, 10)) + np.eye(10))[1]
         for n in sorted({1, max(1, chunk_rows - 1), 3 * chunk_rows, 3 * chunk_rows + 1}):
             xs, weights = self._atoms(n, 10, 25)
-            for w in (None, weights, np.stack([weights, np.full(n, 1.0 / n)])):
-                got = fourth_moment_operator_from_samples(xs, basis, weights=w, rotation=u)
-                want = fourth_moment_operator_from_samples(xs @ u, basis, weights=w)
-                assert np.array_equal(got, want), (n, w is None)
+            for w in (weights[None], np.stack([weights, np.full(n, 1.0 / n)])):
+                got = fourth_moment_operator_from_samples(xs, basis, w, u)
+                want = fourth_moment_operator_from_samples(xs @ u, basis, w, np.eye(10))
+                assert np.array_equal(got, want), (n, len(w))
 
     def test_gram_holds_only_its_buffers(self):
         """On 20000 x 30 rows (D=465) with three weight rows, the traced
