@@ -329,7 +329,12 @@ def cmd_predict(args) -> int:
                 "leading-term columns are left empty",
                 file=sys.stderr,
             )
-        if not model.t_invertible:
+        if not np.isfinite(model.tau).all():
+            print(
+                f"warning: gamma={gamma:g} overflows T; the variance_exact column is left empty",
+                file=sys.stderr,
+            )
+        elif not model.t_invertible:
             print(
                 f"warning: gamma={gamma:g} makes T singular; the variance_exact column "
                 "is left empty",

@@ -430,7 +430,11 @@ def _drive(spec, cells: list[Cell], sampler: _Sampler, schemes: list[int], n: in
     from concurrent.futures import ThreadPoolExecutor
 
     m = 1
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="avlms-draws") as pool:
+    # A step-size near the float range overflows a step: that cell diverges
+    # and is warned of by the caller, in one line, so numpy's own overflow
+    # warnings are not printed.  This holds on this thread only.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="avlms-draws") as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
 
         def ask(b: int):
             return pool.submit(draw, b, wanted, noisy).result

@@ -266,10 +266,12 @@ class SpectralFrame:
     way: one order-k eigensolve and D - k scalars per step-size.  Atom sets
     give the whole D x D matrix as the block (k = D, no scalars); the
     Gaussian forms give a d x d block and D - d scalars, and never form a
-    D x D array.  Building the frame is O(D); every call solves T(gamma)
-    afresh, and the pencil is solved once and its top kept.  Its arrays are
-    read-only, since one MomentSet may serve many callers, so the kept top
-    cannot go stale.
+    D x D array.  Building the frame is O(D).  The pencil is solved once
+    and its top kept; :meth:`t_eigenvalues` keeps the last spectrum it
+    solved, with its step-size, so a repeated call at that step-size solves
+    nothing, and :meth:`t_eigenpairs` solves T(gamma) afresh on every call.
+    Its arrays are read-only, since one MomentSet may serve many callers, so
+    neither kept value can go stale.
     """
 
     def __init__(self, basis: SymBasis, lam: np.ndarray, u: np.ndarray, block: np.ndarray,
@@ -281,6 +283,7 @@ class SpectralFrame:
         self._block, self._scalars = block, scalars
         self._k = block.shape[0]
         self._top = None
+        self._t_spectrum = None  # (gamma, eigenvalues) of the last t_eigenvalues solve
         for arr in (self.bdiag, block, scalars):
             arr.setflags(write=False)
 
@@ -319,5 +322,12 @@ class SpectralFrame:
 
     def t_eigenvalues(self, gamma: float) -> np.ndarray:
         """Eigenvalues of T(gamma): the block's, then the scalars, in the
-        frame's own order, as :class:`TEigenpairs` holds them."""
-        return np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)), self._t_scalars(gamma)])
+        frame's own order, as :class:`TEigenpairs` holds them.  A read-only
+        array: the frame keeps the last one it solved, and a call at the
+        same ``gamma`` returns it with no eigensolve."""
+        if self._t_spectrum is None or self._t_spectrum[0] != gamma:
+            tau = np.concatenate([np.linalg.eigvalsh(self._t_block(gamma)),
+                                  self._t_scalars(gamma)])
+            tau.setflags(write=False)
+            self._t_spectrum = (gamma, tau)
+        return self._t_spectrum[1]

@@ -102,5 +102,8 @@ def contraction_rate_bound(gamma: float, mu: float, g_max: float, dim: int) -> f
 
 
 def smallest_t_eigenvalue(moments: MomentSet, gamma: float) -> float:
-    """Smallest eigenvalue of T(gamma); positive iff gamma is stable."""
+    """Smallest eigenvalue of T(gamma); positive iff gamma is stable.
+
+    It reads the spectrum the MomentSet's frame keeps (``t_eigenvalues``):
+    a repeated call at the same ``gamma`` solves nothing."""
     return float(moments.frame.t_eigenvalues(gamma).min())

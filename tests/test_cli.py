@@ -424,6 +424,36 @@ class TestCommands:
         assert main(argv) == EXIT_OK
         assert solves == [(6, 6), (6, 6)]
 
+    def test_repeated_gamma_max_on_data_solves_nothing(self, tmp_path, monkeypatch, capsys):
+        """Each kept moment set's frame keeps T's spectrum at half its
+        threshold: a second three-scheme gamma-max on the same data makes no
+        eigensolve and prints the first call's bytes, which a fresh spec of
+        the same file prints too."""
+        import avlms.dataio
+
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # no spec kept from an earlier test
+        solves = []
+        original = np.linalg.eigvalsh
+
+        def counting(a):
+            solves.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        argv = ["gamma-max", "--data", self._data_file(tmp_path), "--scheme", "uniform",
+                "--scheme", "bias-opt", "--scheme", "variance-opt"]
+
+        def stdout():
+            solves.clear()
+            assert main(argv) == EXIT_OK
+            return capsys.readouterr().out, len(solves)
+
+        (first, first_solves), (second, second_solves) = stdout(), stdout()
+        assert first_solves > 0 and second_solves == 0
+        assert second == first
+        monkeypatch.setattr(avlms.dataio, "_last", None)  # a fresh spec of the same bytes
+        assert stdout() == (first, first_solves)
+
     @pytest.mark.parametrize("command", ["gamma-max", "sampling"])
     def test_each_scheme_built_once_per_data_set(self, command, tmp_path, monkeypatch,
                                                  capsys):
@@ -603,6 +633,7 @@ class TestCommands:
         assert rc == EXIT_OK
         err = capsys.readouterr().err
         assert "gamma=2 makes T singular; the variance_exact column is left empty" in err
+        assert "overflows T" not in err
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert all(r[4] == "" for r in rows) and all(r[1] != "" for r in rows)
 
@@ -610,7 +641,8 @@ class TestCommands:
     def test_predict_at_a_step_size_near_the_float_range_warns_in_lines(self, gamma, capsys):
         """Where gamma^2 and T overflow, predict still exits 0 with its CSV:
         the overflowed cells are empty, and stderr holds only the one-line
-        warnings, no numpy warning and no traceback."""
+        warnings, no numpy warning and no traceback.  At 1e308 gamma M
+        itself overflows, and the warning says so: T is not singular."""
         argv = ["predict", "--spec", "gaussian:d=2", "--gamma", gamma, "--n-max", "50",
                 "--points", "3"]
         with warnings.catch_warnings():
@@ -623,6 +655,39 @@ class TestCommands:
         err = captured.err.splitlines()
         assert err and all(line.startswith(f"warning: gamma={float(gamma):g} ") for line in err)
         assert "exact values overflowed" in captured.err
+        assert all(row[4] == "" for row in rows) and "singular" not in captured.err
+        overflowed_t = (f"warning: gamma={float(gamma):g} overflows T; the variance_exact "
+                        "column is left empty")
+        assert (overflowed_t in err) == (gamma == "1e308")
+
+    @pytest.mark.parametrize("command", [["run"], ["sampling", "--scheme", "uniform"]],
+                             ids=["run", "sampling"])
+    def test_a_step_that_overflows_warns_only_of_the_divergence(self, command, capsys):
+        """A step-size that overflows the first step: stderr holds the one
+        divergence line per cell and nothing of numpy's."""
+        argv = [*command, "--spec", "gaussian:d=2", "--gamma", "1e308", "--n-max", "50",
+                "--replicates", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: gamma=1e+308 scheme=uniform mode=total diverged at n=2 "
+            "(replicate 0, norm inf)\n")
+
+    def test_overflowing_cells_warn_only_of_their_divergence(self, tmp_path, capsys):
+        """Several cells, on data: one line per diverged cell, in cell order,
+        and the stable cells none."""
+        data = self._data_file(tmp_path)
+        argv = ["run", "--data", data, "--scheme", "uniform", "--scheme", "bias-opt",
+                "--gamma", "1e308", "--gamma", "0.01", "--mode", "all", "--n-max", "50",
+                "--replicates", "3", "--out", str(tmp_path / "r.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" diverged at ")[0] for line in err] == [
+            f"warning: gamma=1e+308 scheme={scheme} mode={mode}"
+            for scheme in ("uniform", "bias-opt") for mode in ("bias", "variance", "total")]
 
     @pytest.mark.parametrize("command", [["predict"], ["run", "--replicates", "2"]],
                              ids=["predict", "run"])

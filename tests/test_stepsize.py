@@ -252,6 +252,64 @@ class TestPositivityBoundary:
                 assert t_positive(tau[order]) == positive
 
 
+def fresh_t_eigenvalues(frame: SpectralFrame, gamma: float) -> np.ndarray:
+    """T(gamma)'s spectrum solved here, in the frame's order, keeping nothing."""
+    return np.concatenate([np.linalg.eigvalsh(frame._t_block(gamma)), frame._t_scalars(gamma)])
+
+
+KEPT_SPECS = [lambda: make_gaussian(4, 0.5, 911), lambda: make_discrete(3, 9, 912, residual=True)]
+
+
+class TestKeptTSpectrum:
+    """A frame keeps the last T spectrum it solved, and only that one."""
+
+    @pytest.mark.parametrize("make", KEPT_SPECS, ids=["gaussian", "discrete"])
+    def test_kept_spectrum_is_read_only_with_a_fresh_solve_bits(self, make, eigensolves):
+        spec = make()
+        m = compute_moments(spec)
+        g = 0.5 * gamma_max(m)
+        before = len(eigensolves)
+        tau = m.frame.t_eigenvalues(g)
+        assert len(eigensolves) == before + 1
+        assert not tau.flags.writeable
+        with pytest.raises(ValueError):
+            tau[0] = 0.0
+        assert m.frame.t_eigenvalues(g) is tau
+        assert len(eigensolves) == before + 1
+        fresh = compute_moments(spec).frame.t_eigenvalues(g)
+        assert fresh.tobytes() == tau.tobytes()
+        assert fresh_t_eigenvalues(m.frame, g).tobytes() == tau.tobytes()
+
+    @pytest.mark.parametrize("make", KEPT_SPECS, ids=["gaussian", "discrete"])
+    def test_one_entry_another_gamma_replaces_it(self, make, eigensolves):
+        """g1, g2 and g1 again solve three times: the frame keeps one
+        spectrum, not one per step-size; each keeps a fresh solve's bits."""
+        m = compute_moments(make())
+        g1, g2 = 0.5 * gamma_max(m), 0.25 * gamma_max(m)
+        before = len(eigensolves)
+        spectra = [m.frame.t_eigenvalues(g) for g in (g1, g2, g1, g1)]
+        assert len(eigensolves) == before + 3
+        assert spectra[0] is not spectra[2] and spectra[2] is spectra[3]
+        for g, tau in zip((g1, g2, g1), spectra):
+            assert tau.tobytes() == fresh_t_eigenvalues(m.frame, g).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        lambda: parse_spec_descriptor("gaussian:d=3,spectrum=1/i,sigma=1"),
+        lambda: parse_spec_descriptor("gaussian:d=12,spectrum=1/i,sigma=1"),
+        lambda: make_gaussian(4, 0.5, 913),
+    ], ids=["d3-1/i", "d12-1/i", "gauss-913"])
+    def test_smallest_t_eigenvalue_on_the_gaussian_block_layout(self, spec):
+        """On the d x d block and D - d scalars, in any order of step-sizes
+        and repeated: the sign flips at gamma_max, and each value is the
+        minimum of a fresh solve."""
+        m = compute_moments(spec())
+        g_max = gamma_max(m)
+        for frac in (0.99, 1.01, 0.99, 0.5, 0.5, 1.01):
+            mu_t = smallest_t_eigenvalue(m, frac * g_max)
+            assert (mu_t > 0) == (frac < 1)
+            assert mu_t == float(fresh_t_eigenvalues(m.frame, frac * g_max).min())
+
+
 class TestReport:
     def test_fields_and_diagnostics(self):
         m = scalar_unit_moments()
